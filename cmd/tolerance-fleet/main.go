@@ -359,6 +359,7 @@ func run() (retErr error) {
 		}
 		defer ep.Close()
 		col.CounterFunc(fleet.MetricFramesQuarantined, ep.QuarantinedFrames)
+		col.CounterFunc(fleet.MetricFramesDropped, ep.DroppedFrames)
 		ccfg := fleet.CoordinatorConfig{
 			Endpoint:       plan.WrapEndpoint(ep),
 			LeaseScenarios: *leaseScenarios,
@@ -429,6 +430,7 @@ func runConnect(coordAddr, listen, advertise string, workers int, col *telemetry
 	}
 	defer ep.Close()
 	col.CounterFunc(fleet.MetricFramesQuarantined, ep.QuarantinedFrames)
+	col.CounterFunc(fleet.MetricFramesDropped, ep.DroppedFrames)
 
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()

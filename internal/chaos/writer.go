@@ -4,9 +4,9 @@ import "io"
 
 // WrapCheckpointSink decorates the checkpoint writer's record sink with
 // the plan's disk faults. The checkpoint pipeline issues exactly one Write
-// per record line (the persistent json.Encoder hands over the full line,
-// newline included), so the shim's ordinal counter advances one record at
-// a time:
+// per record line (the writer builds the full line, newline included, in
+// one buffer), so the shim's ordinal counter advances one record at a
+// time:
 //
 //   - the TearAt-th record is torn: only its first half reaches the file
 //     while the writer is told the whole line landed, so the half-line is

@@ -357,10 +357,14 @@ func (c *coordinator) waitBackoffMillis() int {
 // executed — counts as a replay and is dropped, which is sound because
 // record bytes are a pure function of (suite, index).
 func (c *coordinator) ingest(raw json.RawMessage) error {
-	var rec RunRecord
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		c.reject()
-		return nil
+	// Workers send the codec's canonical bytes; any other spelling of a
+	// record is encoding/json's to judge.
+	rec, _, _, ok := decodeRecordLine(raw)
+	if !ok {
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			c.reject()
+			return nil
+		}
 	}
 	if rec.Index < 0 || rec.Index >= c.total || rec.Cell != rec.Index/c.suite.SeedsPerCell {
 		c.reject()

@@ -11,6 +11,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 
 	"tolerance/internal/emulation"
@@ -29,29 +30,17 @@ type RunRecord struct {
 	Metrics emulation.Metrics `json:"metrics"`
 }
 
-// checkpointLine is the on-disk shape of one record line: the RunRecord
-// fields flattened (the embedding keeps the JSON identical to PR-era files
-// plus one trailing field) and a CRC32 (IEEE) of the record's canonical
-// JSON encoding. The checksum turns silent corruption — a flipped byte
-// that still parses as valid JSON — into a detected, skippable record
-// instead of a poisoned resume. CRC is a pointer so legacy lines without
-// one read back as nil and are accepted unverified.
+// checkpointLine is the on-disk shape of one record line as encoding/json
+// sees it: the RunRecord fields flattened plus a trailing CRC32 (IEEE) of
+// the record's canonical encoding (see recordCRC). The writer and the
+// reader's fast path go through the record codec instead; this type only
+// decodes lines that are valid JSON in some other shape (reordered keys,
+// whitespace, "crc":null), so the accepted set stays encoding/json's. CRC
+// is a pointer so legacy lines without one read back as nil and are
+// accepted unverified.
 type checkpointLine struct {
 	RunRecord
 	CRC *uint32 `json:"crc,omitempty"`
-}
-
-// recordCRC is the per-record checksum: CRC32 (IEEE) over the record's
-// canonical JSON bytes. emulation.Metrics is flat float64/int data that
-// Go's JSON encoding round-trips exactly, so a reader can re-marshal the
-// parsed record and get the writer's bytes back — no need to checksum the
-// raw line (whose crc field would self-reference).
-func recordCRC(rec RunRecord) (uint32, error) {
-	body, err := json.Marshal(rec)
-	if err != nil {
-		return 0, err
-	}
-	return crc32.ChecksumIEEE(body), nil
 }
 
 // checkpointHeader is the first line of a checkpoint / shard result file.
@@ -72,6 +61,8 @@ const CheckpointVersion = 1
 // checkpointSyncEvery bounds the records between fsyncs; a crash loses at
 // most this many completed scenarios.
 const checkpointSyncEvery = 16
+
+var newline = []byte{'\n'}
 
 // gzipCheckpoint reports whether a checkpoint path selects the gzip
 // framing: very large grids name their files *.gz and every consumer
@@ -148,29 +139,38 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("%w: checkpoint %s is empty", ErrBadSuite, path)
 	}
-	lines := strings.Split(string(data), "\n")
-	// Drop trailing empty lines (the file ends with a newline when intact).
-	for len(lines) > 0 && strings.TrimSpace(lines[len(lines)-1]) == "" {
-		lines = lines[:len(lines)-1]
-	}
-	if len(lines) == 0 {
-		return nil, fmt.Errorf("%w: checkpoint %s is empty", ErrBadSuite, path)
+	// Lines are walked over data in place. First drop trailing blank lines
+	// (the file ends with a newline when intact): end becomes the end of the
+	// last non-blank line, which starts at last.
+	end, last := len(data), 0
+	for {
+		last = bytes.LastIndexByte(data[:end], '\n') + 1
+		if len(bytes.TrimSpace(data[last:end])) != 0 {
+			break
+		}
+		if last == 0 {
+			return nil, fmt.Errorf("%w: checkpoint %s is empty", ErrBadSuite, path)
+		}
+		end = last - 1
 	}
 	// A line is only durable once its newline is on disk. A file that does
 	// not end in '\n' was killed mid-write: its final line is torn even if
 	// the cut happened to land after complete JSON — counting it would make
 	// validBytes overshoot the file and corrupt the truncate-then-append
 	// resume path.
-	torn := data[len(data)-1] != '\n'
-	if torn && len(lines) == 1 {
-		return nil, fmt.Errorf("%w: checkpoint %s has a torn header", ErrBadSuite, path)
+	if data[len(data)-1] != '\n' {
+		if last == 0 {
+			return nil, fmt.Errorf("%w: checkpoint %s has a torn header", ErrBadSuite, path)
+		}
+		end = last - 1
 	}
-	body := lines[1:]
-	if torn {
-		body = body[:len(body)-1]
+	header, body, hasBody := bytes.Cut(data[:end], newline)
+	nBody := 0
+	if hasBody {
+		nBody = bytes.Count(body, newline) + 1
 	}
 	var hdr checkpointHeader
-	if err := json.Unmarshal([]byte(lines[0]), &hdr); err != nil {
+	if err := json.Unmarshal(header, &hdr); err != nil {
 		return nil, fmt.Errorf("%w: checkpoint %s header: %v", ErrBadSuite, path, err)
 	}
 	if hdr.Version != CheckpointVersion {
@@ -188,26 +188,39 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 	ck := &Checkpoint{
 		Suite:      hdr.Suite,
 		Shard:      shard,
-		Records:    make(map[int]RunRecord, len(body)),
-		validBytes: int64(len(lines[0]) + 1),
+		Records:    make(map[int]RunRecord, nBody),
+		validBytes: int64(len(header) + 1),
 		gz:         gzipCheckpoint(path),
 	}
-	for i, line := range body {
-		var rec checkpointLine
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			if i == len(body)-1 {
-				break // torn tail from a killed run; the record is simply redone
+	scratch := make([]byte, 0, maxRecordJSON) // the CRC check's re-encoding
+	for i := 0; i < nBody; i++ {
+		var line []byte
+		line, body, _ = bytes.Cut(body, newline)
+		rec, crc, hasCRC, ok := decodeRecordLine(line)
+		if !ok {
+			// Not the writer's canonical shape: either damage, or valid JSON
+			// spelled differently, which encoding/json decides as it always
+			// has.
+			var cl checkpointLine
+			if err := json.Unmarshal(line, &cl); err != nil {
+				if i == nBody-1 {
+					break // torn tail from a killed run; the record is simply redone
+				}
+				// A torn or corrupted line mid-file (a chaos tear glues a half
+				// line onto its successor). validBytes still advances: the
+				// damage is already durable, and truncating it away would also
+				// discard every good record that follows.
+				ck.Corrupted++
+				ck.validBytes += int64(len(line) + 1)
+				continue
 			}
-			// A torn or corrupted line mid-file (a chaos tear glues a half
-			// line onto its successor). validBytes still advances: the
-			// damage is already durable, and truncating it away would also
-			// discard every good record that follows.
-			ck.Corrupted++
-			ck.validBytes += int64(len(line) + 1)
-			continue
+			rec, hasCRC = cl.RunRecord, cl.CRC != nil
+			if hasCRC {
+				crc = *cl.CRC
+			}
 		}
-		if rec.CRC != nil {
-			if sum, err := recordCRC(rec.RunRecord); err != nil || sum != *rec.CRC {
+		if hasCRC {
+			if sum, err := recordCRC(scratch, rec); err != nil || sum != crc {
 				ck.Corrupted++
 				ck.validBytes += int64(len(line) + 1)
 				continue
@@ -217,7 +230,7 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 			return nil, fmt.Errorf("%w: checkpoint %s has out-of-shard scenario %d",
 				ErrBadSuite, path, rec.Index)
 		}
-		ck.Records[rec.Index] = rec.RunRecord
+		ck.Records[rec.Index] = rec
 		ck.validBytes += int64(len(line) + 1)
 	}
 	return ck, nil
@@ -228,17 +241,19 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 // be resumed with bounded rework. A path ending in .gz writes the same
 // JSONL stream gzip-compressed (for very large grids); each sync flushes a
 // compressed block, so the synced prefix of a killed gzip run is always
-// decompressible. Records encode through one persistent json.Encoder bound
-// to the output pipeline; each line carries a CRC32 of the record (see
-// checkpointLine) so readers can detect corruption instead of trusting
-// whatever parses.
+// decompressible. Each record is encoded once by the record codec into a
+// reused line buffer, stamped with the CRC32 of those bytes so readers can
+// detect corruption instead of trusting whatever parses, and handed to the
+// output pipeline as one Write.
 type CheckpointWriter struct {
-	f        *os.File
-	bw       *bufio.Writer
-	zw       *gzip.Writer // nil for plain files
-	enc      *json.Encoder
-	unsynced int
-	syncs    *telemetry.Counter // nil until Instrument
+	f         *os.File
+	bw        *bufio.Writer
+	zw        *gzip.Writer // nil for plain files
+	sink      io.Writer    // head of the (chaos)→(gzip)→buffer→file pipeline
+	line      []byte       // the current line; reused across records
+	unsynced  int
+	syncCalls int                // fsync batches issued, Instrumented or not
+	syncs     *telemetry.Counter // nil until Instrument
 }
 
 // Instrument counts the writer's fsync batches on the collector
@@ -250,15 +265,14 @@ func (c *CheckpointWriter) Instrument(col *telemetry.Collector) {
 	}
 }
 
-// newCheckpointWriter assembles the encode→(gzip)→buffer→file pipeline.
+// newCheckpointWriter assembles the (gzip)→buffer→file pipeline.
 func newCheckpointWriter(path string, f *os.File) *CheckpointWriter {
-	w := &CheckpointWriter{f: f, bw: bufio.NewWriter(f)}
-	var sink io.Writer = w.bw
+	w := &CheckpointWriter{f: f, bw: bufio.NewWriter(f), line: make([]byte, 0, maxRecordJSON)}
+	w.sink = w.bw
 	if gzipCheckpoint(path) {
 		w.zw = gzip.NewWriter(w.bw)
-		sink = w.zw
+		w.sink = w.zw
 	}
-	w.enc = json.NewEncoder(sink)
 	return w
 }
 
@@ -278,7 +292,7 @@ func CreateCheckpoint(path string, suite Suite, shard Shard) (*CheckpointWriter,
 		Scenarios:   suite.NumScenarios(),
 		Suite:       suite,
 	}
-	if err := w.writeLine(hdr); err != nil {
+	if err := w.writeHeader(hdr); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -296,7 +310,9 @@ func CreateCheckpoint(path string, suite Suite, shard Shard) (*CheckpointWriter,
 // the file for -merge and later resumes. A gzip file cannot be truncated
 // to a record boundary in place, so it is rewritten from the parsed
 // records (in index order — the fold order the original writer used)
-// before appending continues.
+// before appending continues. The replayed records are not synced in
+// batches — the original stays in place until the rename, so nothing is at
+// risk before the one sync that precedes it.
 func AppendCheckpoint(path string, ck *Checkpoint) (*CheckpointWriter, error) {
 	if ck.gz {
 		// Rewrite to a sibling temp file and rename over the original only
@@ -319,7 +335,7 @@ func AppendCheckpoint(path string, ck *Checkpoint) (*CheckpointWriter, error) {
 		}
 		sort.Ints(idxs)
 		for _, idx := range idxs {
-			if err := w.Append(ck.Records[idx]); err != nil {
+			if err := w.writeRecord(ck.Records[idx]); err != nil {
 				return abort(err)
 			}
 		}
@@ -346,12 +362,12 @@ func AppendCheckpoint(path string, ck *Checkpoint) (*CheckpointWriter, error) {
 	return newCheckpointWriter(path, f), nil
 }
 
-// InterposeSink rebuilds the record encoder over wrap(sink) — the chaos
-// plane's hook for injecting torn and corrupted writes under the JSONL
-// stream. Call it right after CreateCheckpoint or AppendCheckpoint: the
-// header (already written) stays intact, and every subsequent record line
-// reaches the file through the wrapper as exactly one Write. A nil wrap is
-// a no-op.
+// InterposeSink puts wrap(sink) at the head of the output pipeline — the
+// chaos plane's hook for injecting torn and corrupted writes under the
+// JSONL stream. Call it right after CreateCheckpoint or AppendCheckpoint:
+// the header (already written) stays intact, and every subsequent record
+// line reaches the file through the wrapper as exactly one Write. A nil
+// wrap is a no-op.
 func (c *CheckpointWriter) InterposeSink(wrap func(io.Writer) io.Writer) {
 	if wrap == nil {
 		return
@@ -360,22 +376,35 @@ func (c *CheckpointWriter) InterposeSink(wrap func(io.Writer) io.Writer) {
 	if c.zw != nil {
 		sink = c.zw
 	}
-	c.enc = json.NewEncoder(wrap(sink))
+	c.sink = wrap(sink)
 }
 
 // Append writes one completed scenario record, stamped with its CRC32 so
 // a reader can tell bit rot from truth.
 func (c *CheckpointWriter) Append(rec RunRecord) error {
-	sum, err := recordCRC(rec)
-	if err != nil {
-		return fmt.Errorf("fleet: checkpoint: %w", err)
-	}
-	if err := c.writeLine(checkpointLine{RunRecord: rec, CRC: &sum}); err != nil {
+	if err := c.writeRecord(rec); err != nil {
 		return err
 	}
 	c.unsynced++
 	if c.unsynced >= checkpointSyncEvery {
 		return c.sync()
+	}
+	return nil
+}
+
+// writeRecord encodes rec once, checksums the bytes just written, splices
+// the crc member in before the closing brace and writes the line.
+func (c *CheckpointWriter) writeRecord(rec RunRecord) error {
+	line, err := appendRecordJSON(c.line[:0], rec)
+	if err != nil {
+		return fmt.Errorf("fleet: checkpoint: %w", err)
+	}
+	sum := crc32.ChecksumIEEE(line)
+	line = append(line[:len(line)-1], recKeyCRC...)
+	line = strconv.AppendUint(line, uint64(sum), 10)
+	c.line = append(line, '}', '\n')
+	if _, err := c.sink.Write(c.line); err != nil {
+		return fmt.Errorf("fleet: checkpoint: %w", err)
 	}
 	return nil
 }
@@ -402,10 +431,13 @@ func (c *CheckpointWriter) Close() error {
 	return err
 }
 
-// writeLine encodes one JSONL line through the persistent encoder (Encode
-// appends the newline itself).
-func (c *CheckpointWriter) writeLine(v any) error {
-	if err := c.enc.Encode(v); err != nil {
+// writeHeader writes the header line.
+func (c *CheckpointWriter) writeHeader(hdr checkpointHeader) error {
+	line, err := json.Marshal(hdr)
+	if err == nil {
+		_, err = c.sink.Write(append(line, '\n'))
+	}
+	if err != nil {
 		return fmt.Errorf("fleet: checkpoint: %w", err)
 	}
 	return nil
@@ -413,6 +445,7 @@ func (c *CheckpointWriter) writeLine(v any) error {
 
 func (c *CheckpointWriter) sync() error {
 	c.unsynced = 0
+	c.syncCalls++
 	if c.syncs != nil {
 		c.syncs.Inc(0)
 	}
@@ -440,7 +473,7 @@ func ReadShardSet(paths []string) (Suite, map[int]RunRecord, error) {
 	}
 	var suite Suite
 	var fingerprint string
-	combined := make(map[int]RunRecord)
+	var combined map[int]RunRecord
 	for _, path := range paths {
 		ck, err := ReadCheckpoint(path)
 		if err != nil {
@@ -448,6 +481,9 @@ func ReadShardSet(paths []string) (Suite, map[int]RunRecord, error) {
 		}
 		if fingerprint == "" {
 			suite, fingerprint = ck.Suite, ck.Suite.Fingerprint()
+			// Shards of one grid are near-equal slices: size for all of them
+			// from the first so the map does not rehash per file.
+			combined = make(map[int]RunRecord, len(ck.Records)*len(paths))
 		} else if got := ck.Suite.Fingerprint(); got != fingerprint {
 			return Suite{}, nil, fmt.Errorf("%w: %s was produced by a different suite (fingerprint %s, want %s)",
 				ErrBadSuite, path, got, fingerprint)

@@ -1,0 +1,287 @@
+package fleet
+
+import (
+	"fmt"
+	"hash/crc32"
+	"math"
+	"strconv"
+
+	"tolerance/internal/emulation"
+)
+
+// The RunRecord codec: the one place a record becomes bytes (checkpoint
+// lines, wire batches, the CRC input) and canonical bytes become a record.
+// The encoder is byte-for-byte json.Marshal(RunRecord) — the format is
+// unchanged — written by hand so the hot paths neither reflect nor
+// allocate; the decoder accepts exactly the shape the encoder writes and
+// reports anything else as "not canonical", which callers hand to
+// encoding/json so the accepted set is the reference's.
+
+// The canonical key sequence. Every key is written with its leading
+// separator so encode and decode walk the same table.
+const (
+	recKeyIndex   = `{"index":`
+	recKeyCell    = `,"cell":`
+	recKeyLatency = `,"ServiceLatencyMS":`
+	recKeyCRC     = `,"crc":`
+)
+
+var (
+	recFloatKeys = [...]string{
+		`,"metrics":{"Availability":`,
+		`,"QuorumAvailability":`,
+		`,"TimeToRecovery":`,
+		`,"RecoveryFrequency":`,
+		`,"AvgNodes":`,
+		`,"AvgCost":`,
+	}
+	recIntKeys = [...]string{
+		`,"Intrusions":`,
+		`,"Recoveries":`,
+		`,"Evictions":`,
+		`,"Additions":`,
+	}
+)
+
+// recordFields lists the metric fields in key-table order.
+func recordFields(m *emulation.Metrics) ([len(recFloatKeys)]*float64, [len(recIntKeys)]*int) {
+	return [...]*float64{
+			&m.Availability, &m.QuorumAvailability, &m.TimeToRecovery,
+			&m.RecoveryFrequency, &m.AvgNodes, &m.AvgCost,
+		}, [...]*int{
+			&m.Intrusions, &m.Recoveries, &m.Evictions, &m.Additions,
+		}
+}
+
+// maxRecordJSON bounds a record line: 204 bytes of keys and braces, six
+// ints of at most 20 bytes, seven floats of at most 24, and the 19-byte crc
+// member and newline a checkpoint line adds come to 511, so a buffer of
+// this capacity never grows.
+const maxRecordJSON = 512
+
+// appendRecordJSON appends the canonical JSON encoding of rec — exactly
+// the bytes json.Marshal(rec) produces — to dst. Like json.Marshal it
+// fails on a NaN or infinite metric.
+func appendRecordJSON(dst []byte, rec RunRecord) ([]byte, error) {
+	floats, ints := recordFields(&rec.Metrics)
+	dst = append(dst, recKeyIndex...)
+	dst = strconv.AppendInt(dst, int64(rec.Index), 10)
+	dst = append(dst, recKeyCell...)
+	dst = strconv.AppendInt(dst, int64(rec.Cell), 10)
+	var err error
+	for i, key := range recFloatKeys {
+		dst = append(dst, key...)
+		if dst, err = appendJSONFloat(dst, *floats[i]); err != nil {
+			return dst, err
+		}
+	}
+	for i, key := range recIntKeys {
+		dst = append(dst, key...)
+		dst = strconv.AppendInt(dst, int64(*ints[i]), 10)
+	}
+	if rec.Metrics.ServiceLatencyMS != 0 { // omitempty; -0 counts as empty
+		dst = append(dst, recKeyLatency...)
+		if dst, err = appendJSONFloat(dst, rec.Metrics.ServiceLatencyMS); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, '}', '}'), nil
+}
+
+// appendJSONFloat formats f the way encoding/json does: shortest
+// round-trip digits, 'e' form below 1e-6 and from 1e21 with a two-digit
+// exponent's leading zero dropped (e-09 → e-9), "-0" for negative zero.
+func appendJSONFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return dst, fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && (dst[n-3] == '-' || dst[n-3] == '+') && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst, nil
+}
+
+// recordCRC is the per-record checksum: CRC32 (IEEE) over the record's
+// canonical encoding. Writer and reader both get those bytes from
+// appendRecordJSON, so a reader re-encodes what it parsed and compares —
+// the raw line is never checksummed (its crc field would self-reference,
+// and a non-canonical spelling of the same numbers must verify too). The
+// encoding goes into scratch[:0], which the caller reuses across records:
+// crc32 dispatches through a function value, so a stack buffer would be
+// moved to the heap on every call.
+func recordCRC(scratch []byte, rec RunRecord) (uint32, error) {
+	body, err := appendRecordJSON(scratch[:0], rec)
+	if err != nil {
+		return 0, err
+	}
+	return crc32.ChecksumIEEE(body), nil
+}
+
+// decodeRecordLine decodes one record in canonical shape: the encoder's
+// key order and spelling, no whitespace, strict JSON numbers, optionally a
+// trailing "crc" member (a checkpoint line). ok reports whether the input
+// had that shape; when it is false nothing is said about validity and the
+// caller falls back to encoding/json. When it is true, rec, crc and hasCRC
+// are what encoding/json would have produced.
+func decodeRecordLine(line []byte) (rec RunRecord, crc uint32, hasCRC, ok bool) {
+	s := recScanner{b: line, ok: true}
+	floats, ints := recordFields(&rec.Metrics)
+	s.lit(recKeyIndex)
+	rec.Index = s.int()
+	s.lit(recKeyCell)
+	rec.Cell = s.int()
+	for i, key := range recFloatKeys {
+		s.lit(key)
+		*floats[i] = s.float()
+	}
+	for i, key := range recIntKeys {
+		s.lit(key)
+		*ints[i] = s.int()
+	}
+	if s.has(recKeyLatency) {
+		rec.Metrics.ServiceLatencyMS = s.float()
+	}
+	s.lit("}")
+	if s.has(recKeyCRC) {
+		hasCRC = true
+		crc = s.uint32()
+	}
+	s.lit("}")
+	if !s.ok || len(s.b) != 0 {
+		return RunRecord{}, 0, false, false
+	}
+	return rec, crc, hasCRC, true
+}
+
+// recScanner consumes a canonical record from the front of b. A mismatch
+// clears ok and every later step is a no-op, so the decoder reads as
+// straight-line code with one check at the end.
+type recScanner struct {
+	b  []byte
+	ok bool
+}
+
+// has consumes the literal if b starts with it.
+func (s *recScanner) has(lit string) bool {
+	if !s.ok || len(s.b) < len(lit) || string(s.b[:len(lit)]) != lit {
+		return false
+	}
+	s.b = s.b[len(lit):]
+	return true
+}
+
+// lit requires the literal.
+func (s *recScanner) lit(lit string) {
+	if !s.has(lit) {
+		s.ok = false
+	}
+}
+
+// digitRun returns the number of leading ASCII digits of b.
+func digitRun(b []byte) int {
+	n := 0
+	for n < len(b) && b[n]-'0' <= 9 {
+		n++
+	}
+	return n
+}
+
+// intPart returns the length of the JSON integer part at the front of b —
+// "0", or a nonzero digit followed by digits — or 0 if there is none. A
+// leading zero ends the part, so "01" fails at whatever must follow.
+func intPart(b []byte) int {
+	n := digitRun(b)
+	if n > 1 && b[0] == '0' {
+		return 1
+	}
+	return n
+}
+
+// uint consumes a JSON integer without sign, fraction or exponent, of at
+// most maxDigits digits (19 always fit a uint64).
+func (s *recScanner) uint(maxDigits int) uint64 {
+	n := intPart(s.b)
+	if !s.ok || n == 0 || n > maxDigits {
+		s.ok = false
+		return 0
+	}
+	var v uint64
+	for _, c := range s.b[:n] {
+		v = v*10 + uint64(c-'0')
+	}
+	s.b = s.b[n:]
+	return v
+}
+
+// int consumes a JSON integer in int's range, so everything the encoder
+// writes comes back through the fast path.
+func (s *recScanner) int() int {
+	neg := s.has("-")
+	v, limit := s.uint(19), uint64(math.MaxInt)
+	if neg {
+		limit++
+	}
+	if v > limit {
+		s.ok = false
+		return 0
+	}
+	if neg {
+		return int(-int64(v))
+	}
+	return int(v)
+}
+
+func (s *recScanner) uint32() uint32 {
+	v := s.uint(10)
+	if v > math.MaxUint32 {
+		s.ok = false
+	}
+	return uint32(v)
+}
+
+// float consumes a number in the strict JSON grammar
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? and converts it with
+// strconv.ParseFloat, as encoding/json does; a value out of range is not
+// canonical.
+func (s *recScanner) float() float64 {
+	if !s.ok {
+		return 0
+	}
+	b, n := s.b, 0
+	if len(b) > 0 && b[0] == '-' {
+		n = 1
+	}
+	d := intPart(b[n:])
+	n += d
+	if d > 0 && n < len(b) && b[n] == '.' {
+		d = digitRun(b[n+1:])
+		n += 1 + d
+	}
+	if d > 0 && n < len(b) && b[n]|0x20 == 'e' {
+		n++
+		if n < len(b) && (b[n] == '+' || b[n] == '-') {
+			n++
+		}
+		d = digitRun(b[n:])
+		n += d
+	}
+	if d == 0 { // a part of the grammar that needs digits had none
+		s.ok = false
+		return 0
+	}
+	f, err := strconv.ParseFloat(string(b[:n]), 64)
+	if err != nil {
+		s.ok = false
+		return 0
+	}
+	s.b = b[n:]
+	return f
+}

@@ -1,0 +1,786 @@
+package fleet
+
+import (
+	"bytes"
+	"compress/gzip"
+	"context"
+	"encoding/json"
+	"fmt"
+	"hash/crc32"
+	"io"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"tolerance/internal/emulation"
+)
+
+// sampleRecord is a record shaped like the wide grid's: the sizes the
+// allocation guards and BenchmarkRecordCodec measure.
+var sampleRecord = RunRecord{Index: 24575, Cell: 3071, Metrics: emulation.Metrics{
+	Availability: 0.9875, QuorumAvailability: 0.75, TimeToRecovery: 51.4,
+	RecoveryFrequency: 0.12968299711815562, AvgNodes: 4.3375, AvgCost: 0.1930835734870317,
+	Intrusions: 21, Recoveries: 45, Evictions: 0, Additions: 2,
+}}
+
+// checkpointLineOf is the reference writer: the parent format's line for
+// rec, built with encoding/json alone.
+func checkpointLineOf(t testing.TB, rec RunRecord) []byte {
+	t.Helper()
+	body, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := crc32.ChecksumIEEE(body)
+	line, err := json.Marshal(checkpointLine{RunRecord: rec, CRC: &sum})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return line
+}
+
+// sameRecord compares bit for bit, so -0 and 0 differ.
+func sameRecord(a, b RunRecord) bool {
+	fa, ia := recordFields(&a.Metrics)
+	fb, ib := recordFields(&b.Metrics)
+	for i := range fa {
+		if math.Float64bits(*fa[i]) != math.Float64bits(*fb[i]) {
+			return false
+		}
+	}
+	for i := range ia {
+		if *ia[i] != *ib[i] {
+			return false
+		}
+	}
+	return a.Index == b.Index && a.Cell == b.Cell &&
+		math.Float64bits(a.Metrics.ServiceLatencyMS) == math.Float64bits(b.Metrics.ServiceLatencyMS)
+}
+
+// checkEncode asserts the encoder against json.Marshal — bytes and
+// accept/reject — and that its output decodes back through the fast path,
+// bare (the wire) and with the crc member (a checkpoint line).
+func checkEncode(t *testing.T, rec RunRecord) {
+	t.Helper()
+	want, wantErr := json.Marshal(rec)
+	got, err := appendRecordJSON(nil, rec)
+	if (err != nil) != (wantErr != nil) {
+		t.Fatalf("appendRecordJSON(%+v) error %v, json.Marshal error %v", rec, err, wantErr)
+	}
+	if err != nil {
+		if !strings.Contains(wantErr.Error(), err.Error()) {
+			t.Fatalf("appendRecordJSON error %q, json.Marshal says %q", err, wantErr)
+		}
+		return
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("appendRecordJSON:\n got %s\nwant %s", got, want)
+	}
+	if len(got)+len(`,"crc":4294967295}`)+1 > maxRecordJSON {
+		t.Fatalf("a %d-byte record outgrows maxRecordJSON", len(got))
+	}
+	// What the fast path reads back is what encoding/json reads back (an
+	// omitted -0 latency comes back as 0 either way).
+	var ref RunRecord
+	if err := json.Unmarshal(want, &ref); err != nil {
+		t.Fatal(err)
+	}
+	back, _, hasCRC, ok := decodeRecordLine(got)
+	if !ok || hasCRC || !sameRecord(back, ref) {
+		t.Fatalf("decodeRecordLine(%s) = %+v, hasCRC %v, ok %v", got, back, hasCRC, ok)
+	}
+	line := checkpointLineOf(t, rec)
+	back, crc, hasCRC, ok := decodeRecordLine(line)
+	if !ok || !hasCRC || !sameRecord(back, ref) {
+		t.Fatalf("decodeRecordLine(%s) = %+v, hasCRC %v, ok %v", line, back, hasCRC, ok)
+	}
+	if sum, err := recordCRC(nil, back); err != nil || sum != crc || crc != crc32.ChecksumIEEE(want) {
+		t.Fatalf("recordCRC = %d, %v; line carries %d, reference %d", sum, err, crc, crc32.ChecksumIEEE(want))
+	}
+}
+
+// checkDecode asserts the decoder against encoding/json on arbitrary
+// bytes: whenever the fast path claims a line, the reference accepts it
+// too — as a checkpoint line and as a wire record — with the same value and
+// the same CRC presence. (A line the fast path declines goes to
+// encoding/json in production, so there is nothing to compare.)
+func checkDecode(t *testing.T, line []byte) {
+	t.Helper()
+	rec, crc, hasCRC, ok := decodeRecordLine(line)
+	if !ok {
+		return
+	}
+	var ref checkpointLine
+	if err := json.Unmarshal(line, &ref); err != nil {
+		t.Fatalf("fast path accepted %q, encoding/json rejects it: %v", line, err)
+	}
+	if !sameRecord(rec, ref.RunRecord) {
+		t.Fatalf("%q: fast path %+v, encoding/json %+v", line, rec, ref.RunRecord)
+	}
+	if hasCRC != (ref.CRC != nil) || (hasCRC && crc != *ref.CRC) {
+		t.Fatalf("%q: fast path crc %d (present %v), encoding/json %v", line, crc, hasCRC, ref.CRC)
+	}
+	var wire RunRecord
+	if err := json.Unmarshal(line, &wire); err != nil || !sameRecord(rec, wire) {
+		t.Fatalf("%q as a wire record: fast path %+v, encoding/json %+v, %v", line, rec, wire, err)
+	}
+}
+
+// codecFloats are the float64 cases with their own formatting rule.
+var codecFloats = []float64{
+	0, math.Copysign(0, -1), 1, -1, 0.5, 51.4, 0.12968299711815562, 1000,
+	1e-6, 9.999999999999999e-7, 1e-7, -1e-7, 1.5e-9, 1e-10, // 'e' below 1e-6; e-09 → e-9
+	1e20, 9.999999999999999e20, 1e21, -1e21, 1.5e300, // 'e' from 1e21
+	math.SmallestNonzeroFloat64, 2.2250738585072014e-308, 2.225073858507201e-308, // subnormals
+	math.MaxFloat64, -math.MaxFloat64, math.Nextafter(1, 2), 123456789.125,
+	math.Inf(1), math.Inf(-1), math.NaN(), // json.Marshal refuses these
+}
+
+var codecInts = []int{0, 1, -1, 45, 1 << 31, math.MaxInt64, math.MinInt64, 999999999999999999, -1000000000000000000}
+
+func TestRecordCodecMatchesEncodingJSON(t *testing.T) {
+	checkEncode(t, RunRecord{})
+	checkEncode(t, sampleRecord)
+	for _, f := range codecFloats {
+		rec := sampleRecord
+		floats, _ := recordFields(&rec.Metrics)
+		for i := range floats {
+			*floats[i] = f
+			checkEncode(t, rec)
+			*floats[i] = 0.25
+		}
+		rec.Metrics.ServiceLatencyMS = f // omitted when ±0
+		checkEncode(t, rec)
+	}
+	for _, n := range codecInts {
+		rec := sampleRecord
+		rec.Index, rec.Cell = n, -n
+		_, ints := recordFields(&rec.Metrics)
+		for i := range ints {
+			*ints[i] = n
+		}
+		checkEncode(t, rec)
+	}
+}
+
+// TestRecordCodecCoversEveryField fails when RunRecord or Metrics gains a
+// field the hand-written key table does not know: an omitempty one would
+// slip past the byte comparison above while it is zero.
+func TestRecordCodecCoversEveryField(t *testing.T) {
+	var keys []string
+	for _, typ := range []reflect.Type{reflect.TypeOf(RunRecord{}), reflect.TypeOf(emulation.Metrics{})} {
+		for i := 0; i < typ.NumField(); i++ {
+			name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+			if name == "" {
+				name = typ.Field(i).Name
+			}
+			keys = append(keys, `"`+name+`":`)
+		}
+	}
+	table := strings.Join(append(append([]string{recKeyIndex, recKeyCell}, recFloatKeys[:]...), recIntKeys[:]...), "") + recKeyLatency
+	at := 0
+	for _, key := range keys {
+		i := strings.Index(table[at:], key)
+		if i < 0 {
+			t.Fatalf("field key %s missing from the codec's key table (or out of order): %s", key, table)
+		}
+		at += i + len(key)
+	}
+	if got := strings.Count(table, `":`); got != len(keys) {
+		t.Errorf("codec key table has %d keys, the structs have %d fields", got, len(keys))
+	}
+}
+
+// nonCanonicalLines are spellings the fast path must decline or agree on:
+// invalid JSON numbers, valid JSON in another shape, and crc variants.
+func nonCanonicalLines(t testing.TB) [][]byte {
+	canon := string(checkpointLineOf(t, sampleRecord))
+	with := func(old, new string) []byte {
+		if !strings.Contains(canon, old) {
+			t.Fatalf("canonical line has no %q", old)
+		}
+		return []byte(strings.Replace(canon, old, new, 1))
+	}
+	withCRC := func(value string) []byte {
+		return []byte(canon[:strings.Index(canon, recKeyCRC)] + recKeyCRC + value + "}")
+	}
+	return [][]byte{
+		with(`"TimeToRecovery":51.4`, `"TimeToRecovery":+1`),
+		with(`"TimeToRecovery":51.4`, `"TimeToRecovery":01`),
+		with(`"TimeToRecovery":51.4`, `"TimeToRecovery":1.`),
+		with(`"TimeToRecovery":51.4`, `"TimeToRecovery":.5`),
+		with(`"TimeToRecovery":51.4`, `"TimeToRecovery":1e999`),
+		with(`"TimeToRecovery":51.4`, `"TimeToRecovery":1e`),
+		with(`"TimeToRecovery":51.4`, `"TimeToRecovery":-`),
+		with(`"TimeToRecovery":51.4`, `"TimeToRecovery":0x10`),
+		with(`"TimeToRecovery":51.4`, `"TimeToRecovery":1_0`),
+		with(`"TimeToRecovery":51.4`, `"TimeToRecovery":Infinity`),
+		with(`"TimeToRecovery":51.4`, `"TimeToRecovery":"51.4"`),
+		with(`"TimeToRecovery":51.4`, `"TimeToRecovery":null`),
+		with(`"TimeToRecovery":51.4`, `"TimeToRecovery":5.14E+1`),
+		with(`"TimeToRecovery":51.4`, `"TimeToRecovery":51.40`),
+		with(`"TimeToRecovery":51.4`, `"TimeToRecovery":-0`),
+		with(`"TimeToRecovery":51.4`, `"TimeToRecovery":1e-999`),
+		with(`"Intrusions":21`, `"Intrusions":21.0`),
+		with(`"Intrusions":21`, `"Intrusions":2e1`),
+		with(`"Intrusions":21`, `"Intrusions":-0`),
+		with(`"Intrusions":21`, `"Intrusions":021`),
+		with(`"Intrusions":21`, `"Intrusions":9223372036854775808`),
+		with(`"Intrusions":21`, `"Intrusions":-9223372036854775808`),
+		with(`"index":24575,"cell":3071`, `"cell":3071,"index":24575`), // reordered keys
+		with(`"index":24575`, `"Index":24575`),                         // encoding/json folds case
+		with(`"index":24575`, `"index":24575,"index":7`),               // last duplicate wins
+		with(`,"cell"`, ` , "cell"`),                                   // extra whitespace
+		with(`{"index"`, "{\t\"index\""),
+		append([]byte(canon), ' '),
+		append([]byte(canon), '\r'),
+		with(`,"crc"`, `,"note":"x","crc"`), // unknown keys
+		with(`"Additions":2}`, `"Additions":2,"Extra":[1,{"a":null}]}`),
+		with(`"Additions":2}`, `"Additions":2,"ServiceLatencyMS":0}`),
+		with(`"Additions":2}`, `"Additions":2,"ServiceLatencyMS":12.5}`),
+		withCRC(`null`),
+		withCRC(`01`),
+		withCRC(`-1`),
+		withCRC(`1.0`),
+		withCRC(`1e3`),
+		withCRC(`0`),
+		withCRC(`4294967295`),
+		withCRC(`4294967296`),
+		withCRC(`"1"`),
+		[]byte(canon[:len(canon)-1]),
+		[]byte(canon + "}"),
+		[]byte(canon[:len(canon)/2]),
+		[]byte(canon[:len(canon)/2] + canon), // a chaos tear glues half a line onto the next
+		nil,
+		[]byte("{}"),
+		[]byte("null"),
+	}
+}
+
+func TestRecordDecodeMatchesEncodingJSON(t *testing.T) {
+	for _, line := range nonCanonicalLines(t) {
+		checkDecode(t, line)
+	}
+	// The two shapes the writer produces must take the fast path, or the
+	// guard above compares nothing.
+	for _, line := range [][]byte{checkpointLineOf(t, sampleRecord), mustMarshal(t, sampleRecord)} {
+		if _, _, _, ok := decodeRecordLine(line); !ok {
+			t.Errorf("canonical line %s declined", line)
+		}
+	}
+}
+
+func mustMarshal(t testing.TB, v any) []byte {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// FuzzRecordCodec is the differential against encoding/json in both
+// directions: the typed arguments build a record to encode, line is
+// arbitrary bytes to decode.
+func FuzzRecordCodec(f *testing.F) {
+	m := sampleRecord.Metrics
+	f.Add([]byte(nil), sampleRecord.Index, sampleRecord.Cell, m.Availability, m.QuorumAvailability,
+		m.TimeToRecovery, m.RecoveryFrequency, m.AvgNodes, m.AvgCost, m.ServiceLatencyMS,
+		m.Intrusions, m.Recoveries, m.Evictions, m.Additions)
+	for i, line := range nonCanonicalLines(f) {
+		x := codecFloats[i%len(codecFloats)]
+		n := codecInts[i%len(codecInts)]
+		f.Add(line, n, -n, x, -x, x/3, x*3, 1-x, 1/x, x, n, n+1, n-1, -n)
+	}
+	f.Fuzz(func(t *testing.T, line []byte, index, cell int, av, qa, ttr, rf, nodes, cost, latency float64,
+		intrusions, recoveries, evictions, additions int) {
+		checkEncode(t, RunRecord{Index: index, Cell: cell, Metrics: emulation.Metrics{
+			Availability: av, QuorumAvailability: qa, TimeToRecovery: ttr, RecoveryFrequency: rf,
+			AvgNodes: nodes, AvgCost: cost, ServiceLatencyMS: latency,
+			Intrusions: intrusions, Recoveries: recoveries, Evictions: evictions, Additions: additions,
+		}})
+		checkDecode(t, line)
+	})
+}
+
+// readCheckpointReference is the parent commit's ReadCheckpoint, kept as
+// the oracle: split a string copy into lines, decode every line with
+// encoding/json, verify the CRC by marshalling the record again.
+func readCheckpointReference(path string) (*Checkpoint, error) {
+	data, err := readCheckpointBytes(path)
+	if err != nil {
+		return nil, err
+	}
+	if len(data) == 0 {
+		return nil, fmt.Errorf("%w: empty", ErrBadSuite)
+	}
+	lines := strings.Split(string(data), "\n")
+	for len(lines) > 0 && strings.TrimSpace(lines[len(lines)-1]) == "" {
+		lines = lines[:len(lines)-1]
+	}
+	if len(lines) == 0 {
+		return nil, fmt.Errorf("%w: empty", ErrBadSuite)
+	}
+	torn := data[len(data)-1] != '\n'
+	if torn && len(lines) == 1 {
+		return nil, fmt.Errorf("%w: torn header", ErrBadSuite)
+	}
+	body := lines[1:]
+	if torn {
+		body = body[:len(body)-1]
+	}
+	var hdr checkpointHeader
+	if err := json.Unmarshal([]byte(lines[0]), &hdr); err != nil {
+		return nil, fmt.Errorf("%w: header: %v", ErrBadSuite, err)
+	}
+	if hdr.Version != CheckpointVersion || hdr.Suite.Fingerprint() != hdr.Fingerprint {
+		return nil, fmt.Errorf("%w: version or fingerprint", ErrBadSuite)
+	}
+	shard, err := ParseShard(hdr.Shard)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSuite, err)
+	}
+	ck := &Checkpoint{Suite: hdr.Suite, Shard: shard, Records: map[int]RunRecord{},
+		validBytes: int64(len(lines[0]) + 1), gz: gzipCheckpoint(path)}
+	for i, line := range body {
+		var rec checkpointLine
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			if i == len(body)-1 {
+				break
+			}
+			ck.Corrupted++
+			ck.validBytes += int64(len(line) + 1)
+			continue
+		}
+		if rec.CRC != nil {
+			canon, err := json.Marshal(rec.RunRecord)
+			if err != nil || crc32.ChecksumIEEE(canon) != *rec.CRC {
+				ck.Corrupted++
+				ck.validBytes += int64(len(line) + 1)
+				continue
+			}
+		}
+		if rec.Index < 0 || rec.Index >= hdr.Scenarios || !shard.Contains(rec.Index) {
+			return nil, fmt.Errorf("%w: out-of-shard scenario %d", ErrBadSuite, rec.Index)
+		}
+		ck.Records[rec.Index] = rec.RunRecord
+		ck.validBytes += int64(len(line) + 1)
+	}
+	return ck, nil
+}
+
+// checkReadCheckpoint asserts ReadCheckpoint against the reference on one
+// file: same accept/reject, records, Corrupted count and validBytes.
+func checkReadCheckpoint(t *testing.T, path string) *Checkpoint {
+	t.Helper()
+	got, err := ReadCheckpoint(path)
+	want, wantErr := readCheckpointReference(path)
+	if (err != nil) != (wantErr != nil) {
+		t.Fatalf("ReadCheckpoint error %v, reference error %v", err, wantErr)
+	}
+	if err != nil {
+		return nil
+	}
+	if got.Corrupted != want.Corrupted || got.validBytes != want.validBytes || got.Shard != want.Shard ||
+		got.gz != want.gz || got.Suite.Fingerprint() != want.Suite.Fingerprint() {
+		t.Fatalf("ReadCheckpoint: corrupted %d validBytes %d shard %v, reference %d / %d / %v",
+			got.Corrupted, got.validBytes, got.Shard, want.Corrupted, want.validBytes, want.Shard)
+	}
+	if len(got.Records) != len(want.Records) {
+		t.Fatalf("ReadCheckpoint: %d records, reference %d", len(got.Records), len(want.Records))
+	}
+	for idx, rec := range want.Records {
+		if g, ok := got.Records[idx]; !ok || !sameRecord(g, rec) {
+			t.Fatalf("record %d: %+v (present %v), reference %+v", idx, g, ok, rec)
+		}
+	}
+	return got
+}
+
+// checkpointFile is a checkpoint file's bytes and whether its name ends in
+// .gz.
+type checkpointFile struct {
+	data []byte
+	gz   bool
+}
+
+// damagedCheckpoints builds the reader's hard cases from a real shard file.
+func damagedCheckpoints(t testing.TB) map[string]checkpointFile {
+	t.Helper()
+	plain := mustReadFile(t, filepath.Join("testdata", "v1-parent.jsonl"))
+	zipped := mustReadFile(t, filepath.Join("testdata", "v1-parent.jsonl.gz"))
+	lines := bytes.SplitAfter(plain, newline)
+	lines = lines[:len(lines)-1] // the empty piece after the final newline
+	edit := func(f func(lines [][]byte) [][]byte) []byte {
+		cp := make([][]byte, len(lines))
+		for i, l := range lines {
+			cp[i] = bytes.Clone(l)
+		}
+		return bytes.Join(f(cp), nil)
+	}
+	return map[string]checkpointFile{
+		"intact":           {plain, false},
+		"intact-gz":        {zipped, true},
+		"gzip-truncated":   {zipped[:len(zipped)*2/3], true},
+		"gzip-garbage":     {append(bytes.Clone(zipped[:len(zipped)/2]), "not deflate"...), true},
+		"torn-tail":        {plain[:len(plain)-40], false},
+		"torn-after-brace": {plain[:len(plain)-1], false},
+		"torn-header":      {plain[:100], false},
+		"blank-tail":       {append(bytes.Clone(plain), " \n\t\n"...), false},
+		"blank-torn":       {append(bytes.Clone(plain), "  "...), false},
+		"crlf": {edit(func(l [][]byte) [][]byte {
+			l[2] = append(bytes.TrimSuffix(l[2], newline), "\r\n"...)
+			return l
+		}), false},
+		"crc-bad": {edit(func(l [][]byte) [][]byte {
+			l[2] = bytes.Replace(l[2], []byte(`"Recoveries":`), []byte(`"Recoveries":1`), 1)
+			return l
+		}), false},
+		"mid-file-tear": {edit(func(l [][]byte) [][]byte {
+			l[3] = l[3][:len(l[3])/2] // glued onto its successor
+			return l
+		}), false},
+		"empty-line": {edit(func(l [][]byte) [][]byte {
+			l[1] = append([]byte("\n"), l[1]...)
+			return l
+		}), false},
+		"legacy-no-crc": {edit(func(l [][]byte) [][]byte {
+			for i := 1; i < len(l); i++ {
+				l[i] = append(l[i][:bytes.Index(l[i], []byte(recKeyCRC))], "}\n"...)
+			}
+			return l
+		}), false},
+		"legacy-flipped-value": {edit(func(l [][]byte) [][]byte {
+			l[1] = append(l[1][:bytes.Index(l[1], []byte(recKeyCRC))], "}\n"...)
+			return bytes.SplitAfter(bytes.Replace(bytes.Join(l, nil), []byte(`"Recoveries":`), []byte(`"Recoveries":7`), 1), newline)
+		}), false},
+		"reordered-keys": {edit(func(l [][]byte) [][]byte {
+			at := bytes.Index(l[1], []byte(recKeyCRC))
+			crc, fields := l[1][at+1:len(l[1])-2], l[1][1:at]
+			l[1] = []byte(fmt.Sprintf("{%s, %s}\n", crc, fields))
+			return l
+		}), false},
+		"out-of-shard": {edit(func(l [][]byte) [][]byte {
+			rec := RunRecord{Index: 1}
+			return append(l, append(checkpointLineOf(t, rec), '\n'))
+		}), false},
+		"last-line-garbage": {append(bytes.Clone(plain), "{\"index\":\n"...), false},
+	}
+}
+
+// writeCheckpointFile writes data as dir/ck.jsonl, or ck.jsonl.gz for gz.
+func writeCheckpointFile(t testing.TB, dir string, data []byte, gz bool) string {
+	t.Helper()
+	path := filepath.Join(dir, "ck.jsonl")
+	if gz {
+		path += ".gz"
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func TestReadCheckpointMatchesReference(t *testing.T) {
+	// Pinned outcomes, so the differential cannot pass by both sides
+	// failing the same way: records, corrupted, loadable.
+	want := map[string][3]int{
+		"intact": {8, 0, 1}, "intact-gz": {8, 0, 1}, "torn-tail": {7, 0, 1},
+		"torn-after-brace": {7, 0, 1}, "crc-bad": {7, 1, 1}, "mid-file-tear": {6, 1, 1},
+		"legacy-no-crc": {8, 0, 1}, "legacy-flipped-value": {8, 0, 1}, "reordered-keys": {8, 0, 1},
+		"empty-line": {8, 1, 1}, "crlf": {8, 0, 1}, "blank-tail": {8, 0, 1}, "blank-torn": {7, 0, 1},
+		"last-line-garbage": {8, 0, 1}, "torn-header": {}, "out-of-shard": {},
+	}
+	for name, file := range damagedCheckpoints(t) {
+		t.Run(name, func(t *testing.T) {
+			ck := checkReadCheckpoint(t, writeCheckpointFile(t, t.TempDir(), file.data, file.gz))
+			w, pinned := want[name]
+			if !pinned {
+				return
+			}
+			if (ck != nil) != (w[2] == 1) {
+				t.Fatalf("loadable = %v, want %v", ck != nil, w[2] == 1)
+			}
+			if ck != nil && (len(ck.Records) != w[0] || ck.Corrupted != w[1]) {
+				t.Errorf("%d records, %d corrupted; want %d, %d", len(ck.Records), ck.Corrupted, w[0], w[1])
+			}
+		})
+	}
+}
+
+// FuzzReadCheckpoint mutates whole files — plain and gzip-framed — and
+// holds ReadCheckpoint to the reference reader.
+func FuzzReadCheckpoint(f *testing.F) {
+	for _, file := range damagedCheckpoints(f) {
+		f.Add(file.data, file.gz)
+	}
+	dir := f.TempDir() // one per fuzz worker process, which runs its inputs one at a time
+	f.Fuzz(func(t *testing.T, data []byte, gz bool) {
+		checkReadCheckpoint(t, writeCheckpointFile(t, dir, data, gz))
+	})
+}
+
+// TestGoldenParentCheckpoints reads shard files written by the commit
+// before the codec (testSuite, shards 0/2 plain and 1/2 gzip): they must
+// load in full, merge to the bytes of a direct run, and re-encode to the
+// bytes on disk.
+func TestGoldenParentCheckpoints(t *testing.T) {
+	suite := testSuite()
+	paths := []string{filepath.Join("testdata", "v1-parent.jsonl"), filepath.Join("testdata", "v1-parent.jsonl.gz")}
+	mergedSuite, records, err := ReadShardSet(paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mergedSuite.Fingerprint() != suite.Fingerprint() {
+		t.Fatal("golden files describe a different suite than testSuite()")
+	}
+	merged, err := MergeRecords(mergedSuite, records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := Run(context.Background(), suite, Config{Workers: 2, Cache: NewStrategyCache()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := mustMarshal(t, merged), mustMarshal(t, direct); !bytes.Equal(got, want) {
+		t.Error("merge of the parent's shard files differs from a direct run")
+	}
+
+	for i, path := range paths {
+		ck := checkReadCheckpoint(t, path)
+		if ck.Corrupted != 0 || len(ck.Records) != suite.NumScenarios()/2 {
+			t.Fatalf("%s: %d records, %d corrupted", path, len(ck.Records), ck.Corrupted)
+		}
+		// Rewrite the shard with today's writer, in the original order.
+		out := filepath.Join(t.TempDir(), filepath.Base(path))
+		w, err := CreateCheckpoint(out, ck.Suite, Shard{Index: i, Count: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for idx := 0; idx < suite.NumScenarios(); idx++ {
+			if rec, ok := ck.Records[idx]; ok {
+				if err := w.Append(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		want, err := readCheckpointBytes(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := readCheckpointBytes(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s re-encodes differently:\n got %s\nwant %s", path, got, want)
+		}
+	}
+}
+
+// TestRecordCodecZeroAllocs pins the two steady-state record paths at zero
+// allocations: a plain writer's line (encode, CRC, splice, one Write into
+// the buffered file; the periodic fsync is Append's, not the line's) and
+// the reader's fast path with CRC verification.
+func TestRecordCodecZeroAllocs(t *testing.T) {
+	w, err := CreateCheckpoint(filepath.Join(t.TempDir(), "ck.jsonl"), testSuite(), Shard{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if n := testing.AllocsPerRun(200, func() {
+		if err := w.writeRecord(sampleRecord); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("writing a record line: %v allocs, want 0", n)
+	}
+
+	line := checkpointLineOf(t, sampleRecord)
+	scratch := make([]byte, 0, maxRecordJSON)
+	if n := testing.AllocsPerRun(200, func() {
+		rec, crc, hasCRC, ok := decodeRecordLine(line)
+		if !ok || !hasCRC {
+			t.Fatal("canonical line declined")
+		}
+		if sum, err := recordCRC(scratch, rec); err != nil || sum != crc {
+			t.Fatal("CRC mismatch")
+		}
+	}); n != 0 {
+		t.Errorf("decoding and verifying a record line: %v allocs, want 0", n)
+	}
+}
+
+// TestCheckpointWriterOneWritePerLine: the chaos sink tears and corrupts
+// whole lines, which only works if each record reaches it as one Write.
+func TestCheckpointWriterOneWritePerLine(t *testing.T) {
+	for _, name := range []string{"ck.jsonl", "ck.jsonl.gz"} {
+		w, err := CreateCheckpoint(filepath.Join(t.TempDir(), name), testSuite(), Shard{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var writes [][]byte
+		w.InterposeSink(func(next io.Writer) io.Writer {
+			return writerFunc(func(p []byte) (int, error) {
+				writes = append(writes, bytes.Clone(p))
+				return next.Write(p)
+			})
+		})
+		recs := []RunRecord{{Index: 0}, sampleRecord, {Index: 2, Metrics: emulation.Metrics{ServiceLatencyMS: 1.5}}}
+		for _, rec := range recs {
+			if err := w.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if len(writes) != len(recs) {
+			t.Fatalf("%s: %d writes for %d records", name, len(writes), len(recs))
+		}
+		for i, rec := range recs {
+			if want := append(checkpointLineOf(t, rec), '\n'); !bytes.Equal(writes[i], want) {
+				t.Errorf("%s: write %d = %q, want %q", name, i, writes[i], want)
+			}
+		}
+	}
+}
+
+type writerFunc func([]byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// TestGzipResumeRewriteSyncsOnce: rewriting a gzip checkpoint on resume
+// syncs once before the rename, not every checkpointSyncEvery replayed
+// records, and leaves the fresh-record cadence alone.
+func TestGzipResumeRewriteSyncsOnce(t *testing.T) {
+	suite := testSuite()
+	suite.SeedsPerCell = 20 // 160 scenarios: ten sync batches' worth
+	path := filepath.Join(t.TempDir(), "run.jsonl.gz")
+	_, recs := collectRecords(t, suite, Shard{}, nil)
+	w, err := CreateCheckpoint(path, suite, Shard{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := recs[:len(recs)-checkpointSyncEvery-3]
+	for _, rec := range kept {
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := ReadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A resume killed after the rewrite but before the rename leaves a
+	// complete sibling temp file and the original untouched: the original
+	// still loads, and the next resume overwrites the stale sibling.
+	original := mustReadFile(t, path)
+	stale := strings.TrimSuffix(path, ".gz") + ".rewrite.gz"
+	if err := os.WriteFile(stale, original[:len(original)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := ReadCheckpoint(path); err != nil || len(again.Records) != len(kept) {
+		t.Fatalf("original beside a stale rewrite: %v", err)
+	}
+
+	rw, err := AppendCheckpoint(path, ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One sync for the temp file's header, one before the rename.
+	if rw.syncCalls != 2 {
+		t.Errorf("rewrite of %d records issued %d syncs, want 2", len(kept), rw.syncCalls)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Errorf("temp file still present after the rename: %v", err)
+	}
+	// The rewrite is durable before any fresh record: abandon the writer
+	// here, as a kill would, and everything replayed reads back.
+	if mid, err := ReadCheckpoint(path); err != nil || len(mid.Records) != len(kept) {
+		t.Fatalf("rewritten file before fresh records: %v", err)
+	}
+	for _, rec := range recs[len(kept):] {
+		if err := rw.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rw.syncCalls != 3 {
+		t.Errorf("%d fresh records brought syncs to %d, want 3 (cadence %d)",
+			len(recs)-len(kept), rw.syncCalls, checkpointSyncEvery)
+	}
+	if err := rw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	final := checkReadCheckpoint(t, path)
+	if len(final.Records) != len(recs) || final.Corrupted != 0 {
+		t.Errorf("resumed file has %d records (%d corrupted), want %d", len(final.Records), final.Corrupted, len(recs))
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(mustReadFile(t, path)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, zr); err != nil {
+		t.Errorf("resumed gzip file has no clean trailer: %v", err)
+	}
+}
+
+func mustReadFile(t testing.TB, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// BenchmarkRecordCodec is the record layer's go test -bench row: one
+// checkpoint line written (encode + CRC + splice into a discarded sink) and
+// one read back (fast-path decode + CRC verify by re-encoding).
+func BenchmarkRecordCodec(b *testing.B) {
+	line := checkpointLineOf(b, sampleRecord)
+	b.Run("encode", func(b *testing.B) {
+		w := &CheckpointWriter{sink: io.Discard, line: make([]byte, 0, maxRecordJSON)}
+		b.ReportAllocs()
+		b.SetBytes(int64(len(line) + 1))
+		for i := 0; i < b.N; i++ {
+			if err := w.writeRecord(sampleRecord); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode+verify", func(b *testing.B) {
+		scratch := make([]byte, 0, maxRecordJSON)
+		b.ReportAllocs()
+		b.SetBytes(int64(len(line) + 1))
+		for i := 0; i < b.N; i++ {
+			rec, crc, _, ok := decodeRecordLine(line)
+			if sum, err := recordCRC(scratch, rec); !ok || err != nil || sum != crc {
+				b.Fatal("canonical line did not verify")
+			}
+		}
+	})
+	b.Run("reference-encoding-json", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(line) + 1))
+		for i := 0; i < b.N; i++ {
+			var ref checkpointLine
+			if err := json.Unmarshal(line, &ref); err != nil {
+				b.Fatal(err)
+			}
+			if canon, err := json.Marshal(ref.RunRecord); err != nil || crc32.ChecksumIEEE(canon) != *ref.CRC {
+				b.Fatal("canonical line did not verify")
+			}
+		}
+	})
+}

@@ -83,6 +83,11 @@ const (
 	// transport.TCPEndpoint.QuarantinedFrames). Nonzero under chaos is
 	// expected; nonzero without chaos means a misbehaving peer.
 	MetricFramesQuarantined = "transport.frames_quarantined"
+	// MetricFramesDropped counts well-formed wire frames the TCP endpoint
+	// discarded because its inbox was full (see
+	// transport.TCPEndpoint.DroppedFrames). The protocol retries, so the
+	// run still completes; nonzero means this process fell behind its peers.
+	MetricFramesDropped = "transport.frames_dropped"
 )
 
 // stepBuckets covers the suite step-count range (smoke suites run tens of

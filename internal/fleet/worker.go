@@ -299,7 +299,11 @@ func (s *workerSession) runLease(ctx context.Context, lease proto.Lease) error {
 		}
 	}()
 
+	// A batch's records are encoded back to back into one arena that is
+	// reused once the batch has shipped (shipRecords marshals the frame
+	// before it returns, resends included).
 	batch := make([]json.RawMessage, 0, s.cfg.testBatchRecords)
+	var arena []byte
 	seq := 0
 	flush := func() error {
 		if len(batch) == 0 {
@@ -307,7 +311,7 @@ func (s *workerSession) runLease(ctx context.Context, lease proto.Lease) error {
 		}
 		err := s.shipRecords(ctx, lease.ID, seq, batch)
 		seq++
-		batch = batch[:0]
+		batch, arena = batch[:0], arena[:0]
 		return err
 	}
 	_, err := Run(ctx, s.suite, Config{
@@ -317,11 +321,13 @@ func (s *workerSession) runLease(ctx context.Context, lease proto.Lease) error {
 		Telemetry: s.cfg.Telemetry,
 		Chaos:     s.cfg.Chaos,
 		OnRecord: func(rec RunRecord) error {
-			data, merr := json.Marshal(rec)
-			if merr != nil {
+			start := len(arena)
+			var merr error
+			if arena, merr = appendRecordJSON(arena, rec); merr != nil {
 				return merr
 			}
-			batch = append(batch, json.RawMessage(data))
+			// If the arena grows, earlier records keep the old array.
+			batch = append(batch, json.RawMessage(arena[start:]))
 			done.Add(1)
 			s.sent++
 			if s.cfg.testFailAfterRecords > 0 && s.sent >= s.cfg.testFailAfterRecords {

@@ -54,6 +54,7 @@ type TCPEndpoint struct {
 	wg      sync.WaitGroup
 
 	quarantined atomic.Int64
+	dropped     atomic.Int64
 }
 
 // lockedConn pairs an outbound connection with a write mutex so two
@@ -228,6 +229,11 @@ func (e *TCPEndpoint) acceptLoop() {
 // discarded without tearing down their connections (see readLoop).
 func (e *TCPEndpoint) QuarantinedFrames() int64 { return e.quarantined.Load() }
 
+// DroppedFrames reports how many well-formed frames this endpoint has
+// discarded because its inbox was full — the receiver is not draining
+// Receive as fast as peers send (see readLoop).
+func (e *TCPEndpoint) DroppedFrames() int64 { return e.dropped.Load() }
+
 func (e *TCPEndpoint) readLoop(conn net.Conn) {
 	defer e.wg.Done()
 	defer conn.Close()
@@ -256,7 +262,8 @@ func (e *TCPEndpoint) readLoop(conn net.Conn) {
 		select {
 		case e.ch <- Message{From: from, To: e.addr, Payload: payload}:
 		default:
-			// Drop on overflow, like the simulated network.
+			// Drop on overflow, like the simulated network; senders retry.
+			e.dropped.Add(1)
 		}
 	}
 }

@@ -66,3 +66,39 @@ func TestOversizedFrameIsQuarantinedNotFatal(t *testing.T) {
 		t.Fatalf("QuarantinedFrames = %d, want 1", got)
 	}
 }
+
+// TestInboxOverflowIsCounted: a receiver that does not drain Receive loses
+// the frames that arrive once its inbox is full — that has always been so —
+// and every one of them now shows in DroppedFrames.
+func TestInboxOverflowIsCounted(t *testing.T) {
+	ep, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	conn, err := net.Dial("tcp", ep.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	const extra = 7
+	for i := 0; i < cap(ep.ch)+extra; i++ {
+		if err := writeFrame(conn, "peer", []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for ep.DroppedFrames() < extra && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := ep.DroppedFrames(); got != extra {
+		t.Fatalf("DroppedFrames = %d, want %d", got, extra)
+	}
+	if got := len(ep.Receive()); got != cap(ep.ch) {
+		t.Errorf("inbox holds %d frames, want %d", got, cap(ep.ch))
+	}
+	if got := ep.QuarantinedFrames(); got != 0 {
+		t.Errorf("QuarantinedFrames = %d, want 0", got)
+	}
+}
