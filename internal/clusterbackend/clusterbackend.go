@@ -146,8 +146,8 @@ type cluster struct {
 	sc   emulation.Scenario
 	opts Options
 
-	rng  *rand.Rand // schedule stream (seeded by Scenario.Seed)
-	wrng *rand.Rand // background-workload stream
+	rng  *rand.Rand  // schedule stream (seeded by Scenario.Seed)
+	wrng dist.Stream // background-workload stream
 	fits *emulation.FitSet
 
 	verifier *usig.Verifier
@@ -333,13 +333,13 @@ func boot(sc emulation.Scenario, opts Options) (*cluster, error) {
 		sc:       sc,
 		opts:     opts,
 		rng:      rand.New(rand.NewSource(sc.Seed)),
-		wrng:     rand.New(rand.NewSource(workloadSeed(sc.Seed))),
 		fits:     fits,
 		verifier: verifier,
 		registry: replica.NewRegistry(),
 		digest:   newFNV64(),
 		tm:       newClusterMetrics(opts.Telemetry, opts.Shard),
 	}
+	c.wrng.Seed(workloadSeed(sc.Seed))
 	c.poisson.Reset(sc.Workload.Lambda)
 	c.binom.Reset(1 / sc.Workload.MeanServiceSteps)
 
@@ -512,8 +512,8 @@ func (c *cluster) step(t int) {
 
 	// Background client population drives the false-alert rate, same
 	// two-stream derivation as the emulation.
-	c.sessions += c.poisson.Sample(c.wrng)
-	c.sessions -= c.binom.Sample(c.wrng, c.sessions)
+	c.sessions += c.poisson.Sample(&c.wrng)
+	c.sessions -= c.binom.Sample(&c.wrng, c.sessions)
 	load := float64(c.sessions) / (sc.Workload.Lambda * sc.Workload.MeanServiceSteps)
 	pFalse := 0.1 * load
 

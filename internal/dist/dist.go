@@ -18,10 +18,18 @@ import (
 // ErrBadDistribution is returned for invalid distribution parameters.
 var ErrBadDistribution = errors.New("dist: bad distribution")
 
+// quantileBuckets is the size of Categorical's guide table. A power of two,
+// so u*quantileBuckets is exact and its integer part is the bucket of u.
+const quantileBuckets = 64
+
 // Categorical is a probability distribution over {0, ..., n-1}.
 type Categorical struct {
 	probs []float64
 	cdf   []float64
+	// guide[b] is the quantile of b/quantileBuckets (capped at 255): where
+	// the scan for any u in bucket b starts. An array, not a slice, so the
+	// table costs no allocation of its own.
+	guide [quantileBuckets]uint8
 }
 
 // NewCategorical validates and normalizes a probability vector.
@@ -50,6 +58,13 @@ func NewCategorical(probs []float64) (*Categorical, error) {
 		c.cdf[i] = acc
 	}
 	c.cdf[len(c.cdf)-1] = 1
+	i := 0
+	for b := range c.guide {
+		for c.cdf[i] < float64(b)/quantileBuckets {
+			i++
+		}
+		c.guide[b] = uint8(min(i, math.MaxUint8))
+	}
 	return c, nil
 }
 
@@ -88,26 +103,26 @@ func (c *Categorical) Mean() float64 {
 	return m
 }
 
-// Sample draws one value by inverse-CDF lookup (one rng.Float64 per draw).
-// The binary search is inlined rather than delegated to sort.SearchFloat64s:
-// it performs the identical comparisons on the identical cdf (smallest i with
-// cdf[i] >= u, midpoints by unsigned halving), so the drawn values are
-// bit-identical, without the per-draw closure call the sort.Search form pays
-// on the emulation's per-node observation path.
-func (c *Categorical) Sample(rng *rand.Rand) int {
-	u := rng.Float64()
-	cdf := c.cdf
-	i, j := 0, len(cdf)
-	for i < j {
-		h := int(uint(i+j) >> 1)
-		if cdf[h] < u {
-			i = h + 1
-		} else {
-			j = h
-		}
+// Quantile returns the smallest i with cdf[i] >= u, the inverse CDF at u in
+// [0, 1) (u < 0 answers as 0, u >= 1 or NaN as the last index). The guide
+// table puts the scan at the quantile of the bucket's lower edge, which is
+// never past the answer, so the result is the binary search's for every u
+// at O(1) expected cost and without its unpredictable branches.
+func (c *Categorical) Quantile(u float64) int {
+	i := 0
+	if b := uint(int(u * quantileBuckets)); b < quantileBuckets {
+		i = int(c.guide[b])
+	} else if !(u < 0) {
+		return len(c.cdf) - 1
+	}
+	for c.cdf[i] < u {
+		i++
 	}
 	return i
 }
+
+// Sample draws one value by inverse-CDF lookup (one rng.Float64 per draw).
+func (c *Categorical) Sample(rng *rand.Rand) int { return c.Quantile(rng.Float64()) }
 
 // BetaBinomial is the BetaBin(n, alpha, beta) distribution over {0, ..., n}
 // — the observation family of the paper's numerical evaluation (Table 8).
@@ -203,54 +218,12 @@ func SampleBernoulli(rng *rand.Rand, p float64) bool {
 	return rng.Float64() < p
 }
 
-// SampleBinomial draws a Binomial(n, p) count by CDF inversion with a
-// single uniform per chunk: the pmf is walked from k = 0 with the
-// recurrence P[k+1] = P[k] (n-k)/(k+1) p/(1-p) until the running CDF
-// passes u. The cost is O(E[X]) arithmetic and O(1 + n p / 700) rng draws
-// — the emulation uses it to retire per-session Bernoulli loops. Trial
-// counts large enough that (1-p)^n would underflow are split by binomial
-// additivity (as SamplePoisson splits large rates), so the sampler is
-// exact at any n.
-func SampleBinomial(rng *rand.Rand, n int, p float64) int {
-	if n <= 0 || p <= 0 || math.IsNaN(p) {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	q := 1 - p
-	// Largest chunk whose P[X = 0] = q^chunk stays clear of the float64
-	// underflow threshold (e^-700 ~ 1e-304).
-	chunk := n
-	if lq := math.Log(q); float64(n)*lq < -700 {
-		chunk = int(-700 / lq)
-		if chunk < 1 {
-			chunk = 1
-		}
-	}
-	k := 0
-	for n > 0 {
-		m := n
-		if m > chunk {
-			m = chunk
-		}
-		k += sampleBinomialInv(rng, m, p, q)
-		n -= m
-	}
-	return k
-}
-
-// sampleBinomialInv is the single-uniform CDF walk for q^n > 0.
-func sampleBinomialInv(rng *rand.Rand, n int, p, q float64) int {
-	return binomialInvWalk(rng, n, math.Pow(q, float64(n)), p/q)
-}
-
-// binomialInvWalk is the shared CDF walk of SampleBinomial and
-// BinomialSampler: one uniform, pmf recurrence from P[X = 0] = q0 with the
-// fixed odds ratio pq = p/q. Both callers evaluate the recurrence term as
-// (float64(n-k) / float64(k+1)) * pq — the exact expression (and rounding)
-// of the original inline form.
-func binomialInvWalk(rng *rand.Rand, n int, q0, pq float64) int {
+// binomialInvWalk is BinomialSampler's CDF walk: one uniform, then the pmf
+// recurrence P[k+1] = P[k] (n-k)/(k+1) p/q from P[X = 0] = q0 until the
+// running CDF passes u, with the fixed odds ratio pq = p/q. The recurrence
+// term is evaluated as (float64(n-k) / float64(k+1)) * pq — that exact
+// expression (and rounding) is part of the draw contract.
+func binomialInvWalk(rng *Stream, n int, q0, pq float64) int {
 	u := rng.Float64()
 	pk := q0
 	cdf := pk
@@ -272,12 +245,16 @@ const binomialPowWindow = 1024
 // BinomialSampler draws Binomial(n, p) counts for a fixed success
 // probability p and varying n — the emulation's per-step session-departure
 // draw, where p = 1/mu is a scenario constant but n is the fluctuating
-// session count. It replays SampleBinomial's algorithm draw-for-draw (same
-// uniforms, same CDF walk, bit-identical counts) while hoisting the
-// per-call transcendentals: log q for the underflow-chunk test is computed
-// once, and q^n is memoized per trial count in a fixed-size window, so the
-// steady-state sample costs only the O(E[X]) recurrence walk. The zero
-// value is unusable; construct with Reset. Not safe for concurrent use.
+// session count. The count comes by CDF inversion with a single uniform per
+// chunk (binomialInvWalk), at O(E[X]) arithmetic and O(1 + n p / 700)
+// draws. Trial counts large enough that q^n would underflow (below e^-700
+// ~ 1e-304) are split by binomial additivity, so the sampler is exact at
+// any n. The per-call transcendentals are hoisted: log q for the underflow
+// test is computed once, and q^n is memoized per trial count in a
+// fixed-size window. Which uniforms are consumed and which count they give
+// is a byte contract (the emulation's records depend on it), pinned by
+// TestBinomialSamplerDrawIdentical. The zero value is unusable; construct
+// with Reset. Not safe for concurrent use.
 type BinomialSampler struct {
 	p, q     float64
 	pq       float64 // p / q, the recurrence odds ratio
@@ -323,9 +300,8 @@ func (s *BinomialSampler) qPow(n int) float64 {
 	return math.Pow(s.q, float64(n))
 }
 
-// Sample draws a Binomial(n, p) count, consuming exactly the uniforms
-// SampleBinomial(rng, n, p) would consume and returning the same count.
-func (s *BinomialSampler) Sample(rng *rand.Rand, n int) int {
+// Sample draws a Binomial(n, p) count.
+func (s *BinomialSampler) Sample(rng *Stream, n int) int {
 	if n <= 0 || s.always0 {
 		return 0
 	}
@@ -351,29 +327,9 @@ func (s *BinomialSampler) Sample(rng *rand.Rand, n int) int {
 	return k
 }
 
-// SamplePoisson draws a Poisson(lambda) count with Knuth's product-of-
-// uniforms method, splitting large rates by Poisson additivity to keep the
-// running product away from underflow.
-func SamplePoisson(rng *rand.Rand, lambda float64) int {
-	if lambda <= 0 || math.IsNaN(lambda) {
-		return 0
-	}
-	const chunk = 30
-	n := 0
-	for lambda > chunk {
-		n += samplePoissonKnuth(rng, chunk)
-		lambda -= chunk
-	}
-	return n + samplePoissonKnuth(rng, lambda)
-}
-
-func samplePoissonKnuth(rng *rand.Rand, lambda float64) int {
-	return poissonKnuthL(rng, math.Exp(-lambda))
-}
-
 // poissonKnuthL is Knuth's product-of-uniforms loop against a precomputed
 // threshold l = exp(-lambda).
-func poissonKnuthL(rng *rand.Rand, l float64) int {
+func poissonKnuthL(rng *Stream, l float64) int {
 	k := 0
 	p := 1.0
 	for {
@@ -387,10 +343,12 @@ func poissonKnuthL(rng *rand.Rand, l float64) int {
 
 // PoissonSampler draws Poisson(lambda) counts for a fixed rate — the
 // emulation's per-step session-arrival draw, where lambda is a scenario
-// constant. It replays SamplePoisson draw-for-draw (same chunk split, same
-// uniforms, bit-identical counts) with the exp(-lambda) thresholds hoisted
-// out of the per-step path. The zero value always samples 0; construct with
-// Reset. Safe for concurrent use after Reset.
+// constant — with Knuth's product-of-uniforms method, splitting rates above
+// 30 by Poisson additivity to keep the running product away from underflow.
+// The exp(-lambda) thresholds are hoisted out of the per-step path. The
+// chunk split, the uniforms consumed and the count they give are a byte
+// contract, pinned by TestPoissonSamplerDrawIdentical. The zero value
+// always samples 0; construct with Reset.
 type PoissonSampler struct {
 	chunks  int     // full size-30 chunks of the additivity split
 	lFull   float64 // exp(-30)
@@ -398,9 +356,9 @@ type PoissonSampler struct {
 	always0 bool
 }
 
-// Reset re-parameterizes the sampler for rate lambda, reproducing
-// SamplePoisson's chunk decomposition exactly (including the remainder
-// computed by repeated subtraction, so the thresholds match bit-for-bit).
+// Reset re-parameterizes the sampler for rate lambda. The remainder of the
+// chunk split is computed by repeated subtraction — its rounding is part of
+// the draw contract.
 func (s *PoissonSampler) Reset(lambda float64) {
 	*s = PoissonSampler{}
 	if lambda <= 0 || math.IsNaN(lambda) {
@@ -416,9 +374,8 @@ func (s *PoissonSampler) Reset(lambda float64) {
 	s.lRem = math.Exp(-lambda)
 }
 
-// Sample draws a Poisson(lambda) count, consuming exactly the uniforms
-// SamplePoisson(rng, lambda) would consume and returning the same count.
-func (s *PoissonSampler) Sample(rng *rand.Rand) int {
+// Sample draws a Poisson(lambda) count.
+func (s *PoissonSampler) Sample(rng *Stream) int {
 	if s.always0 {
 		return 0
 	}

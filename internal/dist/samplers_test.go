@@ -7,10 +7,10 @@ import (
 )
 
 // TestBinomialSamplerDrawIdentical is the hoisted sampler's contract: for
-// any (p, n) and any rng position, BinomialSampler.Sample must consume
-// exactly the draws SampleBinomial consumes and return the identical
-// value — the emulation hot path swapped one for the other under a
-// byte-stability guarantee, so this is draw-for-draw equality, not
+// any (p, n) and any stream position, BinomialSampler.Sample on a Stream
+// must consume exactly the draws the SampleBinomial oracle consumes from a
+// math/rand.Rand at the same position and return the identical value — the
+// emulation's records depend on it, so this is draw-for-draw equality, not
 // distributional equality.
 func TestBinomialSamplerDrawIdentical(t *testing.T) {
 	meta := rand.New(rand.NewSource(11))
@@ -27,11 +27,12 @@ func TestBinomialSamplerDrawIdentical(t *testing.T) {
 		seed := meta.Int63()
 		var s BinomialSampler
 		s.Reset(p)
-		rngA := rand.New(rand.NewSource(seed))
-		rngB := rand.New(rand.NewSource(seed))
+		rngA := newOracleRand(seed)
+		var rngB Stream
+		rngB.Seed(seed)
 		for _, n := range []int{0, 1, 2, 7, 100, 1023, 1024, 5000} {
 			want := SampleBinomial(rngA, n, p)
-			got := s.Sample(rngB, n)
+			got := s.Sample(&rngB, n)
 			if got != want {
 				t.Fatalf("p=%v n=%d: sampler %d, SampleBinomial %d", p, n, got, want)
 			}
@@ -43,9 +44,9 @@ func TestBinomialSamplerDrawIdentical(t *testing.T) {
 	}
 }
 
-// TestPoissonSamplerDrawIdentical pins PoissonSampler.Sample to
-// SamplePoisson the same way: identical draws consumed, identical value,
-// across the chunked (lambda > 30) and direct regimes.
+// TestPoissonSamplerDrawIdentical pins PoissonSampler.Sample to the
+// SamplePoisson oracle the same way: identical draws consumed, identical
+// value, across the chunked (lambda > 30) and direct regimes.
 func TestPoissonSamplerDrawIdentical(t *testing.T) {
 	meta := rand.New(rand.NewSource(12))
 	for _, lambda := range []float64{0, 0.3, 1, 12.5, 29.9, 30, 31, 75, 150.5} {
@@ -53,10 +54,11 @@ func TestPoissonSamplerDrawIdentical(t *testing.T) {
 		s.Reset(lambda)
 		for trial := 0; trial < 50; trial++ {
 			seed := meta.Int63()
-			rngA := rand.New(rand.NewSource(seed))
-			rngB := rand.New(rand.NewSource(seed))
+			rngA := newOracleRand(seed)
+			var rngB Stream
+			rngB.Seed(seed)
 			want := SamplePoisson(rngA, lambda)
-			got := s.Sample(rngB)
+			got := s.Sample(&rngB)
 			if got != want {
 				t.Fatalf("lambda=%v: sampler %d, SamplePoisson %d", lambda, got, want)
 			}
@@ -67,9 +69,9 @@ func TestPoissonSamplerDrawIdentical(t *testing.T) {
 	}
 }
 
-// TestCategoricalSampleMatchesSearchFloat64s pins the inlined binary
-// search to the sort.SearchFloat64s form it replaced: the smallest index
-// with cdf[i] >= u, for the same uniform, on every draw.
+// TestCategoricalSampleMatchesSearchFloat64s pins Sample to the
+// sort.SearchFloat64s form it started as: the smallest index with
+// cdf[i] >= u, for the same uniform, on every draw.
 func TestCategoricalSampleMatchesSearchFloat64s(t *testing.T) {
 	meta := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 100; trial++ {
@@ -86,9 +88,6 @@ func TestCategoricalSampleMatchesSearchFloat64s(t *testing.T) {
 		rngB := rand.New(rand.NewSource(seed))
 		for d := 0; d < 200; d++ {
 			want := sort.SearchFloat64s(cdf, rngA.Float64())
-			// SearchFloat64s finds the smallest i with cdf[i] >= u; for a u
-			// exactly equal to a cdf entry both forms return that entry, and
-			// the trailing cdf[len-1] = 1 bounds the index the same way.
 			got := c.Sample(rngB)
 			if got != want {
 				t.Fatalf("trial %d draw %d: Sample %d, SearchFloat64s %d (cdf %v)",

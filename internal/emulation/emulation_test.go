@@ -2,6 +2,7 @@ package emulation
 
 import (
 	"math"
+	"strconv"
 	"testing"
 
 	"tolerance/internal/baselines"
@@ -177,6 +178,47 @@ func TestStepZeroAllocations(t *testing.T) {
 	}
 }
 
+// BenchmarkStep is the cost of one emulation step (ns/op = ns/step) under the
+// TOLERANCE policy at the evaluation's parameters, from a small and a large
+// initial system. The run is restarted every 500 steps, as grid-deep's
+// scenarios are, so the node count stays in the range a scenario sees; the
+// restart is inside the timer (one reset per 500 steps) and allocates
+// nothing on a warm runner, so allocs/op must read 0.
+func BenchmarkStep(b *testing.B) {
+	for _, n1 := range []int{3, 9} {
+		b.Run("N1="+strconv.Itoa(n1), func(b *testing.B) {
+			s := toleranceScenario(b, n1, 15, 1)
+			fits, err := NewFitSet(s.FitSamples, FitStreamSeed(s.Seed))
+			if err != nil {
+				b.Fatal(err)
+			}
+			s.Fits = fits
+			s.Steps = 500
+			r, err := newRunner(s)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for t := 1; t <= s.Steps; t++ {
+				r.step(t) // size the pool and the scratch
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			t := s.Steps
+			for i := 0; i < b.N; i++ {
+				if t == s.Steps {
+					s.Seed++
+					if err := r.reset(s); err != nil {
+						b.Fatal(err)
+					}
+					t = 0
+				}
+				t++
+				r.step(t)
+			}
+		})
+	}
+}
+
 func TestPhysicalClusterTable3(t *testing.T) {
 	nodes := PhysicalCluster()
 	if len(nodes) != 13 {
@@ -187,7 +229,7 @@ func TestPhysicalClusterTable3(t *testing.T) {
 	}
 }
 
-func toleranceScenario(t *testing.T, n1, deltaR int, seed int64) Scenario {
+func toleranceScenario(t testing.TB, n1, deltaR int, seed int64) Scenario {
 	t.Helper()
 	params := nodemodel.DefaultParams()
 	params.PA = 0.1

@@ -31,32 +31,6 @@ func splitStream(seed int64, tag uint64) int64 {
 // fit — the paper's one-time training phase (§VIII-A).
 func FitStreamSeed(seed int64) int64 { return splitStream(seed, fitStreamTag) }
 
-// splitMixSource is a SplitMix64 rand.Source64 for the per-scenario node
-// and workload streams. Its reason to exist is O(1) seeding: the standard
-// library's legacy source runs a 607-round mixing loop on every Seed,
-// which dominated worker-resident scenario reset once everything else was
-// allocation-free (two reseeds per scenario ≈ 20% of fleet runtime).
-// Swapping the generator re-based every per-seed emulation trajectory —
-// the ROADMAP's rng-rebase policy covers it; the statistical contracts
-// (Table 7 orderings, determinism across workers/shards/resume) are
-// unchanged.
-type splitMixSource struct{ state uint64 }
-
-func (s *splitMixSource) Seed(seed int64) { s.state = uint64(seed) }
-
-func (s *splitMixSource) Uint64() uint64 {
-	s.state += dist.GoldenGamma
-	return dist.SplitMix64(s.state)
-}
-
-func (s *splitMixSource) Int63() int64 { return int64(s.Uint64() >> 1) }
-
-// newSplitMixRand returns a *rand.Rand on a SplitMix64 source (reseedable
-// in place through rand.Rand.Seed at one-word cost).
-func newSplitMixRand(seed int64) *rand.Rand {
-	return rand.New(&splitMixSource{state: uint64(seed)})
-}
-
 // workloadStreamSeed seeds the background-workload stream (arrivals and
 // departures), keeping the session process off the node simulation stream.
 func workloadStreamSeed(seed int64) int64 { return splitStream(seed, workloadStreamTag) }

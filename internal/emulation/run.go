@@ -73,7 +73,7 @@ func (s *Scenario) applyDefaults() error {
 	if s.F == 0 {
 		s.F = DefaultThreshold(s.N1)
 	}
-	if s.DeltaR < 0 {
+	if s.DeltaR < 0 || s.DeltaR > math.MaxInt32 {
 		return fmt.Errorf("%w: deltaR = %d", ErrBadScenario, s.DeltaR)
 	}
 	if s.Steps == 0 {
@@ -144,13 +144,13 @@ type Metrics struct {
 }
 
 // simNode is one virtual node of the testbed: the environment-side state
-// (container, compromise progress, attack campaign) plus the BTR calendar
-// offset. The monitoring-side state the node controller iterates every step
-// — belief, last action, pending alert boosts, Ẑ table offsets — lives in
-// the runner's beliefLanes (struct-of-arrays), so the per-step belief
-// recursion runs over dense slices instead of chasing node pointers. The
-// intrusion tracker is embedded by value (underAttack marks it live), so
-// starting a campaign never allocates.
+// (container, compromise progress, attack campaign). The monitoring-side
+// state the node controller iterates every step — belief, last action,
+// pending alert boosts, Ẑ table offsets, BTR window position — lives in the
+// runner's beliefLanes (struct-of-arrays), so the per-step belief recursion
+// runs over dense slices instead of chasing node pointers. The intrusion
+// tracker is embedded by value (underAttack marks it live), so starting a
+// campaign never allocates.
 type simNode struct {
 	id            int
 	container     Container
@@ -158,13 +158,12 @@ type simNode struct {
 	intrusion     attacker.Intrusion
 	underAttack   bool
 	behaviour     attacker.Behaviour
-	phase         int // BTR calendar offset
 	compromisedAt int
 }
 
 // beliefLanes is the per-node monitoring state in struct-of-arrays form,
 // indexed by the node's position in runner.nodes. The persistent lanes
-// (belief, off, boost, action, mark) are appended on spawn, compacted in
+// (belief, off, boost, wpos, action, mark) are appended on spawn, compacted in
 // lockstep with node eviction and truncated with the node set; obs, zh and
 // zc are per-step outputs of the observation pass (length = node count at
 // the start of the step, so they still cover nodes evicted later in the
@@ -174,6 +173,7 @@ type beliefLanes struct {
 	belief []float64 // node-controller belief b_t
 	off    []int32   // flat Ẑ slab offset = container index × alert support
 	boost  []int32   // pending alert boost from the ongoing intrusion
+	wpos   []int32   // BTR window position (t + calendar offset) mod ΔR; 0 at ΔR = ∞
 	action []uint8   // last action (uint8(nodemodel.Wait) = 0, Recover = 1)
 	mark   []uint32  // forced-recovery epoch mark (stage 2 membership test)
 	obs    []int     // this step's observations (also the AddNode context)
@@ -181,11 +181,12 @@ type beliefLanes struct {
 }
 
 // appendNode adds one node's monitoring state (fresh belief pa, Ẑ offset
-// off) to the persistent lanes.
-func (l *beliefLanes) appendNode(pa float64, off int32) {
+// off, window position wpos) to the persistent lanes.
+func (l *beliefLanes) appendNode(pa float64, off, wpos int32) {
 	l.belief = append(l.belief, pa)
 	l.off = append(l.off, off)
 	l.boost = append(l.boost, 0)
+	l.wpos = append(l.wpos, wpos)
 	l.action = append(l.action, 0)
 	l.mark = append(l.mark, 0)
 }
@@ -196,6 +197,7 @@ func (l *beliefLanes) move(dst, src int) {
 	l.belief[dst] = l.belief[src]
 	l.off[dst] = l.off[src]
 	l.boost[dst] = l.boost[src]
+	l.wpos[dst] = l.wpos[src]
 	l.action[dst] = l.action[src]
 	l.mark[dst] = l.mark[src]
 }
@@ -205,6 +207,7 @@ func (l *beliefLanes) truncate(n int) {
 	l.belief = l.belief[:n]
 	l.off = l.off[:n]
 	l.boost = l.boost[:n]
+	l.wpos = l.wpos[:n]
 	l.action = l.action[:n]
 	l.mark = l.mark[:n]
 }
@@ -219,9 +222,10 @@ func (l *beliefLanes) reserve(n int) {
 	l.belief = fl[0:0:n]
 	l.zh = fl[n : n : 2*n]
 	l.zc = fl[2*n : 2*n : 3*n]
-	i32 := make([]int32, 2*n)
+	i32 := make([]int32, 3*n)
 	l.off = i32[0:0:n]
 	l.boost = i32[n : n : 2*n]
+	l.wpos = i32[2*n : 2*n : 3*n]
 	l.action = make([]uint8, 0, n)
 	l.mark = make([]uint32, 0, n)
 	l.obs = make([]int, 0, n)
@@ -254,10 +258,16 @@ func growInts(s []int, n int) []int {
 // whole scenario run allocates nothing (guarded by
 // TestRunIntoSteadyStateZeroAllocations).
 type runner struct {
-	s    Scenario
-	rng  *rand.Rand // node/environment stream (seeded by Scenario.Seed)
-	wrng *rand.Rand // background-workload stream (arrivals + departures)
-	fits *FitSet
+	s Scenario
+	// The streams are held by value so every hot draw inlines into step.
+	rng  dist.Stream // node/environment stream (seeded by Scenario.Seed)
+	wrng dist.Stream // background-workload stream (arrivals + departures)
+	// rngView is rng as a *rand.Rand, for the consumers whose signatures
+	// take one (SystemContext.Rng, Intrusion.Advance). It draws from rng's
+	// state, so the draw order is that of a single generator — and it points
+	// into this struct, so a runner must not be copied after its first reset.
+	rngView *rand.Rand
+	fits    *FitSet
 
 	nodes  []*simNode
 	pool   []*simNode // recycled node structs (evictions + resets)
@@ -280,9 +290,8 @@ type runner struct {
 	ln    beliefLanes
 	epoch uint32
 
-	// Fixed-parameter workload samplers: draw-identical to the
-	// dist.SamplePoisson/SampleBinomial calls they replace, with the
-	// per-step transcendentals hoisted into reset.
+	// Fixed-parameter workload samplers, with the per-step transcendentals
+	// hoisted into reset.
 	poisson dist.PoissonSampler
 	binom   dist.BinomialSampler
 
@@ -313,12 +322,10 @@ func (r *runner) reset(s Scenario) error {
 	}
 	r.s = s
 	r.fits = fits
-	if r.rng == nil {
-		r.rng = newSplitMixRand(s.Seed)
-		r.wrng = newSplitMixRand(workloadStreamSeed(s.Seed))
-	} else {
-		r.rng.Seed(s.Seed)
-		r.wrng.Seed(workloadStreamSeed(s.Seed))
+	r.rng.Seed(s.Seed)
+	r.wrng.Seed(workloadStreamSeed(s.Seed))
+	if r.rngView == nil {
+		r.rngView = rand.New(&r.rng)
 	}
 	r.pool = append(r.pool, r.nodes...)
 	r.nodes = r.nodes[:0]
@@ -337,11 +344,11 @@ func (r *runner) reset(s Scenario) error {
 	r.recovering = r.recovering[:0]
 	r.candidates = r.candidates[:0]
 	for i := 0; i < s.N1; i++ {
-		phase := 0
+		wpos := 0
 		if s.DeltaR != recovery.InfiniteDeltaR {
-			phase = (i * s.DeltaR) / s.N1 // stagger forced recoveries
+			wpos = (i * s.DeltaR) / s.N1 // stagger forced recoveries
 		}
-		r.spawn(i, phase)
+		r.spawn(i, wpos)
 	}
 	r.nextID = s.N1
 	return nil
@@ -360,8 +367,8 @@ func newRunner(s Scenario) (*runner, error) {
 // spawn appends a node running a uniformly drawn catalog image — recycling
 // a previously evicted node struct when one is available — together with
 // its monitoring-lane entries (fresh belief pA, the container's Ẑ slab
-// offset).
-func (r *runner) spawn(id, phase int) {
+// offset, and wpos, its BTR window position at the current step).
+func (r *runner) spawn(id, wpos int) {
 	var n *simNode
 	if k := len(r.pool); k > 0 {
 		n, r.pool = r.pool[k-1], r.pool[:k-1]
@@ -373,11 +380,10 @@ func (r *runner) spawn(id, phase int) {
 		id:            id,
 		container:     r.fits.Container(ci),
 		state:         nodemodel.Healthy,
-		phase:         phase,
 		compromisedAt: -1,
 	}
 	r.nodes = append(r.nodes, n)
-	r.ln.appendNode(r.s.Params.PA, int32(ci*r.fits.support))
+	r.ln.appendNode(r.s.Params.PA, int32(ci*r.fits.support), int32(wpos))
 }
 
 // Runner executes scenarios with state that is reused from one run to the
@@ -441,16 +447,16 @@ func Run(s Scenario) (*Metrics, error) {
 // step advances the simulation by one 60-second time step.
 func (r *runner) step(t int) {
 	s := &r.s
-	rng := r.rng
+	rng := &r.rng
 	L := &r.ln
 
 	// Background client population (Poisson arrivals, exponential service
 	// approximated by geometric departures — a Binomial(sessions, 1/mu)
 	// thinning per step); the load adds baseline alert noise. Both draws
 	// come from the dedicated workload stream, through the fixed-parameter
-	// samplers (draw-identical to the dist.Sample* calls they hoist).
-	r.sessions += r.poisson.Sample(r.wrng)
-	r.sessions -= r.binom.Sample(r.wrng, r.sessions)
+	// samplers.
+	r.sessions += r.poisson.Sample(&r.wrng)
+	r.sessions -= r.binom.Sample(&r.wrng, r.sessions)
 	load := float64(r.sessions) / (s.Workload.Lambda * s.Workload.MeanServiceSteps)
 
 	// 1. Observations and belief updates, in two passes over the lanes.
@@ -467,10 +473,14 @@ func (r *runner) step(t int) {
 	zhFlat, zcFlat := r.fits.zhFlat, r.fits.zcFlat
 	pFalse := 0.1 * load // background-traffic false-alert probability
 	for i, nd := range r.nodes {
-		obs := nd.container.Profile.Sample(rng, nd.state == nodemodel.Compromised)
+		z := nd.container.Profile.NoIntrusion
+		if nd.state == nodemodel.Compromised {
+			z = nd.container.Profile.Intrusion
+		}
+		obs := z.Quantile(rng.Float64())
 		obs += int(L.boost[i])
 		L.boost[i] = 0
-		if dist.SampleBernoulli(rng, pFalse) {
+		if rng.Bernoulli(pFalse) {
 			obs++ // background-traffic false alert
 		}
 		if obs >= ids.AlertSupport {
@@ -494,23 +504,35 @@ func (r *runner) step(t int) {
 	r.epoch++
 	epoch := r.epoch
 	recovering := r.recovering[:0]
-	if s.Policy.UsesBTR() && s.DeltaR != recovery.InfiniteDeltaR {
-		for i, nd := range r.nodes {
-			if (t+nd.phase)%s.DeltaR == 0 && len(recovering) < s.K {
-				recovering = append(recovering, int32(i))
-				L.mark[i] = epoch
+	bounded := s.DeltaR != recovery.InfiniteDeltaR
+	if bounded {
+		// Every node's calendar moves one step; the lane holds
+		// (t + offset) mod ΔR without a division per node.
+		wrap := int32(s.DeltaR)
+		for i, w := range L.wpos {
+			if w++; w == wrap {
+				w = 0
+			}
+			L.wpos[i] = w
+		}
+		if s.Policy.UsesBTR() {
+			for i, w := range L.wpos {
+				if w == 0 && len(recovering) < s.K {
+					recovering = append(recovering, int32(i))
+					L.mark[i] = epoch
+				}
 			}
 		}
 	}
 	// Threshold recoveries in descending belief order.
 	candidates := r.candidates[:0]
-	for i, nd := range r.nodes {
+	for i := range r.nodes {
 		if L.mark[i] == epoch {
 			continue
 		}
-		windowPos := t + nd.phase
-		if s.DeltaR != recovery.InfiniteDeltaR {
-			windowPos = (t + nd.phase) % s.DeltaR
+		windowPos := t // no calendar at ΔR = ∞: the window is the run
+		if bounded {
+			windowPos = int(L.wpos[i])
 			if windowPos == 0 {
 				continue
 			}
@@ -592,13 +614,14 @@ func (r *runner) step(t int) {
 		AliveNodes:      len(r.nodes),
 		Observations:    obsLane,
 		MeanObs:         meanObs,
-		Rng:             rng,
+		Rng:             r.rngView,
 	}) {
-		phase := 0
-		if s.DeltaR != recovery.InfiniteDeltaR {
-			phase = rng.Intn(s.DeltaR)
+		wpos := 0
+		if bounded {
+			// A uniform calendar offset, as this step's window position.
+			wpos = (t + rng.Intn(s.DeltaR)) % s.DeltaR
 		}
-		r.spawn(r.nextID, phase)
+		r.spawn(r.nextID, wpos)
 		r.nextID++
 		r.m.Additions++
 	}
@@ -631,17 +654,17 @@ func (r *runner) step(t int) {
 	for i, nd := range r.nodes {
 		switch nd.state {
 		case nodemodel.Healthy:
-			if dist.SampleBernoulli(rng, s.Params.PC1) {
+			if rng.Bernoulli(s.Params.PC1) {
 				nd.state = nodemodel.Crashed
 				continue
 			}
-			if !nd.underAttack && dist.SampleBernoulli(rng, s.Params.PA) {
+			if !nd.underAttack && rng.Bernoulli(s.Params.PA) {
 				if err := nd.intrusion.Begin(nd.container.ID); err == nil {
 					nd.underAttack = true
 				}
 			}
 			if nd.underAttack {
-				L.boost[i] += int32(nd.intrusion.Advance(rng))
+				L.boost[i] += int32(nd.intrusion.Advance(r.rngView))
 				if nd.intrusion.Done() {
 					nd.state = nodemodel.Compromised
 					nd.behaviour = nd.intrusion.Behaviour
@@ -650,7 +673,7 @@ func (r *runner) step(t int) {
 				}
 			}
 		case nodemodel.Compromised:
-			if dist.SampleBernoulli(rng, s.Params.PC2) {
+			if rng.Bernoulli(s.Params.PC2) {
 				nd.state = nodemodel.Crashed
 				if nd.compromisedAt >= 0 {
 					r.recoveryTimes = append(r.recoveryTimes, recovery.NoRecoveryPenalty)
@@ -658,7 +681,7 @@ func (r *runner) step(t int) {
 				}
 				continue
 			}
-			if dist.SampleBernoulli(rng, s.Params.PU) {
+			if rng.Bernoulli(s.Params.PU) {
 				// Software update silently cleans the node (eq. 2g);
 				// not a controller recovery, so T(R) is not recorded.
 				nd.state = nodemodel.Healthy

@@ -414,7 +414,17 @@ func (d *dpSolver) solveStationary() (*DPSolution, error) {
 		rho := (lo + hi) / 2
 		w, err = d.stoppingValue(rho)
 		if err != nil {
-			return nil, err
+			// Above the average cost of waiting forever the stopping value
+			// has no finite fixed point: every sweep lowers it. An iterate
+			// whose cycle-start value is already negative has answered the
+			// bisection's question (rho is too high) without converging; it
+			// is no start point for the next probe.
+			if d.expectReset(w) >= 0 {
+				return nil, err
+			}
+			hi = rho
+			d.warm = false
+			continue
 		}
 		if d.expectReset(w) > 0 {
 			lo = rho
@@ -457,7 +467,8 @@ func (d *dpSolver) solveStationary() (*DPSolution, error) {
 // is valid until the next stoppingValue call, and callers that keep it
 // (solveStationary's final solution) copy it themselves. During bisection
 // the value is only read through expectReset before the next call, so the
-// aliasing saves one grid-sized allocation per bisection step.
+// aliasing saves one grid-sized allocation per bisection step. With
+// ErrDPNotConverged the slice is the last iterate, not a fixed point.
 func (d *dpSolver) stoppingValue(rho float64) ([]float64, error) {
 	p := d.p
 	recoverVal := 1 - rho
@@ -485,5 +496,5 @@ func (d *dpSolver) stoppingValue(rho float64) ([]float64, error) {
 			return w, nil
 		}
 	}
-	return nil, fmt.Errorf("%w: rho = %v", ErrDPNotConverged, rho)
+	return w, fmt.Errorf("%w: rho = %v", ErrDPNotConverged, rho)
 }

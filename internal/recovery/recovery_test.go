@@ -476,3 +476,35 @@ func TestAlgorithm1WorkersBitIdentical(t *testing.T) {
 		})
 	}
 }
+
+// TestSolveDPStationaryLowCostRegime covers the inputs whose first bisection
+// probes sit above the average cost of waiting forever (low attack rate, low
+// waiting cost): there the stopping value has no fixed point, and the solver
+// must read the diverging iterate as "rho too high" instead of giving up.
+// The solution is checked the way TestSolveDPMatchesSimulation checks the
+// default: the DP's average cost against a simulation of its own strategy.
+func TestSolveDPStationaryLowCostRegime(t *testing.T) {
+	for _, pa := range []float64{0.02, 0.05} {
+		for _, eta := range []float64{1, 1.5, 2} {
+			p := nodemodel.DefaultParams()
+			p.PA, p.Eta = pa, eta
+			sol, err := SolveDP(p, DPConfig{DeltaR: InfiniteDeltaR, GridSize: 300})
+			if err != nil {
+				t.Errorf("pA=%v eta=%v: %v", pa, eta, err)
+				continue
+			}
+			if al := sol.Thresholds[0]; al <= 0 || al >= 1 {
+				t.Errorf("pA=%v eta=%v: threshold %v is not interior", pa, eta, al)
+			}
+			rng := rand.New(rand.NewSource(6))
+			m, err := Evaluate(rng, p, sol.Strategy(InfiniteDeltaR),
+				SimConfig{Episodes: 400, Horizon: 300, DeltaR: InfiniteDeltaR})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(m.AvgCost-sol.AvgCost) > 0.01 {
+				t.Errorf("pA=%v eta=%v: simulated cost %v vs DP %v", pa, eta, m.AvgCost, sol.AvgCost)
+			}
+		}
+	}
+}

@@ -20,9 +20,9 @@ func TestSendWriteTimeoutOnStuckReceiver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
 	accepted := make(chan net.Conn, 4)
 	go func() {
+		defer close(accepted) // by the sender, once Accept has failed
 		for {
 			c, err := l.Accept()
 			if err != nil {
@@ -32,7 +32,7 @@ func TestSendWriteTimeoutOnStuckReceiver(t *testing.T) {
 		}
 	}()
 	defer func() {
-		close(accepted)
+		l.Close() // ends the accept loop; the range below waits for it
 		for c := range accepted {
 			c.Close()
 		}
@@ -72,6 +72,7 @@ func TestSendRecoversAfterWriteTimeout(t *testing.T) {
 	}
 	conns := make(chan net.Conn, 16)
 	go func() {
+		defer close(conns) // by the sender, once Accept has failed
 		for {
 			c, err := stuck.Accept()
 			if err != nil {
@@ -81,8 +82,7 @@ func TestSendRecoversAfterWriteTimeout(t *testing.T) {
 		}
 	}()
 	defer func() {
-		stuck.Close()
-		close(conns)
+		stuck.Close() // ends the accept loop; the range below waits for it
 		for c := range conns {
 			c.Close()
 		}

@@ -3,7 +3,7 @@
 // (latency, jitter, loss, partitions — §VIII-A of the paper emulates 0.05%
 // packet loss with NETEM) and a TCP transport for cross-process deployments.
 //
-// All consensus protocols in this repository (MinBFT, Raft) speak through
+// The consensus protocol in this repository (MinBFT) speaks through
 // the Endpoint interface, so tests can inject faults deterministically.
 // The fleet's distributed coordinator (internal/fleet/proto) rides the
 // same TCP endpoint for its lease protocol; docs/ARCHITECTURE.md places

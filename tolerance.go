@@ -45,7 +45,7 @@
 //	FleetSuiteJSON(name)                    -> SuiteJSON(SuiteByName(name))
 //	FleetSuiteNames()                       -> SuiteNames()
 //
-// Lower-level building blocks (the MinBFT and Raft implementations, the
+// Lower-level building blocks (the MinBFT implementation, the
 // POMDP solvers, the emulation, the fleet engine) live under internal/ and
 // are exercised by the examples and the benchmark harness.
 package tolerance
