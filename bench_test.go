@@ -301,16 +301,17 @@ func BenchmarkTable7Evaluation(b *testing.B) {
 // BenchmarkFig13Strategies computes the two strategy illustrations of
 // Fig 13: the replication rule pi(a=1|s) and the recovery threshold.
 func BenchmarkFig13Strategies(b *testing.B) {
+	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		rep, err := SolveReplicationStrategy(13, 1, 0.9, 0.97)
+		rep, err := Solve(ctx, ReplicationProblem{SMax: 13, F: 1, EpsilonA: 0.9, Q: 0.97})
 		if err != nil {
 			b.Fatal(err)
 		}
-		rec, err := SolveRecoveryStrategy(DefaultNodeModel(), InfiniteDeltaR)
+		rec, err := Solve(ctx, RecoveryProblem{Model: DefaultNodeModel(), DeltaR: InfiniteDeltaR})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(rep.AddProbability) != 14 || len(rec.Thresholds) != 1 {
+		if len(rep.Replication.AddProbability) != 14 || len(rec.Recovery.Thresholds) != 1 {
 			b.Fatal("unexpected strategy shapes")
 		}
 	}

@@ -1,8 +1,12 @@
-// Webservice: the full §VII proof-of-concept in-process — a replicated
-// key-value web service coordinated by MinBFT, a live attacker running
-// Table 6 campaigns, node controllers recovering compromised replicas, and
-// the system controller evicting/adding nodes through consensus, while a
-// client continuously reads and writes.
+// Webservice: the §VII proof of concept through the public API — a
+// replicated key-value web service coordinated by MinBFT replicas over
+// loopback TCP, an attacker running Table 6 campaigns against them, node
+// controllers that restart compromised replicas, and the system controller
+// evicting and adding nodes through consensus, while a client writes to the
+// service every control step and measures whether it commits.
+//
+// The run is a one-cell suite on the "cluster" backend, so this is the same
+// control loop the fleet's cluster cells and cluster-smoke execute.
 //
 //	go run ./examples/webservice
 package main
@@ -11,14 +15,34 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"time"
 
 	"tolerance"
-	"tolerance/internal/cmdp"
-	"tolerance/internal/core"
-	"tolerance/internal/nodemodel"
-	"tolerance/internal/recovery"
-	"tolerance/internal/replica"
+)
+
+// suite is the demo regime: a lively but survivable attacker (pA = 0.08)
+// against five replicas that may grow to seven, one recovery at a time, no
+// BTR bound (deltaR 0 = infinity), 30 control steps, the TOLERANCE policy.
+const suite = `{
+	"version": 2,
+	"name": "webservice",
+	"seed": 7,
+	"seedsPerCell": 1,
+	"steps": 30,
+	"smax": 7,
+	"k": 1,
+	"attackRates": [0.08],
+	"n1s": [5],
+	"deltaRs": [0],
+	"policies": ["TOLERANCE"],
+	"backends": ["cluster"]
+}`
+
+// Telemetry the cluster backend exports (internal/clusterbackend).
+const (
+	metricRestarts  = "cluster.replica_restarts"
+	metricMaxView   = "cluster.max_view"
+	metricEvictions = "cluster.evictions"
+	metricAdditions = "cluster.additions"
 )
 
 func main() {
@@ -28,89 +52,30 @@ func main() {
 }
 
 func run() error {
-	params := nodemodel.DefaultParams()
-	params.PA = 0.08 // lively but survivable attacker for the demo
-
-	model, err := cmdp.NewBinomialModel(7, 1, 0.9, 0.95, 0)
+	tel := tolerance.NewTelemetry()
+	var rec tolerance.ScenarioRecord
+	_, err := tolerance.RunSuite(context.Background(), tolerance.SuiteFromJSON([]byte(suite)),
+		tolerance.WithTelemetry(tel),
+		tolerance.WithRecordHandler(func(r tolerance.ScenarioRecord) error {
+			rec = r
+			return nil
+		}),
+	)
 	if err != nil {
 		return err
 	}
-	repSol, err := cmdp.Solve(model)
-	if err != nil {
-		return err
+	m := rec.Metrics
+	snap := tel.Snapshot()
+	fmt.Printf("replicated web service, %s policy, 30 control steps on live replicas\n", rec.Strategy)
+	fmt.Printf("  measured availability T(A): %.3f (steps whose client write committed)\n", m.Availability)
+	fmt.Printf("  mean service latency:       %.1f ms\n", m.ServiceLatencyMS)
+	fmt.Printf("  intrusions / recoveries:    %d / %d\n", m.Intrusions, m.Recoveries)
+	fmt.Printf("  replica restarts:           %d\n", snap.Counters[metricRestarts])
+	fmt.Printf("  highest MinBFT view:        %.0f\n", snap.Gauges[metricMaxView])
+	fmt.Printf("  evictions / additions:      %d / %d\n", snap.Counters[metricEvictions], snap.Counters[metricAdditions])
+	if m.Availability < 0.5 {
+		return fmt.Errorf("service unavailable: measured T(A) = %.3f < 0.5", m.Availability)
 	}
-	sysCtrl, err := core.NewSystemController(repSol, 7, 42)
-	if err != nil {
-		return err
-	}
-	// The node controllers run the model-optimal recovery threshold
-	// instead of a hand-picked one.
-	recSol, err := tolerance.Solve(context.Background(), tolerance.RecoveryProblem{
-		Model: tolerance.NodeModel{
-			PA: params.PA, PC1: params.PC1, PC2: params.PC2, PU: params.PU, Eta: params.Eta,
-		},
-		DeltaR: tolerance.InfiniteDeltaR,
-	})
-	if err != nil {
-		return err
-	}
-	cluster, err := core.NewLiveCluster(core.LiveConfig{
-		N1:          5,
-		K:           1,
-		SMax:        7,
-		Params:      params,
-		Recovery:    &recovery.ThresholdStrategy{Thresholds: recSol.Recovery.Thresholds, DeltaR: recovery.InfiniteDeltaR},
-		Replication: sysCtrl,
-		Seed:        7,
-		Loss:        0.0005, // §VIII-A: 0.05% packet loss
-	})
-	if err != nil {
-		return err
-	}
-	defer cluster.Close()
-
-	client, err := cluster.Client("shopper")
-	if err != nil {
-		return err
-	}
-
-	fmt.Println("replicated web service up:", cluster.Members())
-	served, failed := 0, 0
-	for step := 1; step <= 30; step++ {
-		recovered, err := cluster.Step()
-		if err != nil {
-			return fmt.Errorf("control step %d: %w", step, err)
-		}
-		if len(recovered) > 0 {
-			fmt.Printf("step %2d: recovered %v\n", step, recovered)
-		}
-		if comp := cluster.CompromisedNodes(); len(comp) > 0 {
-			fmt.Printf("step %2d: compromised %v\n", step, comp)
-		}
-		// The client keeps using the service throughout.
-		client.UpdateMembership(cluster.Members(), (len(cluster.Members())-1-1)/2)
-		key := fmt.Sprintf("cart-%d", step%3)
-		if _, err := client.Submit(replica.Op{
-			Type: replica.OpWrite, Key: key, Value: fmt.Sprintf("item-%d", step),
-		}); err != nil {
-			failed++
-		} else {
-			served++
-		}
-		if got, err := client.Submit(replica.Op{Type: replica.OpRead, Key: key}); err == nil {
-			_ = got
-			served++
-		} else {
-			failed++
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	fmt.Printf("\nserved %d requests, %d failed\n", served, failed)
-	fmt.Printf("stats: %+v\n", cluster.Stats)
-	fmt.Printf("final membership: %v\n", cluster.Members())
-	if failed*2 > served {
-		return fmt.Errorf("too many failed requests: %d of %d", failed, served+failed)
-	}
-	fmt.Println("service stayed correct and available throughout the intrusions")
+	fmt.Println("the service committed the client's write in at least half the steps despite the intrusions")
 	return nil
 }

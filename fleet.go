@@ -90,6 +90,10 @@ type ScenarioMetrics struct {
 	// Intrusions, Recoveries, Evictions and Additions count events.
 	Intrusions, Recoveries int
 	Evictions, Additions   int
+	// ServiceLatencyMS is the mean latency of the requests that committed,
+	// in milliseconds; only the "cluster" backend, which serves real
+	// requests, measures it (zero elsewhere).
+	ServiceLatencyMS float64
 }
 
 // ScenarioRecord is one executed scenario, streamed in fold (index) order
@@ -119,6 +123,7 @@ func publicMetrics(m emulation.Metrics) ScenarioMetrics {
 		Recoveries:         m.Recoveries,
 		Evictions:          m.Evictions,
 		Additions:          m.Additions,
+		ServiceLatencyMS:   m.ServiceLatencyMS,
 	}
 }
 

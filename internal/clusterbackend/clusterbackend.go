@@ -61,6 +61,9 @@ const (
 // of one run share it (the byzantine application domain never sees it).
 var clusterKey = []byte("tolerance-cluster-backend-key-32")
 
+// adminTimeout bounds one reconfiguration (evict/join) request.
+const adminTimeout = 3 * time.Second
+
 // Options tunes a cluster run without touching the scenario schedule.
 type Options struct {
 	// Telemetry receives the cluster.* series; nil records nothing.
@@ -73,8 +76,6 @@ type Options struct {
 	StepInterval time.Duration
 	// ProbeTimeout bounds one probe request (default 750ms).
 	ProbeTimeout time.Duration
-	// AdminTimeout bounds one reconfiguration request (default 3s).
-	AdminTimeout time.Duration
 	// Chaos, when set, wraps every replica's transport endpoint with the
 	// fault plan's injector (drops, duplicates, delays, partitions …), so
 	// the live MinBFT group runs over an impaired network — the §VIII-A
@@ -90,9 +91,6 @@ func (o *Options) applyDefaults() {
 	}
 	if o.ProbeTimeout == 0 {
 		o.ProbeTimeout = 750 * time.Millisecond
-	}
-	if o.AdminTimeout == 0 {
-		o.AdminTimeout = 3 * time.Second
 	}
 }
 
@@ -279,51 +277,15 @@ func Run(ctx context.Context, sc emulation.Scenario, opts Options) (Result, erro
 // boot validates the scenario and starts the replica group, the admin
 // client and the probe client.
 func boot(sc emulation.Scenario, opts Options) (*cluster, error) {
-	// Reuse the emulation's validation and defaulting by round-tripping
-	// through a zero-step dry run's rules: apply the same defaults here.
-	if sc.Policy == nil {
-		return nil, fmt.Errorf("clusterbackend: nil policy")
-	}
-	if sc.N1 < 2 {
-		return nil, fmt.Errorf("clusterbackend: N1 = %d (need >= 2 live replicas)", sc.N1)
-	}
-	if sc.SMax == 0 {
-		sc.SMax = 13
-	}
-	if sc.K == 0 {
-		sc.K = 1
-	}
-	if sc.F == 0 {
-		sc.F = emulation.DefaultThreshold(sc.N1)
-	}
-	if sc.Steps == 0 {
-		sc.Steps = 100
-	}
-	if sc.Params.ZHealthy == nil {
-		p := nodemodel.DefaultParams()
-		p.PA = 0.1
-		sc.Params = p
-	}
-	if err := sc.Params.Validate(); err != nil {
+	if err := sc.ApplyDefaults(); err != nil {
 		return nil, err
 	}
-	if sc.FitSamples == 0 {
-		sc.FitSamples = 25000
+	if sc.N1 < 2 {
+		return nil, fmt.Errorf("%w: N1 = %d (need >= 2 live replicas)", emulation.ErrBadScenario, sc.N1)
 	}
-	if sc.Workload.Lambda == 0 {
-		sc.Workload = emulation.DefaultBackgroundWorkload()
-	}
-	fits := sc.Fits
-	if fits == nil {
-		fitSeed := sc.FitSeed
-		if fitSeed == 0 {
-			fitSeed = emulation.FitStreamSeed(sc.Seed)
-		}
-		var err error
-		fits, err = emulation.NewFitSet(sc.FitSamples, fitSeed)
-		if err != nil {
-			return nil, err
-		}
+	fits, err := sc.ResolveFits()
+	if err != nil {
+		return nil, err
 	}
 	verifier, err := usig.NewHMACVerifier(clusterKey)
 	if err != nil {
@@ -339,7 +301,7 @@ func boot(sc emulation.Scenario, opts Options) (*cluster, error) {
 		digest:   newFNV64(),
 		tm:       newClusterMetrics(opts.Telemetry, opts.Shard),
 	}
-	c.wrng.Seed(workloadSeed(sc.Seed))
+	c.wrng.Seed(emulation.WorkloadStreamSeed(sc.Seed))
 	c.poisson.Reset(sc.Workload.Lambda)
 	c.binom.Reset(1 / sc.Workload.MeanServiceSteps)
 
@@ -360,11 +322,14 @@ func boot(sc emulation.Scenario, opts Options) (*cluster, error) {
 	}
 	for i, ep := range eps {
 		phase := 0
-		if sc.DeltaR != recovery.InfiniteDeltaR && sc.DeltaR > 0 {
+		if sc.DeltaR != recovery.InfiniteDeltaR {
 			phase = (i * sc.DeltaR) / sc.N1 // stagger, like the emulation
 		}
-		n, err := c.startNode(ep, members, phase, 0)
-		if err != nil {
+		n := c.newNode(phase, c.rng.Intn(c.fits.Len()))
+		if err := c.startReplica(n, ep, members, 0); err != nil {
+			for _, e := range eps[i:] {
+				_ = e.Close()
+			}
 			c.close()
 			return nil, err
 		}
@@ -372,7 +337,7 @@ func boot(sc emulation.Scenario, opts Options) (*cluster, error) {
 	}
 	c.nextID = sc.N1
 
-	c.admin, c.adminEP, err = c.newClient(opts.AdminTimeout)
+	c.admin, c.adminEP, err = c.newClient(adminTimeout)
 	if err != nil {
 		c.close()
 		return nil, err
@@ -383,12 +348,6 @@ func boot(sc emulation.Scenario, opts Options) (*cluster, error) {
 		return nil, err
 	}
 	return c, nil
-}
-
-// workloadSeed derives the background-workload stream seed with the same
-// SplitMix64 derivation (and tag) the emulation uses.
-func workloadSeed(seed int64) int64 {
-	return int64(dist.SplitMix64(uint64(seed)*dist.GoldenGamma + 0x3017))
 }
 
 // newClient starts a loopback client whose signer ID is its own listen
@@ -417,10 +376,27 @@ func (c *cluster) newClient(timeout time.Duration) (*minbft.Client, *transport.T
 	return cl, ep, nil
 }
 
-// startNode boots one replica on ep. The container draw comes from the
-// schedule stream; usigCounter > 0 resumes the trusted counter of a
-// previous incarnation (a restart).
-func (c *cluster) startNode(ep *transport.TCPEndpoint, members []string, phase int, usigCounter uint64) (*node, error) {
+// newNode is a fresh schedule node on catalog container ci with BTR
+// calendar offset phase; it has no replica process until startReplica.
+func (c *cluster) newNode(phase, ci int) *node {
+	n := &node{belief: c.sc.Params.PA, phase: phase, compromisedAt: -1}
+	c.setContainer(n, ci)
+	return n
+}
+
+// setContainer installs catalog container ci on n: its alert profile and
+// fitted likelihood rows. The caller draws ci from the schedule stream.
+func (c *cluster) setContainer(n *node, ci int) {
+	fit := c.fits.Fitted(ci)
+	n.profile = c.fits.Container(ci).Profile
+	n.zh, n.zc = fit.Healthy.Probs(), fit.Compromised.Probs()
+}
+
+// startReplica boots n's replica process on ep — the one place a live
+// replica is built, at boot, on restart and on addition. usigCounter > 0
+// resumes the trusted counter of a previous incarnation (a restart). On
+// error n is unchanged and the caller still owns ep.
+func (c *cluster) startReplica(n *node, ep *transport.TCPEndpoint, members []string, usigCounter uint64) error {
 	addr := ep.Addr()
 	var u *usig.USIG
 	var err error
@@ -430,7 +406,7 @@ func (c *cluster) startNode(ep *transport.TCPEndpoint, members []string, phase i
 		u, err = usig.NewHMAC(addr, clusterKey)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	store := replica.NewKVStore()
 	rep, err := minbft.NewReplica(minbft.Config{
@@ -446,23 +422,10 @@ func (c *cluster) startNode(ep *transport.TCPEndpoint, members []string, phase i
 		TickInterval:   5 * time.Millisecond,
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ci := c.rng.Intn(c.fits.Len())
-	fit := c.fits.Fitted(ci)
-	return &node{
-		addr:          addr,
-		ep:            ep,
-		rep:           rep,
-		u:             u,
-		store:         store,
-		profile:       c.fits.Container(ci).Profile,
-		zh:            fit.Healthy.Probs(),
-		zc:            fit.Compromised.Probs(),
-		belief:        c.sc.Params.PA,
-		phase:         phase,
-		compromisedAt: -1,
-	}, nil
+	n.addr, n.ep, n.rep, n.u, n.store, n.procDead = addr, ep, rep, u, store, false
+	return nil
 }
 
 // members returns the current member list in node order.
@@ -536,17 +499,7 @@ func (c *cluster) step(t int) {
 		if n.lastRecover {
 			action = nodemodel.Recover
 		}
-		pred := sc.Params.PredictBelief(n.belief, action)
-		den := n.zc[obs]*pred + n.zh[obs]*(1-pred)
-		if den > 0 {
-			b := n.zc[obs] * pred / den
-			if b < 0 {
-				b = 0
-			} else if b > 1 {
-				b = 1
-			}
-			n.belief = b
-		}
+		n.belief = emulation.UpdateBeliefFitted(sc.Params, n.zh, n.zc, n.belief, action, obs)
 		n.lastRecover = false
 	}
 
@@ -554,7 +507,7 @@ func (c *cluster) step(t int) {
 	// threshold recoveries in descending belief order, K-capped.
 	recovering := make([]int, 0, sc.K)
 	forced := make(map[int]bool, sc.K)
-	if sc.Policy.UsesBTR() && sc.DeltaR != recovery.InfiniteDeltaR && sc.DeltaR > 0 {
+	if sc.Policy.UsesBTR() && sc.DeltaR != recovery.InfiniteDeltaR {
 		for i, n := range c.nodes {
 			if (t+n.phase)%sc.DeltaR == 0 && len(recovering) < sc.K {
 				recovering = append(recovering, i)
@@ -568,7 +521,7 @@ func (c *cluster) step(t int) {
 			continue
 		}
 		windowPos := t + n.phase
-		if sc.DeltaR != recovery.InfiniteDeltaR && sc.DeltaR > 0 {
+		if sc.DeltaR != recovery.InfiniteDeltaR {
 			windowPos = (t + n.phase) % sc.DeltaR
 			if windowPos == 0 {
 				continue
@@ -752,16 +705,13 @@ func (c *cluster) probeOnce() bool {
 // wall-clock outcome; a failed restart only marks the process dead.
 func (c *cluster) restartNode(t int, n *node) {
 	// Schedule-stream draw first, unconditionally.
-	ci := c.rng.Intn(c.fits.Len())
+	c.setContainer(n, c.rng.Intn(c.fits.Len()))
 
 	c.m.Recoveries++
 	if n.compromisedAt >= 0 {
 		c.recoveryTimes = append(c.recoveryTimes, float64(t-n.compromisedAt))
 		n.compromisedAt = -1
 	}
-	fit := c.fits.Fitted(ci)
-	n.profile = c.fits.Container(ci).Profile
-	n.zh, n.zc = fit.Healthy.Probs(), fit.Compromised.Probs()
 	n.belief = c.sc.Params.PA
 	n.crashed = false
 	n.compromised = false
@@ -786,52 +736,15 @@ func (c *cluster) restartNode(t int, n *node) {
 		return
 	}
 	members, _ := c.realMembers()
-	fresh, err := c.startNodeOn(ep, members, n.phase, counter)
-	if err != nil {
+	if err := c.startReplica(n, ep, members, counter); err != nil {
 		c.tm.inc(c.tm.restFail)
 		_ = ep.Close()
 		n.procDead = true
 		return
 	}
-	n.ep = ep
-	n.rep, n.u, n.store = fresh.rep, fresh.u, fresh.store
-	n.procDead = false
 	n.rep.RequestStateSync(1)
 	c.restarts++
 	c.tm.inc(c.tm.restarts)
-}
-
-// startNodeOn is startNode without the schedule-stream container draw (the
-// caller already drew it).
-func (c *cluster) startNodeOn(ep *transport.TCPEndpoint, members []string, phase int, usigCounter uint64) (*node, error) {
-	addr := ep.Addr()
-	var u *usig.USIG
-	var err error
-	if usigCounter > 0 {
-		u, err = usig.ResumeHMAC(addr, clusterKey, usigCounter)
-	} else {
-		u, err = usig.NewHMAC(addr, clusterKey)
-	}
-	if err != nil {
-		return nil, err
-	}
-	store := replica.NewKVStore()
-	rep, err := minbft.NewReplica(minbft.Config{
-		ID:             addr,
-		Members:        members,
-		K:              c.sc.K,
-		Endpoint:       c.opts.Chaos.WrapEndpoint(ep),
-		USIG:           u,
-		Verifier:       c.verifier,
-		Registry:       c.registry,
-		Store:          store,
-		RequestTimeout: 250 * time.Millisecond,
-		TickInterval:   5 * time.Millisecond,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &node{addr: addr, ep: ep, rep: rep, u: u, store: store}, nil
 }
 
 // relisten rebinds a closed listen address. The old listener just closed,
@@ -907,21 +820,11 @@ func (c *cluster) evictCrashed(t int) int {
 func (c *cluster) addNode() {
 	// Schedule-stream draws first, unconditionally.
 	phase := 0
-	if c.sc.DeltaR != recovery.InfiniteDeltaR && c.sc.DeltaR > 0 {
+	if c.sc.DeltaR != recovery.InfiniteDeltaR {
 		phase = c.rng.Intn(c.sc.DeltaR)
 	}
-	ci := c.rng.Intn(c.fits.Len())
+	n := c.newNode(phase, c.rng.Intn(c.fits.Len()))
 	c.nextID++
-
-	fit := c.fits.Fitted(ci)
-	n := &node{
-		profile:       c.fits.Container(ci).Profile,
-		zh:            fit.Healthy.Probs(),
-		zc:            fit.Compromised.Probs(),
-		belief:        c.sc.Params.PA,
-		phase:         phase,
-		compromisedAt: -1,
-	}
 	c.m.Additions++
 	c.tm.inc(c.tm.adds)
 
@@ -933,18 +836,15 @@ func (c *cluster) addNode() {
 		c.nodes = append(c.nodes, n)
 		return
 	}
-	n.addr = ep.Addr()
 	members, _ := c.realMembers()
-	members = append(members, ep.Addr())
-	started, err := c.startNodeOn(ep, members, phase, 0)
-	if err != nil {
+	if err := c.startReplica(n, ep, append(members, ep.Addr()), 0); err != nil {
 		c.tm.inc(c.tm.cfgFail)
+		n.addr = ep.Addr()
 		_ = ep.Close()
 		n.procDead = true
 		c.nodes = append(c.nodes, n)
 		return
 	}
-	n.ep, n.rep, n.u, n.store = started.ep, started.rep, started.u, started.store
 	c.nodes = append(c.nodes, n)
 
 	op, err := minbft.EncodeConfigOp("join", ep.Addr())

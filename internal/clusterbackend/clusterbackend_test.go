@@ -2,6 +2,7 @@ package clusterbackend
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -101,6 +102,24 @@ func TestClusterScheduleReproducible(t *testing.T) {
 	}
 	if a.Metrics.Additions != b.Metrics.Additions {
 		t.Errorf("additions differ: %d vs %d", a.Metrics.Additions, b.Metrics.Additions)
+	}
+}
+
+// TestClusterRunRejectsBadScenario: the cluster backend validates a
+// scenario by the emulation's rules (N1 <= SMax, ΔR >= 0, a policy) plus its
+// own N1 >= 2, all with ErrBadScenario, before any replica starts.
+func TestClusterRunRejectsBadScenario(t *testing.T) {
+	for name, mutate := range map[string]func(*emulation.Scenario){
+		"N1 > SMax":  func(sc *emulation.Scenario) { sc.N1 = sc.SMax + 1 },
+		"ΔR = -1":    func(sc *emulation.Scenario) { sc.DeltaR = -1 },
+		"N1 = 1":     func(sc *emulation.Scenario) { sc.N1 = 1 },
+		"nil policy": func(sc *emulation.Scenario) { sc.Policy = nil },
+	} {
+		sc := smokeScenario(1)
+		mutate(&sc)
+		if _, err := Run(context.Background(), sc, Options{}); !errors.Is(err, emulation.ErrBadScenario) {
+			t.Errorf("%s: err = %v, want ErrBadScenario", name, err)
+		}
 	}
 }
 

@@ -114,7 +114,7 @@ func TestFitSetSharedEquivalence(t *testing.T) {
 // TestFitStreamSeedSplitsStreams checks that the derived streams are
 // decorrelated from the base seed and from each other.
 func TestFitStreamSeedSplitsStreams(t *testing.T) {
-	if FitStreamSeed(7) == 7 || FitStreamSeed(7) == workloadStreamSeed(7) {
+	if FitStreamSeed(7) == 7 || FitStreamSeed(7) == WorkloadStreamSeed(7) {
 		t.Error("fit stream not split from base/workload stream")
 	}
 	if FitStreamSeed(7) != FitStreamSeed(7) {
@@ -136,7 +136,7 @@ func TestBeliefUpdateZeroAllocations(t *testing.T) {
 	zh, zc := fits.zh[0], fits.zc[0]
 	belief := 0.3
 	allocs := testing.AllocsPerRun(1000, func() {
-		belief = updateBeliefFitted(p, zh, zc, belief, nodemodel.Wait, 5)
+		belief = UpdateBeliefFitted(p, zh, zc, belief, nodemodel.Wait, 5)
 	})
 	if allocs != 0 {
 		t.Errorf("belief update allocates %v times per call, want 0", allocs)

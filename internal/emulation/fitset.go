@@ -31,9 +31,9 @@ func splitStream(seed int64, tag uint64) int64 {
 // fit — the paper's one-time training phase (§VIII-A).
 func FitStreamSeed(seed int64) int64 { return splitStream(seed, fitStreamTag) }
 
-// workloadStreamSeed seeds the background-workload stream (arrivals and
+// WorkloadStreamSeed seeds the background-workload stream (arrivals and
 // departures), keeping the session process off the node simulation stream.
-func workloadStreamSeed(seed int64) int64 { return splitStream(seed, workloadStreamTag) }
+func WorkloadStreamSeed(seed int64) int64 { return splitStream(seed, workloadStreamTag) }
 
 // FitSet is the offline training artifact of §VIII-A: the MLE-fitted
 // observation models Ẑ for every catalog container, together with dense

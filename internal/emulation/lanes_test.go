@@ -25,7 +25,7 @@ func randBeliefParams(rng *rand.Rand) nodemodel.Params {
 // TestBeliefLanesMatchScalar is the batched kernel's correctness contract:
 // across randomized parameters, likelihood tables, beliefs, actions and
 // observations, updateBeliefLanes must produce bit-identical beliefs to
-// the scalar updateBeliefFitted recursion it replaced — exact float64
+// the scalar UpdateBeliefFitted recursion it replaced — exact float64
 // equality, not a tolerance, because the fleet's byte-stability guarantees
 // sit on top of it.
 func TestBeliefLanesMatchScalar(t *testing.T) {
@@ -61,7 +61,7 @@ func TestBeliefLanesMatchScalar(t *testing.T) {
 			obs := rng.Intn(support)
 			zhLane[i] = zhRow[obs]
 			zcLane[i] = zcRow[obs]
-			want[i] = updateBeliefFitted(p, zhRow, zcRow, belief[i], act, obs)
+			want[i] = UpdateBeliefFitted(p, zhRow, zcRow, belief[i], act, obs)
 		}
 
 		updateBeliefLanes(p, belief, action, zhLane, zcLane)
@@ -157,7 +157,7 @@ func BenchmarkBeliefBatch(b *testing.B) {
 			for it := 0; it < b.N; it++ {
 				copy(work, belief)
 				for i := 0; i < n; i++ {
-					work[i] = updateBeliefFitted(p, zhRow, zcRow, work[i], nodemodel.Wait, obs[i])
+					work[i] = UpdateBeliefFitted(p, zhRow, zcRow, work[i], nodemodel.Wait, obs[i])
 				}
 			}
 		})

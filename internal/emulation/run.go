@@ -54,7 +54,10 @@ type Scenario struct {
 	Workload BackgroundWorkload
 }
 
-func (s *Scenario) applyDefaults() error {
+// ApplyDefaults validates the scenario and fills its zero fields with the
+// paper's evaluation defaults. Every backend calls it, so one set of rules
+// accepts or rejects a scenario.
+func (s *Scenario) ApplyDefaults() error {
 	if s.Policy == nil {
 		return fmt.Errorf("%w: nil policy", ErrBadScenario)
 	}
@@ -94,6 +97,20 @@ func (s *Scenario) applyDefaults() error {
 		s.Workload = DefaultBackgroundWorkload()
 	}
 	return nil
+}
+
+// ResolveFits returns the scenario's offline fit: the supplied Fits, or a
+// set fitted from (FitSamples, FitSeed), where a zero FitSeed derives from
+// Seed via FitStreamSeed.
+func (s *Scenario) ResolveFits() (*FitSet, error) {
+	if s.Fits != nil {
+		return s.Fits, nil
+	}
+	fitSeed := s.FitSeed
+	if fitSeed == 0 {
+		fitSeed = FitStreamSeed(s.Seed)
+	}
+	return NewFitSet(s.FitSamples, fitSeed)
 }
 
 // DefaultThreshold is the paper's evaluation rule for the tolerance
@@ -305,25 +322,17 @@ type runner struct {
 // the initial nodes. After reset the runner is in exactly the state a
 // freshly constructed runner for the scenario would be in.
 func (r *runner) reset(s Scenario) error {
-	if err := s.applyDefaults(); err != nil {
+	if err := s.ApplyDefaults(); err != nil {
 		return err
 	}
-	fits := s.Fits
-	if fits == nil {
-		fitSeed := s.FitSeed
-		if fitSeed == 0 {
-			fitSeed = FitStreamSeed(s.Seed)
-		}
-		var err error
-		fits, err = NewFitSet(s.FitSamples, fitSeed)
-		if err != nil {
-			return err
-		}
+	fits, err := s.ResolveFits()
+	if err != nil {
+		return err
 	}
 	r.s = s
 	r.fits = fits
 	r.rng.Seed(s.Seed)
-	r.wrng.Seed(workloadStreamSeed(s.Seed))
+	r.wrng.Seed(WorkloadStreamSeed(s.Seed))
 	if r.rngView == nil {
 		r.rngView = rand.New(&r.rng)
 	}
@@ -720,11 +729,13 @@ func (r *runner) finish() *Metrics {
 	return m
 }
 
-// updateBeliefFitted is the Appendix A belief recursion using the
+// UpdateBeliefFitted is the Appendix A belief recursion using the
 // controller's estimated observation model Ẑ, supplied as dense likelihood
 // tables (zh[o] = Ẑ(o|H), zc[o] = Ẑ(o|C)) so the hot path is two slice
-// loads and a handful of multiplies.
-func updateBeliefFitted(p nodemodel.Params, zh, zc []float64, belief float64, action nodemodel.Action, obs int) float64 {
+// loads and a handful of multiplies. The live cluster backend's node
+// controllers run it per node; the emulation runs its batched form,
+// updateBeliefLanes.
+func UpdateBeliefFitted(p nodemodel.Params, zh, zc []float64, belief float64, action nodemodel.Action, obs int) float64 {
 	pred := p.PredictBelief(belief, action)
 	num := zc[obs] * pred
 	den := num + zh[obs]*(1-pred)
@@ -735,7 +746,7 @@ func updateBeliefFitted(p nodemodel.Params, zh, zc []float64, belief float64, ac
 	return math.Min(1, math.Max(0, b))
 }
 
-// updateBeliefLanes is the batched form of updateBeliefFitted: one pass of
+// updateBeliefLanes is the batched form of UpdateBeliefFitted: one pass of
 // the Appendix A recursion over the dense belief/action/likelihood lanes,
 // with the model constants hoisted out of the loop. Every per-element
 // floating-point operation is the same expression, in the same order, as

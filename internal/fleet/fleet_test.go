@@ -270,7 +270,7 @@ func TestCellExpansionOrder(t *testing.T) {
 			t.Errorf("cell %d has index %d", i, c.Index)
 		}
 	}
-	// f follows the paper's rule (shared with emulation.applyDefaults).
+	// f follows the paper's rule (shared with emulation.Scenario.ApplyDefaults).
 	if f := emulation.DefaultThreshold(3); f != 1 {
 		t.Errorf("f(3) = %d", f)
 	}

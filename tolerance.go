@@ -31,27 +31,12 @@
 // DetectorSensitivity the Fig 14 detector-quality sweep. All facade
 // validation failures wrap ErrBadInput.
 //
-// # Migrating from the v1 facade
-//
-// The original entry points remain as thin deprecated wrappers:
-//
-//	SolveRecoveryStrategy(m, dr)            -> Solve(ctx, RecoveryProblem{Model: m, DeltaR: dr})
-//	LearnRecoveryStrategy(m, dr, opt, b, s) -> Solve(ctx, RecoveryProblem{Model: m, DeltaR: dr},
-//	                                                 WithMethod(opt), WithBudget(b), WithSeed(s))
-//	SolveReplicationStrategy(smax, f, e, q) -> Solve(ctx, ReplicationProblem{SMax: smax, F: f,
-//	                                                 EpsilonA: e, Q: q})
-//	RunFleetSuite(name, opts)               -> RunSuite(ctx, SuiteByName(name), ...)
-//	RunFleetSuiteFile(path, opts)           -> RunSuite(ctx, SuiteFromFile(path), ...)
-//	FleetSuiteJSON(name)                    -> SuiteJSON(SuiteByName(name))
-//	FleetSuiteNames()                       -> SuiteNames()
-//
 // Lower-level building blocks (the MinBFT implementation, the
 // POMDP solvers, the emulation, the fleet engine) live under internal/ and
 // are exercised by the examples and the benchmark harness.
 package tolerance
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -95,50 +80,6 @@ func (m NodeModel) toParams() nodemodel.Params {
 	p := nodemodel.DefaultParams()
 	p.PA, p.PC1, p.PC2, p.PU, p.Eta = m.PA, m.PC1, m.PC2, m.PU, m.Eta
 	return p
-}
-
-// SolveRecoveryStrategy solves Problem 1 exactly by dynamic programming
-// (the renewal decomposition of eq. 16) and returns the optimal thresholds.
-//
-// Deprecated: use Solve with a RecoveryProblem.
-func SolveRecoveryStrategy(m NodeModel, deltaR int) (*RecoveryStrategy, error) {
-	sol, err := Solve(context.Background(), RecoveryProblem{Model: m, DeltaR: deltaR})
-	if err != nil {
-		return nil, err
-	}
-	return sol.Recovery, nil
-}
-
-// LearnRecoveryStrategy runs Algorithm 1 with the named parametric
-// optimizer and Monte-Carlo budget.
-//
-// Deprecated: use Solve with a RecoveryProblem and WithMethod.
-func LearnRecoveryStrategy(m NodeModel, deltaR int, optimizer string, budget int, seed int64) (*RecoveryStrategy, error) {
-	switch optimizer {
-	case OptimizerCEM, OptimizerDE, OptimizerBO, OptimizerSPSA, OptimizerRandom:
-	default:
-		return nil, fmt.Errorf("%w: unknown optimizer %q", ErrBadInput, optimizer)
-	}
-	sol, err := Solve(context.Background(), RecoveryProblem{Model: m, DeltaR: deltaR},
-		WithMethod(optimizer), WithBudget(budget), WithSeed(seed))
-	if err != nil {
-		return nil, err
-	}
-	return sol.Recovery, nil
-}
-
-// SolveReplicationStrategy solves Problem 2 with Algorithm 2. smax bounds
-// the system size, f is the tolerance threshold, epsilonA the availability
-// lower bound (eq. 10b), and q the per-step probability that a healthy node
-// remains healthy.
-//
-// Deprecated: use Solve with a ReplicationProblem.
-func SolveReplicationStrategy(smax, f int, epsilonA, q float64) (*ReplicationStrategy, error) {
-	sol, err := Solve(context.Background(), ReplicationProblem{SMax: smax, F: f, EpsilonA: epsilonA, Q: q})
-	if err != nil {
-		return nil, err
-	}
-	return sol.Replication, nil
 }
 
 // MTTF returns the mean time to failure of a system with n1 initial nodes,
@@ -273,73 +214,6 @@ func Compare(cfg CompareConfig) ([]StrategyMetrics, error) {
 		})
 	}
 	return out, nil
-}
-
-// FleetOptions tunes a fleet-suite execution through the deprecated v1
-// wrappers. The zero value keeps every suite default.
-//
-// Deprecated: use RunSuite with Option values.
-type FleetOptions struct {
-	// Workers bounds the worker pool (default min(GOMAXPROCS, 8)).
-	Workers int
-	// Seed overrides the suite's master seed when non-zero.
-	Seed int64
-	// Steps overrides the per-scenario step count when non-zero.
-	Steps int
-	// SeedsPerCell overrides the evaluation seeds per grid cell when
-	// non-zero.
-	SeedsPerCell int
-	// Progress, when set, receives (done, total) after each folded
-	// scenario.
-	Progress func(done, total int)
-}
-
-// toOptions converts to v2 options.
-func (o FleetOptions) toOptions() []Option {
-	var opts []Option
-	if o.Workers != 0 {
-		opts = append(opts, WithWorkers(o.Workers))
-	}
-	if o.Seed != 0 {
-		opts = append(opts, WithSeed(o.Seed))
-	}
-	if o.Steps != 0 {
-		opts = append(opts, WithSteps(o.Steps))
-	}
-	if o.SeedsPerCell != 0 {
-		opts = append(opts, WithSeedsPerCell(o.SeedsPerCell))
-	}
-	if o.Progress != nil {
-		opts = append(opts, WithProgress(o.Progress))
-	}
-	return opts
-}
-
-// FleetSuiteNames lists the built-in scenario suites.
-//
-// Deprecated: use SuiteNames.
-func FleetSuiteNames() []string { return SuiteNames() }
-
-// RunFleetSuite executes a built-in scenario suite on a bounded worker
-// pool.
-//
-// Deprecated: use RunSuite with SuiteByName.
-func RunFleetSuite(name string, opts FleetOptions) (*FleetReport, error) {
-	return RunSuite(context.Background(), SuiteByName(name), opts.toOptions()...)
-}
-
-// RunFleetSuiteFile executes a user-authored JSON suite definition.
-//
-// Deprecated: use RunSuite with SuiteFromFile.
-func RunFleetSuiteFile(path string, opts FleetOptions) (*FleetReport, error) {
-	return RunSuite(context.Background(), SuiteFromFile(path), opts.toOptions()...)
-}
-
-// FleetSuiteJSON exports a built-in suite as a versioned JSON document.
-//
-// Deprecated: use SuiteJSON with SuiteByName.
-func FleetSuiteJSON(name string) ([]byte, error) {
-	return SuiteJSON(SuiteByName(name))
 }
 
 // DetectorSensitivity evaluates J* as a function of detector quality

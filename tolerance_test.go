@@ -1,6 +1,8 @@
 package tolerance
 
 import (
+	"context"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -8,10 +10,17 @@ import (
 	"testing"
 )
 
+// TestSolveRecoveryStrategyFacade: the exact DP solves Problem 1 to a
+// single belief threshold (ΔR = ∞), J* lies in (0, 1), and the decision
+// rule switches at the threshold.
 func TestSolveRecoveryStrategyFacade(t *testing.T) {
-	s, err := SolveRecoveryStrategy(DefaultNodeModel(), InfiniteDeltaR)
+	sol, err := Solve(context.Background(), RecoveryProblem{Model: DefaultNodeModel(), DeltaR: InfiniteDeltaR})
 	if err != nil {
 		t.Fatal(err)
+	}
+	s := sol.Recovery
+	if sol.Method != MethodDP || sol.Replication != nil {
+		t.Fatalf("dp solution shape: %+v", sol)
 	}
 	if len(s.Thresholds) != 1 {
 		t.Fatalf("thresholds = %v", s.Thresholds)
@@ -28,23 +37,43 @@ func TestSolveRecoveryStrategyFacade(t *testing.T) {
 	}
 }
 
+// TestLearnRecoveryStrategyFacade: Algorithm 1 (CEM) through Solve learns
+// one threshold close to the DP's, at an estimated cost within a stated gap
+// of the exact J* — the Table 2 claim at the facade's episode and horizon
+// defaults.
 func TestLearnRecoveryStrategyFacade(t *testing.T) {
-	s, err := LearnRecoveryStrategy(DefaultNodeModel(), InfiniteDeltaR, OptimizerCEM, 120, 1)
+	ctx := context.Background()
+	prob := RecoveryProblem{Model: DefaultNodeModel(), DeltaR: InfiniteDeltaR}
+	learned, err := Solve(ctx, prob, WithMethod(OptimizerCEM), WithBudget(120), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Thresholds) != 1 {
-		t.Fatalf("thresholds = %v", s.Thresholds)
+	if learned.Method != OptimizerCEM || len(learned.Recovery.Thresholds) != 1 {
+		t.Fatalf("cem solution shape: %+v", learned)
 	}
-	if _, err := LearnRecoveryStrategy(DefaultNodeModel(), InfiniteDeltaR, "nope", 100, 1); err == nil {
-		t.Error("unknown optimizer should fail")
+	exact, err := Solve(ctx, prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, opt := learned.Recovery.Thresholds[0], exact.Recovery.Thresholds[0]; math.Abs(got-opt) > 0.1 {
+		t.Errorf("learned threshold %v, DP threshold %v: more than 0.1 apart", got, opt)
+	}
+	if got, opt := learned.Recovery.ExpectedCost, exact.Recovery.ExpectedCost; math.Abs(got-opt) > 0.2*opt {
+		t.Errorf("learned J = %v, more than 20%% from the DP optimum %v", got, opt)
 	}
 }
 
+// TestSolveReplicationStrategyFacade: Algorithm 2's LP returns one add
+// probability per state 0..SMax, meets the availability bound, and adds
+// at s = 0.
 func TestSolveReplicationStrategyFacade(t *testing.T) {
-	r, err := SolveReplicationStrategy(13, 1, 0.9, 0.95)
+	sol, err := Solve(context.Background(), ReplicationProblem{SMax: 13, F: 1, EpsilonA: 0.9, Q: 0.95})
 	if err != nil {
 		t.Fatal(err)
+	}
+	r := sol.Replication
+	if sol.Recovery != nil || r == nil {
+		t.Fatalf("replication solution shape: %+v", sol)
 	}
 	if len(r.AddProbability) != 14 {
 		t.Fatalf("policy length %d", len(r.AddProbability))
@@ -65,12 +94,13 @@ func TestSolveReplicationStrategyFacade(t *testing.T) {
 	}
 }
 
+// TestRunFleetSuiteFacade: a built-in suite runs to the expected report
+// shape, and the strategy cache solves each distinct control problem once.
 func TestRunFleetSuiteFacade(t *testing.T) {
-	names := FleetSuiteNames()
-	if len(names) < 3 {
+	if names := SuiteNames(); len(names) < 3 {
 		t.Fatalf("built-in suites: %v", names)
 	}
-	report, err := RunFleetSuite("smoke", FleetOptions{Workers: 4})
+	report, err := RunSuite(context.Background(), SuiteByName("smoke"), WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,13 +119,13 @@ func TestRunFleetSuiteFacade(t *testing.T) {
 			t.Errorf("cell %s availability %v", c.Strategy, c.Availability)
 		}
 	}
-	if _, err := RunFleetSuite("no-such-suite", FleetOptions{}); err == nil {
-		t.Error("unknown suite should fail")
-	}
 }
 
+// TestRunFleetSuiteFileFacade: a built-in suite exported with SuiteJSON and
+// run from the file reproduces the built-in run's report exactly.
 func TestRunFleetSuiteFileFacade(t *testing.T) {
-	data, err := FleetSuiteJSON("smoke")
+	ctx := context.Background()
+	data, err := SuiteJSON(SuiteByName("smoke"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,22 +133,16 @@ func TestRunFleetSuiteFileFacade(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fromFile, err := RunFleetSuiteFile(path, FleetOptions{Workers: 4})
+	fromFile, err := RunSuite(ctx, SuiteFromFile(path), WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	builtin, err := RunFleetSuite("smoke", FleetOptions{Workers: 4})
+	builtin, err := RunSuite(ctx, SuiteByName("smoke"), WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(fromFile, builtin) {
 		t.Errorf("suite-file run differs from built-in run:\n%+v\n%+v", fromFile, builtin)
-	}
-	if _, err := FleetSuiteJSON("no-such-suite"); err == nil {
-		t.Error("unknown suite should fail")
-	}
-	if _, err := RunFleetSuiteFile(filepath.Join(t.TempDir(), "missing.json"), FleetOptions{}); err == nil {
-		t.Error("missing suite file should fail")
 	}
 }
 

@@ -5,13 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"reflect"
 	"testing"
 )
 
 // TestErrBadInputContract is the facade error contract: every validation
-// failure, across every entry point (v2 and deprecated wrappers), wraps
-// ErrBadInput.
+// failure, across every entry point, wraps ErrBadInput.
 func TestErrBadInputContract(t *testing.T) {
 	ctx := context.Background()
 	missing := filepath.Join(t.TempDir(), "missing.json")
@@ -87,22 +85,6 @@ func TestErrBadInputContract(t *testing.T) {
 		{"RegisterStrategy duplicate name", func() error {
 			return RegisterStrategy(dupStrategy{})
 		}},
-		{"LearnRecoveryStrategy unknown optimizer", func() error {
-			_, err := LearnRecoveryStrategy(DefaultNodeModel(), 0, "nope", 100, 1)
-			return err
-		}},
-		{"RunFleetSuite unknown name", func() error {
-			_, err := RunFleetSuite("no-such-suite", FleetOptions{})
-			return err
-		}},
-		{"RunFleetSuiteFile missing file", func() error {
-			_, err := RunFleetSuiteFile(missing, FleetOptions{})
-			return err
-		}},
-		{"FleetSuiteJSON unknown name", func() error {
-			_, err := FleetSuiteJSON("no-such-suite")
-			return err
-		}},
 		{"Compare bad N1", func() error {
 			_, err := Compare(CompareConfig{N1: 0})
 			return err
@@ -150,35 +132,13 @@ func (dupStrategy) Policy(context.Context, ScenarioSpec) (Policy, error) {
 	return nil, errors.New("never built")
 }
 
-// TestSolveRecoveryMethods exercises the unified entry point across solver
-// families: exact DP, a learned Algorithm 1 optimizer, and PPO (which has
-// no thresholds but still decides through ShouldRecover).
+// TestSolveRecoveryMethods exercises the unified entry point beyond the
+// threshold solvers (TestSolveRecoveryStrategyFacade covers the exact DP,
+// TestLearnRecoveryStrategyFacade Algorithm 1): PPO has no thresholds but
+// still decides through ShouldRecover, and a cancelled context
+// short-circuits.
 func TestSolveRecoveryMethods(t *testing.T) {
 	ctx := context.Background()
-	dp, err := Solve(ctx, RecoveryProblem{Model: DefaultNodeModel(), DeltaR: InfiniteDeltaR})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dp.Method != MethodDP || dp.Replication != nil {
-		t.Fatalf("dp solution shape: %+v", dp)
-	}
-	if len(dp.Recovery.Thresholds) != 1 || dp.Recovery.ExpectedCost <= 0 || dp.Recovery.ExpectedCost >= 1 {
-		t.Fatalf("dp recovery: %+v", dp.Recovery)
-	}
-	th := dp.Recovery.Thresholds[0]
-	if dp.Recovery.ShouldRecover(th-0.01, 1) || !dp.Recovery.ShouldRecover(th+0.01, 1) {
-		t.Error("dp ShouldRecover does not match the threshold")
-	}
-
-	cem, err := Solve(ctx, RecoveryProblem{Model: DefaultNodeModel(), DeltaR: InfiniteDeltaR},
-		WithMethod(OptimizerCEM), WithBudget(60), WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cem.Method != OptimizerCEM || len(cem.Recovery.Thresholds) != 1 {
-		t.Fatalf("cem solution shape: %+v", cem)
-	}
-
 	ppoSol, err := Solve(ctx, RecoveryProblem{Model: DefaultNodeModel(), DeltaR: 15},
 		WithMethod(MethodPPO), WithBudget(2), WithSeed(1))
 	if err != nil {
@@ -195,23 +155,6 @@ func TestSolveRecoveryMethods(t *testing.T) {
 	cancel()
 	if _, err := Solve(cancelled, RecoveryProblem{Model: DefaultNodeModel()}); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled Solve: err = %v", err)
-	}
-}
-
-// TestRunSuiteMatchesDeprecatedWrapper guards the compatibility contract:
-// the deprecated wrappers are thin shims over the v2 entry points, so both
-// paths produce identical reports.
-func TestRunSuiteMatchesDeprecatedWrapper(t *testing.T) {
-	v2, err := RunSuite(context.Background(), SuiteByName("smoke"), WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1, err := RunFleetSuite("smoke", FleetOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(v1, v2) {
-		t.Errorf("wrapper and v2 reports differ:\n%+v\n%+v", v1, v2)
 	}
 }
 
