@@ -115,7 +115,6 @@ func run() (retErr error) {
 	merge := flag.Bool("merge", false, "fold the shard/checkpoint files given as arguments into the full-suite result and print it")
 	format := flag.String("format", "table", "output format: table | json | csv")
 	quiet := flag.Bool("quiet", false, "suppress the progress meter and telemetry summary on stderr")
-	noFitCache := flag.Bool("no-fit-cache", false, "refit Ẑ inside every scenario instead of once per suite (diagnostic; output is identical)")
 	metricsAddr := flag.String("metrics-addr", "", "serve live telemetry on this address: /metrics (JSON snapshot), /debug/vars, /debug/pprof/* (\":0\" picks a free port, printed to stderr)")
 	manifestPath := flag.String("manifest", "", "write the run manifest JSON to this file (\"-\" = stderr; defaults to <checkpoint>.manifest.json when -checkpoint is set)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -272,8 +271,7 @@ func run() (retErr error) {
 	cache := fleet.NewStrategyCache()
 	cache.Instrument(col)
 	cfg := fleet.Config{
-		Workers: *workers, Cache: cache, Shard: shard,
-		NoFitCache: *noFitCache, Telemetry: col, Chaos: plan,
+		Workers: *workers, Cache: cache, Shard: shard, Telemetry: col, Chaos: plan,
 	}
 	if plan != nil && !*quiet {
 		fmt.Fprintf(os.Stderr, "%s\n", plan.Describe())
@@ -517,8 +515,7 @@ func printSummary(w io.Writer, s telemetry.Snapshot) {
 	// solved nothing", so it is printed only when the cache saw traffic.
 	// cache.arena_reuses is deliberately not part of the traffic gate or
 	// the line: arena pooling is memory reuse inside a solve, not a cache
-	// hit, so e.g. a -no-fit-cache run must not have its arena activity
-	// reported as cache activity.
+	// hit.
 	builds := s.Counter("cache.policy_builds")
 	solves := s.Counter("cache.recovery_solves") + s.Counter("cache.replication_solves") +
 		s.Counter("cache.fit_solves")

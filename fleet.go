@@ -169,11 +169,10 @@ func RunSuite(ctx context.Context, ref SuiteRef, opts ...Option) (*FleetReport, 
 
 	cache := fleet.NewStrategyCache()
 	cfg := fleet.Config{
-		Workers:    o.workers,
-		Cache:      cache,
-		Shard:      shard,
-		NoFitCache: o.noFitCache,
-		Progress:   o.progress,
+		Workers:  o.workers,
+		Cache:    cache,
+		Shard:    shard,
+		Progress: o.progress,
 	}
 	if o.telemetry != nil {
 		cfg.Telemetry = o.telemetry.collector()

@@ -52,8 +52,8 @@ type CoordinatorConfig struct {
 	// ingest frontier advances.
 	Progress func(done, total int)
 	// Telemetry, when set, receives the coord.* counters and gauges plus
-	// the fleet.scenarios_folded/replayed counters the summary and
-	// manifest read. Side-channel only: the merged Result is byte-identical
+	// the fleet.scenarios_folded/replayed and fleet.fold_merges counters
+	// the summary and manifest read. Side-channel only: the merged Result is byte-identical
 	// with or without it.
 	Telemetry *telemetry.Collector
 	// Logf, when set, receives operational one-liners (worker joins,
@@ -86,8 +86,10 @@ type coordinator struct {
 	hb        time.Duration
 	timeout   time.Duration
 
+	// fold is the ordered-ingest frontier: scenarios [0, fold.next) are
+	// folded. records holds the ingested records ahead of it.
+	fold    *fold
 	records map[int]RunRecord
-	next    int // ordered-ingest frontier: records [0, next) are folded
 	queue   []span
 	leases  map[uint64]*coordLease
 	nextID  uint64
@@ -107,8 +109,6 @@ type coordinator struct {
 // coordMetrics bundles the coordinator's telemetry handles (nil = off).
 type coordMetrics struct {
 	col       *telemetry.Collector
-	folded    *telemetry.Counter
-	replayed  *telemetry.Counter
 	granted   *telemetry.Counter
 	expired   *telemetry.Counter
 	received  *telemetry.Counter
@@ -127,8 +127,6 @@ func newCoordMetrics(col *telemetry.Collector) *coordMetrics {
 	}
 	return &coordMetrics{
 		col:       col,
-		folded:    col.Counter(MetricScenariosFolded),
-		replayed:  col.Counter(MetricScenariosReplayed),
 		granted:   col.Counter(MetricCoordLeasesGranted),
 		expired:   col.Counter(MetricCoordLeasesExpired),
 		received:  col.Counter(MetricCoordRecordsReceived),
@@ -145,10 +143,10 @@ func newCoordMetrics(col *telemetry.Collector) *coordMetrics {
 // Coordinate runs the distributed control plane for a suite: it listens on
 // cfg.Endpoint, leases index-contiguous scenario ranges to connecting
 // workers (ConnectWorker / tolerance-fleet -connect), ingests their record
-// streams with first-write-wins dedupe, expires and re-leases ranges from
-// workers that stop heartbeating, and — once every scenario index has a
-// record — folds the records in strict index order into the same Result a
-// single-machine Run of the suite produces, byte for byte.
+// streams with first-write-wins dedupe, and expires and re-leases ranges
+// from workers that stop heartbeating. Records fold in strict index order
+// as the ingest frontier reaches them, through the same fold a
+// single-machine Run uses, so the Result is that run's, byte for byte.
 //
 // Fresh records reach cfg.OnRecord in index order exactly as Config.
 // OnRecord would deliver them, so the existing checkpoint machinery (and
@@ -157,6 +155,54 @@ func newCoordMetrics(col *telemetry.Collector) *coordMetrics {
 // context error returned; an attached checkpoint then holds the folded
 // prefix for a -resume restart.
 func Coordinate(ctx context.Context, suite Suite, cfg CoordinatorConfig) (*Result, error) {
+	c, err := newCoordinator(suite, cfg)
+	if err != nil {
+		return nil, err
+	}
+	c.logf("coordinator: suite %s (%s): %d scenarios, %d already complete, lease size %d, heartbeat %s, lease timeout %s",
+		c.suite.Name, c.fp, c.total, len(cfg.Completed), c.leaseSize, c.hb, c.timeout)
+	if c.done() {
+		// Everything was already in the checkpoint; nothing to serve.
+		return c.fold.result(), nil
+	}
+
+	if c.tm != nil {
+		c.cfg.Telemetry.Gauge(MetricScenariosTotal).Set(float64(c.total))
+		endRun := c.cfg.Telemetry.Phase("fleet.run")
+		defer endRun()
+	}
+
+	c.started = time.Now()
+	ticker := time.NewTicker(c.hb)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			c.broadcastDrain()
+			return nil, ctx.Err()
+		case msg, ok := <-c.cfg.Endpoint.Receive():
+			if !ok {
+				return nil, fmt.Errorf("fleet: coordinator endpoint closed")
+			}
+			if err := c.handle(msg); err != nil {
+				c.broadcastDrain()
+				return nil, err
+			}
+			if c.done() {
+				c.broadcastDrain()
+				c.logf("coordinator: all %d scenarios ingested; draining workers", c.total)
+				return c.fold.result(), nil
+			}
+		case <-ticker.C:
+			c.expireLeases(time.Now())
+		}
+	}
+}
+
+// newCoordinator validates the run and builds its state: the resumed
+// records are folded as far as they reach, and every index still lacking a
+// record is queued for leasing.
+func newCoordinator(suite Suite, cfg CoordinatorConfig) (*coordinator, error) {
 	suite = suite.withDefaults()
 	if err := suite.Validate(); err != nil {
 		return nil, err
@@ -179,7 +225,8 @@ func Coordinate(ctx context.Context, suite Suite, cfg CoordinatorConfig) (*Resul
 		suiteDoc: doc,
 		fp:       suite.Fingerprint(),
 		total:    total,
-		records:  make(map[int]RunRecord, total),
+		fold:     newFold(suite, suite.Cells(), total, cfg.OnRecord, cfg.Progress, cfg.Telemetry),
+		records:  make(map[int]RunRecord, len(cfg.Completed)),
 		leases:   make(map[uint64]*coordLease),
 		workers:  make(map[string]time.Time),
 		tm:       newCoordMetrics(cfg.Telemetry),
@@ -198,63 +245,20 @@ func Coordinate(ctx context.Context, suite Suite, cfg CoordinatorConfig) (*Resul
 	}
 
 	for idx, rec := range cfg.Completed {
-		if idx < 0 || idx >= total {
-			return nil, fmt.Errorf("%w: completed scenario %d is outside the suite (%d scenarios)",
-				ErrBadSuite, idx, total)
-		}
-		if want := idx / suite.SeedsPerCell; rec.Cell != want {
-			return nil, fmt.Errorf("%w: completed scenario %d records cell %d, want %d",
-				ErrBadSuite, idx, rec.Cell, want)
+		if err := checkCompleted(idx, &rec, total, suite.SeedsPerCell, Shard{}); err != nil {
+			return nil, err
 		}
 		c.records[idx] = rec
 	}
 	// Fold the resumed prefix before serving, so Progress and the pending
 	// gauge reflect the checkpoint from the first tick. Replays never reach
 	// OnRecord — the checkpoint already holds them.
-	if err := c.sweep(); err != nil {
+	if err := c.advance(); err != nil {
 		return nil, err
 	}
 	c.queue = c.missingSpans(0, total)
 	c.updateGauges()
-	c.logf("coordinator: suite %s (%s): %d scenarios, %d already complete, lease size %d, heartbeat %s, lease timeout %s",
-		suite.Name, c.fp, total, len(cfg.Completed), c.leaseSize, c.hb, c.timeout)
-
-	if c.next == c.total {
-		// Everything was already in the checkpoint; nothing to serve.
-		return MergeRecords(c.suite, c.records)
-	}
-
-	if c.tm != nil {
-		c.cfg.Telemetry.Gauge(MetricScenariosTotal).Set(float64(total))
-		endRun := c.cfg.Telemetry.Phase("fleet.run")
-		defer endRun()
-	}
-
-	c.started = time.Now()
-	ticker := time.NewTicker(c.hb)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			c.broadcastDrain()
-			return nil, ctx.Err()
-		case msg, ok := <-c.cfg.Endpoint.Receive():
-			if !ok {
-				return nil, fmt.Errorf("fleet: coordinator endpoint closed")
-			}
-			if err := c.handle(msg); err != nil {
-				c.broadcastDrain()
-				return nil, err
-			}
-			if c.next == c.total {
-				c.broadcastDrain()
-				c.logf("coordinator: all %d scenarios ingested; draining workers", c.total)
-				return MergeRecords(c.suite, c.records)
-			}
-		case <-ticker.C:
-			c.expireLeases(time.Now())
-		}
-	}
+	return c, nil
 }
 
 // handle dispatches one inbound protocol message.
@@ -289,7 +293,7 @@ func (c *coordinator) handle(msg transport.Message) error {
 		c.alive(msg.From, now)
 		if lease, ok := c.grant(msg.From, now); ok {
 			c.send(msg.From, proto.KindLease, lease)
-		} else if c.next == c.total {
+		} else if c.done() {
 			c.send(msg.From, proto.KindWait, proto.Wait{Drain: true})
 		} else {
 			// Outstanding leases cover the remaining work; the worker backs
@@ -366,11 +370,11 @@ func (c *coordinator) ingest(raw json.RawMessage) error {
 			return nil
 		}
 	}
-	if rec.Index < 0 || rec.Index >= c.total || rec.Cell != rec.Index/c.suite.SeedsPerCell {
+	if checkCompleted(rec.Index, &rec, c.total, c.suite.SeedsPerCell, Shard{}) != nil {
 		c.reject()
 		return nil
 	}
-	if _, dup := c.records[rec.Index]; dup {
+	if c.has(rec.Index) {
 		if c.tm != nil {
 			c.tm.dupes.Inc(0)
 		}
@@ -380,41 +384,38 @@ func (c *coordinator) ingest(raw json.RawMessage) error {
 	if c.tm != nil {
 		c.tm.received.Inc(0)
 	}
-	if err := c.sweep(); err != nil {
+	if err := c.advance(); err != nil {
 		return err
 	}
 	c.updateGauges()
 	return nil
 }
 
-// sweep advances the ordered-ingest frontier: every contiguous record from
-// next upward folds out — fresh ones through OnRecord (the checkpoint
-// hook), resumed ones as replays — so the checkpoint stays an index-ordered
-// prefix exactly as a single-machine run writes it.
-func (c *coordinator) sweep() error {
+// advance folds every record the frontier reaches — fresh ones through
+// OnRecord (the checkpoint hook), resumed ones as replays — and drops it,
+// so the checkpoint is an index-ordered prefix as a local run writes it.
+func (c *coordinator) advance() error {
 	for {
-		rec, ok := c.records[c.next]
+		rec, ok := c.records[c.fold.next]
 		if !ok {
 			return nil
 		}
-		_, resumed := c.cfg.Completed[c.next]
-		if c.tm != nil {
-			c.tm.folded.Inc(0)
-			if resumed {
-				c.tm.replayed.Inc(0)
-			}
-		}
-		if !resumed && c.cfg.OnRecord != nil {
-			if err := c.cfg.OnRecord(rec); err != nil {
-				return fmt.Errorf("fleet: record scenario %d: %w", rec.Index, err)
-			}
-		}
-		c.next++
-		if c.cfg.Progress != nil {
-			c.cfg.Progress(c.next, c.total)
+		delete(c.records, rec.Index)
+		_, resumed := c.cfg.Completed[rec.Index]
+		if err := c.fold.add(&rec, !resumed); err != nil {
+			return err
 		}
 	}
 }
+
+// has reports whether scenario idx has a record, folded or not.
+func (c *coordinator) has(idx int) bool {
+	_, ok := c.records[idx]
+	return ok || idx < c.fold.next
+}
+
+// done reports whether every scenario has been folded.
+func (c *coordinator) done() bool { return c.fold.next == c.total }
 
 // grant pops the next lease-sized chunk off the pending queue.
 func (c *coordinator) grant(worker string, now time.Time) (proto.Lease, bool) {
@@ -455,7 +456,7 @@ func (c *coordinator) completeLease(id uint64) {
 		return
 	}
 	for i := l.start; i < l.end; i++ {
-		if _, ok := c.records[i]; !ok {
+		if !c.has(i) {
 			return
 		}
 	}
@@ -492,13 +493,13 @@ func (c *coordinator) expireLeases(now time.Time) {
 	// already parked their leases back in the queue; nothing is served
 	// until a worker reappears, so flag the episode once and keep waiting
 	// instead of spinning through grant attempts against an empty room.
-	if !c.degraded && len(c.workers) == 0 && c.next < c.total && now.Sub(c.started) > c.timeout {
+	if !c.degraded && len(c.workers) == 0 && !c.done() && now.Sub(c.started) > c.timeout {
 		c.degraded = true
 		if c.tm != nil {
 			c.tm.degraded.Set(1)
 		}
 		c.logf("coordinator: degraded — %d scenarios pending, no reachable workers; leases parked until the fleet returns",
-			c.total-len(c.records))
+			c.total-c.fold.next-len(c.records))
 	}
 	c.updateGauges()
 }
@@ -552,7 +553,7 @@ func (c *coordinator) requeue(start, end int) int {
 func (c *coordinator) missingSpans(start, end int) []span {
 	var spans []span
 	for i := start; i < end; i++ {
-		if _, ok := c.records[i]; ok {
+		if c.has(i) {
 			continue
 		}
 		if n := len(spans); n > 0 && spans[n-1].end == i {
@@ -593,7 +594,7 @@ func (c *coordinator) updateGauges() {
 		return
 	}
 	c.tm.workers.Set(float64(len(c.workers)))
-	c.tm.pending.Set(float64(c.total - len(c.records)))
+	c.tm.pending.Set(float64(c.total - c.fold.next - len(c.records)))
 	c.tm.leasesOut.Set(float64(len(c.leases)))
 }
 

@@ -1,0 +1,133 @@
+package fleet
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"testing"
+
+	"tolerance/internal/fleet/proto"
+	"tolerance/internal/telemetry"
+	"tolerance/internal/transport"
+)
+
+// stubEndpoint is a coordinator endpoint with no network behind it: sends
+// are counted and dropped, and Receive reports that it was asked.
+type stubEndpoint struct {
+	sent     int
+	received bool
+}
+
+func (e *stubEndpoint) Addr() string              { return "stub" }
+func (e *stubEndpoint) Send(string, []byte) error { e.sent++; return nil }
+func (e *stubEndpoint) Close() error              { return nil }
+func (e *stubEndpoint) Receive() <-chan transport.Message {
+	e.received = true
+	return nil
+}
+
+// FuzzCoordinatorFrames drives the coordinator's network parse surface —
+// envelope, payloads and wire records — with arbitrary frames. Each input
+// line is one frame: its first byte picks one of three senders, the rest is
+// the payload handed to handle. After every frame the frontier must not
+// have moved back, every index must have folded exactly once and in order,
+// the records kept ahead of the frontier must fit in the suite, and the
+// reject and duplicate counters must equal what an encoding/json model of
+// the same frames predicts.
+func FuzzCoordinatorFrames(f *testing.F) {
+	suite := testSuite().withDefaults()
+	total := suite.NumScenarios()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		col := telemetry.New()
+		var folded []int
+		c, err := newCoordinator(suite, CoordinatorConfig{
+			Endpoint:  &stubEndpoint{},
+			Telemetry: col,
+			OnRecord:  func(rec RunRecord) error { folded = append(folded, rec.Index); return nil },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := make(map[int]bool)
+		var rejects, dupes int64
+		for _, line := range bytes.Split(data, []byte("\n")) {
+			if len(line) == 0 {
+				continue
+			}
+			frame := line[1:]
+			r, d := modelFrame(frame, total, suite.SeedsPerCell, seen)
+			rejects, dupes = rejects+r, dupes+d
+
+			before := c.fold.next
+			if err := c.handle(transport.Message{From: fmt.Sprintf("w%d", line[0]%3), Payload: frame}); err != nil {
+				t.Fatalf("handle: %v", err)
+			}
+			if c.fold.next < before {
+				t.Fatalf("frontier moved back from %d to %d", before, c.fold.next)
+			}
+			if c.fold.next+len(c.records) > total {
+				t.Fatalf("frontier %d + %d records ahead exceeds %d scenarios", c.fold.next, len(c.records), total)
+			}
+			if len(folded) != c.fold.next {
+				t.Fatalf("%d records folded, frontier at %d", len(folded), c.fold.next)
+			}
+			for i := before; i < len(folded); i++ {
+				if folded[i] != i {
+					t.Fatalf("position %d folded scenario %d", i, folded[i])
+				}
+			}
+			if got := c.tm.rejected.Total(); got != rejects {
+				t.Fatalf("coord.records_rejected = %d, model says %d", got, rejects)
+			}
+			if got := c.tm.dupes.Total(); got != dupes {
+				t.Fatalf("coord.records_replayed = %d, model says %d", got, dupes)
+			}
+			if c.done() {
+				return // Coordinate stops reading here
+			}
+		}
+	})
+}
+
+// modelFrame predicts how many rejects and duplicates the coordinator must
+// count for one frame, decoding wire records with encoding/json alone;
+// seen tracks the indices already accepted.
+func modelFrame(frame []byte, total, seedsPerCell int, seen map[int]bool) (rejects, dupes int64) {
+	kind, payload, err := proto.Decode(frame)
+	if err != nil {
+		return 1, 0
+	}
+	switch kind {
+	case proto.KindHello:
+		var h proto.Hello
+		if proto.Unmarshal(payload, &h) != nil || h.Version != proto.Version {
+			return 1, 0
+		}
+	case proto.KindHeartbeat:
+		var hb proto.Heartbeat
+		if proto.Unmarshal(payload, &hb) != nil {
+			return 1, 0
+		}
+	case proto.KindLeaseRequest, proto.KindGoodbye:
+	case proto.KindRecords:
+		var batch proto.Records
+		if proto.Unmarshal(payload, &batch) != nil {
+			return 1, 0
+		}
+		for _, raw := range batch.Records {
+			var rec RunRecord
+			switch {
+			case json.Unmarshal(raw, &rec) != nil || rec.Index < 0 || rec.Index >= total ||
+				rec.Cell != rec.Index/seedsPerCell:
+				rejects++
+			case seen[rec.Index]:
+				dupes++
+			default:
+				seen[rec.Index] = true
+			}
+		}
+	default:
+		return 1, 0
+	}
+	return rejects, dupes
+}

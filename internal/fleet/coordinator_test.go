@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -81,9 +82,12 @@ func TestCoordinateLoopbackDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Coordinate: %v", err)
 	}
+	// A worker whose Hello lost the race against the last record has
+	// nothing left to join: release it instead of letting it redial.
+	cancel()
 	wg.Wait()
 	for i, werr := range workerErrs {
-		if werr != nil && !errors.Is(werr, ErrDrained) {
+		if werr != nil && !errors.Is(werr, ErrDrained) && !errors.Is(werr, context.Canceled) {
 			t.Errorf("worker %d: %v", i, werr)
 		}
 	}
@@ -325,19 +329,19 @@ func runDoubleShippingWorker(ctx context.Context, coord string, ep transport.End
 	}
 }
 
-// TestRunIndicesDeterminism checks the engine's lease execution path: a
-// suite split into two explicit index ranges and merged must match the
-// whole-suite run byte for byte.
+// TestRunIndicesDeterminism checks the lease execution path: a suite split
+// into two index ranges — the second starting off a fold-span boundary —
+// each run by the executor ConnectWorker hands its leases to, and merged,
+// must match the whole-suite run byte for byte.
 func TestRunIndicesDeterminism(t *testing.T) {
-	suite := testSuite()
+	suite := testSuite().withDefaults()
 	want := referenceRun(t, suite)
 	total := suite.NumScenarios()
 
 	records := make(map[int]RunRecord, total)
-	for _, idxs := range [][]int{rangeInts(0, total/2), rangeInts(total/2, total)} {
-		_, err := Run(context.Background(), suite, Config{
+	for _, idxs := range [][]int{rangeInts(0, total/2+1), rangeInts(total/2+1, total)} {
+		_, err := execute(context.Background(), suite, idxs, Config{
 			Workers: 3,
-			Indices: idxs,
 			OnRecord: func(rec RunRecord) error {
 				records[rec.Index] = rec
 				return nil
@@ -360,15 +364,191 @@ func TestRunIndicesDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunIndicesValidation rejects schedules the lease path must never
-// produce: descending, duplicate, and out-of-range indices.
+// TestRunIndicesValidation pins the worker's lease check, the only gate
+// between the wire and the executor: empty, reversed, negative and
+// out-of-range ranges are refused, every non-empty range of the suite
+// passes.
 func TestRunIndicesValidation(t *testing.T) {
-	suite := testSuite()
-	for _, bad := range [][]int{{1, 0}, {0, 0}, {-1}, {suite.NumScenarios()}} {
-		_, err := Run(context.Background(), suite, Config{Indices: bad})
-		if err == nil {
-			t.Errorf("Indices %v accepted, want error", bad)
+	total := testSuite().NumScenarios()
+	for _, bad := range []proto.Lease{
+		{Start: 1, End: 0}, {Start: 0, End: 0}, {Start: -1, End: 2},
+		{Start: 0, End: total + 1}, {Start: total, End: total + 3},
+	} {
+		if validLease(bad, total) {
+			t.Errorf("lease [%d,%d) accepted for a %d-scenario suite", bad.Start, bad.End, total)
 		}
+	}
+	for _, good := range []proto.Lease{{Start: 0, End: total}, {Start: total - 1, End: total}, {Start: 3, End: 4}} {
+		if !validLease(good, total) {
+			t.Errorf("lease [%d,%d) refused for a %d-scenario suite", good.Start, good.End, total)
+		}
+	}
+}
+
+// bogusLeaseEndpoint wraps the coordinator's endpoint and slips the given
+// malformed leases in ahead of the first real lease it sends.
+type bogusLeaseEndpoint struct {
+	transport.Endpoint
+	bogus []proto.Lease
+	once  sync.Once
+}
+
+func (e *bogusLeaseEndpoint) Send(to string, payload []byte) error {
+	if kind, _, err := proto.Decode(payload); err == nil && kind == proto.KindLease {
+		e.once.Do(func() {
+			for _, l := range e.bogus {
+				if data, err := proto.Encode(proto.KindLease, l); err == nil {
+					_ = e.Endpoint.Send(to, data)
+				}
+			}
+		})
+	}
+	return e.Endpoint.Send(to, payload)
+}
+
+// TestConnectWorkerDropsMalformedLease: a lease outside the suite is
+// handled like any malformed frame — dropped, and the worker asks again —
+// so the worker finishes the run instead of exiting on the first bad frame.
+func TestConnectWorkerDropsMalformedLease(t *testing.T) {
+	suite := testSuite()
+	want := referenceRun(t, suite)
+	total := suite.NumScenarios()
+
+	ep := listenLoopback(t)
+	coordEP := &bogusLeaseEndpoint{Endpoint: ep, bogus: []proto.Lease{
+		{ID: 1 << 40, Start: total, End: total + 3},
+		{ID: 1<<40 + 1, Start: -2, End: 1},
+	}}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	workerDone := make(chan error, 1)
+	go func() {
+		err := ConnectWorker(ctx, WorkerConfig{
+			Endpoint:    listenLoopback(t),
+			Coordinator: ep.Addr(),
+			Workers:     2,
+		})
+		if err != nil && !errors.Is(err, ErrDrained) {
+			cancel() // the worker quit: the coordinator would wait forever
+		}
+		workerDone <- err
+	}()
+
+	res, err := Coordinate(ctx, suite, CoordinatorConfig{
+		Endpoint:       coordEP,
+		LeaseScenarios: 4,
+		Heartbeat:      coordTestHeartbeat,
+		LeaseTimeout:   coordTestTimeout,
+	})
+	if werr := <-workerDone; werr != nil {
+		t.Fatalf("worker: %v", werr)
+	}
+	if err != nil {
+		t.Fatalf("Coordinate: %v", err)
+	}
+	got, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("result after malformed leases differs from single-machine run")
+	}
+}
+
+// TestCoordinateResumeByteIdentical is the coordinator's crash-recovery
+// contract: half the suite's records given as Completed (a prefix and a
+// scattering after it), two loopback workers run the rest, and the Result
+// is byte-identical to a single-machine run. OnRecord sees exactly the
+// missing indices in order, and the resumed records count as replays. A
+// checkpoint that already holds every record returns without serving.
+func TestCoordinateResumeByteIdentical(t *testing.T) {
+	suite := testSuite()
+	want := referenceRun(t, suite)
+	total := suite.NumScenarios()
+
+	all := make(map[int]RunRecord, total)
+	if _, err := Run(context.Background(), suite, Config{
+		Workers:  4,
+		OnRecord: func(rec RunRecord) error { all[rec.Index] = rec; return nil },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	completed := make(map[int]RunRecord)
+	var missing []int
+	for i := 0; i < total; i++ {
+		if i%4 < 2 {
+			completed[i] = all[i]
+		} else {
+			missing = append(missing, i)
+		}
+	}
+
+	coordEP := listenLoopback(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := ConnectWorker(ctx, WorkerConfig{
+				Endpoint:    listenLoopback(t),
+				Coordinator: coordEP.Addr(),
+				Workers:     2,
+			}); err != nil && !errors.Is(err, ErrDrained) && !errors.Is(err, context.Canceled) {
+				t.Errorf("worker: %v", err)
+			}
+		}()
+	}
+	col := telemetry.New()
+	var fresh []int
+	res, err := Coordinate(ctx, suite, CoordinatorConfig{
+		Endpoint:       coordEP,
+		LeaseScenarios: 3,
+		Heartbeat:      coordTestHeartbeat,
+		LeaseTimeout:   coordTestTimeout,
+		Completed:      completed,
+		Telemetry:      col,
+		OnRecord:       func(rec RunRecord) error { fresh = append(fresh, rec.Index); return nil },
+	})
+	if err != nil {
+		t.Fatalf("Coordinate: %v", err)
+	}
+	cancel() // as in TestCoordinateLoopbackDeterminism: release a late worker
+	wg.Wait()
+	got, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("resumed coordinator result differs from single-machine run:\n%s\n%s", got, want)
+	}
+	if fmt.Sprint(fresh) != fmt.Sprint(missing) {
+		t.Errorf("OnRecord saw %v, want the missing indices %v in order", fresh, missing)
+	}
+	s := col.Snapshot()
+	if got := s.Counter(MetricScenariosReplayed); got != int64(len(completed)) {
+		t.Errorf("fleet.scenarios_replayed = %d, want %d", got, len(completed))
+	}
+	if got := s.Counter(MetricScenariosFolded); got != int64(total) {
+		t.Errorf("fleet.scenarios_folded = %d, want %d", got, total)
+	}
+
+	stub := &stubEndpoint{}
+	res, err = Coordinate(context.Background(), suite, CoordinatorConfig{
+		Endpoint:  stub,
+		Completed: all,
+		OnRecord:  func(rec RunRecord) error { t.Errorf("replayed record %d reached OnRecord", rec.Index); return nil },
+	})
+	if err != nil {
+		t.Fatalf("all-complete Coordinate: %v", err)
+	}
+	if stub.received || stub.sent != 0 {
+		t.Errorf("all-complete coordinator served (received %v, sent %d)", stub.received, stub.sent)
+	}
+	if got, _ := json.Marshal(res); string(got) != string(want) {
+		t.Errorf("all-complete coordinator result differs from single-machine run")
 	}
 }
 

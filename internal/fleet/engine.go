@@ -28,13 +28,6 @@ type Config struct {
 	// re-solving common control problems and re-fitting observation
 	// models.
 	Cache *StrategyCache
-	// NoFitCache disables the shared offline Ẑ fit: every scenario
-	// refits its observation models inline. The fit seed is the same
-	// either way (one per suite, derived from the suite master seed), so
-	// output is byte-identical with or without the cache — this switch
-	// exists for diagnostics and for the equivalence test, not for
-	// production runs.
-	NoFitCache bool
 	// Progress, when set, is called after every folded scenario with the
 	// number folded so far and the number scheduled (from the aggregator
 	// goroutine).
@@ -44,14 +37,6 @@ type Config struct {
 	// a sharded run execute exactly the scenarios — with exactly the rng
 	// streams — that a whole run would.
 	Shard Shard
-	// Indices, when non-nil, schedules exactly this ascending list of
-	// scenario indices instead of the Shard slice — the coordinator's
-	// lease path, where workers execute index-contiguous ranges of the
-	// suite (ConnectWorker). Per-index seeding keeps the executed records
-	// identical to the ones a whole run would produce, which is what lets
-	// the coordinator merge leases from many machines byte-identically.
-	// Mutually exclusive with a non-whole Shard.
-	Indices []int
 	// Completed holds records of scenarios already finished by an earlier
 	// (killed) run of the same suite and shard, keyed by scenario index.
 	// They are folded from the stored metrics instead of re-executed, so
@@ -111,25 +96,6 @@ type Result struct {
 	Cells     []CellResult `json:"cells"`
 }
 
-// resultFromAccs assembles the Result shared by Run and MergeRecords, so
-// both paths serialize identically by construction.
-func resultFromAccs(suite Suite, cells []Cell, accs []emulation.Accumulator, scenarios int) *Result {
-	out := &Result{
-		Suite:     suite.Name,
-		Seed:      suite.Seed,
-		Scenarios: scenarios,
-		Cells:     make([]CellResult, len(cells)),
-	}
-	for i := range cells {
-		out.Cells[i] = CellResult{
-			Cell:      cells[i],
-			Runs:      accs[i].Runs(),
-			Aggregate: accs[i].AggregateValue(),
-		}
-	}
-	return out
-}
-
 // scenarioSeed derives a scenario's rng seed from the suite seed and the
 // scenario index with the shared SplitMix64 finalizer, so neighbouring
 // indices get decorrelated streams and results never depend on worker
@@ -138,55 +104,29 @@ func scenarioSeed(suiteSeed int64, index int) int64 {
 	return int64(dist.SplitMix64(uint64(suiteSeed)*dist.GoldenGamma + uint64(index) + 1))
 }
 
-// outcome is one executed (or replayed) scenario's result. Metrics travel
+// outcome is one executed (or replayed) scenario's result. Records travel
 // by value inside pooled batch buffers, so the steady-state path moves no
 // per-scenario allocation across the worker/aggregator boundary.
 type outcome struct {
-	index   int // global scenario index — the seed and record identity
-	cell    int
-	fresh   bool
-	metrics emulation.Metrics
-	err     error
-}
-
-// foldSpan is the fixed width, in scheduled positions, of one dispatch
-// batch and one fold partial. It is a constant — a pure function of the
-// schedule, never of the worker count or core count — because the partial
-// boundaries are part of the determinism contract: the aggregator merges
-// one partial per (batch, cell) run in batch order, so the floating-point
-// fold tree is identical for every Workers value and GOMAXPROCS setting.
-// MergeRecords replicates the same spans, which keeps whole runs,
-// shard-merges, resumes and coordinator merges byte-identical to each
-// other.
-const foldSpan = 8
-
-// cellPartial is one batch's pre-folded accumulator for a run of
-// consecutive outcomes sharing a cell. Workers fold their own outcomes
-// into partials so the aggregator does per-batch Merge calls instead of
-// per-scenario Add calls — the folding work scales across cores while the
-// merge tree stays fixed.
-type cellPartial struct {
-	cell int
-	acc  emulation.Accumulator
+	rec   RunRecord // rec.Index is the global scenario index — the seed and record identity
+	fresh bool
+	err   error
 }
 
 // batchResult carries the outcomes of one contiguous slice of scheduled
-// positions, [start, start+len(outs)), plus the worker's pre-folded
-// per-cell partials over those outcomes. Buffers cycle through batchPool:
-// workers take one per batch, the aggregator returns it after merging.
+// positions, [start, start+len(outs)). Buffers cycle through batchPool:
+// workers take one per batch, the aggregator returns it after folding.
 type batchResult struct {
 	start int
 	outs  []outcome
-	parts []cellPartial
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batchResult) }}
 
 // cellState lazily resolves one grid cell's scenario template, at most once
-// per Run, with an allocation-free double-checked fast path once resolved.
+// per run; sync.Once keeps the resolved path allocation-free.
 type cellState struct {
-	done atomic.Bool
-	mu   sync.Mutex
+	once sync.Once
 	sc   emulation.Scenario
 	err  error
 }
@@ -194,12 +134,11 @@ type cellState struct {
 // Run expands the suite and executes every scheduled scenario — the whole
 // grid, or the Config.Shard slice of it — on a bounded worker pool.
 // Scenarios already present in Config.Completed fold from their stored
-// metrics instead of re-running. Workers pre-fold each batch's metrics
-// into per-cell Welford partials, and the aggregator merges the partials
-// in strict batch order over fixed foldSpan-wide batches — the fold tree
-// is a pure function of the schedule, so the aggregates are bit-identical
-// for any worker count; with the strategy cache each distinct control
-// problem is solved exactly once.
+// metrics instead of re-running. The aggregator folds outcomes in strict
+// schedule order over fixed foldSpan-wide spans — the fold tree is a pure
+// function of the schedule, so the aggregates are bit-identical for any
+// worker count; with the strategy cache each distinct control problem is
+// solved exactly once.
 func Run(ctx context.Context, suite Suite, cfg Config) (*Result, error) {
 	suite = suite.withDefaults()
 	if err := suite.Validate(); err != nil {
@@ -208,43 +147,32 @@ func Run(ctx context.Context, suite Suite, cfg Config) (*Result, error) {
 	if err := cfg.Shard.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
-
-	cells := suite.Cells()
-	gridTotal := len(cells) * suite.SeedsPerCell
+	gridTotal := suite.NumScenarios()
 	if gridTotal == 0 {
 		return nil, fmt.Errorf("%w: empty grid", ErrBadSuite)
 	}
 	sched := cfg.Shard.Indices(gridTotal)
-	scheduled := func(idx int) bool { return cfg.Shard.Contains(idx) }
-	if cfg.Indices != nil {
-		if !cfg.Shard.IsWhole() {
-			return nil, fmt.Errorf("%w: Indices and a non-whole shard are mutually exclusive", ErrBadSuite)
-		}
-		prev := -1
-		inSet := make(map[int]bool, len(cfg.Indices))
-		for _, idx := range cfg.Indices {
-			if idx <= prev || idx >= gridTotal {
-				return nil, fmt.Errorf("%w: scheduled indices must be ascending, unique and in [0,%d)",
-					ErrBadSuite, gridTotal)
-			}
-			prev = idx
-			inSet[idx] = true
-		}
-		sched = cfg.Indices
-		scheduled = func(idx int) bool { return inSet[idx] }
-	}
-	total := len(sched)
-	if total == 0 {
+	if len(sched) == 0 {
 		return nil, fmt.Errorf("%w: shard %s selects no scenarios of %d",
 			ErrBadSuite, cfg.Shard, gridTotal)
 	}
-	for idx := range cfg.Completed {
-		if idx < 0 || idx >= gridTotal || !scheduled(idx) {
-			return nil, fmt.Errorf("%w: completed scenario %d is outside the scheduled set (shard %s)",
-				ErrBadSuite, idx, cfg.Shard)
+	for idx, rec := range cfg.Completed {
+		if err := checkCompleted(idx, &rec, gridTotal, suite.SeedsPerCell, cfg.Shard); err != nil {
+			return nil, err
 		}
 	}
+	return execute(ctx, suite, sched, cfg)
+}
+
+// execute runs the scheduled scenario indices — ascending, in range, and a
+// superset of cfg.Completed's keys — and folds them in schedule order. Run
+// derives the schedule from its shard; ConnectWorker passes a validated
+// lease range. Per-index seeding makes the records identical to the ones a
+// whole run produces, whichever schedule executes them.
+func execute(ctx context.Context, suite Suite, sched []int, cfg Config) (*Result, error) {
+	cfg = cfg.withDefaults()
+	cells := suite.Cells()
+	total := len(sched)
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -253,8 +181,7 @@ func Run(ctx context.Context, suite Suite, cfg Config) (*Result, error) {
 	// scenario: every scenario shares one fit seed derived from the master
 	// seed, so the Ẑ estimation happens once per suite (the paper's offline
 	// training phase). A run whose scheduled work is entirely replayed from
-	// records never fits at all. With NoFitCache every scenario refits
-	// inline from the same seed (diagnostic; byte-identical output).
+	// records never fits at all.
 	tm := newFleetMetrics(cfg.Telemetry)
 	if tm != nil {
 		cfg.Telemetry.Gauge(MetricScenariosTotal).Set(float64(total))
@@ -263,7 +190,7 @@ func Run(ctx context.Context, suite Suite, cfg Config) (*Result, error) {
 
 	fitSeed := emulation.FitStreamSeed(suite.Seed)
 	var fits *emulation.FitSet
-	if !cfg.NoFitCache && len(cfg.Completed) < total {
+	if len(cfg.Completed) < total {
 		var endFit func()
 		if tm != nil {
 			endFit = cfg.Telemetry.Phase("fleet.fit")
@@ -291,10 +218,8 @@ func Run(ctx context.Context, suite Suite, cfg Config) (*Result, error) {
 	// one atomic counter — one channel round-trip per batch instead of two
 	// per scenario — and execute them on a worker-resident emulation runner
 	// whose node pool, rng streams and scratch survive from scenario to
-	// scenario. The batch width is the fixed foldSpan, so the fold partials
-	// each batch pre-computes are a pure function of the schedule. Outcome
-	// buffers cycle through a pool, so the steady-state per-scenario path
-	// allocates nothing.
+	// scenario. Outcome buffers cycle through a pool, so the steady-state
+	// per-scenario path allocates nothing.
 	numBatches := (total + foldSpan - 1) / foldSpan
 
 	outcomes := make(chan *batchResult, cfg.Workers)
@@ -321,7 +246,6 @@ func Run(ctx context.Context, suite Suite, cfg Config) (*Result, error) {
 				br, _ := batchPool.Get().(*batchResult)
 				br.start = start
 				br.outs = br.outs[:0]
-				br.parts = br.parts[:0]
 				failed := false
 				for pos := start; pos < end && !failed; pos++ {
 					if ctx.Err() != nil {
@@ -329,19 +253,12 @@ func Run(ctx context.Context, suite Suite, cfg Config) (*Result, error) {
 					}
 					idx := sched[pos]
 					cell := &cells[idx/suite.SeedsPerCell]
-					oc := outcome{index: idx, cell: cell.Index, fresh: true}
+					oc := outcome{rec: RunRecord{Index: idx, Cell: cell.Index}, fresh: true}
 					if rec, ok := cfg.Completed[idx]; ok {
-						oc.metrics, oc.fresh = rec.Metrics, false
+						oc.rec.Metrics, oc.fresh = rec.Metrics, false
 					} else {
 						st := &states[cell.Index]
-						if !st.done.Load() {
-							st.mu.Lock()
-							if !st.done.Load() {
-								st.sc, st.err = cfg.Cache.scenarioFor(ctx, suiteFP, cell, suite)
-								st.done.Store(true)
-							}
-							st.mu.Unlock()
-						}
+						st.once.Do(func() { st.sc, st.err = cfg.Cache.scenarioFor(ctx, suiteFP, cell, suite) })
 						if st.err != nil {
 							oc.err = st.err
 						} else {
@@ -349,32 +266,27 @@ func Run(ctx context.Context, suite Suite, cfg Config) (*Result, error) {
 							sc.Seed = scenarioSeed(suite.Seed, idx)
 							sc.FitSeed = fitSeed
 							sc.Fits = fits
+							// Timing wraps the run from outside: the scenario's
+							// rng streams are seeded purely from (suite seed,
+							// index) above, so the clock reads cannot perturb
+							// results.
+							var t0 time.Time
+							if tm != nil {
+								tm.started.Inc(wid)
+								t0 = time.Now()
+							}
 							// Cells on a non-default backend dispatch through
 							// the registry; the default (emulation) path stays
 							// on the worker-resident zero-allocation runner.
-							var run func() (emulation.Metrics, error)
 							if cell.Backend == "" {
-								run = func() (emulation.Metrics, error) { return runner.RunInto(sc) }
+								oc.rec.Metrics, oc.err = runner.RunInto(sc)
 							} else if be, ok := LookupBackend(cell.Backend); ok {
-								run = func() (emulation.Metrics, error) {
-									return be.Run(ctx, sc, BackendOptions{Telemetry: cfg.Telemetry, Shard: wid, Chaos: cfg.Chaos})
-								}
+								oc.rec.Metrics, oc.err = be.Run(ctx, sc, BackendOptions{Telemetry: cfg.Telemetry, Shard: wid, Chaos: cfg.Chaos})
 							} else {
 								// Unreachable after Validate — defensive.
 								oc.err = fmt.Errorf("%w: unknown backend %q", ErrBadSuite, cell.Backend)
 							}
-							if oc.err != nil {
-								// fall through to the shared error handling
-							} else if tm == nil {
-								oc.metrics, oc.err = run()
-							} else {
-								// Timing wraps the run from outside: the
-								// scenario's rng streams are seeded purely
-								// from (suite seed, index) above, so the
-								// clock reads cannot perturb results.
-								tm.started.Inc(wid)
-								t0 := time.Now()
-								oc.metrics, oc.err = run()
+							if tm != nil {
 								d := int64(time.Since(t0))
 								tm.busyNS.Add(wid, d)
 								tm.durNS.Observe(wid, d)
@@ -382,16 +294,6 @@ func Run(ctx context.Context, suite Suite, cfg Config) (*Result, error) {
 						}
 					}
 					br.outs = append(br.outs, oc)
-					if oc.err == nil {
-						// Pre-fold into the batch's cell partials. Scheduled
-						// indices ascend within a batch, so cells are
-						// non-decreasing and each cell is one contiguous run:
-						// a new partial starts exactly at each cell change.
-						if n := len(br.parts); n == 0 || br.parts[n-1].cell != oc.cell {
-							br.parts = append(br.parts, cellPartial{cell: oc.cell})
-						}
-						br.parts[len(br.parts)-1].acc.Add(&oc.metrics)
-					}
 					failed = oc.err != nil
 				}
 				// The send is unconditional: the aggregator drains the
@@ -412,17 +314,13 @@ func Run(ctx context.Context, suite Suite, cfg Config) (*Result, error) {
 		close(outcomes)
 	}()
 
-	// Aggregator: merge pre-folded batch partials in strict batch order.
-	// Out-of-order batch completions park in a small reorder buffer
-	// (bounded in practice by the worker count), and the partial spans are
-	// fixed by foldSpan — so the Welford merge tree, and therefore every
-	// floating-point result, is independent of scheduling and worker count.
-	// Checkpoint records are emitted from the same ordered drain, so a
-	// checkpoint file is always an index-ordered prefix of the shard's
-	// work.
-	accs := make([]emulation.Accumulator, len(cells))
+	// Aggregator: feed batches to the fold in strict schedule order, with
+	// out-of-order completions parked in a small reorder buffer (bounded in
+	// practice by the worker count). The fold's spans are fixed, so every
+	// floating-point result is independent of scheduling and worker count,
+	// and a checkpoint file is always an index-ordered prefix of the work.
+	f := newFold(suite, cells, total, cfg.OnRecord, cfg.Progress, cfg.Telemetry)
 	pending := make(map[int]*batchResult)
-	next := 0
 	var firstErr error
 	for br := range outcomes {
 		// Scenario errors are captured on receipt, not in fold order: a
@@ -433,45 +331,23 @@ func Run(ctx context.Context, suite Suite, cfg Config) (*Result, error) {
 			for i := range br.outs {
 				if err := br.outs[i].err; err != nil {
 					firstErr = fmt.Errorf("fleet: scenario %d (cell %d): %w",
-						br.outs[i].index, br.outs[i].cell, err)
+						br.outs[i].rec.Index, br.outs[i].rec.Cell, err)
 					break
 				}
 			}
 		}
 		pending[br.start] = br
 		for firstErr == nil {
-			b, ok := pending[next]
+			b, ok := pending[f.next]
 			if !ok {
 				break
 			}
-			delete(pending, next)
-			for pi := range b.parts {
-				p := &b.parts[pi]
-				accs[p.cell].Merge(&p.acc)
-				if tm != nil {
-					// The aggregator is a single goroutine; shard 0 is its
-					// dedicated cell.
-					tm.foldMerges.Inc(0)
-				}
-			}
+			delete(pending, f.next)
 			for i := range b.outs {
-				oc := &b.outs[i]
-				next++
-				if tm != nil {
-					tm.folded.Inc(0)
-					if !oc.fresh {
-						tm.replayed.Inc(0)
-					}
-				}
-				if oc.fresh && cfg.OnRecord != nil {
-					if err := cfg.OnRecord(RunRecord{Index: oc.index, Cell: oc.cell, Metrics: oc.metrics}); err != nil {
-						firstErr = fmt.Errorf("fleet: record scenario %d: %w", oc.index, err)
-						cancel()
-						break
-					}
-				}
-				if cfg.Progress != nil {
-					cfg.Progress(next, total)
+				if err := f.add(&b.outs[i].rec, b.outs[i].fresh); err != nil {
+					firstErr = err
+					cancel()
+					break
 				}
 			}
 			batchPool.Put(b)
@@ -483,9 +359,8 @@ func Run(ctx context.Context, suite Suite, cfg Config) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if next != total {
-		return nil, fmt.Errorf("fleet: folded %d of %d scenarios", next, total)
+	if f.next != total {
+		return nil, fmt.Errorf("fleet: folded %d of %d scenarios", f.next, total)
 	}
-
-	return resultFromAccs(suite, cells, accs, total), nil
+	return f.result(), nil
 }

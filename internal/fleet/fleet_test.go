@@ -118,31 +118,41 @@ func TestStrategyCacheSolvesEachProblemOnce(t *testing.T) {
 	}
 }
 
-// TestFitCacheEquivalence is the fit-sharing contract: a run with the
-// suite-level fit cache and a run that refits Ẑ inside every scenario
-// produce byte-identical serialized results (both derive the same fit
-// stream from the suite seed), and the cached run fits exactly once.
+// TestFitCacheEquivalence is the fit-sharing contract: every record a run
+// with the suite-level fit cache produces equals emulation.Run of the same
+// scenario with no shared fit, which refits Ẑ inline from the same suite
+// fit seed — and the cached run fits exactly once.
 func TestFitCacheEquivalence(t *testing.T) {
-	suite := testSuite()
+	suite := testSuite().withDefaults()
 	cache := NewStrategyCache()
-	cached, err := Run(context.Background(), suite, Config{Workers: 4, Cache: cache})
-	if err != nil {
+	var recs []RunRecord
+	if _, err := Run(context.Background(), suite, Config{
+		Workers:  4,
+		Cache:    cache,
+		OnRecord: func(rec RunRecord) error { recs = append(recs, rec); return nil },
+	}); err != nil {
 		t.Fatal(err)
 	}
-	uncached, err := Run(context.Background(), suite, Config{Workers: 4, NoFitCache: true})
-	if err != nil {
-		t.Fatal(err)
+	if len(recs) != suite.NumScenarios() {
+		t.Fatalf("run emitted %d records, want %d", len(recs), suite.NumScenarios())
 	}
-	bc, err := json.Marshal(cached)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bu, err := json.Marshal(uncached)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(bc) != string(bu) {
-		t.Errorf("fit-cached and fit-uncached results differ:\n%s\n%s", bc, bu)
+	cells := suite.Cells()
+	oracle := NewStrategyCache() // policies only; its fit cache stays unused
+	for _, rec := range recs {
+		sc, err := oracle.scenarioFor(context.Background(), suite.Fingerprint(), &cells[rec.Cell], suite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Seed = scenarioSeed(suite.Seed, rec.Index)
+		sc.FitSeed = emulation.FitStreamSeed(suite.Seed)
+		sc.Fits = nil
+		inline, err := emulation.Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *inline != rec.Metrics {
+			t.Errorf("scenario %d: fit-cached metrics %+v, inline fit %+v", rec.Index, rec.Metrics, *inline)
+		}
 	}
 	stats := cache.Stats()
 	if stats.FitSolves != 1 {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-
-	"tolerance/internal/emulation"
 )
 
 // Shard selects a deterministic slice of a suite's expanded scenario index
@@ -75,49 +73,32 @@ func (s Shard) String() string {
 // MergeRecords folds per-scenario run records — the union of one or more
 // shard result files — back into the aggregate Result a single-machine run
 // of the suite would produce. The records must cover the suite's scenario
-// index set exactly; folding replays the engine's fixed fold topology — a
-// per-cell Welford partial per run of consecutive records inside each
-// foldSpan-wide batch, partials merged in batch order — so every
-// floating-point operation happens in the same order with the same
-// operands as in an unsharded run and the merged Result serializes
-// byte-identically.
+// index set exactly; they pass through the same ordered fold as a whole
+// run, index i at position i, so every floating-point operation happens in
+// the same order with the same operands as in an unsharded run and the
+// merged Result serializes byte-identically.
 func MergeRecords(suite Suite, records map[int]RunRecord) (*Result, error) {
 	suite = suite.withDefaults()
 	if err := suite.Validate(); err != nil {
 		return nil, err
 	}
-	cells := suite.Cells()
-	total := len(cells) * suite.SeedsPerCell
+	total := suite.NumScenarios()
 	if len(records) != total {
 		return nil, fmt.Errorf("%w: merge has %d records, suite expands to %d scenarios",
 			ErrBadSuite, len(records), total)
 	}
-	accs := make([]emulation.Accumulator, len(cells))
-	var part emulation.Accumulator
-	partCell := -1
+	f := newFold(suite, suite.Cells(), total, nil, nil, nil)
 	for i := 0; i < total; i++ {
 		rec, ok := records[i]
 		if !ok {
 			return nil, fmt.Errorf("%w: merge is missing scenario %d", ErrBadSuite, i)
 		}
-		if want := i / suite.SeedsPerCell; rec.Cell != want {
-			return nil, fmt.Errorf("%w: scenario %d records cell %d, want %d",
-				ErrBadSuite, i, rec.Cell, want)
+		if err := checkCompleted(i, &rec, total, suite.SeedsPerCell, Shard{}); err != nil {
+			return nil, err
 		}
-		// A whole run schedules index i at position i, so a new partial
-		// starts at every batch boundary and every cell change — exactly the
-		// engine's worker-side pre-fold spans.
-		if i%foldSpan == 0 || rec.Cell != partCell {
-			if partCell >= 0 {
-				accs[partCell].Merge(&part)
-			}
-			part, partCell = emulation.Accumulator{}, rec.Cell
+		if err := f.add(&rec, false); err != nil {
+			return nil, err
 		}
-		m := rec.Metrics
-		part.Add(&m)
 	}
-	if partCell >= 0 {
-		accs[partCell].Merge(&part)
-	}
-	return resultFromAccs(suite, cells, accs, total), nil
+	return f.result(), nil
 }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -121,7 +122,10 @@ func TestShardMergeByteIdentical(t *testing.T) {
 }
 
 // TestMergeRecordsValidation: incomplete or inconsistent record sets are
-// rejected rather than silently producing a partial aggregate.
+// rejected rather than silently producing a partial aggregate — and a record
+// whose cell is not the one its index expands to is refused the same way
+// by -resume (Run) and the coordinator's resume, never folded into the
+// index's cell.
 func TestMergeRecordsValidation(t *testing.T) {
 	suite := testSuite()
 	_, recs := collectRecords(t, suite, Shard{}, nil)
@@ -146,8 +150,17 @@ func TestMergeRecordsValidation(t *testing.T) {
 	r := wrongCell[0]
 	r.Cell++
 	wrongCell[0] = r
-	if _, err := MergeRecords(suite, wrongCell); err == nil {
-		t.Error("inconsistent cell should fail merge")
+	if _, err := MergeRecords(suite, wrongCell); !errors.Is(err, ErrBadSuite) {
+		t.Errorf("inconsistent cell: merge err = %v, want ErrBadSuite", err)
+	}
+	if _, err := Run(context.Background(), suite, Config{Completed: map[int]RunRecord{0: r}}); !errors.Is(err, ErrBadSuite) {
+		t.Errorf("inconsistent cell: resume err = %v, want ErrBadSuite", err)
+	}
+	if _, err := Coordinate(context.Background(), suite, CoordinatorConfig{
+		Endpoint:  &stubEndpoint{},
+		Completed: map[int]RunRecord{0: r},
+	}); !errors.Is(err, ErrBadSuite) {
+		t.Errorf("inconsistent cell: coordinator resume err = %v, want ErrBadSuite", err)
 	}
 }
 

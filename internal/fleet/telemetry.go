@@ -6,13 +6,13 @@ import (
 
 // Fleet metric names. Counters are recorded per worker shard from the
 // worker pool (scenario starts, batch claims, busy time) or from the
-// single aggregator goroutine (folds, replays); histograms observe each
-// executed scenario's wall-clock and step count.
+// single goroutine that owns the ordered fold (folds, replays, merges);
+// histograms observe each executed scenario's wall-clock and step count.
 const (
 	// MetricScenariosStarted counts scenario executions begun by workers.
 	MetricScenariosStarted = "fleet.scenarios_started"
-	// MetricScenariosFolded counts scenarios folded by the aggregator — the
-	// reconciliation anchor: at the end of a successful run it equals the
+	// MetricScenariosFolded counts scenarios folded at the ordered frontier —
+	// the reconciliation anchor: at the end of a successful run it equals the
 	// scheduled total.
 	MetricScenariosFolded = "fleet.scenarios_folded"
 	// MetricScenariosReplayed counts folds served from checkpoint records
@@ -21,10 +21,11 @@ const (
 	// MetricBatchesClaimed counts work batches claimed by workers.
 	MetricBatchesClaimed = "fleet.batches_claimed"
 	// MetricFoldMerges counts per-cell partial merges performed by the
-	// aggregator — one per (batch, cell) run of outcomes. The count is a
-	// pure function of the schedule (fixed foldSpan-wide batches), so it is
-	// identical across worker counts; a drift between runs of the same
-	// suite and shard indicates a scheduling bug.
+	// ordered fold (a local run's aggregator or the coordinator's ingest) —
+	// one per (span, cell) run of positions. The count is a pure function of
+	// the schedule (fixed foldSpan-wide spans), so it is identical across
+	// worker counts; a drift between runs of the same suite and shard
+	// indicates a scheduling bug.
 	MetricFoldMerges = "fleet.fold_merges"
 	// MetricWorkerBusyNS accumulates nanoseconds workers spent executing
 	// scenarios; busy/(workers×wall) is the pool utilization.
@@ -43,10 +44,10 @@ const (
 
 // Coordinator metric names (Coordinate; see docs/OPERATIONS.md for how to
 // read them during an incident). All are recorded from the coordinator's
-// single event-loop goroutine. The fleet.scenarios_folded/replayed
-// counters above are shared: the coordinator's ordered ingest increments
-// them exactly as a local run's aggregator would, so the post-run summary
-// and the manifest reconcile the same way on both paths.
+// single event-loop goroutine. The fleet.scenarios_folded/replayed and
+// fleet.fold_merges counters above are shared: the coordinator's ordered
+// ingest runs the same fold as a local run's aggregator, so the post-run
+// summary and the manifest reconcile the same way on both paths.
 const (
 	// MetricCoordWorkers (gauge) is the number of currently connected
 	// workers.
@@ -98,14 +99,11 @@ var stepBuckets = []int64{50, 100, 200, 500, 1000, 2000, 5000, 10000}
 // *fleetMetrics is the disabled state: every record site nil-checks it, so
 // an uninstrumented run touches no telemetry code beyond that check.
 type fleetMetrics struct {
-	started    *telemetry.Counter
-	folded     *telemetry.Counter
-	replayed   *telemetry.Counter
-	batches    *telemetry.Counter
-	foldMerges *telemetry.Counter
-	busyNS     *telemetry.Counter
-	durNS      *telemetry.Histogram
-	steps      *telemetry.Histogram
+	started *telemetry.Counter
+	batches *telemetry.Counter
+	busyNS  *telemetry.Counter
+	durNS   *telemetry.Histogram
+	steps   *telemetry.Histogram
 }
 
 // newFleetMetrics registers the engine metrics, returning nil for a nil
@@ -115,13 +113,10 @@ func newFleetMetrics(col *telemetry.Collector) *fleetMetrics {
 		return nil
 	}
 	return &fleetMetrics{
-		started:    col.Counter(MetricScenariosStarted),
-		folded:     col.Counter(MetricScenariosFolded),
-		replayed:   col.Counter(MetricScenariosReplayed),
-		batches:    col.Counter(MetricBatchesClaimed),
-		foldMerges: col.Counter(MetricFoldMerges),
-		busyNS:     col.Counter(MetricWorkerBusyNS),
-		durNS:      col.Histogram(MetricScenarioDurationNS, telemetry.DurationBuckets()),
-		steps:      col.Histogram(MetricScenarioSteps, stepBuckets),
+		started: col.Counter(MetricScenariosStarted),
+		batches: col.Counter(MetricBatchesClaimed),
+		busyNS:  col.Counter(MetricWorkerBusyNS),
+		durNS:   col.Histogram(MetricScenarioDurationNS, telemetry.DurationBuckets()),
+		steps:   col.Histogram(MetricScenarioSteps, stepBuckets),
 	}
 }

@@ -170,11 +170,11 @@ func TestCheckpointSyncsCounted(t *testing.T) {
 	}
 }
 
-// TestTelemetryHotPathZeroAllocs pins the instrumented worker loop at zero
+// TestTelemetryHotPathZeroAllocs pins the instrumented engine loop at zero
 // allocations per scenario: the exact per-scenario sequence the engine runs
 // with telemetry attached — start counter, timed RunInto with the step-count
-// hook installed, busy-time add, duration observation, fold counter — on a
-// warm runner.
+// hook installed, busy-time add, duration observation, then the instrumented
+// fold of the record — on a warm runner.
 func TestTelemetryHotPathZeroAllocs(t *testing.T) {
 	col := telemetry.New()
 	tm := newFleetMetrics(col)
@@ -193,6 +193,9 @@ func TestTelemetryHotPathZeroAllocs(t *testing.T) {
 		FitSeed: 5,
 	}
 	const wid = 3
+	suite := testSuite().withDefaults()
+	f := newFold(suite, suite.Cells(), suite.NumScenarios(), nil, nil, col)
+	var rec RunRecord
 	r := emulation.NewRunner()
 	r.OnRun(func(steps int) { tm.steps.Observe(wid, int64(steps)) })
 	if _, err := r.RunInto(s); err != nil {
@@ -202,13 +205,16 @@ func TestTelemetryHotPathZeroAllocs(t *testing.T) {
 		tm.batches.Inc(wid)
 		tm.started.Inc(wid)
 		t0 := time.Now()
-		if _, err := r.RunInto(s); err != nil {
+		var err error
+		if rec.Metrics, err = r.RunInto(s); err != nil {
 			t.Fatal(err)
 		}
 		d := int64(time.Since(t0))
 		tm.busyNS.Add(wid, d)
 		tm.durNS.Observe(wid, d)
-		tm.folded.Inc(0)
+		if err := f.add(&rec, true); err != nil {
+			t.Fatal(err)
+		}
 	})
 	if allocs != 0 {
 		t.Errorf("instrumented steady-state scenario allocates %v times, want 0", allocs)

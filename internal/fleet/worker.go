@@ -213,7 +213,7 @@ func (s *workerSession) handshake(ctx context.Context) error {
 		if got := suite.NumScenarios(); got != w.Scenarios {
 			return fmt.Errorf("fleet: scenario count mismatch: coordinator says %d, suite expands to %d", w.Scenarios, got)
 		}
-		s.suite, s.total = suite, w.Scenarios
+		s.suite, s.total = suite.withDefaults(), w.Scenarios
 		s.hb = time.Duration(w.HeartbeatMillis) * time.Millisecond
 		if s.hb <= 0 {
 			s.hb = DefaultHeartbeat
@@ -246,8 +246,10 @@ func (s *workerSession) requestLease(ctx context.Context) (proto.Lease, bool, er
 			return proto.Lease{}, false, err
 		}
 		if kind == proto.KindLease {
+			// A lease that does not parse or is not a non-empty range of the
+			// suite is dropped like any malformed frame: ask again.
 			var lease proto.Lease
-			if uerr := proto.Unmarshal(raw, &lease); uerr == nil && lease.End > lease.Start {
+			if uerr := proto.Unmarshal(raw, &lease); uerr == nil && validLease(lease, s.total) {
 				s.waitBO.reset()
 				return lease, false, nil
 			}
@@ -272,6 +274,12 @@ func (s *workerSession) requestLease(ctx context.Context) (proto.Lease, bool, er
 			}
 		}
 	}
+}
+
+// validLease reports whether l is a non-empty index range of a suite with
+// total scenarios — the only leases the engine may execute.
+func validLease(l proto.Lease, total int) bool {
+	return 0 <= l.Start && l.Start < l.End && l.End <= total
 }
 
 // runLease executes the leased range on the local engine, heartbeating in
@@ -314,10 +322,9 @@ func (s *workerSession) runLease(ctx context.Context, lease proto.Lease) error {
 		batch, arena = batch[:0], arena[:0]
 		return err
 	}
-	_, err := Run(ctx, s.suite, Config{
+	_, err := execute(ctx, s.suite, indices, Config{
 		Workers:   s.cfg.Workers,
 		Cache:     s.cfg.Cache,
-		Indices:   indices,
 		Telemetry: s.cfg.Telemetry,
 		Chaos:     s.cfg.Chaos,
 		OnRecord: func(rec RunRecord) error {

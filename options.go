@@ -22,7 +22,6 @@ type options struct {
 	seedsPerCell int
 	fitSamples   int
 	shard        string
-	noFitCache   bool
 	progress     func(done, total int)
 	records      []func(ScenarioRecord) error
 	telemetry    *Telemetry
@@ -90,13 +89,6 @@ func WithFitSamples(n int) Option {
 // shards' records reproduces the unsharded output byte for byte.
 func WithShard(i, n int) Option {
 	return func(o *options) { o.shard = fmt.Sprintf("%d/%d", i, n) }
-}
-
-// WithoutFitCache disables the shared offline Ẑ fit: every scenario refits
-// its observation models inline. Output is byte-identical either way; the
-// switch exists for diagnostics.
-func WithoutFitCache() Option {
-	return func(o *options) { o.noFitCache = true }
 }
 
 // WithProgress installs a progress callback, called after each folded
