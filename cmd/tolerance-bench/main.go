@@ -27,7 +27,6 @@ import (
 	"tolerance/internal/nodemodel"
 	"tolerance/internal/opt"
 	"tolerance/internal/pomdp"
-	"tolerance/internal/profiling"
 	"tolerance/internal/recovery"
 	"tolerance/internal/telemetry"
 )
@@ -48,7 +47,7 @@ func main() {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "telemetry: serving http://%s/metrics\n", srv.Addr())
 	}
-	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
+	stopProfiles, err := telemetry.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tolerance-bench:", err)
 		os.Exit(1)

@@ -77,7 +77,6 @@ import (
 
 	"tolerance/internal/chaos"
 	"tolerance/internal/fleet"
-	"tolerance/internal/profiling"
 	"tolerance/internal/strategies"
 	"tolerance/internal/telemetry"
 	"tolerance/internal/transport"
@@ -124,7 +123,7 @@ func run() (retErr error) {
 	chaosDescribe := flag.Bool("chaos-describe", false, "print the armed chaos plan (profile, seed, schedule digest) and exit")
 	flag.Parse()
 
-	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
+	stopProfiles, err := telemetry.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
 		return err
 	}

@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"tolerance/internal/dist"
 	"tolerance/internal/markov"
@@ -218,39 +217,29 @@ func NewBinomialModel(smax, f int, epsilonA, q, eps float64) (*Model, error) {
 	return m, nil
 }
 
-// Default Monte-Carlo budget for EstimateHealthyProb — the Table 8
-// evaluation setting shared by the Compare facade, the fleet strategy cache
-// and cmd/tolerance-sim, so all paths estimate q under the same protocol.
-const (
-	DefaultEstimateEpisodes = 100
-	DefaultEstimateHorizon  = 200
-)
-
-// EstimateHealthyProb estimates q — the per-step probability that a node is
-// healthy at the next step given it is healthy now — by simulating
-// Problem 1 under the given recovery strategy (the paper's Table 8 method:
-// "fS estimated from simulations of Prob 1").
-func EstimateHealthyProb(rng *rand.Rand, p nodemodel.Params, s recovery.Strategy, episodes, horizon, deltaR int) (float64, error) {
-	m, err := recovery.Evaluate(rng, p, s, recovery.SimConfig{
-		Episodes: episodes,
-		Horizon:  horizon,
-		DeltaR:   deltaR,
-	})
+// HealthyProb computes q, the per-step node survival probability of
+// NewBinomialModel's f_S, from Problem 1 under the given recovery strategy
+// (Table 8: "fS estimated from simulations of Prob 1" — here an exact
+// closed-loop evaluation on the DP's belief grid, recovery.Occupancy). A
+// node counts as healthy at a step when it is alive and not compromised
+// while its controller waits, so
+//
+//	q = (1 − compromised-and-waiting share) · (1 − crash hazard),
+//
+// both per alive step: the long-run share of alive steps the node spends
+// compromised without recovering, times the probability that an alive
+// node survives the step. The shares are over one BTR window for finite
+// deltaR (the process renews there) and long-run averages for
+// InfiniteDeltaR. The hazard is the evaluator's horizon-free one; rollout
+// estimates divided crashes per episode by the episode length, which
+// undercounts once episodes end in crashes.
+func HealthyProb(p nodemodel.Params, s recovery.Strategy, deltaR int) (float64, error) {
+	occ, err := recovery.Occupancy(p, s, deltaR)
 	if err != nil {
 		return 0, err
 	}
-	// A node counts as healthy when it is alive and not compromised; the
-	// compromised fraction and the per-episode crash rate give the
-	// complement.
-	crashPerStep := m.CrashFraction / float64(horizon)
-	q := (1 - m.CompromisedFraction) * (1 - crashPerStep)
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	return q, nil
+	q := (1 - occ.CompromisedWaiting) * (1 - occ.CrashHazard)
+	return math.Min(1, math.Max(0, q)), nil
 }
 
 // NoRecoveryChain builds the Markov chain over the healthy-node count when

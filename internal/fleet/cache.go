@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -34,6 +33,9 @@ type CacheStats struct {
 	ReplicationSolves int64 `json:"replicationSolves"`
 	// ReplicationHits counts replication requests answered from cache.
 	ReplicationHits int64 `json:"replicationHits"`
+	// HealthyEvals counts distinct evaluations of q, the per-step node
+	// survival probability behind Problem 2's transition model.
+	HealthyEvals int64 `json:"healthyEvals"`
 	// FitSolves counts distinct offline Ẑ fits (emulation.NewFitSet runs).
 	FitSolves int64 `json:"fitSolves"`
 	// FitHits counts fit requests answered from cache.
@@ -84,6 +86,7 @@ type StrategyCache struct {
 	mu          sync.Mutex
 	recovery    map[string]*cacheEntry[*recovery.DPSolution]
 	replication map[string]*cacheEntry[*cmdp.Solution]
+	healthy     map[string]*cacheEntry[float64]
 	lp          map[string]*cacheEntry[*cmdp.Solution]
 	fits        map[string]*cacheEntry[*emulation.FitSet]
 	policies    map[string]*cacheEntry[baselines.Policy]
@@ -99,6 +102,7 @@ type StrategyCache struct {
 	recoveryHits      atomic.Int64
 	replicationSolves atomic.Int64
 	replicationHits   atomic.Int64
+	healthyEvals      atomic.Int64
 	fitSolves         atomic.Int64
 	fitHits           atomic.Int64
 	policyBuilds      atomic.Int64
@@ -143,6 +147,7 @@ func (c *StrategyCache) Instrument(col *telemetry.Collector) {
 	col.CounterFunc("cache.recovery_hits", c.recoveryHits.Load)
 	col.CounterFunc("cache.replication_solves", c.replicationSolves.Load)
 	col.CounterFunc("cache.replication_hits", c.replicationHits.Load)
+	col.CounterFunc("cache.healthy_evals", c.healthyEvals.Load)
 	col.CounterFunc("cache.fit_solves", c.fitSolves.Load)
 	col.CounterFunc("cache.fit_hits", c.fitHits.Load)
 	col.CounterFunc("cache.policy_builds", c.policyBuilds.Load)
@@ -176,6 +181,7 @@ func NewStrategyCache() *StrategyCache {
 	return &StrategyCache{
 		recovery:    make(map[string]*cacheEntry[*recovery.DPSolution]),
 		replication: make(map[string]*cacheEntry[*cmdp.Solution]),
+		healthy:     make(map[string]*cacheEntry[float64]),
 		lp:          make(map[string]*cacheEntry[*cmdp.Solution]),
 		fits:        make(map[string]*cacheEntry[*emulation.FitSet]),
 		policies:    make(map[string]*cacheEntry[baselines.Policy]),
@@ -190,6 +196,7 @@ func (c *StrategyCache) Stats() CacheStats {
 		RecoveryHits:      c.recoveryHits.Load(),
 		ReplicationSolves: c.replicationSolves.Load(),
 		ReplicationHits:   c.replicationHits.Load(),
+		HealthyEvals:      c.healthyEvals.Load(),
 		FitSolves:         c.fitSolves.Load(),
 		FitHits:           c.fitHits.Load(),
 		PolicyBuilds:      c.policyBuilds.Load(),
@@ -279,10 +286,10 @@ func (c *StrategyCache) Replication(p nodemodel.Params, rec *recovery.ThresholdS
 
 // ReplicationFor is the general form of Replication: it accepts any
 // recovery decision rule (learned thresholds, a PPO policy) with recFP as
-// its canonical fingerprint. The healthy-node probability q is estimated by
-// simulating Problem 1 with an rng seeded from the cache key, so the result
-// is deterministic; the occupancy-measure LP is further deduplicated across
-// input keys by the assembled model's fingerprint.
+// its canonical fingerprint. The healthy-node probability q is computed
+// once per (params, strategy, deltaR) — system shapes that share a node
+// model share it — and the occupancy-measure LP is further deduplicated
+// across input keys by the assembled model's fingerprint.
 func (c *StrategyCache) ReplicationFor(p nodemodel.Params, rec recovery.Strategy, recFP string, smax, f int, epsilonA float64, deltaR int) (*cmdp.Solution, error) {
 	key := fmt.Sprintf("%s|rec=%s|dr=%d|smax=%d|f=%d|eps=%x",
 		p.Fingerprint(), recFP, deltaR, smax, f, epsilonA)
@@ -300,9 +307,7 @@ func (c *StrategyCache) ReplicationFor(p nodemodel.Params, rec recovery.Strategy
 		c.noteWait(!entry.done.Load())
 	}
 	return entry.compute(func() (*cmdp.Solution, error) {
-		rng := rand.New(rand.NewSource(seedFromKey(key)))
-		q, err := cmdp.EstimateHealthyProb(rng, p, rec,
-			cmdp.DefaultEstimateEpisodes, cmdp.DefaultEstimateHorizon, deltaR)
+		q, err := c.healthyProb(p, rec, recFP, deltaR)
 		if err != nil {
 			return nil, err
 		}
@@ -311,6 +316,24 @@ func (c *StrategyCache) ReplicationFor(p nodemodel.Params, rec recovery.Strategy
 			return nil, err
 		}
 		return c.solveLP(model)
+	})
+}
+
+// healthyProb memoizes cmdp.HealthyProb by (params, strategy, deltaR).
+func (c *StrategyCache) healthyProb(p nodemodel.Params, rec recovery.Strategy, recFP string, deltaR int) (float64, error) {
+	key := fmt.Sprintf("%s|rec=%s|dr=%d", p.Fingerprint(), recFP, deltaR)
+
+	c.mu.Lock()
+	entry, ok := c.healthy[key]
+	if !ok {
+		entry = &cacheEntry[float64]{}
+		c.healthy[key] = entry
+	}
+	c.mu.Unlock()
+
+	return entry.compute(func() (float64, error) {
+		c.healthyEvals.Add(1)
+		return cmdp.HealthyProb(p, rec, deltaR)
 	})
 }
 

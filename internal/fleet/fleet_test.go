@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"tolerance/internal/emulation"
+	"tolerance/internal/telemetry"
 )
 
 // testSuite is a small grid that still exercises multiple cells, policies
@@ -115,6 +116,38 @@ func TestStrategyCacheSolvesEachProblemOnce(t *testing.T) {
 	}
 	if stats.PolicyBuilds != 2 {
 		t.Errorf("PolicyBuilds = %d, want 2 (two DeltaRs)", stats.PolicyBuilds)
+	}
+}
+
+// TestHealthyProbOncePerNodeModel: q depends on the node model, the
+// recovery strategy and ΔR only, so system sizes with different f share one
+// evaluation while each solves its own LP, and cache.healthy_evals reports
+// the count.
+func TestHealthyProbOncePerNodeModel(t *testing.T) {
+	suite := Suite{
+		Name:         "healthy-test",
+		Seed:         3,
+		SeedsPerCell: 1,
+		Steps:        20,
+		FitSamples:   200,
+		AttackRates:  []float64{0.1},
+		N1s:          []int{3, 6}, // f = 1 and f = 2
+		DeltaRs:      []int{15, 25},
+		Policies:     []PolicyKind{PolicyTolerance},
+	}
+	cache := NewStrategyCache()
+	col := telemetry.New()
+	cache.Instrument(col)
+	if _, err := Run(context.Background(), suite, Config{Workers: 2, Cache: cache}); err != nil {
+		t.Fatal(err)
+	}
+	stats := cache.Stats()
+	if stats.HealthyEvals != 2 || stats.ReplicationSolves != 4 {
+		t.Errorf("HealthyEvals = %d, ReplicationSolves = %d; want 2 (one per ΔR) and 4 (per ΔR and f)",
+			stats.HealthyEvals, stats.ReplicationSolves)
+	}
+	if got := col.Snapshot().Counters["cache.healthy_evals"]; got != stats.HealthyEvals {
+		t.Errorf("cache.healthy_evals = %d, Stats says %d", got, stats.HealthyEvals)
 	}
 }
 

@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"compress/gzip"
-	"context"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -526,7 +525,10 @@ func FuzzReadCheckpoint(f *testing.F) {
 // TestGoldenParentCheckpoints reads shard files written by the commit
 // before the codec (testSuite, shards 0/2 plain and 1/2 gzip): they must
 // load in full, merge to the bytes of a direct run, and re-encode to the
-// bytes on disk.
+// bytes on disk. The merge leg compares cell by cell: since q became an
+// exact evaluation (a declared rng rebase of TOLERANCE's replication
+// strategy), TOLERANCE records and cells may differ from the files, every
+// other cell's must not.
 func TestGoldenParentCheckpoints(t *testing.T) {
 	suite := testSuite()
 	paths := []string{filepath.Join("testdata", "v1-parent.jsonl"), filepath.Join("testdata", "v1-parent.jsonl.gz")}
@@ -541,12 +543,19 @@ func TestGoldenParentCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := Run(context.Background(), suite, Config{Workers: 2, Cache: NewStrategyCache()})
-	if err != nil {
-		t.Fatal(err)
+	direct, directRecs := collectRecords(t, suite, Shard{}, nil)
+	cells := suite.Cells()
+	rebased := func(cell int) bool { return cells[cell].Policy == PolicyTolerance }
+	for _, rec := range directRecs {
+		golden := records[rec.Index]
+		if !rebased(rec.Cell) && !bytes.Equal(mustMarshal(t, rec), mustMarshal(t, golden)) {
+			t.Errorf("record %d (%s) differs from the parent's", rec.Index, cells[rec.Cell].Policy)
+		}
 	}
-	if got, want := mustMarshal(t, merged), mustMarshal(t, direct); !bytes.Equal(got, want) {
-		t.Error("merge of the parent's shard files differs from a direct run")
+	for i := range direct.Cells {
+		if !rebased(i) && !bytes.Equal(mustMarshal(t, merged.Cells[i]), mustMarshal(t, direct.Cells[i])) {
+			t.Errorf("cell %d (%s): merge of the parent's shard files differs from a direct run", i, cells[i].Policy)
+		}
 	}
 
 	for i, path := range paths {

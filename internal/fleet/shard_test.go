@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -27,6 +28,27 @@ func TestParseShard(t *testing.T) {
 			t.Errorf("ParseShard(%q) should fail", in)
 		}
 	}
+}
+
+// FuzzParseShard: a shard ParseShard accepts is valid and reads back from
+// its canonical "i/n" spelling as the same value.
+func FuzzParseShard(f *testing.F) {
+	for _, in := range []string{"0/1", "3/4", "0/0", "+1/2", "01/02", "2/2", "-1/2", "1/2/3", "9223372036854775807/9223372036854775807"} {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		sh, err := ParseShard(in)
+		if err != nil {
+			return
+		}
+		if err := sh.Validate(); err != nil {
+			t.Fatalf("ParseShard(%q) = %v, which fails Validate: %v", in, sh, err)
+		}
+		canon := fmt.Sprintf("%d/%d", sh.Index, sh.Count)
+		if back, err := ParseShard(canon); err != nil || back != sh {
+			t.Fatalf("ParseShard(%q) = %v; its spelling %q reads back as %v, %v", in, sh, canon, back, err)
+		}
+	})
 }
 
 // TestShardPartition: every shard split of an index set is a disjoint,

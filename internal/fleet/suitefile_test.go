@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -172,4 +173,40 @@ func TestDumpSuiteInvalid(t *testing.T) {
 	if _, err := DumpSuite(bad); err == nil || !strings.Contains(err.Error(), "attack rate") {
 		t.Errorf("dump of invalid suite: %v", err)
 	}
+}
+
+// FuzzParseSuite: the suite parser never panics, and a document it accepts
+// dumps and re-parses to the same grid — the same Fingerprint and the same
+// dump bytes — so a file written by -dump-suite always reads back as what
+// was dumped.
+func FuzzParseSuite(f *testing.F) {
+	for _, s := range Builtin() {
+		data, err := DumpSuite(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"version": 1, "name": "minimal"}`))
+	f.Add([]byte(`{"version": 2, "name": "x", "backends": ["emulation"], "learned": {"workers": 3}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ParseSuite(data)
+		if err != nil {
+			return
+		}
+		dump, err := DumpSuite(s)
+		if err != nil {
+			t.Fatalf("accepted suite does not dump: %v\n%s", err, data)
+		}
+		back, err := ParseSuite(dump)
+		if err != nil {
+			t.Fatalf("dump does not re-parse: %v\n%s", err, dump)
+		}
+		if back.Fingerprint() != s.Fingerprint() {
+			t.Fatalf("fingerprint %s after the round trip, %s before\n%s", back.Fingerprint(), s.Fingerprint(), dump)
+		}
+		if again, err := DumpSuite(back); err != nil || !bytes.Equal(again, dump) {
+			t.Fatalf("second dump differs (%v):\n%s\nfirst:\n%s", err, again, dump)
+		}
+	})
 }

@@ -215,10 +215,11 @@ type stencilEntry struct {
 }
 
 // stencilEntryFor builds the stencil entry for predictive belief pb and
-// observation o with likelihoods zh, zc (po is zero when the observation
-// cannot occur).
-func (d *dpSolver) stencilEntryFor(pb, zh, zc float64) stencilEntry {
-	n := len(d.grid) - 1
+// observation o with likelihoods zh, zc on the grid of n intervals (po is
+// zero when the observation cannot occur): the one placement of a
+// posterior onto the belief grid, shared by the DP and the closed-loop
+// evaluator (occupancy.go).
+func stencilEntryFor(pb, zh, zc float64, n int) stencilEntry {
 	po := pb*zc + (1-pb)*zh
 	if po == 0 {
 		return stencilEntry{}
@@ -266,7 +267,7 @@ func (d *dpSolver) prepare() {
 		base := o * g
 		zh, zc := zH.Prob(o), zC.Prob(o)
 		for i, pb := range preds {
-			st := d.stencilEntryFor(pb, zh, zc)
+			st := stencilEntryFor(pb, zh, zc, len(d.grid)-1)
 			if st.po == 0 {
 				continue // zero weights: exact-zero contribution
 			}
@@ -277,7 +278,7 @@ func (d *dpSolver) prepare() {
 	}
 	d.resetSt = d.ar.resetSt[:0]
 	for o := 0; o < numObs; o++ {
-		if st := d.stencilEntryFor(d.p.PA, zH.Prob(o), zC.Prob(o)); st.po != 0 {
+		if st := stencilEntryFor(d.p.PA, zH.Prob(o), zC.Prob(o), len(d.grid)-1); st.po != 0 {
 			d.resetSt = append(d.resetSt, st)
 		}
 	}

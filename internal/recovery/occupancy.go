@@ -1,0 +1,371 @@
+package recovery
+
+import (
+	"errors"
+	"fmt"
+	"math"
+
+	"tolerance/internal/nodemodel"
+)
+
+// ErrOccupancyNotConverged is returned when the Delta_R = infinity closed
+// loop does not settle onto a cycle within the evaluator's iteration bound.
+var ErrOccupancyNotConverged = errors.New("recovery: closed-loop occupancy did not converge")
+
+const (
+	// occupancyGridSize is the evaluator's belief grid: the 301 points of
+	// the grid the fleet's DP solves on, so a threshold the DP picked is a
+	// grid point here too.
+	occupancyGridSize = 300
+	// occupancyMaxSteps bounds the Delta_R = infinity iteration.
+	occupancyMaxSteps = 1 << 16
+	// occupancyMaxCycle is the longest cycle of per-step shares the
+	// Delta_R = infinity iteration recognises.
+	occupancyMaxCycle = 128
+	// occupancyMinRun is the fewest consecutive repeats that confirm a
+	// cycle, however short.
+	occupancyMinRun = 16
+	// occupancyTol is the largest difference between two steps' shares
+	// that still counts them as the same point of a cycle.
+	occupancyTol = 1e-14
+)
+
+// OccupancyShares are the per-alive-step shares of one node's closed loop
+// under a recovery strategy: the §III-C quantities, computed rather than
+// sampled.
+type OccupancyShares struct {
+	// CompromisedWaiting is the share of alive steps the node spends
+	// compromised while the controller waits — the steps that cost eta in
+	// eq. 5.
+	CompromisedWaiting float64
+	// CrashHazard is the probability per alive step that the node crashes
+	// before the next one.
+	CrashHazard float64
+	// RecoveryFrequency is F(R): the share of alive steps that recover,
+	// the forced BTR recoveries included.
+	RecoveryFrequency float64
+}
+
+// Occupancy evaluates the closed loop of one node under strategy s with
+// BTR bound deltaR exactly, with no sampling. Its state is the joint
+// distribution of the hidden state (H or C, the node alive) and the belief
+// on the DP's grid. One step takes s.Action(grid belief, window position)
+// cell by cell — Recover at the forced calendar recoveries — moves the
+// hidden state by eq. 2, and splits each posterior onto the grid with the
+// DP's own linear placement (stencilEntryFor), so SolveDP and the evaluator
+// share one discretisation.
+//
+// For finite deltaR the forced recovery renews the process exactly every
+// deltaR steps — after any recovery the node is compromised with
+// probability pA given it is alive, and the belief restarts from pA — so
+// the shares are renewal-reward ratios over one window: expected counts
+// over expected alive steps. For deltaR = InfiniteDeltaR they are the
+// long-run (Cesàro) averages of the per-step shares of the
+// conditional-on-alive iterates. The iterates settle onto a cycle — a
+// fixed point for a stationary strategy, the period of a belief-blind
+// periodic one — and the Cesàro average of a sequence that settles onto a
+// cycle is its mean over one cycle. A cycle counts once its shares repeat
+// with a period of at most 128 steps for twice that period (and at least
+// 16 steps); a dependence on t that first shows later than that is not
+// seen. Iterates that do not settle within a fixed bound return
+// ErrOccupancyNotConverged.
+func Occupancy(p nodemodel.Params, s Strategy, deltaR int) (OccupancyShares, error) {
+	return occupancy(p, s, deltaR, occupancyGridSize, occupancyMaxSteps)
+}
+
+// occupancy is Occupancy on a grid of gridSize intervals, iterating at most
+// maxSteps steps when deltaR is infinite.
+func occupancy(p nodemodel.Params, s Strategy, deltaR, gridSize, maxSteps int) (OccupancyShares, error) {
+	if err := p.Validate(); err != nil {
+		return OccupancyShares{}, err
+	}
+	if s == nil {
+		return OccupancyShares{}, fmt.Errorf("%w: nil strategy", ErrBadStrategy)
+	}
+	if deltaR < 0 {
+		return OccupancyShares{}, fmt.Errorf("%w: deltaR = %d", ErrBadStrategy, deltaR)
+	}
+	l := newClosedLoop(p, s, gridSize)
+	if deltaR != InfiniteDeltaR {
+		return l.window(deltaR), nil
+	}
+	return l.longRun(maxSteps)
+}
+
+// obsPlacement carries one observation's share of a grid cell's mass to the
+// posterior's two neighbouring grid points, idx and idx+1: the
+// placement weights times Z(o|H) for the healthy mass and times Z(o|C) for
+// the compromised mass.
+type obsPlacement struct {
+	hLo, hHi, cLo, cHi float64
+	idx                int32
+}
+
+// cellSpan is the half-open range of grid cells a placement row reaches.
+type cellSpan struct{ lo, hi int }
+
+// stepMass is one step's alive mass and the parts of it that wait
+// compromised, crash before the next step and recover.
+type stepMass struct {
+	alive, compromisedWaiting, crash, recover float64
+}
+
+func (m *stepMass) add(o stepMass) {
+	m.alive += o.alive
+	m.compromisedWaiting += o.compromisedWaiting
+	m.crash += o.crash
+	m.recover += o.recover
+}
+
+func (m stepMass) shares() OccupancyShares {
+	if m.alive <= 0 {
+		return OccupancyShares{}
+	}
+	return OccupancyShares{
+		CompromisedWaiting: m.compromisedWaiting / m.alive,
+		CrashHazard:        m.crash / m.alive,
+		RecoveryFrequency:  m.recover / m.alive,
+	}
+}
+
+// closedLoop is the joint (hidden state, belief cell) distribution of one
+// node and the tables that move it one step.
+type closedLoop struct {
+	s    Strategy
+	pA   float64
+	grid []float64
+	// zH[o], zC[o] are the observation likelihoods.
+	zH, zC []float64
+	// crash[x] is the crash probability from alive state x; next[x][a][y]
+	// the probability of alive state y after action a from x (eq. 2).
+	crash [2]float64
+	next  [2][2][2]float64
+	// wait holds one placement row per cell, numObs entries each: where
+	// the posterior of the cell's Wait prediction lands after each
+	// observation; waitSpan the cells each row reaches. reset and
+	// resetSpan are the same for the post-recovery prediction pA.
+	numObs    int
+	wait      []obsPlacement
+	waitSpan  []cellSpan
+	reset     []obsPlacement
+	resetSpan cellSpan
+	// mH, mC are the healthy and compromised mass per cell, nonzero only
+	// in [lo, hi); preH, preC the mass of the waiting cells after the
+	// transition, before the observation; recH, recC the mass of the
+	// recovering cells after the transition, which shares one prediction.
+	mH, mC, preH, preC, nH, nC []float64
+	lo, hi                     int
+	recH, recC                 float64
+}
+
+func newClosedLoop(p nodemodel.Params, s Strategy, gridSize int) *closedLoop {
+	g := gridSize + 1
+	numObs := p.NumObs()
+	l := &closedLoop{
+		s: s, pA: p.PA, numObs: numObs,
+		wait:     make([]obsPlacement, g*numObs),
+		waitSpan: make([]cellSpan, g),
+		reset:    make([]obsPlacement, numObs),
+	}
+	floats := make([]float64, 7*g+2*numObs)
+	for _, v := range []*[]float64{&l.grid, &l.mH, &l.mC, &l.preH, &l.preC, &l.nH, &l.nC} {
+		*v, floats = floats[:g:g], floats[g:]
+	}
+	l.zH, l.zC = floats[:numObs:numObs], floats[numObs:]
+	for o := range l.zH {
+		l.zH[o], l.zC[o] = p.ZHealthy.Prob(o), p.ZCompromised.Prob(o)
+	}
+	for x, st := range []nodemodel.State{nodemodel.Healthy, nodemodel.Compromised} {
+		for _, a := range []nodemodel.Action{nodemodel.Wait, nodemodel.Recover} {
+			row := p.Transition(st, a)
+			l.crash[x] = row[nodemodel.Crashed]
+			l.next[x][a] = [2]float64{row[nodemodel.Healthy], row[nodemodel.Compromised]}
+		}
+	}
+	for i := range l.grid {
+		// The DP's grid, point for point (SolveDPWith).
+		l.grid[i] = float64(i) / float64(gridSize)
+		pb := p.PredictBelief(l.grid[i], nodemodel.Wait)
+		l.waitSpan[i] = l.placeRow(l.wait[i*numObs:(i+1)*numObs], pb, gridSize)
+	}
+	l.resetSpan = l.placeRow(l.reset, p.PA, gridSize)
+	return l
+}
+
+// placeRow fills row with the placements of predictive belief pb's
+// posteriors, one per observation, and returns the cells they reach. An
+// observation the prediction gives probability zero (possible only at a
+// degenerate belief) leaves the belief at the prediction, so no mass is
+// lost.
+func (l *closedLoop) placeRow(row []obsPlacement, pb float64, gridSize int) cellSpan {
+	span := cellSpan{lo: gridSize + 1}
+	for o := range row {
+		zh, zc := l.zH[o], l.zC[o]
+		st := stencilEntryFor(pb, zh, zc, gridSize)
+		if st.po == 0 {
+			st = stencilEntryFor(pb, 1, 1, gridSize)
+		}
+		row[o] = obsPlacement{
+			hLo: zh * st.omfrac, hHi: zh * st.frac,
+			cLo: zc * st.omfrac, cHi: zc * st.frac,
+			idx: st.idx,
+		}
+		span.lo = min(span.lo, int(st.idx))
+		span.hi = max(span.hi, int(st.idx)+2)
+	}
+	return span
+}
+
+// start loads the distribution every episode and every BTR window begins
+// with: compromised with probability pA, belief pA, then one observation.
+func (l *closedLoop) start() {
+	l.lo, l.hi = 0, 0
+	l.recH, l.recC = 1-l.pA, l.pA
+	l.observe()
+}
+
+// step accounts one alive step at window position k — forced applies the
+// BTR recovery — and moves the surviving mass through eq. 2: waiting
+// cells into preH, preC, recovering cells into recH, recC.
+func (l *closedLoop) step(k int, forced bool) stepMass {
+	var m stepMass
+	l.recH, l.recC = 0, 0
+	next := &l.next
+	for i := l.lo; i < l.hi; i++ {
+		h, c := l.mH[i], l.mC[i]
+		l.preH[i], l.preC[i] = 0, 0
+		if h == 0 && c == 0 {
+			continue
+		}
+		m.alive += h + c
+		m.crash += h*l.crash[0] + c*l.crash[1]
+		if forced || l.s.Action(l.grid[i], k) == nodemodel.Recover {
+			m.recover += h + c
+			l.recH += h*next[0][nodemodel.Recover][0] + c*next[1][nodemodel.Recover][0]
+			l.recC += h*next[0][nodemodel.Recover][1] + c*next[1][nodemodel.Recover][1]
+			continue
+		}
+		m.compromisedWaiting += c
+		l.preH[i] = h*next[0][nodemodel.Wait][0] + c*next[1][nodemodel.Wait][0]
+		l.preC[i] = h*next[0][nodemodel.Wait][1] + c*next[1][nodemodel.Wait][1]
+	}
+	return m
+}
+
+// observe splits the post-transition mass over the observations onto the
+// grid, making it the current distribution, and returns its total.
+func (l *closedLoop) observe() float64 {
+	nH, nC := l.nH, l.nC
+	clear(nH)
+	clear(nC)
+	span := cellSpan{lo: len(l.grid)}
+	scatter := func(row []obsPlacement, h, c float64) {
+		for _, pl := range row {
+			j := pl.idx
+			nH[j] += h * pl.hLo
+			nH[j+1] += h * pl.hHi
+			nC[j] += c * pl.cLo
+			nC[j+1] += c * pl.cHi
+		}
+	}
+	for i := l.lo; i < l.hi; i++ {
+		h, c := l.preH[i], l.preC[i]
+		if h == 0 && c == 0 {
+			continue
+		}
+		scatter(l.wait[i*l.numObs:(i+1)*l.numObs], h, c)
+		span.lo = min(span.lo, l.waitSpan[i].lo)
+		span.hi = max(span.hi, l.waitSpan[i].hi)
+	}
+	if l.recH != 0 || l.recC != 0 {
+		scatter(l.reset, l.recH, l.recC)
+		span.lo = min(span.lo, l.resetSpan.lo)
+		span.hi = max(span.hi, l.resetSpan.hi)
+	}
+	l.mH, l.nH = nH, l.mH
+	l.mC, l.nC = nC, l.mC
+	l.lo, l.hi = span.lo, max(span.hi, span.lo)
+	total := 0.0
+	for i := l.lo; i < l.hi; i++ {
+		total += nH[i] + nC[i]
+	}
+	return total
+}
+
+// window sums one BTR window of deltaR steps from the renewal distribution:
+// positions 1..deltaR-1 follow the strategy, position deltaR is the forced
+// recovery that renews the process.
+func (l *closedLoop) window(deltaR int) OccupancyShares {
+	l.start()
+	var sum stepMass
+	for k := 1; k <= deltaR; k++ {
+		sum.add(l.step(k, k == deltaR))
+		if k < deltaR {
+			l.observe()
+		}
+	}
+	return sum.shares()
+}
+
+// longRun iterates the conditional-on-alive distribution (windowPos = t,
+// no forced recoveries) until its per-step shares repeat with some period
+// P <= occupancyMaxCycle for max(2P, occupancyMinRun) consecutive steps,
+// and returns their mean over the last P steps.
+func (l *closedLoop) longRun(maxSteps int) (OccupancyShares, error) {
+	const cycle = occupancyMaxCycle
+	var (
+		hist [cycle]OccupancyShares // step t's shares at t % cycle
+		runs [cycle + 1]int         // runs[P]: consecutive steps equal to the one P earlier
+	)
+	l.start()
+	for t := 1; t <= maxSteps; t++ {
+		x := l.step(t, false).shares()
+		for period := 1; period <= min(cycle, t-1); period++ {
+			if !x.near(hist[(t-period)%cycle]) {
+				runs[period] = 0
+				continue
+			}
+			if runs[period]++; runs[period] >= max(2*period, occupancyMinRun) {
+				mean := x
+				for j := 1; j < period; j++ {
+					mean = mean.plus(hist[(t-j)%cycle])
+				}
+				return mean.scaled(1 / float64(period)), nil
+			}
+		}
+		hist[t%cycle] = x
+		total := l.observe()
+		if total <= 0 {
+			// Nothing survives a step: the shares never change again.
+			return x, nil
+		}
+		for i := l.lo; i < l.hi; i++ {
+			l.mH[i] /= total
+			l.mC[i] /= total
+		}
+	}
+	return OccupancyShares{}, fmt.Errorf("%w: no cycle of at most %d steps within %d steps",
+		ErrOccupancyNotConverged, cycle, maxSteps)
+}
+
+func (x OccupancyShares) near(y OccupancyShares) bool {
+	return math.Abs(x.CompromisedWaiting-y.CompromisedWaiting) <= occupancyTol &&
+		math.Abs(x.CrashHazard-y.CrashHazard) <= occupancyTol &&
+		math.Abs(x.RecoveryFrequency-y.RecoveryFrequency) <= occupancyTol
+}
+
+func (x OccupancyShares) plus(y OccupancyShares) OccupancyShares {
+	return OccupancyShares{
+		CompromisedWaiting: x.CompromisedWaiting + y.CompromisedWaiting,
+		CrashHazard:        x.CrashHazard + y.CrashHazard,
+		RecoveryFrequency:  x.RecoveryFrequency + y.RecoveryFrequency,
+	}
+}
+
+func (x OccupancyShares) scaled(f float64) OccupancyShares {
+	return OccupancyShares{
+		CompromisedWaiting: x.CompromisedWaiting * f,
+		CrashHazard:        x.CrashHazard * f,
+		RecoveryFrequency:  x.RecoveryFrequency * f,
+	}
+}

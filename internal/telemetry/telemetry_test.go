@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -293,5 +295,32 @@ func TestFmtETA(t *testing.T) {
 		if got := fmtETA(tc.d); got != tc.want {
 			t.Errorf("fmtETA(%v) = %q, want %q", tc.d, got, tc.want)
 		}
+	}
+}
+
+// TestStartProfilesWritesBoth: the stop function leaves a CPU and a heap
+// profile on disk, and an unwritable heap path is its error, not a silent
+// loss.
+func TestStartProfilesWritesBoth(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	stop, err := StartProfiles(cpu, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: %v (size %v)", path, err, fi)
+		}
+	}
+	stop, err = StartProfiles("", filepath.Join(dir, "missing", "mem.prof"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err == nil {
+		t.Error("heap profile to a missing directory: stop returned nil")
 	}
 }

@@ -39,7 +39,6 @@ package tolerance
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"tolerance/internal/baselines"
 	"tolerance/internal/cmdp"
@@ -161,9 +160,7 @@ func Compare(cfg CompareConfig) ([]StrategyMetrics, error) {
 		return nil, err
 	}
 	f := emulation.DefaultThreshold(cfg.N1)
-	rng := rand.New(rand.NewSource(17))
-	q, err := cmdp.EstimateHealthyProb(rng, params, dp.Strategy(cfg.DeltaR),
-		cmdp.DefaultEstimateEpisodes, cmdp.DefaultEstimateHorizon, cfg.DeltaR)
+	q, err := cmdp.HealthyProb(params, dp.Strategy(cfg.DeltaR), cfg.DeltaR)
 	if err != nil {
 		return nil, err
 	}
