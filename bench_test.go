@@ -164,9 +164,10 @@ func BenchmarkFig08DPHorizon(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveStationary measures the Delta_R = infinity solve: bisection
-// on the average cost around a double-buffered optimal-stopping value
-// iteration (the companion to BenchmarkFig08DPHorizon's windowed solves).
+// BenchmarkSolveStationary measures the Delta_R = infinity solve: a
+// safeguarded regula falsi on the average cost around a double-buffered,
+// warm-started optimal-stopping value iteration (the companion to
+// BenchmarkFig08DPHorizon's windowed solves).
 func BenchmarkSolveStationary(b *testing.B) {
 	params := nodemodel.DefaultParams()
 	b.ReportAllocs()

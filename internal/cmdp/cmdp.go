@@ -178,6 +178,9 @@ func (m *Model) tailSum(a, sHat, s int) float64 {
 //
 // clamped at the state-space boundary. A small smoothing mass eps keeps the
 // chain irreducible (assumption B of Theorem 2); eps <= 0 selects 1e-9.
+//
+// Each state's Binomial(s, q) pmf is computed once and shared by both
+// actions, and every row of f_S is carved from one backing array.
 func NewBinomialModel(smax, f int, epsilonA, q, eps float64) (*Model, error) {
 	if q < 0 || q > 1 {
 		return nil, fmt.Errorf("%w: q = %v", ErrInvalidModel, q)
@@ -185,19 +188,23 @@ func NewBinomialModel(smax, f int, epsilonA, q, eps float64) (*Model, error) {
 	if eps <= 0 {
 		eps = 1e-9
 	}
-	n := smax + 1
+	n := max(smax+1, 0)
 	m := &Model{SMax: smax, F: f, EpsilonA: epsilonA}
 	m.FS = make([][][]float64, NumActions)
-	for a := 0; a < NumActions; a++ {
+	backing := make([]float64, NumActions*n*n)
+	for a := range m.FS {
 		m.FS[a] = make([][]float64, n)
-		for s := 0; s <= smax; s++ {
-			row := make([]float64, n)
-			for k := 0; k <= s; k++ {
-				target := k + a
-				if target > smax {
-					target = smax
-				}
-				row[target] += dist.Binomial(s, q, k)
+		for s := range m.FS[a] {
+			m.FS[a][s], backing = backing[:n:n], backing[n:]
+		}
+	}
+	pmf := newBinomialRows(smax, q)
+	for s := 0; s <= smax; s++ {
+		probs := pmf.row(s)
+		for a := 0; a < NumActions; a++ {
+			row := m.FS[a][s]
+			for k, pk := range probs {
+				row[min(k+a, smax)] += pk
 			}
 			// Smooth and renormalize.
 			total := 0.0
@@ -208,13 +215,55 @@ func NewBinomialModel(smax, f int, epsilonA, q, eps float64) (*Model, error) {
 			for i := range row {
 				row[i] /= total
 			}
-			m.FS[a][s] = row
 		}
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	return m, nil
+}
+
+// binomialRows computes the pmf rows P[Binomial(s, q) = k], k = 0..s, for
+// s = 0..n into one reused buffer. Each entry is dist.Binomial(s, q, k) bit
+// for bit — the same special cases at q = 0 and q = 1 and the same
+// expression in the same order — with what dist.Binomial recomputes per
+// entry hoisted: the three log-gamma terms come from a log-factorial table
+// and the two logarithms of q are taken once.
+type binomialRows struct {
+	q, logQ, log1mQ float64
+	logFact         []float64 // logFact[i] = ln i!, as Lgamma(i+1)
+	buf             []float64
+}
+
+func newBinomialRows(n int, q float64) *binomialRows {
+	n = max(n, 0)
+	scratch := make([]float64, 2*(n+1))
+	b := &binomialRows{q: q, logQ: math.Log(q), log1mQ: math.Log(1 - q),
+		logFact: scratch[:n+1], buf: scratch[n+1:]}
+	for i := range b.logFact {
+		b.logFact[i], _ = math.Lgamma(float64(i) + 1)
+	}
+	return b
+}
+
+// row returns the pmf of Binomial(s, q) over k = 0..s, valid until the
+// next call.
+func (b *binomialRows) row(s int) []float64 {
+	row := b.buf[:s+1]
+	switch {
+	case b.q <= 0:
+		clear(row)
+		row[0] = 1
+	case b.q >= 1:
+		clear(row)
+		row[s] = 1
+	default:
+		for k := range row {
+			ln := b.logFact[s] - b.logFact[k] - b.logFact[s-k] + float64(k)*b.logQ + float64(s-k)*b.log1mQ
+			row[k] = math.Exp(ln)
+		}
+	}
+	return row
 }
 
 // HealthyProb computes q, the per-step node survival probability of
@@ -253,11 +302,11 @@ func NoRecoveryChain(n int, q float64) (*markov.Chain, error) {
 		return nil, fmt.Errorf("%w: q = %v", ErrInvalidModel, q)
 	}
 	p := make([][]float64, n+1)
+	backing := make([]float64, (n+1)*(n+1))
+	pmf := newBinomialRows(n, q)
 	for s := 0; s <= n; s++ {
-		row := make([]float64, n+1)
-		for k := 0; k <= s; k++ {
-			row[k] = dist.Binomial(s, q, k)
-		}
+		row := backing[s*(n+1) : (s+1)*(n+1)]
+		copy(row, pmf.row(s))
 		// Renormalize against rounding drift.
 		sum := 0.0
 		for _, v := range row {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"tolerance/internal/dist"
 	"tolerance/internal/nodemodel"
 	"tolerance/internal/recovery"
 )
@@ -47,12 +48,101 @@ func TestNewBinomialModelValid(t *testing.T) {
 	}
 }
 
+// newBinomialModelPerEntry is NewBinomialModel as it was before the pmf
+// rows were shared: every entry of every action priced by its own
+// dist.Binomial call. It is the oracle the shared rows are held to.
+func newBinomialModelPerEntry(smax, f int, epsilonA, q, eps float64) *Model {
+	if eps <= 0 {
+		eps = 1e-9
+	}
+	n := smax + 1
+	m := &Model{SMax: smax, F: f, EpsilonA: epsilonA}
+	m.FS = make([][][]float64, NumActions)
+	for a := 0; a < NumActions; a++ {
+		m.FS[a] = make([][]float64, n)
+		for s := 0; s <= smax; s++ {
+			row := make([]float64, n)
+			for k := 0; k <= s; k++ {
+				target := k + a
+				if target > smax {
+					target = smax
+				}
+				row[target] += dist.Binomial(s, q, k)
+			}
+			total := 0.0
+			for i := range row {
+				row[i] += eps
+				total += row[i]
+			}
+			for i := range row {
+				row[i] /= total
+			}
+			m.FS[a][s] = row
+		}
+	}
+	return m
+}
+
+// TestBinomialModelMatchesPerEntryOracle: the shared pmf rows reproduce the
+// per-entry kernel bit for bit — the boundary q values, a q next to each of
+// them and random ones, small and large state spaces, default and explicit
+// smoothing — and so do the Fig 6 chain's rows.
+func TestBinomialModelMatchesPerEntryOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	qs := []float64{0, 1e-12, 1e-6, 0.5, 0.95, 1 - 1e-9, 1}
+	for i := 0; i < 8; i++ {
+		qs = append(qs, rng.Float64())
+	}
+	for _, smax := range []int{1, 2, 3, 13, 40, 128} {
+		for _, q := range qs {
+			for _, eps := range []float64{0, 1e-6} {
+				got, err := NewBinomialModel(smax, 0, 0.9, q, eps)
+				if err != nil {
+					t.Fatalf("smax=%d q=%v: %v", smax, q, err)
+				}
+				want := newBinomialModelPerEntry(smax, 0, 0.9, q, eps)
+				for a := range want.FS {
+					for s := range want.FS[a] {
+						for k, w := range want.FS[a][s] {
+							if g := got.FS[a][s][k]; math.Float64bits(g) != math.Float64bits(w) {
+								t.Fatalf("smax=%d q=%v eps=%v: fS(%d|%d,%d) = %v, per-entry %v", smax, q, eps, k, s, a, g, w)
+							}
+						}
+					}
+				}
+			}
+			chain, err := NoRecoveryChain(smax, q)
+			if err != nil {
+				t.Fatalf("chain n=%d q=%v: %v", smax, q, err)
+			}
+			for s := 0; s <= smax; s++ {
+				sum := 0.0
+				for k := 0; k <= s; k++ {
+					sum += dist.Binomial(s, q, k)
+				}
+				for k := 0; k <= smax; k++ {
+					want := 0.0
+					if k <= s {
+						want = dist.Binomial(s, q, k) / sum
+					}
+					if g := chain.Prob(s, k); math.Float64bits(g) != math.Float64bits(want) {
+						t.Fatalf("chain n=%d q=%v: P(%d -> %d) = %v, per-entry %v", smax, q, s, k, g, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestNewBinomialModelValidation(t *testing.T) {
 	if _, err := NewBinomialModel(10, 1, 0.9, 1.5, 0); err == nil {
 		t.Error("q > 1 should fail")
 	}
 	if _, err := NewBinomialModel(0, 0, 0.9, 0.9, 0); err == nil {
 		t.Error("smax = 0 should fail")
+	}
+	if _, err := NewBinomialModel(-5, 0, 0.9, 0.9, 0); !errors.Is(err, ErrInvalidModel) {
+		t.Errorf("smax = -5: err %v, want ErrInvalidModel", err)
 	}
 	if _, err := NewBinomialModel(10, 10, 0.9, 0.9, 0); err == nil {
 		t.Error("f >= smax should fail")

@@ -242,8 +242,8 @@ func (c *StrategyCache) Fits(samples int, fitSeed int64) (*emulation.FitSet, err
 // solving at most once per distinct (params, config) pair.
 func (c *StrategyCache) Recovery(p nodemodel.Params, cfg recovery.DPConfig) (*recovery.DPSolution, error) {
 	n := cfg.Normalized()
-	key := fmt.Sprintf("%s|dr=%d|g=%d|b=%d|v=%d",
-		p.Fingerprint(), n.DeltaR, n.GridSize, n.BisectIterations, n.MaxValueIterations)
+	key := fmt.Sprintf("%s|dr=%d|g=%d|v=%d",
+		p.Fingerprint(), n.DeltaR, n.GridSize, n.MaxValueIterations)
 
 	c.mu.Lock()
 	entry, ok := c.recovery[key]

@@ -85,6 +85,13 @@ type Params struct {
 	ZCompromised *dist.Categorical
 }
 
+// Table 8's alert distributions, built once: a Categorical has no mutators,
+// so every DefaultParams value shares the pair.
+var (
+	tableEightHealthy     = dist.MustBetaBinomial(10, 0.7, 3).Categorical()
+	tableEightCompromised = dist.MustBetaBinomial(10, 1, 0.7).Categorical()
+)
+
 // DefaultParams returns the paper's Table 8 configuration for the numerical
 // evaluation of Problem 1 (Figs 5-8): pA = 0.1, pC1 = 1e-5, pC2 = 1e-3,
 // pU = 0.02, η = 2, Z(.|H) = BetaBin(10, 0.7, 3), Z(.|C) = BetaBin(10, 1, 0.7).
@@ -95,8 +102,8 @@ func DefaultParams() Params {
 		PC2:          1e-3,
 		PU:           0.02,
 		Eta:          2,
-		ZHealthy:     dist.MustBetaBinomial(10, 0.7, 3).Categorical(),
-		ZCompromised: dist.MustBetaBinomial(10, 1, 0.7).Categorical(),
+		ZHealthy:     tableEightHealthy,
+		ZCompromised: tableEightCompromised,
 	}
 }
 

@@ -19,6 +19,22 @@ func TestDefaultParamsSatisfyTheorem1(t *testing.T) {
 	}
 }
 
+// TestDefaultParamsShareAlertPair: every DefaultParams value shares one
+// immutable Table 8 alert pair, and that pair is the one a fresh build of
+// the two Beta-Binomials gives, to the fingerprint.
+func TestDefaultParamsShareAlertPair(t *testing.T) {
+	p1, p2 := DefaultParams(), DefaultParams()
+	if p1.ZHealthy != p2.ZHealthy || p1.ZCompromised != p2.ZCompromised {
+		t.Error("two DefaultParams calls built separate alert distributions")
+	}
+	fresh := p1
+	fresh.ZHealthy = dist.MustBetaBinomial(10, 0.7, 3).Categorical()
+	fresh.ZCompromised = dist.MustBetaBinomial(10, 1, 0.7).Categorical()
+	if p1.Fingerprint() != fresh.Fingerprint() {
+		t.Errorf("shared pair fingerprint %s, freshly built %s", p1.Fingerprint(), fresh.Fingerprint())
+	}
+}
+
 func TestValidateRejectsBadParams(t *testing.T) {
 	tests := []struct {
 		name   string

@@ -46,18 +46,6 @@ func TestDPArenaReuseBitIdentical(t *testing.T) {
 						deltaR, pa, i, shared.Thresholds[i], fresh.Thresholds[i])
 				}
 			}
-			if len(shared.Value) != len(fresh.Value) {
-				t.Fatalf("deltaR=%d pa=%v: %d value stages, want %d",
-					deltaR, pa, len(shared.Value), len(fresh.Value))
-			}
-			for k := range shared.Value {
-				for i := range shared.Value[k] {
-					if shared.Value[k][i] != fresh.Value[k][i] {
-						t.Fatalf("deltaR=%d pa=%v: value[%d][%d]: %v != %v",
-							deltaR, pa, k, i, shared.Value[k][i], fresh.Value[k][i])
-					}
-				}
-			}
 		}
 	}
 }
@@ -73,14 +61,14 @@ func TestDPSolutionNotArenaBacked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	avg, th0, v00 := first.AvgCost, first.Thresholds[0], first.Value[0][0]
+	avg, th0 := first.AvgCost, first.Thresholds[0]
 
 	p2 := nodemodel.DefaultParams()
 	p2.PA = 0.42
 	if _, err := SolveDPWith(p2, DPConfig{DeltaR: InfiniteDeltaR, GridSize: 150}, arena); err != nil {
 		t.Fatal(err)
 	}
-	if first.AvgCost != avg || first.Thresholds[0] != th0 || first.Value[0][0] != v00 {
+	if first.AvgCost != avg || first.Thresholds[0] != th0 {
 		t.Fatal("second solve on the shared arena mutated the first solution")
 	}
 }
@@ -88,28 +76,17 @@ func TestDPSolutionNotArenaBacked(t *testing.T) {
 // TestDPArenaResolveZeroAlloc guards the re-solve hot path the fleet's
 // pooled arenas exist for: once an arena has been sized by a first solve,
 // re-running the stencil preparation and the window induction into
-// caller-held output storage allocates nothing.
+// caller-held threshold storage allocates nothing.
 func TestDPArenaResolveZeroAlloc(t *testing.T) {
 	p := nodemodel.DefaultParams()
 	cfg := DPConfig{DeltaR: 8, GridSize: 200}.withDefaults()
-	grid := make([]float64, cfg.GridSize+1)
-	for i := range grid {
-		grid[i] = float64(i) / float64(cfg.GridSize)
-	}
-	solver := &dpSolver{p: p, cfg: cfg, grid: grid, ar: NewArena()}
+	solver := &dpSolver{p: p, cfg: cfg, ar: NewArena()}
 	solver.prepare() // size the arena
-
-	g := len(grid)
-	backing := make([]float64, cfg.DeltaR*g)
-	stages := make([][]float64, cfg.DeltaR)
-	for k := range stages {
-		stages[k] = backing[k*g : (k+1)*g : (k+1)*g]
-	}
 	thresholds := make([]float64, cfg.DeltaR-1)
 
 	if avg := testing.AllocsPerRun(20, func() {
 		solver.prepare()
-		solver.inductWindow(stages, thresholds)
+		solver.inductWindow(thresholds)
 	}); avg != 0 {
 		t.Fatalf("arena-backed re-solve allocates %v per run, want 0", avg)
 	}

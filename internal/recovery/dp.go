@@ -18,9 +18,6 @@ type DPConfig struct {
 	DeltaR int
 	// GridSize is the number of belief-grid intervals (default 500).
 	GridSize int
-	// BisectIterations bounds the bisection on the average cost for the
-	// stationary problem (default 40).
-	BisectIterations int
 	// MaxValueIterations bounds the stationary value iteration (default 5000).
 	MaxValueIterations int
 }
@@ -28,9 +25,6 @@ type DPConfig struct {
 func (c DPConfig) withDefaults() DPConfig {
 	if c.GridSize <= 0 {
 		c.GridSize = 500
-	}
-	if c.BisectIterations <= 0 {
-		c.BisectIterations = 40
 	}
 	if c.MaxValueIterations <= 0 {
 		c.MaxValueIterations = 5000
@@ -51,8 +45,9 @@ func (c DPConfig) Normalized() DPConfig { return c.withDefaults() }
 // window. For Delta_R = infinity the process renews at (threshold-triggered)
 // recoveries instead, and the average cost rho solves g(rho) = 0 where g is
 // the optimal expected (cost - rho * time) per recovery cycle; rho is found
-// by bisection. Crash absorption (probability <= pC2 per step) is ignored by
-// the DP and handled by the simulator; the induced bias is O(pC2).
+// by safeguarded regula falsi. Crash absorption (probability <= pC2 per
+// step) is ignored by the DP and handled by the simulator; the induced bias
+// is O(pC2).
 type DPSolution struct {
 	// AvgCost is the optimal long-run average cost J* (eq. 5).
 	AvgCost float64
@@ -60,11 +55,6 @@ type DPSolution struct {
 	// position k = 1..len(Thresholds) (Fig 15, Cor. 1); for
 	// DeltaR = infinity it has a single stationary entry.
 	Thresholds []float64
-	// Grid is the belief grid used.
-	Grid []float64
-	// Value is the optimal cost-to-go at grid beliefs per window position
-	// (finite Delta_R) or the stationary relative value (infinite).
-	Value [][]float64
 }
 
 // Threshold returns alpha*_k clamped to the available window positions.
@@ -89,17 +79,17 @@ func (s *DPSolution) Strategy(deltaR int) *ThresholdStrategy {
 	return &ThresholdStrategy{Thresholds: th, DeltaR: deltaR}
 }
 
-// Arena is reusable scratch storage for dpSolver: the stencil tables,
-// value-iteration buffers and prediction cache of a solve, kept as raw
+// Arena is reusable scratch storage for dpSolver: the belief grid, stencil
+// tables, value buffers and prediction cache of a solve, kept as raw
 // slabs that re-dimension (grow once, then slice) instead of reallocating
 // per solve. Solutions computed through a shared arena are bit-identical to
 // fresh-solver solutions for any (params, config) sequence — prepare fully
 // re-derives every slab entry it reads (guarded by
-// TestDPArenaReuseBitIdentical). Solver *output* (DPSolution's value
-// arrays, grid and thresholds) is never arena-backed: solutions escape into
-// long-lived caches, so they get their own allocations. An Arena is for one
-// solve at a time; callers that solve in parallel hold one arena per
-// worker (the fleet strategy cache pools them per-P).
+// TestDPArenaReuseBitIdentical). Solver *output* (DPSolution's thresholds)
+// is never arena-backed: solutions escape into long-lived caches, so they
+// get their own allocations. An Arena is for one solve at a time; callers
+// that solve in parallel hold one arena per worker (the fleet strategy
+// cache pools them per-P).
 type Arena struct {
 	floats  []float64
 	ints    []int32
@@ -151,16 +141,11 @@ func SolveDPWith(p nodemodel.Params, cfg DPConfig, arena *Arena) (*DPSolution, e
 	if arena == nil {
 		arena = NewArena()
 	}
-
-	grid := make([]float64, cfg.GridSize+1)
-	for i := range grid {
-		grid[i] = float64(i) / float64(cfg.GridSize)
-	}
-	solver := &dpSolver{p: p, cfg: cfg, grid: grid, ar: arena}
+	solver := &dpSolver{p: p, cfg: cfg, ar: arena}
 	solver.prepare()
 
 	if cfg.DeltaR != InfiniteDeltaR {
-		return solver.solveWindow()
+		return solver.solveWindow(), nil
 	}
 	return solver.solveStationary()
 }
@@ -193,12 +178,13 @@ type dpSolver struct {
 	// zero-probability observations.
 	resetSt []stencilEntry
 
-	// Double buffers for the stationary value iteration and the shared
-	// expectation accumulator. warm records that buf0 holds the converged
-	// stopping value of the previous rho, so the next bisection step's
-	// fixed-point iteration starts there instead of from zero — successive
-	// rhos differ by a halving interval, so their fixed points are close
-	// and the iteration converges in a fraction of the cold-start sweeps.
+	// Value buffers (the window induction uses buf0, the stationary value
+	// iteration ping-pongs the two) and the shared expectation accumulator.
+	// warm records that buf0 holds the converged stopping value of the
+	// previous rho, so the root finder's next probe starts its fixed-point
+	// iteration there instead of from zero — successive probes close in on
+	// one root, so their fixed points are close and the iteration converges
+	// in a fraction of the cold-start sweeps.
 	buf0, buf1, accBuf []float64
 	warm               bool
 }
@@ -237,21 +223,25 @@ func stencilEntryFor(pb, zh, zc float64, n int) stencilEntry {
 	return stencilEntry{idx: int32(i), po: po, frac: frac, omfrac: omfrac}
 }
 
-// prepare caches the belief-transition stencils. All float storage comes
-// from one arena slab carved into the solver's views; the slabs are
-// zero-filled on reuse (grabFloats/grabInts), because the stencil fill
-// below skips zero-probability entries — an arena inherited from a
-// different (params, config) solve must not leak stale weights through
-// that skip path.
+// prepare lays out the belief grid and caches the belief-transition
+// stencils. All float storage comes from one arena slab carved into the
+// solver's views; the slabs are zero-filled on reuse (grabFloats/
+// grabInts), because the stencil fill below skips zero-probability entries
+// — an arena inherited from a different (params, config) solve must not
+// leak stale weights through that skip path.
 func (d *dpSolver) prepare() {
 	numObs := d.p.NumObs()
 	zH, zC := d.p.ZHealthy, d.p.ZCompromised
-	g := len(d.grid)
-	arena := d.ar.grabFloats(2*numObs*g + 4*g)
+	g := d.cfg.GridSize + 1
+	arena := d.ar.grabFloats(2*numObs*g + 5*g)
 	cut := func(size int) []float64 {
 		s := arena[:size:size]
 		arena = arena[size:]
 		return s
+	}
+	d.grid = cut(g)
+	for i := range d.grid {
+		d.grid[i] = float64(i) / float64(d.cfg.GridSize)
 	}
 	d.stWlo = cut(numObs * g)
 	d.stWhi = cut(numObs * g)
@@ -332,62 +322,46 @@ func (d *dpSolver) expectReset(w []float64) float64 {
 // length DeltaR: position DeltaR carries the forced recovery (cost 1) and
 // ends the window; earlier positions choose between waiting (cost eta*b)
 // and recovering (cost 1, belief reset to pA).
-func (d *dpSolver) solveWindow() (*DPSolution, error) {
-	deltaR := d.cfg.DeltaR
-	g := len(d.grid)
-	// One backing array for all window stages: the per-stage values are
-	// solver output (DPSolution.Value), so they are allocated per solve —
-	// never from the arena — but one block keeps the backward induction off
-	// the allocator.
-	backing := make([]float64, deltaR*g)
-	stages := make([][]float64, deltaR)
-	for k := range stages {
-		stages[k] = backing[k*g : (k+1)*g : (k+1)*g]
-	}
-	thresholds := make([]float64, max(deltaR-1, 1))
-	avg := d.inductWindow(stages, thresholds)
-	if deltaR == 1 {
+func (d *dpSolver) solveWindow() *DPSolution {
+	thresholds := make([]float64, max(d.cfg.DeltaR-1, 1))
+	avg := d.inductWindow(thresholds)
+	if d.cfg.DeltaR == 1 {
 		thresholds[0] = 0
 	}
-	return &DPSolution{
-		AvgCost:    avg,
-		Thresholds: thresholds,
-		Grid:       d.grid,
-		Value:      stages,
-	}, nil
+	return &DPSolution{AvgCost: avg, Thresholds: thresholds}
 }
 
-// inductWindow runs the backward induction into the caller's stage and
-// threshold storage and returns the average window cost. It is the
-// allocation-free core of solveWindow, split out so the arena-reuse guard
-// test can re-solve without the output allocations. stages must hold
-// DeltaR grid-length rows; thresholds holds max(DeltaR-1, 1) entries
-// (position k's threshold at index k-1; untouched for DeltaR = 1).
-func (d *dpSolver) inductWindow(stages [][]float64, thresholds []float64) float64 {
+// inductWindow runs the backward induction into the caller's threshold
+// storage and returns the average window cost. Each stage reads the next
+// one only through expectReset and expectWaitAll, both done before the
+// stage writes, so one arena buffer holds V(., k+1) and is overwritten in
+// place by V(., k). It is the allocation-free core of solveWindow, split
+// out so the arena-reuse guard test can re-solve without the output
+// allocation. thresholds holds max(DeltaR-1, 1) entries (position k's
+// threshold at index k-1; untouched for DeltaR = 1).
+func (d *dpSolver) inductWindow(thresholds []float64) float64 {
 	p := d.p
 	deltaR := d.cfg.DeltaR
-	forced := stages[deltaR-1]
-	for i := range forced {
-		forced[i] = 1 // forced recovery cost; window ends here
+	v := d.buf0
+	for i := range v {
+		v[i] = 1 // forced recovery cost; window ends here
 	}
 
 	for k := deltaR - 1; k >= 1; k-- {
-		next := stages[k] // V(., k+1)
-		recoverVal := 1 + d.expectReset(next)
-		d.expectWaitAll(next, d.accBuf)
-		cur := stages[k-1]
+		recoverVal := 1 + d.expectReset(v)
+		d.expectWaitAll(v, d.accBuf)
 		threshold := 1.0
 		set := false
 		for i, b := range d.grid {
 			waitVal := p.Eta*b + d.accBuf[i]
 			if recoverVal <= waitVal {
-				cur[i] = recoverVal
+				v[i] = recoverVal
 				if !set {
 					threshold = b
 					set = true
 				}
 			} else {
-				cur[i] = waitVal
+				v[i] = waitVal
 			}
 		}
 		thresholds[k-1] = threshold
@@ -396,66 +370,115 @@ func (d *dpSolver) inductWindow(stages [][]float64, thresholds []float64) float6
 	if deltaR == 1 {
 		return 1 // every step is a forced recovery
 	}
-	return d.expectReset(stages[0]) / float64(deltaR)
+	return d.expectReset(v) / float64(deltaR)
 }
 
-// solveStationary solves the unconstrained problem by bisection on rho over
-// the renewal-at-recovery decomposition: for fixed rho the optimal stopping
+// rhoTolerance is the bracket width at which the stationary root finder
+// stops: the returned average cost is within it of the root.
+const rhoTolerance = 1e-11
+
+// solveStationary solves the unconstrained problem over the
+// renewal-at-recovery decomposition: for fixed rho the optimal stopping
 // value W satisfies
 //
 //	W(b) = min( 1 - rho,  eta*b - rho + E_o W(b') ),
 //
 // and the optimal rho zeroes the cycle-start value E_o W(b_1(o)).
 func (d *dpSolver) solveStationary() (*DPSolution, error) {
-	p := d.p
-	lo, hi := 0.0, p.Eta+1
-	var w []float64
-	var err error
-	for it := 0; it < d.cfg.BisectIterations; it++ {
-		rho := (lo + hi) / 2
+	rho, w, err := d.stationaryRoot()
+	if err != nil {
+		return nil, err
+	}
+	return &DPSolution{AvgCost: rho, Thresholds: []float64{d.stationaryThreshold(rho, w)}}, nil
+}
+
+// stationaryThreshold extracts the stationary threshold from the stopping
+// value w at rho: the first grid belief at which recovering costs no more
+// than waiting (1 when there is none).
+func (d *dpSolver) stationaryThreshold(rho float64, w []float64) float64 {
+	recoverVal := 1 - rho
+	d.expectWaitAll(w, d.accBuf)
+	for i, b := range d.grid {
+		if waitVal := d.p.Eta*b - rho + d.accBuf[i]; recoverVal <= waitVal {
+			return b
+		}
+	}
+	return 1
+}
+
+// stationaryRoot finds the optimal average cost: the root of the
+// cycle-start value g(rho) = E_o W_rho(b_1(o)), which decreases in rho
+// (every waiting step costs rho more). g(0) >= 0 because no cost is
+// negative, and g(1) <= 0 because recovering at every step costs exactly 1,
+// so the root lies in [0, 1]. Each probe of g is a stopping-value iteration
+// warm-started from the previous probe's fixed point, so the cost of the
+// search is the distance its probes travel: a regula falsi (the Illinois
+// variant, which halves the g of an end kept twice in a row) closes on the
+// root superlinearly where a bisection spends a probe per bit of rho.
+//
+// Two safeguards bound the worst case by a bisection's: a probe bisects
+// when either end has no g (it has not been probed, or its probe did not
+// converge) or when the three probes before it together failed to halve
+// the bracket (Illinois may need a few same-side probes to shrink a far
+// end's g enough to step past the root); and a secant probe stays
+// rhoTolerance/2 inside the bracket, so a root next to one end collapses
+// the bracket instead of creeping toward it.
+//
+// The returned rho is a bracket end at most rhoTolerance from the root, and
+// w (aliasing the solver's buffer) is its converged stopping value.
+func (d *dpSolver) stationaryRoot() (rho float64, w []float64, err error) {
+	lo, hi := 0.0, 1.0
+	glo, ghi := math.NaN(), math.NaN()
+	// The bracket's width three, two and one probes ago, and the end the
+	// last probe replaced (-1 lo, +1 hi).
+	widths := [3]float64{math.Inf(1), math.Inf(1), math.Inf(1)}
+	side := 0
+	for hi-lo > rhoTolerance {
+		width := hi - lo
+		if math.IsNaN(glo) || math.IsNaN(ghi) || width > widths[0]/2 {
+			rho = lo + width/2
+		} else {
+			rho = lo + width*glo/(glo-ghi)
+			rho = min(max(rho, lo+rhoTolerance/2), hi-rhoTolerance/2)
+		}
+		widths = [3]float64{widths[1], widths[2], width}
 		w, err = d.stoppingValue(rho)
+		g := d.expectReset(w)
 		if err != nil {
 			// Above the average cost of waiting forever the stopping value
 			// has no finite fixed point: every sweep lowers it. An iterate
 			// whose cycle-start value is already negative has answered the
-			// bisection's question (rho is too high) without converging; it
-			// is no start point for the next probe.
-			if d.expectReset(w) >= 0 {
-				return nil, err
+			// question (rho is too high) without converging; it gives no g
+			// for a secant and is no start point for the next probe.
+			if g >= 0 {
+				return 0, nil, err
 			}
-			hi = rho
+			hi, ghi, side = rho, math.NaN(), 1
 			d.warm = false
 			continue
 		}
-		if d.expectReset(w) > 0 {
-			lo = rho
-		} else {
-			hi = rho
+		switch {
+		case g > 0:
+			if side < 0 {
+				ghi /= 2
+			}
+			lo, glo, side = rho, g, -1
+		case g < 0:
+			if side > 0 {
+				glo /= 2
+			}
+			hi, ghi, side = rho, g, 1
+		default:
+			return rho, w, nil
 		}
 	}
-	rho := (lo + hi) / 2
+	if d.warm {
+		return rho, w, nil
+	}
+	// The last probe set hi without converging; lo is within the tolerance.
+	rho = lo
 	w, err = d.stoppingValue(rho)
-	if err != nil {
-		return nil, err
-	}
-
-	// Extract the stationary threshold.
-	threshold := 1.0
-	recoverVal := 1 - rho
-	d.expectWaitAll(w, d.accBuf)
-	for i, b := range d.grid {
-		waitVal := p.Eta*b - rho + d.accBuf[i]
-		if recoverVal <= waitVal {
-			threshold = b
-			break
-		}
-	}
-	return &DPSolution{
-		AvgCost:    rho,
-		Thresholds: []float64{threshold},
-		Grid:       d.grid,
-		Value:      [][]float64{append([]float64(nil), w...)},
-	}, nil
+	return rho, w, err
 }
 
 // stoppingValue iterates the optimal-stopping fixed point for a given rho.
@@ -465,11 +488,8 @@ func (d *dpSolver) solveStationary() (*DPSolution, error) {
 // unique and the iteration is a contraction, so the start point changes
 // only the sweep count, not the limit — within the 1e-10 stopping
 // tolerance). The returned slice aliases the solver's converged buffer: it
-// is valid until the next stoppingValue call, and callers that keep it
-// (solveStationary's final solution) copy it themselves. During bisection
-// the value is only read through expectReset before the next call, so the
-// aliasing saves one grid-sized allocation per bisection step. With
-// ErrDPNotConverged the slice is the last iterate, not a fixed point.
+// is valid until the next stoppingValue call. With ErrDPNotConverged the
+// slice is the last iterate, not a fixed point.
 func (d *dpSolver) stoppingValue(rho float64) ([]float64, error) {
 	p := d.p
 	recoverVal := 1 - rho

@@ -386,33 +386,39 @@ func TestThresholdMonotoneRecoveryFrequency(t *testing.T) {
 	}
 }
 
-// TestSolveStationaryFixedPoint pins the warm-start contract: the
-// bisection's stopping-value iteration now starts each rho from the
-// previous rho's fixed point, which must not change what it converges to.
-// The returned stationary value has to satisfy the optimality equation
+// TestSolveStationaryFixedPoint pins the warm-start contract: the root
+// finder's stopping-value iteration starts each probe from the previous
+// probe's fixed point, which must not change what it converges to. The
+// returned stationary value has to satisfy the optimality equation
 // W(b) = min(1 - rho, eta*b - rho + E_o W(b')) at every grid belief, and
 // the cycle-start value E_o W(b_1(o)) has to be (approximately) zero — the
 // defining property of the optimal average cost.
 func TestSolveStationaryFixedPoint(t *testing.T) {
 	p := nodemodel.DefaultParams()
 	cfg := DPConfig{DeltaR: InfiniteDeltaR}
-	sol, err := SolveDP(p, cfg)
+	solver := &dpSolver{p: p, cfg: cfg.withDefaults(), ar: NewArena()}
+	solver.prepare()
+	rho, w, err := solver.stationaryRoot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	solver := &dpSolver{p: p, cfg: cfg.withDefaults(), grid: sol.Grid, ar: NewArena()}
-	solver.prepare()
-	w := sol.Value[0]
 	solver.expectWaitAll(w, solver.accBuf)
-	recoverVal := 1 - sol.AvgCost
-	for i, b := range sol.Grid {
-		v := math.Min(recoverVal, p.Eta*b-sol.AvgCost+solver.accBuf[i])
+	recoverVal := 1 - rho
+	for i, b := range solver.grid {
+		v := math.Min(recoverVal, p.Eta*b-rho+solver.accBuf[i])
 		if math.Abs(v-w[i]) > 1e-8 {
 			t.Fatalf("Bellman residual %g at b = %v", v-w[i], b)
 		}
 	}
 	if reset := solver.expectReset(w); math.Abs(reset) > 1e-6 {
 		t.Errorf("cycle-start value = %g, want ~0 at the optimal rho", reset)
+	}
+	sol, err := SolveDP(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.AvgCost != rho {
+		t.Errorf("SolveDP rho %v, root finder %v", sol.AvgCost, rho)
 	}
 
 	// Determinism: a second solve (its own warm-start sequence) is

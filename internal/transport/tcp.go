@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -272,6 +273,9 @@ func (e *TCPEndpoint) readLoop(conn net.Conn) {
 func writeFrame(w io.Writer, from string, payload []byte) error {
 	if len(payload) > maxFrame {
 		return fmt.Errorf("transport: frame too large (%d bytes)", len(payload))
+	}
+	if len(from) > math.MaxUint16 {
+		return fmt.Errorf("transport: sender address too long (%d bytes)", len(from))
 	}
 	header := make([]byte, 2+len(from)+4)
 	binary.BigEndian.PutUint16(header[:2], uint16(len(from)))
