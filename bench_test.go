@@ -283,18 +283,17 @@ func BenchmarkFig11EmpiricalZ(b *testing.B) {
 	}
 }
 
-// BenchmarkTable7Evaluation runs one Table 7 cell (N1 = 6, Delta_R = 15)
-// per strategy on the emulated testbed.
+// BenchmarkTable7Evaluation runs the table7 suite (every N1 x ΔR group,
+// all four strategies) at a reduced budget on the emulated testbed.
 func BenchmarkTable7Evaluation(b *testing.B) {
-	cfg := CompareConfig{N1: 6, DeltaR: 15, Steps: 300, Seeds: []int64{1, 2, 3}}
-	b.ResetTimer()
+	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		rows, err := Compare(cfg)
+		report, err := RunSuite(ctx, SuiteByName("table7"), WithSteps(300), WithSeedsPerCell(3))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(rows) != 4 {
-			b.Fatalf("%d strategies", len(rows))
+		if n := len(table7Group(report, 6, 15)); n != 4 {
+			b.Fatalf("%d strategies", n)
 		}
 	}
 }

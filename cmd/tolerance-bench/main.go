@@ -23,6 +23,7 @@ import (
 	"tolerance"
 	"tolerance/internal/cmdp"
 	"tolerance/internal/emulation"
+	"tolerance/internal/fleet"
 	"tolerance/internal/ids"
 	"tolerance/internal/nodemodel"
 	"tolerance/internal/opt"
@@ -352,37 +353,36 @@ func fig18(bool) error {
 	return nil
 }
 
+// table7 runs the table7 suite once — at its own budget with -full, else
+// 600 steps and 5 seeds per cell — and prints its nine (N1, ΔR) groups.
 func table7(full bool) error {
-	steps := 600
-	numSeeds := 5
-	if full {
-		steps, numSeeds = 1000, 20
+	suite, err := fleet.Lookup("table7")
+	if err != nil {
+		return err
 	}
-	seeds := make([]int64, numSeeds)
-	for i := range seeds {
-		seeds[i] = int64(i + 1)
+	if !full {
+		suite.Steps, suite.SeedsPerCell = 600, 5
 	}
-	for _, n1 := range []int{3, 6, 9} {
-		for _, deltaR := range []int{15, 25, recovery.InfiniteDeltaR} {
-			label := fmt.Sprintf("%d", deltaR)
-			if deltaR == recovery.InfiniteDeltaR {
+	res, err := fleet.Run(context.Background(), suite, fleet.Config{})
+	if err != nil {
+		return err
+	}
+	// Cells expand with the policy innermost, so each (N1, ΔR) group is a
+	// run of consecutive cells.
+	for i, c := range res.Cells {
+		if i == 0 || c.Cell.N1 != res.Cells[i-1].Cell.N1 || c.Cell.DeltaR != res.Cells[i-1].Cell.DeltaR {
+			label := fmt.Sprintf("%d", c.Cell.DeltaR)
+			if c.Cell.DeltaR == recovery.InfiniteDeltaR {
 				label = "inf"
 			}
-			fmt.Printf("N1=%d deltaR=%s:\n", n1, label)
-			rows, err := tolerance.Compare(tolerance.CompareConfig{
-				N1: n1, DeltaR: deltaR, Steps: steps, Seeds: seeds,
-			})
-			if err != nil {
-				return err
-			}
+			fmt.Printf("N1=%d deltaR=%s:\n", c.Cell.N1, label)
 			fmt.Printf("  %-18s %8s %12s %10s\n", "strategy", "T(A)", "T(R)", "F(R)")
-			for _, r := range rows {
-				fmt.Printf("  %-18s %4.2f±%.2f %7.1f±%5.1f %5.3f±%.3f\n",
-					r.Strategy, r.Availability, r.AvailabilityCI,
-					r.TimeToRecovery, r.TimeToRecoveryCI,
-					r.RecoveryFrequency, r.RecoveryFreqCI)
-			}
 		}
+		a := c.Aggregate
+		fmt.Printf("  %-18s %4.2f±%.2f %7.1f±%5.1f %5.3f±%.3f\n",
+			c.Cell.Policy, a.Availability.Mean, a.Availability.CI,
+			a.TimeToRecovery.Mean, a.TimeToRecovery.CI,
+			a.RecoveryFrequency.Mean, a.RecoveryFrequency.CI)
 	}
 	return nil
 }

@@ -1,7 +1,8 @@
-// tolerance-sim runs one emulated testbed scenario (§VIII-A) and prints the
-// evaluation metrics. The policy is any registered strategy kind, so the
-// exact strategies, the baselines and the learned kinds all run through the
-// same flag:
+// tolerance-sim runs one emulated testbed configuration (§VIII-A) over
+// several seeds and prints the evaluation metrics. The flags describe a
+// one-cell fleet suite, so the run takes the same path as every grid. The
+// policy is any registered strategy kind, so the exact strategies, the
+// baselines and the learned kinds all run through the same flag:
 //
 //	tolerance-sim -n1 6 -deltar 15 -steps 1000 -policy TOLERANCE
 //	tolerance-sim -n1 3 -policy NO-RECOVERY -seeds 20
@@ -21,12 +22,12 @@ import (
 	"strings"
 	"syscall"
 
-	"tolerance/internal/emulation"
 	"tolerance/internal/fleet"
-	"tolerance/internal/nodemodel"
-	"tolerance/internal/strategies"
 	"tolerance/internal/telemetry"
 )
+
+// fitSamples is M for the Ẑ estimation: the paper's 25 000.
+const fitSamples = 25000
 
 func main() {
 	if err := run(); err != nil {
@@ -52,7 +53,7 @@ func run() error {
 		"strategy kind (any registered strategy; see tolerance-fleet -list-strategies)")
 	pa := flag.Float64("pa", 0.1, "per-step compromise probability")
 	epsa := flag.Float64("epsa", 0.9, "availability bound for replication")
-	trainSeed := flag.Int64("train-seed", 1, "training seed for learned policies")
+	seed := flag.Int64("seed", 1, "suite master seed: scenario seeds and learned-policy training derive from it")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :8417; empty = off)")
 	flag.Parse()
 
@@ -75,54 +76,32 @@ func run() error {
 		stop()
 	}()
 
-	params := nodemodel.DefaultParams()
-	params.PA = *pa
-
-	f := emulation.DefaultThreshold(*n1)
-	smax := 13
-
 	name := *policyName
 	if canonical, ok := legacyNames[strings.ToLower(name)]; ok {
 		name = canonical
 	}
-	strat, ok := strategies.Lookup(name)
-	if !ok {
-		return fmt.Errorf("unknown policy %q (known: %s)",
-			name, strings.Join(strategies.Names(), ", "))
+	suite := fleet.Suite{
+		Name:         "tolerance-sim",
+		Seed:         *seed,
+		SeedsPerCell: *seeds,
+		Steps:        *steps,
+		FitSamples:   fitSamples,
+		EpsilonA:     *epsa,
+		AttackRates:  []float64{*pa},
+		N1s:          []int{*n1},
+		DeltaRs:      []int{*deltaR},
+		Policies:     []fleet.PolicyKind{fleet.PolicyKind(name)},
 	}
-	policy, err := strat.Policy(ctx, strategies.Spec{
-		Params:    params,
-		N1:        *n1,
-		SMax:      smax,
-		F:         f,
-		K:         1,
-		DeltaR:    *deltaR,
-		EpsilonA:  *epsa,
-		Seed:      *trainSeed,
-		Telemetry: telemetry.NewTraining(col),
-	}, fleet.NewStrategyCache())
+	cache := fleet.NewStrategyCache()
+	cache.Instrument(col)
+	res, err := fleet.Run(ctx, suite, fleet.Config{Cache: cache, Telemetry: col})
 	if err != nil {
 		return err
 	}
-
-	seedList := make([]int64, *seeds)
-	for i := range seedList {
-		seedList[i] = int64(i + 1)
-	}
-	agg, err := emulation.RunSeeds(emulation.Scenario{
-		N1:     *n1,
-		SMax:   smax,
-		F:      f,
-		DeltaR: *deltaR,
-		Steps:  *steps,
-		Params: params,
-		Policy: policy,
-	}, seedList)
-	if err != nil {
-		return err
-	}
+	c := res.Cells[0]
+	agg := c.Aggregate
 	fmt.Printf("policy=%s N1=%d f=%d deltaR=%d steps=%d seeds=%d\n",
-		policy.Name(), *n1, f, *deltaR, *steps, *seeds)
+		c.Cell.Policy, c.Cell.N1, c.Cell.F, c.Cell.DeltaR, *steps, c.Runs)
 	fmt.Printf("T(A) = %.3f ± %.3f\n", agg.Availability.Mean, agg.Availability.CI)
 	fmt.Printf("T(R) = %.2f ± %.2f\n", agg.TimeToRecovery.Mean, agg.TimeToRecovery.CI)
 	fmt.Printf("F(R) = %.4f ± %.4f\n", agg.RecoveryFrequency.Mean, agg.RecoveryFrequency.CI)

@@ -1,6 +1,6 @@
 // Quickstart: solve both TOLERANCE control problems through the unified
-// Solve facade and evaluate the resulting strategies against the baselines
-// on the emulated testbed.
+// Solve facade, then evaluate TOLERANCE against the baselines on the
+// emulated testbed through the built-in table7 suite.
 //
 //	go run ./examples/quickstart
 package main
@@ -56,18 +56,21 @@ func run() error {
 	}
 	fmt.Printf("\n\n")
 
-	// Evaluate TOLERANCE against the baselines (one small Table 7 cell).
-	fmt.Printf("Evaluation (N1=6, DeltaR=15, 400 steps, 3 seeds)\n")
-	rows, err := tolerance.Compare(tolerance.CompareConfig{
-		N1: 6, DeltaR: 15, Steps: 400, Seeds: []int64{1, 2, 3},
-	})
+	// Evaluate TOLERANCE against the baselines: the built-in table7 suite
+	// (the paper's Table 7 grid) at a reduced budget, one row group shown.
+	fmt.Printf("Evaluation (table7 suite, 400 steps, 3 seeds; group N1=6, DeltaR=15)\n")
+	report, err := tolerance.RunSuite(ctx, tolerance.SuiteByName("table7"),
+		tolerance.WithSteps(400), tolerance.WithSeedsPerCell(3))
 	if err != nil {
-		return fmt.Errorf("compare: %w", err)
+		return fmt.Errorf("run table7: %w", err)
 	}
 	fmt.Printf("  %-18s %8s %10s %8s\n", "strategy", "T(A)", "T(R)", "F(R)")
-	for _, r := range rows {
+	for _, c := range report.Cells {
+		if c.N1 != 6 || c.DeltaR != 15 {
+			continue
+		}
 		fmt.Printf("  %-18s %8.3f %10.2f %8.4f\n",
-			r.Strategy, r.Availability, r.TimeToRecovery, r.RecoveryFrequency)
+			c.Strategy, c.Availability, c.TimeToRecovery, c.RecoveryFrequency)
 	}
 	return nil
 }

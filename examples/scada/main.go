@@ -12,13 +12,6 @@ import (
 	"log"
 
 	"tolerance"
-	"tolerance/internal/baselines"
-	"tolerance/internal/cmdp"
-	"tolerance/internal/emulation"
-	"tolerance/internal/fleet"
-	"tolerance/internal/nodemodel"
-	"tolerance/internal/recovery"
-	"tolerance/internal/strategies"
 )
 
 func main() {
@@ -27,77 +20,85 @@ func main() {
 	}
 }
 
+// scadaSuite is one crash-heavy grid group (field deployments on
+// substations): TOLERANCE with and without adaptive replication, a learned
+// competitor — Algorithm 1 (CEM) trains thresholds for this exact model —
+// and the PERIODIC baseline.
+const scadaSuite = `{
+	"version": 1,
+	"name": "scada",
+	"seed": 1,
+	"seedsPerCell": 5,
+	"steps": 800,
+	"epsilonA": 0.95,
+	"attackRates": [0.08],
+	"crashProfiles": [{"pc1": 5e-3, "pc2": 2e-2}],
+	"n1s": [9],
+	"deltaRs": [25],
+	"policies": ["TOLERANCE", "TOLERANCE-STATIC", "learned:cem", "PERIODIC"],
+	"learned": {"budget": 60, "episodes": 10, "horizon": 100}
+}`
+
+// staticReplication is TOLERANCE's recovery half alone: the exact
+// Theorem 1 thresholds for the scenario's model, and no node is ever added.
+// The zero value is the registered strategy; Policy returns one holding the
+// solved thresholds.
+type staticReplication struct{ rec *tolerance.RecoveryStrategy }
+
+func (staticReplication) Name() string { return "TOLERANCE-STATIC" }
+
+func (staticReplication) Describe() string {
+	return "Theorem 1 DP recovery thresholds, static replication (never adds nodes)"
+}
+
+func (staticReplication) Fingerprint(spec tolerance.ScenarioSpec) string {
+	return fmt.Sprintf("%+v|dr=%d", spec.Model, spec.DeltaR)
+}
+
+func (staticReplication) Policy(ctx context.Context, spec tolerance.ScenarioSpec) (tolerance.Policy, error) {
+	sol, err := tolerance.Solve(ctx, tolerance.RecoveryProblem{Model: spec.Model, DeltaR: spec.DeltaR})
+	if err != nil {
+		return nil, err
+	}
+	return staticReplication{sol.Recovery}, nil
+}
+
+func (staticReplication) UsesBTR() bool                      { return true }
+func (staticReplication) AddNode(tolerance.SystemState) bool { return false }
+
+func (p staticReplication) Recover(s tolerance.NodeState) bool {
+	return p.rec.ShouldRecover(s.Belief, s.WindowPos)
+}
+
 func run() error {
-	// Harsh environment: higher crash rates than the default model (field
-	// deployments on substations).
-	params := nodemodel.DefaultParams()
-	params.PA = 0.08
-	params.PC1 = 5e-3 // frequent hardware crashes
-	params.PC2 = 2e-2
+	ctx := context.Background()
+	// Harsh environment: higher crash rates than the default model.
+	model := tolerance.DefaultNodeModel()
+	model.PA = 0.08
+	model.PC1 = 5e-3 // frequent hardware crashes
+	model.PC2 = 2e-2
 
 	fmt.Println("SCADA scenario: N1 = 9, f = 2, k = 1, crash-heavy environment")
 
-	dp, err := recovery.SolveDP(params, recovery.DPConfig{DeltaR: recovery.InfiniteDeltaR})
+	sol, err := tolerance.Solve(ctx, tolerance.RecoveryProblem{Model: model, DeltaR: tolerance.InfiniteDeltaR})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("recovery threshold alpha* = %.3f (J* = %.4f)\n\n", dp.Thresholds[0], dp.AvgCost)
+	rec := sol.Recovery
+	fmt.Printf("recovery threshold alpha* = %.3f (J* = %.4f)\n\n", rec.Thresholds[0], rec.ExpectedCost)
 
-	model, err := cmdp.NewBinomialModel(13, 2, 0.95, 0.93, 0)
+	if err := tolerance.RegisterStrategy(staticReplication{}); err != nil {
+		return err
+	}
+	report, err := tolerance.RunSuite(ctx, tolerance.SuiteFromJSON([]byte(scadaSuite)))
 	if err != nil {
 		return err
 	}
-	rep, err := cmdp.Solve(model)
-	if err != nil {
-		return err
-	}
-
-	// TOLERANCE with and without adaptive replication: with frequent
-	// crashes the static variant bleeds nodes and loses availability.
-	adaptive, err := baselines.NewTolerance(dp.Strategy(recovery.InfiniteDeltaR), rep)
-	if err != nil {
-		return err
-	}
-	static, err := baselines.NewTolerance(dp.Strategy(recovery.InfiniteDeltaR), nil)
-	if err != nil {
-		return err
-	}
-
-	// A learned competitor from the strategy registry: Algorithm 1 (CEM)
-	// trains thresholds for this exact crash-heavy model — the same
-	// constructor path a "learned:cem" policy kind takes in a fleet suite.
-	cemStrat, ok := strategies.Lookup("learned:cem")
-	if !ok {
-		return fmt.Errorf("learned:cem not registered")
-	}
-	learned, err := cemStrat.Policy(context.Background(), strategies.Spec{
-		Params: params, N1: 9, SMax: 13, F: 2, K: 1, DeltaR: 25,
-		EpsilonA: 0.95, Seed: 1, Budget: 60, Episodes: 10, Horizon: 100,
-	}, fleet.NewStrategyCache())
-	if err != nil {
-		return err
-	}
-
 	fmt.Printf("%-28s %8s %10s %10s %9s %9s\n", "strategy", "T(A)", "T(A,quorum)", "T(R)", "F(R)", "avg N")
-	for _, pol := range []baselines.Policy{adaptive, static, learned, baselines.Periodic{}} {
-		name := pol.Name()
-		if pol == static {
-			name = "TOLERANCE (static repl.)"
-		}
-		agg, err := emulation.RunSeeds(emulation.Scenario{
-			N1:     9,
-			F:      2,
-			DeltaR: 25,
-			Steps:  800,
-			Params: params,
-			Policy: pol,
-		}, []int64{1, 2, 3, 4, 5})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-28s %8.3f %10.3f %10.2f %9.4f %9.2f\n", name,
-			agg.Availability.Mean, agg.QuorumAvailability.Mean,
-			agg.TimeToRecovery.Mean, agg.RecoveryFrequency.Mean, agg.AvgNodes.Mean)
+	for _, c := range report.Cells {
+		fmt.Printf("%-28s %8.3f %10.3f %10.2f %9.4f %9.2f\n", c.Strategy,
+			c.Availability, c.QuorumAvailability,
+			c.TimeToRecovery, c.RecoveryFrequency, c.AvgNodes)
 	}
 	fmt.Println("\nWith frequent crashes, the adaptive replication strategy keeps the")
 	fmt.Println("replication factor up while the static variant shrinks over time.")
@@ -105,7 +106,7 @@ func run() error {
 	// MTTF analytics (Fig 6) for capacity planning.
 	fmt.Println("\nMTTF without recovery (f=2, k=1):")
 	for _, n1 := range []int{7, 9, 11, 13} {
-		mttf, err := tolerance.MTTF(n1, 2, 1, (1-params.PA)*(1-params.PC1))
+		mttf, err := tolerance.MTTF(n1, 2, 1, (1-model.PA)*(1-model.PC1))
 		if err != nil {
 			return err
 		}

@@ -956,25 +956,6 @@ func (a *Accumulator) AggregateValue() Aggregate {
 	return out
 }
 
-// RunSeeds evaluates a scenario across seeds (the paper uses 20) and
-// summarizes each metric with a Student-t 95% confidence interval.
-func RunSeeds(base Scenario, seeds []int64) (*Aggregate, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("%w: no seeds", ErrBadScenario)
-	}
-	var acc Accumulator
-	for _, seed := range seeds {
-		s := base
-		s.Seed = seed
-		m, err := Run(s)
-		if err != nil {
-			return nil, err
-		}
-		acc.Add(m)
-	}
-	return acc.Aggregate(), nil
-}
-
 // tCritical95 approximates the two-sided 95% Student-t critical value by
 // table lookup with the nearest smaller degrees of freedom.
 func tCritical95(df int) float64 {

@@ -44,6 +44,7 @@ import (
 	"tolerance/internal/baselines"
 	"tolerance/internal/emulation"
 	"tolerance/internal/nodemodel"
+	"tolerance/internal/recovery"
 	"tolerance/internal/strategies"
 )
 
@@ -441,6 +442,9 @@ func (c Cell) scenario(policy baselines.Policy, seed int64, steps, fitSamples in
 //   - cluster-smoke: a two-scenario suite on the "cluster" backend — every
 //     scenario drives a live MinBFT replica group over loopback TCP with
 //     real process restarts (statistically reproducible, not byte-stable).
+//   - table7: the paper's Table 7 at its own budget — N1 x DeltaR (15, 25,
+//     infinity) x all four strategies, 20 seeds of 1 000 steps, M = 25 000
+//     (720 scenarios) on the Table 8 model.
 func Builtin() []Suite {
 	return []Suite{
 		{
@@ -523,6 +527,19 @@ func Builtin() []Suite {
 			DeltaRs:       []int{8},
 			Policies:      []PolicyKind{PolicyTolerance, PolicyPeriodic},
 			Backends:      []string{BackendCluster},
+		},
+		{
+			Name:         "table7",
+			Description:  "Table 7: TOLERANCE vs the three baselines over N1 x DeltaR (0 = infinity)",
+			Seed:         1,
+			SeedsPerCell: 20,
+			Steps:        1000,
+			FitSamples:   25000,
+			N1s:          []int{3, 6, 9},
+			DeltaRs:      []int{15, 25, recovery.InfiniteDeltaR},
+			Policies: []PolicyKind{
+				PolicyTolerance, PolicyNoRecovery, PolicyPeriodic, PolicyPeriodicAdaptive,
+			},
 		},
 	}
 }

@@ -181,8 +181,7 @@ func (s *workerSession) handshake(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		_, raw, err := s.call(ctx, proto.KindHello, proto.Hello{Version: proto.Version}, attempt,
-			func(k proto.Kind, _ json.RawMessage) bool { return k == proto.KindWelcome })
+		_, raw, err := s.call(ctx, proto.KindHello, proto.Hello{Version: proto.Version}, attempt, matchWelcome)
 		if err != nil {
 			if errors.Is(err, errSessionDrained) {
 				// The run ended while we were still saying hello.
@@ -240,20 +239,15 @@ func (s *workerSession) requestLease(ctx context.Context) (proto.Lease, bool, er
 		if s.drained {
 			return proto.Lease{}, true, nil
 		}
+		var lease proto.Lease
 		kind, raw, err := s.call(ctx, proto.KindLeaseRequest, proto.LeaseRequest{}, max(s.hb, time.Second),
-			func(k proto.Kind, _ json.RawMessage) bool { return k == proto.KindLease || k == proto.KindWait })
+			matchLease(s.total, &lease))
 		if err != nil {
 			return proto.Lease{}, false, err
 		}
 		if kind == proto.KindLease {
-			// A lease that does not parse or is not a non-empty range of the
-			// suite is dropped like any malformed frame: ask again.
-			var lease proto.Lease
-			if uerr := proto.Unmarshal(raw, &lease); uerr == nil && validLease(lease, s.total) {
-				s.waitBO.reset()
-				return lease, false, nil
-			}
-			continue
+			s.waitBO.reset()
+			return lease, false, nil
 		}
 		var wait proto.Wait
 		if uerr := proto.Unmarshal(raw, &wait); uerr == nil {
@@ -280,6 +274,41 @@ func (s *workerSession) requestLease(ctx context.Context) (proto.Lease, bool, er
 // total scenarios — the only leases the engine may execute.
 func validLease(l proto.Lease, total int) bool {
 	return 0 <= l.Start && l.Start < l.End && l.End <= total
+}
+
+// matchWelcome is the handshake's reply matcher.
+func matchWelcome(k proto.Kind, _ json.RawMessage) bool { return k == proto.KindWelcome }
+
+// matchLease is requestLease's reply matcher: a Wait, or a Lease that
+// parses into a valid range of a suite with total scenarios, which it
+// stores in *lease. Any other Lease is dropped like a malformed frame.
+func matchLease(total int, lease *proto.Lease) func(proto.Kind, json.RawMessage) bool {
+	return func(k proto.Kind, raw json.RawMessage) bool {
+		switch k {
+		case proto.KindWait:
+			return true
+		case proto.KindLease:
+			var l proto.Lease
+			if proto.Unmarshal(raw, &l) != nil || !validLease(l, total) {
+				return false
+			}
+			*lease = l
+			return true
+		}
+		return false
+	}
+}
+
+// matchAck is shipRecords' reply matcher: the RecordsAck of batch
+// (leaseID, seq).
+func matchAck(leaseID uint64, seq int) func(proto.Kind, json.RawMessage) bool {
+	return func(k proto.Kind, raw json.RawMessage) bool {
+		if k != proto.KindRecordsAck {
+			return false
+		}
+		var ack proto.RecordsAck
+		return proto.Unmarshal(raw, &ack) == nil && ack.LeaseID == leaseID && ack.Seq == seq
+	}
 }
 
 // runLease executes the leased range on the local engine, heartbeating in
@@ -366,14 +395,7 @@ func (s *workerSession) runLease(ctx context.Context, lease proto.Lease) error {
 // is harmless (first write wins).
 func (s *workerSession) shipRecords(ctx context.Context, leaseID uint64, seq int, batch []json.RawMessage) error {
 	msg := proto.Records{LeaseID: leaseID, Seq: seq, Records: batch}
-	_, _, err := s.call(ctx, proto.KindRecords, msg, max(s.hb, time.Second),
-		func(k proto.Kind, raw json.RawMessage) bool {
-			if k != proto.KindRecordsAck {
-				return false
-			}
-			var ack proto.RecordsAck
-			return proto.Unmarshal(raw, &ack) == nil && ack.LeaseID == leaseID && ack.Seq == seq
-		})
+	_, _, err := s.call(ctx, proto.KindRecords, msg, max(s.hb, time.Second), matchAck(leaseID, seq))
 	return err
 }
 
@@ -401,17 +423,8 @@ func (s *workerSession) call(ctx context.Context, kind proto.Kind, payload any,
 				if !ok {
 					return "", nil, fmt.Errorf("fleet: worker endpoint closed")
 				}
-				k, raw, derr := proto.Decode(msg.Payload)
-				if derr != nil {
-					continue
-				}
-				if match(k, raw) {
-					s.sendBO.reset()
-					return k, raw, nil
-				}
-				s.stray(k, raw)
-				if s.drained {
-					return "", nil, errSessionDrained
+				if k, raw, done, err := s.frame(msg.Payload, match); done || err != nil {
+					return k, raw, err
 				}
 			default:
 				break queued
@@ -444,24 +457,35 @@ func (s *workerSession) call(ctx context.Context, kind proto.Kind, payload any,
 					timer.Stop()
 					return "", nil, fmt.Errorf("fleet: worker endpoint closed")
 				}
-				k, raw, derr := proto.Decode(msg.Payload)
-				if derr != nil {
-					continue
-				}
-				if match(k, raw) {
+				if k, raw, done, err := s.frame(msg.Payload, match); done || err != nil {
 					timer.Stop()
-					s.sendBO.reset()
-					return k, raw, nil
-				}
-				s.stray(k, raw)
-				if s.drained {
-					timer.Stop()
-					return "", nil, errSessionDrained
+					return k, raw, err
 				}
 			}
 		}
 	}
 	return "", nil, fmt.Errorf("fleet: coordinator %s unreachable: %w", s.cfg.Coordinator, lastErr)
+}
+
+// frame handles one coordinator frame that arrives while call waits:
+// done reports that it is the reply match accepts, returned as (k, raw).
+// Undecodable frames are dropped. Any other frame is a stray: a drain
+// notice sets s.drained, and once the session is drained a stray fails the
+// call with errSessionDrained.
+func (s *workerSession) frame(payload []byte, match func(proto.Kind, json.RawMessage) bool) (k proto.Kind, raw json.RawMessage, done bool, err error) {
+	k, raw, derr := proto.Decode(payload)
+	if derr != nil {
+		return "", nil, false, nil
+	}
+	if match(k, raw) {
+		s.sendBO.reset()
+		return k, raw, true, nil
+	}
+	s.stray(k, raw)
+	if s.drained {
+		return "", nil, false, errSessionDrained
+	}
+	return "", nil, false, nil
 }
 
 // stray handles messages that arrive outside their expected window.

@@ -26,10 +26,9 @@ const (
 	DefaultIterations = 10
 )
 
-// dpGridSize is the evaluation harness's Problem 1 solver grid (the
-// GridSize 300 of the Compare harness — accurate thresholds at grid-sweep
-// speed). It is part of the TOLERANCE fingerprint contract: changing it
-// invalidates strategy caches and shifts thresholds.
+// dpGridSize is the evaluation harness's Problem 1 solver grid (accurate
+// thresholds at grid-sweep speed). It is part of the TOLERANCE fingerprint
+// contract: changing it invalidates strategy caches and shifts thresholds.
 const dpGridSize = 300
 
 func mustRegister(s Strategy) {

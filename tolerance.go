@@ -26,10 +26,12 @@
 //     flight; cancelling ctx stops the pool promptly, leaving any
 //     checkpoint written from the stream valid for resumption.
 //
-// Evaluation helpers round out the facade: Compare reproduces the §VIII
-// Table 7 comparison, MTTF and Reliability the Fig 6 analytics, and
-// DetectorSensitivity the Fig 14 detector-quality sweep. All facade
-// validation failures wrap ErrBadInput.
+// The §VIII Table 7 comparison is the built-in "table7" suite:
+// RunSuite(ctx, SuiteByName("table7")) evaluates TOLERANCE and the three
+// §VIII-B baselines over N1 x ΔR on the same engine as every other grid.
+// Analytic helpers round out the facade: MTTF and Reliability for the Fig 6
+// analytics, DetectorSensitivity for the Fig 14 detector-quality sweep. All
+// facade validation failures wrap ErrBadInput.
 //
 // Lower-level building blocks (the MinBFT implementation, the
 // POMDP solvers, the emulation, the fleet engine) live under internal/ and
@@ -40,10 +42,8 @@ import (
 	"errors"
 	"fmt"
 
-	"tolerance/internal/baselines"
 	"tolerance/internal/cmdp"
 	"tolerance/internal/dist"
-	"tolerance/internal/emulation"
 	"tolerance/internal/nodemodel"
 	"tolerance/internal/recovery"
 )
@@ -98,119 +98,6 @@ func Reliability(n1, f, k, horizon int, q float64) ([]float64, error) {
 			ErrBadInput, n1, f, k, horizon, q)
 	}
 	return cmdp.Reliability(n1, f, k, horizon, q)
-}
-
-// StrategyMetrics reports one strategy's evaluation metrics with 95%
-// confidence half-widths (Table 7 cell).
-type StrategyMetrics struct {
-	Strategy          string
-	Availability      float64
-	AvailabilityCI    float64
-	TimeToRecovery    float64
-	TimeToRecoveryCI  float64
-	RecoveryFrequency float64
-	RecoveryFreqCI    float64
-	AvgNodes          float64
-}
-
-// CompareConfig configures a Table 7 comparison.
-type CompareConfig struct {
-	// N1 is the initial node count (paper: 3, 6, 9).
-	N1 int
-	// DeltaR is the BTR bound (paper: 15, 25, infinity).
-	DeltaR int
-	// Steps per run (paper: 60-second steps).
-	Steps int
-	// Seeds are the evaluation seeds (paper: 20).
-	Seeds []int64
-	// Model overrides the node model; zero value uses DefaultNodeModel.
-	Model NodeModel
-	// EpsilonA is the availability bound for the replication strategy.
-	EpsilonA float64
-}
-
-// Compare evaluates TOLERANCE and the three §VIII-B baselines under one
-// configuration and returns a row group of Table 7.
-func Compare(cfg CompareConfig) ([]StrategyMetrics, error) {
-	if cfg.N1 < 1 {
-		return nil, fmt.Errorf("%w: N1 = %d", ErrBadInput, cfg.N1)
-	}
-	if cfg.DeltaR < 0 {
-		return nil, fmt.Errorf("%w: DeltaR = %d", ErrBadInput, cfg.DeltaR)
-	}
-	if cfg.Steps == 0 {
-		cfg.Steps = 1000
-	}
-	if len(cfg.Seeds) == 0 {
-		for i := int64(0); i < 20; i++ {
-			cfg.Seeds = append(cfg.Seeds, i+1)
-		}
-	}
-	if cfg.Model == (NodeModel{}) {
-		cfg.Model = DefaultNodeModel()
-	}
-	if cfg.EpsilonA == 0 {
-		cfg.EpsilonA = 0.9
-	}
-	params := cfg.Model.toParams()
-
-	// TOLERANCE strategies: exact DP recovery thresholds + LP replication.
-	dp, err := recovery.SolveDP(params, recovery.DPConfig{DeltaR: cfg.DeltaR, GridSize: 300})
-	if err != nil {
-		return nil, err
-	}
-	f := emulation.DefaultThreshold(cfg.N1)
-	q, err := cmdp.HealthyProb(params, dp.Strategy(cfg.DeltaR), cfg.DeltaR)
-	if err != nil {
-		return nil, err
-	}
-	smax := 13
-	repModel, err := cmdp.NewBinomialModel(smax, f, cfg.EpsilonA, q, 0)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
-	}
-	repSol, err := cmdp.Solve(repModel)
-	if err != nil {
-		return nil, err
-	}
-	tolerancePolicy, err := baselines.NewTolerance(dp.Strategy(cfg.DeltaR), repSol)
-	if err != nil {
-		return nil, err
-	}
-
-	policies := []baselines.Policy{
-		tolerancePolicy,
-		baselines.NoRecovery{},
-		baselines.Periodic{},
-		baselines.PeriodicAdaptive{TargetN: cfg.N1},
-	}
-	out := make([]StrategyMetrics, 0, len(policies))
-	for _, pol := range policies {
-		agg, err := emulation.RunSeeds(emulation.Scenario{
-			N1:     cfg.N1,
-			SMax:   smax,
-			K:      1,
-			F:      f,
-			DeltaR: cfg.DeltaR,
-			Steps:  cfg.Steps,
-			Params: params,
-			Policy: pol,
-		}, cfg.Seeds)
-		if err != nil {
-			return nil, fmt.Errorf("tolerance: evaluate %s: %w", pol.Name(), err)
-		}
-		out = append(out, StrategyMetrics{
-			Strategy:          pol.Name(),
-			Availability:      agg.Availability.Mean,
-			AvailabilityCI:    agg.Availability.CI,
-			TimeToRecovery:    agg.TimeToRecovery.Mean,
-			TimeToRecoveryCI:  agg.TimeToRecovery.CI,
-			RecoveryFrequency: agg.RecoveryFrequency.Mean,
-			RecoveryFreqCI:    agg.RecoveryFrequency.CI,
-			AvgNodes:          agg.AvgNodes.Mean,
-		})
-	}
-	return out, nil
 }
 
 // DetectorSensitivity evaluates J* as a function of detector quality

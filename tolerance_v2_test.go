@@ -85,14 +85,6 @@ func TestErrBadInputContract(t *testing.T) {
 		{"RegisterStrategy duplicate name", func() error {
 			return RegisterStrategy(dupStrategy{})
 		}},
-		{"Compare bad N1", func() error {
-			_, err := Compare(CompareConfig{N1: 0})
-			return err
-		}},
-		{"Compare negative DeltaR", func() error {
-			_, err := Compare(CompareConfig{N1: 3, DeltaR: -1})
-			return err
-		}},
 		{"DetectorSensitivity zero separation", func() error {
 			_, err := DetectorSensitivity(DefaultNodeModel(), []float64{0})
 			return err
@@ -269,38 +261,40 @@ func TestRunSuiteCancellation(t *testing.T) {
 	}
 }
 
-// TestCompareDefaults exercises the defaulting paths (model, epsilon, seed
-// list) and the full row shape.
+// TestCompareDefaults: every (N1, ΔR) group of the table7 suite carries
+// the full Table 7 row shape — the four strategies, each folded over the
+// cell's seeds, with in-range means and non-negative half-widths.
 func TestCompareDefaults(t *testing.T) {
-	rows, err := Compare(CompareConfig{N1: 3, DeltaR: 15, Steps: 120, Seeds: []int64{1, 2}})
+	report, err := RunSuite(context.Background(), SuiteByName("table7"),
+		WithSteps(120), WithSeedsPerCell(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 {
-		t.Fatalf("%d rows, want 4", len(rows))
+	if len(report.Cells) != 36 || report.Scenarios != 72 {
+		t.Fatalf("report shape: %d cells, %d scenarios; want 36, 72", len(report.Cells), report.Scenarios)
 	}
-	want := map[string]bool{
-		"TOLERANCE": false, "NO-RECOVERY": false, "PERIODIC": false, "PERIODIC-ADAPTIVE": false,
-	}
-	for _, r := range rows {
-		if _, ok := want[r.Strategy]; !ok {
-			t.Errorf("unexpected strategy %q", r.Strategy)
-			continue
-		}
-		want[r.Strategy] = true
-		if r.Availability < 0 || r.Availability > 1 {
-			t.Errorf("%s availability %v", r.Strategy, r.Availability)
-		}
-		if r.AvailabilityCI < 0 || r.TimeToRecoveryCI < 0 || r.RecoveryFreqCI < 0 {
-			t.Errorf("%s has a negative confidence half-width", r.Strategy)
-		}
-		if r.AvgNodes <= 0 {
-			t.Errorf("%s avg nodes %v", r.Strategy, r.AvgNodes)
-		}
-	}
-	for name, seen := range want {
-		if !seen {
-			t.Errorf("missing strategy %q", name)
+	for _, n1 := range []int{3, 6, 9} {
+		for _, deltaR := range []int{15, 25, InfiniteDeltaR} {
+			group := table7Group(report, n1, deltaR)
+			for _, name := range []string{"TOLERANCE", "NO-RECOVERY", "PERIODIC", "PERIODIC-ADAPTIVE"} {
+				r, ok := group[name]
+				if !ok {
+					t.Errorf("N1=%d ΔR=%d: missing strategy %q", n1, deltaR, name)
+					continue
+				}
+				if r.Runs != 2 {
+					t.Errorf("N1=%d ΔR=%d %s folded %d runs, want 2", n1, deltaR, name, r.Runs)
+				}
+				if r.Availability < 0 || r.Availability > 1 {
+					t.Errorf("N1=%d ΔR=%d %s availability %v", n1, deltaR, name, r.Availability)
+				}
+				if r.AvailabilityCI < 0 || r.TimeToRecoveryCI < 0 || r.RecoveryFreqCI < 0 {
+					t.Errorf("N1=%d ΔR=%d %s has a negative confidence half-width", n1, deltaR, name)
+				}
+				if r.AvgNodes <= 0 {
+					t.Errorf("N1=%d ΔR=%d %s avg nodes %v", n1, deltaR, name, r.AvgNodes)
+				}
+			}
 		}
 	}
 }
