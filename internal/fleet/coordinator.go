@@ -90,6 +90,7 @@ type coordinator struct {
 	// folded. records holds the ingested records ahead of it.
 	fold    *fold
 	records map[int]RunRecord
+	batch   []RunRecord // decode buffer for one Records batch, reused
 	queue   []span
 	leases  map[uint64]*coordLease
 	nextID  uint64
@@ -261,14 +262,23 @@ func newCoordinator(suite Suite, cfg CoordinatorConfig) (*coordinator, error) {
 	return c, nil
 }
 
-// handle dispatches one inbound protocol message.
+// handle dispatches one inbound protocol message. A Records frame in the
+// exact shape a worker splices decodes in one pass through the record
+// codec; every other frame — any other kind, or a Records frame spelled
+// some other way — goes through proto.Decode, so the accepted set, the
+// rejects and the acks are encoding/json's.
 func (c *coordinator) handle(msg transport.Message) error {
+	now := time.Now()
+	leaseID, seq, recs, ok := decodeRecordsFrame(msg.Payload, c.batch[:0])
+	c.batch = recs[:0]
+	if ok {
+		return c.ingestBatch(msg.From, now, leaseID, seq, recs)
+	}
 	kind, payload, err := proto.Decode(msg.Payload)
 	if err != nil {
 		c.reject()
 		return nil // garbage from the network is dropped, not fatal
 	}
-	now := time.Now()
 	switch kind {
 	case proto.KindHello:
 		var h proto.Hello
@@ -308,19 +318,19 @@ func (c *coordinator) handle(msg transport.Message) error {
 			c.reject()
 			return nil
 		}
-		c.alive(msg.From, now)
-		if l, ok := c.leases[batch.LeaseID]; ok {
-			l.last = now
-		}
+		recs := c.batch[:0]
 		for _, raw := range batch.Records {
-			if err := c.ingest(raw); err != nil {
-				return err
+			// A canonical record takes the codec's fast path; any other
+			// spelling is encoding/json's to judge.
+			rec, _, _, ok := decodeRecordLine(raw)
+			if !ok && json.Unmarshal(raw, &rec) != nil {
+				c.reject()
+				continue
 			}
+			recs = append(recs, rec)
 		}
-		c.send(msg.From, proto.KindRecordsAck, proto.RecordsAck{
-			LeaseID: batch.LeaseID, Seq: batch.Seq,
-		})
-		c.completeLease(batch.LeaseID)
+		c.batch = recs[:0]
+		return c.ingestBatch(msg.From, now, batch.LeaseID, batch.Seq, recs)
 	case proto.KindHeartbeat:
 		var hb proto.Heartbeat
 		if err := proto.Unmarshal(payload, &hb); err != nil {
@@ -355,22 +365,31 @@ func (c *coordinator) waitBackoffMillis() int {
 	return int(min(d, c.timeout) / time.Millisecond)
 }
 
+// ingestBatch takes the decoded records of Records batch seq under lease
+// leaseID from worker from: the batch refreshes the lease, its records
+// ingest in order, and the ack goes back.
+func (c *coordinator) ingestBatch(from string, now time.Time, leaseID uint64, seq int, recs []RunRecord) error {
+	c.alive(from, now)
+	if l, ok := c.leases[leaseID]; ok {
+		l.last = now
+	}
+	for i := range recs {
+		if err := c.ingest(&recs[i]); err != nil {
+			return err
+		}
+	}
+	c.send(from, proto.KindRecordsAck, proto.RecordsAck{LeaseID: leaseID, Seq: seq})
+	c.completeLease(leaseID)
+	return nil
+}
+
 // ingest validates and dedupes one wire record, folding it through the
 // ordered frontier. First write wins: a duplicate index — a retransmitted
 // batch, or a re-leased range both the dead and the replacement worker
 // executed — counts as a replay and is dropped, which is sound because
 // record bytes are a pure function of (suite, index).
-func (c *coordinator) ingest(raw json.RawMessage) error {
-	// Workers send the codec's canonical bytes; any other spelling of a
-	// record is encoding/json's to judge.
-	rec, _, _, ok := decodeRecordLine(raw)
-	if !ok {
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			c.reject()
-			return nil
-		}
-	}
-	if checkCompleted(rec.Index, &rec, c.total, c.suite.SeedsPerCell, Shard{}) != nil {
+func (c *coordinator) ingest(rec *RunRecord) error {
+	if checkCompleted(rec.Index, rec, c.total, c.suite.SeedsPerCell, Shard{}) != nil {
 		c.reject()
 		return nil
 	}
@@ -380,7 +399,7 @@ func (c *coordinator) ingest(raw json.RawMessage) error {
 		}
 		return nil
 	}
-	c.records[rec.Index] = rec
+	c.records[rec.Index] = *rec
 	if c.tm != nil {
 		c.tm.received.Inc(0)
 	}

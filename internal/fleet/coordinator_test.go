@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -175,7 +176,12 @@ func TestCoordinateWorkerKillReLease(t *testing.T) {
 // TestCoordinateDuplicateRecordsDeduped drives the wire protocol directly:
 // a hand-rolled worker ships every leased record batch twice. First write
 // wins — the duplicates count as coord.records_replayed and the merged
-// result stays byte-identical to the single-machine run.
+// result stays byte-identical to the single-machine run. The worker frames
+// its batches through proto.Encode, which is the spelling a worker splices
+// (the coordinator's fast path), and through a respelling with reordered
+// keys and whitespace (its encoding/json fallback); both are accepted in
+// full, so workers that frame either way interoperate with this
+// coordinator.
 func TestCoordinateDuplicateRecordsDeduped(t *testing.T) {
 	suite := testSuite()
 	want := referenceRun(t, suite)
@@ -197,58 +203,84 @@ func TestCoordinateDuplicateRecordsDeduped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	coordEP := listenLoopback(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	col := telemetry.New()
+	for name, spell := range map[string]func(proto.Records) ([]byte, error){
+		"proto.Encode": func(batch proto.Records) ([]byte, error) { return proto.Encode(proto.KindRecords, batch) },
+		"respelled":    respellRecords,
+	} {
+		t.Run(name, func(t *testing.T) {
+			coordEP := listenLoopback(t)
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			col := telemetry.New()
 
-	fakeDone := make(chan error, 1)
-	duplicated := 0
-	go func() {
-		fakeDone <- runDoubleShippingWorker(ctx, coordEP.Addr(), listenLoopback(t), suite.NumScenarios(), recordBytes, &duplicated)
-	}()
+			fakeDone := make(chan error, 1)
+			duplicated := 0
+			go func() {
+				fakeDone <- runDoubleShippingWorker(ctx, coordEP.Addr(), listenLoopback(t), suite.NumScenarios(), recordBytes, spell, &duplicated)
+			}()
 
-	res, err := Coordinate(ctx, suite, CoordinatorConfig{
-		Endpoint:       coordEP,
-		LeaseScenarios: 4,
-		Heartbeat:      coordTestHeartbeat,
-		LeaseTimeout:   coordTestTimeout,
-		Telemetry:      col,
-	})
-	if err != nil {
-		t.Fatalf("Coordinate: %v", err)
-	}
-	if ferr := <-fakeDone; ferr != nil {
-		t.Fatalf("fake worker: %v", ferr)
-	}
+			res, err := Coordinate(ctx, suite, CoordinatorConfig{
+				Endpoint:       coordEP,
+				LeaseScenarios: 4,
+				Heartbeat:      coordTestHeartbeat,
+				LeaseTimeout:   coordTestTimeout,
+				Telemetry:      col,
+			})
+			if err != nil {
+				t.Fatalf("Coordinate: %v", err)
+			}
+			if ferr := <-fakeDone; ferr != nil {
+				t.Fatalf("fake worker: %v", ferr)
+			}
 
-	got, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Errorf("result with duplicated batches differs from single-machine run")
-	}
-	s := col.Snapshot()
-	total := int64(suite.NumScenarios())
-	if duplicated == 0 {
-		t.Fatal("fake worker duplicated no batches; test exercised nothing")
-	}
-	if got := s.Counter(MetricCoordRecordsReplayed); got != int64(duplicated) {
-		t.Errorf("coord.records_replayed = %d, want %d (one per duplicated record)", got, duplicated)
-	}
-	if s.Counter(MetricCoordRecordsReceived) != total {
-		t.Errorf("coord.records_received = %d, want %d", s.Counter(MetricCoordRecordsReceived), total)
+			got, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Errorf("result with duplicated batches differs from single-machine run")
+			}
+			s := col.Snapshot()
+			total := int64(suite.NumScenarios())
+			if duplicated == 0 {
+				t.Fatal("fake worker duplicated no batches; test exercised nothing")
+			}
+			if got := s.Counter(MetricCoordRecordsReplayed); got != int64(duplicated) {
+				t.Errorf("coord.records_replayed = %d, want %d (one per duplicated record)", got, duplicated)
+			}
+			if s.Counter(MetricCoordRecordsReceived) != total {
+				t.Errorf("coord.records_received = %d, want %d", s.Counter(MetricCoordRecordsReceived), total)
+			}
+			if got := s.Counter(MetricCoordRecordsRejected); got != 0 {
+				t.Errorf("coord.records_rejected = %d, want 0", got)
+			}
+		})
 	}
 }
 
+// respellRecords frames a batch as another JSON encoder might: envelope
+// and payload keys in reverse order, whitespace between tokens.
+func respellRecords(batch proto.Records) ([]byte, error) {
+	var buf bytes.Buffer
+	buf.WriteString(`{ "payload": { "records": [ `)
+	for i, raw := range batch.Records {
+		if i > 0 {
+			buf.WriteString(", ")
+		}
+		buf.Write(raw)
+	}
+	fmt.Fprintf(&buf, ` ], "seq": %d, "leaseId": %d }, "kind": "records" }`, batch.Seq, batch.LeaseID)
+	return buf.Bytes(), nil
+}
+
 // runDoubleShippingWorker speaks the lease protocol by hand: handshake,
-// lease, then ship the pre-computed records for the range twice before
-// asking for the next lease. The batch that completes the suite is shipped
+// lease, then ship the pre-computed records for the range twice, framed by
+// spell, before asking for the next lease. The batch that completes the suite is shipped
 // once — the coordinator returns the moment the last record lands, so a
 // duplicate of that batch would never be acknowledged. *duplicated reports
 // how many records went over the wire twice.
-func runDoubleShippingWorker(ctx context.Context, coord string, ep transport.Endpoint, total int, records map[int]json.RawMessage, duplicated *int) error {
+func runDoubleShippingWorker(ctx context.Context, coord string, ep transport.Endpoint, total int, records map[int]json.RawMessage,
+	spell func(proto.Records) ([]byte, error), duplicated *int) error {
 	send := func(kind proto.Kind, payload any) error {
 		data, err := proto.Encode(kind, payload)
 		if err != nil {
@@ -313,7 +345,11 @@ func runDoubleShippingWorker(ctx context.Context, coord string, ep transport.End
 			ships = 1 // final batch: the coordinator exits on its first copy
 		}
 		for ship := 0; ship < ships; ship++ {
-			if err := send(proto.KindRecords, proto.Records{LeaseID: lease.ID, Seq: seq, Records: batch}); err != nil {
+			frame, err := spell(proto.Records{LeaseID: lease.ID, Seq: seq, Records: batch})
+			if err != nil {
+				return err
+			}
+			if err := ep.Send(coord, frame); err != nil {
 				return err
 			}
 			if raw, err := recv(proto.KindRecordsAck); err != nil {
@@ -339,13 +375,11 @@ func TestRunIndicesDeterminism(t *testing.T) {
 	total := suite.NumScenarios()
 
 	records := make(map[int]RunRecord, total)
+	p := newPlan(suite)
 	for _, idxs := range [][]int{rangeInts(0, total/2+1), rangeInts(total/2+1, total)} {
-		_, err := execute(context.Background(), suite, idxs, Config{
-			Workers: 3,
-			OnRecord: func(rec RunRecord) error {
-				records[rec.Index] = rec
-				return nil
-			},
+		err := p.execute(context.Background(), idxs, Config{Workers: 3}, func(rec *RunRecord, _ bool) error {
+			records[rec.Index] = *rec
+			return nil
 		})
 		if err != nil {
 			t.Fatal(err)

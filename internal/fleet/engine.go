@@ -161,17 +161,41 @@ func Run(ctx context.Context, suite Suite, cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
-	return execute(ctx, suite, sched, cfg)
+	p := newPlan(suite)
+	f := newFold(p.suite, p.cells, len(sched), cfg.OnRecord, cfg.Progress, cfg.Telemetry)
+	if err := p.execute(ctx, sched, cfg, f.add); err != nil {
+		return nil, err
+	}
+	return f.result(), nil
+}
+
+// plan is what an execution derives from the suite alone: the defaulted
+// suite, its cell expansion and its fingerprint (the strategy cache's
+// template key). Run builds one per call; a worker session builds one after
+// the handshake has verified the fingerprint and executes every lease
+// against it, so a lease costs its own scenarios and not the grid's.
+type plan struct {
+	suite Suite
+	cells []Cell
+	fp    string
+}
+
+func newPlan(suite Suite) *plan {
+	suite = suite.withDefaults()
+	return &plan{suite: suite, cells: suite.Cells(), fp: suite.Fingerprint()}
 }
 
 // execute runs the scheduled scenario indices — ascending, in range, and a
-// superset of cfg.Completed's keys — and folds them in schedule order. Run
-// derives the schedule from its shard; ConnectWorker passes a validated
-// lease range. Per-index seeding makes the records identical to the ones a
-// whole run produces, whichever schedule executes them.
-func execute(ctx context.Context, suite Suite, sched []int, cfg Config) (*Result, error) {
+// superset of cfg.Completed's keys — and hands every outcome to emit in
+// schedule order; fresh reports that it was executed rather than taken from
+// cfg.Completed. Run derives the schedule from its shard and emits into its
+// fold; a worker passes a validated lease range and emits into the Records
+// frame it ships. Per-index seeding makes the records identical to the ones
+// a whole run produces, whichever schedule executes them. An emit error
+// aborts the execution and is returned.
+func (p *plan) execute(ctx context.Context, sched []int, cfg Config, emit func(rec *RunRecord, fresh bool) error) error {
 	cfg = cfg.withDefaults()
-	cells := suite.Cells()
+	suite, cells := p.suite, p.cells
 	total := len(sched)
 
 	ctx, cancel := context.WithCancel(ctx)
@@ -197,7 +221,7 @@ func execute(ctx context.Context, suite Suite, sched []int, cfg Config) (*Result
 		}
 		var err error
 		if fits, err = cfg.Cache.Fits(suite.FitSamples, fitSeed); err != nil {
-			return nil, err
+			return err
 		}
 		if endFit != nil {
 			endFit()
@@ -211,8 +235,10 @@ func execute(ctx context.Context, suite Suite, sched []int, cfg Config) (*Result
 	// Per-run cell execution state: each scheduled cell resolves its policy
 	// and scenario template at most once per run (replayed cells not at
 	// all), with an allocation-free fast path after the first resolution.
-	suiteFP := suite.Fingerprint()
-	states := make([]cellState, len(cells))
+	// The slice spans only the cells the schedule touches — a lease's one or
+	// two, not the grid's thousands.
+	firstCell := sched[0] / suite.SeedsPerCell
+	states := make([]cellState, sched[total-1]/suite.SeedsPerCell-firstCell+1)
 
 	// Workers claim index-contiguous batches of scheduled positions through
 	// one atomic counter — one channel round-trip per batch instead of two
@@ -257,8 +283,8 @@ func execute(ctx context.Context, suite Suite, sched []int, cfg Config) (*Result
 					if rec, ok := cfg.Completed[idx]; ok {
 						oc.rec.Metrics, oc.fresh = rec.Metrics, false
 					} else {
-						st := &states[cell.Index]
-						st.once.Do(func() { st.sc, st.err = cfg.Cache.scenarioFor(ctx, suiteFP, cell, suite) })
+						st := &states[cell.Index-firstCell]
+						st.once.Do(func() { st.sc, st.err = cfg.Cache.scenarioFor(ctx, p.fp, cell, suite) })
 						if st.err != nil {
 							oc.err = st.err
 						} else {
@@ -314,12 +340,12 @@ func execute(ctx context.Context, suite Suite, sched []int, cfg Config) (*Result
 		close(outcomes)
 	}()
 
-	// Aggregator: feed batches to the fold in strict schedule order, with
+	// Aggregator: hand batches to emit in strict schedule order, with
 	// out-of-order completions parked in a small reorder buffer (bounded in
-	// practice by the worker count). The fold's spans are fixed, so every
+	// practice by the worker count). Run's fold spans are fixed, so every
 	// floating-point result is independent of scheduling and worker count,
 	// and a checkpoint file is always an index-ordered prefix of the work.
-	f := newFold(suite, cells, total, cfg.OnRecord, cfg.Progress, cfg.Telemetry)
+	next := 0 // positions [0, next) are emitted
 	pending := make(map[int]*batchResult)
 	var firstErr error
 	for br := range outcomes {
@@ -338,29 +364,30 @@ func execute(ctx context.Context, suite Suite, sched []int, cfg Config) (*Result
 		}
 		pending[br.start] = br
 		for firstErr == nil {
-			b, ok := pending[f.next]
+			b, ok := pending[next]
 			if !ok {
 				break
 			}
-			delete(pending, f.next)
+			delete(pending, next)
 			for i := range b.outs {
-				if err := f.add(&b.outs[i].rec, b.outs[i].fresh); err != nil {
+				if err := emit(&b.outs[i].rec, b.outs[i].fresh); err != nil {
 					firstErr = err
 					cancel()
 					break
 				}
+				next++
 			}
 			batchPool.Put(b)
 		}
 	}
 	if firstErr != nil {
-		return nil, firstErr
+		return firstErr
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	if f.next != total {
-		return nil, fmt.Errorf("fleet: folded %d of %d scenarios", f.next, total)
+	if next != total {
+		return fmt.Errorf("fleet: emitted %d of %d scenarios", next, total)
 	}
-	return f.result(), nil
+	return nil
 }

@@ -10,12 +10,13 @@ import (
 )
 
 // The RunRecord codec: the one place a record becomes bytes (checkpoint
-// lines, wire batches, the CRC input) and canonical bytes become a record.
-// The encoder is byte-for-byte json.Marshal(RunRecord) — the format is
-// unchanged — written by hand so the hot paths neither reflect nor
-// allocate; the decoder accepts exactly the shape the encoder writes and
-// reports anything else as "not canonical", which callers hand to
-// encoding/json so the accepted set is the reference's.
+// lines, Records frames, the CRC input) and canonical bytes become a
+// record. The encoder is byte-for-byte json.Marshal(RunRecord) — the
+// format is unchanged — written by hand so the hot paths neither reflect
+// nor allocate; the decoder accepts exactly the shape the encoder writes
+// and reports anything else as "not canonical", which callers hand to
+// encoding/json (a whole frame: to proto.Decode) so the accepted set is
+// the reference's.
 
 // The canonical key sequence. Every key is written with its leading
 // separator so encode and decode walk the same table.
@@ -133,6 +134,75 @@ func recordCRC(scratch []byte, rec RunRecord) (uint32, error) {
 // are what encoding/json would have produced.
 func decodeRecordLine(line []byte) (rec RunRecord, crc uint32, hasCRC, ok bool) {
 	s := recScanner{b: line, ok: true}
+	s.record(&rec)
+	if s.has(recKeyCRC) {
+		hasCRC = true
+		crc = uint32(s.uint(math.MaxUint32))
+	}
+	s.lit("}")
+	if !s.ok || len(s.b) != 0 {
+		return RunRecord{}, 0, false, false
+	}
+	return rec, crc, hasCRC, true
+}
+
+// The Records frame a worker ships, split where the codec's bytes go:
+// recordsFrameHead, the lease ID, recordsFrameSeq, the batch number,
+// recordsFrameRecords, the canonical records separated by commas, and
+// recordsFrameTail. That is byte for byte what
+// proto.Encode(proto.KindRecords, proto.Records{...}) writes for a
+// non-empty batch of canonical records, because encoding/json copies each
+// element's bytes verbatim once compacted and they have nothing to compact
+// or escape.
+const (
+	recordsFrameHead    = `{"kind":"records","payload":{"leaseId":`
+	recordsFrameSeq     = `,"seq":`
+	recordsFrameRecords = `,"records":[`
+	recordsFrameTail    = `]}}`
+)
+
+// appendRecordsFrameHead starts a Records frame for batch seq of lease
+// leaseID; the caller appends the records with appendRecordJSON, a comma
+// between two, and then recordsFrameTail.
+func appendRecordsFrameHead(dst []byte, leaseID uint64, seq int) []byte {
+	dst = append(dst, recordsFrameHead...)
+	dst = strconv.AppendUint(dst, leaseID, 10)
+	dst = append(dst, recordsFrameSeq...)
+	dst = strconv.AppendInt(dst, int64(seq), 10)
+	return append(dst, recordsFrameRecords...)
+}
+
+// decodeRecordsFrame decodes a Records frame of exactly the shape the
+// worker writes — at least one record, each canonical without a crc
+// member — appending the records to dst. ok reports whether the frame had
+// that shape; when it is false recs may hold a partial batch, nothing is
+// said about validity and the caller hands the frame to proto.Decode. When
+// it is true, the lease, batch number and records are what proto.Decode,
+// proto.Unmarshal and decodeRecordLine would have produced.
+func decodeRecordsFrame(frame []byte, dst []RunRecord) (leaseID uint64, seq int, recs []RunRecord, ok bool) {
+	s, recs := recScanner{b: frame, ok: true}, dst
+	s.lit(recordsFrameHead)
+	leaseID = s.uint(math.MaxUint64)
+	s.lit(recordsFrameSeq)
+	seq = s.int()
+	s.lit(recordsFrameRecords)
+	for s.ok {
+		var rec RunRecord
+		s.record(&rec)
+		s.lit("}")
+		recs = append(recs, rec)
+		if !s.has(",") {
+			break
+		}
+	}
+	s.lit(recordsFrameTail)
+	return leaseID, seq, recs, s.ok && len(s.b) == 0
+}
+
+// record consumes a canonical record up to the closing brace of its
+// metrics object; what may follow — a crc member, the record's own closing
+// brace — is the caller's to read.
+func (s *recScanner) record(rec *RunRecord) {
 	floats, ints := recordFields(&rec.Metrics)
 	s.lit(recKeyIndex)
 	rec.Index = s.int()
@@ -150,15 +220,6 @@ func decodeRecordLine(line []byte) (rec RunRecord, crc uint32, hasCRC, ok bool) 
 		rec.Metrics.ServiceLatencyMS = s.float()
 	}
 	s.lit("}")
-	if s.has(recKeyCRC) {
-		hasCRC = true
-		crc = s.uint32()
-	}
-	s.lit("}")
-	if !s.ok || len(s.b) != 0 {
-		return RunRecord{}, 0, false, false
-	}
-	return rec, crc, hasCRC, true
 }
 
 // recScanner consumes a canonical record from the front of b. A mismatch
@@ -206,16 +267,25 @@ func intPart(b []byte) int {
 }
 
 // uint consumes a JSON integer without sign, fraction or exponent, of at
-// most maxDigits digits (19 always fit a uint64).
-func (s *recScanner) uint(maxDigits int) uint64 {
+// most limit.
+func (s *recScanner) uint(limit uint64) uint64 {
 	n := intPart(s.b)
-	if !s.ok || n == 0 || n > maxDigits {
+	if !s.ok || n == 0 || n > 20 {
 		s.ok = false
 		return 0
 	}
 	var v uint64
-	for _, c := range s.b[:n] {
-		v = v*10 + uint64(c-'0')
+	for i, c := range s.b[:n] {
+		d := uint64(c - '0')
+		if i == 19 && v > (math.MaxUint64-d)/10 { // 19 digits always fit; a 20th may not
+			s.ok = false
+			return 0
+		}
+		v = v*10 + d
+	}
+	if v > limit {
+		s.ok = false
+		return 0
 	}
 	s.b = s.b[n:]
 	return v
@@ -225,26 +295,15 @@ func (s *recScanner) uint(maxDigits int) uint64 {
 // writes comes back through the fast path.
 func (s *recScanner) int() int {
 	neg := s.has("-")
-	v, limit := s.uint(19), uint64(math.MaxInt)
+	limit := uint64(math.MaxInt)
 	if neg {
 		limit++
 	}
-	if v > limit {
-		s.ok = false
-		return 0
-	}
+	v := s.uint(limit)
 	if neg {
 		return int(-int64(v))
 	}
 	return int(v)
-}
-
-func (s *recScanner) uint32() uint32 {
-	v := s.uint(10)
-	if v > math.MaxUint32 {
-		s.ok = false
-	}
-	return uint32(v)
 }
 
 // float consumes a number in the strict JSON grammar

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"tolerance/internal/emulation"
+	"tolerance/internal/fleet/proto"
 )
 
 // sampleRecord is a record shaped like the wide grid's: the sizes the
@@ -755,8 +756,71 @@ func mustReadFile(t testing.TB, path string) []byte {
 
 // BenchmarkRecordCodec is the record layer's go test -bench row: one
 // checkpoint line written (encode + CRC + splice into a discarded sink) and
-// one read back (fast-path decode + CRC verify by re-encoding).
+// one read back (fast-path decode + CRC verify by re-encoding); and one
+// worker batch of 64 records as a Records frame, spliced by the worker and
+// decoded by the coordinator, beside the proto.Encode / proto.Decode path
+// the frame codec falls back to.
 func BenchmarkRecordCodec(b *testing.B) {
+	batch := make([]RunRecord, workerBatchRecords)
+	for i := range batch {
+		batch[i] = sampleRecord
+		batch[i].Index, batch[i].Cell = i, i/8
+	}
+	frame, err := appendRecordsFrame(nil, 1, 0, batch)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("records-frame-encode", func(b *testing.B) {
+		buf := make([]byte, 0, len(frame))
+		b.ReportAllocs()
+		b.SetBytes(int64(len(frame)))
+		for i := 0; i < b.N; i++ {
+			var err error
+			if buf, err = appendRecordsFrame(buf[:0], 1, 0, batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("records-frame-decode", func(b *testing.B) {
+		recs := make([]RunRecord, 0, len(batch))
+		b.ReportAllocs()
+		b.SetBytes(int64(len(frame)))
+		for i := 0; i < b.N; i++ {
+			var ok bool
+			if _, _, recs, ok = decodeRecordsFrame(frame, recs[:0]); !ok || len(recs) != len(batch) {
+				b.Fatal("spliced frame declined")
+			}
+		}
+	})
+	b.Run("reference-proto-encode", func(b *testing.B) {
+		raws := make([]json.RawMessage, len(batch))
+		var arena []byte
+		b.ReportAllocs()
+		b.SetBytes(int64(len(frame)))
+		for i := 0; i < b.N; i++ {
+			arena = arena[:0]
+			for j, rec := range batch {
+				start := len(arena)
+				var err error
+				if arena, err = appendRecordJSON(arena, rec); err != nil {
+					b.Fatal(err)
+				}
+				raws[j] = arena[start:]
+			}
+			if _, err := proto.Encode(proto.KindRecords, proto.Records{LeaseID: 1, Records: raws}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("reference-proto-decode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(frame)))
+		for i := 0; i < b.N; i++ {
+			if _, _, recs, ok := decodeRecordsFrameReference(frame); !ok || len(recs) != len(batch) {
+				b.Fatal("frame declined")
+			}
+		}
+	})
 	line := checkpointLineOf(b, sampleRecord)
 	b.Run("encode", func(b *testing.B) {
 		w := &CheckpointWriter{sink: io.Discard, line: make([]byte, 0, maxRecordJSON)}

@@ -1,0 +1,243 @@
+package fleet
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"strings"
+	"testing"
+
+	"tolerance/internal/fleet/proto"
+)
+
+// appendRecordsFrame writes a Records frame the way a worker does: the
+// head, the canonical records separated by commas, the tail.
+func appendRecordsFrame(dst []byte, leaseID uint64, seq int, recs []RunRecord) ([]byte, error) {
+	dst = appendRecordsFrameHead(dst, leaseID, seq)
+	for i, rec := range recs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		var err error
+		if dst, err = appendRecordJSON(dst, rec); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, recordsFrameTail...), nil
+}
+
+// recordsFrameOf is the reference writer: proto.Encode over records that
+// encoding/json encoded.
+func recordsFrameOf(leaseID uint64, seq int, recs []RunRecord) ([]byte, error) {
+	raws := make([]json.RawMessage, len(recs))
+	for i, rec := range recs {
+		raw, err := json.Marshal(rec)
+		if err != nil {
+			return nil, err
+		}
+		raws[i] = raw
+	}
+	return proto.Encode(proto.KindRecords, proto.Records{LeaseID: leaseID, Seq: seq, Records: raws})
+}
+
+// decodeRecordsFrameReference is the coordinator's fallback path:
+// proto.Decode, proto.Unmarshal, then each record through decodeRecordLine
+// or encoding/json. ok is false if any of them refuses.
+func decodeRecordsFrameReference(frame []byte) (leaseID uint64, seq int, recs []RunRecord, ok bool) {
+	kind, payload, err := proto.Decode(frame)
+	if err != nil || kind != proto.KindRecords {
+		return 0, 0, nil, false
+	}
+	var batch proto.Records
+	if proto.Unmarshal(payload, &batch) != nil {
+		return 0, 0, nil, false
+	}
+	for _, raw := range batch.Records {
+		rec, _, _, ok := decodeRecordLine(raw)
+		if !ok && json.Unmarshal(raw, &rec) != nil {
+			return 0, 0, nil, false
+		}
+		recs = append(recs, rec)
+	}
+	return batch.LeaseID, batch.Seq, recs, true
+}
+
+// checkRecordsFrame asserts the frame codec on arbitrary bytes: whenever
+// the fast path claims a frame, the reference path decodes it to the same
+// lease, batch number and records, and splicing those back writes exactly
+// what proto.Encode writes. (A frame the fast path declines goes to the
+// reference path in production, so there is nothing to compare.)
+func checkRecordsFrame(t *testing.T, frame []byte) {
+	t.Helper()
+	leaseID, seq, recs, ok := decodeRecordsFrame(frame, nil)
+	if !ok {
+		return
+	}
+	wantLease, wantSeq, wantRecs, wantOK := decodeRecordsFrameReference(frame)
+	if !wantOK || leaseID != wantLease || seq != wantSeq || len(recs) != len(wantRecs) {
+		t.Fatalf("%q: fast path (%d, %d, %d records), reference (%d, %d, %d records, ok %v)",
+			frame, leaseID, seq, len(recs), wantLease, wantSeq, len(wantRecs), wantOK)
+	}
+	for i := range recs {
+		if !sameRecord(recs[i], wantRecs[i]) {
+			t.Fatalf("%q record %d: fast path %+v, reference %+v", frame, i, recs[i], wantRecs[i])
+		}
+	}
+	got, err := appendRecordsFrame(nil, leaseID, seq, recs)
+	want, wantErr := recordsFrameOf(leaseID, seq, recs)
+	if err != nil || wantErr != nil || !bytes.Equal(got, want) {
+		t.Fatalf("re-encoding %q:\n spliced %s (%v)\n  proto  %s (%v)", frame, got, err, want, wantErr)
+	}
+}
+
+// recordsFrameBatches are batches over the codec's number cases: every
+// finite float in every float field and as ServiceLatencyMS (±0 omits
+// it), and the int extremes in every int field.
+func recordsFrameBatches() [][]RunRecord {
+	batches := [][]RunRecord{{sampleRecord}, {{}}}
+	for _, f := range codecFloats {
+		if math.IsInf(f, 0) || math.IsNaN(f) {
+			continue
+		}
+		var batch []RunRecord
+		rec := sampleRecord
+		floats, _ := recordFields(&rec.Metrics)
+		for i := range floats {
+			*floats[i] = f
+			rec.Index = i
+			batch = append(batch, rec)
+			*floats[i] = 0.25
+		}
+		rec.Metrics.ServiceLatencyMS = f
+		batches = append(batches, append(batch, rec))
+	}
+	var ints []RunRecord
+	for _, n := range codecInts {
+		rec := sampleRecord
+		rec.Index, rec.Cell = n, -n
+		_, fields := recordFields(&rec.Metrics)
+		for i := range fields {
+			*fields[i] = n
+		}
+		ints = append(ints, rec)
+	}
+	return append(batches, ints)
+}
+
+// nearMissRecordsFrames are valid and invalid Records frames one step
+// from the spliced shape; the fast path must decline every one.
+func nearMissRecordsFrames(t testing.TB) [][]byte {
+	rec := string(mustMarshal(t, sampleRecord))
+	canon := `{"kind":"records","payload":{"leaseId":7,"seq":3,"records":[` + rec + "," + rec + `]}}`
+	with := func(old, new string) []byte {
+		if !strings.Contains(canon, old) {
+			t.Fatalf("canonical frame has no %q", old)
+		}
+		return []byte(strings.Replace(canon, old, new, 1))
+	}
+	return [][]byte{
+		[]byte(canon[:len(canon)-40]),                      // a truncated record
+		with(`[`+rec+","+rec+`]`, `[]`),                    // an empty batch
+		[]byte(canon + "x"),                                // a trailing byte
+		[]byte(canon + " "),                                // trailing whitespace
+		with(`"Additions":2}}`, `"Additions":2},"crc":1}`), // a crc member
+		with(`"leaseId":7,"seq":3`, `"seq":3,"leaseId":7`), // reordered payload keys
+		[]byte(`{"payload":{"leaseId":7,"seq":3,"records":[` + rec + `]},"kind":"records"}`), // reordered envelope
+		with(`,"seq":`, `, "seq": `),                          // whitespace
+		with(`{"index":`, "{ \"index\":"),                     // whitespace inside a record
+		with(rec+","+rec, rec+","),                            // a trailing comma
+		with(`]}}`, `],"extra":1}}`),                          // an unknown member
+		with(`"leaseId":7`, `"leaseId":18446744073709551616`), // lease out of range
+		with(`"leaseId":7`, `"leaseId":-1`),
+		with(`"leaseId":7`, `"leaseId":07`),
+		with(`"seq":3`, `"seq":9223372036854775808`), // seq out of range
+		with(`"seq":3`, `"seq":3.0`),
+		with(`"kind":"records"`, `"kind":"heartbeat"`),
+		with(`"kind":"records"`, `"kind":"Records"`),
+		nil,
+	}
+}
+
+// TestRecordsFrameMatchesProto: the frame a worker splices is
+// proto.Encode's byte for byte, for every lease ID and batch number and
+// every number the record codec formats; the coordinator's fast path
+// decodes it to what the reference path does, and declines every near
+// miss.
+func TestRecordsFrameMatchesProto(t *testing.T) {
+	for _, leaseID := range []uint64{0, 1, 1 << 40, math.MaxUint64} {
+		for _, seq := range []int{0, 1, 63, math.MaxInt} {
+			for _, batch := range recordsFrameBatches() {
+				got, err := appendRecordsFrame(nil, leaseID, seq, batch)
+				want, wantErr := recordsFrameOf(leaseID, seq, batch)
+				if err != nil || wantErr != nil || !bytes.Equal(got, want) {
+					t.Fatalf("spliced frame:\n got %s (%v)\nwant %s (%v)", got, err, want, wantErr)
+				}
+				if _, _, _, ok := decodeRecordsFrame(got, nil); !ok {
+					t.Fatalf("spliced frame %s declined", got)
+				}
+				checkRecordsFrame(t, got)
+			}
+		}
+	}
+	// A record encoding/json refuses fails the splice too.
+	bad := sampleRecord
+	bad.Metrics.AvgCost = math.NaN()
+	if _, err := appendRecordsFrame(nil, 1, 0, []RunRecord{sampleRecord, bad}); err == nil {
+		t.Error("spliced a NaN metric")
+	}
+	for _, frame := range nearMissRecordsFrames(t) {
+		if _, _, _, ok := decodeRecordsFrame(frame, nil); ok {
+			t.Errorf("fast path accepted the near miss %s", frame)
+		}
+	}
+}
+
+// TestRecordsFrameZeroAllocs pins both ends of a worker batch at zero
+// allocations once their buffers are warm: splicing the frame and decoding
+// it on the coordinator.
+func TestRecordsFrameZeroAllocs(t *testing.T) {
+	batch := []RunRecord{sampleRecord, sampleRecord, sampleRecord}
+	frame, err := appendRecordsFrame(nil, 1, 0, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, len(frame))
+	if n := testing.AllocsPerRun(200, func() {
+		if buf, err = appendRecordsFrame(buf[:0], 1, 0, batch); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("splicing a Records frame: %v allocs, want 0", n)
+	}
+	recs := make([]RunRecord, 0, len(batch))
+	if n := testing.AllocsPerRun(200, func() {
+		var ok bool
+		if _, _, recs, ok = decodeRecordsFrame(frame, recs[:0]); !ok {
+			t.Fatal("spliced frame declined")
+		}
+	}); n != 0 {
+		t.Errorf("decoding a Records frame: %v allocs, want 0", n)
+	}
+}
+
+// FuzzRecordsFrame mutates spliced frames — seeded with every number case
+// of the record codec, lease IDs up to MaxUint64 and batch numbers from 0
+// — and the near misses. Every frame the fast path accepts must decode as
+// the reference path decodes it, and its records must splice back to
+// proto.Encode's bytes, so each record value the mutator reaches is checked
+// in both directions.
+func FuzzRecordsFrame(f *testing.F) {
+	for i, batch := range recordsFrameBatches() {
+		for _, leaseID := range []uint64{uint64(i), math.MaxUint64 - uint64(i)} {
+			frame, err := appendRecordsFrame(nil, leaseID, i, batch)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(frame)
+		}
+	}
+	for _, frame := range nearMissRecordsFrames(f) {
+		f.Add(frame)
+	}
+	f.Fuzz(checkRecordsFrame)
+}

@@ -78,12 +78,19 @@ var errSessionDrained = errors.New("fleet: session drained")
 // workerSession is the in-flight state of one ConnectWorker call.
 type workerSession struct {
 	cfg     WorkerConfig
-	suite   Suite
+	plan    *plan // the suite's engine state, built once per session
 	total   int
 	hb      time.Duration
 	leaseTO time.Duration
 	drained bool
 	sent    int
+	// records is the Records frame being filled; one buffer serves every
+	// batch of the session, since each Endpoint writes or copies a payload
+	// before Send returns.
+	records []byte
+	// folded counts fleet.scenarios_folded: records handed to a frame (nil
+	// when telemetry is off). A worker folds nothing — the coordinator does.
+	folded *telemetry.Counter
 
 	// waitBO paces the lease-wait loop (exponential, capped near the
 	// advertised lease timeout so an expired range is inherited promptly);
@@ -123,6 +130,9 @@ func ConnectWorker(ctx context.Context, cfg WorkerConfig) error {
 	}
 	s := &workerSession{cfg: cfg}
 	s.sendBO = newBackoff(50*time.Millisecond, time.Second, cfg.Endpoint.Addr()+"/send")
+	if cfg.Telemetry != nil {
+		s.folded = cfg.Telemetry.Counter(MetricScenariosFolded)
+	}
 	if err := s.handshake(ctx); err != nil {
 		return err
 	}
@@ -176,12 +186,16 @@ func (s *workerSession) handshake(ctx context.Context) error {
 	// of seconds, jittered per endpoint so a worker herd restarted together
 	// does not hammer a recovering coordinator in lockstep.
 	dialBO := newBackoff(100*time.Millisecond, 2*time.Second, s.cfg.Endpoint.Addr()+"/dial")
+	hello, err := proto.Encode(proto.KindHello, proto.Hello{Version: proto.Version})
+	if err != nil {
+		return err
+	}
 	var lastErr error
 	for time.Now().Before(deadline) {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		_, raw, err := s.call(ctx, proto.KindHello, proto.Hello{Version: proto.Version}, attempt, matchWelcome)
+		_, raw, err := s.call(ctx, proto.KindHello, hello, attempt, matchWelcome)
 		if err != nil {
 			if errors.Is(err, errSessionDrained) {
 				// The run ended while we were still saying hello.
@@ -212,7 +226,7 @@ func (s *workerSession) handshake(ctx context.Context) error {
 		if got := suite.NumScenarios(); got != w.Scenarios {
 			return fmt.Errorf("fleet: scenario count mismatch: coordinator says %d, suite expands to %d", w.Scenarios, got)
 		}
-		s.suite, s.total = suite.withDefaults(), w.Scenarios
+		s.plan, s.total = newPlan(suite), w.Scenarios
 		s.hb = time.Duration(w.HeartbeatMillis) * time.Millisecond
 		if s.hb <= 0 {
 			s.hb = DefaultHeartbeat
@@ -235,13 +249,17 @@ func (s *workerSession) handshake(ctx context.Context) error {
 // requestLease asks for the next range until the coordinator grants one or
 // drains the session.
 func (s *workerSession) requestLease(ctx context.Context) (proto.Lease, bool, error) {
+	request, err := proto.Encode(proto.KindLeaseRequest, proto.LeaseRequest{})
+	if err != nil {
+		return proto.Lease{}, false, err
+	}
+	var lease proto.Lease
+	match := matchLease(s.total, &lease)
 	for {
 		if s.drained {
 			return proto.Lease{}, true, nil
 		}
-		var lease proto.Lease
-		kind, raw, err := s.call(ctx, proto.KindLeaseRequest, proto.LeaseRequest{}, max(s.hb, time.Second),
-			matchLease(s.total, &lease))
+		kind, raw, err := s.call(ctx, proto.KindLeaseRequest, request, max(s.hb, time.Second), match)
 		if err != nil {
 			return proto.Lease{}, false, err
 		}
@@ -261,10 +279,42 @@ func (s *workerSession) requestLease(ctx context.Context) (proto.Lease, bool, er
 			// needs a taker within one timeout.
 			backoff := max(clampServerBackoff(wait.BackoffMillis, s.hb), s.waitBO.next())
 			backoff = min(backoff, max(s.leaseTO, s.hb))
-			select {
-			case <-ctx.Done():
-				return proto.Lease{}, false, ctx.Err()
-			case <-time.After(backoff):
+			granted, err := s.pause(ctx, backoff, func(k proto.Kind, raw json.RawMessage) bool {
+				return k == proto.KindLease && match(k, raw)
+			})
+			switch {
+			case errors.Is(err, errSessionDrained):
+				return proto.Lease{}, true, nil
+			case err != nil:
+				return proto.Lease{}, false, err
+			case granted:
+				s.waitBO.reset()
+				return lease, false, nil
+			}
+		}
+	}
+}
+
+// pause waits d before the next lease request, reading the endpoint all
+// the while so the wait never hides a frame: a drain notice ends it at once
+// with errSessionDrained, and a frame that grant accepts — a Lease
+// answering an earlier attempt of the request that drew the Wait — ends it
+// with true. Every other frame is a stray, as in call.
+func (s *workerSession) pause(ctx context.Context, d time.Duration, grant func(proto.Kind, json.RawMessage) bool) (bool, error) {
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return false, ctx.Err()
+		case <-timer.C:
+			return false, nil
+		case msg, ok := <-s.cfg.Endpoint.Receive():
+			if !ok {
+				return false, fmt.Errorf("fleet: worker endpoint closed")
+			}
+			if _, _, done, err := s.frame(msg.Payload, grant); done || err != nil {
+				return done, err
 			}
 		}
 	}
@@ -336,52 +386,56 @@ func (s *workerSession) runLease(ctx context.Context, lease proto.Lease) error {
 		}
 	}()
 
-	// A batch's records are encoded back to back into one arena that is
-	// reused once the batch has shipped (shipRecords marshals the frame
-	// before it returns, resends included).
-	batch := make([]json.RawMessage, 0, s.cfg.testBatchRecords)
-	var arena []byte
-	seq := 0
+	// Each record's canonical bytes go straight into the open Records
+	// frame, which ships — and is resent until acked — once it holds a
+	// batch.
+	batched, seq := 0, 0
 	flush := func() error {
-		if len(batch) == 0 {
+		if batched == 0 {
 			return nil
 		}
-		err := s.shipRecords(ctx, lease.ID, seq, batch)
+		s.records = append(s.records, recordsFrameTail...)
+		err := s.shipRecords(ctx, lease.ID, seq, s.records)
+		batched = 0
 		seq++
-		batch, arena = batch[:0], arena[:0]
 		return err
 	}
-	_, err := execute(ctx, s.suite, indices, Config{
+	err := s.plan.execute(ctx, indices, Config{
 		Workers:   s.cfg.Workers,
 		Cache:     s.cfg.Cache,
 		Telemetry: s.cfg.Telemetry,
 		Chaos:     s.cfg.Chaos,
-		OnRecord: func(rec RunRecord) error {
-			start := len(arena)
-			var merr error
-			if arena, merr = appendRecordJSON(arena, rec); merr != nil {
-				return merr
+	}, func(rec *RunRecord, _ bool) error {
+		if batched == 0 {
+			s.records = appendRecordsFrameHead(s.records[:0], lease.ID, seq)
+		} else {
+			s.records = append(s.records, ',')
+		}
+		var err error
+		if s.records, err = appendRecordJSON(s.records, *rec); err != nil {
+			return err
+		}
+		batched++
+		done.Add(1)
+		s.sent++
+		if s.folded != nil {
+			s.folded.Inc(0)
+		}
+		if s.cfg.testFailAfterRecords > 0 && s.sent >= s.cfg.testFailAfterRecords {
+			if ferr := flush(); ferr != nil {
+				return ferr
 			}
-			// If the arena grows, earlier records keep the old array.
-			batch = append(batch, json.RawMessage(arena[start:]))
-			done.Add(1)
-			s.sent++
-			if s.cfg.testFailAfterRecords > 0 && s.sent >= s.cfg.testFailAfterRecords {
-				if ferr := flush(); ferr != nil {
-					return ferr
-				}
-				return errWorkerKilled
-			}
-			if len(batch) >= s.cfg.testBatchRecords {
-				return flush()
-			}
-			return nil
-		},
+			return errWorkerKilled
+		}
+		if batched >= s.cfg.testBatchRecords {
+			return flush()
+		}
+		return nil
 	})
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
-			// Graceful drain: the engine already delivered the completed
-			// index-ordered prefix to OnRecord; ship what we have so the
+			// Graceful drain: the engine already emitted the completed
+			// index-ordered prefix into the frame; ship what we have so the
 			// coordinator keeps it, then let the caller send Goodbye.
 			_ = flush()
 		}
@@ -390,20 +444,19 @@ func (s *workerSession) runLease(ctx context.Context, lease proto.Lease) error {
 	return flush()
 }
 
-// shipRecords sends one Records batch and waits for its ack, resending on
-// timeout. The coordinator dedupes, so resending an already-ingested batch
-// is harmless (first write wins).
-func (s *workerSession) shipRecords(ctx context.Context, leaseID uint64, seq int, batch []json.RawMessage) error {
-	msg := proto.Records{LeaseID: leaseID, Seq: seq, Records: batch}
-	_, _, err := s.call(ctx, proto.KindRecords, msg, max(s.hb, time.Second), matchAck(leaseID, seq))
+// shipRecords sends the Records frame of batch seq under lease leaseID and
+// waits for its ack, resending on timeout. The coordinator dedupes, so
+// resending an already-ingested batch is harmless (first write wins).
+func (s *workerSession) shipRecords(ctx context.Context, leaseID uint64, seq int, frame []byte) error {
+	_, _, err := s.call(ctx, proto.KindRecords, frame, max(s.hb, time.Second), matchAck(leaseID, seq))
 	return err
 }
 
-// call sends a message and waits for a reply matching match, retrying the
-// send on timeout (the transport may drop either direction). Stray
-// messages that arrive while waiting are handled on the side: a drain
-// notice sets s.drained, everything else is ignored.
-func (s *workerSession) call(ctx context.Context, kind proto.Kind, payload any,
+// call sends an encoded message of the given kind and waits for a reply
+// matching match, retrying the send on timeout (the transport may drop
+// either direction). Stray messages that arrive while waiting are handled
+// on the side: a drain notice sets s.drained, everything else is ignored.
+func (s *workerSession) call(ctx context.Context, kind proto.Kind, data []byte,
 	attemptTimeout time.Duration, match func(proto.Kind, json.RawMessage) bool) (proto.Kind, json.RawMessage, error) {
 
 	const attempts = 10
@@ -430,7 +483,7 @@ func (s *workerSession) call(ctx context.Context, kind proto.Kind, payload any,
 				break queued
 			}
 		}
-		if err := s.send(kind, payload); err != nil {
+		if err := s.cfg.Endpoint.Send(s.cfg.Coordinator, data); err != nil {
 			lastErr = err
 			// Exponential, jittered, capped: an injected connection reset
 			// or redial race backs off instead of machine-gunning the
