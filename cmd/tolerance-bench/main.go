@@ -240,7 +240,7 @@ func table2(full bool) error {
 }
 
 func fig9(full bool) error {
-	fmt.Println("LP solve time for Problem 2 vs smax:")
+	fmt.Println("Algorithm 2 solve time for Problem 2 vs smax:")
 	sizes := []int{4, 8, 16, 32, 64, 128, 256}
 	if full {
 		sizes = append(sizes, 512, 1024, 2048)

@@ -49,7 +49,7 @@ func (m *Model) Validate() error {
 	if m.F < 0 || m.F >= m.SMax {
 		return fmt.Errorf("%w: f = %d with smax = %d", ErrInvalidModel, m.F, m.SMax)
 	}
-	if m.EpsilonA < 0 || m.EpsilonA > 1 {
+	if !(m.EpsilonA >= 0 && m.EpsilonA <= 1) { // also rejects NaN
 		return fmt.Errorf("%w: epsilonA = %v", ErrInvalidModel, m.EpsilonA)
 	}
 	n := m.SMax + 1
@@ -182,7 +182,7 @@ func (m *Model) tailSum(a, sHat, s int) float64 {
 // Each state's Binomial(s, q) pmf is computed once and shared by both
 // actions, and every row of f_S is carved from one backing array.
 func NewBinomialModel(smax, f int, epsilonA, q, eps float64) (*Model, error) {
-	if q < 0 || q > 1 {
+	if !(q >= 0 && q <= 1) { // also rejects NaN
 		return nil, fmt.Errorf("%w: q = %v", ErrInvalidModel, q)
 	}
 	if eps <= 0 {
@@ -298,7 +298,7 @@ func NoRecoveryChain(n int, q float64) (*markov.Chain, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("%w: n = %d", ErrInvalidModel, n)
 	}
-	if q < 0 || q > 1 {
+	if !(q >= 0 && q <= 1) { // also rejects NaN
 		return nil, fmt.Errorf("%w: q = %v", ErrInvalidModel, q)
 	}
 	p := make([][]float64, n+1)

@@ -294,6 +294,27 @@ func TestSolveTighterAvailabilityCostsMore(t *testing.T) {
 	}
 }
 
+// TestSolveAllocationsIndependentOfSize: Solve allocates the Solution, one
+// slab for Policy and the Occupancy rows, the row headers, and the
+// evaluator's float and int scratch — five allocations at any smax (the
+// tableau made 100 at smax 13 and 679 at smax 128).
+func TestSolveAllocationsIndependentOfSize(t *testing.T) {
+	const bound = 5
+	allocs := map[int]float64{}
+	for _, smax := range []int{13, 128} {
+		m := mustBinomialModel(t, smax, 2, 0.9, 0.95)
+		allocs[smax] = testing.AllocsPerRun(10, func() {
+			if _, err := Solve(m); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[13] != allocs[128] || allocs[128] > bound {
+		t.Errorf("Solve allocates %v at smax 13 and %v at smax 128, want the same count <= %d",
+			allocs[13], allocs[128], bound)
+	}
+}
+
 func TestSolveInfeasible(t *testing.T) {
 	// With q = 0.05 nodes die almost every step; 0.999 availability with
 	// f = 8 of smax = 10 is unattainable.

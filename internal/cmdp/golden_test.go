@@ -64,9 +64,13 @@ func floatBits(values ...float64) []uint64 {
 // of the benchmark's stationary sweep, Algorithm 2 on the binomial kernel over
 // smax x q (with the kernel's fingerprint, which hashes every f_S entry), and
 // the Fig 6 MTTF and reliability curves.
-func goldenSolverRuns(t *testing.T) goldenSolvers {
+//
+// It also returns the model of every LP entry that solved, by name: those
+// entries are held to the oracle's tolerances, not bit for bit.
+func goldenSolverRuns(t *testing.T) (goldenSolvers, map[string]goldenLP) {
 	t.Helper()
 	var out goldenSolvers
+	lps := map[string]goldenLP{}
 	exact := func(name string, err error, values ...float64) {
 		e := goldenExact{Name: name}
 		if err != nil {
@@ -130,6 +134,7 @@ func goldenSolverRuns(t *testing.T) goldenSolvers {
 				values = append(values, occ...)
 			}
 			exact(name, nil, values...)
+			lps[name] = goldenLP{m: m, q: q}
 		}
 	}
 
@@ -146,15 +151,46 @@ func goldenSolverRuns(t *testing.T) goldenSolvers {
 			exact(name+"/reliability", err, rel...)
 		}
 	}
-	return out
+	return out, lps
+}
+
+// goldenLP is the model behind one LP entry of the golden file.
+type goldenLP struct {
+	m *Model
+	q float64
+}
+
+// solution decodes an LP entry's values: AvgNodes, Availability, the policy
+// and the occupancy rows.
+func (g goldenLP) solution(bits []uint64) (*Solution, bool) {
+	n := g.m.SMax + 1
+	if len(bits) != 2+3*n {
+		return nil, false
+	}
+	v := make([]float64, len(bits))
+	for i, b := range bits {
+		v[i] = math.Float64frombits(b)
+	}
+	sol := &Solution{AvgNodes: v[0], Availability: v[1], Policy: v[2 : 2+n], Occupancy: make([][]float64, n)}
+	for s := range sol.Occupancy {
+		sol.Occupancy[s] = v[2+n+2*s : 2+n+2*s+2]
+	}
+	return sol, true
 }
 
 // TestGoldenParentSolvers compares this build's solver outputs with the ones
 // the golden commit wrote: == on every float of the finite-window DP, the
-// CMDP LP, its transition kernel and the Fig 6 curves; == on every
-// stationary threshold and |Δrho| <= 1e-9 on the stationary average cost.
+// CMDP transition kernel and the Fig 6 curves; == on every stationary
+// threshold and |Δrho| <= 1e-9 on the stationary average cost. The golden
+// commit solved the CMDP LP on a tableau, and this build walks deterministic
+// policies, so an LP entry keeps its error text byte for byte and is
+// otherwise held to the tableau oracle's tolerances (compareSolutions):
+// the policy within 1e-6 outside tied states, AvgNodes and Availability
+// within valueTolerance(q) — 1e-9 at q <= 0.95 and 2e-4 at q = 1, where only
+// the 1e-9 smoothing mixes the chain and the two solvers' optima differ by
+// up to 4.5e-7 with both stationary to 1e-14.
 func TestGoldenParentSolvers(t *testing.T) {
-	got := goldenSolverRuns(t)
+	got, lps := goldenSolverRuns(t)
 	if *updateGolden {
 		raw, err := json.MarshalIndent(got, "", " ")
 		if err != nil {
@@ -179,6 +215,16 @@ func TestGoldenParentSolvers(t *testing.T) {
 	}
 	for i, g := range got.Exact {
 		w := want.Exact[i]
+		if lp, ok := lps[g.Name]; ok && g.Name == w.Name && w.Text == "" {
+			gotSol, _ := lp.solution(g.Bits)
+			wantSol, ok := lp.solution(w.Bits)
+			if !ok {
+				t.Errorf("%s: commit f6a64b7 has %d values, want %d", w.Name, len(w.Bits), len(g.Bits))
+				continue
+			}
+			compareSolutions(t, g.Name+" (vs commit f6a64b7)", lp.m, lp.q, gotSol, wantSol)
+			continue
+		}
 		if g.Name != w.Name || g.Text != w.Text || !slices.Equal(g.Bits, w.Bits) {
 			t.Errorf("%s: differs from commit f6a64b7:\n got %v %q\nwant %v %q", g.Name, g.Bits, g.Text, w.Bits, w.Text)
 		}

@@ -7,11 +7,12 @@
 //	            A_ge x >= b_ge
 //	            x >= 0
 //
-// It is the LP backend of Algorithm 2 (the occupancy-measure linear program
-// (14) that computes the optimal replication strategy) and of the alpha-vector
-// domination checks in the incremental-pruning POMDP solver. The paper uses
-// the CBC solver (Table 8); this package provides an equivalent exact solver
-// built only on the standard library.
+// It is the LP backend of the alpha-vector domination checks in the
+// incremental-pruning POMDP solver. Algorithm 2's occupancy-measure linear
+// program (14) is solved in policy space by internal/cmdp; this tableau
+// solves the same program in cmdp's tests as its differential oracle. The
+// paper uses the CBC solver (Table 8); this package provides an equivalent
+// exact solver built only on the standard library.
 package lp
 
 import (

@@ -2,12 +2,17 @@ package tolerance
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+
+	"tolerance/internal/cmdp"
 )
 
 // TestSolveRecoveryStrategyFacade: the exact DP solves Problem 1 to a
@@ -60,6 +65,70 @@ func TestLearnRecoveryStrategyFacade(t *testing.T) {
 	}
 	if got, opt := learned.Recovery.ExpectedCost, exact.Recovery.ExpectedCost; math.Abs(got-opt) > 0.2*opt {
 		t.Errorf("learned J = %v, more than 20%% from the DP optimum %v", got, opt)
+	}
+}
+
+// TestReplicationInputChecks: every malformed replication input is refused
+// by name in internal/cmdp with ErrInvalidModel and, where the facade can
+// express it, by Solve with ErrBadInput — never as a solver error or a
+// silent ErrInfeasible. A zero f_S entry has no facade row:
+// NewBinomialModel's smoothing keeps every entry positive.
+func TestReplicationInputChecks(t *testing.T) {
+	nan := math.NaN()
+	for _, c := range []struct {
+		name string
+		// cmdpErr reaches the case through internal/cmdp; facade through
+		// tolerance.Solve, or is nil.
+		cmdpErr func() error
+		facade  *ReplicationProblem
+		// mention is what the cmdp error must name.
+		mention string
+	}{
+		{"NaN epsilonA via NewBinomialModel", func() error {
+			_, err := cmdp.NewBinomialModel(13, 1, nan, 0.95, 0)
+			return err
+		}, &ReplicationProblem{SMax: 13, F: 1, EpsilonA: nan, Q: 0.95}, "epsilonA = NaN"},
+		{"NaN epsilonA on a built model", func() error {
+			m, err := cmdp.NewBinomialModel(13, 1, 0.9, 0.95, 0)
+			if err != nil {
+				return err
+			}
+			m.EpsilonA = nan
+			_, err = cmdp.Solve(m)
+			return err
+		}, nil, "epsilonA = NaN"},
+		{"NaN q", func() error {
+			_, err := cmdp.NewBinomialModel(13, 1, 0.9, nan, 0)
+			return err
+		}, &ReplicationProblem{SMax: 13, F: 1, EpsilonA: 0.9, Q: nan}, "q = NaN"},
+		{"zero f_S entry", func() error {
+			m, err := cmdp.NewBinomialModel(13, 1, 0.9, 0.95, 0)
+			if err != nil {
+				return err
+			}
+			// Move one entry's mass to its neighbour: still stochastic, so
+			// Validate passes, but assumption B fails.
+			m.FS[0][5][12] += m.FS[0][5][13]
+			m.FS[0][5][13] = 0
+			if err := m.Validate(); err != nil {
+				return err
+			}
+			_, err = cmdp.Solve(m)
+			return err
+		}, nil, "fS(13|5,0) = 0"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			err := c.cmdpErr()
+			if !errors.Is(err, cmdp.ErrInvalidModel) || !strings.Contains(fmt.Sprint(err), c.mention) {
+				t.Errorf("cmdp: err %v, want ErrInvalidModel naming %q", err, c.mention)
+			}
+			if c.facade == nil {
+				return
+			}
+			if _, err := Solve(context.Background(), *c.facade); !errors.Is(err, ErrBadInput) {
+				t.Errorf("facade: err %v, want ErrBadInput", err)
+			}
+		})
 	}
 }
 
