@@ -11,7 +11,6 @@ import (
 	"math"
 
 	"tolerance/internal/dist"
-	"tolerance/internal/markov"
 	"tolerance/internal/nodemodel"
 	"tolerance/internal/recovery"
 )
@@ -291,10 +290,12 @@ func HealthyProb(p nodemodel.Params, s recovery.Strategy, deltaR int) (float64, 
 	return math.Min(1, math.Max(0, q)), nil
 }
 
-// NoRecoveryChain builds the Markov chain over the healthy-node count when
-// no recoveries or additions occur: each healthy node survives a step with
-// probability q = (1-pA)(1-pC1) (Fig 6, Appendix F).
-func NoRecoveryChain(n int, q float64) (*markov.Chain, error) {
+// noRecoveryChain returns the transition rows of the Markov chain over the
+// healthy-node count when no recoveries or additions occur: each healthy
+// node survives a step with probability q = (1-pA)(1-pC1) (Fig 6, Appendix
+// F). Row s is the Binomial(s, q) pmf, so P(s, s') = 0 for s' > s: the
+// count never grows.
+func noRecoveryChain(n int, q float64) ([][]float64, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("%w: n = %d", ErrInvalidModel, n)
 	}
@@ -317,33 +318,81 @@ func NoRecoveryChain(n int, q float64) (*markov.Chain, error) {
 		}
 		p[s] = row
 	}
-	return markov.NewChain(p)
+	return p, nil
 }
 
 // MTTF computes E[T(f)] of Fig 6a: the mean time until fewer than
 // 2f+k+1 nodes remain, starting from n1 healthy nodes with per-step node
-// survival probability q and no recoveries.
+// survival probability q and no recoveries. It is the hitting time of the
+// failure set F = {0, ..., 2f+k} (Appendix F). The count never grows, so
+// the hitting times solve by forward substitution over the states outside
+// F in increasing order:
+//
+//	h(s) = (1 + sum_{s' not in F, s' < s} P(s, s') h(s')) / sum_{s' < s} P(s, s').
+//
+// The denominator is the row's off-diagonal mass rather than 1 - P(s, s),
+// so nothing cancels as q -> 1; a state that cannot leave has h = +Inf.
 func MTTF(n1, f, k int, q float64) (float64, error) {
-	chain, err := NoRecoveryChain(n1, q)
+	p, err := noRecoveryChain(n1, q)
 	if err != nil {
 		return 0, err
 	}
-	failure := make(map[int]bool)
-	for s := 0; s < 2*f+k+1 && s <= n1; s++ {
-		failure[s] = true
+	lo := max(2*f+k+1, 0) // the lowest state outside F
+	h := make([]float64, n1+1)
+	for s := lo; s <= n1; s++ {
+		row := p[s]
+		leave := 0.0
+		for _, v := range row[:s] {
+			leave += v
+		}
+		if leave == 0 {
+			h[s] = math.Inf(1)
+			continue
+		}
+		sum := 1.0
+		for s2 := lo; s2 < s; s2++ {
+			if row[s2] > 0 { // 0 * +Inf would be NaN
+				sum += row[s2] * h[s2]
+			}
+		}
+		h[s] = sum / leave
 	}
-	return chain.MTTF(n1, failure)
+	return h[n1], nil
 }
 
-// Reliability computes R(t) of Fig 6b for t = 0..horizon.
+// Reliability computes R(t) = P[T(f) > t] of Fig 6b for t = 0..horizon by
+// eq. (18): the mass outside F of the distribution moved t steps from n1
+// over the chain with F absorbing. Mass in F never returns, so only the
+// states outside F are moved. The count never grows, so the step updates
+// the distribution in place: the new mass of state j sums the old mass of
+// states j..n1 only.
 func Reliability(n1, f, k, horizon int, q float64) ([]float64, error) {
-	chain, err := NoRecoveryChain(n1, q)
+	if horizon < 0 {
+		return nil, fmt.Errorf("%w: horizon = %d", ErrInvalidModel, horizon)
+	}
+	p, err := noRecoveryChain(n1, q)
 	if err != nil {
 		return nil, err
 	}
-	failure := make(map[int]bool)
-	for s := 0; s < 2*f+k+1 && s <= n1; s++ {
-		failure[s] = true
+	lo := max(2*f+k+1, 0) // the lowest state outside F
+	mu := make([]float64, n1+1)
+	mu[n1] = 1
+	out := make([]float64, horizon+1)
+	for t := range out {
+		if t > 0 {
+			for j := lo; j <= n1; j++ {
+				next := 0.0
+				for i := j; i <= n1; i++ {
+					next += mu[i] * p[i][j]
+				}
+				mu[j] = next
+			}
+		}
+		surv := 0.0
+		for _, m := range mu[min(lo, n1+1):] {
+			surv += m
+		}
+		out[t] = surv
 	}
-	return chain.Reliability(n1, failure, horizon)
+	return out, nil
 }

@@ -111,7 +111,7 @@ func TestBinomialModelMatchesPerEntryOracle(t *testing.T) {
 					}
 				}
 			}
-			chain, err := NoRecoveryChain(smax, q)
+			chain, err := noRecoveryChain(smax, q)
 			if err != nil {
 				t.Fatalf("chain n=%d q=%v: %v", smax, q, err)
 			}
@@ -125,7 +125,7 @@ func TestBinomialModelMatchesPerEntryOracle(t *testing.T) {
 					if k <= s {
 						want = dist.Binomial(s, q, k) / sum
 					}
-					if g := chain.Prob(s, k); math.Float64bits(g) != math.Float64bits(want) {
+					if g := chain[s][k]; math.Float64bits(g) != math.Float64bits(want) {
 						t.Fatalf("chain n=%d q=%v: P(%d -> %d) = %v, per-entry %v", smax, q, s, k, g, want)
 					}
 				}

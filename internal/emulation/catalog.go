@@ -129,8 +129,7 @@ func buildCatalog() ([]Container, error) {
 }
 
 // PhysicalNode describes one server of Table 3 (kept as reference data for
-// the documentation and the tolerance-sim tool; the simulation does not
-// model hardware).
+// the documentation; the simulation does not model hardware).
 type PhysicalNode struct {
 	Name       string
 	Processors string

@@ -12,7 +12,6 @@ import (
 
 	"tolerance/internal/baselines"
 	"tolerance/internal/cmdp"
-	"tolerance/internal/dist"
 	"tolerance/internal/emulation"
 	"tolerance/internal/nodemodel"
 	"tolerance/internal/recovery"
@@ -275,18 +274,11 @@ func (c *StrategyCache) Recovery(p nodemodel.Params, cfg recovery.DPConfig) (*re
 	})
 }
 
-// Replication returns the Problem 2 solution for the node model under the
-// given threshold recovery strategy and system shape.
-func (c *StrategyCache) Replication(p nodemodel.Params, rec *recovery.ThresholdStrategy, smax, f int, epsilonA float64, deltaR int) (*cmdp.Solution, error) {
-	// The recovery strategy shapes q, so its thresholds are part of the
-	// key: two callers with equal node params but different strategies
-	// (e.g. DP solutions at different grid sizes) must not share a slot.
-	return c.ReplicationFor(p, rec, strategyFingerprint(rec), smax, f, epsilonA, deltaR)
-}
-
-// ReplicationFor is the general form of Replication: it accepts any
-// recovery decision rule (learned thresholds, a PPO policy) with recFP as
-// its canonical fingerprint. The healthy-node probability q is computed
+// ReplicationFor returns the Problem 2 solution for the node model under
+// the given recovery decision rule (exact or learned thresholds, a PPO
+// policy) and system shape. recFP canonicalizes the rule: the rule shapes
+// q, so two callers with equal node params but different rules must not
+// share a slot. The healthy-node probability q is computed
 // once per (params, strategy, deltaR) — system shapes that share a node
 // model share it — and the occupancy-measure LP is further deduplicated
 // across input keys by the assembled model's fingerprint.
@@ -480,13 +472,4 @@ func seedFromKey(key string) int64 {
 	h := fnv.New64a()
 	h.Write([]byte(key))
 	return int64(h.Sum64())
-}
-
-// strategyFingerprint canonicalizes a threshold strategy for cache keys.
-func strategyFingerprint(rec *recovery.ThresholdStrategy) string {
-	if rec == nil {
-		return "nil"
-	}
-	values := append([]float64{float64(rec.DeltaR)}, rec.Thresholds...)
-	return dist.Fingerprint(values...)
 }

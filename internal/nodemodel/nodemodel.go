@@ -293,6 +293,20 @@ func (p Params) UpdateBelief(b float64, a Action, o int) float64 {
 	return math.Min(1, math.Max(0, nb))
 }
 
+// Posterior applies only the observation part of the belief update: the
+// compromise probability after observing o from prior, with no action and
+// no transition before it (an episode's first observation).
+func (p Params) Posterior(prior float64, o int) float64 {
+	zc := p.ZCompromised.Prob(o)
+	zh := p.ZHealthy.Prob(o)
+	num := zc * prior
+	den := num + zh*(1-prior)
+	if den <= 0 {
+		return prior
+	}
+	return num / den
+}
+
 // PredictBelief returns the pre-observation compromise probability after
 // taking action a from belief b, conditional on the node staying alive. The
 // survival weighting (1-pC1 for healthy, 1-pC2 for compromised) matches the

@@ -331,7 +331,7 @@ func runPPOEpisode(rng *rand.Rand, params nodemodel.Params, policy *Policy, cfg 
 	}
 	belief := params.PA
 	obs := params.SampleObservation(rng, state)
-	belief = posterior(params, belief, obs)
+	belief = params.Posterior(belief, obs)
 
 	for t := 1; t <= cfg.Horizon; t++ {
 		windowPos := t
@@ -372,18 +372,6 @@ func runPPOEpisode(rng *rand.Rand, params nodemodel.Params, policy *Policy, cfg 
 	if n := len(b.terminal); n > 0 {
 		b.terminal[n-1] = true
 	}
-}
-
-// posterior applies the observation update only (first step of an episode).
-func posterior(p nodemodel.Params, prior float64, obs int) float64 {
-	zc := p.ZCompromised.Prob(obs)
-	zh := p.ZHealthy.Prob(obs)
-	num := zc * prior
-	den := num + zh*(1-prior)
-	if den <= 0 {
-		return prior
-	}
-	return num / den
 }
 
 // computeGAE fills advantages and returns using the critic.

@@ -65,7 +65,7 @@ func rolloutShares(seed int64, p nodemodel.Params, s Strategy, deltaR, episodes,
 		if rng.Float64() < p.PA {
 			state = nodemodel.Compromised
 		}
-		belief := bayesObservation(p, p.PA, p.SampleObservation(rng, state))
+		belief := p.Posterior(p.PA, p.SampleObservation(rng, state))
 		for t := 1; t <= burn+count; t++ {
 			windowPos, forced := t, false
 			if deltaR != InfiniteDeltaR {

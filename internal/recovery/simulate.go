@@ -146,7 +146,7 @@ func runEpisode(rng *rand.Rand, p nodemodel.Params, s Strategy, cfg SimConfig) e
 	// Initial belief and observation.
 	belief := p.PA
 	obs := p.SampleObservation(rng, state)
-	belief = bayesObservation(p, belief, obs)
+	belief = p.Posterior(belief, obs)
 
 	compromisedAt := -1
 	if state == nodemodel.Compromised {
@@ -210,17 +210,4 @@ func runEpisode(rng *rand.Rand, p nodemodel.Params, s Strategy, cfg SimConfig) e
 		res.recoveryTimes = append(res.recoveryTimes, NoRecoveryPenalty)
 	}
 	return res
-}
-
-// bayesObservation applies only the observation part of the belief update
-// (used for the very first observation where no action preceded).
-func bayesObservation(p nodemodel.Params, prior float64, obs int) float64 {
-	zc := p.ZCompromised.Prob(obs)
-	zh := p.ZHealthy.Prob(obs)
-	num := zc * prior
-	den := num + zh*(1-prior)
-	if den <= 0 {
-		return prior
-	}
-	return num / den
 }

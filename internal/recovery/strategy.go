@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 
+	"tolerance/internal/dist"
 	"tolerance/internal/nodemodel"
 )
 
@@ -83,6 +84,12 @@ func (s *ThresholdStrategy) Action(belief float64, windowPos int) nodemodel.Acti
 		return nodemodel.Recover
 	}
 	return nodemodel.Wait
+}
+
+// Fingerprint canonicalizes the strategy for cache keys: DeltaR and every
+// threshold, bit for bit.
+func (s *ThresholdStrategy) Fingerprint() string {
+	return dist.Fingerprint(append([]float64{float64(s.DeltaR)}, s.Thresholds...)...)
 }
 
 // Threshold returns the threshold used at the given window position.

@@ -92,7 +92,7 @@ func (toleranceStrategy) Policy(_ context.Context, spec Spec, solvers Solvers) (
 		return nil, err
 	}
 	rec := dp.Strategy(spec.DeltaR)
-	rep, err := solvers.Replication(spec.Params, rec, spec.SMax, spec.F, spec.EpsilonA, spec.DeltaR)
+	rep, err := solvers.ReplicationFor(spec.Params, rec, rec.Fingerprint(), spec.SMax, spec.F, spec.EpsilonA, spec.DeltaR)
 	if err != nil {
 		return nil, err
 	}
@@ -201,7 +201,8 @@ func (s learnedStrategy) Policy(ctx context.Context, spec Spec, solvers Solvers)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := solvers.Replication(spec.Params, res.Strategy, spec.SMax, spec.F, spec.EpsilonA, spec.DeltaR)
+	rep, err := solvers.ReplicationFor(spec.Params, res.Strategy, res.Strategy.Fingerprint(),
+		spec.SMax, spec.F, spec.EpsilonA, spec.DeltaR)
 	if err != nil {
 		return nil, err
 	}

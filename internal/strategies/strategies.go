@@ -73,10 +73,9 @@ type Spec struct {
 type Solvers interface {
 	// Recovery solves Problem 1 exactly (recovery.SolveDP).
 	Recovery(p nodemodel.Params, cfg recovery.DPConfig) (*recovery.DPSolution, error)
-	// Replication solves Problem 2 for a threshold recovery strategy.
-	Replication(p nodemodel.Params, rec *recovery.ThresholdStrategy, smax, f int, epsilonA float64, deltaR int) (*cmdp.Solution, error)
-	// ReplicationFor solves Problem 2 for an arbitrary recovery decision
-	// rule; recFP canonicalizes the rule for the cache key.
+	// ReplicationFor solves Problem 2 for a recovery decision rule; recFP
+	// canonicalizes the rule for the cache key (a threshold strategy's is
+	// its Fingerprint).
 	ReplicationFor(p nodemodel.Params, rec recovery.Strategy, recFP string, smax, f int, epsilonA float64, deltaR int) (*cmdp.Solution, error)
 }
 
