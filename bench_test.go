@@ -1,10 +1,10 @@
 package tolerance
 
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (see DESIGN.md §2 for the experiment index and EXPERIMENTS.md
-// for measured results). Each benchmark regenerates the corresponding
-// artifact with a budget sized for `go test -bench`; cmd/tolerance-bench
-// prints the full rows/series and supports larger budgets.
+// evaluation (docs/ARCHITECTURE.md maps each to its package). Each
+// benchmark regenerates the corresponding artifact with a budget sized for
+// `go test -bench`; cmd/tolerance-bench prints the full rows/series and
+// supports larger budgets.
 
 import (
 	"context"
@@ -21,7 +21,6 @@ import (
 	"tolerance/internal/minbft"
 	"tolerance/internal/nodemodel"
 	"tolerance/internal/opt"
-	"tolerance/internal/pomdp"
 	"tolerance/internal/ppo"
 	"tolerance/internal/recovery"
 	"tolerance/internal/replica"
@@ -29,24 +28,16 @@ import (
 	"tolerance/internal/usig"
 )
 
-// BenchmarkFig04ValueFunction computes the optimal value function of the
-// node POMDP with exact incremental pruning (the alpha vectors of Fig 4).
+// BenchmarkFig04ValueFunction evaluates the node problem's optimal value
+// function V*_4 by the exact belief recursion at Fig 4's eleven beliefs.
 func BenchmarkFig04ValueFunction(b *testing.B) {
 	params := nodemodel.DefaultParams()
 	params.PA = 0.01 // Fig 4 configuration (App. E)
-	model, err := params.POMDP()
-	if err != nil {
-		b.Fatal(err)
-	}
-	ip := &pomdp.IncrementalPruning{MaxVectors: 32}
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stages, err := ip.SolveFiniteHorizon(model, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(stages[4]) == 0 {
-			b.Fatal("no alpha vectors")
+		for k := 0; k <= 10; k++ {
+			if v, _ := params.OptimalValue(float64(k)/10, 4); v <= 0 {
+				b.Fatalf("V*(%v) = %v, want > 0", float64(k)/10, v)
+			}
 		}
 	}
 }
@@ -133,22 +124,10 @@ func BenchmarkTable2Solvers(b *testing.B) {
 			}
 		}
 	})
-	b.Run("ip", func(b *testing.B) {
-		model, err := params.POMDP()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < b.N; i++ {
-			ip := &pomdp.IncrementalPruning{MaxVectors: 16, TimeBudget: 5 * time.Second}
-			if _, _, err := ip.SolveInfinite(model, 1e-3, 6); err != nil && err != pomdp.ErrNotConverged {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkFig08DPHorizon measures how the exact solve time grows with
-// Delta_R (the Fig 8 trend: IP/DP cost increases with the horizon).
+// Delta_R (the Fig 8 trend: the DP's cost increases with the horizon).
 func BenchmarkFig08DPHorizon(b *testing.B) {
 	params := nodemodel.DefaultParams()
 	for _, deltaR := range []int{5, 15, 25} {

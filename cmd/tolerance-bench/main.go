@@ -5,7 +5,9 @@
 //	tolerance-bench -full               # larger budgets (slower)
 //
 // Experiment IDs: fig4 fig5 fig6a fig6b table2 fig9 fig11 fig13 fig14 fig15
-// fig16 fig18 table7.
+// fig16 fig18 table7. Each experiment's "(id in …)" wall-clock line goes to
+// stderr, so the stdout of two builds can be compared byte for byte (table2
+// and fig9 still print solve times).
 //
 // -metrics-addr serves the HTTP introspection endpoint (/metrics,
 // /debug/vars, /debug/pprof/*) while experiments run — handy for profiling
@@ -27,7 +29,6 @@ import (
 	"tolerance/internal/ids"
 	"tolerance/internal/nodemodel"
 	"tolerance/internal/opt"
-	"tolerance/internal/pomdp"
 	"tolerance/internal/recovery"
 	"tolerance/internal/telemetry"
 )
@@ -86,7 +87,8 @@ func run(which string, full bool) error {
 		if err := e.fn(full); err != nil {
 			return fmt.Errorf("%s: %w", e.id, err)
 		}
-		fmt.Printf("(%s in %v)\n\n", e.id, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "(%s in %v)\n", e.id, time.Since(start).Round(time.Millisecond))
+		fmt.Println()
 	}
 	if !ran {
 		return fmt.Errorf("unknown experiment %q", which)
@@ -97,25 +99,11 @@ func run(which string, full bool) error {
 func fig4(bool) error {
 	params := nodemodel.DefaultParams()
 	params.PA = 0.01
-	model, err := params.POMDP()
-	if err != nil {
-		return err
-	}
-	ip := &pomdp.IncrementalPruning{MaxVectors: 32}
-	stages, err := ip.SolveFiniteHorizon(model, 4)
-	if err != nil {
-		return err
-	}
-	vectors := stages[4]
-	fmt.Printf("alpha vectors (%d) of V*_{t=4}; V*(b) over b = P[compromised]:\n", len(vectors))
-	for b := 0.0; b <= 1.0001; b += 0.1 {
-		belief := []float64{1 - b, b, 0}
-		v, a := pomdp.ValueAt(vectors, belief)
-		act := "W"
-		if a == 1 {
-			act = "R"
-		}
-		fmt.Printf("  b=%.1f  V*=%.4f  action=%s\n", b, v, act)
+	fmt.Println("V*_{t=4}(b) by the exact belief recursion, b = P[compromised]:")
+	for i := 0; i <= 10; i++ {
+		b := float64(i) / 10
+		v, a := params.OptimalValue(b, 4)
+		fmt.Printf("  b=%.1f  V*=%.4f  action=%s\n", b, v, a)
 	}
 	return nil
 }

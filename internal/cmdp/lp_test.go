@@ -1,4 +1,4 @@
-package lp
+package cmdp
 
 import (
 	"errors"
@@ -9,18 +9,18 @@ import (
 	"testing/quick"
 )
 
-func mustProblem(t *testing.T, n int) *Problem {
+func mustLPProblem(t *testing.T, n int) *lpProblem {
 	t.Helper()
-	p, err := NewProblem(n)
+	p, err := newLPProblem(n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return p
 }
 
-func TestSolveBasicMaximization(t *testing.T) {
+func TestLPSolveBasicMaximization(t *testing.T) {
 	// max x + y  s.t. x + y <= 4, x <= 2  ==> min -(x+y), optimum 4 at (2,2).
-	p := mustProblem(t, 2)
+	p := mustLPProblem(t, 2)
 	if err := p.SetObjective([]float64{-1, -1}); err != nil {
 		t.Fatal(err)
 	}
@@ -42,9 +42,9 @@ func TestSolveBasicMaximization(t *testing.T) {
 	}
 }
 
-func TestSolveEqualitySimplex(t *testing.T) {
+func TestLPSolveEqualitySimplex(t *testing.T) {
 	// min c.x over the probability simplex picks the smallest coefficient.
-	p := mustProblem(t, 4)
+	p := mustLPProblem(t, 4)
 	if err := p.SetObjective([]float64{3, 1, 2, 5}); err != nil {
 		t.Fatal(err)
 	}
@@ -64,9 +64,9 @@ func TestSolveEqualitySimplex(t *testing.T) {
 	}
 }
 
-func TestSolveGeConstraint(t *testing.T) {
+func TestLPSolveGeConstraint(t *testing.T) {
 	// min x  s.t. x >= 3.5.
-	p := mustProblem(t, 1)
+	p := mustLPProblem(t, 1)
 	if err := p.SetObjective([]float64{1}); err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +82,9 @@ func TestSolveGeConstraint(t *testing.T) {
 	}
 }
 
-func TestSolveNegativeRHS(t *testing.T) {
+func TestLPSolveNegativeRHS(t *testing.T) {
 	// -x <= -2 is x >= 2.
-	p := mustProblem(t, 1)
+	p := mustLPProblem(t, 1)
 	if err := p.SetObjective([]float64{1}); err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +100,8 @@ func TestSolveNegativeRHS(t *testing.T) {
 	}
 }
 
-func TestSolveInfeasible(t *testing.T) {
-	p := mustProblem(t, 1)
+func TestLPSolveInfeasible(t *testing.T) {
+	p := mustLPProblem(t, 1)
 	if err := p.AddGe([]float64{1}, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -109,13 +109,13 @@ func TestSolveInfeasible(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := p.Solve()
-	if !errors.Is(err, ErrInfeasible) {
-		t.Errorf("err = %v, want ErrInfeasible", err)
+	if !errors.Is(err, errLPInfeasible) {
+		t.Errorf("err = %v, want errLPInfeasible", err)
 	}
 }
 
-func TestSolveUnbounded(t *testing.T) {
-	p := mustProblem(t, 2)
+func TestLPSolveUnbounded(t *testing.T) {
+	p := mustLPProblem(t, 2)
 	if err := p.SetObjective([]float64{-1, 0}); err != nil {
 		t.Fatal(err)
 	}
@@ -123,14 +123,14 @@ func TestSolveUnbounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := p.Solve()
-	if !errors.Is(err, ErrUnbounded) {
-		t.Errorf("err = %v, want ErrUnbounded", err)
+	if !errors.Is(err, errLPUnbounded) {
+		t.Errorf("err = %v, want errLPUnbounded", err)
 	}
 }
 
-func TestSolveDegenerate(t *testing.T) {
+func TestLPSolveDegenerate(t *testing.T) {
 	// Classic degenerate problem; must terminate (anti-cycling).
-	p := mustProblem(t, 3)
+	p := mustLPProblem(t, 3)
 	if err := p.SetObjective([]float64{-0.75, 150, -0.02}); err != nil {
 		t.Fatal(err)
 	}
@@ -150,15 +150,15 @@ func TestSolveDegenerate(t *testing.T) {
 	// Known optimum of this Beale-style instance: objective -0.05 is not the
 	// classic one (we perturbed it); just require finite termination with a
 	// feasible solution.
-	if sol.Status != StatusOptimal {
+	if sol.Status != lpOptimal {
 		t.Errorf("status = %v", sol.Status)
 	}
 }
 
-func TestSolveRedundantEqualities(t *testing.T) {
+func TestLPSolveRedundantEqualities(t *testing.T) {
 	// x + y = 1 stated twice: a redundant row exercises the driven-out
 	// artificial path.
-	p := mustProblem(t, 2)
+	p := mustLPProblem(t, 2)
 	if err := p.SetObjective([]float64{1, 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +177,11 @@ func TestSolveRedundantEqualities(t *testing.T) {
 	}
 }
 
-func TestProblemValidation(t *testing.T) {
-	if _, err := NewProblem(0); err == nil {
-		t.Error("NewProblem(0) should fail")
+func TestLPProblemValidation(t *testing.T) {
+	if _, err := newLPProblem(0); err == nil {
+		t.Error("newLPProblem(0) should fail")
 	}
-	p := mustProblem(t, 2)
+	p := mustLPProblem(t, 2)
 	if err := p.SetObjective([]float64{1}); err == nil {
 		t.Error("wrong objective length should fail")
 	}
@@ -196,16 +196,16 @@ func TestProblemValidation(t *testing.T) {
 	}
 }
 
-func TestStatusString(t *testing.T) {
-	for s, want := range map[Status]string{
-		StatusOptimal:        "optimal",
-		StatusInfeasible:     "infeasible",
-		StatusUnbounded:      "unbounded",
-		StatusIterationLimit: "iteration limit",
-		Status(99):           "unknown(99)",
+func TestLPStatusString(t *testing.T) {
+	for s, want := range map[lpStatus]string{
+		lpOptimal:        "optimal",
+		lpInfeasible:     "infeasible",
+		lpUnbounded:      "unbounded",
+		lpIterationLimit: "iteration limit",
+		lpStatus(99):     "unknown(99)",
 	} {
 		if got := s.String(); got != want {
-			t.Errorf("Status(%d).String() = %q, want %q", int(s), got, want)
+			t.Errorf("lpStatus(%d).String() = %q, want %q", int(s), got, want)
 		}
 	}
 }
@@ -215,7 +215,7 @@ func TestStatusString(t *testing.T) {
 //	min c.x  s.t.  sum x = S,  x_i <= u_i,  x >= 0
 //
 // the optimum equals the greedy fill of cheapest coefficients first.
-func TestSolveMatchesGreedyProperty(t *testing.T) {
+func TestLPSolveMatchesGreedyProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 2 + r.Intn(6)
@@ -247,7 +247,7 @@ func TestSolveMatchesGreedyProperty(t *testing.T) {
 			}
 		}
 
-		p, err := NewProblem(n)
+		p, err := newLPProblem(n)
 		if err != nil {
 			return false
 		}
@@ -280,12 +280,12 @@ func TestSolveMatchesGreedyProperty(t *testing.T) {
 }
 
 // Property: solutions are primal feasible.
-func TestSolutionFeasibleProperty(t *testing.T) {
+func TestLPSolutionFeasibleProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 2 + r.Intn(4)
 		m := 1 + r.Intn(4)
-		p, err := NewProblem(n)
+		p, err := newLPProblem(n)
 		if err != nil {
 			return false
 		}
@@ -346,8 +346,8 @@ func TestSolutionFeasibleProperty(t *testing.T) {
 	}
 }
 
-func TestSetMaxIterations(t *testing.T) {
-	p := mustProblem(t, 2)
+func TestLPSetMaxIterations(t *testing.T) {
+	p := mustLPProblem(t, 2)
 	if err := p.SetObjective([]float64{-1, -1}); err != nil {
 		t.Fatal(err)
 	}
@@ -356,8 +356,8 @@ func TestSetMaxIterations(t *testing.T) {
 	}
 	p.SetMaxIterations(1)
 	// With one iteration allowed the solver may or may not finish; it must
-	// either return optimal or ErrIterationLimit, never hang.
-	if _, err := p.Solve(); err != nil && !errors.Is(err, ErrIterationLimit) {
+	// either return optimal or errLPIterationLimit, never hang.
+	if _, err := p.Solve(); err != nil && !errors.Is(err, errLPIterationLimit) {
 		t.Errorf("unexpected error: %v", err)
 	}
 }

@@ -1,5 +1,6 @@
-// Package lp implements a dense two-phase primal simplex solver for linear
-// programs in the form
+package cmdp
+
+// A dense two-phase primal simplex solver for linear programs in the form
 //
 //	minimize    c^T x
 //	subject to  A_eq x  = b_eq
@@ -7,13 +8,10 @@
 //	            A_ge x >= b_ge
 //	            x >= 0
 //
-// It is the LP backend of the alpha-vector domination checks in the
-// incremental-pruning POMDP solver. Algorithm 2's occupancy-measure linear
-// program (14) is solved in policy space by internal/cmdp; this tableau
-// solves the same program in cmdp's tests as its differential oracle. The
-// paper uses the CBC solver (Table 8); this package provides an equivalent
-// exact solver built only on the standard library.
-package lp
+// It solves Algorithm 2's occupancy-measure linear program (14) row by row
+// in solveTableau, the differential oracle Solve is held to. The paper uses
+// the CBC solver (Table 8); this tableau is an equivalent exact solver
+// built only on the standard library.
 
 import (
 	"errors"
@@ -21,72 +19,72 @@ import (
 	"math"
 )
 
-// Status describes the outcome of a Solve call.
-type Status int
+// lpStatus describes the outcome of a Solve call.
+type lpStatus int
 
 // Solver outcomes.
 const (
-	StatusOptimal Status = iota + 1
-	StatusInfeasible
-	StatusUnbounded
-	StatusIterationLimit
+	lpOptimal lpStatus = iota + 1
+	lpInfeasible
+	lpUnbounded
+	lpIterationLimit
 )
 
 // String returns a human-readable status.
-func (s Status) String() string {
+func (s lpStatus) String() string {
 	switch s {
-	case StatusOptimal:
+	case lpOptimal:
 		return "optimal"
-	case StatusInfeasible:
+	case lpInfeasible:
 		return "infeasible"
-	case StatusUnbounded:
+	case lpUnbounded:
 		return "unbounded"
-	case StatusIterationLimit:
+	case lpIterationLimit:
 		return "iteration limit"
 	default:
 		return fmt.Sprintf("unknown(%d)", int(s))
 	}
 }
 
-// Errors returned by Solve.
+// Errors returned by lpProblem.Solve.
 var (
-	ErrInfeasible     = errors.New("lp: infeasible")
-	ErrUnbounded      = errors.New("lp: unbounded")
-	ErrIterationLimit = errors.New("lp: iteration limit reached")
-	ErrBadProblem     = errors.New("lp: malformed problem")
+	errLPInfeasible     = errors.New("lp: infeasible")
+	errLPUnbounded      = errors.New("lp: unbounded")
+	errLPIterationLimit = errors.New("lp: iteration limit reached")
+	errLPBadProblem     = errors.New("lp: malformed problem")
 )
 
-type constraint struct {
+type lpConstraint struct {
 	coeffs []float64
 	rhs    float64
 	kind   int // 0 ==, 1 <=, 2 >=
 }
 
-// Problem is a linear program under construction. Create one with NewProblem,
-// add constraints, then call Solve.
-type Problem struct {
+// lpProblem is a linear program under construction. Create one with
+// newLPProblem, add constraints, then call Solve.
+type lpProblem struct {
 	numVars     int
 	objective   []float64
-	constraints []constraint
+	constraints []lpConstraint
 	maxIter     int
 }
 
-// NewProblem creates a problem with the given number of non-negative
+// newLPProblem creates a problem with the given number of non-negative
 // decision variables and a zero objective.
-func NewProblem(numVars int) (*Problem, error) {
+func newLPProblem(numVars int) (*lpProblem, error) {
 	if numVars < 1 {
-		return nil, fmt.Errorf("%w: numVars = %d", ErrBadProblem, numVars)
+		return nil, fmt.Errorf("%w: numVars = %d", errLPBadProblem, numVars)
 	}
-	return &Problem{
+	return &lpProblem{
 		numVars:   numVars,
 		objective: make([]float64, numVars),
 	}, nil
 }
 
 // SetObjective sets the minimization objective coefficients.
-func (p *Problem) SetObjective(c []float64) error {
+func (p *lpProblem) SetObjective(c []float64) error {
 	if len(c) != p.numVars {
-		return fmt.Errorf("%w: objective length %d, want %d", ErrBadProblem, len(c), p.numVars)
+		return fmt.Errorf("%w: objective length %d, want %d", errLPBadProblem, len(c), p.numVars)
 	}
 	copy(p.objective, c)
 	return nil
@@ -94,49 +92,49 @@ func (p *Problem) SetObjective(c []float64) error {
 
 // SetMaxIterations overrides the simplex iteration limit (default: a bound
 // proportional to problem size).
-func (p *Problem) SetMaxIterations(n int) { p.maxIter = n }
+func (p *lpProblem) SetMaxIterations(n int) { p.maxIter = n }
 
-func (p *Problem) addConstraint(coeffs []float64, rhs float64, kind int) error {
+func (p *lpProblem) addConstraint(coeffs []float64, rhs float64, kind int) error {
 	if len(coeffs) != p.numVars {
-		return fmt.Errorf("%w: constraint length %d, want %d", ErrBadProblem, len(coeffs), p.numVars)
+		return fmt.Errorf("%w: constraint length %d, want %d", errLPBadProblem, len(coeffs), p.numVars)
 	}
 	for i, v := range coeffs {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("%w: coeff[%d] = %v", ErrBadProblem, i, v)
+			return fmt.Errorf("%w: coeff[%d] = %v", errLPBadProblem, i, v)
 		}
 	}
 	if math.IsNaN(rhs) || math.IsInf(rhs, 0) {
-		return fmt.Errorf("%w: rhs = %v", ErrBadProblem, rhs)
+		return fmt.Errorf("%w: rhs = %v", errLPBadProblem, rhs)
 	}
 	cp := make([]float64, len(coeffs))
 	copy(cp, coeffs)
-	p.constraints = append(p.constraints, constraint{coeffs: cp, rhs: rhs, kind: kind})
+	p.constraints = append(p.constraints, lpConstraint{coeffs: cp, rhs: rhs, kind: kind})
 	return nil
 }
 
 // AddEq adds the constraint coeffs . x = rhs.
-func (p *Problem) AddEq(coeffs []float64, rhs float64) error {
+func (p *lpProblem) AddEq(coeffs []float64, rhs float64) error {
 	return p.addConstraint(coeffs, rhs, 0)
 }
 
 // AddLe adds the constraint coeffs . x <= rhs.
-func (p *Problem) AddLe(coeffs []float64, rhs float64) error {
+func (p *lpProblem) AddLe(coeffs []float64, rhs float64) error {
 	return p.addConstraint(coeffs, rhs, 1)
 }
 
 // AddGe adds the constraint coeffs . x >= rhs.
-func (p *Problem) AddGe(coeffs []float64, rhs float64) error {
+func (p *lpProblem) AddGe(coeffs []float64, rhs float64) error {
 	return p.addConstraint(coeffs, rhs, 2)
 }
 
-// Solution holds the result of a Solve call.
-type Solution struct {
+// lpSolution holds the result of a Solve call.
+type lpSolution struct {
 	// X is the optimal assignment of the decision variables.
 	X []float64
 	// Objective is c^T X.
 	Objective float64
-	// Status is StatusOptimal on success.
-	Status Status
+	// Status is lpOptimal on success.
+	Status lpStatus
 	// Iterations is the total number of simplex pivots performed.
 	Iterations int
 }
@@ -144,8 +142,8 @@ type Solution struct {
 const pivotEps = 1e-9
 
 // Solve runs the two-phase simplex method and returns the optimal solution,
-// or an error wrapping ErrInfeasible / ErrUnbounded / ErrIterationLimit.
-func (p *Problem) Solve() (*Solution, error) {
+// or an error wrapping errLPInfeasible / errLPUnbounded / errLPIterationLimit.
+func (p *lpProblem) Solve() (*lpSolution, error) {
 	m := len(p.constraints)
 	n := p.numVars
 
@@ -264,7 +262,7 @@ func (p *Problem) Solve() (*Solution, error) {
 			return nil, err
 		}
 		if t.objectiveValue(phase1) > 1e-7 {
-			return nil, ErrInfeasible
+			return nil, errLPInfeasible
 		}
 		// Drive any artificial variables out of the basis; rows where that is
 		// impossible are redundant and removed so that later pivots cannot
@@ -315,7 +313,7 @@ func (p *Problem) Solve() (*Solution, error) {
 	for j := 0; j < n; j++ {
 		objVal += p.objective[j] * x[j]
 	}
-	return &Solution{X: x, Objective: objVal, Status: StatusOptimal, Iterations: iters}, nil
+	return &lpSolution{X: x, Objective: objVal, Status: lpOptimal, Iterations: iters}, nil
 }
 
 // tableau is the dense simplex working state.
@@ -360,7 +358,7 @@ func (t *tableau) computeReducedCosts(c []float64) {
 // threshold to guarantee termination.
 func (t *tableau) run(c []float64, maxIter int) (int, error) {
 	if maxIter <= 0 {
-		return 0, ErrIterationLimit
+		return 0, errLPIterationLimit
 	}
 	t.computeReducedCosts(c)
 	defer func() { t.z = nil }()
@@ -406,11 +404,11 @@ func (t *tableau) run(c []float64, maxIter int) (int, error) {
 			}
 		}
 		if leave < 0 {
-			return iter, ErrUnbounded
+			return iter, errLPUnbounded
 		}
 		t.pivot(leave, enter)
 	}
-	return maxIter, ErrIterationLimit
+	return maxIter, errLPIterationLimit
 }
 
 // pivot makes column j basic in row i.

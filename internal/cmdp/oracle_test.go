@@ -6,14 +6,12 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"tolerance/internal/lp"
 )
 
 // solveTableau is Solve as it was before the policy-space simplex: the
 // occupancy-measure LP (14) written out row by row — 2(smax+1) variables,
-// a dense stationarity row per state — and handed to internal/lp's
-// two-phase tableau. It is the differential oracle Solve is held to.
+// a dense stationarity row per state — and handed to the two-phase tableau
+// of lptableau_test.go. It is the differential oracle Solve is held to.
 func solveTableau(m *Model) (*Solution, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -22,7 +20,7 @@ func solveTableau(m *Model) (*Solution, error) {
 	numVars := n * NumActions
 	idx := func(s, a int) int { return s*NumActions + a }
 
-	prob, err := lp.NewProblem(numVars)
+	prob, err := newLPProblem(numVars)
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +71,7 @@ func solveTableau(m *Model) (*Solution, error) {
 
 	sol, err := prob.Solve()
 	if err != nil {
-		if errors.Is(err, lp.ErrInfeasible) {
+		if errors.Is(err, errLPInfeasible) {
 			return nil, fmt.Errorf("%w: epsilonA = %v with f = %d, smax = %d",
 				ErrInfeasible, m.EpsilonA, m.F, m.SMax)
 		}

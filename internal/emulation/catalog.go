@@ -5,10 +5,11 @@
 // with MLE-fitted observation models, the system controller, and the
 // evaluation metrics T(A), T(R), F(R) of §III-C (Table 7 / Fig 12).
 //
-// Substitution note (DESIGN.md §1.4): the physical testbed (13 servers,
-// Docker, Snort, live CVE exploits) is replaced by this simulation; the
-// controllers consume exactly the same information as on the testbed —
-// priority-weighted alert counts and estimated observation models.
+// Substitution note (docs/ARCHITECTURE.md, "Where we knowingly differ"):
+// the physical testbed (13 servers, Docker, Snort, live CVE exploits) is
+// replaced by this simulation; the controllers consume exactly the same
+// information as on the testbed — priority-weighted alert counts and
+// estimated observation models.
 package emulation
 
 import (

@@ -11,7 +11,6 @@ import (
 	"math/rand"
 
 	"tolerance/internal/dist"
-	"tolerance/internal/pomdp"
 )
 
 // State of a node (Fig 3). Healthy and Compromised match the paper's
@@ -341,41 +340,6 @@ func (p Params) ExpectedCost(b float64, a Action) float64 {
 	return p.Eta * b
 }
 
-// POMDP assembles the three-state POMDP of Problem 1 for the exact solvers
-// (IP baseline, Fig 4 alpha vectors). Observations from the crashed state use
-// the healthy distribution (see Observation).
-func (p Params) POMDP() (*pomdp.Model, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	numObs := p.NumObs()
-	m := &pomdp.Model{
-		NumStates:  3,
-		NumActions: 2,
-		NumObs:     numObs,
-	}
-	m.T = make([][][]float64, 2)
-	for a := 0; a < 2; a++ {
-		m.T[a] = make([][]float64, 3)
-		for s := 0; s < 3; s++ {
-			row := p.Transition(State(s), Action(a))
-			m.T[a][s] = []float64{row[0], row[1], row[2]}
-		}
-	}
-	m.Z = make([][]float64, 3)
-	for s := 0; s < 3; s++ {
-		m.Z[s] = p.Observation(State(s)).Probs()
-	}
-	m.C = make([][]float64, 3)
-	for s := 0; s < 3; s++ {
-		m.C[s] = []float64{p.Cost(State(s), Wait), p.Cost(State(s), Recover)}
-	}
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("nodemodel: assembled POMDP invalid: %w", err)
-	}
-	return m, nil
-}
-
 // FailureProbByTime returns P[S_t = C or S_t = ∅ | no recoveries] for
 // t = 1..horizon starting from the healthy state — the curves of Fig 5.
 func (p Params) FailureProbByTime(horizon int) []float64 {
@@ -398,4 +362,39 @@ func (p Params) FailureProbByTime(horizon int) []float64 {
 		out[t] = mu[Compromised] + mu[Crashed]
 	}
 	return out
+}
+
+// OptimalValue returns V*_t(b) for t = horizon, the least expected cost of
+// Problem 1 over horizon steps from belief b = P[S = C | alive] (the value
+// function of Fig 4), and the action that attains it. V_0 = 0 and
+//
+//	V_t(b) = min_a ExpectedCost(b, a) + SurvivalProb(b) Σ_o P(o) V_{t-1}(UpdateBelief(b, a, o)),
+//
+// where P(o) = Z(o|C) pred + Z(o|H) (1 - pred) and pred = PredictBelief(b, a).
+// The scalar recursion is exact for the three-state model: the crashed
+// state costs nothing and never leaves, so the value of the belief
+// (h, c, ∅) is (h + c) V(c / (h + c)). Observations with P(o) = 0 are
+// skipped, and a tie goes to Wait. The recursion visits every
+// action-observation path, so it costs (2|O|)^horizon belief updates.
+func (p Params) OptimalValue(b float64, horizon int) (float64, Action) {
+	if horizon <= 0 {
+		return 0, Wait
+	}
+	best, bestAction := math.Inf(1), Wait
+	for _, a := range []Action{Wait, Recover} {
+		pred := p.PredictBelief(b, a)
+		future := 0.0
+		for o := 0; o < p.NumObs(); o++ {
+			po := p.ZCompromised.Prob(o)*pred + p.ZHealthy.Prob(o)*(1-pred)
+			if po == 0 {
+				continue
+			}
+			v, _ := p.OptimalValue(p.UpdateBelief(b, a, o), horizon-1)
+			future += po * v
+		}
+		if v := p.ExpectedCost(b, a) + p.SurvivalProb(b)*future; v < best {
+			best, bestAction = v, a
+		}
+	}
+	return best, bestAction
 }

@@ -3,6 +3,7 @@ package nodemodel
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -193,14 +194,35 @@ func TestBeliefUpdateAfterRecovery(t *testing.T) {
 	}
 }
 
+// bayes3 is the three-state belief update of Appendix A written out from
+// Transition and Observation: predict mu through T(. | s, a), weight each
+// successor by Z(o | s') and normalise. It returns the posterior and P(o);
+// the posterior is meaningless when P(o) = 0.
+func bayes3(p Params, mu [3]float64, a Action, o int) ([3]float64, float64) {
+	var post [3]float64
+	for s := Healthy; s <= Crashed; s++ {
+		row := p.Transition(s, a)
+		for s2 := Healthy; s2 <= Crashed; s2++ {
+			post[s2] += mu[s] * row[s2]
+		}
+	}
+	po := 0.0
+	for s2 := Healthy; s2 <= Crashed; s2++ {
+		post[s2] *= p.Observation(s2).Prob(o)
+		po += post[s2]
+	}
+	if po > 0 {
+		for s2 := range post {
+			post[s2] /= po
+		}
+	}
+	return post, po
+}
+
 // Property: the scalar belief update agrees with the full 3-state Bayesian
 // update of Appendix A projected on the alive subspace.
 func TestScalarBeliefMatchesPOMDPUpdateProperty(t *testing.T) {
 	p := DefaultParams()
-	m, err := p.POMDP()
-	if err != nil {
-		t.Fatal(err)
-	}
 	f := func(braw uint16, araw bool, oraw uint8) bool {
 		b := float64(braw) / 65536
 		a := Wait
@@ -211,20 +233,201 @@ func TestScalarBeliefMatchesPOMDPUpdateProperty(t *testing.T) {
 
 		scalar := p.UpdateBelief(b, a, o)
 
-		full := []float64{1 - b, b, 0}
-		post, _, err := m.UpdateBelief(full, int(a), o)
-		if err != nil {
+		post, po := bayes3(p, [3]float64{1 - b, b, 0}, a, o)
+		if po <= 0 {
 			return false
 		}
-		alive := post[0] + post[1]
+		alive := post[Healthy] + post[Compromised]
 		if alive <= 0 {
 			return true
 		}
-		want := post[1] / alive
+		want := post[Compromised] / alive
 		return math.Abs(scalar-want) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
+	}
+}
+
+// optimalValue3 is the finite-horizon Bellman recursion of Problem 1 on the
+// full three-state belief mu, built only from Transition, Observation and
+// Cost: V_0 = 0 and V_t(mu) = min_a sum_s mu(s) c(s, a) +
+// sum_o P(o) V_{t-1}(bayes3(mu, a, o)).
+func optimalValue3(p Params, mu [3]float64, horizon int) float64 {
+	if horizon == 0 {
+		return 0
+	}
+	best := math.Inf(1)
+	for _, a := range []Action{Wait, Recover} {
+		v := 0.0
+		for s := Healthy; s <= Crashed; s++ {
+			v += mu[s] * p.Cost(s, a)
+		}
+		for o := 0; o < p.NumObs(); o++ {
+			post, po := bayes3(p, mu, a, o)
+			if po == 0 {
+				continue
+			}
+			v += po * optimalValue3(p, post, horizon-1)
+		}
+		best = math.Min(best, v)
+	}
+	return best
+}
+
+// normalised scales non-negative weights with a positive sum into a
+// distribution.
+func normalised(w []float64) *dist.Categorical {
+	sum := 0.0
+	for _, x := range w {
+		sum += x
+	}
+	for i := range w {
+		w[i] /= sum
+	}
+	return dist.MustCategorical(w)
+}
+
+// randomCategorical draws a distribution over n outcomes; with zeros set,
+// some outcomes get probability zero.
+func randomCategorical(rng *rand.Rand, n int, zeros bool) *dist.Categorical {
+	w := make([]float64, n)
+	for i := range w {
+		if !zeros || rng.Intn(3) != 0 {
+			w[i] = rng.Float64()
+		}
+	}
+	w[rng.Intn(n)] += 0.01
+	return normalised(w)
+}
+
+// TestOptimalValueMatchesThreeStateRecursion holds the scalar recursion to
+// the explicit three-state one over random valid models, zero-probability
+// observations included.
+func TestOptimalValueMatchesThreeStateRecursion(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + rng.Intn(4)
+		p := Params{
+			PA: rng.Float64(), PC1: rng.Float64(), PC2: rng.Float64(), PU: rng.Float64(),
+			Eta:          1 + 5*rng.Float64(),
+			ZHealthy:     randomCategorical(rng, n, trial%2 == 0),
+			ZCompromised: randomCategorical(rng, n, trial%2 == 0),
+		}
+		if trial%4 == 0 {
+			p.PC1, p.PC2 = rng.Float64()*0.01, rng.Float64()*0.01
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range []float64{0, rng.Float64(), 0.5, rng.Float64(), 1} {
+			for horizon := 0; horizon <= 3; horizon++ {
+				got, _ := p.OptimalValue(b, horizon)
+				want := optimalValue3(p, [3]float64{1 - b, b, 0}, horizon)
+				if math.Abs(got-want) > 1e-12 {
+					t.Fatalf("trial %d %+v: V_%d(%v) = %v, three-state recursion %v",
+						trial, p, horizon, b, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestOptimalValueOneStepClosedForm: with one step to go, waiting costs the
+// expected compromise cost and recovering costs 1, so V_1(b) = min(ηb, 1),
+// recovering only when ηb > 1.
+func TestOptimalValueOneStepClosedForm(t *testing.T) {
+	for _, eta := range []float64{1, 2, 3.7} {
+		p := DefaultParams()
+		p.Eta = eta
+		for i := 0; i <= 100; i++ {
+			b := float64(i) / 100
+			v, a := p.OptimalValue(b, 1)
+			if want := math.Min(eta*b, 1); math.Abs(v-want) > 1e-15 {
+				t.Errorf("eta %v: V_1(%v) = %v, want %v", eta, b, v, want)
+			}
+			if want := eta*b > 1; (a == Recover) != want {
+				t.Errorf("eta %v: action at b = %v is %v", eta, b, a)
+			}
+		}
+	}
+}
+
+// randomTP2Pair draws alert distributions over n counts that satisfy
+// assumptions D and E: every probability positive and the likelihood ratio
+// Z(o|C)/Z(o|H) non-decreasing in o.
+func randomTP2Pair(rng *rand.Rand, n int) (*dist.Categorical, *dist.Categorical) {
+	zh := make([]float64, n)
+	ratio := make([]float64, n)
+	for o := range zh {
+		zh[o] = 0.05 + rng.Float64()
+		ratio[o] = 0.05 + rng.Float64()
+	}
+	sort.Float64s(ratio)
+	zc := make([]float64, n)
+	for o := range zc {
+		zc[o] = zh[o] * ratio[o]
+	}
+	return normalised(zh), normalised(zc)
+}
+
+// TestOptimalValueTheorem1Structure: for random models that satisfy
+// Theorem 1's assumptions, the optimal action is a belief threshold (the
+// Recover set is an upper interval of a 101-point grid) and V_t is concave
+// in b, for t = 1, 2, 3. One model in ten keeps Table 8's alert
+// distributions; the others draw a TP-2 pair over 2-5 alert counts.
+func TestOptimalValueTheorem1Structure(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for models := 0; models < 300; {
+		p := DefaultParams()
+		p.PA = 0.3 * rng.Float64()
+		p.PU = 0.3 * rng.Float64()
+		p.PC1 = 0.05 * rng.Float64()
+		p.PC2 = p.PC1 + (1-p.PC1)*rng.Float64()
+		p.Eta = 1 + 5*rng.Float64()
+		if models%10 != 0 {
+			p.ZHealthy, p.ZCompromised = randomTP2Pair(rng, 2+rng.Intn(4))
+		}
+		if p.CheckTheorem1Assumptions() != nil {
+			continue
+		}
+		models++
+		for horizon := 1; horizon <= 3; horizon++ {
+			var v [101]float64
+			recovering := false
+			for i := range v {
+				var a Action
+				v[i], a = p.OptimalValue(float64(i)/100, horizon)
+				if recovering && a == Wait {
+					t.Fatalf("%+v, t = %d: Wait at b = %v after Recover below it", p, horizon, float64(i)/100)
+				}
+				recovering = a == Recover
+			}
+			for i := 1; i < len(v)-1; i++ {
+				if d := v[i-1] - 2*v[i] + v[i+1]; d > 1e-12 {
+					t.Fatalf("%+v, t = %d: V not concave at b = %v (second difference %v)", p, horizon, float64(i)/100, d)
+				}
+			}
+		}
+	}
+}
+
+// TestOptimalValueFig4Golden pins Fig 4's V*_4 at b = 0, 0.1, ..., 1 (Table 8
+// with pA = 0.01) to the values of an uncapped incremental-pruning solve of
+// the three-state model.
+func TestOptimalValueFig4Golden(t *testing.T) {
+	want := []float64{
+		0.0995223388, 0.6008955382, 1.0165577061, 1.0994927804,
+		1.0994829276, 1.0994730747, 1.0994632219, 1.0994533691,
+		1.0994435163, 1.0994336635, 1.0994238107,
+	}
+	p := DefaultParams()
+	p.PA = 0.01
+	for i, w := range want {
+		b := float64(i) / 10
+		if v, _ := p.OptimalValue(b, 4); math.Abs(v-w) > 1e-9 {
+			t.Errorf("V*_4(%v) = %.10f, want %.10f", b, v, w)
+		}
 	}
 }
 
@@ -297,25 +500,6 @@ func TestSampleTransitionDistribution(t *testing.T) {
 		if math.Abs(got-row[s]) > 0.01 {
 			t.Errorf("empirical P(H->%v) = %v, want %v", s, got, row[s])
 		}
-	}
-}
-
-func TestPOMDPAssembly(t *testing.T) {
-	p := DefaultParams()
-	m, err := p.POMDP()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.NumStates != 3 || m.NumActions != 2 || m.NumObs != 11 {
-		t.Errorf("dims = %d/%d/%d", m.NumStates, m.NumActions, m.NumObs)
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := p
-	bad.Eta = 0
-	if _, err := bad.POMDP(); err == nil {
-		t.Error("POMDP with invalid params should fail")
 	}
 }
 
