@@ -302,8 +302,7 @@ func (p *Plan) Instrument(col *telemetry.Collector) {
 	col.Gauge(MetricPlanDigest).Set(float64(p.Digest32()))
 }
 
-// fnv1a hashes a string with FNV-1a/64 — the same mix the fleet and
-// cluster backend use for their schedule digests.
+// fnv1a hashes a string with FNV-1a/64.
 func fnv1a(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))

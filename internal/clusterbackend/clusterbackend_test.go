@@ -69,42 +69,6 @@ func TestClusterRunSmoke(t *testing.T) {
 	}
 }
 
-// TestClusterScheduleReproducible is the determinism contract: the seeded
-// schedule (intrusions, crashes, recoveries, evictions, additions and their
-// timing) is identical across runs of the same scenario even though the
-// wall-clock measurements differ.
-func TestClusterScheduleReproducible(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live cluster integration test")
-	}
-	run := func() Result {
-		res, err := Run(context.Background(), smokeScenario(42), Options{
-			StepInterval: 5 * time.Millisecond,
-			ProbeTimeout: 300 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatalf("cluster run: %v", err)
-		}
-		return res
-	}
-	a, b := run(), run()
-	if a.ScheduleDigest != b.ScheduleDigest {
-		t.Errorf("schedule digests differ: %x vs %x", a.ScheduleDigest, b.ScheduleDigest)
-	}
-	if a.Metrics.Intrusions != b.Metrics.Intrusions {
-		t.Errorf("intrusions differ: %d vs %d", a.Metrics.Intrusions, b.Metrics.Intrusions)
-	}
-	if a.Metrics.Recoveries != b.Metrics.Recoveries {
-		t.Errorf("recoveries differ: %d vs %d", a.Metrics.Recoveries, b.Metrics.Recoveries)
-	}
-	if a.Metrics.Evictions != b.Metrics.Evictions {
-		t.Errorf("evictions differ: %d vs %d", a.Metrics.Evictions, b.Metrics.Evictions)
-	}
-	if a.Metrics.Additions != b.Metrics.Additions {
-		t.Errorf("additions differ: %d vs %d", a.Metrics.Additions, b.Metrics.Additions)
-	}
-}
-
 // TestClusterRunRejectsBadScenario: the cluster backend validates a
 // scenario by the emulation's rules (N1 <= SMax, ΔR >= 0, a policy) plus its
 // own N1 >= 2, all with ErrBadScenario, before any replica starts.

@@ -1,9 +1,14 @@
 // Package core holds the acceptance tests of the paper's two-level
 // controller (§IV, Fig 1–2) as it drives live replicas. It has no non-test
-// code: the node controllers are emulation.UpdateBeliefFitted plus a
-// baselines.Policy's NodeAction and the BTR calendar, the system controller
-// is the eviction of crashed members plus the policy's AddNode, and
-// internal/clusterbackend runs the pair against real MinBFT replicas.
+// code: the controller is the emulation's control loop (emulation.Runner),
+// whose node controllers run the Appendix A recursion — the batched form
+// of emulation.UpdateBeliefFitted, which the node-controller tests below
+// drive directly — a baselines.Policy's NodeAction and the BTR calendar,
+// and whose system controller evicts crashed members and runs the
+// policy's AddNode. internal/clusterbackend is the loop's plant: it
+// carries each decision out on real MinBFT replicas and measures the
+// service, and TestLiveClusterScheduleMatchesEmulation holds every other
+// metric of a live run to emulation.Run's with ==.
 package core
 
 import (
@@ -329,40 +334,50 @@ func TestLiveClusterValidation(t *testing.T) {
 	}
 }
 
-// TestLiveClusterSeededScheduleReproducible runs two identically-seeded
-// live clusters and compares everything the seeded schedule determines:
-// the event digest and every metric except the wall-clock measurements
-// (probe availability and latency).
-func TestLiveClusterSeededScheduleReproducible(t *testing.T) {
+// TestLiveClusterScheduleMatchesEmulation: the live loop is the
+// emulation's, draw for draw — a cluster run's metrics equal emulation.Run's
+// for the same scenario on every field but the two the replicas measure
+// (probe availability and latency). One input per controller shape: the
+// BTR calendar alone (PERIODIC at ΔR = 4) and belief-threshold recoveries
+// with the CMDP's randomised adds (TOLERANCE at ΔR = ∞).
+func TestLiveClusterScheduleMatchesEmulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	// Probes do not enter the schedule, so a short timeout costs nothing.
-	opts := liveOptions
-	opts.ProbeTimeout = 100 * time.Millisecond
-	run := func() clusterbackend.Result {
-		res, err := runLive(liveScenario(t, 11, 3, 0.3, 10), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	params := nodemodel.DefaultParams()
+	params.PA, params.PC1, params.PC2 = 0.3, 0.02, 0.05
+	for _, tc := range []struct {
+		name string
+		sc   emulation.Scenario
+	}{
+		{"periodic-deltaR4", emulation.Scenario{
+			N1: 4, SMax: 6, K: 1, F: 1, DeltaR: 4, Steps: 12, Seed: 42,
+			Params: params, Policy: baselines.Periodic{}, FitSamples: 200,
+		}},
+		{"tolerance-cmdp-add", liveScenario(t, 11, 3, 0.3, 10)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Probes do not enter the schedule, so a short timeout costs nothing.
+			opts := liveOptions
+			opts.ProbeTimeout = 100 * time.Millisecond
+			res, err := runLive(tc.sc, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := emulation.Run(tc.sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := res.Metrics
+			got.Availability, got.ServiceLatencyMS = want.Availability, want.ServiceLatencyMS
+			if got != *want {
+				t.Errorf("cluster metrics differ from the emulation's:\n  cluster:   %+v\n  emulation: %+v", got, *want)
+			}
+			// A trivial schedule would make the comparison prove nothing.
+			if want.Intrusions == 0 || want.Recoveries == 0 {
+				t.Errorf("schedule saw no intrusion or no recovery: %+v", *want)
+			}
+			t.Logf("schedule metrics: %+v", *want)
+		})
 	}
-	a, b := run(), run()
-	if a.ScheduleDigest != b.ScheduleDigest {
-		t.Errorf("schedule digests differ: %x vs %x", a.ScheduleDigest, b.ScheduleDigest)
-	}
-	schedule := func(m emulation.Metrics) emulation.Metrics {
-		m.Availability, m.ServiceLatencyMS = 0, 0
-		return m
-	}
-	if sa, sb := schedule(a.Metrics), schedule(b.Metrics); sa != sb {
-		t.Errorf("schedule metrics differ:\n  run A: %+v\n  run B: %+v", sa, sb)
-	}
-	// The schedule must also be non-trivial, or the comparison proves
-	// nothing: pA = 0.3 over 10 steps on 3 nodes makes intrusions all but
-	// certain.
-	if a.Metrics.Intrusions == 0 {
-		t.Errorf("schedule saw no intrusions: %+v", a.Metrics)
-	}
-	t.Logf("schedule metrics: %+v", schedule(a.Metrics))
 }

@@ -315,6 +315,11 @@ type runner struct {
 	// Per-step scratch, reused across steps (node indices into r.nodes).
 	recovering []int32
 	candidates []int32
+
+	// plant receives the steps' real-world effects (nil in the emulation);
+	// t is the last step taken.
+	plant Plant
+	t     int
 }
 
 // reset validates the scenario, resolves the offline fit, recycles the
@@ -352,6 +357,7 @@ func (r *runner) reset(s Scenario) error {
 	r.binom.Reset(1 / s.Workload.MeanServiceSteps)
 	r.recovering = r.recovering[:0]
 	r.candidates = r.candidates[:0]
+	r.t = 0
 	for i := 0; i < s.N1; i++ {
 		wpos := 0
 		if s.DeltaR != recovery.InfiniteDeltaR {
@@ -395,6 +401,34 @@ func (r *runner) spawn(id, wpos int) {
 	r.ln.appendNode(r.s.Params.PA, int32(ci*r.fits.support), int32(wpos))
 }
 
+// Plant is the live system a run's control decisions act on — the cluster
+// backend's replica group. The run draws every schedule event itself and
+// tells the plant which node it hit by the node's stable id (0..N1−1 for
+// the initial nodes, then one per addition in order), so a plant makes no
+// draw and keeps only the real-world side effects. A plant never feeds
+// back into the run: the schedule and every metric but the ones the plant
+// measures itself are the emulation's, draw for draw.
+type Plant interface {
+	// Recover restarts node id in place (stage 3). A crashed node
+	// restarts too: recovery doubles as repair.
+	Recover(id int)
+	// Evict removes crashed node id from the group (stage 4).
+	Evict(id int)
+	// Add starts node id and joins it to the group (stage 4).
+	Add(id int)
+	// Measure samples the service once per step, after the structural
+	// metrics and before the environment moves (between stages 5 and 6).
+	Measure()
+	// Crash stops node id (stage 6).
+	Crash(id int)
+	// Compromise hands node id to the attacker, whose behaviour b it
+	// shows from now on (stage 6).
+	Compromise(id int, b attacker.Behaviour)
+	// Clean returns node id to honest service after a software update
+	// silently removed the intrusion (stage 6).
+	Clean(id int)
+}
+
 // Runner executes scenarios with state that is reused from one run to the
 // next: the node structs, rng streams, metric accumulators and scratch
 // buffers of a finished scenario become the next scenario's starting
@@ -411,14 +445,44 @@ type Runner struct {
 // NewRunner returns an empty reusable runner; the first RunInto sizes it.
 func NewRunner() *Runner { return &Runner{} }
 
-// OnRun installs a completion observer: after every successful RunInto the
-// runner calls fn with the number of simulated steps (post-default, so the
+// OnRun installs a completion observer: every Finish (so every successful
+// RunInto) calls fn with the number of simulated steps (post-default, so the
 // real count). The observer is for telemetry only — it runs after the
 // scenario's randomness is fully consumed, receives no simulation state,
 // and must not retain references; metrics are unchanged whether one is
 // installed or not. The call itself is allocation-free, preserving the
 // warm-runner zero-alloc guarantee.
 func (r *Runner) OnRun(fn func(steps int)) { r.onRun = fn }
+
+// Start begins a step-at-a-time run of s: it validates the scenario,
+// resolves the offline fit and places the initial nodes, exactly as
+// RunInto does, and makes plant (nil for the pure emulation) receive the
+// steps' real-world effects. Step then advances the run and Finish ends it.
+func (r *Runner) Start(s Scenario, plant Plant) error {
+	r.run.plant = plant
+	return r.run.reset(s)
+}
+
+// Step takes the run's next step, if any remain, and reports whether
+// another remains after it.
+func (r *Runner) Step() bool {
+	run := &r.run
+	if run.t >= run.s.Steps {
+		return false
+	}
+	run.t++
+	run.step(run.t)
+	return run.t < run.s.Steps
+}
+
+// Finish applies the end-of-run penalties and returns the metrics of the
+// run Start began.
+func (r *Runner) Finish() Metrics {
+	if r.onRun != nil {
+		r.onRun(r.run.s.Steps)
+	}
+	return *r.run.finish()
+}
 
 // RunInto executes the scenario on the reusable runner and returns the
 // metrics by value (no per-run allocation).
@@ -429,17 +493,12 @@ func (r *Runner) RunInto(s Scenario) (Metrics, error) { return RunInto(r, s) }
 // whole scenario without allocating (guarded by
 // TestRunIntoSteadyStateZeroAllocations). Output is bit-identical to Run.
 func RunInto(r *Runner, s Scenario) (Metrics, error) {
-	run := &r.run
-	if err := run.reset(s); err != nil {
+	if err := r.Start(s, nil); err != nil {
 		return Metrics{}, err
 	}
-	for t := 1; t <= run.s.Steps; t++ {
-		run.step(t)
+	for r.Step() {
 	}
-	if r.onRun != nil {
-		r.onRun(run.s.Steps)
-	}
-	return *run.finish(), nil
+	return r.Finish(), nil
 }
 
 // Run executes a scenario and returns its metrics. It is the allocate-fresh
@@ -458,6 +517,7 @@ func (r *runner) step(t int) {
 	s := &r.s
 	rng := &r.rng
 	L := &r.ln
+	plant := r.plant
 
 	// Background client population (Poisson arrivals, exponential service
 	// approximated by geometric departures — a Binomial(sessions, 1/mu)
@@ -583,6 +643,9 @@ func (r *runner) step(t int) {
 		nd.underAttack = false
 		L.belief[i] = s.Params.PA
 		L.action[i] = uint8(nodemodel.Recover)
+		if plant != nil {
+			plant.Recover(nd.id)
+		}
 	}
 
 	// 4. System controller: evict crashed nodes (they failed to report
@@ -596,6 +659,9 @@ func (r *runner) step(t int) {
 			r.m.Evictions++
 			evictedNow++
 			r.pool = append(r.pool, nd)
+			if plant != nil {
+				plant.Evict(nd.id)
+			}
 			continue
 		}
 		if j != i {
@@ -631,6 +697,9 @@ func (r *runner) step(t int) {
 			wpos = (t + rng.Intn(s.DeltaR)) % s.DeltaR
 		}
 		r.spawn(r.nextID, wpos)
+		if plant != nil {
+			plant.Add(r.nextID)
+		}
 		r.nextID++
 		r.m.Additions++
 	}
@@ -658,6 +727,9 @@ func (r *runner) step(t int) {
 	}
 	r.nodeSteps += len(r.nodes)
 	r.totalNodes += float64(len(r.nodes))
+	if plant != nil {
+		plant.Measure()
+	}
 
 	// 6. Environment transition: intrusions, crashes, updates.
 	for i, nd := range r.nodes {
@@ -665,6 +737,9 @@ func (r *runner) step(t int) {
 		case nodemodel.Healthy:
 			if rng.Bernoulli(s.Params.PC1) {
 				nd.state = nodemodel.Crashed
+				if plant != nil {
+					plant.Crash(nd.id)
+				}
 				continue
 			}
 			if !nd.underAttack && rng.Bernoulli(s.Params.PA) {
@@ -679,6 +754,9 @@ func (r *runner) step(t int) {
 					nd.behaviour = nd.intrusion.Behaviour
 					nd.compromisedAt = t
 					r.m.Intrusions++
+					if plant != nil {
+						plant.Compromise(nd.id, nd.behaviour)
+					}
 				}
 			}
 		case nodemodel.Compromised:
@@ -688,6 +766,9 @@ func (r *runner) step(t int) {
 					r.recoveryTimes = append(r.recoveryTimes, recovery.NoRecoveryPenalty)
 					nd.compromisedAt = -1
 				}
+				if plant != nil {
+					plant.Crash(nd.id)
+				}
 				continue
 			}
 			if rng.Bernoulli(s.Params.PU) {
@@ -696,6 +777,9 @@ func (r *runner) step(t int) {
 				nd.state = nodemodel.Healthy
 				nd.underAttack = false
 				nd.compromisedAt = -1
+				if plant != nil {
+					plant.Clean(nd.id)
+				}
 			}
 		}
 	}
@@ -731,10 +815,11 @@ func (r *runner) finish() *Metrics {
 
 // UpdateBeliefFitted is the Appendix A belief recursion using the
 // controller's estimated observation model Ẑ, supplied as dense likelihood
-// tables (zh[o] = Ẑ(o|H), zc[o] = Ẑ(o|C)) so the hot path is two slice
-// loads and a handful of multiplies. The live cluster backend's node
-// controllers run it per node; the emulation runs its batched form,
-// updateBeliefLanes.
+// tables (zh[o] = Ẑ(o|H), zc[o] = Ẑ(o|C)). Every run — the emulation's and
+// the live cluster's — steps through its batched form, updateBeliefLanes;
+// this scalar form is their oracle: TestBeliefLanesMatchScalar holds the
+// lanes to it bit for bit, and the core tests hold a node controller built
+// on it to the paper's detection behaviour.
 func UpdateBeliefFitted(p nodemodel.Params, zh, zc []float64, belief float64, action nodemodel.Action, obs int) float64 {
 	pred := p.PredictBelief(belief, action)
 	num := zc[obs] * pred

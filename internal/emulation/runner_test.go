@@ -3,6 +3,7 @@ package emulation
 import (
 	"testing"
 
+	"tolerance/internal/attacker"
 	"tolerance/internal/baselines"
 	"tolerance/internal/nodemodel"
 )
@@ -93,5 +94,121 @@ func TestAccumulatorAddZeroAllocations(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Accumulator.Add allocates %v times per call, want 0", allocs)
+	}
+}
+
+// recordingPlant counts the hook calls and checks each against the node
+// set it tracks from them: ids name nodes in the group (0..N1−1, then one
+// per addition in order), only crashed nodes are evicted, only running
+// nodes crash or are compromised, and only compromised nodes are cleaned.
+type recordingPlant struct {
+	t                                          *testing.T
+	inGroup, crashed, compromised              map[int]bool
+	nextID                                     int
+	recovers, evicts, adds, measures, intrudes int
+}
+
+func newRecordingPlant(t *testing.T, n1 int) *recordingPlant {
+	p := &recordingPlant{t: t, inGroup: map[int]bool{}, crashed: map[int]bool{}, compromised: map[int]bool{}, nextID: n1}
+	for id := 0; id < n1; id++ {
+		p.inGroup[id] = true
+	}
+	return p
+}
+
+func (p *recordingPlant) member(hook string, id int) {
+	if !p.inGroup[id] {
+		p.t.Fatalf("%s(%d): not a node of the group", hook, id)
+	}
+}
+
+func (p *recordingPlant) Recover(id int) {
+	p.member("Recover", id)
+	p.recovers++
+	p.crashed[id], p.compromised[id] = false, false
+}
+
+func (p *recordingPlant) Evict(id int) {
+	p.member("Evict", id)
+	if !p.crashed[id] {
+		p.t.Fatalf("Evict(%d) of a node that has not crashed", id)
+	}
+	p.evicts++
+	delete(p.inGroup, id)
+}
+
+func (p *recordingPlant) Add(id int) {
+	if id != p.nextID {
+		p.t.Fatalf("Add(%d), want the next id %d", id, p.nextID)
+	}
+	p.nextID++
+	p.adds++
+	p.inGroup[id] = true
+}
+
+func (p *recordingPlant) Measure() { p.measures++ }
+
+func (p *recordingPlant) Crash(id int) {
+	p.member("Crash", id)
+	if p.crashed[id] {
+		p.t.Fatalf("Crash(%d) of a crashed node", id)
+	}
+	p.crashed[id], p.compromised[id] = true, false
+}
+
+func (p *recordingPlant) Compromise(id int, b attacker.Behaviour) {
+	p.member("Compromise", id)
+	if p.crashed[id] || p.compromised[id] {
+		p.t.Fatalf("Compromise(%d) of a node that is not running clean", id)
+	}
+	if b < attacker.Participate || b > attacker.SendRandom {
+		p.t.Fatalf("Compromise(%d) with behaviour %v", id, b)
+	}
+	p.intrudes++
+	p.compromised[id] = true
+}
+
+func (p *recordingPlant) Clean(id int) {
+	p.member("Clean", id)
+	if !p.compromised[id] {
+		p.t.Fatalf("Clean(%d) of a node that is not compromised", id)
+	}
+	p.compromised[id] = false
+}
+
+// TestPlantSeesEveryDecision: a run stepped with a plant makes exactly the
+// metrics of RunInto (the plant never feeds back), and the plant hears of
+// every recovery, eviction, addition and intrusion once, with ids that
+// name the nodes the decisions hit, and of every step once.
+func TestPlantSeesEveryDecision(t *testing.T) {
+	params := nodemodel.DefaultParams()
+	params.PA, params.PC1, params.PC2 = 0.2, 0.02, 0.05
+	for _, s := range []Scenario{
+		{N1: 4, SMax: 9, DeltaR: 5, Steps: 300, Seed: 3, Params: params, Policy: baselines.PeriodicAdaptive{TargetN: 8}, FitSamples: 300},
+		{N1: 3, SMax: 7, Steps: 300, Seed: 4, Params: params, Policy: baselines.NoRecovery{}, FitSamples: 300},
+	} {
+		want, err := NewRunner().RunInto(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewRunner()
+		p := newRecordingPlant(t, s.N1)
+		if err := r.Start(s, p); err != nil {
+			t.Fatal(err)
+		}
+		for r.Step() {
+		}
+		got := r.Finish()
+		if got != want {
+			t.Errorf("%s: metrics with a plant differ:\n got %+v\nwant %+v", s.Policy.Name(), got, want)
+		}
+		if p.recovers != got.Recoveries || p.evicts != got.Evictions || p.adds != got.Additions ||
+			p.intrudes != got.Intrusions || p.measures != s.Steps {
+			t.Errorf("%s: plant heard recover %d, evict %d, add %d, compromise %d, measure %d; run had %+v over %d steps",
+				s.Policy.Name(), p.recovers, p.evicts, p.adds, p.intrudes, p.measures, got, s.Steps)
+		}
+		if got.Evictions == 0 || got.Intrusions == 0 {
+			t.Errorf("%s: no eviction or no intrusion, the hooks went untested: %+v", s.Policy.Name(), got)
+		}
 	}
 }

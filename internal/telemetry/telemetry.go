@@ -76,8 +76,9 @@ func (c *Counter) Total() int64 {
 // Name returns the counter's registered name.
 func (c *Counter) Name() string { return c.name }
 
-// Gauge is a last-value (or running-minimum) float64 metric: optimizer
-// best-objective-so-far, last PPO evaluation cost, worker-pool size.
+// Gauge is a last-value (or running-minimum or -maximum) float64 metric:
+// optimizer best-objective-so-far, last PPO evaluation cost, worker-pool
+// size, highest MinBFT view.
 type Gauge struct {
 	name string
 	bits atomic.Uint64
@@ -110,6 +111,24 @@ func (g *Gauge) Min(v float64) {
 				return
 			}
 			continue
+		}
+		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
+	}
+}
+
+// Max folds v as a running maximum (for high-water marks), the mirror of
+// Min: a gauge that was never Set or folded takes the first v, and a
+// compare-and-swap loop keeps concurrent folds from losing the larger one.
+func (g *Gauge) Max(v float64) {
+	if v == 0 {
+		v = math.Copysign(0, -1) // as in Min: +0.0's bits encode "unset"
+	}
+	for {
+		old := g.bits.Load()
+		if old != 0 && math.Float64frombits(old) >= v {
+			return
 		}
 		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
 			return
@@ -376,6 +395,9 @@ func (c *Collector) Snapshot() Snapshot {
 	}
 	for _, m := range gauges {
 		if v := m.Value(); !math.IsInf(v, 0) && !math.IsNaN(v) {
+			if v == 0 {
+				v = 0 // a folded zero is stored as -0.0; report it as 0
+			}
 			s.Gauges[m.name] = v
 		}
 	}

@@ -49,6 +49,61 @@ func TestGaugeMin(t *testing.T) {
 	}
 }
 
+// TestGaugeMax is Min's mirror: the first fold claims an unset gauge
+// whatever its sign, zero is a valid maximum, and a snapshot reports a
+// folded zero as 0.
+func TestGaugeMax(t *testing.T) {
+	c := New()
+	g := c.Gauge("test.max")
+	g.Max(-3.5)
+	g.Max(-7.0) // smaller: ignored
+	if got := g.Value(); got != -3.5 {
+		t.Errorf("Value = %v, want -3.5", got)
+	}
+	g.Max(2.25)
+	if got := g.Value(); got != 2.25 {
+		t.Errorf("Value = %v, want 2.25", got)
+	}
+	z := c.Gauge("test.zero")
+	z.Max(0)
+	z.Max(-5)
+	if got := z.Value(); got != 0 {
+		t.Errorf("after Max(0), Max(-5): Value = %v, want 0", got)
+	}
+	if got := c.Snapshot().Gauges["test.zero"]; got != 0 || math.Signbit(got) {
+		t.Errorf("snapshot of a folded zero = %v, want +0", got)
+	}
+}
+
+// TestGaugeMaxConcurrent releases goroutines at once on a fresh gauge,
+// round after round, each folding interleaved ascending values (run it
+// under -race): every round must end at the exact maximum. A
+// load-compare-store fold loses it whenever a smaller value's store lands
+// after the larger one's, which these rounds provoke within a second.
+func TestGaugeMaxConcurrent(t *testing.T) {
+	const rounds, workers, perWorker = 1000, 8, 100
+	for round := 0; round < rounds; round++ {
+		g := New().Gauge("test.max")
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				for i := 0; i < perWorker; i++ {
+					g.Max(float64(i*workers + w))
+				}
+			}(w)
+		}
+		close(start)
+		wg.Wait()
+		if got, want := g.Value(), float64(workers*perWorker-1); got != want {
+			t.Fatalf("round %d: Value = %v after concurrent folds, want the maximum %v", round, got, want)
+		}
+	}
+}
+
 func TestGaugeUnsetOmittedFromSnapshot(t *testing.T) {
 	c := New()
 	c.Gauge("test.unset")
@@ -231,6 +286,7 @@ func TestRecordingZeroAllocs(t *testing.T) {
 		{"Counter.Add", func() { ctr.Add(3, 5) }},
 		{"Gauge.Set", func() { g.Set(1.5) }},
 		{"Gauge.Min", func() { g.Min(1.25) }},
+		{"Gauge.Max", func() { g.Max(1.25) }},
 		{"Histogram.Observe", func() { h.Observe(3, 123456) }},
 		{"Training.ObserveEval", func() { tr.ObserveEval(2.5) }},
 		{"Training.ObserveIteration", func() { tr.ObserveIteration(2.5) }},
