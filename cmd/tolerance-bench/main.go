@@ -188,10 +188,20 @@ func table2(full bool) error {
 		}
 	}
 	fmt.Println()
-	// Exact DP reference first.
+	// Exact DP reference first: the finite windows are read from one
+	// ladder of induction stages, climbed once to the deepest.
+	ladder, err := recovery.NewLadder(params, 300)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("%-8s", "optimal")
 	for _, d := range deltas {
-		sol, err := recovery.SolveDP(params, recovery.DPConfig{DeltaR: d, GridSize: 300})
+		var sol *recovery.DPSolution
+		if d == recovery.InfiniteDeltaR {
+			sol, err = recovery.SolveDP(params, recovery.DPConfig{DeltaR: d, GridSize: 300})
+		} else {
+			sol, err = ladder.Window(d)
+		}
 		if err != nil {
 			return err
 		}

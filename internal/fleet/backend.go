@@ -45,14 +45,6 @@ type ScenarioBackend interface {
 	Name() string
 	// Describe is a one-line summary for CLI listings.
 	Describe() string
-	// Deterministic reports whether two runs of the same scenario produce
-	// byte-identical metrics. The emulation backend is deterministic; the
-	// cluster backend is statistically reproducible (its seeded event
-	// schedule is identical across runs) but measures wall-clock
-	// quantities, so it is exempt from the byte-stability contract and the
-	// engine's suite results are only byte-stable for suites whose cells
-	// all use deterministic backends.
-	Deterministic() bool
 	Run(ctx context.Context, sc emulation.Scenario, opts BackendOptions) (emulation.Metrics, error)
 }
 
@@ -103,8 +95,7 @@ func init() {
 // it.
 type emulationBackend struct{}
 
-func (emulationBackend) Name() string        { return BackendEmulation }
-func (emulationBackend) Deterministic() bool { return true }
+func (emulationBackend) Name() string { return BackendEmulation }
 func (emulationBackend) Describe() string {
 	return "in-process discrete-time emulation (deterministic, byte-stable)"
 }
@@ -121,8 +112,7 @@ func (emulationBackend) Run(ctx context.Context, sc emulation.Scenario, opts Bac
 // membership changes on the seeded emulation schedule.
 type clusterBackend struct{}
 
-func (clusterBackend) Name() string        { return BackendCluster }
-func (clusterBackend) Deterministic() bool { return false }
+func (clusterBackend) Name() string { return BackendCluster }
 func (clusterBackend) Describe() string {
 	return "live MinBFT replica group over loopback TCP (seeded schedule, wall-clock measurements)"
 }

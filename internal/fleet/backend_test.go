@@ -14,9 +14,8 @@ import (
 // dispatch is observable in the folded aggregates.
 type fakeBackend struct{}
 
-func (fakeBackend) Name() string        { return "test-fake" }
-func (fakeBackend) Describe() string    { return "test double" }
-func (fakeBackend) Deterministic() bool { return true }
+func (fakeBackend) Name() string     { return "test-fake" }
+func (fakeBackend) Describe() string { return "test double" }
 
 func (fakeBackend) Run(ctx context.Context, sc emulation.Scenario, opts BackendOptions) (emulation.Metrics, error) {
 	if err := ctx.Err(); err != nil {
@@ -43,12 +42,6 @@ func TestBackendRegistry(t *testing.T) {
 	}
 	if _, ok := LookupBackend("no-such-backend"); ok {
 		t.Error("unknown backend resolved")
-	}
-	if be, _ := LookupBackend(BackendEmulation); !be.Deterministic() {
-		t.Error("emulation backend must be deterministic")
-	}
-	if be, _ := LookupBackend(BackendCluster); be.Deterministic() {
-		t.Error("cluster backend must not claim byte-determinism")
 	}
 }
 

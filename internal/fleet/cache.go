@@ -64,16 +64,45 @@ func (e *cacheEntry[T]) compute(f func() (T, error)) (T, error) {
 	return e.val, e.err
 }
 
-// get returns the memoized value without synchronizing on the sync.Once —
-// the allocation-free fast path for keys that are known to be resolved. The
-// third result reports whether a computation has completed (successfully or
-// not); callers fall back on compute otherwise.
-func (e *cacheEntry[T]) get() (T, error, bool) {
-	if e.done.Load() {
-		return e.val, e.err, true
+// memo is a single-flight memoization table: the first caller to claim a
+// key computes its value, and every later caller shares the result. The
+// zero value is ready to use.
+type memo[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]*cacheEntry[V]
+}
+
+// do returns the value memoized under key, running f at most once across
+// concurrent callers. A caller that finds the key already claimed counts a
+// hit in hits (nil: the memo is internal and counts none) and, if the value
+// is still being computed, a single-flight wait. A computation that fails
+// with a context cancellation or deadline is evicted, so a cancelled build
+// cannot poison the cache for a later caller with a live context.
+func (m *memo[K, V]) do(c *StrategyCache, key K, hits *atomic.Int64, f func() (V, error)) (V, error) {
+	m.mu.Lock()
+	entry, hit := m.m[key]
+	if !hit {
+		if m.m == nil {
+			m.m = make(map[K]*cacheEntry[V])
+		}
+		entry = &cacheEntry[V]{}
+		m.m[key] = entry
 	}
-	var zero T
-	return zero, nil, false
+	m.mu.Unlock()
+
+	if hit && hits != nil {
+		hits.Add(1)
+		c.noteWait(!entry.done.Load())
+	}
+	v, err := entry.compute(f)
+	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+		m.mu.Lock()
+		if m.m[key] == entry {
+			delete(m.m, key)
+		}
+		m.mu.Unlock()
+	}
+	return v, err
 }
 
 // StrategyCache memoizes the two control-problem solvers keyed by
@@ -82,19 +111,20 @@ func (e *cacheEntry[T]) get() (T, error, bool) {
 // concurrent use; duplicate concurrent requests for one key run the solver
 // once.
 type StrategyCache struct {
-	mu          sync.Mutex
-	recovery    map[string]*cacheEntry[*recovery.DPSolution]
-	replication map[string]*cacheEntry[*cmdp.Solution]
-	healthy     map[string]*cacheEntry[float64]
-	lp          map[string]*cacheEntry[*cmdp.Solution]
-	fits        map[string]*cacheEntry[*emulation.FitSet]
-	policies    map[string]*cacheEntry[baselines.Policy]
-	scenarios   map[string]*cacheEntry[emulation.Scenario]
+	recovery    memo[string, *recovery.DPSolution]
+	ladders     memo[string, *recovery.Ladder]
+	replication memo[string, *cmdp.Solution]
+	healthy     memo[string, float64]
+	lp          memo[string, *cmdp.Solution]
+	fits        memo[string, *emulation.FitSet]
+	policies    memo[string, baselines.Policy]
+	scenarios   memo[scenarioKey, emulation.Scenario]
 
-	// arenas pools the DP solver's scratch arenas across Recovery solves:
-	// one suite's cells solve through a shared slab set instead of
-	// re-allocating per cell. Arenas are scratch only — DPSolution buffers
-	// are never arena-backed — so pooling cannot alias cached solutions.
+	// arenas pools the DP solver's scratch arenas across ladder extensions
+	// and stationary solves: one suite's cells solve through a shared slab
+	// set instead of re-allocating per cell. Arenas are scratch only —
+	// ladders and DPSolution buffers are never arena-backed — so pooling
+	// cannot alias cached solutions.
 	arenas sync.Pool
 
 	recoverySolves    atomic.Int64
@@ -106,9 +136,10 @@ type StrategyCache struct {
 	fitHits           atomic.Int64
 	policyBuilds      atomic.Int64
 	policyHits        atomic.Int64
-	// arenaReuses counts DP solves that ran on a pooled arena instead of a
-	// fresh one. It is a memory-reuse gauge, not cache activity: a reuse
-	// does not imply any solution was shared.
+	// arenaReuses counts ladder extensions and stationary DP solves that
+	// ran on a pooled arena instead of a fresh one. It is a memory-reuse
+	// gauge, not cache activity: a reuse does not imply any solution was
+	// shared.
 	arenaReuses atomic.Int64
 
 	// tel is the attached telemetry bundle (nil until Instrument). It is an
@@ -176,17 +207,7 @@ func (c *StrategyCache) noteWait(inFlight bool) {
 var _ strategies.Solvers = (*StrategyCache)(nil)
 
 // NewStrategyCache returns an empty cache.
-func NewStrategyCache() *StrategyCache {
-	return &StrategyCache{
-		recovery:    make(map[string]*cacheEntry[*recovery.DPSolution]),
-		replication: make(map[string]*cacheEntry[*cmdp.Solution]),
-		healthy:     make(map[string]*cacheEntry[float64]),
-		lp:          make(map[string]*cacheEntry[*cmdp.Solution]),
-		fits:        make(map[string]*cacheEntry[*emulation.FitSet]),
-		policies:    make(map[string]*cacheEntry[baselines.Policy]),
-		scenarios:   make(map[string]*cacheEntry[emulation.Scenario]),
-	}
-}
+func NewStrategyCache() *StrategyCache { return &StrategyCache{} }
 
 // Stats snapshots the hit/solve counters.
 func (c *StrategyCache) Stats() CacheStats {
@@ -213,20 +234,7 @@ func (c *StrategyCache) Fits(samples int, fitSeed int64) (*emulation.FitSet, err
 		return nil, err
 	}
 	key := fmt.Sprintf("%s|m=%d|fs=%d", fp, samples, fitSeed)
-
-	c.mu.Lock()
-	entry, ok := c.fits[key]
-	if !ok {
-		entry = &cacheEntry[*emulation.FitSet]{}
-		c.fits[key] = entry
-	}
-	c.mu.Unlock()
-
-	if ok {
-		c.fitHits.Add(1)
-		c.noteWait(!entry.done.Load())
-	}
-	return entry.compute(func() (*emulation.FitSet, error) {
+	return c.fits.do(c, key, &c.fitHits, func() (*emulation.FitSet, error) {
 		c.fitSolves.Add(1)
 		start := time.Now()
 		fs, err := emulation.NewFitSet(samples, fitSeed)
@@ -238,40 +246,57 @@ func (c *StrategyCache) Fits(samples int, fitSeed int64) (*emulation.FitSet, err
 }
 
 // Recovery returns the Problem 1 DP solution for the model and config,
-// solving at most once per distinct (params, config) pair.
+// solving at most once per distinct (params, config) pair. Finite-ΔR
+// solutions are windows of one ladder per (params, grid), so a model's
+// ΔRs share their induction stages: each stage runs once per cache.
 func (c *StrategyCache) Recovery(p nodemodel.Params, cfg recovery.DPConfig) (*recovery.DPSolution, error) {
 	n := cfg.Normalized()
-	key := fmt.Sprintf("%s|dr=%d|g=%d|v=%d",
-		p.Fingerprint(), n.DeltaR, n.GridSize, n.MaxValueIterations)
-
-	c.mu.Lock()
-	entry, ok := c.recovery[key]
-	if !ok {
-		entry = &cacheEntry[*recovery.DPSolution]{}
-		c.recovery[key] = entry
-	}
-	c.mu.Unlock()
-
-	if ok {
-		c.recoveryHits.Add(1)
-		c.noteWait(!entry.done.Load())
-	}
-	return entry.compute(func() (*recovery.DPSolution, error) {
+	fp := p.Fingerprint()
+	key := fmt.Sprintf("%s|dr=%d|g=%d|v=%d", fp, n.DeltaR, n.GridSize, n.MaxValueIterations)
+	return c.recovery.do(c, key, &c.recoveryHits, func() (*recovery.DPSolution, error) {
 		c.recoverySolves.Add(1)
 		start := time.Now()
-		arena, pooled := c.arenas.Get().(*recovery.Arena)
-		if pooled {
-			c.arenaReuses.Add(1)
+		var sol *recovery.DPSolution
+		var err error
+		if n.DeltaR > 0 {
+			sol, err = c.window(p, fp, n)
 		} else {
-			arena = recovery.NewArena()
+			arena := c.arena()
+			sol, err = recovery.SolveDPWith(p, n, arena)
+			c.arenas.Put(arena)
 		}
-		sol, err := recovery.SolveDPWith(p, cfg, arena)
-		c.arenas.Put(arena)
 		if t := c.tel.Load(); t != nil {
 			t.solveNS.Observe(0, int64(time.Since(start)))
 		}
 		return sol, err
 	})
+}
+
+// window reads a finite-ΔR solution from the model's ladder, first
+// extending the ladder on a pooled arena if it is not yet ΔR−1 deep.
+func (c *StrategyCache) window(p nodemodel.Params, fp string, n recovery.DPConfig) (*recovery.DPSolution, error) {
+	l, err := c.ladders.do(c, fp+"|g="+strconv.Itoa(n.GridSize), nil, func() (*recovery.Ladder, error) {
+		return recovery.NewLadder(p, n.GridSize)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if l.Depth() < n.DeltaR-1 {
+		arena := c.arena()
+		l.Extend(n.DeltaR-1, arena)
+		c.arenas.Put(arena)
+	}
+	return l.Window(n.DeltaR)
+}
+
+// arena draws a DP scratch arena from the pool, counting the reuse, or
+// makes a fresh one when the pool is empty.
+func (c *StrategyCache) arena() *recovery.Arena {
+	if a, ok := c.arenas.Get().(*recovery.Arena); ok {
+		c.arenaReuses.Add(1)
+		return a
+	}
+	return recovery.NewArena()
 }
 
 // ReplicationFor returns the Problem 2 solution for the node model under
@@ -285,20 +310,7 @@ func (c *StrategyCache) Recovery(p nodemodel.Params, cfg recovery.DPConfig) (*re
 func (c *StrategyCache) ReplicationFor(p nodemodel.Params, rec recovery.Strategy, recFP string, smax, f int, epsilonA float64, deltaR int) (*cmdp.Solution, error) {
 	key := fmt.Sprintf("%s|rec=%s|dr=%d|smax=%d|f=%d|eps=%x",
 		p.Fingerprint(), recFP, deltaR, smax, f, epsilonA)
-
-	c.mu.Lock()
-	entry, ok := c.replication[key]
-	if !ok {
-		entry = &cacheEntry[*cmdp.Solution]{}
-		c.replication[key] = entry
-	}
-	c.mu.Unlock()
-
-	if ok {
-		c.replicationHits.Add(1)
-		c.noteWait(!entry.done.Load())
-	}
-	return entry.compute(func() (*cmdp.Solution, error) {
+	return c.replication.do(c, key, &c.replicationHits, func() (*cmdp.Solution, error) {
 		q, err := c.healthyProb(p, rec, recFP, deltaR)
 		if err != nil {
 			return nil, err
@@ -314,16 +326,7 @@ func (c *StrategyCache) ReplicationFor(p nodemodel.Params, rec recovery.Strategy
 // healthyProb memoizes cmdp.HealthyProb by (params, strategy, deltaR).
 func (c *StrategyCache) healthyProb(p nodemodel.Params, rec recovery.Strategy, recFP string, deltaR int) (float64, error) {
 	key := fmt.Sprintf("%s|rec=%s|dr=%d", p.Fingerprint(), recFP, deltaR)
-
-	c.mu.Lock()
-	entry, ok := c.healthy[key]
-	if !ok {
-		entry = &cacheEntry[float64]{}
-		c.healthy[key] = entry
-	}
-	c.mu.Unlock()
-
-	return entry.compute(func() (float64, error) {
+	return c.healthy.do(c, key, nil, func() (float64, error) {
 		c.healthyEvals.Add(1)
 		return cmdp.HealthyProb(p, rec, deltaR)
 	})
@@ -331,20 +334,10 @@ func (c *StrategyCache) healthyProb(p nodemodel.Params, rec recovery.Strategy, r
 
 // solveLP memoizes cmdp.Solve by the model fingerprint.
 func (c *StrategyCache) solveLP(model *cmdp.Model) (*cmdp.Solution, error) {
-	key := model.Fingerprint()
-
-	c.mu.Lock()
-	entry, ok := c.lp[key]
-	if !ok {
-		entry = &cacheEntry[*cmdp.Solution]{}
-		c.lp[key] = entry
-	}
-	c.mu.Unlock()
-
 	// The counter increments inside the once-guarded closure: exactly one
 	// caller's closure runs, so the count is one per distinct LP no matter
 	// which goroutine wins the race into compute.
-	return entry.compute(func() (*cmdp.Solution, error) {
+	return c.lp.do(c, model.Fingerprint(), nil, func() (*cmdp.Solution, error) {
 		c.replicationSolves.Add(1)
 		start := time.Now()
 		sol, err := cmdp.Solve(model)
@@ -374,20 +367,7 @@ func (c *StrategyCache) PolicyFor(ctx context.Context, cell Cell, suite Suite) (
 	spec.Seed = seedFromKey(fmt.Sprintf("train|%d|%s|%s",
 		suite.Seed, cell.Policy, strat.Fingerprint(spec)))
 	key := string(cell.Policy) + "|" + strat.Fingerprint(spec)
-
-	c.mu.Lock()
-	entry, cached := c.policies[key]
-	if !cached {
-		entry = &cacheEntry[baselines.Policy]{}
-		c.policies[key] = entry
-	}
-	c.mu.Unlock()
-
-	if cached {
-		c.policyHits.Add(1)
-		c.noteWait(!entry.done.Load())
-	}
-	pol, err := entry.compute(func() (baselines.Policy, error) {
+	return c.policies.do(c, key, &c.policyHits, func() (baselines.Policy, error) {
 		c.policyBuilds.Add(1)
 		t := c.tel.Load()
 		if t != nil {
@@ -404,16 +384,6 @@ func (c *StrategyCache) PolicyFor(ctx context.Context, cell Cell, suite Suite) (
 		}
 		return pol, err
 	})
-	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-		// A cancelled construction must not poison a shared cache: evict
-		// the slot so a later run with a live context rebuilds the policy.
-		c.mu.Lock()
-		if c.policies[key] == entry {
-			delete(c.policies, key)
-		}
-		c.mu.Unlock()
-	}
-	return pol, err
 }
 
 // scenarioFor resolves the cell's policy and assembles the scenario
@@ -426,28 +396,7 @@ func (c *StrategyCache) PolicyFor(ctx context.Context, cell Cell, suite Suite) (
 // PolicyFor, which deduplicates the actual build (including learned
 // training) across suites by construction fingerprint.
 func (c *StrategyCache) scenarioFor(ctx context.Context, suiteFP string, cell *Cell, suite Suite) (emulation.Scenario, error) {
-	var kb [48]byte
-	key := append(kb[:0], suiteFP...)
-	key = append(key, '|')
-	key = strconv.AppendInt(key, int64(cell.Index), 10)
-
-	c.mu.Lock()
-	entry, ok := c.scenarios[string(key)]
-	if !ok {
-		entry = &cacheEntry[emulation.Scenario]{}
-		c.scenarios[string(key)] = entry
-	}
-	c.mu.Unlock()
-
-	if ok {
-		if sc, err, done := entry.get(); done && err == nil {
-			c.policyHits.Add(1)
-			return sc, nil
-		}
-		c.policyHits.Add(1)
-		c.noteWait(!entry.done.Load())
-	}
-	sc, err := entry.compute(func() (emulation.Scenario, error) {
+	return c.scenarios.do(c, scenarioKey{suiteFP, cell.Index}, &c.policyHits, func() (emulation.Scenario, error) {
 		policy, err := c.PolicyFor(ctx, *cell, suite)
 		if err != nil {
 			return emulation.Scenario{}, err
@@ -455,16 +404,13 @@ func (c *StrategyCache) scenarioFor(ctx context.Context, suiteFP string, cell *C
 		s := suite.withDefaults()
 		return cell.scenario(policy, 0, s.Steps, s.FitSamples), nil
 	})
-	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-		// Mirror PolicyFor's eviction: a cancelled build must not poison
-		// the shared cache for later runs with a live context.
-		c.mu.Lock()
-		if c.scenarios[string(key)] == entry {
-			delete(c.scenarios, string(key))
-		}
-		c.mu.Unlock()
-	}
-	return sc, err
+}
+
+// scenarioKey names a cell's scenario template: the suite fingerprint and
+// the cell index.
+type scenarioKey struct {
+	suiteFP string
+	cell    int
 }
 
 // seedFromKey hashes a cache key into a deterministic rng seed.

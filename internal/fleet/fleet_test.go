@@ -60,7 +60,8 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 // TestStrategyCacheSolvesEachProblemOnce checks the memoization contract:
 // a grid whose TOLERANCE cells share model parameters and DeltaR triggers
 // exactly one DP solve and one LP solve; adding a second DeltaR doubles the
-// solve count but nothing else does (seeds, workloads, N1 with equal f).
+// solve count but nothing else does (seeds, workloads, N1 with equal f),
+// and the two DeltaRs share one ladder of induction stages.
 func TestStrategyCacheSolvesEachProblemOnce(t *testing.T) {
 	suite := Suite{
 		Name:         "cache-test",
@@ -116,6 +117,17 @@ func TestStrategyCacheSolvesEachProblemOnce(t *testing.T) {
 	}
 	if stats.PolicyBuilds != 2 {
 		t.Errorf("PolicyBuilds = %d, want 2 (two DeltaRs)", stats.PolicyBuilds)
+	}
+	// Both DeltaRs are windows of one ladder per node model, climbed once
+	// to the deeper window: DeltaR = 25 needs 24 stages, and DeltaR = 15
+	// reads its 14 from the same ones.
+	if n := len(cache.ladders.m); n != 1 {
+		t.Fatalf("%d ladders, want 1 (one node model)", n)
+	}
+	for _, entry := range cache.ladders.m {
+		if d := entry.val.Depth(); d != 24 {
+			t.Errorf("ladder depth %d, want 24", d)
+		}
 	}
 }
 

@@ -73,21 +73,29 @@ func TestDPSolutionNotArenaBacked(t *testing.T) {
 	}
 }
 
-// TestDPArenaResolveZeroAlloc guards the re-solve hot path the fleet's
-// pooled arenas exist for: once an arena has been sized by a first solve,
-// re-running the stencil preparation and the window induction into
-// caller-held threshold storage allocates nothing.
+// TestDPArenaResolveZeroAlloc guards the extension hot path the fleet's
+// pooled arenas exist for: once an arena has been sized and a ladder's
+// storage has grown, re-preparing the stencils and climbing the ladder back
+// to the same depth allocates nothing.
 func TestDPArenaResolveZeroAlloc(t *testing.T) {
-	p := nodemodel.DefaultParams()
-	cfg := DPConfig{DeltaR: 8, GridSize: 200}.withDefaults()
-	solver := &dpSolver{p: p, cfg: cfg, ar: NewArena()}
-	solver.prepare() // size the arena
-	thresholds := make([]float64, cfg.DeltaR-1)
+	l, err := NewLadder(nodemodel.DefaultParams(), 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arena := NewArena()
+	l.Extend(8, arena) // size the arena and the ladder's storage
 
 	if avg := testing.AllocsPerRun(20, func() {
-		solver.prepare()
-		solver.inductWindow(thresholds)
+		// Back to depth 0, keeping the storage: U_0 = 1, no stages.
+		for i := range l.u {
+			l.u[i] = 1
+		}
+		l.tau, l.e = l.tau[:0], l.e[:0]
+		l.Extend(8, arena)
 	}); avg != 0 {
-		t.Fatalf("arena-backed re-solve allocates %v per run, want 0", avg)
+		t.Fatalf("warm ladder extension on a reused arena allocates %v per run, want 0", avg)
+	}
+	if l.Depth() != 8 {
+		t.Fatalf("ladder depth %d, want 8", l.Depth())
 	}
 }

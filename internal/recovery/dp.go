@@ -42,10 +42,14 @@ func (c DPConfig) Normalized() DPConfig { return c.withDefaults() }
 // For finite Delta_R the BTR constraint (eq. 6b) forces recovery at the
 // fixed calendar times k*Delta_R, so the process renews every Delta_R steps
 // (eq. 16) and the optimal strategy follows from backward induction over one
-// window. For Delta_R = infinity the process renews at (threshold-triggered)
-// recoveries instead, and the average cost rho solves g(rho) = 0 where g is
-// the optimal expected (cost - rho * time) per recovery cycle; rho is found
-// by safeguarded regula falsi. Crash absorption (probability <= pC2 per
+// window. Every window starts from the same forced-recovery terminal, so a
+// finite solution is a window read from the model's Ladder: SolveDP climbs
+// a one-window ladder on its arena, and a Ladder kept across calls serves
+// every Delta_R up to its depth + 1 without repeating a stage. For
+// Delta_R = infinity the process renews at (threshold-triggered)
+// recoveries instead, and the average cost rho solves g(rho) = 0 where g
+// is the optimal expected (cost - rho * time) per recovery cycle; rho is
+// found by safeguarded regula falsi. Crash absorption (probability <= pC2 per
 // step) is ignored by the DP and handled by the simulator; the induced bias
 // is O(pC2).
 type DPSolution struct {
@@ -145,7 +149,9 @@ func SolveDPWith(p nodemodel.Params, cfg DPConfig, arena *Arena) (*DPSolution, e
 	solver.prepare()
 
 	if cfg.DeltaR != InfiniteDeltaR {
-		return solver.solveWindow(), nil
+		l := solver.windowLadder()
+		l.climb(solver, cfg.DeltaR-1)
+		return l.window(cfg.DeltaR), nil
 	}
 	return solver.solveStationary()
 }
@@ -178,8 +184,9 @@ type dpSolver struct {
 	// zero-probability observations.
 	resetSt []stencilEntry
 
-	// Value buffers (the window induction uses buf0, the stationary value
-	// iteration ping-pongs the two) and the shared expectation accumulator.
+	// Value buffers (a one-window ladder keeps U_r in buf0, the stationary
+	// value iteration ping-pongs the two) and the shared expectation
+	// accumulator.
 	// warm records that buf0 holds the converged stopping value of the
 	// previous rho, so the root finder's next probe starts its fixed-point
 	// iteration there instead of from zero — successive probes close in on
@@ -187,6 +194,10 @@ type dpSolver struct {
 	// in a fraction of the cold-start sweeps.
 	buf0, buf1, accBuf []float64
 	warm               bool
+	// tauBuf and eBuf back the one-window ladder of a finite solve (empty,
+	// with capacity DeltaR; nil for the stationary problem and for ladder
+	// extensions, whose ladders own their storage).
+	tauBuf, eBuf []float64
 }
 
 // stencilEntry is one observation's contribution to a Bellman expectation:
@@ -224,16 +235,18 @@ func stencilEntryFor(pb, zh, zc float64, n int) stencilEntry {
 }
 
 // prepare lays out the belief grid and caches the belief-transition
-// stencils. All float storage comes from one arena slab carved into the
-// solver's views; the slabs are zero-filled on reuse (grabFloats/
-// grabInts), because the stencil fill below skips zero-probability entries
-// — an arena inherited from a different (params, config) solve must not
-// leak stale weights through that skip path.
+// stencils (and, for a finite DeltaR, the window's ladder storage). All
+// float storage comes from one arena slab carved into the solver's views;
+// the slabs are zero-filled on reuse (grabFloats/grabInts), because the
+// stencil fill below skips zero-probability entries — an arena inherited
+// from a different (params, config) solve must not leak stale weights
+// through that skip path.
 func (d *dpSolver) prepare() {
 	numObs := d.p.NumObs()
 	zH, zC := d.p.ZHealthy, d.p.ZCompromised
 	g := d.cfg.GridSize + 1
-	arena := d.ar.grabFloats(2*numObs*g + 5*g)
+	window := d.cfg.DeltaR // InfiniteDeltaR = 0: no window storage
+	arena := d.ar.grabFloats(2*numObs*g + 5*g + 2*window)
 	cut := func(size int) []float64 {
 		s := arena[:size:size]
 		arena = arena[size:]
@@ -249,6 +262,7 @@ func (d *dpSolver) prepare() {
 	d.buf1 = cut(g)
 	d.accBuf = cut(g)
 	preds := cut(g)
+	d.tauBuf, d.eBuf = cut(window)[:0], cut(window)[:0]
 	d.stIdx = d.ar.grabInts(numObs * g)
 	for i, b := range d.grid {
 		preds[i] = d.p.PredictBelief(b, nodemodel.Wait)
@@ -316,61 +330,6 @@ func (d *dpSolver) expectReset(w []float64) float64 {
 		e += st.po * (w[st.idx]*st.omfrac + w[st.idx+1]*st.frac)
 	}
 	return e
-}
-
-// solveWindow performs backward induction over one calendar window of
-// length DeltaR: position DeltaR carries the forced recovery (cost 1) and
-// ends the window; earlier positions choose between waiting (cost eta*b)
-// and recovering (cost 1, belief reset to pA).
-func (d *dpSolver) solveWindow() *DPSolution {
-	thresholds := make([]float64, max(d.cfg.DeltaR-1, 1))
-	avg := d.inductWindow(thresholds)
-	if d.cfg.DeltaR == 1 {
-		thresholds[0] = 0
-	}
-	return &DPSolution{AvgCost: avg, Thresholds: thresholds}
-}
-
-// inductWindow runs the backward induction into the caller's threshold
-// storage and returns the average window cost. Each stage reads the next
-// one only through expectReset and expectWaitAll, both done before the
-// stage writes, so one arena buffer holds V(., k+1) and is overwritten in
-// place by V(., k). It is the allocation-free core of solveWindow, split
-// out so the arena-reuse guard test can re-solve without the output
-// allocation. thresholds holds max(DeltaR-1, 1) entries (position k's
-// threshold at index k-1; untouched for DeltaR = 1).
-func (d *dpSolver) inductWindow(thresholds []float64) float64 {
-	p := d.p
-	deltaR := d.cfg.DeltaR
-	v := d.buf0
-	for i := range v {
-		v[i] = 1 // forced recovery cost; window ends here
-	}
-
-	for k := deltaR - 1; k >= 1; k-- {
-		recoverVal := 1 + d.expectReset(v)
-		d.expectWaitAll(v, d.accBuf)
-		threshold := 1.0
-		set := false
-		for i, b := range d.grid {
-			waitVal := p.Eta*b + d.accBuf[i]
-			if recoverVal <= waitVal {
-				v[i] = recoverVal
-				if !set {
-					threshold = b
-					set = true
-				}
-			} else {
-				v[i] = waitVal
-			}
-		}
-		thresholds[k-1] = threshold
-	}
-
-	if deltaR == 1 {
-		return 1 // every step is a forced recovery
-	}
-	return d.expectReset(v) / float64(deltaR)
 }
 
 // rhoTolerance is the bracket width at which the stationary root finder
