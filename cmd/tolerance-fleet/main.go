@@ -294,7 +294,9 @@ func run() (retErr error) {
 	var writer *fleet.CheckpointWriter
 	if *checkpoint != "" {
 		if *resume {
+			endRead := col.Phase("fleet.read")
 			ck, err := fleet.ReadCheckpoint(*checkpoint)
+			endRead()
 			if err != nil {
 				return err
 			}
@@ -529,14 +531,19 @@ func printSummary(w io.Writer, s telemetry.Snapshot) {
 // runMerge folds a complete shard set back into the single-machine result.
 // Merged records count as replayed folds on the collector, so the summary
 // and an optional -manifest report through the same snapshot a live run
-// uses.
+// uses; the fleet.read and fleet.merge phases split its time between
+// reading the files and folding their records.
 func runMerge(paths []string, format string, col *telemetry.Collector, manifestPath string, quiet bool) error {
 	manifest := telemetry.NewManifest()
+	endRead := col.Phase("fleet.read")
 	suite, records, err := fleet.ReadShardSet(paths)
+	endRead()
 	if err != nil {
 		return err
 	}
+	endMerge := col.Phase("fleet.merge")
 	res, err := fleet.MergeRecords(suite, records)
+	endMerge()
 	if err != nil {
 		return err
 	}

@@ -10,9 +10,11 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"tolerance/internal/emulation"
 	"tolerance/internal/telemetry"
@@ -35,9 +37,10 @@ type RunRecord struct {
 // the record's canonical encoding (see recordCRC). The writer and the
 // reader's fast path go through the record codec instead; this type only
 // decodes lines that are valid JSON in some other shape (reordered keys,
-// whitespace, "crc":null), so the accepted set stays encoding/json's. CRC
-// is a pointer so legacy lines without one read back as nil and are
-// accepted unverified.
+// whitespace, "crc":null), so the accepted set stays encoding/json's. Such
+// a line has no canonical record bytes to checksum, so its CRC is always
+// verified by re-encoding the decoded record. CRC is a pointer so legacy
+// lines without one read back as nil and are accepted unverified.
 type checkpointLine struct {
 	RunRecord
 	CRC *uint32 `json:"crc,omitempty"`
@@ -111,14 +114,17 @@ func readCheckpointBytes(path string) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: checkpoint %s: %v", ErrBadSuite, path, err)
 	}
-	out, err := io.ReadAll(zr)
-	if err != nil && !errors.Is(err, io.ErrUnexpectedEOF) {
+	// The buffer doubles as it fills. The gzip trailer's size field is no
+	// guide: a file torn after a sync flush ends in the flush marker
+	// 00 00 ff ff, which reads as a 4.29 GB payload.
+	var out bytes.Buffer
+	if _, err := out.ReadFrom(zr); err != nil && !errors.Is(err, io.ErrUnexpectedEOF) {
 		return nil, fmt.Errorf("%w: checkpoint %s: %v", ErrBadSuite, path, err)
 	}
 	// Close verifies the trailer checksum, which a truncated member cannot
 	// pass; the decompressed prefix is still a valid torn-tail payload.
 	_ = zr.Close()
-	return out, nil
+	return out.Bytes(), nil
 }
 
 // ReadCheckpoint parses a checkpoint file (gzip-framed when the path ends
@@ -192,11 +198,12 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 		validBytes: int64(len(header) + 1),
 		gz:         gzipCheckpoint(path),
 	}
-	scratch := make([]byte, 0, maxRecordJSON) // the CRC check's re-encoding
+	scratch := make([]byte, 0, maxRecordJSON) // the CRC fallback's re-encoding
 	for i := 0; i < nBody; i++ {
 		var line []byte
 		line, body, _ = bytes.Cut(body, newline)
-		rec, crc, hasCRC, ok := decodeRecordLine(line)
+		rec, crc, crcAt, ok := decodeRecordLine(line)
+		hasCRC := crcAt >= 0
 		if !ok {
 			// Not the writer's canonical shape: either damage, or valid JSON
 			// spelled differently, which encoding/json decides as it always
@@ -219,7 +226,10 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 				crc = *cl.CRC
 			}
 		}
-		if hasCRC {
+		// A canonical line's crc is checked on its own record bytes. Only a
+		// mismatch there, or a line encoding/json decoded, re-encodes the
+		// record, so a non-canonical spelling of the right values verifies.
+		if hasCRC && (crcAt < 0 || lineCRC(line, crcAt) != crc) {
 			if sum, err := recordCRC(scratch, rec); err != nil || sum != crc {
 				ck.Corrupted++
 				ck.validBytes += int64(len(line) + 1)
@@ -467,18 +477,47 @@ func (c *CheckpointWriter) sync() error {
 // result files for merging: every file must describe the same suite
 // (by fingerprint), and no scenario may appear in two files. It returns
 // the common suite and the combined record map, ready for MergeRecords.
+//
+// Files are read concurrently, at most GOMAXPROCS at a time: a file is in
+// flight from the start of its read until its records are combined, so a
+// set of many shards never holds more than GOMAXPROCS payloads at once.
+// Records are combined in argument order, and the error is the one a read
+// of the files one after the other would return: that of the first file,
+// in argument order, that fails to read, describes a different suite or
+// repeats a scenario. ReadShardSet returns only after every read it
+// started has finished.
 func ReadShardSet(paths []string) (Suite, map[int]RunRecord, error) {
 	if len(paths) == 0 {
 		return Suite{}, nil, fmt.Errorf("%w: no shard files", ErrBadSuite)
 	}
+	type shardRead struct {
+		ck  *Checkpoint
+		err error
+	}
+	reads := make([]chan shardRead, len(paths))
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	window, started := runtime.GOMAXPROCS(0), 0
 	var suite Suite
 	var fingerprint string
 	var combined map[int]RunRecord
-	for _, path := range paths {
-		ck, err := ReadCheckpoint(path)
-		if err != nil {
-			return Suite{}, nil, err
+	for i, path := range paths {
+		// Keep files i … i+window−1 in flight.
+		for ; started < len(paths) && started < i+window; started++ {
+			ch := make(chan shardRead, 1) // the reader never blocks on its one send
+			reads[started] = ch
+			wg.Add(1)
+			go func(path string) {
+				defer wg.Done()
+				ck, err := ReadCheckpoint(path)
+				ch <- shardRead{ck, err}
+			}(paths[started])
 		}
+		r := <-reads[i]
+		if r.err != nil {
+			return Suite{}, nil, r.err
+		}
+		ck := r.ck
 		if fingerprint == "" {
 			suite, fingerprint = ck.Suite, ck.Suite.Fingerprint()
 			// Shards of one grid are near-equal slices: size for all of them

@@ -111,13 +111,14 @@ func appendJSONFloat(dst []byte, f float64) ([]byte, error) {
 }
 
 // recordCRC is the per-record checksum: CRC32 (IEEE) over the record's
-// canonical encoding. Writer and reader both get those bytes from
-// appendRecordJSON, so a reader re-encodes what it parsed and compares —
-// the raw line is never checksummed (its crc field would self-reference,
-// and a non-canonical spelling of the same numbers must verify too). The
-// encoding goes into scratch[:0], which the caller reuses across records:
-// crc32 dispatches through a function value, so a stack buffer would be
-// moved to the heap on every call.
+// canonical encoding. The writer gets those bytes from appendRecordJSON and
+// checksums them before splicing the crc member in. A reader checksums the
+// line's own record bytes first (lineCRC) and re-encodes what it parsed
+// through recordCRC only when they disagree, so a non-canonical spelling of
+// the same numbers still verifies. The encoding goes into scratch[:0],
+// which the caller reuses across records: crc32 dispatches through a
+// function value, so a stack buffer would be moved to the heap on every
+// call.
 func recordCRC(scratch []byte, rec RunRecord) (uint32, error) {
 	body, err := appendRecordJSON(scratch[:0], rec)
 	if err != nil {
@@ -126,24 +127,41 @@ func recordCRC(scratch []byte, rec RunRecord) (uint32, error) {
 	return crc32.ChecksumIEEE(body), nil
 }
 
+// closingBrace is the record's own closing brace, which the crc member
+// displaced on a checkpoint line (a package variable, so lineCRC does not
+// allocate one per call).
+var closingBrace = []byte{'}'}
+
+// lineCRC checksums the record bytes of a checkpoint line whose crc member
+// starts at crcAt: the line up to that member, closed by the brace the
+// member displaced. The writer spells every number canonically, so for the
+// lines it writes this is bit for bit recordCRC of the decoded record, with
+// no re-encoding.
+func lineCRC(line []byte, crcAt int) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(line[:crcAt]), crc32.IEEETable, closingBrace)
+}
+
 // decodeRecordLine decodes one record in canonical shape: the encoder's
 // key order and spelling, no whitespace, strict JSON numbers, optionally a
 // trailing "crc" member (a checkpoint line). ok reports whether the input
 // had that shape; when it is false nothing is said about validity and the
-// caller falls back to encoding/json. When it is true, rec, crc and hasCRC
-// are what encoding/json would have produced.
-func decodeRecordLine(line []byte) (rec RunRecord, crc uint32, hasCRC, ok bool) {
+// caller falls back to encoding/json. When it is true, rec and crc are
+// what encoding/json would have produced, and crcAt is the offset of the
+// crc member — where the record's own bytes end — or -1 when the line has
+// none.
+func decodeRecordLine(line []byte) (rec RunRecord, crc uint32, crcAt int, ok bool) {
 	s := recScanner{b: line, ok: true}
 	s.record(&rec)
-	if s.has(recKeyCRC) {
-		hasCRC = true
+	crcAt = -1
+	if at := len(line) - len(s.b); s.has(recKeyCRC) {
+		crcAt = at
 		crc = uint32(s.uint(math.MaxUint32))
 	}
 	s.lit("}")
 	if !s.ok || len(s.b) != 0 {
-		return RunRecord{}, 0, false, false
+		return RunRecord{}, 0, -1, false
 	}
-	return rec, crc, hasCRC, true
+	return rec, crc, crcAt, true
 }
 
 // The Records frame a worker ships, split where the codec's bytes go:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -88,30 +89,43 @@ func checkEncode(t *testing.T, rec RunRecord) {
 	if err := json.Unmarshal(want, &ref); err != nil {
 		t.Fatal(err)
 	}
-	back, _, hasCRC, ok := decodeRecordLine(got)
-	if !ok || hasCRC || !sameRecord(back, ref) {
-		t.Fatalf("decodeRecordLine(%s) = %+v, hasCRC %v, ok %v", got, back, hasCRC, ok)
+	back, _, crcAt, ok := decodeRecordLine(got)
+	if !ok || crcAt != -1 || !sameRecord(back, ref) {
+		t.Fatalf("decodeRecordLine(%s) = %+v, crcAt %d, ok %v", got, back, crcAt, ok)
 	}
 	line := checkpointLineOf(t, rec)
-	back, crc, hasCRC, ok := decodeRecordLine(line)
-	if !ok || !hasCRC || !sameRecord(back, ref) {
-		t.Fatalf("decodeRecordLine(%s) = %+v, hasCRC %v, ok %v", line, back, hasCRC, ok)
+	back, crc, crcAt, ok := decodeRecordLine(line)
+	if !ok || crcAt != bytes.Index(line, []byte(recKeyCRC)) || !sameRecord(back, ref) {
+		t.Fatalf("decodeRecordLine(%s) = %+v, crcAt %d, ok %v", line, back, crcAt, ok)
 	}
 	if sum, err := recordCRC(nil, back); err != nil || sum != crc || crc != crc32.ChecksumIEEE(want) {
 		t.Fatalf("recordCRC = %d, %v; line carries %d, reference %d", sum, err, crc, crc32.ChecksumIEEE(want))
+	}
+	// The writer's line checksums to its crc on its own bytes: the reader
+	// verifies it without re-encoding.
+	if sum := lineCRC(line, crcAt); sum != crc {
+		t.Fatalf("lineCRC(%s) = %d, line carries %d", line, sum, crc)
 	}
 }
 
 // checkDecode asserts the decoder against encoding/json on arbitrary
 // bytes: whenever the fast path claims a line, the reference accepts it
 // too — as a checkpoint line and as a wire record — with the same value and
-// the same CRC presence. (A line the fast path declines goes to
-// encoding/json in production, so there is nothing to compare.)
+// the same CRC presence, and the crc member starts at crcAt. (A line the
+// fast path declines goes to encoding/json in production, so there is
+// nothing to compare.)
 func checkDecode(t *testing.T, line []byte) {
 	t.Helper()
-	rec, crc, hasCRC, ok := decodeRecordLine(line)
+	rec, crc, crcAt, ok := decodeRecordLine(line)
 	if !ok {
+		if crcAt != -1 {
+			t.Fatalf("%q declined with crcAt %d", line, crcAt)
+		}
 		return
+	}
+	hasCRC := crcAt >= 0
+	if hasCRC && !bytes.HasPrefix(line[crcAt:], []byte(recKeyCRC)) {
+		t.Fatalf("%q: crcAt %d is not the crc member", line, crcAt)
 	}
 	var ref checkpointLine
 	if err := json.Unmarshal(line, &ref); err != nil {
@@ -306,13 +320,23 @@ func FuzzRecordCodec(f *testing.F) {
 	})
 }
 
-// readCheckpointReference is the parent commit's ReadCheckpoint, kept as
-// the oracle: split a string copy into lines, decode every line with
-// encoding/json, verify the CRC by marshalling the record again.
+// readCheckpointReference is the ReadCheckpoint that preceded the record
+// codec, kept as the oracle: gunzip with io.ReadAll, split a string copy
+// into lines, decode every line with encoding/json, verify the CRC by
+// marshalling the record again.
 func readCheckpointReference(path string) (*Checkpoint, error) {
-	data, err := readCheckpointBytes(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
+	}
+	if gzipCheckpoint(path) {
+		zr, err := gzip.NewReader(bytes.NewReader(data))
+		if err != nil {
+			return nil, err
+		}
+		if data, err = io.ReadAll(zr); err != nil && !errors.Is(err, io.ErrUnexpectedEOF) {
+			return nil, err
+		}
 	}
 	if len(data) == 0 {
 		return nil, fmt.Errorf("%w: empty", ErrBadSuite)
@@ -468,6 +492,23 @@ func damagedCheckpoints(t testing.TB) map[string]checkpointFile {
 			return append(l, append(checkpointLineOf(t, rec), '\n'))
 		}), false},
 		"last-line-garbage": {append(bytes.Clone(plain), "{\"index\":\n"...), false},
+		// Canonical shape, other spellings of the same values, the writer's
+		// crc: the line's own bytes do not checksum to it, the re-encoding
+		// fallback does.
+		"respelled-floats": {edit(func(l [][]byte) [][]byte {
+			l[1] = bytes.Replace(l[1], []byte(`"QuorumAvailability":0.75,`), []byte(`"QuorumAvailability":0.750,`), 1)
+			l[2] = bytes.Replace(l[2], []byte(`"TimeToRecovery":1000,`), []byte(`"TimeToRecovery":1e3,`), 1)
+			l[8] = bytes.Replace(l[8], []byte(`"AvgCost":0.85,`), []byte(`"AvgCost":8.5e-1,`), 1)
+			return l
+		}), false},
+		"metric-digit-flip": {edit(func(l [][]byte) [][]byte {
+			l[4] = bytes.Replace(l[4], []byte(`"Availability":0.5375,`), []byte(`"Availability":0.5376,`), 1)
+			return l
+		}), false},
+		"crc-digit-flip": {edit(func(l [][]byte) [][]byte {
+			l[6] = bytes.Replace(l[6], []byte(`"crc":1115699595}`), []byte(`"crc":1115699596}`), 1)
+			return l
+		}), false},
 	}
 }
 
@@ -493,6 +534,7 @@ func TestReadCheckpointMatchesReference(t *testing.T) {
 		"legacy-no-crc": {8, 0, 1}, "legacy-flipped-value": {8, 0, 1}, "reordered-keys": {8, 0, 1},
 		"empty-line": {8, 1, 1}, "crlf": {8, 0, 1}, "blank-tail": {8, 0, 1}, "blank-torn": {7, 0, 1},
 		"last-line-garbage": {8, 0, 1}, "torn-header": {}, "out-of-shard": {},
+		"respelled-floats": {8, 0, 1}, "metric-digit-flip": {7, 1, 1}, "crc-digit-flip": {7, 1, 1},
 	}
 	for name, file := range damagedCheckpoints(t) {
 		t.Run(name, func(t *testing.T) {
@@ -508,6 +550,42 @@ func TestReadCheckpointMatchesReference(t *testing.T) {
 				t.Errorf("%d records, %d corrupted; want %d, %d", len(ck.Records), ck.Corrupted, w[0], w[1])
 			}
 		})
+	}
+}
+
+// TestCheckpointCRCPaths pins which check decides each record line of the
+// hard cases: a line the writer produced verifies on its own bytes; a
+// canonical-shape line that spells its values differently fails that
+// check and verifies by re-encoding; a flipped digit in a metric or in the
+// crc fails both.
+func TestCheckpointCRCPaths(t *testing.T) {
+	cases := damagedCheckpoints(t)
+	for name, want := range map[string][3]int{ // on line bytes, by re-encoding, neither
+		"intact":            {8, 0, 0},
+		"respelled-floats":  {5, 3, 0},
+		"metric-digit-flip": {7, 0, 1},
+		"crc-digit-flip":    {7, 0, 1},
+	} {
+		lines := bytes.Split(bytes.TrimSuffix(cases[name].data, newline), newline)[1:]
+		var got [3]int
+		for _, line := range lines {
+			rec, crc, crcAt, ok := decodeRecordLine(line)
+			if !ok || crcAt < 0 {
+				t.Fatalf("%s: line %s declined", name, line)
+			}
+			sum, err := recordCRC(nil, rec)
+			switch {
+			case lineCRC(line, crcAt) == crc:
+				got[0]++
+			case err == nil && sum == crc:
+				got[1]++
+			default:
+				got[2]++
+			}
+		}
+		if got != want {
+			t.Errorf("%s: %v lines verified on their bytes / by re-encoding / not at all, want %v", name, got, want)
+		}
 	}
 }
 
@@ -594,10 +672,11 @@ func TestGoldenParentCheckpoints(t *testing.T) {
 	}
 }
 
-// TestRecordCodecZeroAllocs pins the two steady-state record paths at zero
+// TestRecordCodecZeroAllocs pins the steady-state record paths at zero
 // allocations: a plain writer's line (encode, CRC, splice, one Write into
-// the buffered file; the periodic fsync is Append's, not the line's) and
-// the reader's fast path with CRC verification.
+// the buffered file; the periodic fsync is Append's, not the line's), the
+// reader's fast path with the CRC checked on the line's bytes, and its
+// re-encoding fallback.
 func TestRecordCodecZeroAllocs(t *testing.T) {
 	w, err := CreateCheckpoint(filepath.Join(t.TempDir(), "ck.jsonl"), testSuite(), Shard{})
 	if err != nil {
@@ -615,15 +694,23 @@ func TestRecordCodecZeroAllocs(t *testing.T) {
 	line := checkpointLineOf(t, sampleRecord)
 	scratch := make([]byte, 0, maxRecordJSON)
 	if n := testing.AllocsPerRun(200, func() {
-		rec, crc, hasCRC, ok := decodeRecordLine(line)
-		if !ok || !hasCRC {
+		_, crc, crcAt, ok := decodeRecordLine(line)
+		if !ok || crcAt < 0 {
 			t.Fatal("canonical line declined")
 		}
-		if sum, err := recordCRC(scratch, rec); err != nil || sum != crc {
+		if lineCRC(line, crcAt) != crc {
 			t.Fatal("CRC mismatch")
 		}
 	}); n != 0 {
 		t.Errorf("decoding and verifying a record line: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		rec, crc, _, ok := decodeRecordLine(line)
+		if sum, err := recordCRC(scratch, rec); !ok || err != nil || sum != crc {
+			t.Fatal("CRC mismatch")
+		}
+	}); n != 0 {
+		t.Errorf("decoding a record line and re-encoding its CRC: %v allocs, want 0", n)
 	}
 }
 
@@ -756,7 +843,8 @@ func mustReadFile(t testing.TB, path string) []byte {
 
 // BenchmarkRecordCodec is the record layer's go test -bench row: one
 // checkpoint line written (encode + CRC + splice into a discarded sink) and
-// one read back (fast-path decode + CRC verify by re-encoding); and one
+// one read back (fast-path decode + CRC over the line's record bytes, and
+// the re-encoding fallback a mismatch takes); and one
 // worker batch of 64 records as a Records frame, spliced by the worker and
 // decoded by the coordinator, beside the proto.Encode / proto.Decode path
 // the frame codec falls back to.
@@ -833,6 +921,16 @@ func BenchmarkRecordCodec(b *testing.B) {
 		}
 	})
 	b.Run("decode+verify", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(line) + 1))
+		for i := 0; i < b.N; i++ {
+			_, crc, crcAt, ok := decodeRecordLine(line)
+			if !ok || crcAt < 0 || lineCRC(line, crcAt) != crc {
+				b.Fatal("canonical line did not verify")
+			}
+		}
+	})
+	b.Run("decode+reencode", func(b *testing.B) {
 		scratch := make([]byte, 0, maxRecordJSON)
 		b.ReportAllocs()
 		b.SetBytes(int64(len(line) + 1))

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -502,5 +504,123 @@ func TestShardFilesMergeEndToEnd(t *testing.T) {
 	b, _ := json.Marshal(whole)
 	if string(a) != string(b) {
 		t.Errorf("merged shard files differ from unsharded run:\n%s\n%s", a, b)
+	}
+}
+
+// writeShardFiles runs suite once and writes its records as n shard files,
+// gzip-framed at odd shard indexes.
+func writeShardFiles(t *testing.T, dir string, suite Suite, n int) []string {
+	t.Helper()
+	_, recs := collectRecords(t, suite, Shard{}, nil)
+	paths := make([]string, n)
+	for i := range paths {
+		shard := Shard{Index: i, Count: n}
+		paths[i] = filepath.Join(dir, fmt.Sprintf("s%d.jsonl", i))
+		if i%2 == 1 {
+			paths[i] += ".gz"
+		}
+		w, err := CreateCheckpoint(paths[i], suite, shard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			if shard.Contains(rec.Index) {
+				if err := w.Append(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return paths
+}
+
+// TestReadShardSetMatchesSequentialRead: more shard files than GOMAXPROCS,
+// plain and gzip mixed, read back as the file-by-file read combines them,
+// in either argument order.
+func TestReadShardSetMatchesSequentialRead(t *testing.T) {
+	suite := testSuite()
+	suite.SeedsPerCell = 4
+	paths := writeShardFiles(t, t.TempDir(), suite, max(6, runtime.GOMAXPROCS(0)+2))
+	want := map[int]RunRecord{}
+	for _, path := range paths {
+		ck, err := ReadCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for idx, rec := range ck.Records {
+			want[idx] = rec
+		}
+	}
+	if len(want) != suite.NumScenarios() {
+		t.Fatalf("shard files hold %d records, the suite has %d scenarios", len(want), suite.NumScenarios())
+	}
+	reversed := slices.Clone(paths)
+	slices.Reverse(reversed)
+	for _, order := range [][]string{paths, reversed} {
+		got, records, err := ReadShardSet(order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Fingerprint() != suite.Fingerprint() {
+			t.Errorf("suite fingerprint %s, want %s", got.Fingerprint(), suite.Fingerprint())
+		}
+		if len(records) != len(want) {
+			t.Fatalf("%d records, want %d", len(records), len(want))
+		}
+		for idx, rec := range want {
+			if g, ok := records[idx]; !ok || !sameRecord(g, rec) {
+				t.Fatalf("record %d: %+v (present %v), want %+v", idx, g, ok, rec)
+			}
+		}
+	}
+}
+
+// TestReadShardSetErrorOrder: whichever read finishes first, the error is
+// that of the first failing file in argument order, with the message a
+// file-by-file read gives, and no read is still running when ReadShardSet
+// returns it.
+func TestReadShardSetErrorOrder(t *testing.T) {
+	dir := t.TempDir()
+	suite := testSuite()
+	suite.SeedsPerCell = 200 // files that take a while to read, so a read left running shows
+	paths := writeShardFiles(t, dir, suite, 2)
+	other := suite
+	other.Seed++
+	foreign := writeShardFiles(t, t.TempDir(), other, 2)[1]
+	missing := filepath.Join(dir, "missing.jsonl")
+	_, missingErr := ReadCheckpoint(missing)
+	if missingErr == nil {
+		t.Fatal("reading a missing file succeeded")
+	}
+	fingerprintErr := fmt.Sprintf("%v: %s was produced by a different suite (fingerprint %s, want %s)",
+		ErrBadSuite, foreign, other.Fingerprint(), suite.Fingerprint())
+	for _, tc := range []struct {
+		paths []string
+		want  string
+	}{
+		{[]string{paths[0], foreign, missing}, fingerprintErr},
+		{[]string{paths[0], missing, foreign}, missingErr.Error()},
+		{[]string{paths[0], paths[1], paths[0], missing}, "appears in more than one shard file (" + paths[0] + ")"},
+		{[]string{missing, paths[0], paths[1], paths[0], paths[1]}, missingErr.Error()},
+	} {
+		before := runtime.NumGoroutine()
+		_, _, err := ReadShardSet(tc.paths)
+		// A reader that has signalled its WaitGroup may still be unwinding;
+		// a few yields let it exit, far too few for a read still in progress.
+		for i := 0; i < 100 && runtime.NumGoroutine() > before; i++ {
+			runtime.Gosched()
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("ReadShardSet(%v) returned with %d goroutines running, %d before", tc.paths, after, before)
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ReadShardSet(%v) error %v, want %q", tc.paths, err, tc.want)
+		}
+		if !errors.Is(err, ErrBadSuite) && !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("ReadShardSet(%v) error %v wraps neither ErrBadSuite nor the missing file", tc.paths, err)
+		}
 	}
 }
