@@ -107,10 +107,14 @@ func (m *MLP) Forward(x []float64) []float64 {
 }
 
 // Cache holds the intermediate activations of one forward pass, needed for
-// backpropagation.
+// backpropagation, and Backward's scratch. A zero Cache is ready for use:
+// ForwardInto sizes it for its network on first use and reuses the buffers
+// on every later pass.
 type Cache struct {
 	pre [][]float64 // pre-activations per weight layer
 	act [][]float64 // act[0] = input, act[l+1] = output of layer l
+	// grad[l] holds dLoss/d(pre-activation of layer l) during Backward.
+	grad [][]float64
 }
 
 // Output returns the network output of the cached forward pass. The slice
@@ -119,15 +123,50 @@ func (c *Cache) Output() []float64 {
 	return c.act[len(c.act)-1]
 }
 
-// ForwardCache runs a forward pass retaining intermediate activations.
+// fit sizes the cache's buffers for m, keeping them when they already fit.
+func (c *Cache) fit(m *MLP) {
+	if len(c.act) == len(m.sizes) && len(c.act[0]) == m.sizes[0] {
+		fits := true
+		for l := range m.w {
+			fits = fits && len(c.pre[l]) == m.sizes[l+1]
+		}
+		if fits {
+			return
+		}
+	}
+	c.pre = make([][]float64, len(m.w))
+	c.act = make([][]float64, len(m.sizes))
+	c.grad = make([][]float64, len(m.w))
+	c.act[0] = make([]float64, m.sizes[0])
+	for l := range m.w {
+		c.pre[l] = make([]float64, m.sizes[l+1])
+		c.act[l+1] = make([]float64, m.sizes[l+1])
+		c.grad[l] = make([]float64, m.sizes[l+1])
+	}
+}
+
+// ForwardCache runs a forward pass retaining intermediate activations in a
+// new cache.
 func (m *MLP) ForwardCache(x []float64) *Cache {
 	c := &Cache{}
-	cur := append([]float64(nil), x...)
-	c.act = append(c.act, cur)
+	m.ForwardInto(c, x)
+	return c
+}
+
+// ForwardInto runs a forward pass into the caller's cache, overwriting the
+// previous pass. A warm cache makes the pass allocation-free. x must have
+// the network's input size.
+func (m *MLP) ForwardInto(c *Cache, x []float64) {
+	if len(x) != m.sizes[0] {
+		panic(fmt.Sprintf("nn: input of size %d for a network of input size %d", len(x), m.sizes[0]))
+	}
+	c.fit(m)
+	cur := c.act[0]
+	copy(cur, x)
 	last := len(m.w) - 1
 	for l := range m.w {
 		in, out := m.sizes[l], m.sizes[l+1]
-		pre := make([]float64, out)
+		pre := c.pre[l]
 		w := m.w[l]
 		for o := 0; o < out; o++ {
 			sum := m.b[l][o]
@@ -137,8 +176,7 @@ func (m *MLP) ForwardCache(x []float64) *Cache {
 			}
 			pre[o] = sum
 		}
-		c.pre = append(c.pre, pre)
-		next := make([]float64, out)
+		next := c.act[l+1]
 		if l == last {
 			copy(next, pre) // linear output layer
 		} else {
@@ -146,10 +184,8 @@ func (m *MLP) ForwardCache(x []float64) *Cache {
 				next[o] = m.activate(p)
 			}
 		}
-		c.act = append(c.act, next)
 		cur = next
 	}
-	return c
 }
 
 // Grads accumulates parameter gradients with the same shapes as the network.
@@ -180,10 +216,13 @@ func (g *Grads) Zero() {
 	}
 }
 
-// Backward accumulates gradients for one sample given dLoss/dOutput.
+// Backward accumulates gradients for one sample given dLoss/dOutput and the
+// sample's forward pass in c. Its scratch lives in c, so Backward on a warm
+// cache allocates nothing.
 func (m *MLP) Backward(c *Cache, dOut []float64, g *Grads) {
 	last := len(m.w) - 1
-	delta := append([]float64(nil), dOut...)
+	delta := c.grad[last]
+	copy(delta, dOut)
 	for l := last; l >= 0; l-- {
 		in := m.sizes[l]
 		out := m.sizes[l+1]
@@ -208,7 +247,8 @@ func (m *MLP) Backward(c *Cache, dOut []float64, g *Grads) {
 			}
 		}
 		if l > 0 {
-			prev := make([]float64, in)
+			prev := c.grad[l-1]
+			clear(prev)
 			for o := 0; o < out; o++ {
 				d := delta[o]
 				if d == 0 {
@@ -310,4 +350,22 @@ func Softmax(logits []float64) []float64 {
 		out[i] /= sum
 	}
 	return out
+}
+
+// Softmax2 is Softmax of two logits with the same float operations in the
+// same order, without allocating.
+func Softmax2(l0, l1 float64) [2]float64 {
+	maxL := math.Inf(-1)
+	if l0 > maxL {
+		maxL = l0
+	}
+	if l1 > maxL {
+		maxL = l1
+	}
+	e0 := math.Exp(l0 - maxL)
+	e1 := math.Exp(l1 - maxL)
+	sum := 0.0
+	sum += e0
+	sum += e1
+	return [2]float64{e0 / sum, e1 / sum}
 }

@@ -201,3 +201,104 @@ func TestSoftmaxProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestForwardIntoReusesCacheBitIdentically holds a reused cache to fresh
+// ones: ForwardInto's output and Backward's gradients through one cache
+// carried across inputs (and across networks of other shapes) are == to
+// ForwardCache and Backward on a new cache per sample.
+func TestForwardIntoReusesCacheBitIdentically(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var c Cache
+	for trial := 0; trial < 40; trial++ {
+		act := ReLU
+		if trial%2 == 1 {
+			act = Tanh
+		}
+		sizes := []int{1 + rng.Intn(3)}
+		for l := 0; l < 1+rng.Intn(3); l++ {
+			sizes = append(sizes, 1+rng.Intn(9))
+		}
+		m, err := NewMLP(rng, act, sizes...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reused, fresh := m.NewGrads(), m.NewGrads()
+		for sample := 0; sample < 5; sample++ {
+			x := make([]float64, m.InputSize())
+			dOut := make([]float64, m.OutputSize())
+			for i := range x {
+				x[i] = rng.NormFloat64()
+			}
+			for i := range dOut {
+				dOut[i] = rng.NormFloat64()
+			}
+			m.ForwardInto(&c, x)
+			fc := m.ForwardCache(x)
+			for i, v := range fc.Output() {
+				if c.Output()[i] != v {
+					t.Fatalf("trial %d: output[%d] %v through a reused cache, %v fresh", trial, i, c.Output()[i], v)
+				}
+			}
+			m.Backward(&c, dOut, reused)
+			m.Backward(fc, dOut, fresh)
+		}
+		for l := range fresh.w {
+			for i := range fresh.w[l] {
+				if reused.w[l][i] != fresh.w[l][i] {
+					t.Fatalf("trial %d: weight gradient [%d][%d] differs", trial, l, i)
+				}
+			}
+			for i := range fresh.b[l] {
+				if reused.b[l][i] != fresh.b[l][i] {
+					t.Fatalf("trial %d: bias gradient [%d][%d] differs", trial, l, i)
+				}
+			}
+		}
+	}
+}
+
+// TestForwardBackwardWarmZeroAllocs guards the PPO update loop: a forward
+// and a backward pass on a warm cache allocate nothing.
+func TestForwardBackwardWarmZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	m, err := NewMLP(rng, ReLU, 2, 64, 64, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := m.NewGrads()
+	var c Cache
+	x := []float64{0.4, 0.2}
+	dOut := []float64{0.1, -0.3}
+	m.ForwardInto(&c, x)
+	allocs := testing.AllocsPerRun(50, func() {
+		m.ForwardInto(&c, x)
+		m.Backward(&c, dOut, g)
+	})
+	if allocs != 0 {
+		t.Fatalf("warm forward+backward allocates %v times", allocs)
+	}
+}
+
+// TestSoftmax2MatchesSoftmax holds the two-logit form to Softmax bit for
+// bit, infinities and NaN included.
+func TestSoftmax2MatchesSoftmax(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	special := []float64{0, math.Copysign(0, -1), 1e300, -1e300, 745, -745, math.Inf(1), math.Inf(-1), math.NaN()}
+	var logits [][2]float64
+	for _, a := range special {
+		for _, b := range special {
+			logits = append(logits, [2]float64{a, b})
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		logits = append(logits, [2]float64{rng.NormFloat64() * 30, rng.NormFloat64() * 30})
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b) }
+	for _, l := range logits {
+		want := Softmax(l[:])
+		got := Softmax2(l[0], l[1])
+		if !same(got[0], want[0]) || !same(got[1], want[1]) {
+			t.Fatalf("Softmax2(%v, %v) = %v, Softmax %v", l[0], l[1], got, want)
+		}
+	}
+}

@@ -64,9 +64,10 @@ type Optimizer interface {
 	// updates) in candidate order — so Theta, Value, Evaluations and the
 	// Trace are bit-identical for every workers value. With workers > 1 the
 	// objective must be safe for concurrent calls and independent of
-	// evaluation order; objectives that derive a private rng stream per
-	// evaluation (recovery.Algorithm1's Monte-Carlo objective) satisfy
-	// both, objectives that share one mutable rng do not.
+	// evaluation order; objectives that draw from a private rng stream per
+	// evaluation, or that replay a read-only recorded stream through their
+	// own cursor (recovery.Algorithm1's Monte-Carlo objective), satisfy
+	// both; objectives that share one mutable rng do not.
 	Minimize(rng *rand.Rand, dim int, obj Objective, budget, workers int) (*Result, error)
 }
 

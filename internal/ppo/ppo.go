@@ -140,27 +140,41 @@ func evalRng(seed int64, iter int) *rand.Rand {
 type Policy struct {
 	net    *nn.MLP
 	deltaR int
+	// caches holds *nn.Cache forward-pass buffers for Action, which fleet
+	// workers call concurrently once per node per step.
+	caches sync.Pool
 }
 
 var _ recovery.Strategy = (*Policy)(nil)
 
 // features maps (belief, window position) to the network input.
-func (p *Policy) features(belief float64, windowPos int) []float64 {
+func (p *Policy) features(belief float64, windowPos int) [2]float64 {
 	frac := 0.0
 	if p.deltaR != recovery.InfiniteDeltaR {
 		frac = float64(windowPos%p.deltaR) / float64(p.deltaR)
 	}
-	return []float64{belief, frac}
+	return [2]float64{belief, frac}
 }
 
 // Probabilities returns the action distribution (P[Wait], P[Recover]).
 func (p *Policy) Probabilities(belief float64, windowPos int) []float64 {
-	return nn.Softmax(p.net.Forward(p.features(belief, windowPos)))
+	x := p.features(belief, windowPos)
+	return nn.Softmax(p.net.Forward(x[:]))
 }
 
-// Action implements recovery.Strategy: recover when it is the mode action.
+// Action implements recovery.Strategy: recover when it is the mode action,
+// P[Recover] = Probabilities(belief, windowPos)[1] >= 0.5. A warm policy
+// decides without allocating.
 func (p *Policy) Action(belief float64, windowPos int) nodemodel.Action {
-	probs := p.Probabilities(belief, windowPos)
+	c, _ := p.caches.Get().(*nn.Cache)
+	if c == nil {
+		c = new(nn.Cache)
+	}
+	x := p.features(belief, windowPos)
+	p.net.ForwardInto(c, x[:])
+	logits := c.Output()
+	probs := nn.Softmax2(logits[0], logits[1])
+	p.caches.Put(c)
 	if probs[1] >= 0.5 {
 		return nodemodel.Recover
 	}
@@ -217,6 +231,7 @@ func Train(ctx context.Context, params nodemodel.Params, cfg Config) (*Result, e
 		return nil, err
 	}
 	policy := &Policy{net: policyNet, deltaR: cfg.DeltaR}
+	kernel := params.Kernel()
 	policyOpt := &nn.Adam{LR: cfg.LearningRate}
 	valueOpt := &nn.Adam{LR: cfg.LearningRate}
 
@@ -228,7 +243,7 @@ func Train(ctx context.Context, params nodemodel.Params, cfg Config) (*Result, e
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		batch := collectRollout(params, policy, cfg, iter)
+		batch := collectRollout(&kernel, params, policy, cfg, iter)
 		if err := update(policyNet, valueNet, policyOpt, valueOpt, batch, cfg); err != nil {
 			return nil, err
 		}
@@ -251,7 +266,7 @@ func Train(ctx context.Context, params nodemodel.Params, cfg Config) (*Result, e
 
 // rollout holds one batch of on-policy experience.
 type rollout struct {
-	obs        [][]float64
+	obs        [][2]float64
 	actions    []int
 	logProbs   []float64
 	rewards    []float64
@@ -279,12 +294,12 @@ func (b *rollout) absorb(ep *rollout) {
 // until the step quota is met, so the batch is the same whether episodes
 // were played sequentially or speculatively on cfg.Workers goroutines
 // (surplus speculative episodes are discarded).
-func collectRollout(params nodemodel.Params, policy *Policy, cfg Config, iter int) *rollout {
+func collectRollout(k *nodemodel.Kernel, params nodemodel.Params, policy *Policy, cfg Config, iter int) *rollout {
 	b := &rollout{}
 	next := 0
 	if cfg.Workers <= 1 {
 		for len(b.obs) < cfg.StepsPerIteration {
-			runPPOEpisode(episodeRng(cfg.Seed, iter, next), params, policy, cfg, b)
+			runPPOEpisode(episodeRng(cfg.Seed, iter, next), k, params, policy, cfg, b)
 			next++
 		}
 		return b
@@ -306,7 +321,7 @@ func collectRollout(params nodemodel.Params, policy *Policy, cfg Config, iter in
 			go func(w int) {
 				defer wg.Done()
 				ep := &rollout{}
-				runPPOEpisode(episodeRng(cfg.Seed, iter, next+w), params, policy, cfg, ep)
+				runPPOEpisode(episodeRng(cfg.Seed, iter, next+w), k, params, policy, cfg, ep)
 				wave[w] = ep
 			}(w)
 		}
@@ -324,15 +339,14 @@ func collectRollout(params nodemodel.Params, policy *Policy, cfg Config, iter in
 
 // runPPOEpisode plays one episode, appending decision steps to the batch.
 // Rewards are negative costs (eq. 5).
-func runPPOEpisode(rng *rand.Rand, params nodemodel.Params, policy *Policy, cfg Config, b *rollout) {
+func runPPOEpisode(rng *rand.Rand, k *nodemodel.Kernel, params nodemodel.Params, policy *Policy, cfg Config, b *rollout) {
 	state := nodemodel.Healthy
 	if rng.Float64() < params.PA {
 		state = nodemodel.Compromised
 	}
-	belief := params.PA
-	obs := params.SampleObservation(rng, state)
-	belief = params.Posterior(belief, obs)
+	belief := k.Posterior(params.PA, k.SampleObservation(state, rng.Float64()))
 
+	var c nn.Cache
 	for t := 1; t <= cfg.Horizon; t++ {
 		windowPos := t
 		forced := false
@@ -345,7 +359,9 @@ func runPPOEpisode(rng *rand.Rand, params nodemodel.Params, policy *Policy, cfg 
 			action = nodemodel.Recover
 		} else {
 			features := policy.features(belief, windowPos)
-			probs := nn.Softmax(policy.net.Forward(features))
+			policy.net.ForwardInto(&c, features[:])
+			logits := c.Output()
+			probs := nn.Softmax2(logits[0], logits[1])
 			a := 0
 			if rng.Float64() < probs[1] {
 				a = 1
@@ -355,30 +371,31 @@ func runPPOEpisode(rng *rand.Rand, params nodemodel.Params, policy *Policy, cfg 
 			b.actions = append(b.actions, a)
 			b.logProbs = append(b.logProbs, math.Log(probs[a]+1e-12))
 			b.values = append(b.values, 0) // refreshed by computeGAE
-			b.rewards = append(b.rewards, -params.Cost(state, action))
+			b.rewards = append(b.rewards, -k.Cost(state, action))
 			b.terminal = append(b.terminal, false)
 		}
 
-		state = params.SampleTransition(rng, state, action)
+		state = k.SampleTransition(state, action, rng.Float64())
 		if state == nodemodel.Crashed {
 			if n := len(b.terminal); n > 0 {
 				b.terminal[n-1] = true
 			}
 			return
 		}
-		o := params.SampleObservation(rng, state)
-		belief = params.UpdateBelief(belief, action, o)
+		belief = k.UpdateBelief(belief, action, k.SampleObservation(state, rng.Float64()))
 	}
 	if n := len(b.terminal); n > 0 {
 		b.terminal[n-1] = true
 	}
 }
 
-// computeGAE fills advantages and returns using the critic.
-func computeGAE(valueNet *nn.MLP, b *rollout, cfg Config) {
+// computeGAE fills advantages and returns using the critic, whose forward
+// passes run in vc.
+func computeGAE(valueNet *nn.MLP, vc *nn.Cache, b *rollout, cfg Config) {
 	n := len(b.obs)
 	for i := 0; i < n; i++ {
-		b.values[i] = valueNet.Forward(b.obs[i])[0]
+		valueNet.ForwardInto(vc, b.obs[i][:])
+		b.values[i] = vc.Output()[0]
 	}
 	b.advantages = make([]float64, n)
 	b.returns = make([]float64, n)
@@ -416,9 +433,12 @@ func computeGAE(valueNet *nn.MLP, b *rollout, cfg Config) {
 	}
 }
 
-// update performs the clipped-surrogate PPO update.
+// update performs the clipped-surrogate PPO update. Each network runs every
+// sample's forward and backward pass in one cache, so the loop allocates
+// nothing per sample.
 func update(policyNet, valueNet *nn.MLP, policyOpt, valueOpt *nn.Adam, b *rollout, cfg Config) error {
-	computeGAE(valueNet, b, cfg)
+	var pc, vc nn.Cache
+	computeGAE(valueNet, &vc, b, cfg)
 	n := len(b.obs)
 	pGrads := policyNet.NewGrads()
 	vGrads := valueNet.NewGrads()
@@ -427,9 +447,9 @@ func update(policyNet, valueNet *nn.MLP, policyOpt, valueOpt *nn.Adam, b *rollou
 		vGrads.Zero()
 		for i := 0; i < n; i++ {
 			// Policy gradient.
-			c := policyNet.ForwardCache(b.obs[i])
-			logits := c.Output()
-			probs := nn.Softmax(logits)
+			policyNet.ForwardInto(&pc, b.obs[i][:])
+			logits := pc.Output()
+			probs := nn.Softmax2(logits[0], logits[1])
 			a := b.actions[i]
 			logProb := math.Log(probs[a] + 1e-12)
 			ratio := math.Exp(logProb - b.logProbs[i])
@@ -443,7 +463,7 @@ func update(policyNet, valueNet *nn.MLP, policyOpt, valueOpt *nn.Adam, b *rollou
 			// Loss = -min(ratio*adv, clipped*adv); gradient flows through
 			// ratio only when it is the active (unclipped) branch.
 			useRatio := ratio*adv <= clipped*adv
-			dLogits := make([]float64, 2)
+			var dLogits [2]float64
 			if useRatio {
 				// d(-ratio*adv)/dlogits = -adv*ratio * dlogpi/dlogits.
 				for k := 0; k < 2; k++ {
@@ -465,13 +485,12 @@ func update(policyNet, valueNet *nn.MLP, policyOpt, valueOpt *nn.Adam, b *rollou
 					dLogits[k] -= cfg.EntropyCoef * (-probs[k] * (math.Log(probs[k]+1e-12) + h))
 				}
 			}
-			policyNet.Backward(c, dLogits, pGrads)
+			policyNet.Backward(&pc, dLogits[:], pGrads)
 
 			// Value regression toward returns.
-			vc := valueNet.ForwardCache(b.obs[i])
-			v := vc.Output()[0]
-			dv := []float64{v - b.returns[i]}
-			valueNet.Backward(vc, dv, vGrads)
+			valueNet.ForwardInto(&vc, b.obs[i][:])
+			dv := [1]float64{vc.Output()[0] - b.returns[i]}
+			valueNet.Backward(&vc, dv[:], vGrads)
 		}
 		if err := policyOpt.Step(policyNet, pGrads, float64(n)); err != nil {
 			return err

@@ -158,3 +158,44 @@ func TestTrainWorkersBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestPolicyActionWarmZeroAllocs guards the fleet's worker-resident step,
+// which calls Action once per node per step: a warm policy decides without
+// allocating, and every decision on a belief x window-position grid is
+// still Probabilities(...)[1] >= 0.5.
+func TestPolicyActionWarmZeroAllocs(t *testing.T) {
+	res, err := Train(context.Background(), nodemodel.DefaultParams(), Config{
+		DeltaR:            15,
+		Iterations:        2,
+		StepsPerIteration: 128,
+		Horizon:           60,
+		Seed:              2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	policy := res.Policy
+	recovers := 0
+	for i := 0; i <= 100; i++ {
+		b := float64(i) / 100
+		for pos := 0; pos < 15; pos++ {
+			want := policy.Probabilities(b, pos)[1] >= 0.5
+			got := policy.Action(b, pos) == nodemodel.Recover
+			if got != want {
+				t.Fatalf("belief %v, position %d: Action recovers = %v, Probabilities says %v", b, pos, got, want)
+			}
+			if got {
+				recovers++
+			}
+		}
+	}
+	if recovers == 0 || recovers == 101*15 {
+		t.Fatalf("%d of %d grid decisions recover: the grid checks only one kind", recovers, 101*15)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		policy.Action(0.4, 3)
+	})
+	if allocs != 0 {
+		t.Fatalf("warm Action allocates %v times per call", allocs)
+	}
+}

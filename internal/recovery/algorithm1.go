@@ -33,10 +33,10 @@ type Algorithm1Config struct {
 	Seed int64
 	// Workers bounds how many of a generation's candidate strategies
 	// evaluate concurrently (0 defaults to GOMAXPROCS, 1 is fully
-	// sequential). Every candidate's Monte-Carlo evaluation draws from its
-	// own rng stream derived from the training seed and results fold in
-	// candidate order, so the learned strategy is bit-identical for any
-	// workers value.
+	// sequential). Every candidate's Monte-Carlo evaluation replays the same
+	// common-random-number stream (seeded Seed+1) from its start and
+	// results fold in candidate order, so the learned strategy is
+	// bit-identical for any workers value.
 	Workers int
 	// Telemetry, when set, receives one observation per objective
 	// evaluation (count + best-so-far). It is a pure observer attached
@@ -94,12 +94,16 @@ func Algorithm1(ctx context.Context, p nodemodel.Params, cfg Algorithm1Config) (
 	dim := ThresholdDim(cfg.DeltaR)
 	simCfg := SimConfig{Episodes: cfg.Episodes, Horizon: cfg.Horizon, DeltaR: cfg.DeltaR}
 
-	// A fixed evaluation seed per theta (common random numbers) reduces the
-	// variance of comparisons between candidate strategies. Every objective
-	// call builds its own rng stream from that seed, which also makes the
-	// objective safe for the optimizer's concurrent batch evaluation: no
-	// candidate's draws can shift another's.
-	evalSeed := cfg.Seed + 1
+	// Common random numbers: every candidate is scored on the same uniform
+	// stream, rand.New(rand.NewSource(Seed+1)), which reduces the variance
+	// of comparisons between candidates. The stream's first maxDraws values
+	// — all one evaluation can consume — are recorded once, and every
+	// objective call replays them from the start through its own cursor, so
+	// each call sees exactly the stream a fresh rng would give it. The tape
+	// is read-only, which makes the objective safe for the optimizer's
+	// concurrent batch evaluation: no candidate's draws can shift another's.
+	tape := recordTape(cfg.Seed+1, simCfg.maxDraws())
+	kernel := p.Kernel()
 	objective := func(theta []float64) float64 {
 		if ctx.Err() != nil {
 			// Cancelled: short-circuit the remaining budget so the search
@@ -107,13 +111,7 @@ func Algorithm1(ctx context.Context, p nodemodel.Params, cfg Algorithm1Config) (
 			return 1e9
 		}
 		s := &ThresholdStrategy{Thresholds: theta, DeltaR: cfg.DeltaR}
-		rng := rand.New(rand.NewSource(evalSeed))
-		m, err := Evaluate(rng, p, s, simCfg)
-		if err != nil {
-			// Theta is always within [0,1]^d, so evaluation errors are
-			// programming errors; surface them as a pessimal cost.
-			return 1e9
-		}
+		m := evaluate(&tapeCursor{tape: tape}, p, &kernel, s, simCfg)
 		return m.AvgCost
 	}
 
@@ -138,4 +136,28 @@ func Algorithm1(ctx context.Context, p nodemodel.Params, cfg Algorithm1Config) (
 		return nil, err
 	}
 	return &Algorithm1Result{Strategy: strategy, Cost: res.Value, Search: res}, nil
+}
+
+// recordTape returns the first n values of
+// rand.New(rand.NewSource(seed)).Float64().
+func recordTape(seed int64, n int) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	tape := make([]float64, n)
+	for i := range tape {
+		tape[i] = rng.Float64()
+	}
+	return tape
+}
+
+// tapeCursor replays a recorded uniform stream from its start. Reading past
+// the end panics: the tape holds every value an evaluation can consume.
+type tapeCursor struct {
+	tape []float64
+	next int
+}
+
+func (c *tapeCursor) Float64() float64 {
+	u := c.tape[c.next]
+	c.next++
+	return u
 }

@@ -435,9 +435,9 @@ func TestSolveStationaryFixedPoint(t *testing.T) {
 
 // TestAlgorithm1WorkersBitIdentical is the parallel-training determinism
 // contract: Algorithm 1 learns exactly the same strategy — thresholds,
-// cost, evaluation count — for any Workers value, because candidates
-// evaluate on per-candidate rng streams derived from the training seed and
-// fold in candidate order.
+// cost, evaluation count — for any Workers value, because every candidate
+// replays the same read-only common-random-number tape (the stream seeded
+// Seed+1) from its start and results fold in candidate order.
 func TestAlgorithm1WorkersBitIdentical(t *testing.T) {
 	p := nodemodel.DefaultParams()
 	for _, po := range []opt.Optimizer{opt.CEM{Population: 20}, opt.DE{}, opt.SPSA{}} {

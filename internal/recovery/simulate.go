@@ -59,7 +59,10 @@ type Metrics struct {
 }
 
 // Evaluate runs Monte-Carlo episodes of the node model under the strategy
-// with the BTR constraint enforced and returns aggregate metrics.
+// with the BTR constraint enforced and returns aggregate metrics. It draws
+// from rng exactly the uniforms the episodes consume, so a caller that keeps
+// using rng afterwards sees the stream continue where the last episode left
+// it.
 func Evaluate(rng *rand.Rand, p nodemodel.Params, s Strategy, cfg SimConfig) (*Metrics, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -70,49 +73,49 @@ func Evaluate(rng *rand.Rand, p nodemodel.Params, s Strategy, cfg SimConfig) (*M
 	if s == nil {
 		return nil, fmt.Errorf("%w: nil strategy", ErrBadSimConfig)
 	}
+	k := p.Kernel()
+	m := evaluate(rng, p, &k, s, cfg)
+	return &m, nil
+}
 
-	var (
-		totalCost      float64
-		aliveSteps     int
-		recoveries     int
-		crashes        int
-		recoveryTimes  []float64
-		intrusionCount int
-	)
+// uniforms is what the episode loop draws from: *rand.Rand, and the tape
+// cursor Algorithm 1 replays its common random numbers through.
+type uniforms interface {
+	Float64() float64
+}
 
+// maxDraws bounds the uniforms one evaluate call consumes: per episode one
+// for the initial state and one for the first alert, then one transition
+// and one alert per step. A crash ends its episode early, so only a run
+// without crashes reaches the bound.
+func (c SimConfig) maxDraws() int {
+	return c.Episodes * (2 + 2*c.Horizon)
+}
+
+// evaluate is Evaluate on a validated model, its kernel k and a validated
+// config.
+func evaluate(u uniforms, p nodemodel.Params, k *nodemodel.Kernel, s Strategy, cfg SimConfig) Metrics {
+	var sum episodeSums
 	for e := 0; e < cfg.Episodes; e++ {
-		ep := runEpisode(rng, p, s, cfg)
-		totalCost += ep.cost
-		aliveSteps += ep.aliveSteps
-		recoveries += ep.recoveries
-		intrusionCount += ep.intrusions
-		recoveryTimes = append(recoveryTimes, ep.recoveryTimes...)
-		if ep.crashed {
-			crashes++
-		}
+		runEpisode(u, p, k, s, cfg, &sum)
 	}
 
-	m := &Metrics{
-		CrashFraction: float64(crashes) / float64(cfg.Episodes),
-		Intrusions:    intrusionCount,
+	m := Metrics{
+		CrashFraction: float64(sum.crashes) / float64(cfg.Episodes),
+		Intrusions:    sum.intrusions,
 	}
-	if aliveSteps > 0 {
-		m.AvgCost = totalCost / float64(aliveSteps)
-		m.RecoveryFrequency = float64(recoveries) / float64(aliveSteps)
+	if sum.aliveSteps > 0 {
+		m.AvgCost = sum.cost / float64(sum.aliveSteps)
+		m.RecoveryFrequency = float64(sum.recoveries) / float64(sum.aliveSteps)
 	}
-	if len(recoveryTimes) > 0 {
-		sum := 0.0
-		for _, t := range recoveryTimes {
-			sum += t
-		}
-		m.TimeToRecovery = sum / float64(len(recoveryTimes))
+	if sum.recoveryTimes > 0 {
+		m.TimeToRecovery = sum.recoveryTime / float64(sum.recoveryTimes)
 	}
-	comp := 0.0
-	if aliveSteps > 0 {
-		comp = totalCostToCompromised(totalCost, recoveries, p.Eta)
-		m.CompromisedFraction = comp / float64(aliveSteps)
+	if sum.aliveSteps > 0 {
+		comp := totalCostToCompromised(sum.cost, sum.recoveries, p.Eta)
+		m.CompromisedFraction = comp / float64(sum.aliveSteps)
 	}
-	return m, nil
+	return m
 }
 
 // totalCostToCompromised inverts eq. (5): total cost = eta * compromisedWait
@@ -122,37 +125,44 @@ func totalCostToCompromised(totalCost float64, recoveries int, eta float64) floa
 	return math.Max(0, w)
 }
 
-type episodeResult struct {
+// episodeSums accumulates episodes in order. Per-episode costs and recovery
+// times are added to the running sums as they occur, which is the order the
+// totals were always formed in: cost episode by episode, recovery times in
+// the order they were recorded.
+type episodeSums struct {
 	cost          float64
 	aliveSteps    int
 	recoveries    int
 	intrusions    int
-	crashed       bool
-	recoveryTimes []float64
+	crashes       int
+	recoveryTime  float64
+	recoveryTimes int
 }
 
-// runEpisode simulates one episode of Problem 1: the node starts with
-// initial compromise probability pA (b_{i,1} = p_{A,i}, eq. 6a), the
-// controller observes alerts, updates the belief (App. A) and acts; the BTR
-// constraint forces recovery when the window position reaches deltaR.
-func runEpisode(rng *rand.Rand, p nodemodel.Params, s Strategy, cfg SimConfig) episodeResult {
-	var res episodeResult
+func (sum *episodeSums) addRecoveryTime(t float64) {
+	sum.recoveryTime += t
+	sum.recoveryTimes++
+}
 
+// runEpisode simulates one episode of Problem 1 and adds it to sum: the node
+// starts with initial compromise probability pA (b_{i,1} = p_{A,i}, eq. 6a),
+// the controller observes alerts, updates the belief (App. A) and acts; the
+// BTR constraint forces recovery when the window position reaches deltaR.
+func runEpisode(u uniforms, p nodemodel.Params, k *nodemodel.Kernel, s Strategy, cfg SimConfig, sum *episodeSums) {
 	state := nodemodel.Healthy
-	if rng.Float64() < p.PA {
+	if u.Float64() < p.PA {
 		state = nodemodel.Compromised
-		res.intrusions++
+		sum.intrusions++
 	}
 	// Initial belief and observation.
-	belief := p.PA
-	obs := p.SampleObservation(rng, state)
-	belief = p.Posterior(belief, obs)
+	belief := k.Posterior(p.PA, k.SampleObservation(state, u.Float64()))
 
 	compromisedAt := -1
 	if state == nodemodel.Compromised {
 		compromisedAt = 0
 	}
 
+	cost := 0.0
 	for t := 1; t <= cfg.Horizon; t++ {
 		// The BTR constraint (6b) forces recovery at the fixed calendar
 		// times k*DeltaR; between them the strategy is indexed by the
@@ -169,27 +179,28 @@ func runEpisode(rng *rand.Rand, p nodemodel.Params, s Strategy, cfg SimConfig) e
 		} else {
 			action = s.Action(belief, windowPos)
 		}
-		res.cost += p.Cost(state, action)
-		res.aliveSteps++
+		cost += k.Cost(state, action)
+		sum.aliveSteps++
 		if action == nodemodel.Recover {
-			res.recoveries++
+			sum.recoveries++
 			if compromisedAt >= 0 {
-				res.recoveryTimes = append(res.recoveryTimes, float64(t-compromisedAt))
+				sum.addRecoveryTime(float64(t - compromisedAt))
 				compromisedAt = -1
 			}
 		}
 
 		prevState := state
-		state = p.SampleTransition(rng, prevState, action)
+		state = k.SampleTransition(prevState, action, u.Float64())
 		if state == nodemodel.Crashed {
-			res.crashed = true
+			sum.crashes++
 			if compromisedAt >= 0 {
-				res.recoveryTimes = append(res.recoveryTimes, NoRecoveryPenalty)
+				sum.addRecoveryTime(NoRecoveryPenalty)
 			}
-			return res
+			sum.cost += cost
+			return
 		}
 		if state == nodemodel.Compromised && (prevState == nodemodel.Healthy || action == nodemodel.Recover) {
-			res.intrusions++
+			sum.intrusions++
 			if compromisedAt < 0 {
 				compromisedAt = t
 			}
@@ -203,11 +214,10 @@ func runEpisode(rng *rand.Rand, p nodemodel.Params, s Strategy, cfg SimConfig) e
 			compromisedAt = -1
 		}
 
-		obs = p.SampleObservation(rng, state)
-		belief = p.UpdateBelief(belief, action, obs)
+		belief = k.UpdateBelief(belief, action, k.SampleObservation(state, u.Float64()))
 	}
 	if compromisedAt >= 0 {
-		res.recoveryTimes = append(res.recoveryTimes, NoRecoveryPenalty)
+		sum.addRecoveryTime(NoRecoveryPenalty)
 	}
-	return res
+	sum.cost += cost
 }
