@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"testing"
 
 	"tolerance/internal/ppo"
@@ -127,23 +128,11 @@ func TestGoldenParentLearned(t *testing.T) {
 		if g.ExpectedCost != w.ExpectedCost {
 			t.Errorf("%s: ExpectedCost %v, golden %v", g.Name, g.ExpectedCost, w.ExpectedCost)
 		}
-		if !equalFloats(g.Thresholds, w.Thresholds) {
+		if !slices.Equal(g.Thresholds, w.Thresholds) {
 			t.Errorf("%s: thresholds %v, golden %v", g.Name, g.Thresholds, w.Thresholds)
 		}
-		if !equalFloats(g.Probabilities, w.Probabilities) {
+		if !slices.Equal(g.Probabilities, w.Probabilities) {
 			t.Errorf("%s: probabilities differ from the golden commit's", g.Name)
 		}
 	}
-}
-
-func equalFloats(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -192,6 +192,9 @@ func TestPolicyActionWarmZeroAllocs(t *testing.T) {
 	if recovers == 0 || recovers == 101*15 {
 		t.Fatalf("%d of %d grid decisions recover: the grid checks only one kind", recovers, 101*15)
 	}
+	if raceEnabled {
+		return
+	}
 	allocs := testing.AllocsPerRun(100, func() {
 		policy.Action(0.4, 3)
 	})

@@ -107,13 +107,11 @@ func evaluate(u uniforms, p nodemodel.Params, k *nodemodel.Kernel, s Strategy, c
 	if sum.aliveSteps > 0 {
 		m.AvgCost = sum.cost / float64(sum.aliveSteps)
 		m.RecoveryFrequency = float64(sum.recoveries) / float64(sum.aliveSteps)
+		comp := totalCostToCompromised(sum.cost, sum.recoveries, p.Eta)
+		m.CompromisedFraction = comp / float64(sum.aliveSteps)
 	}
 	if sum.recoveryTimes > 0 {
 		m.TimeToRecovery = sum.recoveryTime / float64(sum.recoveryTimes)
-	}
-	if sum.aliveSteps > 0 {
-		comp := totalCostToCompromised(sum.cost, sum.recoveries, p.Eta)
-		m.CompromisedFraction = comp / float64(sum.aliveSteps)
 	}
 	return m
 }
@@ -125,10 +123,9 @@ func totalCostToCompromised(totalCost float64, recoveries int, eta float64) floa
 	return math.Max(0, w)
 }
 
-// episodeSums accumulates episodes in order. Per-episode costs and recovery
-// times are added to the running sums as they occur, which is the order the
-// totals were always formed in: cost episode by episode, recovery times in
-// the order they were recorded.
+// episodeSums accumulates episodes in order. The order of its float sums is
+// part of Evaluate's output: cost is summed within an episode, then across
+// episodes; recovery times are summed in the order they occur.
 type episodeSums struct {
 	cost          float64
 	aliveSteps    int
