@@ -5,8 +5,10 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"tolerance/internal/emulation"
+	"tolerance/internal/telemetry"
 )
 
 // fakeBackend is a registry test double: it never touches an emulator or a
@@ -138,5 +140,80 @@ func TestEngineBackendDispatch(t *testing.T) {
 	}
 	if fake.Runs != int64(suite.SeedsPerCell) {
 		t.Errorf("fake cell folded %d runs, want %d", fake.Runs, suite.SeedsPerCell)
+	}
+}
+
+// gateBackend holds the scenario whose seed is first until open is closed;
+// every other scenario returns at once.
+type gateBackend struct {
+	first int64
+	open  chan struct{}
+}
+
+func (gateBackend) Name() string     { return "test-gate" }
+func (gateBackend) Describe() string { return "test double that holds one scenario" }
+
+func (g gateBackend) Run(ctx context.Context, sc emulation.Scenario, opts BackendOptions) (emulation.Metrics, error) {
+	if sc.Seed == g.first {
+		select {
+		case <-g.open:
+		case <-ctx.Done():
+			return emulation.Metrics{}, ctx.Err()
+		}
+	}
+	return emulation.Metrics{Availability: 0.5}, nil
+}
+
+// TestRunWorkersBoundedBehindStalledBatch holds the engine's batch-buffer
+// bound: while one worker is stuck in the first batch, the workers claim
+// at most batchesPerWorker·Workers batches in all and then wait for the
+// fold, instead of running through the whole schedule.
+func TestRunWorkersBoundedBehindStalledBatch(t *testing.T) {
+	suite := Suite{
+		Name:         "gate",
+		Seed:         5,
+		SeedsPerCell: 200, // 25 batches
+		Steps:        10,
+		FitSamples:   200,
+		AttackRates:  []float64{0.1},
+		N1s:          []int{3},
+		Policies:     []PolicyKind{PolicyPeriodic},
+		Backends:     []string{"test-gate"},
+	}
+	const workers = 2
+	bound := int64(batchesPerWorker * workers)
+	open := make(chan struct{})
+	RegisterBackend(gateBackend{first: scenarioSeed(suite.Seed, 0), open: open})
+	col := telemetry.New()
+	claimed := col.Counter(MetricBatchesClaimed)
+	var res *Result
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		res, err = Run(context.Background(), suite, Config{Workers: workers, Telemetry: col})
+		done <- err
+	}()
+	// Wait until the claims pass the bound or stop for 100 ms.
+	for last, still := int64(-1), 0; still < 20; time.Sleep(5 * time.Millisecond) {
+		n := claimed.Total()
+		if n > bound {
+			break
+		}
+		if n == last {
+			still++
+		} else {
+			last, still = n, 0
+		}
+	}
+	got := claimed.Total()
+	close(open)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got > bound {
+		t.Errorf("%d batches claimed behind the stalled first one, want at most %d", got, bound)
+	}
+	if res.Scenarios != suite.NumScenarios() || res.Cells[0].Runs != int64(suite.NumScenarios()) {
+		t.Errorf("folded %d scenarios (%d runs), want %d", res.Scenarios, res.Cells[0].Runs, suite.NumScenarios())
 	}
 }

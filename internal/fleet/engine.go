@@ -105,8 +105,8 @@ func scenarioSeed(suiteSeed int64, index int) int64 {
 }
 
 // outcome is one executed (or replayed) scenario's result. Records travel
-// by value inside pooled batch buffers, so the steady-state path moves no
-// per-scenario allocation across the worker/aggregator boundary.
+// by value inside the execution's batch buffers, so the steady-state path
+// moves no per-scenario allocation across the worker/aggregator boundary.
 type outcome struct {
 	rec   RunRecord // rec.Index is the global scenario index — the seed and record identity
 	fresh bool
@@ -114,14 +114,19 @@ type outcome struct {
 }
 
 // batchResult carries the outcomes of one contiguous slice of scheduled
-// positions, [start, start+len(outs)). Buffers cycle through batchPool:
-// workers take one per batch, the aggregator returns it after folding.
+// positions, [start, start+len(outs)). An execution allocates a fixed set
+// of them up front; workers take one per batch, the aggregator returns it
+// after folding.
 type batchResult struct {
 	start int
-	outs  []outcome
+	outs  []outcome // a prefix of arr
+	arr   [foldSpan]outcome
 }
 
-var batchPool = sync.Pool{New: func() any { return new(batchResult) }}
+// batchesPerWorker bounds how far the workers may run ahead of the fold:
+// an execution has batchesPerWorker·Workers batch buffers (fewer when it
+// has fewer batches), and a batch is claimed only with a free one in hand.
+const batchesPerWorker = 8
 
 // cellState lazily resolves one grid cell's scenario template, at most once
 // per run; sync.Once keeps the resolved path allocation-free.
@@ -244,9 +249,17 @@ func (p *plan) execute(ctx context.Context, sched []int, cfg Config, emit func(r
 	// one atomic counter — one channel round-trip per batch instead of two
 	// per scenario — and execute them on a worker-resident emulation runner
 	// whose node pool, rng streams and scratch survive from scenario to
-	// scenario. Outcome buffers cycle through a pool, so the steady-state
-	// per-scenario path allocates nothing.
+	// scenario. Outcome buffers are allocated once per execution and cycle
+	// between the workers and the aggregator, so the per-scenario path
+	// allocates nothing and an execution allocates the same number of times
+	// however its workers are scheduled.
 	numBatches := (total + foldSpan - 1) / foldSpan
+	bufs := make([]batchResult, min(numBatches, batchesPerWorker*cfg.Workers))
+	free := make(chan *batchResult, len(bufs))
+	for i := range bufs {
+		bufs[i].outs = bufs[i].arr[:0]
+		free <- &bufs[i]
+	}
 
 	outcomes := make(chan *batchResult, cfg.Workers)
 	var nextBatch atomic.Int64
@@ -260,8 +273,18 @@ func (p *plan) execute(ctx context.Context, sched []int, cfg Config, emit func(r
 				runner.OnRun(func(steps int) { tm.steps.Observe(wid, int64(steps)) })
 			}
 			for ctx.Err() == nil {
+				// Every claimed batch not yet folded holds a buffer, so the
+				// batch the fold waits for is always in some worker's hands
+				// and waiting here for a free buffer cannot deadlock.
+				var br *batchResult
+				select {
+				case br = <-free:
+				case <-ctx.Done():
+					return
+				}
 				bi := int(nextBatch.Add(1)) - 1
 				if bi >= numBatches {
+					free <- br // for the next worker to find the batches gone
 					return
 				}
 				if tm != nil {
@@ -269,7 +292,6 @@ func (p *plan) execute(ctx context.Context, sched []int, cfg Config, emit func(r
 				}
 				start := bi * foldSpan
 				end := min(start+foldSpan, total)
-				br, _ := batchPool.Get().(*batchResult)
 				br.start = start
 				br.outs = br.outs[:0]
 				failed := false
@@ -341,12 +363,15 @@ func (p *plan) execute(ctx context.Context, sched []int, cfg Config, emit func(r
 	}()
 
 	// Aggregator: hand batches to emit in strict schedule order, with
-	// out-of-order completions parked in a small reorder buffer (bounded in
-	// practice by the worker count). Run's fold spans are fixed, so every
-	// floating-point result is independent of scheduling and worker count,
-	// and a checkpoint file is always an index-ordered prefix of the work.
+	// out-of-order completions parked in a reorder ring. The batches claimed
+	// and not yet emitted each hold one of the len(bufs) buffers, so they are
+	// consecutive, start at next's batch and fit the ring one slot each.
+	// Run's fold spans are fixed, so every floating-point result is
+	// independent of scheduling and worker count, and a checkpoint file is
+	// always an index-ordered prefix of the work.
 	next := 0 // positions [0, next) are emitted
-	pending := make(map[int]*batchResult)
+	pending := make([]*batchResult, len(bufs))
+	slot := func(start int) int { return start / foldSpan % len(pending) }
 	var firstErr error
 	for br := range outcomes {
 		// Scenario errors are captured on receipt, not in fold order: a
@@ -362,13 +387,13 @@ func (p *plan) execute(ctx context.Context, sched []int, cfg Config, emit func(r
 				}
 			}
 		}
-		pending[br.start] = br
+		pending[slot(br.start)] = br
 		for firstErr == nil {
-			b, ok := pending[next]
-			if !ok {
+			b := pending[slot(next)]
+			if b == nil || b.start != next {
 				break
 			}
-			delete(pending, next)
+			pending[slot(next)] = nil
 			for i := range b.outs {
 				if err := emit(&b.outs[i].rec, b.outs[i].fresh); err != nil {
 					firstErr = err
@@ -377,7 +402,7 @@ func (p *plan) execute(ctx context.Context, sched []int, cfg Config, emit func(r
 				}
 				next++
 			}
-			batchPool.Put(b)
+			free <- b
 		}
 	}
 	if firstErr != nil {
