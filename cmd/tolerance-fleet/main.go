@@ -95,7 +95,7 @@ func run() (retErr error) {
 	suiteFile := flag.String("suite-file", "", "JSON suite definition to run instead of a built-in (see -dump-suite)")
 	dumpSuite := flag.String("dump-suite", "", "print the named built-in suite as JSON (with overrides applied) and exit")
 	list := flag.Bool("list", false, "list built-in suites and exit")
-	workers := flag.Int("workers", 0, "worker pool size (0 = min(GOMAXPROCS, 8))")
+	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	seed := flag.Int64("seed", 0, "override the suite master seed (0 = suite default)")
 	steps := flag.Int("steps", 0, "override steps per scenario (0 = suite default)")
 	seedsPerCell := flag.Int("seeds", 0, "override seeds per grid cell (0 = suite default)")
@@ -107,8 +107,7 @@ func run() (retErr error) {
 	listenAddr := flag.String("listen", "127.0.0.1:0", "worker bind address for coordinator replies (use a routable IP for cross-machine runs)")
 	advertiseAddr := flag.String("advertise", "", "worker address the coordinator should dial back (defaults to -listen's bound address; needed when binding 0.0.0.0 or behind NAT)")
 	leaseScenarios := flag.Int("lease", 0, "coordinator: scenarios per lease (0 = total/16 clamped to [1,256])")
-	heartbeat := flag.Duration("heartbeat", fleet.DefaultHeartbeat, "coordinator: worker keep-alive interval advertised in the handshake")
-	leaseTimeout := flag.Duration("lease-timeout", 0, "coordinator: re-lease a worker's range after this long without heartbeats (0 = 5x -heartbeat)")
+	heartbeat := flag.Duration("heartbeat", fleet.DefaultHeartbeat, "coordinator: worker keep-alive interval advertised in the handshake; a lease silent for 5 intervals is re-leased")
 	checkpoint := flag.String("checkpoint", "", "record completed scenarios to this file (JSONL; a .gz suffix gzips it, and -resume/-merge read .gz transparently); doubles as the shard result file")
 	resume := flag.Bool("resume", false, "load the -checkpoint file first and skip scenarios it already holds")
 	merge := flag.Bool("merge", false, "fold the shard/checkpoint files given as arguments into the full-suite result and print it")
@@ -363,7 +362,6 @@ func run() (retErr error) {
 			Endpoint:       plan.WrapEndpoint(ep),
 			LeaseScenarios: *leaseScenarios,
 			Heartbeat:      *heartbeat,
-			LeaseTimeout:   *leaseTimeout,
 			Completed:      cfg.Completed,
 			OnRecord:       cfg.OnRecord,
 			Progress:       cfg.Progress,

@@ -51,7 +51,6 @@ func TestCoordinateUnderChaosIsByteIdentical(t *testing.T) {
 				Endpoint:    plan.WrapEndpoint(listenLoopback(t)),
 				Coordinator: coordEP.Addr(),
 				Workers:     2,
-				DialTimeout: 60 * time.Second,
 			})
 		}(i)
 	}
@@ -60,7 +59,6 @@ func TestCoordinateUnderChaosIsByteIdentical(t *testing.T) {
 		Endpoint:       plan.WrapEndpoint(coordEP),
 		LeaseScenarios: 3,
 		Heartbeat:      coordTestHeartbeat,
-		LeaseTimeout:   coordTestTimeout,
 		Telemetry:      col,
 	})
 	if err != nil {
@@ -175,7 +173,6 @@ func TestLeaseExpiryStormReconciles(t *testing.T) {
 				Endpoint:         mutes[i],
 				Coordinator:      coordEP.Addr(),
 				Workers:          1,
-				DialTimeout:      60 * time.Second,
 				testBatchRecords: 1, // ship per record: more wire traffic into the storm
 			})
 		}(i)
@@ -185,7 +182,6 @@ func TestLeaseExpiryStormReconciles(t *testing.T) {
 		Endpoint:       coordEP,
 		LeaseScenarios: 2,
 		Heartbeat:      coordTestHeartbeat,
-		LeaseTimeout:   coordTestTimeout,
 		Telemetry:      col,
 	})
 	if err != nil {
@@ -260,7 +256,6 @@ func TestCoordinatorDegradedModeRecovers(t *testing.T) {
 			Endpoint:       coordEP,
 			LeaseScenarios: 4,
 			Heartbeat:      coordTestHeartbeat,
-			LeaseTimeout:   coordTestTimeout,
 			Telemetry:      col,
 		})
 		coordDone <- coordResult{res, err}

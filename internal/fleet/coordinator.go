@@ -17,9 +17,9 @@ import (
 const (
 	// DefaultHeartbeat is how often a worker heartbeats a held lease.
 	DefaultHeartbeat = 1 * time.Second
-	// defaultLeaseTimeoutBeats is the missed-heartbeat budget: a lease
-	// silent for this many heartbeat intervals is expired and re-leased.
-	defaultLeaseTimeoutBeats = 5
+	// leaseTimeoutBeats is the missed-heartbeat budget: a lease silent
+	// for this many heartbeat intervals is expired and re-leased.
+	leaseTimeoutBeats = 5
 	// maxLeaseScenarios caps the automatic lease size.
 	maxLeaseScenarios = 256
 )
@@ -34,12 +34,10 @@ type CoordinatorConfig struct {
 	// lost work is bounded, large enough that lease traffic is negligible.
 	LeaseScenarios int
 	// Heartbeat is the keep-alive cadence advertised to workers (zero =
-	// DefaultHeartbeat).
+	// DefaultHeartbeat). A lease with no heartbeat or record traffic for
+	// five heartbeats expires, and its incomplete indices are re-leased to
+	// the next requesting worker.
 	Heartbeat time.Duration
-	// LeaseTimeout expires a lease with no heartbeat or record traffic for
-	// this long (zero = 5x Heartbeat). Its incomplete indices are
-	// re-leased to the next requesting worker.
-	LeaseTimeout time.Duration
 	// Completed holds records from an earlier (killed) coordinator run's
 	// checkpoint, keyed by scenario index; they fold as replays instead of
 	// being leased out again.
@@ -236,10 +234,7 @@ func newCoordinator(suite Suite, cfg CoordinatorConfig) (*coordinator, error) {
 	if c.hb <= 0 {
 		c.hb = DefaultHeartbeat
 	}
-	c.timeout = cfg.LeaseTimeout
-	if c.timeout <= 0 {
-		c.timeout = defaultLeaseTimeoutBeats * c.hb
-	}
+	c.timeout = leaseTimeoutBeats * c.hb
 	c.leaseSize = cfg.LeaseScenarios
 	if c.leaseSize <= 0 {
 		c.leaseSize = min(max(total/16, 1), maxLeaseScenarios)

@@ -12,15 +12,21 @@ import (
 )
 
 // stubEndpoint is a coordinator endpoint with no network behind it: sends
-// are counted and dropped, and Receive reports that it was asked.
+// are counted and dropped but the last one is kept, and Receive reports
+// that it was asked.
 type stubEndpoint struct {
 	sent     int
+	last     []byte
 	received bool
 }
 
-func (e *stubEndpoint) Addr() string              { return "stub" }
-func (e *stubEndpoint) Send(string, []byte) error { e.sent++; return nil }
-func (e *stubEndpoint) Close() error              { return nil }
+func (e *stubEndpoint) Addr() string { return "stub" }
+func (e *stubEndpoint) Send(_ string, payload []byte) error {
+	e.sent++
+	e.last = payload
+	return nil
+}
+func (e *stubEndpoint) Close() error { return nil }
 func (e *stubEndpoint) Receive() <-chan transport.Message {
 	e.received = true
 	return nil

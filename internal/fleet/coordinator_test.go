@@ -15,12 +15,9 @@ import (
 	"tolerance/internal/transport"
 )
 
-// coordTestTiming keeps the fault-tolerance tests fast: leases expire after
-// 4 missed 50ms heartbeats instead of the production 5x1s.
-const (
-	coordTestHeartbeat = 50 * time.Millisecond
-	coordTestTimeout   = 200 * time.Millisecond
-)
+// coordTestHeartbeat keeps the fault-tolerance tests fast: leases expire
+// after 5 missed 50ms heartbeats instead of the production 5x1s.
+const coordTestHeartbeat = 50 * time.Millisecond
 
 // listenLoopback binds a fresh loopback endpoint and registers its cleanup.
 func listenLoopback(t *testing.T) *transport.TCPEndpoint {
@@ -69,7 +66,6 @@ func TestCoordinateLoopbackDeterminism(t *testing.T) {
 				Endpoint:    listenLoopback(t),
 				Coordinator: coordEP.Addr(),
 				Workers:     2,
-				DialTimeout: 30 * time.Second,
 			})
 		}(i)
 	}
@@ -78,7 +74,6 @@ func TestCoordinateLoopbackDeterminism(t *testing.T) {
 		Endpoint:       coordEP,
 		LeaseScenarios: 3,
 		Heartbeat:      coordTestHeartbeat,
-		LeaseTimeout:   coordTestTimeout,
 	})
 	if err != nil {
 		t.Fatalf("Coordinate: %v", err)
@@ -143,7 +138,6 @@ func TestCoordinateWorkerKillReLease(t *testing.T) {
 		Endpoint:       coordEP,
 		LeaseScenarios: 6,
 		Heartbeat:      coordTestHeartbeat,
-		LeaseTimeout:   coordTestTimeout,
 		Telemetry:      col,
 	})
 	if err != nil {
@@ -223,7 +217,6 @@ func TestCoordinateDuplicateRecordsDeduped(t *testing.T) {
 				Endpoint:       coordEP,
 				LeaseScenarios: 4,
 				Heartbeat:      coordTestHeartbeat,
-				LeaseTimeout:   coordTestTimeout,
 				Telemetry:      col,
 			})
 			if err != nil {
@@ -473,7 +466,6 @@ func TestConnectWorkerDropsMalformedLease(t *testing.T) {
 		Endpoint:       coordEP,
 		LeaseScenarios: 4,
 		Heartbeat:      coordTestHeartbeat,
-		LeaseTimeout:   coordTestTimeout,
 	})
 	if werr := <-workerDone; werr != nil {
 		t.Fatalf("worker: %v", werr)
@@ -541,7 +533,6 @@ func TestCoordinateResumeByteIdentical(t *testing.T) {
 		Endpoint:       coordEP,
 		LeaseScenarios: 3,
 		Heartbeat:      coordTestHeartbeat,
-		LeaseTimeout:   coordTestTimeout,
 		Completed:      completed,
 		Telemetry:      col,
 		OnRecord:       func(rec RunRecord) error { fresh = append(fresh, rec.Index); return nil },
@@ -593,4 +584,30 @@ func rangeInts(start, end int) []int {
 		out = append(out, i)
 	}
 	return out
+}
+
+// TestWelcomeAdvertisesLeaseTimeout: a lease expires after five missed
+// heartbeats, and the Welcome tells every worker so.
+func TestWelcomeAdvertisesLeaseTimeout(t *testing.T) {
+	ep := &stubEndpoint{}
+	c, err := newCoordinator(testSuite(), CoordinatorConfig{Endpoint: ep, Heartbeat: 70 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello, err := proto.Encode(proto.KindHello, proto.Hello{Version: proto.Version})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.handle(transport.Message{From: "worker", Payload: hello}); err != nil {
+		t.Fatal(err)
+	}
+	var w proto.Welcome
+	kind, raw, err := proto.Decode(ep.last)
+	if err != nil || kind != proto.KindWelcome || proto.Unmarshal(raw, &w) != nil {
+		t.Fatalf("the reply to Hello is not a Welcome: %q", ep.last)
+	}
+	if w.HeartbeatMillis != 70 || w.LeaseTimeoutMillis != 5*70 {
+		t.Errorf("Welcome advertises heartbeat %d ms and lease timeout %d ms, want 70 and 350",
+			w.HeartbeatMillis, w.LeaseTimeoutMillis)
+	}
 }

@@ -10,7 +10,9 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 )
 
 func TestParseShard(t *testing.T) {
@@ -580,12 +582,11 @@ func TestReadShardSetMatchesSequentialRead(t *testing.T) {
 
 // TestReadShardSetErrorOrder: whichever read finishes first, the error is
 // that of the first failing file in argument order, with the message a
-// file-by-file read gives, and no read is still running when ReadShardSet
-// returns it.
+// file-by-file read gives.
 func TestReadShardSetErrorOrder(t *testing.T) {
 	dir := t.TempDir()
 	suite := testSuite()
-	suite.SeedsPerCell = 200 // files that take a while to read, so a read left running shows
+	suite.SeedsPerCell = 200 // files that take a while to read, so reads finish out of argument order
 	paths := writeShardFiles(t, dir, suite, 2)
 	other := suite
 	other.Seed++
@@ -606,21 +607,48 @@ func TestReadShardSetErrorOrder(t *testing.T) {
 		{[]string{paths[0], paths[1], paths[0], missing}, "appears in more than one shard file (" + paths[0] + ")"},
 		{[]string{missing, paths[0], paths[1], paths[0], paths[1]}, missingErr.Error()},
 	} {
-		before := runtime.NumGoroutine()
 		_, _, err := ReadShardSet(tc.paths)
-		// A reader that has signalled its WaitGroup may still be unwinding;
-		// a few yields let it exit, far too few for a read still in progress.
-		for i := 0; i < 100 && runtime.NumGoroutine() > before; i++ {
-			runtime.Gosched()
-		}
-		if after := runtime.NumGoroutine(); after > before {
-			t.Errorf("ReadShardSet(%v) returned with %d goroutines running, %d before", tc.paths, after, before)
-		}
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("ReadShardSet(%v) error %v, want %q", tc.paths, err, tc.want)
 		}
 		if !errors.Is(err, ErrBadSuite) && !errors.Is(err, os.ErrNotExist) {
 			t.Errorf("ReadShardSet(%v) error %v wraps neither ErrBadSuite nor the missing file", tc.paths, err)
 		}
+	}
+}
+
+// TestReadShardSetWaitsForStartedReads: a read ReadShardSet started is
+// finished before it returns, even when an earlier file's error decides
+// the result. The second file is a FIFO, whose read cannot finish until a
+// writer opens it and closes it again.
+func TestReadShardSetWaitsForStartedReads(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // both reads in flight at once
+	dir := t.TempDir()
+	fifo := filepath.Join(dir, "held.jsonl")
+	if err := syscall.Mkfifo(fifo, 0o600); err != nil {
+		t.Skipf("cannot make a FIFO: %v", err)
+	}
+	missing := filepath.Join(dir, "missing.jsonl")
+	_, missingErr := ReadCheckpoint(missing)
+	if missingErr == nil {
+		t.Fatal("reading a missing file succeeded")
+	}
+	returned := make(chan error, 1)
+	go func() {
+		_, _, err := ReadShardSet([]string{missing, fifo})
+		returned <- err
+	}()
+	select {
+	case err := <-returned:
+		t.Fatalf("ReadShardSet returned (%v) while the read of %s was held", err, fifo)
+	case <-time.After(200 * time.Millisecond):
+	}
+	w, err := os.OpenFile(fifo, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	if err := <-returned; err == nil || err.Error() != missingErr.Error() {
+		t.Errorf("ReadShardSet error %v, want the missing file's %v", err, missingErr)
 	}
 }

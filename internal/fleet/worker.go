@@ -18,9 +18,9 @@ import (
 // before shipping a Records batch (well under the transport frame cap).
 const workerBatchRecords = 64
 
-// DefaultDialTimeout bounds how long a worker keeps retrying the initial
+// dialTimeout bounds how long a worker keeps retrying the initial
 // handshake — long enough to start the worker before its coordinator.
-const DefaultDialTimeout = 30 * time.Second
+const dialTimeout = 30 * time.Second
 
 // ErrDrained is returned by ConnectWorker when the coordinator drains the
 // worker before granting it any lease — the run was already complete (or
@@ -44,9 +44,6 @@ type WorkerConfig struct {
 	// leases, so policies solve and the suite Ẑ fits once per worker
 	// process; nil creates a fresh one.
 	Cache *StrategyCache
-	// DialTimeout bounds the handshake retry loop (zero =
-	// DefaultDialTimeout), letting workers start before their coordinator.
-	DialTimeout time.Duration
 	// Telemetry, when set, instruments the local engine runs (the usual
 	// fleet.* metrics) — side-channel only, like everywhere else.
 	Telemetry *telemetry.Collector
@@ -92,12 +89,9 @@ type workerSession struct {
 	// when telemetry is off). A worker folds nothing — the coordinator does.
 	folded *telemetry.Counter
 
-	// waitBO paces the lease-wait loop (exponential, capped near the
-	// advertised lease timeout so an expired range is inherited promptly);
-	// sendBO paces send-failure retries inside call. Both jitter from a
+	// sendBO paces send-failure retries inside call. It jitters from a
 	// seed derived from the endpoint address, so a worker's retry cadence
 	// is reproducible yet staggered against its siblings'.
-	waitBO *expBackoff
 	sendBO *expBackoff
 }
 
@@ -173,77 +167,50 @@ func ConnectWorker(ctx context.Context, cfg WorkerConfig) error {
 	}
 }
 
-// handshake performs Hello → Welcome with retries, so workers can start
-// before the coordinator is listening.
+// handshake performs Hello → Welcome, resending until dialTimeout runs
+// out, so workers can start before the coordinator is listening.
 func (s *workerSession) handshake(ctx context.Context) error {
-	timeout := s.cfg.DialTimeout
-	if timeout <= 0 {
-		timeout = DefaultDialTimeout
-	}
-	deadline := time.Now().Add(timeout)
-	attempt := time.Second
-	// Redial pacing: exponential from a quick first retry up to a couple
-	// of seconds, jittered per endpoint so a worker herd restarted together
-	// does not hammer a recovering coordinator in lockstep.
-	dialBO := newBackoff(100*time.Millisecond, 2*time.Second, s.cfg.Endpoint.Addr()+"/dial")
 	hello, err := proto.Encode(proto.KindHello, proto.Hello{Version: proto.Version})
 	if err != nil {
 		return err
 	}
-	var lastErr error
-	for time.Now().Before(deadline) {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		_, raw, err := s.call(ctx, proto.KindHello, hello, attempt, matchWelcome)
-		if err != nil {
-			if errors.Is(err, errSessionDrained) {
-				// The run ended while we were still saying hello.
-				return ErrDrained
-			}
-			lastErr = err
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(dialBO.next()):
-			}
-			continue
-		}
-		var w proto.Welcome
-		if err := proto.Unmarshal(raw, &w); err != nil {
-			return err
-		}
-		if w.Version != proto.Version {
-			return fmt.Errorf("fleet: coordinator speaks protocol v%d, this worker v%d", w.Version, proto.Version)
-		}
-		suite, err := ParseSuite(w.Suite)
-		if err != nil {
-			return fmt.Errorf("fleet: coordinator sent a bad suite: %w", err)
-		}
-		if got := suite.Fingerprint(); got != w.Fingerprint {
-			return fmt.Errorf("fleet: suite fingerprint mismatch: coordinator says %s, parsed %s", w.Fingerprint, got)
-		}
-		if got := suite.NumScenarios(); got != w.Scenarios {
-			return fmt.Errorf("fleet: scenario count mismatch: coordinator says %d, suite expands to %d", w.Scenarios, got)
-		}
-		s.plan, s.total = newPlan(suite), w.Scenarios
-		s.hb = time.Duration(w.HeartbeatMillis) * time.Millisecond
-		if s.hb <= 0 {
-			s.hb = DefaultHeartbeat
-		}
-		s.leaseTO = time.Duration(w.LeaseTimeoutMillis) * time.Millisecond
-		if s.leaseTO <= 0 {
-			s.leaseTO = defaultLeaseTimeoutBeats * s.hb
-		}
-		// Lease-wait pacing: start at the heartbeat, never sleep past the
-		// lease timeout — an expired range must find a taker within one
-		// timeout, or the re-lease itself would stall the run.
-		s.waitBO = newBackoff(s.hb, s.leaseTO, s.cfg.Endpoint.Addr()+"/wait")
-		s.logf("worker: joined %s — suite %s (%s), %d scenarios, heartbeat %s",
-			s.cfg.Coordinator, suite.Name, w.Fingerprint, w.Scenarios, s.hb)
-		return nil
+	_, raw, err := s.call(ctx, proto.KindHello, hello, time.Second, time.Now().Add(dialTimeout), matchWelcome)
+	if errors.Is(err, errSessionDrained) {
+		// The run ended while we were still saying hello.
+		return ErrDrained
 	}
-	return fmt.Errorf("fleet: no coordinator at %s within %s: %w", s.cfg.Coordinator, timeout, lastErr)
+	if err != nil {
+		return err
+	}
+	var w proto.Welcome
+	if err := proto.Unmarshal(raw, &w); err != nil {
+		return err
+	}
+	if w.Version != proto.Version {
+		return fmt.Errorf("fleet: coordinator speaks protocol v%d, this worker v%d", w.Version, proto.Version)
+	}
+	suite, err := ParseSuite(w.Suite)
+	if err != nil {
+		return fmt.Errorf("fleet: coordinator sent a bad suite: %w", err)
+	}
+	if got := suite.Fingerprint(); got != w.Fingerprint {
+		return fmt.Errorf("fleet: suite fingerprint mismatch: coordinator says %s, parsed %s", w.Fingerprint, got)
+	}
+	if got := suite.NumScenarios(); got != w.Scenarios {
+		return fmt.Errorf("fleet: scenario count mismatch: coordinator says %d, suite expands to %d", w.Scenarios, got)
+	}
+	s.plan, s.total = newPlan(suite), w.Scenarios
+	s.hb = time.Duration(w.HeartbeatMillis) * time.Millisecond
+	if s.hb <= 0 {
+		s.hb = DefaultHeartbeat
+	}
+	s.leaseTO = time.Duration(w.LeaseTimeoutMillis) * time.Millisecond
+	if s.leaseTO <= 0 {
+		s.leaseTO = leaseTimeoutBeats * s.hb
+	}
+	s.logf("worker: joined %s — suite %s (%s), %d scenarios, heartbeat %s",
+		s.cfg.Coordinator, suite.Name, w.Fingerprint, w.Scenarios, s.hb)
+	return nil
 }
 
 // requestLease asks for the next range until the coordinator grants one or
@@ -255,16 +222,16 @@ func (s *workerSession) requestLease(ctx context.Context) (proto.Lease, bool, er
 	}
 	var lease proto.Lease
 	match := matchLease(s.total, &lease)
+	attempt := max(s.hb, time.Second)
 	for {
 		if s.drained {
 			return proto.Lease{}, true, nil
 		}
-		kind, raw, err := s.call(ctx, proto.KindLeaseRequest, request, max(s.hb, time.Second), match)
+		kind, raw, err := s.call(ctx, proto.KindLeaseRequest, request, attempt, time.Now().Add(10*attempt), match)
 		if err != nil {
 			return proto.Lease{}, false, err
 		}
 		if kind == proto.KindLease {
-			s.waitBO.reset()
 			return lease, false, nil
 		}
 		var wait proto.Wait
@@ -274,12 +241,12 @@ func (s *workerSession) requestLease(ctx context.Context) (proto.Lease, bool, er
 			}
 			// The server's hint is advice, not an order: clamp it to sane
 			// bounds (a corrupted-but-parseable frame must not park us for
-			// an hour), grow our own exponential schedule underneath it,
-			// and never sleep past the lease timeout — an expired range
-			// needs a taker within one timeout.
-			backoff := max(clampServerBackoff(wait.BackoffMillis, s.hb), s.waitBO.next())
-			backoff = min(backoff, max(s.leaseTO, s.hb))
-			granted, err := s.pause(ctx, backoff, func(k proto.Kind, raw json.RawMessage) bool {
+			// an hour) and never sleep past the lease timeout — an expired
+			// range needs a taker within one timeout. The wait reads the
+			// endpoint throughout: a Lease answering an earlier attempt of
+			// the request that drew the Wait ends it, and so does a drain.
+			backoff := min(clampServerBackoff(wait.BackoffMillis, s.hb), max(s.leaseTO, s.hb))
+			_, _, granted, err := s.await(ctx, backoff, func(k proto.Kind, raw json.RawMessage) bool {
 				return k == proto.KindLease && match(k, raw)
 			})
 			switch {
@@ -288,33 +255,7 @@ func (s *workerSession) requestLease(ctx context.Context) (proto.Lease, bool, er
 			case err != nil:
 				return proto.Lease{}, false, err
 			case granted:
-				s.waitBO.reset()
 				return lease, false, nil
-			}
-		}
-	}
-}
-
-// pause waits d before the next lease request, reading the endpoint all
-// the while so the wait never hides a frame: a drain notice ends it at once
-// with errSessionDrained, and a frame that grant accepts — a Lease
-// answering an earlier attempt of the request that drew the Wait — ends it
-// with true. Every other frame is a stray, as in call.
-func (s *workerSession) pause(ctx context.Context, d time.Duration, grant func(proto.Kind, json.RawMessage) bool) (bool, error) {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return false, ctx.Err()
-		case <-timer.C:
-			return false, nil
-		case msg, ok := <-s.cfg.Endpoint.Receive():
-			if !ok {
-				return false, fmt.Errorf("fleet: worker endpoint closed")
-			}
-			if _, _, done, err := s.frame(msg.Payload, grant); done || err != nil {
-				return done, err
 			}
 		}
 	}
@@ -448,20 +389,21 @@ func (s *workerSession) runLease(ctx context.Context, lease proto.Lease) error {
 // waits for its ack, resending on timeout. The coordinator dedupes, so
 // resending an already-ingested batch is harmless (first write wins).
 func (s *workerSession) shipRecords(ctx context.Context, leaseID uint64, seq int, frame []byte) error {
-	_, _, err := s.call(ctx, proto.KindRecords, frame, max(s.hb, time.Second), matchAck(leaseID, seq))
+	attempt := max(s.hb, time.Second)
+	_, _, err := s.call(ctx, proto.KindRecords, frame, attempt, time.Now().Add(10*attempt), matchAck(leaseID, seq))
 	return err
 }
 
 // call sends an encoded message of the given kind and waits for a reply
-// matching match, retrying the send on timeout (the transport may drop
-// either direction). Stray messages that arrive while waiting are handled
-// on the side: a drain notice sets s.drained, everything else is ignored.
-func (s *workerSession) call(ctx context.Context, kind proto.Kind, data []byte,
-	attemptTimeout time.Duration, match func(proto.Kind, json.RawMessage) bool) (proto.Kind, json.RawMessage, error) {
+// matching match, resending after attemptTimeout without one (the transport
+// may drop either direction) until deadline passes. A failed send waits out
+// the send backoff instead. Every wait goes through await, so a reply or a
+// drain notice that arrives during it is never missed.
+func (s *workerSession) call(ctx context.Context, kind proto.Kind, data []byte, attemptTimeout time.Duration,
+	deadline time.Time, match func(proto.Kind, json.RawMessage) bool) (proto.Kind, json.RawMessage, error) {
 
-	const attempts = 10
 	var lastErr error
-	for a := 0; a < attempts; a++ {
+	for time.Now().Before(deadline) {
 		if err := ctx.Err(); err != nil {
 			return "", nil, err
 		}
@@ -483,44 +425,49 @@ func (s *workerSession) call(ctx context.Context, kind proto.Kind, data []byte,
 				break queued
 			}
 		}
-		if err := s.cfg.Endpoint.Send(s.cfg.Coordinator, data); err != nil {
-			lastErr = err
+		wait := attemptTimeout
+		if lastErr = s.cfg.Endpoint.Send(s.cfg.Coordinator, data); lastErr != nil {
 			// Exponential, jittered, capped: an injected connection reset
 			// or redial race backs off instead of machine-gunning the
-			// coordinator on a fixed 200ms cadence.
-			select {
-			case <-ctx.Done():
-				return "", nil, ctx.Err()
-			case <-time.After(s.sendBO.next()):
-			}
-			continue
+			// coordinator on a fixed cadence.
+			wait = s.sendBO.next()
 		}
-		timer := time.NewTimer(attemptTimeout)
-	recv:
-		for {
-			select {
-			case <-ctx.Done():
-				timer.Stop()
-				return "", nil, ctx.Err()
-			case <-timer.C:
-				lastErr = fmt.Errorf("fleet: no %s reply from %s", kind, s.cfg.Coordinator)
-				break recv
-			case msg, ok := <-s.cfg.Endpoint.Receive():
-				if !ok {
-					timer.Stop()
-					return "", nil, fmt.Errorf("fleet: worker endpoint closed")
-				}
-				if k, raw, done, err := s.frame(msg.Payload, match); done || err != nil {
-					timer.Stop()
-					return k, raw, err
-				}
-			}
+		if k, raw, done, err := s.await(ctx, wait, match); done || err != nil {
+			return k, raw, err
+		}
+		if lastErr == nil {
+			lastErr = fmt.Errorf("fleet: no %s reply from %s", kind, s.cfg.Coordinator)
 		}
 	}
 	return "", nil, fmt.Errorf("fleet: coordinator %s unreachable: %w", s.cfg.Coordinator, lastErr)
 }
 
-// frame handles one coordinator frame that arrives while call waits:
+// await reads the endpoint for up to d, handing each frame to frame: it
+// ends early with done on the reply match accepts, or with frame's error.
+// It is the only place a worker waits on its endpoint under a timer.
+func (s *workerSession) await(ctx context.Context, d time.Duration,
+	match func(proto.Kind, json.RawMessage) bool) (proto.Kind, json.RawMessage, bool, error) {
+
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return "", nil, false, ctx.Err()
+		case <-timer.C:
+			return "", nil, false, nil
+		case msg, ok := <-s.cfg.Endpoint.Receive():
+			if !ok {
+				return "", nil, false, fmt.Errorf("fleet: worker endpoint closed")
+			}
+			if k, raw, done, err := s.frame(msg.Payload, match); done || err != nil {
+				return k, raw, done, err
+			}
+		}
+	}
+}
+
+// frame handles one coordinator frame that arrives while the worker waits:
 // done reports that it is the reply match accepts, returned as (k, raw).
 // Undecodable frames are dropped. Any other frame is a stray: a drain
 // notice sets s.drained, and once the session is drained a stray fails the

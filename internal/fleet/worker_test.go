@@ -96,6 +96,52 @@ func TestConnectWorkerExitsOnDrain(t *testing.T) {
 	}
 }
 
+// refusingEndpoint is a coordinator the worker never reaches: every Send
+// fails, and the drainAt-th failure also delivers a drain notice, as from a
+// coordinator that finished its run and exited while the worker dialed.
+type refusingEndpoint struct {
+	in      chan transport.Message
+	drainAt int
+	sends   int
+	drained time.Time // when the notice was delivered
+}
+
+func (e *refusingEndpoint) Addr() string                      { return "worker" }
+func (e *refusingEndpoint) Receive() <-chan transport.Message { return e.in }
+func (e *refusingEndpoint) Close() error                      { return nil }
+func (e *refusingEndpoint) Send(string, []byte) error {
+	e.sends++
+	if e.sends == e.drainAt {
+		drain, err := proto.Encode(proto.KindWait, proto.Wait{Drain: true})
+		if err != nil {
+			return err
+		}
+		e.in <- transport.Message{From: "coordinator", Payload: drain}
+		e.drained = time.Now()
+	}
+	return errors.New("connection refused")
+}
+
+// TestDrainEndsSendBackoff: a worker backing off after a failed send still
+// reads its endpoint, so a drain notice ends the session at once, not when
+// the backoff (by the 6th failure, 0.5–1 s) runs out.
+func TestDrainEndsSendBackoff(t *testing.T) {
+	ep := &refusingEndpoint{in: make(chan transport.Message, 1), drainAt: 6}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	err := ConnectWorker(ctx, WorkerConfig{Endpoint: ep, Coordinator: "coordinator", Workers: 1})
+	returned := time.Now()
+	if !errors.Is(err, ErrDrained) {
+		t.Fatalf("ConnectWorker after %d sends: %v, want ErrDrained", ep.sends, err)
+	}
+	if ep.drained.IsZero() {
+		t.Fatalf("ConnectWorker drained after %d sends, before the notice was delivered", ep.sends)
+	}
+	if lag := returned.Sub(ep.drained); lag > 250*time.Millisecond {
+		t.Errorf("ConnectWorker returned %s after the drain notice, want within 250ms", lag)
+	}
+}
+
 // ackEndpoint is a coordinator with no network behind it: every Records
 // frame sent to it is acknowledged at once, everything else is dropped. Its
 // inbox holds the one ack a call waits for.
