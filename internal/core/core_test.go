@@ -1,14 +1,14 @@
 // Package core holds the acceptance tests of the paper's two-level
 // controller (§IV, Fig 1–2) as it drives live replicas. It has no non-test
 // code: the controller is the emulation's control loop (emulation.Runner),
-// whose node controllers run the Appendix A recursion — the batched form
-// of emulation.UpdateBeliefFitted, which the node-controller tests below
-// drive directly — a baselines.Policy's NodeAction and the BTR calendar,
-// and whose system controller evicts crashed members and runs the
-// policy's AddNode. internal/clusterbackend is the loop's plant: it
-// carries each decision out on real MinBFT replicas and measures the
-// service, and TestLiveClusterScheduleMatchesEmulation holds every other
-// metric of a live run to emulation.Run's with ==.
+// whose node controllers run the Appendix A recursion (nodemodel.Bayes on
+// the fitted observation model Ẑ; the node-controller tests below drive
+// its oracle, Params.UpdateBelief, on the same Ẑ), a baselines.Policy's
+// NodeAction and the BTR calendar, and whose system controller evicts
+// crashed members and runs the policy's AddNode. internal/clusterbackend is
+// the loop's plant: it carries each decision out on real MinBFT replicas
+// and measures the service, and TestLiveClusterScheduleMatchesEmulation
+// holds every other metric of a live run to emulation.Run's with ==.
 package core
 
 import (
@@ -120,7 +120,9 @@ func TestNodeControllerDetectsIntrusion(t *testing.T) {
 	}
 	for ci := 0; ci < fits.Len(); ci++ {
 		profile := fits.Container(ci).Profile
-		zh, zc := fits.Fitted(ci).Healthy.Probs(), fits.Fitted(ci).Compromised.Probs()
+		// The controller's model: p with the fitted Ẑ as its observations.
+		pz := p
+		pz.ZHealthy, pz.ZCompromised = fits.Fitted(ci).Healthy, fits.Fitted(ci).Compromised
 		rng := rand.New(rand.NewSource(int64(ci) + 1))
 		belief, last := p.PA, nodemodel.Wait
 		// step feeds one observation and returns the controller's decision.
@@ -129,7 +131,7 @@ func TestNodeControllerDetectsIntrusion(t *testing.T) {
 			if obs >= ids.AlertSupport {
 				obs = ids.AlertSupport - 1
 			}
-			belief = emulation.UpdateBeliefFitted(p, zh, zc, belief, last, obs)
+			belief = pz.UpdateBelief(belief, last, obs)
 			last = pol.NodeAction(baselines.NodeContext{
 				Belief: belief, Obs: obs, WindowPos: t, DeltaR: recovery.InfiniteDeltaR,
 			})
@@ -161,8 +163,9 @@ func TestNodeControllerDetectsIntrusion(t *testing.T) {
 		// The update after a recovery starts from the prior pA whatever
 		// the belief was: every observation yields the posterior of pA.
 		for o := 0; o < ids.AlertSupport; o++ {
-			got := emulation.UpdateBeliefFitted(p, zh, zc, belief, nodemodel.Recover, o)
-			want := zc[o] * p.PA / (zc[o]*p.PA + zh[o]*(1-p.PA))
+			got := pz.UpdateBelief(belief, nodemodel.Recover, o)
+			zc, zh := pz.ZCompromised.Prob(o), pz.ZHealthy.Prob(o)
+			want := zc * p.PA / (zc*p.PA + zh*(1-p.PA))
 			if math.Abs(got-want) > 1e-12 {
 				t.Errorf("%s: post-recovery belief on o=%d is %v, want the prior's posterior %v",
 					profile.Name, o, got, want)

@@ -125,24 +125,6 @@ func TestFitStreamSeedSplitsStreams(t *testing.T) {
 	}
 }
 
-// TestBeliefUpdateZeroAllocations guards the hot-path contract: one belief
-// recursion allocates nothing.
-func TestBeliefUpdateZeroAllocations(t *testing.T) {
-	p := nodemodel.DefaultParams()
-	fits, err := NewFitSet(500, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zh, zc := fits.zh[0], fits.zc[0]
-	belief := 0.3
-	allocs := testing.AllocsPerRun(1000, func() {
-		belief = UpdateBeliefFitted(p, zh, zc, belief, nodemodel.Wait, 5)
-	})
-	if allocs != 0 {
-		t.Errorf("belief update allocates %v times per call, want 0", allocs)
-	}
-}
-
 // TestStepZeroAllocations guards the simulator's steady-state contract:
 // with no node churn (no intrusions, crashes or recoveries), a simulation
 // step allocates nothing — the per-step buffers are scratch on the runner.

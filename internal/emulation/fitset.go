@@ -48,12 +48,10 @@ type FitSet struct {
 	samples int
 	seed    int64
 	fits    []*ids.FittedZ
-	// zh[i][o] = Ẑ_i(o | H), zc[i][o] = Ẑ_i(o | C) for container i.
-	zh, zc [][]float64
-	// zhFlat and zcFlat are the same tables as one dense slab each, row i at
-	// offset i*support — the layout the runner's SoA belief lanes gather
-	// from, so the per-node likelihood lookup is a base offset plus the
-	// observation, with no per-node slice header chasing.
+	// zhFlat[i*support+o] = Ẑ_i(o | H) and zcFlat[i*support+o] = Ẑ_i(o | C)
+	// for container i: one dense slab each, so the runner's per-node
+	// likelihood lookup is a base offset plus the observation, with no
+	// per-node slice header chasing.
 	zhFlat, zcFlat []float64
 	// support is the per-container row length (the alert support).
 	support int
@@ -73,8 +71,9 @@ func NewFitSet(m int, seed int64) (*FitSet, error) {
 		samples: m,
 		seed:    seed,
 		fits:    make([]*ids.FittedZ, len(catalog)),
-		zh:      make([][]float64, len(catalog)),
-		zc:      make([][]float64, len(catalog)),
+		zhFlat:  make([]float64, len(catalog)*ids.AlertSupport),
+		zcFlat:  make([]float64, len(catalog)*ids.AlertSupport),
+		support: ids.AlertSupport,
 	}
 	rng := rand.New(rand.NewSource(seed))
 	for i, c := range catalog {
@@ -83,15 +82,8 @@ func NewFitSet(m int, seed int64) (*FitSet, error) {
 			return nil, fmt.Errorf("emulation: fit container %d: %w", c.ID, err)
 		}
 		fs.fits[i] = fit
-		fs.zh[i] = fit.Healthy.Probs()
-		fs.zc[i] = fit.Compromised.Probs()
-	}
-	fs.support = ids.AlertSupport
-	fs.zhFlat = make([]float64, len(catalog)*fs.support)
-	fs.zcFlat = make([]float64, len(catalog)*fs.support)
-	for i := range catalog {
-		copy(fs.zhFlat[i*fs.support:], fs.zh[i])
-		copy(fs.zcFlat[i*fs.support:], fs.zc[i])
+		copy(fs.zhFlat[i*fs.support:], fit.Healthy.Probs())
+		copy(fs.zcFlat[i*fs.support:], fit.Compromised.Probs())
 	}
 	return fs, nil
 }

@@ -181,11 +181,11 @@ type simNode struct {
 // beliefLanes is the per-node monitoring state in struct-of-arrays form,
 // indexed by the node's position in runner.nodes. The persistent lanes
 // (belief, off, boost, wpos, action, mark) are appended on spawn, compacted in
-// lockstep with node eviction and truncated with the node set; obs, zh and
-// zc are per-step outputs of the observation pass (length = node count at
-// the start of the step, so they still cover nodes evicted later in the
-// step). Lane backing arrays are reused across steps and across scenarios,
-// preserving the warm-runner zero-allocation property.
+// lockstep with node eviction and truncated with the node set; obs is the
+// per-step output of the observation pass (length = node count at the start
+// of the step, so it still covers nodes evicted later in the step). Lane
+// backing arrays are reused across steps and across scenarios, preserving
+// the warm-runner zero-allocation property.
 type beliefLanes struct {
 	belief []float64 // node-controller belief b_t
 	off    []int32   // flat Ẑ slab offset = container index × alert support
@@ -194,7 +194,6 @@ type beliefLanes struct {
 	action []uint8   // last action (uint8(nodemodel.Wait) = 0, Recover = 1)
 	mark   []uint32  // forced-recovery epoch mark (stage 2 membership test)
 	obs    []int     // this step's observations (also the AddNode context)
-	zh, zc []float64 // gathered likelihoods Ẑ(o_i|H), Ẑ(o_i|C)
 }
 
 // appendNode adds one node's monitoring state (fresh belief pa, Ẑ offset
@@ -235,10 +234,7 @@ func (l *beliefLanes) truncate(n int) {
 // lane — and a runner reused across scenarios of equal cap never allocates
 // lanes again. Only called on empty lanes (after truncate(0)).
 func (l *beliefLanes) reserve(n int) {
-	fl := make([]float64, 3*n)
-	l.belief = fl[0:0:n]
-	l.zh = fl[n : n : 2*n]
-	l.zc = fl[2*n : 2*n : 3*n]
+	l.belief = make([]float64, 0, n)
 	i32 := make([]int32, 3*n)
 	l.off = i32[0:0:n]
 	l.boost = i32[n : n : 2*n]
@@ -248,16 +244,8 @@ func (l *beliefLanes) reserve(n int) {
 	l.obs = make([]int, 0, n)
 }
 
-// growFloats returns s resized to n entries, reusing its backing array when
+// growInts returns s resized to n entries, reusing its backing array when
 // the capacity suffices (the steady-state case).
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-// growInts is growFloats for int slices.
 func growInts(s []int, n int) []int {
 	if cap(s) < n {
 		return make([]int, n)
@@ -285,6 +273,8 @@ type runner struct {
 	// into this struct, so a runner must not be copied after its first reset.
 	rngView *rand.Rand
 	fits    *FitSet
+	// bayes is the node controllers' belief recursion for s.Params.
+	bayes nodemodel.Bayes
 
 	nodes  []*simNode
 	pool   []*simNode // recycled node structs (evictions + resets)
@@ -336,6 +326,7 @@ func (r *runner) reset(s Scenario) error {
 	}
 	r.s = s
 	r.fits = fits
+	r.bayes = s.Params.Bayes()
 	r.rng.Seed(s.Seed)
 	r.wrng.Seed(WorkloadStreamSeed(s.Seed))
 	if r.rngView == nil {
@@ -528,17 +519,13 @@ func (r *runner) step(t int) {
 	r.sessions -= r.binom.Sample(&r.wrng, r.sessions)
 	load := float64(r.sessions) / (s.Workload.Lambda * s.Workload.MeanServiceSteps)
 
-	// 1. Observations and belief updates, in two passes over the lanes.
-	// Pass one draws each node's observation — strictly in node order, the
-	// rng draw order is part of the determinism contract — and gathers the
-	// observation's likelihood pair from the FitSet slabs into dense lanes.
-	// Pass two is the batched Appendix-A recursion over those lanes
-	// (updateBeliefLanes): contiguous loads and multiplies with no per-node
-	// pointer or branch work, bit-identical to the scalar recursion.
+	// 1. Observations and belief updates, in one pass over the lanes: each
+	// node draws its observation — strictly in node order, the rng draw
+	// order is part of the determinism contract — gathers the observation's
+	// Ẑ likelihood pair from the FitSet slabs and takes its Appendix A
+	// update, which draws nothing.
 	n := len(r.nodes)
 	obsLane := growInts(L.obs, n)
-	zhLane := growFloats(L.zh, n)
-	zcLane := growFloats(L.zc, n)
 	zhFlat, zcFlat := r.fits.zhFlat, r.fits.zcFlat
 	pFalse := 0.1 * load // background-traffic false-alert probability
 	for i, nd := range r.nodes {
@@ -558,12 +545,10 @@ func (r *runner) step(t int) {
 		obsLane[i] = obs
 		r.obsSum += float64(obs)
 		flat := int(L.off[i]) + obs
-		zhLane[i] = zhFlat[flat]
-		zcLane[i] = zcFlat[flat]
+		L.belief[i] = r.bayes.Update(L.belief[i], nodemodel.Action(L.action[i]), zcFlat[flat], zhFlat[flat])
 	}
 	r.obsCount += n
-	L.obs, L.zh, L.zc = obsLane, zhLane, zcLane
-	updateBeliefLanes(s.Params, L.belief, L.action, zhLane, zcLane)
+	L.obs = obsLane
 
 	// 2. Action selection: forced calendar recoveries first, then the
 	// policy's threshold recoveries, capped at k parallel recoveries.
@@ -811,69 +796,6 @@ func (r *runner) finish() *Metrics {
 	}
 	m.AvgNodes = r.totalNodes / float64(s.Steps)
 	return m
-}
-
-// UpdateBeliefFitted is the Appendix A belief recursion using the
-// controller's estimated observation model Ẑ, supplied as dense likelihood
-// tables (zh[o] = Ẑ(o|H), zc[o] = Ẑ(o|C)). Every run — the emulation's and
-// the live cluster's — steps through its batched form, updateBeliefLanes;
-// this scalar form is their oracle: TestBeliefLanesMatchScalar holds the
-// lanes to it bit for bit, and the core tests hold a node controller built
-// on it to the paper's detection behaviour.
-func UpdateBeliefFitted(p nodemodel.Params, zh, zc []float64, belief float64, action nodemodel.Action, obs int) float64 {
-	pred := p.PredictBelief(belief, action)
-	num := zc[obs] * pred
-	den := num + zh[obs]*(1-pred)
-	if den <= 0 {
-		return belief
-	}
-	b := num / den
-	return math.Min(1, math.Max(0, b))
-}
-
-// updateBeliefLanes is the batched form of UpdateBeliefFitted: one pass of
-// the Appendix A recursion over the dense belief/action/likelihood lanes,
-// with the model constants hoisted out of the loop. Every per-element
-// floating-point operation is the same expression, in the same order, as
-// the scalar recursion through Params.PredictBelief, so the updated beliefs
-// are bit-identical (guarded by TestBeliefLanesMatchScalar); hoisting
-// (1-pC1), (1-pC2) and (1-pU) is bit-safe because each is still computed by
-// the identical single subtraction. The clamp is branch form rather than
-// math.Min/math.Max: num >= +0 and den > 0 exclude NaN and -0, so the
-// branches return the same bits while keeping libm calls out of the loop.
-func updateBeliefLanes(p nodemodel.Params, belief []float64, action []uint8, zh, zc []float64) {
-	if len(action) < len(belief) || len(zh) < len(belief) || len(zc) < len(belief) {
-		panic("emulation: belief lane shape")
-	}
-	pa := p.PA
-	keepH := 1 - p.PC1 // healthy survival (eq. 2a-2e row mass)
-	keepC := 1 - p.PC2 // compromised survival
-	stayC := 1 - p.PU  // compromised and not cleaned by an update
-	for i, b := range belief {
-		pred := pa // recover action resets the compromise prior (eq. 2f-2i)
-		if action[i] == uint8(nodemodel.Wait) {
-			wh := (1 - b) * keepH
-			wc := b * keepC
-			surv := wh + wc
-			if surv <= 0 {
-				pred = b
-			} else {
-				pred = (wh*pa + wc*stayC) / surv
-			}
-		}
-		num := zc[i] * pred
-		den := num + zh[i]*(1-pred)
-		if den <= 0 {
-			continue // degenerate likelihoods: the belief carries over
-		}
-		nb := num / den
-		if nb > 1 {
-			nb = 1
-		} else if nb < 0 {
-			nb = 0
-		}
-		belief[i] = nb
-	}
 }
 
 // sortIndicesByBelief sorts candidate node indices in descending belief

@@ -2,40 +2,73 @@ package nodemodel
 
 import "tolerance/internal/dist"
 
+// Bayes is the Appendix A belief recursion with the model constants it
+// needs hoisted out: pA and the survival and update complements of the
+// predictive belief. It is the only product spelling of the node
+// controller's filter; Params.UpdateBelief is its test oracle. Build it
+// with Params.Bayes. It allocates nothing and is safe to copy and share.
+type Bayes struct {
+	pa, survH, survC, stayC float64
+}
+
+// Bayes builds the hoisted belief recursion of p.
+func (p Params) Bayes() Bayes {
+	return Bayes{pa: p.PA, survH: 1 - p.PC1, survC: 1 - p.PC2, stayC: 1 - p.PU}
+}
+
+// Update returns the belief after action a from belief b and an
+// observation of likelihoods zc = Z(o|C) and zh = Z(o|H): Params.UpdateBelief
+// with the likelihood pair looked up by the caller, bit for bit. Zero
+// likelihoods carry the belief over, and the result is clamped to [0, 1].
+func (m *Bayes) Update(b float64, a Action, zc, zh float64) float64 {
+	pred := m.pa
+	if a != Recover {
+		wh := (1 - b) * m.survH
+		wc := b * m.survC
+		surv := wh + wc
+		if surv <= 0 {
+			pred = b
+		} else {
+			pred = (wh*m.pa + wc*m.stayC) / surv
+		}
+	}
+	num := zc * pred
+	den := num + zh*(1-pred)
+	if den <= 0 {
+		return b
+	}
+	return min(1, max(0, num/den))
+}
+
 // Kernel is a node model's per-step arithmetic with everything that does
 // not depend on the step hoisted out: the cumulative transition rows, the
-// two likelihood vectors, the survival and update complements of the
-// predictive belief, and the cost table. Build it once per rollout or
-// evaluation with Params.Kernel; it is read-only afterwards, so concurrent
-// episodes may share one.
+// two likelihood vectors, the belief recursion (the embedded Bayes) and the
+// cost table. Build it once per rollout or evaluation with Params.Kernel;
+// it is read-only afterwards, so concurrent episodes may share one.
 //
 // Every method performs the same float operations in the same order as the
 // Params method it replaces (SampleTransition, SampleObservation,
-// UpdateBelief, Posterior, Cost), which stay its test oracles, so an
-// episode run through a Kernel is bit-identical to one run through Params.
-// The samplers take their uniform as an argument and draw nothing
-// themselves; actions must be Wait or Recover.
+// Posterior, Cost, and Update on Likelihoods for UpdateBelief), which stay
+// its test oracles, so an episode run through a Kernel is bit-identical to
+// one run through Params. The samplers take their uniform as an argument
+// and draw nothing themselves; actions must be Wait or Recover.
 type Kernel struct {
+	Bayes
 	// cum[s][a] holds the first two partial sums of Transition(s, a), as
 	// SampleTransition accumulates them: u below cum[s][a][0] moves to
 	// Healthy, below cum[s][a][1] to Compromised, and anything else crashes.
 	cum [3][2][2]float64
 	// lik[o] is {Z(o|C), Z(o|H)}.
-	lik [][2]float64
-	// Complements and PA of PredictBelief.
-	pa, survH, survC, stayC float64
-	cost                    [3][2]float64
-	zh, zc                  *dist.Categorical
+	lik    [][2]float64
+	cost   [3][2]float64
+	zh, zc *dist.Categorical
 }
 
 // Kernel builds the hoisted per-step form of p. p must be valid.
 func (p Params) Kernel() Kernel {
 	k := Kernel{
+		Bayes: p.Bayes(),
 		lik:   make([][2]float64, p.NumObs()),
-		pa:    p.PA,
-		survH: 1 - p.PC1,
-		survC: 1 - p.PC2,
-		stayC: 1 - p.PU,
 		zh:    p.ZHealthy,
 		zc:    p.ZCompromised,
 	}
@@ -78,8 +111,9 @@ func (k *Kernel) SampleObservation(s State, u float64) int {
 	return k.zh.Quantile(u)
 }
 
-// likelihoods returns {Z(o|C), Z(o|H)}, zero outside the support.
-func (k *Kernel) likelihoods(o int) (zc, zh float64) {
+// Likelihoods returns {Z(o|C), Z(o|H)}, zero outside the support: the
+// pair Update takes.
+func (k *Kernel) Likelihoods(o int) (zc, zh float64) {
 	if uint(o) < uint(len(k.lik)) {
 		l := &k.lik[o]
 		return l[0], l[1]
@@ -87,31 +121,9 @@ func (k *Kernel) likelihoods(o int) (zc, zh float64) {
 	return 0, 0
 }
 
-// UpdateBelief is Params.UpdateBelief.
-func (k *Kernel) UpdateBelief(b float64, a Action, o int) float64 {
-	pred := k.pa
-	if a != Recover {
-		wh := (1 - b) * k.survH
-		wc := b * k.survC
-		surv := wh + wc
-		if surv <= 0 {
-			pred = b
-		} else {
-			pred = (wh*k.pa + wc*k.stayC) / surv
-		}
-	}
-	zc, zh := k.likelihoods(o)
-	num := zc * pred
-	den := num + zh*(1-pred)
-	if den <= 0 {
-		return b
-	}
-	return min(1, max(0, num/den))
-}
-
 // Posterior is Params.Posterior.
 func (k *Kernel) Posterior(prior float64, o int) float64 {
-	zc, zh := k.likelihoods(o)
+	zc, zh := k.Likelihoods(o)
 	num := zc * prior
 	den := num + zh*(1-prior)
 	if den <= 0 {

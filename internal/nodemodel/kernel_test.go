@@ -111,49 +111,88 @@ func TestKernelSamplersMatchParams(t *testing.T) {
 	}
 }
 
-// TestKernelBeliefMatchesParams holds the kernel's belief update, posterior
-// and cost to Params' bit for bit over random models, beliefs on, inside and
-// outside [0, 1], and observations inside and outside the support.
+// TestKernelBeliefMatchesParams holds the belief recursion (Bayes.Update on
+// the kernel's Likelihoods pair), posterior and cost to Params' bit for bit,
+// the sign of zero included, over random models whose probabilities are
+// often exactly 0 or 1, beliefs on, inside and outside [0, 1], and
+// observations inside and outside the support (zero likelihood pairs).
 func TestKernelBeliefMatchesParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	for trial := 0; trial < 2000; trial++ {
 		p := randomKernelParams(rng)
-		k := p.Kernel()
-		// Beliefs outside [0, 1] reach UpdateBelief's clamp.
-		beliefs := []float64{0, 1, p.PA, rng.Float64(), rng.Float64(), 1e-300, -0.25, 1.25}
-		for _, b := range beliefs {
-			for o := -2; o < p.NumObs()+2; o++ {
-				for a := Wait; a <= Recover; a++ {
-					if got, want := k.UpdateBelief(b, a, o), p.UpdateBelief(b, a, o); !same(got, want) {
-						t.Fatalf("trial %d %+v: UpdateBelief(%v, %v, %d) = %v, Params says %v",
-							trial, p, b, a, o, got, want)
-					}
-				}
-				if got, want := k.Posterior(b, o), p.Posterior(b, o); !same(got, want) {
-					t.Fatalf("trial %d: Posterior(%v, %d) = %v, Params says %v", trial, b, o, got, want)
+		if trial%7 == 0 {
+			// A -0 prior makes every post-recovery posterior -0, which the
+			// clamp must return as +0, as Params' math.Max does.
+			p.PA = math.Copysign(0, -1)
+		}
+		checkKernelBelief(t, rng, p)
+	}
+	// The emulation's inputs: probabilities inside (0, 1) and dense
+	// likelihood rows, with a zero pair every fifth model.
+	rng = rand.New(rand.NewSource(42))
+	for trial := 0; trial < 200; trial++ {
+		p := DefaultParams()
+		p.PA, p.PC1, p.PC2, p.PU = rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()
+		zh, zc := make([]float64, 7), make([]float64, 7)
+		for o := range zh {
+			zh[o], zc[o] = rng.Float64(), rng.Float64()
+		}
+		if trial%5 == 0 {
+			o := rng.Intn(len(zh))
+			zh[o], zc[o] = 0, 0
+		}
+		p.ZHealthy, p.ZCompromised = normalised(zh), normalised(zc)
+		checkKernelBelief(t, rng, p)
+	}
+}
+
+// checkKernelBelief compares p's kernel with p on every action, on
+// observations inside and two either side of the support, and on a set of
+// beliefs that reaches UpdateBelief's clamp.
+func checkKernelBelief(t *testing.T, rng *rand.Rand, p Params) {
+	t.Helper()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	k := p.Kernel()
+	beliefs := []float64{0, math.Copysign(0, -1), 1, p.PA, rng.Float64(), rng.Float64(), 1e-300, -0.25, 1.25}
+	for _, b := range beliefs {
+		for o := -2; o < p.NumObs()+2; o++ {
+			zc, zh := k.Likelihoods(o)
+			if !same(zc, p.ZCompromised.Prob(o)) || !same(zh, p.ZHealthy.Prob(o)) {
+				t.Fatalf("%+v: Likelihoods(%d) = %v, %v", p, o, zc, zh)
+			}
+			for a := Wait; a <= Recover; a++ {
+				if got, want := k.Update(b, a, zc, zh), p.UpdateBelief(b, a, o); !same(got, want) {
+					t.Fatalf("%+v: Update(%v, %v, %v, %v) = %v, UpdateBelief(o = %d) says %v",
+						p, b, a, zc, zh, got, o, want)
 				}
 			}
+			if got, want := k.Posterior(b, o), p.Posterior(b, o); !same(got, want) {
+				t.Fatalf("%+v: Posterior(%v, %d) = %v, Params says %v", p, b, o, got, want)
+			}
 		}
-		for s := Healthy; s <= Crashed; s++ {
-			for a := Wait; a <= Recover; a++ {
-				if got, want := k.Cost(s, a), p.Cost(s, a); !same(got, want) {
-					t.Fatalf("trial %d: Cost(%v, %v) = %v, Params says %v", trial, s, a, got, want)
-				}
+	}
+	for s := Healthy; s <= Crashed; s++ {
+		for a := Wait; a <= Recover; a++ {
+			if got, want := k.Cost(s, a), p.Cost(s, a); !same(got, want) {
+				t.Fatalf("%+v: Cost(%v, %v) = %v, Params says %v", p, s, a, got, want)
 			}
 		}
 	}
 }
 
 // TestKernelZeroAllocs guards the step: a kernel's samplers and belief
-// update allocate nothing.
+// update, and a standalone Bayes on a looked-up likelihood pair (the
+// emulation's node controller), allocate nothing.
 func TestKernelZeroAllocs(t *testing.T) {
 	p := DefaultParams()
 	k := p.Kernel()
+	m := p.Bayes()
 	b := 0.3
 	allocs := testing.AllocsPerRun(100, func() {
 		s := k.SampleTransition(Compromised, Wait, 0.5)
-		b = k.UpdateBelief(b, Wait, k.SampleObservation(s, 0.7))
+		zc, zh := k.Likelihoods(k.SampleObservation(s, 0.7))
+		b = k.Update(b, Wait, zc, zh)
+		b = m.Update(b, Recover, 0.6, 0.3)
 	})
 	if allocs != 0 {
 		t.Fatalf("kernel step allocates %v times", allocs)

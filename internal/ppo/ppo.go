@@ -382,7 +382,8 @@ func runPPOEpisode(rng *rand.Rand, k *nodemodel.Kernel, params nodemodel.Params,
 			}
 			return
 		}
-		belief = k.UpdateBelief(belief, action, k.SampleObservation(state, rng.Float64()))
+		zc, zh := k.Likelihoods(k.SampleObservation(state, rng.Float64()))
+		belief = k.Update(belief, action, zc, zh)
 	}
 	if n := len(b.terminal); n > 0 {
 		b.terminal[n-1] = true

@@ -211,7 +211,8 @@ func runEpisode(u uniforms, p nodemodel.Params, k *nodemodel.Kernel, s Strategy,
 			compromisedAt = -1
 		}
 
-		belief = k.UpdateBelief(belief, action, k.SampleObservation(state, u.Float64()))
+		zc, zh := k.Likelihoods(k.SampleObservation(state, u.Float64()))
+		belief = k.Update(belief, action, zc, zh)
 	}
 	if compromisedAt >= 0 {
 		sum.addRecoveryTime(NoRecoveryPenalty)
