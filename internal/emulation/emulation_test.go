@@ -125,6 +125,31 @@ func TestFitStreamSeedSplitsStreams(t *testing.T) {
 	}
 }
 
+// TestBeliefUpdateZeroAllocations guards the hot-path contract: one belief
+// recursion, as step 1 takes it (the runner's Bayes on a Ẑ pair gathered
+// from the FitSet slabs), allocates nothing.
+func TestBeliefUpdateZeroAllocations(t *testing.T) {
+	r, err := newRunner(Scenario{
+		N1:         1,
+		Seed:       1,
+		Params:     nodemodel.DefaultParams(),
+		Policy:     baselines.NoRecovery{},
+		FitSamples: 500,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat := int(r.ln.off[0]) + 5
+	zh, zc := r.fits.zhFlat, r.fits.zcFlat
+	belief := 0.3
+	allocs := testing.AllocsPerRun(1000, func() {
+		belief = r.bayes.Update(belief, nodemodel.Wait, zc[flat], zh[flat])
+	})
+	if allocs != 0 {
+		t.Errorf("belief update allocates %v times per call, want 0", allocs)
+	}
+}
+
 // TestStepZeroAllocations guards the simulator's steady-state contract:
 // with no node churn (no intrusions, crashes or recoveries), a simulation
 // step allocates nothing — the per-step buffers are scratch on the runner.
