@@ -29,6 +29,7 @@ import (
 	"tolerance/internal/ids"
 	"tolerance/internal/nodemodel"
 	"tolerance/internal/opt"
+	"tolerance/internal/ppo"
 	"tolerance/internal/recovery"
 	"tolerance/internal/telemetry"
 )
@@ -212,28 +213,57 @@ func table2(full bool) error {
 		opt.CEM{Population: 30}, opt.DE{}, opt.BO{InitialSamples: 10}, opt.SPSA{},
 	}
 	for _, po := range optimizers {
-		fmt.Printf("%-8s", po.Name())
-		for _, d := range deltas {
-			start := time.Now()
+		err := table2Row(params, po.Name(), deltas, func(d int) (recovery.Strategy, error) {
 			res, err := recovery.Algorithm1(context.Background(), params, recovery.Algorithm1Config{
 				DeltaR: d, Optimizer: po, Budget: budget,
 				Episodes: episodes, Horizon: 150, Seed: 1,
 			})
 			if err != nil {
-				return err
+				return nil, err
 			}
-			// Re-evaluate with fresh randomness for an unbiased cost.
-			rng := rand.New(rand.NewSource(99))
-			m, err := recovery.Evaluate(rng, params, res.Strategy, recovery.SimConfig{
-				Episodes: 100, Horizon: 200, DeltaR: d,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Printf(" | %10.1fs %6.3f", time.Since(start).Seconds(), m.AvgCost)
+			return res.Strategy, nil
+		})
+		if err != nil {
+			return err
 		}
-		fmt.Println()
 	}
+	// PPO, the learned baseline: zero iterations keep ppo's default.
+	iterations := 0
+	if full {
+		iterations = 100
+	}
+	return table2Row(params, "ppo", deltas, func(d int) (recovery.Strategy, error) {
+		res, err := ppo.Train(context.Background(), params, ppo.Config{
+			DeltaR: d, Iterations: iterations, Seed: 1,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return res.Policy, nil
+	})
+}
+
+// table2Row prints one learned method's Table 2 row: for each ΔR, the time
+// to train the strategy and its cost re-evaluated on fresh randomness.
+func table2Row(params nodemodel.Params, method string, deltas []int, train func(deltaR int) (recovery.Strategy, error)) error {
+	fmt.Printf("%-8s", method)
+	for _, d := range deltas {
+		start := time.Now()
+		strategy, err := train(d)
+		if err != nil {
+			return err
+		}
+		// Re-evaluate with fresh randomness for an unbiased cost.
+		rng := rand.New(rand.NewSource(99))
+		m, err := recovery.Evaluate(rng, params, strategy, recovery.SimConfig{
+			Episodes: 100, Horizon: 200, DeltaR: d,
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Printf(" | %10.1fs %6.3f", time.Since(start).Seconds(), m.AvgCost)
+	}
+	fmt.Println()
 	return nil
 }
 

@@ -1,7 +1,8 @@
 // Package nn implements the small dense neural networks and the Adam
-// optimizer used by the PPO baseline of Table 2 (4 layers of 64 ReLU units,
-// Table 8). It is a minimal, allocation-conscious implementation sufficient
-// for the low-dimensional policy/value networks of Problem 1.
+// optimizer used by the PPO baseline of Table 2 (by default 2 hidden layers
+// of 64 ReLU units; Table 8 lists 4). It is a minimal, allocation-conscious
+// implementation sufficient for the low-dimensional policy/value networks
+// of Problem 1.
 package nn
 
 import (
@@ -165,17 +166,8 @@ func (m *MLP) ForwardInto(c *Cache, x []float64) {
 	copy(cur, x)
 	last := len(m.w) - 1
 	for l := range m.w {
-		in, out := m.sizes[l], m.sizes[l+1]
 		pre := c.pre[l]
-		w := m.w[l]
-		for o := 0; o < out; o++ {
-			sum := m.b[l][o]
-			row := w[o*in : (o+1)*in]
-			for i, xi := range cur {
-				sum += row[i] * xi
-			}
-			pre[o] = sum
-		}
+		affine(pre, m.w[l], m.b[l], cur)
 		next := c.act[l+1]
 		if l == last {
 			copy(next, pre) // linear output layer
@@ -185,6 +177,40 @@ func (m *MLP) ForwardInto(c *Cache, x []float64) {
 			}
 		}
 		cur = next
+	}
+}
+
+// rowBlock is how many output rows affine sums in one pass over the input.
+const rowBlock = 4
+
+// affine sets pre[o] = b[o] + w[o][0]*x[0] + w[o][1]*x[1] + … for the
+// row-major w, each sum formed bias first, then input by input. Summing
+// rowBlock rows per pass over x keeps that order for every output while
+// their add chains overlap; leftover rows are summed one at a time.
+func affine(pre, w, b, x []float64) {
+	in := len(x)
+	o := 0
+	for ; o+rowBlock <= len(pre); o += rowBlock {
+		r0 := w[o*in:][:in]
+		r1 := w[(o+1)*in:][:in]
+		r2 := w[(o+2)*in:][:in]
+		r3 := w[(o+3)*in:][:in]
+		s0, s1, s2, s3 := b[o], b[o+1], b[o+2], b[o+3]
+		for i, xi := range x {
+			s0 += r0[i] * xi
+			s1 += r1[i] * xi
+			s2 += r2[i] * xi
+			s3 += r3[i] * xi
+		}
+		pre[o], pre[o+1], pre[o+2], pre[o+3] = s0, s1, s2, s3
+	}
+	for ; o < len(pre); o++ {
+		sum := b[o]
+		row := w[o*in:][:in]
+		for i, xi := range x {
+			sum += row[i] * xi
+		}
+		pre[o] = sum
 	}
 }
 
@@ -219,48 +245,84 @@ func (g *Grads) Zero() {
 // Backward accumulates gradients for one sample given dLoss/dOutput and the
 // sample's forward pass in c. Its scratch lives in c, so Backward on a warm
 // cache allocates nothing.
+//
+// Each layer is one sweep per non-zero output delta, which adds that
+// output's weight-gradient row and its share of the input gradient
+// together; two consecutive non-zero outputs share a sweep. Zero deltas are
+// skipped, never multiplied in, and every input-gradient entry sums its
+// outputs' terms in output order, so the result is that of a plain
+// output-by-output loop.
 func (m *MLP) Backward(c *Cache, dOut []float64, g *Grads) {
 	last := len(m.w) - 1
 	delta := c.grad[last]
 	copy(delta, dOut)
 	for l := last; l >= 0; l-- {
 		in := m.sizes[l]
-		out := m.sizes[l+1]
 		if l != last {
-			for o := 0; o < out; o++ {
-				delta[o] *= m.activateGrad(c.pre[l][o])
+			for o, p := range c.pre[l] {
+				delta[o] *= m.activateGrad(p)
 			}
 		}
 		input := c.act[l]
 		w := m.w[l]
 		gw := g.w[l]
 		gb := g.b[l]
-		for o := 0; o < out; o++ {
-			d := delta[o]
+		if l == 0 {
+			for o, d := range delta {
+				if d == 0 {
+					continue
+				}
+				gb[o] += d
+				axpy(gw[o*in:][:in], d, input)
+			}
+			return
+		}
+		prev := c.grad[l-1]
+		clear(prev)
+		held := -1 // a non-zero output waiting for a second to share its sweep
+		for o, d := range delta {
 			if d == 0 {
 				continue
 			}
 			gb[o] += d
-			row := gw[o*in : (o+1)*in]
-			for i, xi := range input {
-				row[i] += d * xi
+			if held < 0 {
+				held = o
+				continue
 			}
+			backPair(prev, input, gw[held*in:][:in], gw[o*in:][:in], w[held*in:][:in], w[o*in:][:in], delta[held], d)
+			held = -1
 		}
-		if l > 0 {
-			prev := c.grad[l-1]
-			clear(prev)
-			for o := 0; o < out; o++ {
-				d := delta[o]
-				if d == 0 {
-					continue
-				}
-				row := w[o*in : (o+1)*in]
-				for i := 0; i < in; i++ {
-					prev[i] += d * row[i]
-				}
-			}
-			delta = prev
+		if held >= 0 {
+			d := delta[held]
+			axpy(gw[held*in:][:in], d, input)
+			axpy(prev, d, w[held*in:][:in])
 		}
+		delta = prev
+	}
+}
+
+// axpy adds d*x[i] to y[i].
+func axpy(y []float64, d float64, x []float64) {
+	y = y[:len(x)]
+	for i, xi := range x {
+		y[i] += d * xi
+	}
+}
+
+// backPair is one backward sweep for two outputs with deltas d0 and d1,
+// weight rows w0 and w1 and weight-gradient rows g0 and g1: it adds each
+// output's weight gradient and both outputs' input-gradient terms, d0's
+// first.
+func backPair(prev, x, g0, g1, w0, w1 []float64, d0, d1 float64) {
+	g0 = g0[:len(x)]
+	g1 = g1[:len(x)]
+	prev = prev[:len(x)]
+	w0 = w0[:len(x)]
+	w1 = w1[:len(x)]
+	for i, xi := range x {
+		g0[i] += d0 * xi
+		g1[i] += d1 * xi
+		prev[i] = prev[i] + d0*w0[i] + d1*w1[i]
 	}
 }
 

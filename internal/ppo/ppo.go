@@ -1,8 +1,10 @@
 // Package ppo implements Proximal Policy Optimization (the paper's [73]
 // baseline in Table 2) for Problem 1: a stochastic recovery policy over the
-// belief state trained with the clipped surrogate objective, GAE(lambda)
-// advantages, and the Table 8 hyperparameters (4 layers, 64 ReLU units,
-// clip 0.2, GAE lambda 0.95, entropy coefficient 1e-4).
+// belief state trained with the clipped surrogate objective and GAE(lambda)
+// advantages. What runs by default: 2 hidden layers of 64 ReLU units, clip
+// 0.2, GAE lambda 0.95, learning rate 3e-4 and no entropy bonus. Table 8
+// lists 4 layers, learning rate 1e-5 and entropy coefficient 1e-4; Config
+// selects any of them.
 package ppo
 
 import (
@@ -44,21 +46,24 @@ type Config struct {
 	Gamma float64
 	// GAELambda is the advantage-estimation decay (Table 8: 0.95).
 	GAELambda float64
-	// EntropyCoef weighs the entropy bonus (Table 8: 1e-4).
+	// EntropyCoef weighs the entropy bonus. Zero, the default, leaves the
+	// bonus off; a negative value selects Table 8's 1e-4.
 	EntropyCoef float64
 	// LearningRate for both networks (default 3e-4; Table 8 lists 1e-5,
 	// which needs far more iterations than the test budget).
 	LearningRate float64
-	// Hidden is the hidden width (Table 8: 64) and Layers the number of
-	// hidden layers (Table 8: 4).
+	// Hidden is the hidden width (default 64, as in Table 8) and Layers the
+	// number of hidden layers (default 2; Table 8 lists 4).
 	Hidden, Layers int
 	// Seed drives all randomness.
 	Seed int64
 	// Workers bounds how many rollout episodes of one iteration are played
-	// concurrently (0 defaults to GOMAXPROCS, 1 is fully sequential). Each
-	// episode draws from its own rng stream derived from (Seed, iteration,
-	// episode index) and episodes are folded into the batch in episode
-	// order, so training is bit-identical for any workers value.
+	// concurrently (0 defaults to GOMAXPROCS, 1 is fully sequential), and
+	// above 1 the policy and value networks' updates also run at the same
+	// time, on two goroutines. Each episode draws from its own rng stream
+	// derived from (Seed, iteration, episode index) and episodes are folded
+	// into the batch in episode order, and the two updates share only the
+	// batch they read, so training is bit-identical for any workers value.
 	Workers int
 	// Telemetry, when set, receives one observation per rollout/update
 	// cycle (iteration count + the evaluation cost). It is a pure observer
@@ -202,7 +207,8 @@ type Result struct {
 // rollout episode draws from its own stream derived from (seed, iteration,
 // episode index), and every policy evaluation from a per-iteration
 // evaluation stream. Config.Workers therefore parallelizes rollout
-// collection without changing a single output bit.
+// collection, and the policy and value updates, without changing a single
+// output bit.
 func Train(ctx context.Context, params nodemodel.Params, cfg Config) (*Result, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -434,20 +440,40 @@ func computeGAE(valueNet *nn.MLP, vc *nn.Cache, b *rollout, cfg Config) {
 	}
 }
 
-// update performs the clipped-surrogate PPO update. Each network runs every
-// sample's forward and backward pass in one cache, so the loop allocates
-// nothing per sample.
+// update performs the clipped-surrogate PPO update: computeGAE, then the
+// policy network's epochs and the value network's epochs. The two share
+// only the batch, which they read — the policy loss its advantages, the
+// value loss its returns — and each has its own network, cache, grads and
+// Adam, so with cfg.Workers > 1 they run on two goroutines, each still
+// summing its samples in batch order. Every sample's forward and backward
+// pass runs in its network's one cache, so the loops allocate nothing per
+// sample.
 func update(policyNet, valueNet *nn.MLP, policyOpt, valueOpt *nn.Adam, b *rollout, cfg Config) error {
-	var pc, vc nn.Cache
+	var vc nn.Cache
 	computeGAE(valueNet, &vc, b, cfg)
+	if cfg.Workers <= 1 {
+		return errors.Join(policyEpochs(policyNet, policyOpt, b, cfg), valueEpochs(valueNet, valueOpt, &vc, b, cfg))
+	}
+	var valueErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		valueErr = valueEpochs(valueNet, valueOpt, &vc, b, cfg)
+	}()
+	policyErr := policyEpochs(policyNet, policyOpt, b, cfg)
+	<-done
+	return errors.Join(policyErr, valueErr)
+}
+
+// policyEpochs runs cfg.Epochs steps of the clipped surrogate with entropy
+// bonus on the policy network, each over the whole batch.
+func policyEpochs(policyNet *nn.MLP, policyOpt *nn.Adam, b *rollout, cfg Config) error {
+	var pc nn.Cache
 	n := len(b.obs)
 	pGrads := policyNet.NewGrads()
-	vGrads := valueNet.NewGrads()
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		pGrads.Zero()
-		vGrads.Zero()
 		for i := 0; i < n; i++ {
-			// Policy gradient.
 			policyNet.ForwardInto(&pc, b.obs[i][:])
 			logits := pc.Output()
 			probs := nn.Softmax2(logits[0], logits[1])
@@ -487,14 +513,25 @@ func update(policyNet, valueNet *nn.MLP, policyOpt, valueOpt *nn.Adam, b *rollou
 				}
 			}
 			policyNet.Backward(&pc, dLogits[:], pGrads)
-
-			// Value regression toward returns.
-			valueNet.ForwardInto(&vc, b.obs[i][:])
-			dv := [1]float64{vc.Output()[0] - b.returns[i]}
-			valueNet.Backward(&vc, dv[:], vGrads)
 		}
 		if err := policyOpt.Step(policyNet, pGrads, float64(n)); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// valueEpochs runs cfg.Epochs steps of the critic's squared-error
+// regression toward the returns, each over the whole batch, in vc.
+func valueEpochs(valueNet *nn.MLP, valueOpt *nn.Adam, vc *nn.Cache, b *rollout, cfg Config) error {
+	n := len(b.obs)
+	vGrads := valueNet.NewGrads()
+	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+		vGrads.Zero()
+		for i := 0; i < n; i++ {
+			valueNet.ForwardInto(vc, b.obs[i][:])
+			dv := [1]float64{vc.Output()[0] - b.returns[i]}
+			valueNet.Backward(vc, dv[:], vGrads)
 		}
 		if err := valueOpt.Step(valueNet, vGrads, float64(n)); err != nil {
 			return err

@@ -116,44 +116,50 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
-// TestTrainWorkersBitIdentical is the parallel-rollout determinism
-// contract: PPO trains exactly the same policy for any Workers value,
-// because episodes play on per-episode rng streams derived from (seed,
-// iteration, episode index) and fold into the batch in episode order.
+// TestTrainWorkersBitIdentical is the parallel determinism contract: PPO
+// trains exactly the same policy for any Workers value, because episodes
+// play on per-episode rng streams derived from (seed, iteration, episode
+// index) and fold into the batch in episode order, and because the policy
+// and value networks, updated one after the other at Workers 1 and on two
+// goroutines above it, share nothing they write. Hidden width 8 is a whole
+// number of the forward kernel's row blocks; 13 leaves a remainder, so both
+// kernel paths are covered.
 func TestTrainWorkersBitIdentical(t *testing.T) {
 	params := nodemodel.DefaultParams()
-	run := func(workers int) *Result {
-		res, err := Train(context.Background(), params, Config{
-			DeltaR:            15,
-			Iterations:        3,
-			StepsPerIteration: 128,
-			Horizon:           60,
-			Hidden:            8,
-			Layers:            2,
-			Seed:              6,
-			Workers:           workers,
-		})
-		if err != nil {
-			t.Fatal(err)
+	for _, hidden := range []int{8, 13} {
+		run := func(workers int) *Result {
+			res, err := Train(context.Background(), params, Config{
+				DeltaR:            15,
+				Iterations:        3,
+				StepsPerIteration: 128,
+				Horizon:           60,
+				Hidden:            hidden,
+				Layers:            2,
+				Seed:              6,
+				Workers:           workers,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
 		}
-		return res
-	}
-	base := run(1)
-	probePoints := []struct {
-		belief float64
-		pos    int
-	}{{0.05, 1}, {0.3, 5}, {0.7, 10}, {0.95, 14}}
-	for _, workers := range []int{2, 8} {
-		res := run(workers)
-		if res.Cost != base.Cost {
-			t.Errorf("workers=%d: cost %v != sequential %v", workers, res.Cost, base.Cost)
-		}
-		for _, pt := range probePoints {
-			got := res.Policy.Probabilities(pt.belief, pt.pos)
-			want := base.Policy.Probabilities(pt.belief, pt.pos)
-			if got[0] != want[0] || got[1] != want[1] {
-				t.Errorf("workers=%d: probabilities(%v, %d) = %v != %v",
-					workers, pt.belief, pt.pos, got, want)
+		base := run(1)
+		probePoints := []struct {
+			belief float64
+			pos    int
+		}{{0.05, 1}, {0.3, 5}, {0.7, 10}, {0.95, 14}}
+		for _, workers := range []int{2, 8} {
+			res := run(workers)
+			if res.Cost != base.Cost {
+				t.Errorf("hidden %d, workers=%d: cost %v != sequential %v", hidden, workers, res.Cost, base.Cost)
+			}
+			for _, pt := range probePoints {
+				got := res.Policy.Probabilities(pt.belief, pt.pos)
+				want := base.Policy.Probabilities(pt.belief, pt.pos)
+				if got[0] != want[0] || got[1] != want[1] {
+					t.Errorf("hidden %d, workers=%d: probabilities(%v, %d) = %v != %v",
+						hidden, workers, pt.belief, pt.pos, got, want)
+				}
 			}
 		}
 	}
