@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"tolerance/internal/emulation"
 	"tolerance/internal/telemetry"
@@ -61,9 +62,20 @@ type checkpointHeader struct {
 // CheckpointVersion is the current checkpoint/shard-file format version.
 const CheckpointVersion = 1
 
-// checkpointSyncEvery bounds the records between fsyncs; a crash loses at
-// most this many completed scenarios.
-const checkpointSyncEvery = 16
+// checkpointFlushEvery is the kill budget: every this many records the
+// writer hands its buffered bytes (for gzip files, a complete compressed
+// block) to the OS, whose page cache outlives the process, so a killed run
+// loses at most checkpointFlushEvery-1 completed scenarios. The gzip flush
+// points depend on the record count alone, so the file's bytes do too.
+const checkpointFlushEvery = 16
+
+// checkpointSyncAfter is the power-cut budget: a flush point also fsyncs
+// once this long has passed since the last fsync, so a power cut loses at
+// most the records completed in one such window plus
+// checkpointFlushEvery-1. Creating, rewriting and closing a checkpoint
+// always fsync. When scenarios are slower than the window, every flush
+// point fsyncs.
+const checkpointSyncAfter = 50 * time.Millisecond
 
 var newline = []byte{'\n'}
 
@@ -100,7 +112,7 @@ type Checkpoint struct {
 // mid-write leaves a truncated gzip tail, which surfaces as an unexpected
 // EOF after some decompressed prefix — exactly the torn-tail shape the
 // JSONL parser already tolerates (the writer's periodic Flush guarantees
-// every synced record is in a decompressible block), so a crashed gzip
+// every flushed record is in a decompressible block), so a crashed gzip
 // checkpoint is always loadable.
 func readCheckpointBytes(path string) ([]byte, error) {
 	data, err := os.ReadFile(path)
@@ -247,10 +259,11 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 }
 
 // CheckpointWriter appends run records to a checkpoint file as they
-// complete, fsyncing every checkpointSyncEvery records so a killed run can
-// be resumed with bounded rework. A path ending in .gz writes the same
-// JSONL stream gzip-compressed (for very large grids); each sync flushes a
-// compressed block, so the synced prefix of a killed gzip run is always
+// complete, flushing every checkpointFlushEvery records and fsyncing at
+// most every checkpointSyncAfter, so a killed or powered-off run can be
+// resumed with bounded rework. A path ending in .gz writes the same JSONL
+// stream gzip-compressed (for very large grids); each flush ends a
+// compressed block, so the flushed prefix of a killed gzip run is always
 // decompressible. Each record is encoded once by the record codec into a
 // reused line buffer, stamped with the CRC32 of those bytes so readers can
 // detect corruption instead of trusting whatever parses, and handed to the
@@ -258,15 +271,16 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 type CheckpointWriter struct {
 	f         *os.File
 	bw        *bufio.Writer
-	zw        *gzip.Writer // nil for plain files
-	sink      io.Writer    // head of the (chaos)→(gzip)→buffer→file pipeline
-	line      []byte       // the current line; reused across records
-	unsynced  int
-	syncCalls int                // fsync batches issued, Instrumented or not
+	zw        *gzip.Writer       // nil for plain files
+	sink      io.Writer          // head of the (chaos)→(gzip)→buffer→file pipeline
+	line      []byte             // the current line; reused across records
+	unflushed int                // records since the last flush
+	lastSync  time.Time          // end of the last fsync; zero before the first
+	syncCalls int                // fsyncs issued, Instrumented or not
 	syncs     *telemetry.Counter // nil until Instrument
 }
 
-// Instrument counts the writer's fsync batches on the collector
+// Instrument counts the writer's fsyncs on the collector
 // (fleet.checkpoint_syncs). Pure observer: the file contents and sync
 // cadence are identical with or without it.
 func (c *CheckpointWriter) Instrument(col *telemetry.Collector) {
@@ -322,7 +336,7 @@ func CreateCheckpoint(path string, suite Suite, shard Shard) (*CheckpointWriter,
 // records (in index order — the fold order the original writer used)
 // before appending continues. The replayed records are not synced in
 // batches — the original stays in place until the rename, so nothing is at
-// risk before the one sync that precedes it.
+// risk before the one fsync that precedes it.
 func AppendCheckpoint(path string, ck *Checkpoint) (*CheckpointWriter, error) {
 	if ck.gz {
 		// Rewrite to a sibling temp file and rename over the original only
@@ -395,11 +409,14 @@ func (c *CheckpointWriter) Append(rec RunRecord) error {
 	if err := c.writeRecord(rec); err != nil {
 		return err
 	}
-	c.unsynced++
-	if c.unsynced >= checkpointSyncEvery {
-		return c.sync()
+	c.unflushed++
+	if c.unflushed < checkpointFlushEvery {
+		return nil
 	}
-	return nil
+	if time.Since(c.lastSync) < checkpointSyncAfter {
+		return c.flush()
+	}
+	return c.sync()
 }
 
 // writeRecord encodes rec once, checksums the bytes just written, splices
@@ -421,19 +438,20 @@ func (c *CheckpointWriter) writeRecord(rec RunRecord) error {
 
 // Close flushes, syncs and closes the file. For gzip files it also writes
 // the stream trailer, so only a Closed gzip checkpoint reads back without
-// the torn-tail path.
+// the torn-tail path. The trailer follows a flush, as it always has, and
+// the one fsync covers both.
 func (c *CheckpointWriter) Close() error {
-	err := c.sync()
-	if c.zw != nil {
-		if zerr := c.zw.Close(); err == nil && zerr != nil {
-			err = fmt.Errorf("fleet: checkpoint: %w", zerr)
+	err := c.flush()
+	if err == nil && c.zw != nil {
+		if err = c.zw.Close(); err == nil {
+			err = c.bw.Flush()
 		}
-		if ferr := c.bw.Flush(); err == nil && ferr != nil {
-			err = fmt.Errorf("fleet: checkpoint: %w", ferr)
+		if err != nil {
+			err = fmt.Errorf("fleet: checkpoint: %w", err)
 		}
-		if serr := c.f.Sync(); err == nil && serr != nil {
-			err = fmt.Errorf("fleet: checkpoint: %w", serr)
-		}
+	}
+	if err == nil {
+		err = c.fsync()
 	}
 	if cerr := c.f.Close(); err == nil {
 		err = cerr
@@ -453,12 +471,9 @@ func (c *CheckpointWriter) writeHeader(hdr checkpointHeader) error {
 	return nil
 }
 
-func (c *CheckpointWriter) sync() error {
-	c.unsynced = 0
-	c.syncCalls++
-	if c.syncs != nil {
-		c.syncs.Inc(0)
-	}
+// flush ends the current gzip block and hands the buffered bytes to the OS.
+func (c *CheckpointWriter) flush() error {
+	c.unflushed = 0
 	if c.zw != nil {
 		if err := c.zw.Flush(); err != nil {
 			return fmt.Errorf("fleet: checkpoint: %w", err)
@@ -467,7 +482,26 @@ func (c *CheckpointWriter) sync() error {
 	if err := c.bw.Flush(); err != nil {
 		return fmt.Errorf("fleet: checkpoint: %w", err)
 	}
-	if err := c.f.Sync(); err != nil {
+	return nil
+}
+
+// sync flushes and fsyncs.
+func (c *CheckpointWriter) sync() error {
+	if err := c.flush(); err != nil {
+		return err
+	}
+	return c.fsync()
+}
+
+// fsync makes the flushed bytes durable and restarts the power-cut window.
+func (c *CheckpointWriter) fsync() error {
+	c.syncCalls++
+	if c.syncs != nil {
+		c.syncs.Inc(0)
+	}
+	err := c.f.Sync()
+	c.lastSync = time.Now()
+	if err != nil {
 		return fmt.Errorf("fleet: checkpoint: %w", err)
 	}
 	return nil

@@ -754,7 +754,7 @@ type writerFunc func([]byte) (int, error)
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 // TestGzipResumeRewriteSyncsOnce: rewriting a gzip checkpoint on resume
-// syncs once before the rename, not every checkpointSyncEvery replayed
+// syncs once before the rename, not at every checkpointFlushEvery replayed
 // records, and leaves the fresh-record cadence alone.
 func TestGzipResumeRewriteSyncsOnce(t *testing.T) {
 	suite := testSuite()
@@ -765,7 +765,7 @@ func TestGzipResumeRewriteSyncsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept := recs[:len(recs)-checkpointSyncEvery-3]
+	kept := recs[:len(recs)-checkpointFlushEvery-3]
 	for _, rec := range kept {
 		if err := w.Append(rec); err != nil {
 			t.Fatal(err)
@@ -807,14 +807,17 @@ func TestGzipResumeRewriteSyncsOnce(t *testing.T) {
 	if mid, err := ReadCheckpoint(path); err != nil || len(mid.Records) != len(kept) {
 		t.Fatalf("rewritten file before fresh records: %v", err)
 	}
+	// Fresh records flush every checkpointFlushEvery, and fsync there once
+	// the power-cut window is due.
+	dueSync(rw)
 	for _, rec := range recs[len(kept):] {
 		if err := rw.Append(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if rw.syncCalls != 3 {
-		t.Errorf("%d fresh records brought syncs to %d, want 3 (cadence %d)",
-			len(recs)-len(kept), rw.syncCalls, checkpointSyncEvery)
+		t.Errorf("%d fresh records brought syncs to %d, want 3 (flush every %d)",
+			len(recs)-len(kept), rw.syncCalls, checkpointFlushEvery)
 	}
 	if err := rw.Close(); err != nil {
 		t.Fatal(err)

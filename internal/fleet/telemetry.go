@@ -30,7 +30,8 @@ const (
 	// MetricWorkerBusyNS accumulates nanoseconds workers spent executing
 	// scenarios; busy/(workers×wall) is the pool utilization.
 	MetricWorkerBusyNS = "fleet.worker_busy_ns"
-	// MetricCheckpointSyncs counts checkpoint fsync batches.
+	// MetricCheckpointSyncs counts checkpoint fsyncs (flushes without one
+	// are not counted).
 	MetricCheckpointSyncs = "fleet.checkpoint_syncs"
 	// MetricScenarioDurationNS is the per-scenario wall-clock histogram.
 	MetricScenarioDurationNS = "fleet.scenario_duration_ns"

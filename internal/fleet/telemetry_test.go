@@ -147,26 +147,37 @@ func TestTelemetryCountsReplays(t *testing.T) {
 }
 
 // TestCheckpointSyncsCounted: an instrumented checkpoint writer counts its
-// fsyncs (one per checkpointSyncEvery records, plus the closing sync).
+// fsyncs (one per flush point the power-cut window has come due at, plus
+// the closing sync) and not its flushes.
 func TestCheckpointSyncsCounted(t *testing.T) {
-	col := telemetry.New()
-	path := filepath.Join(t.TempDir(), "ck.jsonl")
-	w, err := CreateCheckpoint(path, testSuite(), Shard{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Instrument(col)
-	n := checkpointSyncEvery*2 + 3
-	for i := 0; i < n; i++ {
-		if err := w.Append(RunRecord{Index: i}); err != nil {
+	for _, tc := range []struct {
+		before func(*CheckpointWriter)
+		want   int64
+		why    string
+	}{
+		{dueSync, 3, "two periodic + one closing"},
+		{holdSync, 1, "the closing one; both flush points fell inside the window"},
+	} {
+		col := telemetry.New()
+		path := filepath.Join(t.TempDir(), "ck.jsonl")
+		w, err := CreateCheckpoint(path, testSuite(), Shard{})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := col.Snapshot().Counter(MetricCheckpointSyncs); got != 3 {
-		t.Errorf("%s = %d, want 3 (two periodic + one closing)", MetricCheckpointSyncs, got)
+		w.Instrument(col)
+		n := checkpointFlushEvery*2 + 3
+		for i := 0; i < n; i++ {
+			tc.before(w)
+			if err := w.Append(RunRecord{Index: i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := col.Snapshot().Counter(MetricCheckpointSyncs); got != tc.want {
+			t.Errorf("%s = %d, want %d (%s)", MetricCheckpointSyncs, got, tc.want, tc.why)
+		}
 	}
 }
 
