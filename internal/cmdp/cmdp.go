@@ -11,7 +11,6 @@ import (
 	"math"
 
 	"tolerance/internal/dist"
-	"tolerance/internal/nodemodel"
 	"tolerance/internal/recovery"
 )
 
@@ -150,14 +149,18 @@ assumptionD:
 // the transition kernel bit-for-bit. Two models with equal fingerprints pose
 // the same Algorithm 2 problem, which is what replication-strategy caches
 // key on.
-func (m *Model) Fingerprint() string {
-	values := []float64{float64(m.SMax), float64(m.F), m.EpsilonA}
+func (m *Model) Fingerprint() string { return m.Digest().String() }
+
+// Digest is the hash Fingerprint spells: SMax, F and EpsilonA, then every
+// row of FS in order, bit for bit.
+func (m *Model) Digest() dist.Digest {
+	d := dist.NewDigest().Float(float64(m.SMax)).Float(float64(m.F)).Float(m.EpsilonA)
 	for _, action := range m.FS {
 		for _, row := range action {
-			values = append(values, row...)
+			d = d.Floats(row)
 		}
 	}
-	return dist.Fingerprint(values...)
+	return d
 }
 
 // tailSum returns sum_{s' >= s} fS(s' | sHat, a).
@@ -280,9 +283,11 @@ func (b *binomialRows) row(s int) []float64 {
 // deltaR (the process renews there) and long-run averages for
 // InfiniteDeltaR. The hazard is the evaluator's horizon-free one; rollout
 // estimates divided crashes per episode by the episode length, which
-// undercounts once episodes end in crashes.
-func HealthyProb(p nodemodel.Params, s recovery.Strategy, deltaR int) (float64, error) {
-	occ, err := recovery.Occupancy(p, s, deltaR)
+// undercounts once episodes end in crashes. The node model enters through
+// its closed-loop table t (recovery.NewOccupancyTable), which every strategy
+// and deltaR of the model share.
+func HealthyProb(t *recovery.OccupancyTable, s recovery.Strategy, deltaR int) (float64, error) {
+	occ, err := t.Shares(s, deltaR)
 	if err != nil {
 		return 0, err
 	}

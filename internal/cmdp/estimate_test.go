@@ -44,8 +44,12 @@ func TestHealthyProbMatchesRolloutEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	table, err := recovery.NewOccupancyTable(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, s := range []recovery.Strategy{dp.Strategy(deltaR), recovery.NeverRecover{}} {
-		q, err := HealthyProb(p, s, deltaR)
+		q, err := HealthyProb(table, s, deltaR)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,14 +99,18 @@ func TestRolloutHazardUndercounts(t *testing.T) {
 func TestHealthyProbOrdering(t *testing.T) {
 	p := nodemodel.DefaultParams()
 	s := &recovery.ThresholdStrategy{Thresholds: []float64{0.3}, DeltaR: recovery.InfiniteDeltaR}
-	q, err := HealthyProb(p, s, recovery.InfiniteDeltaR)
+	table, err := recovery.NewOccupancyTable(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again, _ := HealthyProb(p, s, recovery.InfiniteDeltaR); again != q {
+	q, err := HealthyProb(table, s, recovery.InfiniteDeltaR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := HealthyProb(table, s, recovery.InfiniteDeltaR); again != q {
 		t.Errorf("HealthyProb not deterministic: %v then %v", q, again)
 	}
-	qNever, err := HealthyProb(p, recovery.NeverRecover{}, recovery.InfiniteDeltaR)
+	qNever, err := HealthyProb(table, recovery.NeverRecover{}, recovery.InfiniteDeltaR)
 	if err != nil {
 		t.Fatal(err)
 	}

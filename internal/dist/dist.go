@@ -7,10 +7,8 @@
 package dist
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 )
@@ -480,13 +478,64 @@ func SplitMix64(x uint64) uint64 {
 // keys: two parameter sets with equal fingerprints pose identical control
 // problems.
 func Fingerprint(values ...float64) string {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, v := range values {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		h.Write(buf[:])
+	return NewDigest().Floats(values).String()
+}
+
+// Digest is a running FNV-1a 64 hash, the digest Fingerprint spells in hex.
+// Model types feed their fields into it one at a time, so a fingerprint
+// needs no slice of the values; a cache that keys on the Digest itself needs
+// no string either.
+type Digest uint64
+
+const (
+	fnvOffset64 Digest = 14695981039346656037
+	fnvPrime64  Digest = 1099511628211
+)
+
+// NewDigest returns the digest of the empty sequence.
+func NewDigest() Digest { return fnvOffset64 }
+
+// Float adds v's IEEE 754 bits, least significant byte first.
+func (d Digest) Float(v float64) Digest {
+	bits := math.Float64bits(v)
+	for i := 0; i < 8; i++ {
+		d ^= Digest(byte(bits))
+		d *= fnvPrime64
+		bits >>= 8
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	return d
+}
+
+// Floats adds every value of vs in order.
+func (d Digest) Floats(vs []float64) Digest {
+	for _, v := range vs {
+		d = d.Float(v)
+	}
+	return d
+}
+
+// Bytes adds the bytes of b.
+func (d Digest) Bytes(b []byte) Digest {
+	for _, c := range b {
+		d ^= Digest(c)
+		d *= fnvPrime64
+	}
+	return d
+}
+
+// AppendHex appends the digest as 16 lowercase hex digits.
+func (d Digest) AppendHex(dst []byte) []byte {
+	const hexDigits = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		dst = append(dst, hexDigits[(d>>shift)&0xf])
+	}
+	return dst
+}
+
+// String returns the digest as 16 lowercase hex digits.
+func (d Digest) String() string {
+	var buf [16]byte
+	return string(d.AppendHex(buf[:0]))
 }
 
 // lnChoose returns ln C(n, k).

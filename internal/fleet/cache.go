@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -12,6 +12,7 @@ import (
 
 	"tolerance/internal/baselines"
 	"tolerance/internal/cmdp"
+	"tolerance/internal/dist"
 	"tolerance/internal/emulation"
 	"tolerance/internal/nodemodel"
 	"tolerance/internal/recovery"
@@ -22,7 +23,11 @@ import (
 // CacheStats counts solves (cache misses that ran a solver) and hits
 // (requests served from a cached or in-flight computation). The counts are
 // deterministic for a given workload: solves equals the number of distinct
-// control problems, independent of worker count.
+// control problems, independent of worker count. A problem is distinct by
+// its StrategyCache memo key: a recovery solve by (node model, DP config),
+// a replication solve by the assembled LP, a q evaluation by (node model,
+// recovery rule, Delta_R), a policy build by (kind, fingerprint). Which
+// occupancy table the cache happens to retain never shows in the counts.
 type CacheStats struct {
 	// RecoverySolves counts distinct Problem 1 DP solves.
 	RecoverySolves int64 `json:"recoverySolves"`
@@ -105,20 +110,39 @@ func (m *memo[K, V]) do(c *StrategyCache, key K, hits *atomic.Int64, f func() (V
 	return v, err
 }
 
-// StrategyCache memoizes the two control-problem solvers keyed by
-// canonicalized model parameters (nodemodel.Params.Fingerprint,
-// recovery.DPConfig.Normalized, cmdp.Model.Fingerprint). It is safe for
-// concurrent use; duplicate concurrent requests for one key run the solver
-// once.
+// StrategyCache memoizes the control-problem solvers and the policies built
+// on them. Every memo is keyed by a comparable struct over the node model's
+// digest (nodemodel.Params.Digest, the hash its Fingerprint spells) and the
+// problem's other inputs: a Problem 1 solution by (model, normalized
+// recovery.DPConfig), its ladder by (model, grid), q by (model, recovery
+// rule fingerprint, Delta_R), a Problem 2 solution by those plus (smax, f,
+// epsilon_A's bits), and the LP beneath it by cmdp.Model.Digest. Policies
+// are keyed by (policy kind, strategy fingerprint), fits by (catalog
+// fingerprint, samples, fit seed), scenario templates by (suite
+// fingerprint, cell index). Beyond the memos the cache retains one
+// closed-loop occupancy table: that of the node model whose q it evaluated
+// last. It is safe for concurrent use; duplicate concurrent requests for
+// one key run the solver once.
 type StrategyCache struct {
-	recovery    memo[string, *recovery.DPSolution]
-	ladders     memo[string, *recovery.Ladder]
-	replication memo[string, *cmdp.Solution]
-	healthy     memo[string, float64]
-	lp          memo[string, *cmdp.Solution]
-	fits        memo[string, *emulation.FitSet]
-	policies    memo[string, baselines.Policy]
+	recovery    memo[recoveryKey, *recovery.DPSolution]
+	ladders     memo[ladderKey, *recovery.Ladder]
+	replication memo[replicationKey, *cmdp.Solution]
+	healthy     memo[healthyKey, float64]
+	lp          memo[dist.Digest, *cmdp.Solution]
+	fits        memo[fitKey, *emulation.FitSet]
+	policies    memo[policyKey, baselines.Policy]
 	scenarios   memo[scenarioKey, emulation.Scenario]
+
+	// occ is the occupancy table of the node model whose q was evaluated
+	// last. Cells expand with the node-model axes outermost (Suite.Cells),
+	// so one model's q requests arrive together and share its table, while
+	// the cache never holds more than one model's: the table is ~130 KB and
+	// the memos outlive it.
+	occMu sync.Mutex
+	occ   struct {
+		model dist.Digest
+		table *recovery.OccupancyTable
+	}
 
 	// arenas pools the DP solver's scratch arenas across ladder extensions
 	// and stationary solves: one suite's cells solve through a shared slab
@@ -233,8 +257,7 @@ func (c *StrategyCache) Fits(samples int, fitSeed int64) (*emulation.FitSet, err
 	if err != nil {
 		return nil, err
 	}
-	key := fmt.Sprintf("%s|m=%d|fs=%d", fp, samples, fitSeed)
-	return c.fits.do(c, key, &c.fitHits, func() (*emulation.FitSet, error) {
+	return c.fits.do(c, fitKey{fp, samples, fitSeed}, &c.fitHits, func() (*emulation.FitSet, error) {
 		c.fitSolves.Add(1)
 		start := time.Now()
 		fs, err := emulation.NewFitSet(samples, fitSeed)
@@ -251,15 +274,15 @@ func (c *StrategyCache) Fits(samples int, fitSeed int64) (*emulation.FitSet, err
 // ΔRs share their induction stages: each stage runs once per cache.
 func (c *StrategyCache) Recovery(p nodemodel.Params, cfg recovery.DPConfig) (*recovery.DPSolution, error) {
 	n := cfg.Normalized()
-	fp := p.Fingerprint()
-	key := fmt.Sprintf("%s|dr=%d|g=%d|v=%d", fp, n.DeltaR, n.GridSize, n.MaxValueIterations)
+	model := p.Digest()
+	key := recoveryKey{model, n.DeltaR, n.GridSize, n.MaxValueIterations}
 	return c.recovery.do(c, key, &c.recoveryHits, func() (*recovery.DPSolution, error) {
 		c.recoverySolves.Add(1)
 		start := time.Now()
 		var sol *recovery.DPSolution
 		var err error
 		if n.DeltaR > 0 {
-			sol, err = c.window(p, fp, n)
+			sol, err = c.window(p, model, n)
 		} else {
 			arena := c.arena()
 			sol, err = recovery.SolveDPWith(p, n, arena)
@@ -274,8 +297,8 @@ func (c *StrategyCache) Recovery(p nodemodel.Params, cfg recovery.DPConfig) (*re
 
 // window reads a finite-ΔR solution from the model's ladder, first
 // extending the ladder on a pooled arena if it is not yet ΔR−1 deep.
-func (c *StrategyCache) window(p nodemodel.Params, fp string, n recovery.DPConfig) (*recovery.DPSolution, error) {
-	l, err := c.ladders.do(c, fp+"|g="+strconv.Itoa(n.GridSize), nil, func() (*recovery.Ladder, error) {
+func (c *StrategyCache) window(p nodemodel.Params, model dist.Digest, n recovery.DPConfig) (*recovery.DPSolution, error) {
+	l, err := c.ladders.do(c, ladderKey{model, n.GridSize}, nil, func() (*recovery.Ladder, error) {
 		return recovery.NewLadder(p, n.GridSize)
 	})
 	if err != nil {
@@ -306,12 +329,12 @@ func (c *StrategyCache) arena() *recovery.Arena {
 // share a slot. The healthy-node probability q is computed
 // once per (params, strategy, deltaR) — system shapes that share a node
 // model share it — and the occupancy-measure LP is further deduplicated
-// across input keys by the assembled model's fingerprint.
+// across input keys by the assembled model's digest.
 func (c *StrategyCache) ReplicationFor(p nodemodel.Params, rec recovery.Strategy, recFP string, smax, f int, epsilonA float64, deltaR int) (*cmdp.Solution, error) {
-	key := fmt.Sprintf("%s|rec=%s|dr=%d|smax=%d|f=%d|eps=%x",
-		p.Fingerprint(), recFP, deltaR, smax, f, epsilonA)
+	hk := healthyKey{p.Digest(), recFP, deltaR}
+	key := replicationKey{hk, smax, f, math.Float64bits(epsilonA)}
 	return c.replication.do(c, key, &c.replicationHits, func() (*cmdp.Solution, error) {
-		q, err := c.healthyProb(p, rec, recFP, deltaR)
+		q, err := c.healthyProb(p, rec, hk)
 		if err != nil {
 			return nil, err
 		}
@@ -324,12 +347,34 @@ func (c *StrategyCache) ReplicationFor(p nodemodel.Params, rec recovery.Strategy
 }
 
 // healthyProb memoizes cmdp.HealthyProb by (params, strategy, deltaR).
-func (c *StrategyCache) healthyProb(p nodemodel.Params, rec recovery.Strategy, recFP string, deltaR int) (float64, error) {
-	key := fmt.Sprintf("%s|rec=%s|dr=%d", p.Fingerprint(), recFP, deltaR)
+func (c *StrategyCache) healthyProb(p nodemodel.Params, rec recovery.Strategy, key healthyKey) (float64, error) {
 	return c.healthy.do(c, key, nil, func() (float64, error) {
 		c.healthyEvals.Add(1)
-		return cmdp.HealthyProb(p, rec, deltaR)
+		table, err := c.occupancyTable(p, key.model)
+		if err != nil {
+			return 0, err
+		}
+		return cmdp.HealthyProb(table, rec, key.deltaR)
 	})
+}
+
+// occupancyTable returns the closed-loop table of node model p (digest
+// model), building it unless it is the one the cache retains, which it
+// then replaces. Building under the lock lets the workers that resolve one
+// model's cells together wait for one build instead of each making their
+// own.
+func (c *StrategyCache) occupancyTable(p nodemodel.Params, model dist.Digest) (*recovery.OccupancyTable, error) {
+	c.occMu.Lock()
+	defer c.occMu.Unlock()
+	if c.occ.table != nil && c.occ.model == model {
+		return c.occ.table, nil
+	}
+	table, err := recovery.NewOccupancyTable(p)
+	if err != nil {
+		return nil, err
+	}
+	c.occ.model, c.occ.table = model, table
+	return table, nil
 }
 
 // solveLP memoizes cmdp.Solve by the model fingerprint.
@@ -337,7 +382,7 @@ func (c *StrategyCache) solveLP(model *cmdp.Model) (*cmdp.Solution, error) {
 	// The counter increments inside the once-guarded closure: exactly one
 	// caller's closure runs, so the count is one per distinct LP no matter
 	// which goroutine wins the race into compute.
-	return c.lp.do(c, model.Fingerprint(), nil, func() (*cmdp.Solution, error) {
+	return c.lp.do(c, model.Digest(), nil, func() (*cmdp.Solution, error) {
 		c.replicationSolves.Add(1)
 		start := time.Now()
 		sol, err := cmdp.Solve(model)
@@ -360,13 +405,8 @@ func (c *StrategyCache) PolicyFor(ctx context.Context, cell Cell, suite Suite) (
 			ErrBadSuite, cell.Policy, strategies.Names())
 	}
 	spec := cell.spec(suite)
-	// The training seed derives from the suite seed and the seed-less
-	// fingerprint — never from the scenario index or scheduling — so a
-	// learned policy is identical across worker counts, shards and
-	// resumes, while distinct suites (or seeds) train distinct policies.
-	spec.Seed = seedFromKey(fmt.Sprintf("train|%d|%s|%s",
-		suite.Seed, cell.Policy, strat.Fingerprint(spec)))
-	key := string(cell.Policy) + "|" + strat.Fingerprint(spec)
+	spec.Seed = trainingSeed(suite.Seed, cell.Policy, strat.Fingerprint(spec))
+	key := policyKey{cell.Policy, strat.Fingerprint(spec)}
 	return c.policies.do(c, key, &c.policyHits, func() (baselines.Policy, error) {
 		c.policyBuilds.Add(1)
 		t := c.tel.Load()
@@ -406,16 +446,63 @@ func (c *StrategyCache) scenarioFor(ctx context.Context, suiteFP string, cell *C
 	})
 }
 
-// scenarioKey names a cell's scenario template: the suite fingerprint and
-// the cell index.
-type scenarioKey struct {
-	suiteFP string
-	cell    int
-}
+// The memo keys. model is the node model's digest (nodemodel.Params.Digest).
+type (
+	// recoveryKey names a Problem 1 solution: the model and the normalized
+	// DPConfig.
+	recoveryKey struct {
+		model                         dist.Digest
+		deltaR, grid, valueIterations int
+	}
+	// ladderKey names a model's finite-Delta_R ladder on one grid.
+	ladderKey struct {
+		model dist.Digest
+		grid  int
+	}
+	// healthyKey names q: the model under a recovery rule (its
+	// fingerprint) and a BTR bound.
+	healthyKey struct {
+		model  dist.Digest
+		rec    string
+		deltaR int
+	}
+	// replicationKey names a Problem 2 solution: q's key and the system
+	// shape, epsilon_A by its bits.
+	replicationKey struct {
+		healthyKey
+		smax, f  int
+		epsilonA uint64
+	}
+	// fitKey names an offline fit: the catalog fingerprint, M and the fit
+	// seed.
+	fitKey struct {
+		catalog string
+		samples int
+		fitSeed int64
+	}
+	// policyKey names a built policy: its kind and construction
+	// fingerprint.
+	policyKey struct {
+		kind PolicyKind
+		fp   string
+	}
+	// scenarioKey names a cell's scenario template: the suite fingerprint
+	// and the cell index.
+	scenarioKey struct {
+		suiteFP string
+		cell    int
+	}
+)
 
-// seedFromKey hashes a cache key into a deterministic rng seed.
-func seedFromKey(key string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return int64(h.Sum64())
+// trainingSeed derives the rng seed a cell's policy trains with from the
+// suite seed, the policy kind and the seed-less construction fingerprint —
+// never from the scenario index or scheduling — so a learned policy is
+// identical across worker counts, shards and resumes, while distinct suites
+// (or seeds) train distinct policies. It is the FNV-1a hash of
+// "train|<suite seed>|<kind>|<fingerprint>", read as an int64.
+func trainingSeed(suiteSeed int64, kind PolicyKind, fp string) int64 {
+	var buf [192]byte
+	key := strconv.AppendInt(append(buf[:0], "train|"...), suiteSeed, 10)
+	key = append(append(append(append(key, '|'), kind...), '|'), fp...)
+	return int64(dist.NewDigest().Bytes(key))
 }

@@ -71,7 +71,7 @@ func goldenCacheLine(t *testing.T, cell Cell, suite Suite) string {
 	}
 	spec := cell.spec(suite)
 	seedless := strat.Fingerprint(spec)
-	spec.Seed = seedFromKey(fmt.Sprintf("train|%d|%s|%s", suite.Seed, cell.Policy, seedless))
+	spec.Seed = trainingSeed(suite.Seed, cell.Policy, seedless)
 	return fmt.Sprintf("%d %s %s %s %d %s", cell.Index, cell.Policy,
 		spec.Params.Fingerprint(), seedless, spec.Seed, strat.Fingerprint(spec))
 }

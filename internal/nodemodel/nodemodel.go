@@ -193,17 +193,25 @@ func (p Params) NumObs() int { return p.ZHealthy.Len() }
 // observation distributions. Two Params values with the same fingerprint
 // yield identical solutions of Problems 1 and 2, which is what strategy
 // caches key on.
-func (p Params) Fingerprint() string {
-	values := []float64{p.PA, p.PC1, p.PC2, p.PU, p.Eta}
-	for _, z := range []*dist.Categorical{p.ZHealthy, p.ZCompromised} {
+func (p Params) Fingerprint() string { return p.Digest().String() }
+
+// Digest is the hash Fingerprint spells: pA, pC1, pC2, pU and eta, then for
+// each observation distribution its size and probabilities (NaN for a nil
+// one), every value bit for bit.
+func (p Params) Digest() dist.Digest {
+	d := dist.NewDigest().Float(p.PA).Float(p.PC1).Float(p.PC2).Float(p.PU).Float(p.Eta)
+	for _, z := range [2]*dist.Categorical{p.ZHealthy, p.ZCompromised} {
 		if z == nil {
-			values = append(values, math.NaN())
+			d = d.Float(math.NaN())
 			continue
 		}
-		values = append(values, float64(z.Len()))
-		values = append(values, z.Probs()...)
+		n := z.Len()
+		d = d.Float(float64(n))
+		for o := 0; o < n; o++ {
+			d = d.Float(z.Prob(o))
+		}
 	}
-	return dist.Fingerprint(values...)
+	return d
 }
 
 // Transition returns the distribution over successor states, eq. (2).

@@ -70,22 +70,59 @@ type OccupancyShares struct {
 // seen. Iterates that do not settle within a fixed bound return
 // ErrOccupancyNotConverged.
 func Occupancy(p nodemodel.Params, s Strategy, deltaR int) (OccupancyShares, error) {
-	return occupancy(p, s, deltaR, occupancyGridSize, occupancyMaxSteps)
-}
-
-// occupancy is Occupancy on a grid of gridSize intervals, iterating at most
-// maxSteps steps when deltaR is infinite.
-func occupancy(p nodemodel.Params, s Strategy, deltaR, gridSize, maxSteps int) (OccupancyShares, error) {
-	if err := p.Validate(); err != nil {
+	t, err := NewOccupancyTable(p)
+	if err != nil {
 		return OccupancyShares{}, err
 	}
+	return t.Shares(s, deltaR)
+}
+
+// OccupancyTable is the part of Occupancy's closed loop that depends on the
+// node model alone: the DP's belief grid, eq. 2's transition rows and where
+// each grid point's posterior lands after each observation. Build one per
+// node model and evaluate every strategy and Delta_R of that model on it;
+// Shares(s, deltaR) equals Occupancy(p, s, deltaR) bit for bit. A table is
+// read-only once built, so concurrent Shares calls may share it.
+type OccupancyTable struct {
+	pA   float64
+	grid []float64
+	// crash[x] is the crash probability from alive state x; next[x][a][y]
+	// the probability of alive state y after action a from x (eq. 2).
+	crash [2]float64
+	next  [2][2][2]float64
+	// wait holds one placement row per cell, numObs entries each: where
+	// the posterior of the cell's Wait prediction lands after each
+	// observation; waitSpan the cells each row reaches. reset and
+	// resetSpan are the same for the post-recovery prediction pA.
+	numObs    int
+	wait      []obsPlacement
+	waitSpan  []cellSpan
+	reset     []obsPlacement
+	resetSpan cellSpan
+}
+
+// NewOccupancyTable builds the closed-loop table of node model p on the
+// DP's 301-point belief grid.
+func NewOccupancyTable(p nodemodel.Params) (*OccupancyTable, error) {
+	return newOccupancyTable(p, occupancyGridSize)
+}
+
+// Shares evaluates the closed loop of the table's node model under
+// strategy s with BTR bound deltaR: Occupancy on a prebuilt table.
+func (t *OccupancyTable) Shares(s Strategy, deltaR int) (OccupancyShares, error) {
+	return t.shares(s, deltaR, occupancyMaxSteps)
+}
+
+// shares is Shares iterating at most maxSteps steps when deltaR is
+// infinite.
+func (t *OccupancyTable) shares(s Strategy, deltaR, maxSteps int) (OccupancyShares, error) {
 	if s == nil {
 		return OccupancyShares{}, fmt.Errorf("%w: nil strategy", ErrBadStrategy)
 	}
 	if deltaR < 0 {
 		return OccupancyShares{}, fmt.Errorf("%w: deltaR = %d", ErrBadStrategy, deltaR)
 	}
-	l := newClosedLoop(p, s, gridSize)
+	l := newClosedLoop(t, s)
 	if deltaR != InfiniteDeltaR {
 		return l.window(deltaR), nil
 	}
@@ -129,26 +166,10 @@ func (m stepMass) shares() OccupancyShares {
 }
 
 // closedLoop is the joint (hidden state, belief cell) distribution of one
-// node and the tables that move it one step.
+// node under one strategy, moved a step at a time on a shared table.
 type closedLoop struct {
-	s    Strategy
-	pA   float64
-	grid []float64
-	// zH[o], zC[o] are the observation likelihoods.
-	zH, zC []float64
-	// crash[x] is the crash probability from alive state x; next[x][a][y]
-	// the probability of alive state y after action a from x (eq. 2).
-	crash [2]float64
-	next  [2][2][2]float64
-	// wait holds one placement row per cell, numObs entries each: where
-	// the posterior of the cell's Wait prediction lands after each
-	// observation; waitSpan the cells each row reaches. reset and
-	// resetSpan are the same for the post-recovery prediction pA.
-	numObs    int
-	wait      []obsPlacement
-	waitSpan  []cellSpan
-	reset     []obsPlacement
-	resetSpan cellSpan
+	*OccupancyTable
+	s Strategy
 	// mH, mC are the healthy and compromised mass per cell, nonzero only
 	// in [lo, hi); preH, preC the mass of the waiting cells after the
 	// transition, before the observation; recH, recC the mass of the
@@ -158,37 +179,43 @@ type closedLoop struct {
 	recH, recC                 float64
 }
 
-func newClosedLoop(p nodemodel.Params, s Strategy, gridSize int) *closedLoop {
+func newOccupancyTable(p nodemodel.Params, gridSize int) (*OccupancyTable, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
 	g := gridSize + 1
 	numObs := p.NumObs()
-	l := &closedLoop{
-		s: s, pA: p.PA, numObs: numObs,
+	t := &OccupancyTable{
+		pA: p.PA, numObs: numObs,
+		grid:     make([]float64, g),
 		wait:     make([]obsPlacement, g*numObs),
 		waitSpan: make([]cellSpan, g),
 		reset:    make([]obsPlacement, numObs),
 	}
-	floats := make([]float64, 7*g+2*numObs)
-	for _, v := range []*[]float64{&l.grid, &l.mH, &l.mC, &l.preH, &l.preC, &l.nH, &l.nC} {
-		*v, floats = floats[:g:g], floats[g:]
-	}
-	l.zH, l.zC = floats[:numObs:numObs], floats[numObs:]
-	for o := range l.zH {
-		l.zH[o], l.zC[o] = p.ZHealthy.Prob(o), p.ZCompromised.Prob(o)
-	}
 	for x, st := range []nodemodel.State{nodemodel.Healthy, nodemodel.Compromised} {
 		for _, a := range []nodemodel.Action{nodemodel.Wait, nodemodel.Recover} {
 			row := p.Transition(st, a)
-			l.crash[x] = row[nodemodel.Crashed]
-			l.next[x][a] = [2]float64{row[nodemodel.Healthy], row[nodemodel.Compromised]}
+			t.crash[x] = row[nodemodel.Crashed]
+			t.next[x][a] = [2]float64{row[nodemodel.Healthy], row[nodemodel.Compromised]}
 		}
 	}
-	for i := range l.grid {
+	for i := range t.grid {
 		// The DP's grid, point for point (SolveDPWith).
-		l.grid[i] = float64(i) / float64(gridSize)
-		pb := p.PredictBelief(l.grid[i], nodemodel.Wait)
-		l.waitSpan[i] = l.placeRow(l.wait[i*numObs:(i+1)*numObs], pb, gridSize)
+		t.grid[i] = float64(i) / float64(gridSize)
+		pb := p.PredictBelief(t.grid[i], nodemodel.Wait)
+		t.waitSpan[i] = placeRow(p, t.wait[i*numObs:(i+1)*numObs], pb, gridSize)
 	}
-	l.resetSpan = l.placeRow(l.reset, p.PA, gridSize)
+	t.resetSpan = placeRow(p, t.reset, p.PA, gridSize)
+	return t, nil
+}
+
+func newClosedLoop(t *OccupancyTable, s Strategy) *closedLoop {
+	g := len(t.grid)
+	l := &closedLoop{OccupancyTable: t, s: s}
+	floats := make([]float64, 6*g)
+	for _, v := range []*[]float64{&l.mH, &l.mC, &l.preH, &l.preC, &l.nH, &l.nC} {
+		*v, floats = floats[:g:g], floats[g:]
+	}
 	return l
 }
 
@@ -197,10 +224,10 @@ func newClosedLoop(p nodemodel.Params, s Strategy, gridSize int) *closedLoop {
 // observation the prediction gives probability zero (possible only at a
 // degenerate belief) leaves the belief at the prediction, so no mass is
 // lost.
-func (l *closedLoop) placeRow(row []obsPlacement, pb float64, gridSize int) cellSpan {
+func placeRow(p nodemodel.Params, row []obsPlacement, pb float64, gridSize int) cellSpan {
 	span := cellSpan{lo: gridSize + 1}
 	for o := range row {
-		zh, zc := l.zH[o], l.zC[o]
+		zh, zc := p.ZHealthy.Prob(o), p.ZCompromised.Prob(o)
 		st := stencilEntryFor(pb, zh, zc, gridSize)
 		if st.po == 0 {
 			st = stencilEntryFor(pb, 1, 1, gridSize)

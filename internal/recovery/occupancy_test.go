@@ -22,6 +22,16 @@ func (s bandStrategy) Action(b float64, _ int) nodemodel.Action {
 	return nodemodel.Wait
 }
 
+// occupancy is Occupancy on a grid of gridSize intervals, iterating at most
+// maxSteps steps when deltaR is infinite.
+func occupancy(p nodemodel.Params, s Strategy, deltaR, gridSize, maxSteps int) (OccupancyShares, error) {
+	t, err := newOccupancyTable(p, gridSize)
+	if err != nil {
+		return OccupancyShares{}, err
+	}
+	return t.shares(s, deltaR, maxSteps)
+}
+
 // occupancyParams is the node model at attack rate pA and crash profile
 // (pC1, pC2), Table 8 otherwise.
 func occupancyParams(pA, pC1, pC2 float64) nodemodel.Params {
@@ -458,5 +468,113 @@ func TestOccupancyNotConverged(t *testing.T) {
 	}
 	if _, err := occupancy(p, NeverRecover{}, InfiniteDeltaR, occupancyGridSize, occupancyMaxSteps); err != nil {
 		t.Errorf("NeverRecover within the shipped bound: %v", err)
+	}
+}
+
+// sameShares reports the first difference between two evaluations, held to
+// == on every share and on the error text. It only calls t.Errorf, so
+// goroutines may use it.
+func sameShares(t *testing.T, what string, got OccupancyShares, gotErr error, want OccupancyShares, wantErr error) {
+	t.Helper()
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		t.Errorf("%s: err %v, Occupancy's %v", what, gotErr, wantErr)
+		return
+	}
+	if got != want {
+		t.Errorf("%s: shares %+v, Occupancy's %+v", what, got, want)
+	}
+}
+
+// TestOccupancyTableMatchesOccupancy is the shared table's property test:
+// over random valid models, every Delta_R in 1..60 and infinity, under the
+// DP's threshold strategies, a fixed threshold and belief-blind rules
+// (never, periodic, a band), Shares on one table — evaluated in random
+// orders, and from concurrent goroutines sharing the table — is == to
+// Occupancy, which builds a fresh table per call.
+func TestOccupancyTableMatchesOccupancy(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	models := 4
+	if testing.Short() {
+		models = 2
+	}
+	type job struct {
+		what   string
+		s      Strategy
+		deltaR int
+		want   OccupancyShares
+		err    error
+	}
+	for m := 0; m < models; m++ {
+		p := randomLadderModel(rng)
+		ladder, err := NewLadder(p, occupancyGridSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var jobs []job
+		add := func(what string, s Strategy, deltaR int) {
+			jobs = append(jobs, job{what: fmt.Sprintf("model %d %s deltaR %d", m, what, deltaR), s: s, deltaR: deltaR})
+		}
+		for dr := 1; dr <= 60; dr++ {
+			dp, err := ladder.Window(dr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			add("dp", dp.Strategy(dr), dr)
+			add("never", NeverRecover{}, dr)
+			add("periodic", PeriodicStrategy{Period: 1 + rng.Intn(8)}, dr)
+		}
+		lo := rng.Float64()
+		for _, s := range []Strategy{
+			&ThresholdStrategy{Thresholds: []float64{rng.Float64()}, DeltaR: InfiniteDeltaR},
+			NeverRecover{}, PeriodicStrategy{Period: 1 + rng.Intn(8)}, bandStrategy{lo, lo + 0.2},
+		} {
+			add(fmt.Sprintf("%T", s), s, InfiniteDeltaR)
+		}
+		for i := range jobs {
+			jobs[i].want, jobs[i].err = Occupancy(p, jobs[i].s, jobs[i].deltaR)
+		}
+
+		table, err := NewOccupancyTable(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range rng.Perm(len(jobs)) {
+			j := jobs[i]
+			got, err := table.Shares(j.s, j.deltaR)
+			sameShares(t, j.what, got, err, j.want, j.err)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			order := rng.Perm(len(jobs))
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, i := range order {
+					j := jobs[i]
+					got, err := table.Shares(j.s, j.deltaR)
+					sameShares(t, "concurrent "+j.what, got, err, j.want, j.err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// TestOccupancyTableRejects keeps Occupancy's argument checks on the split
+// form: the model when the table is built, the strategy and Delta_R when
+// shares are evaluated.
+func TestOccupancyTableRejects(t *testing.T) {
+	if _, err := NewOccupancyTable(nodemodel.Params{}); err == nil {
+		t.Error("NewOccupancyTable accepted a model with no observation distributions")
+	}
+	table, err := NewOccupancyTable(nodemodel.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := table.Shares(nil, 5); !errors.Is(err, ErrBadStrategy) {
+		t.Errorf("nil strategy: err = %v, want ErrBadStrategy", err)
+	}
+	if _, err := table.Shares(NeverRecover{}, -2); !errors.Is(err, ErrBadStrategy) {
+		t.Errorf("deltaR = -2: err = %v, want ErrBadStrategy", err)
 	}
 }

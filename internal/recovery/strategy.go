@@ -89,7 +89,7 @@ func (s *ThresholdStrategy) Action(belief float64, windowPos int) nodemodel.Acti
 // Fingerprint canonicalizes the strategy for cache keys: DeltaR and every
 // threshold, bit for bit.
 func (s *ThresholdStrategy) Fingerprint() string {
-	return dist.Fingerprint(append([]float64{float64(s.DeltaR)}, s.Thresholds...)...)
+	return dist.NewDigest().Float(float64(s.DeltaR)).Floats(s.Thresholds).String()
 }
 
 // Threshold returns the threshold used at the given window position.

@@ -3,6 +3,7 @@ package strategies
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"tolerance/internal/baselines"
 	"tolerance/internal/cmdp"
@@ -79,8 +80,29 @@ func (toleranceStrategy) Describe() string {
 }
 
 func (toleranceStrategy) Fingerprint(spec Spec) string {
-	return fmt.Sprintf("%s|dr=%d|smax=%d|f=%d|eps=%x",
-		spec.Params.Fingerprint(), spec.DeltaR, spec.SMax, spec.F, spec.EpsilonA)
+	var buf [fingerprintBuf]byte
+	return string(appendProblem(buf[:0], spec))
+}
+
+// fingerprintBuf fits every built-in fingerprint, so building one takes a
+// single allocation: the returned string.
+const fingerprintBuf = 160
+
+// appendProblem appends the node model's fingerprint and the system shape
+// the replication strategy is solved for — the "%s|dr=%d|smax=%d|f=%d|eps=%x"
+// prefix every solver-backed fingerprint starts with.
+func appendProblem(b []byte, spec Spec) []byte {
+	b = spec.Params.Digest().AppendHex(b)
+	b = appendInt(b, "|dr=", spec.DeltaR)
+	b = appendInt(b, "|smax=", spec.SMax)
+	b = appendInt(b, "|f=", spec.F)
+	b = append(b, "|eps="...)
+	return strconv.AppendFloat(b, spec.EpsilonA, 'x', -1, 64)
+}
+
+// appendInt appends a "|name=" label and the decimal value.
+func appendInt[T int | int64](b []byte, label string, v T) []byte {
+	return strconv.AppendInt(append(b, label...), int64(v), 10)
 }
 
 func (toleranceStrategy) Policy(_ context.Context, spec Spec, solvers Solvers) (baselines.Policy, error) {
@@ -141,7 +163,7 @@ func (periodicAdaptiveStrategy) Describe() string {
 
 func (periodicAdaptiveStrategy) Fingerprint(spec Spec) string {
 	// TargetN caps additions, so the built policy depends on N1.
-	return fmt.Sprintf("n1=%d", spec.N1)
+	return "n1=" + strconv.Itoa(spec.N1)
 }
 
 func (periodicAdaptiveStrategy) Policy(_ context.Context, spec Spec, _ Solvers) (baselines.Policy, error) {
@@ -188,9 +210,12 @@ func (s learnedStrategy) config(spec Spec) recovery.Algorithm1Config {
 
 func (s learnedStrategy) Fingerprint(spec Spec) string {
 	cfg := s.config(spec)
-	return fmt.Sprintf("%s|dr=%d|smax=%d|f=%d|eps=%x|b=%d|m=%d|h=%d|seed=%d",
-		spec.Params.Fingerprint(), spec.DeltaR, spec.SMax, spec.F, spec.EpsilonA,
-		cfg.Budget, cfg.Episodes, cfg.Horizon, spec.Seed)
+	var buf [fingerprintBuf]byte
+	b := appendProblem(buf[:0], spec)
+	b = appendInt(b, "|b=", cfg.Budget)
+	b = appendInt(b, "|m=", cfg.Episodes)
+	b = appendInt(b, "|h=", cfg.Horizon)
+	return string(appendInt(b, "|seed=", spec.Seed))
 }
 
 func (s learnedStrategy) Policy(ctx context.Context, spec Spec, solvers Solvers) (baselines.Policy, error) {
@@ -243,9 +268,11 @@ func (ppoStrategy) config(spec Spec) ppo.Config {
 
 func (s ppoStrategy) Fingerprint(spec Spec) string {
 	cfg := s.config(spec)
-	return fmt.Sprintf("%s|dr=%d|smax=%d|f=%d|eps=%x|it=%d|h=%d|seed=%d",
-		spec.Params.Fingerprint(), spec.DeltaR, spec.SMax, spec.F, spec.EpsilonA,
-		cfg.Iterations, cfg.Horizon, spec.Seed)
+	var buf [fingerprintBuf]byte
+	b := appendProblem(buf[:0], spec)
+	b = appendInt(b, "|it=", cfg.Iterations)
+	b = appendInt(b, "|h=", cfg.Horizon)
+	return string(appendInt(b, "|seed=", spec.Seed))
 }
 
 func (s ppoStrategy) Policy(ctx context.Context, spec Spec, solvers Solvers) (baselines.Policy, error) {
