@@ -169,15 +169,13 @@ func RunSuite(ctx context.Context, ref SuiteRef, opts ...Option) (*FleetReport, 
 
 	cache := fleet.NewStrategyCache()
 	cfg := fleet.Config{
-		Workers:  o.workers,
-		Cache:    cache,
-		Shard:    shard,
-		Progress: o.progress,
+		Workers:   o.workers,
+		Cache:     cache,
+		Shard:     shard,
+		Progress:  o.progress,
+		Telemetry: o.telemetry.collector(),
 	}
-	if o.telemetry != nil {
-		cfg.Telemetry = o.telemetry.collector()
-		cache.Instrument(cfg.Telemetry)
-	}
+	cache.Instrument(cfg.Telemetry)
 	if len(o.records) > 0 {
 		cells := suite.Cells()
 		handlers := o.records

@@ -285,7 +285,7 @@ const (
 // other Instrument in this repo: the injected faults are identical with or
 // without it.
 func (p *Plan) Instrument(col *telemetry.Collector) {
-	if p == nil || col == nil {
+	if p == nil {
 		return
 	}
 	col.CounterFunc(MetricFrames, p.c.frames.Load)

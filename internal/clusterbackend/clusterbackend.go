@@ -143,8 +143,7 @@ type cluster struct {
 	tm clusterMetrics
 }
 
-// clusterMetrics caches telemetry handles; every field tolerates the
-// zero-collector case by staying nil.
+// clusterMetrics caches telemetry handles.
 type clusterMetrics struct {
 	shard     int
 	restarts  *telemetry.Counter
@@ -161,9 +160,6 @@ type clusterMetrics struct {
 }
 
 func newClusterMetrics(col *telemetry.Collector, shard int) clusterMetrics {
-	if col == nil {
-		return clusterMetrics{}
-	}
 	return clusterMetrics{
 		shard:     shard,
 		restarts:  col.Counter(MetricReplicaRestarts),
@@ -177,12 +173,6 @@ func newClusterMetrics(col *telemetry.Collector, shard int) clusterMetrics {
 		probeFail: col.Counter(MetricProbeFailures),
 		latency:   col.Histogram(MetricProbeLatencyUS, telemetry.DurationBuckets()),
 		maxView:   col.Gauge(MetricMaxView),
-	}
-}
-
-func (t *clusterMetrics) inc(c *telemetry.Counter) {
-	if c != nil {
-		c.Inc(t.shard)
 	}
 }
 
@@ -384,20 +374,20 @@ func (c *cluster) Recover(id int) {
 	}
 	ep, err := relisten(p.addr)
 	if err != nil {
-		c.tm.inc(c.tm.restFail)
+		c.tm.restFail.Inc(c.tm.shard)
 		p.dead = true
 		return
 	}
 	members, _ := c.realMembers()
 	if err := c.startReplica(p, ep, members, counter); err != nil {
-		c.tm.inc(c.tm.restFail)
+		c.tm.restFail.Inc(c.tm.shard)
 		_ = ep.Close()
 		p.dead = true
 		return
 	}
 	p.rep.RequestStateSync(1)
 	c.restarts++
-	c.tm.inc(c.tm.restarts)
+	c.tm.restarts.Inc(c.tm.shard)
 }
 
 // Measure submits one write through consensus and records the real
@@ -409,14 +399,12 @@ func (c *cluster) Measure() {
 		Type: replica.OpWrite, Key: "cluster-probe", Value: fmt.Sprintf("t%d", c.probes),
 	})
 	elapsed := time.Since(start)
-	if c.tm.latency != nil {
-		c.tm.latency.Observe(c.tm.shard, elapsed.Nanoseconds())
-	}
+	c.tm.latency.Observe(c.tm.shard, elapsed.Nanoseconds())
 	if err != nil {
-		c.tm.inc(c.tm.probeFail)
+		c.tm.probeFail.Inc(c.tm.shard)
 		return
 	}
-	c.tm.inc(c.tm.probeOK)
+	c.tm.probeOK.Inc(c.tm.shard)
 	c.probeOK++
 	c.latencySumMS += float64(elapsed.Microseconds()) / 1000.0
 }
@@ -449,13 +437,13 @@ func (c *cluster) Crash(id int) {
 	if p.ep != nil {
 		_ = p.ep.Close()
 	}
-	c.tm.inc(c.tm.crashes)
+	c.tm.crashes.Inc(c.tm.shard)
 }
 
 // Compromise flips node id's replica to the attacker's protocol-level
 // behaviour: silent or garbage.
 func (c *cluster) Compromise(id int, b attacker.Behaviour) {
-	c.tm.inc(c.tm.intrus)
+	c.tm.intrus.Inc(c.tm.shard)
 	p := c.procs[id]
 	if p.rep == nil {
 		return
@@ -482,13 +470,13 @@ func (c *cluster) Clean(id int) {
 func (c *cluster) Evict(id int) {
 	addr := c.procs[id].addr
 	c.procs[id] = nil
-	c.tm.inc(c.tm.evicts)
+	c.tm.evicts.Inc(c.tm.shard)
 	op, err := minbft.EncodeConfigOp("evict", addr)
 	if err == nil {
 		_, err = c.admin.Submit(op)
 	}
 	if err != nil {
-		c.tm.inc(c.tm.cfgFail)
+		c.tm.cfgFail.Inc(c.tm.shard)
 	}
 	c.refreshClients()
 }
@@ -497,19 +485,19 @@ func (c *cluster) Evict(id int) {
 // enlarged membership and joins through consensus. A process that fails
 // to start or join stays in the node set as a dead process.
 func (c *cluster) Add(id int) {
-	c.tm.inc(c.tm.adds)
+	c.tm.adds.Inc(c.tm.shard)
 	p := &proc{}
 	c.procs = append(c.procs, p) // ids are issued in order: this is procs[id]
 	ep, err := transport.ListenTCP("127.0.0.1:0")
 	if err != nil {
-		c.tm.inc(c.tm.cfgFail)
+		c.tm.cfgFail.Inc(c.tm.shard)
 		p.addr = fmt.Sprintf("dead-node-%d", id)
 		p.dead = true
 		return
 	}
 	members, _ := c.realMembers()
 	if err := c.startReplica(p, ep, append(members, ep.Addr()), 0); err != nil {
-		c.tm.inc(c.tm.cfgFail)
+		c.tm.cfgFail.Inc(c.tm.shard)
 		p.addr = ep.Addr()
 		_ = ep.Close()
 		p.dead = true
@@ -522,7 +510,7 @@ func (c *cluster) Add(id int) {
 	if err != nil {
 		// The process runs but never joined the group; it stays a node
 		// whose messages the members ignore.
-		c.tm.inc(c.tm.cfgFail)
+		c.tm.cfgFail.Inc(c.tm.shard)
 		return
 	}
 	p.rep.RequestStateSync(1)
@@ -544,9 +532,7 @@ func (c *cluster) finish() Result {
 		}
 		maxView = max(maxView, p.rep.View())
 	}
-	if c.tm.maxView != nil {
-		c.tm.maxView.Max(float64(maxView))
-	}
+	c.tm.maxView.Max(float64(maxView))
 	return Result{Metrics: m, Restarts: c.restarts, MaxView: maxView}
 }
 

@@ -14,8 +14,10 @@ import (
 
 // The built-in scenario backends. BackendEmulation is the default when a
 // suite names no backends: the in-process discrete-time emulation the whole
-// determinism contract is built on. BackendCluster executes the same
-// scenario schedule against a live MinBFT replica group over loopback TCP
+// determinism contract is built on, which the engine runs on its
+// worker-resident runner, never through the registry (Suite.Cells spells
+// it as the empty Backend). BackendCluster executes the same scenario
+// schedule against a live MinBFT replica group over loopback TCP
 // (internal/clusterbackend).
 const (
 	BackendEmulation = "emulation"
@@ -31,8 +33,7 @@ type BackendOptions struct {
 	// concurrent scenarios on one collector do not contend.
 	Shard int
 	// Chaos is the armed fault-injection plan (nil = off). Backends that
-	// open real network links wrap them with Chaos.WrapEndpoint; the
-	// emulation backend has nothing to wrap.
+	// open real network links wrap them with Chaos.WrapEndpoint.
 	Chaos *chaos.Plan
 }
 
@@ -43,8 +44,6 @@ type BackendOptions struct {
 type ScenarioBackend interface {
 	// Name is the registry key, valid in a suite's "backends" axis.
 	Name() string
-	// Describe is a one-line summary for CLI listings.
-	Describe() string
 	Run(ctx context.Context, sc emulation.Scenario, opts BackendOptions) (emulation.Metrics, error)
 }
 
@@ -70,41 +69,24 @@ func LookupBackend(name string) (ScenarioBackend, bool) {
 	return b, ok
 }
 
-// BackendNames lists the registered backend names in sorted order — the
-// valid values for Suite.Backends and suite-file "backends" entries.
+// BackendNames lists BackendEmulation and the registered backend names in
+// sorted order — the valid values for Suite.Backends and suite-file
+// "backends" entries.
 func BackendNames() []string {
 	backendMu.RLock()
 	defer backendMu.RUnlock()
-	names := make([]string, 0, len(backendRegistry))
+	names := []string{BackendEmulation}
 	for n := range backendRegistry {
-		names = append(names, n)
+		if n != BackendEmulation {
+			names = append(names, n)
+		}
 	}
 	sort.Strings(names)
 	return names
 }
 
 func init() {
-	RegisterBackend(emulationBackend{})
 	RegisterBackend(clusterBackend{})
-}
-
-// emulationBackend adapts emulation.Run to the registry interface. The
-// engine's hot path never goes through it — cells on the default backend
-// run on the worker-resident emulation.Runner — but it is registered so
-// "emulation" is a valid explicit axis value and so listings can describe
-// it.
-type emulationBackend struct{}
-
-func (emulationBackend) Name() string { return BackendEmulation }
-func (emulationBackend) Describe() string {
-	return "in-process discrete-time emulation (deterministic, byte-stable)"
-}
-
-func (emulationBackend) Run(ctx context.Context, sc emulation.Scenario, opts BackendOptions) (emulation.Metrics, error) {
-	if err := ctx.Err(); err != nil {
-		return emulation.Metrics{}, err
-	}
-	return emulation.NewRunner().RunInto(sc)
 }
 
 // clusterBackend adapts clusterbackend.Run: the scenario drives a live
@@ -113,9 +95,6 @@ func (emulationBackend) Run(ctx context.Context, sc emulation.Scenario, opts Bac
 type clusterBackend struct{}
 
 func (clusterBackend) Name() string { return BackendCluster }
-func (clusterBackend) Describe() string {
-	return "live MinBFT replica group over loopback TCP (seeded schedule, wall-clock measurements)"
-}
 
 func (clusterBackend) Run(ctx context.Context, sc emulation.Scenario, opts BackendOptions) (emulation.Metrics, error) {
 	res, err := clusterbackend.Run(ctx, sc, clusterbackend.Options{

@@ -16,8 +16,7 @@ import (
 // dispatch is observable in the folded aggregates.
 type fakeBackend struct{}
 
-func (fakeBackend) Name() string     { return "test-fake" }
-func (fakeBackend) Describe() string { return "test double" }
+func (fakeBackend) Name() string { return "test-fake" }
 
 func (fakeBackend) Run(ctx context.Context, sc emulation.Scenario, opts BackendOptions) (emulation.Metrics, error) {
 	if err := ctx.Err(); err != nil {
@@ -29,17 +28,24 @@ func (fakeBackend) Run(ctx context.Context, sc emulation.Scenario, opts BackendO
 	}, nil
 }
 
+// TestBackendRegistry: the registry holds the cluster backend; the
+// emulation is not in it (the engine never dispatches it), yet both are
+// valid backend names.
 func TestBackendRegistry(t *testing.T) {
-	for _, name := range []string{BackendEmulation, BackendCluster} {
-		b, ok := LookupBackend(name)
-		if !ok {
-			t.Fatalf("built-in backend %q not registered", name)
-		}
-		if b.Name() != name {
-			t.Errorf("backend %q reports name %q", name, b.Name())
-		}
-		if b.Describe() == "" {
-			t.Errorf("backend %q has no description", name)
+	b, ok := LookupBackend(BackendCluster)
+	if !ok {
+		t.Fatalf("built-in backend %q not registered", BackendCluster)
+	}
+	if b.Name() != BackendCluster {
+		t.Errorf("backend %q reports name %q", BackendCluster, b.Name())
+	}
+	if _, ok := LookupBackend(BackendEmulation); ok {
+		t.Errorf("backend %q is registered, but the engine never dispatches it", BackendEmulation)
+	}
+	names := strings.Join(BackendNames(), " ")
+	for _, name := range []string{BackendCluster, BackendEmulation} {
+		if !strings.Contains(" "+names+" ", " "+name+" ") {
+			t.Errorf("BackendNames() = %q lacks %q", names, name)
 		}
 	}
 	if _, ok := LookupBackend("no-such-backend"); ok {
@@ -87,13 +93,18 @@ func TestBackendAxisExpansion(t *testing.T) {
 }
 
 func TestSuiteValidateBackends(t *testing.T) {
-	ok := Suite{Name: "x", Backends: []string{BackendCluster}}
-	if err := ok.Validate(); err != nil {
-		t.Fatalf("cluster backend rejected: %v", err)
+	for _, backends := range [][]string{{BackendCluster}, {BackendEmulation}, {BackendEmulation, BackendCluster}} {
+		ok := Suite{Name: "x", Backends: backends}
+		if err := ok.Validate(); err != nil {
+			t.Fatalf("backends %q rejected: %v", backends, err)
+		}
 	}
 	bad := Suite{Name: "x", Backends: []string{"warp-drive"}}
-	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "warp-drive") {
+	err := bad.Validate()
+	if err == nil || !strings.Contains(err.Error(), "warp-drive") {
 		t.Errorf("unknown backend error = %v", err)
+	} else if !strings.Contains(err.Error(), BackendCluster) || !strings.Contains(err.Error(), BackendEmulation) {
+		t.Errorf("unknown backend error %q does not list %q and %q", err, BackendCluster, BackendEmulation)
 	}
 	dup := Suite{Name: "x", Backends: []string{BackendCluster, BackendCluster}}
 	if err := dup.Validate(); err == nil || !strings.Contains(err.Error(), "duplicate") {
@@ -150,8 +161,7 @@ type gateBackend struct {
 	open  chan struct{}
 }
 
-func (gateBackend) Name() string     { return "test-gate" }
-func (gateBackend) Describe() string { return "test double that holds one scenario" }
+func (gateBackend) Name() string { return "test-gate" }
 
 func (g gateBackend) Run(ctx context.Context, sc emulation.Scenario, opts BackendOptions) (emulation.Metrics, error) {
 	if sc.Seed == g.first {

@@ -166,13 +166,16 @@ type StrategyCache struct {
 	// shared.
 	arenaReuses atomic.Int64
 
-	// tel is the attached telemetry bundle (nil until Instrument). It is an
-	// atomic pointer so attaching never contends with the lock-free hot
-	// paths, and a cache shared across runs can be re-instrumented.
+	// tel is the attached telemetry bundle (nil until Instrument; read it
+	// through telemetry). It is an atomic pointer so attaching never
+	// contends with the lock-free hot paths, and a cache shared across runs
+	// can be re-instrumented.
 	tel atomic.Pointer[cacheTelemetry]
 }
 
 // cacheTelemetry holds the cache's registered telemetry handles.
+// detachedTelemetry, all nil handles, is the bundle of a cache never
+// instrumented.
 type cacheTelemetry struct {
 	// training is injected into Spec.Telemetry so learned-strategy builds
 	// report optimizer/PPO progress.
@@ -186,17 +189,24 @@ type cacheTelemetry struct {
 	fitNS, solveNS, buildNS *telemetry.Histogram
 }
 
+var detachedTelemetry cacheTelemetry
+
+// telemetry returns the attached handles, never nil.
+func (c *StrategyCache) telemetry() *cacheTelemetry {
+	if t := c.tel.Load(); t != nil {
+		return t
+	}
+	return &detachedTelemetry
+}
+
 // Instrument attaches the cache to a collector: the existing hit/solve
 // counters join snapshots as counter funcs (one source of truth — the
 // counters are not double-tracked), and single-flight waits plus per-build
 // solve/fit/train durations are recorded under cache.*. Telemetry is a pure
 // observer: cache contents, keys and results are identical with or without
 // it. Instrumenting an already instrumented cache rebinds it to the new
-// collector.
+// collector; a nil collector detaches it.
 func (c *StrategyCache) Instrument(col *telemetry.Collector) {
-	if col == nil {
-		return
-	}
 	col.CounterFunc("cache.recovery_solves", c.recoverySolves.Load)
 	col.CounterFunc("cache.recovery_hits", c.recoveryHits.Load)
 	col.CounterFunc("cache.replication_solves", c.replicationSolves.Load)
@@ -219,11 +229,8 @@ func (c *StrategyCache) Instrument(col *telemetry.Collector) {
 // noteWait counts a single-flight wait when the entry a hit landed on is
 // still being computed by another goroutine.
 func (c *StrategyCache) noteWait(inFlight bool) {
-	if !inFlight {
-		return
-	}
-	if t := c.tel.Load(); t != nil {
-		t.waits.Inc(0)
+	if inFlight {
+		c.telemetry().waits.Inc(0)
 	}
 }
 
@@ -261,9 +268,7 @@ func (c *StrategyCache) Fits(samples int, fitSeed int64) (*emulation.FitSet, err
 		c.fitSolves.Add(1)
 		start := time.Now()
 		fs, err := emulation.NewFitSet(samples, fitSeed)
-		if t := c.tel.Load(); t != nil {
-			t.fitNS.Observe(0, int64(time.Since(start)))
-		}
+		c.telemetry().fitNS.Observe(0, int64(time.Since(start)))
 		return fs, err
 	})
 }
@@ -288,9 +293,7 @@ func (c *StrategyCache) Recovery(p nodemodel.Params, cfg recovery.DPConfig) (*re
 			sol, err = recovery.SolveDPWith(p, n, arena)
 			c.arenas.Put(arena)
 		}
-		if t := c.tel.Load(); t != nil {
-			t.solveNS.Observe(0, int64(time.Since(start)))
-		}
+		c.telemetry().solveNS.Observe(0, int64(time.Since(start)))
 		return sol, err
 	})
 }
@@ -386,9 +389,7 @@ func (c *StrategyCache) solveLP(model *cmdp.Model) (*cmdp.Solution, error) {
 		c.replicationSolves.Add(1)
 		start := time.Now()
 		sol, err := cmdp.Solve(model)
-		if t := c.tel.Load(); t != nil {
-			t.solveNS.Observe(0, int64(time.Since(start)))
-		}
+		c.telemetry().solveNS.Observe(0, int64(time.Since(start)))
 		return sol, err
 	})
 }
@@ -409,19 +410,15 @@ func (c *StrategyCache) PolicyFor(ctx context.Context, cell Cell, suite Suite) (
 	key := policyKey{cell.Policy, strat.Fingerprint(spec)}
 	return c.policies.do(c, key, &c.policyHits, func() (baselines.Policy, error) {
 		c.policyBuilds.Add(1)
-		t := c.tel.Load()
-		if t != nil {
-			// Learned strategies report optimizer/PPO progress through the
-			// injected training sink. The sink is excluded from fingerprints
-			// (like Workers) and observes training strictly from outside the
-			// rng path, so the built policy is identical with or without it.
-			spec.Telemetry = t.training
-		}
+		t := c.telemetry()
+		// Learned strategies report optimizer/PPO progress through the
+		// injected training sink. The sink is excluded from fingerprints
+		// (like Workers) and observes training strictly from outside the
+		// rng path, so the built policy is identical with or without it.
+		spec.Telemetry = t.training
 		start := time.Now()
 		pol, err := strat.Policy(ctx, spec, c)
-		if t != nil {
-			t.buildNS.Observe(0, int64(time.Since(start)))
-		}
+		t.buildNS.Observe(0, int64(time.Since(start)))
 		return pol, err
 	})
 }

@@ -102,12 +102,11 @@ type coordinator struct {
 	degraded bool
 	started  time.Time
 
-	tm *coordMetrics
+	tm coordMetrics
 }
 
-// coordMetrics bundles the coordinator's telemetry handles (nil = off).
+// coordMetrics bundles the coordinator's telemetry handles.
 type coordMetrics struct {
-	col       *telemetry.Collector
 	granted   *telemetry.Counter
 	expired   *telemetry.Counter
 	received  *telemetry.Counter
@@ -120,12 +119,8 @@ type coordMetrics struct {
 	degraded  *telemetry.Gauge
 }
 
-func newCoordMetrics(col *telemetry.Collector) *coordMetrics {
-	if col == nil {
-		return nil
-	}
-	return &coordMetrics{
-		col:       col,
+func newCoordMetrics(col *telemetry.Collector) coordMetrics {
+	return coordMetrics{
 		granted:   col.Counter(MetricCoordLeasesGranted),
 		expired:   col.Counter(MetricCoordLeasesExpired),
 		received:  col.Counter(MetricCoordRecordsReceived),
@@ -165,11 +160,8 @@ func Coordinate(ctx context.Context, suite Suite, cfg CoordinatorConfig) (*Resul
 		return c.fold.result(), nil
 	}
 
-	if c.tm != nil {
-		c.cfg.Telemetry.Gauge(MetricScenariosTotal).Set(float64(c.total))
-		endRun := c.cfg.Telemetry.Phase("fleet.run")
-		defer endRun()
-	}
+	c.cfg.Telemetry.Gauge(MetricScenariosTotal).Set(float64(c.total))
+	defer c.cfg.Telemetry.Phase("fleet.run")()
 
 	c.started = time.Now()
 	ticker := time.NewTicker(c.hb)
@@ -336,9 +328,7 @@ func (c *coordinator) handle(msg transport.Message) error {
 		if l, ok := c.leases[hb.LeaseID]; ok {
 			l.last = now
 		}
-		if c.tm != nil {
-			c.tm.beats.Inc(0)
-		}
+		c.tm.beats.Inc(0)
 	case proto.KindGoodbye:
 		c.releaseWorker(msg.From)
 	default:
@@ -389,15 +379,11 @@ func (c *coordinator) ingest(rec *RunRecord) error {
 		return nil
 	}
 	if c.has(rec.Index) {
-		if c.tm != nil {
-			c.tm.dupes.Inc(0)
-		}
+		c.tm.dupes.Inc(0)
 		return nil
 	}
 	c.records[rec.Index] = *rec
-	if c.tm != nil {
-		c.tm.received.Inc(0)
-	}
+	c.tm.received.Inc(0)
 	if err := c.advance(); err != nil {
 		return err
 	}
@@ -450,9 +436,7 @@ func (c *coordinator) grant(worker string, now time.Time) (proto.Lease, bool) {
 		c.leases[lease.ID] = &coordLease{
 			id: lease.ID, worker: worker, start: lease.Start, end: lease.End, last: now,
 		}
-		if c.tm != nil {
-			c.tm.granted.Inc(0)
-		}
+		c.tm.granted.Inc(0)
 		c.updateGauges()
 		return lease, true
 	}
@@ -488,9 +472,7 @@ func (c *coordinator) expireLeases(now time.Time) {
 		}
 		delete(c.leases, id)
 		missing := c.requeue(l.start, l.end)
-		if c.tm != nil {
-			c.tm.expired.Inc(0)
-		}
+		c.tm.expired.Inc(0)
 		c.logf("coordinator: lease %d [%d,%d) on %s expired after %s silence; %d scenarios re-leased",
 			id, l.start, l.end, l.worker, c.timeout, missing)
 	}
@@ -509,9 +491,7 @@ func (c *coordinator) expireLeases(now time.Time) {
 	// instead of spinning through grant attempts against an empty room.
 	if !c.degraded && len(c.workers) == 0 && !c.done() && now.Sub(c.started) > c.timeout {
 		c.degraded = true
-		if c.tm != nil {
-			c.tm.degraded.Set(1)
-		}
+		c.tm.degraded.Set(1)
 		c.logf("coordinator: degraded — %d scenarios pending, no reachable workers; leases parked until the fleet returns",
 			c.total-c.fold.next-len(c.records))
 	}
@@ -523,9 +503,7 @@ func (c *coordinator) alive(addr string, now time.Time) {
 	c.workers[addr] = now
 	if c.degraded {
 		c.degraded = false
-		if c.tm != nil {
-			c.tm.degraded.Set(0)
-		}
+		c.tm.degraded.Set(0)
 		c.logf("coordinator: recovered — worker %s reachable, resuming lease service", addr)
 	}
 }
@@ -598,15 +576,10 @@ func (c *coordinator) send(to string, kind proto.Kind, payload any) {
 }
 
 func (c *coordinator) reject() {
-	if c.tm != nil {
-		c.tm.rejected.Inc(0)
-	}
+	c.tm.rejected.Inc(0)
 }
 
 func (c *coordinator) updateGauges() {
-	if c.tm == nil {
-		return
-	}
 	c.tm.workers.Set(float64(len(c.workers)))
 	c.tm.pending.Set(float64(c.total - c.fold.next - len(c.records)))
 	c.tm.leasesOut.Set(float64(len(c.leases)))

@@ -19,9 +19,7 @@ type Config struct {
 	// Workers bounds the worker pool. Zero (or negative) defaults to
 	// GOMAXPROCS; an explicit value is never capped or clamped, so runs may
 	// pin a single worker or oversubscribe a host regardless of its core
-	// count. (Earlier releases capped the default at 8 — that cap is gone,
-	// and it never applied to explicit values.) Output is byte-identical
-	// for every value.
+	// count. Output is byte-identical for every value.
 	Workers int
 	// Cache supplies a shared strategy cache; nil creates a fresh one.
 	// Sharing a cache across suite runs with overlapping grids avoids
@@ -167,22 +165,37 @@ func Run(ctx context.Context, suite Suite, cfg Config) (*Result, error) {
 		}
 	}
 	p := newPlan(suite)
+	cfg = cfg.withDefaults()
+	cfg.Telemetry.Gauge(MetricScenariosTotal).Set(float64(len(sched)))
+	cfg.Telemetry.Gauge(MetricWorkers).Set(float64(cfg.Workers))
+	// A run whose scheduled work is entirely replayed from records never
+	// fits at all.
+	if len(cfg.Completed) < len(sched) {
+		if err := p.fit(cfg); err != nil {
+			return nil, err
+		}
+	}
 	f := newFold(p.suite, p.cells, len(sched), cfg.OnRecord, cfg.Progress, cfg.Telemetry)
-	if err := p.execute(ctx, sched, cfg, f.add); err != nil {
+	endRun := cfg.Telemetry.Phase("fleet.run")
+	err := p.execute(ctx, sched, cfg, f.add)
+	endRun()
+	if err != nil {
 		return nil, err
 	}
 	return f.result(), nil
 }
 
 // plan is what an execution derives from the suite alone: the defaulted
-// suite, its cell expansion and its fingerprint (the strategy cache's
-// template key). Run builds one per call; a worker session builds one after
-// the handshake has verified the fingerprint and executes every lease
-// against it, so a lease costs its own scenarios and not the grid's.
+// suite, its cell expansion, its fingerprint (the strategy cache's
+// template key) and its offline fit. Run builds one per call; a worker
+// session builds one after the handshake has verified the fingerprint and
+// executes every lease against it, so a lease costs its own scenarios and
+// not the grid's, and the session fits once.
 type plan struct {
 	suite Suite
 	cells []Cell
 	fp    string
+	fits  *emulation.FitSet // nil until fit
 }
 
 func newPlan(suite Suite) *plan {
@@ -190,8 +203,23 @@ func newPlan(suite Suite) *plan {
 	return &plan{suite: suite, cells: suite.Cells(), fp: suite.Fingerprint()}
 }
 
+// fit resolves the suite-wide offline fit, once per plan, under the
+// fleet.fit phase: every scenario shares one fit seed derived from the
+// master seed, so the Ẑ estimation happens once per suite (the paper's
+// offline training phase). cfg must carry its defaults.
+func (p *plan) fit(cfg Config) error {
+	if p.fits != nil {
+		return nil
+	}
+	defer cfg.Telemetry.Phase("fleet.fit")()
+	var err error
+	p.fits, err = cfg.Cache.Fits(p.suite.FitSamples, emulation.FitStreamSeed(p.suite.Seed))
+	return err
+}
+
 // execute runs the scheduled scenario indices — ascending, in range, and a
-// superset of cfg.Completed's keys — and hands every outcome to emit in
+// superset of cfg.Completed's keys — on the plan's fit (p.fit must have
+// run unless every index is completed) and hands every outcome to emit in
 // schedule order; fresh reports that it was executed rather than taken from
 // cfg.Completed. Run derives the schedule from its shard and emits into its
 // fold; a worker passes a validated lease range and emits into the Records
@@ -206,36 +234,8 @@ func (p *plan) execute(ctx context.Context, sched []int, cfg Config, emit func(r
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// Suite-wide offline fit, resolved once per run instead of once per
-	// scenario: every scenario shares one fit seed derived from the master
-	// seed, so the Ẑ estimation happens once per suite (the paper's offline
-	// training phase). A run whose scheduled work is entirely replayed from
-	// records never fits at all.
 	tm := newFleetMetrics(cfg.Telemetry)
-	if tm != nil {
-		cfg.Telemetry.Gauge(MetricScenariosTotal).Set(float64(total))
-		cfg.Telemetry.Gauge(MetricWorkers).Set(float64(cfg.Workers))
-	}
-
-	fitSeed := emulation.FitStreamSeed(suite.Seed)
-	var fits *emulation.FitSet
-	if len(cfg.Completed) < total {
-		var endFit func()
-		if tm != nil {
-			endFit = cfg.Telemetry.Phase("fleet.fit")
-		}
-		var err error
-		if fits, err = cfg.Cache.Fits(suite.FitSamples, fitSeed); err != nil {
-			return err
-		}
-		if endFit != nil {
-			endFit()
-		}
-	}
-	if tm != nil {
-		endRun := cfg.Telemetry.Phase("fleet.run")
-		defer endRun()
-	}
+	fitSeed, fits := emulation.FitStreamSeed(suite.Seed), p.fits
 
 	// Per-run cell execution state: each scheduled cell resolves its policy
 	// and scenario template at most once per run (replayed cells not at
@@ -269,7 +269,8 @@ func (p *plan) execute(ctx context.Context, sched []int, cfg Config, emit func(r
 		go func(wid int) {
 			defer wg.Done()
 			runner := emulation.NewRunner()
-			if tm != nil {
+			// The hook is a closure allocation a nil handle cannot skip.
+			if cfg.Telemetry != nil {
 				runner.OnRun(func(steps int) { tm.steps.Observe(wid, int64(steps)) })
 			}
 			for ctx.Err() == nil {
@@ -287,9 +288,7 @@ func (p *plan) execute(ctx context.Context, sched []int, cfg Config, emit func(r
 					free <- br // for the next worker to find the batches gone
 					return
 				}
-				if tm != nil {
-					tm.batches.Inc(wid)
-				}
+				tm.batches.Inc(wid)
 				start := bi * foldSpan
 				end := min(start+foldSpan, total)
 				br.start = start
@@ -317,10 +316,12 @@ func (p *plan) execute(ctx context.Context, sched []int, cfg Config, emit func(r
 							// Timing wraps the run from outside: the scenario's
 							// rng streams are seeded purely from (suite seed,
 							// index) above, so the clock reads cannot perturb
-							// results.
+							// results. A clock read is the one cost a nil
+							// handle cannot skip, so an uninstrumented run
+							// makes none.
+							tm.started.Inc(wid)
 							var t0 time.Time
-							if tm != nil {
-								tm.started.Inc(wid)
+							if cfg.Telemetry != nil {
 								t0 = time.Now()
 							}
 							// Cells on a non-default backend dispatch through
@@ -334,7 +335,7 @@ func (p *plan) execute(ctx context.Context, sched []int, cfg Config, emit func(r
 								// Unreachable after Validate — defensive.
 								oc.err = fmt.Errorf("%w: unknown backend %q", ErrBadSuite, cell.Backend)
 							}
-							if tm != nil {
+							if cfg.Telemetry != nil {
 								d := int64(time.Since(t0))
 								tm.busyNS.Add(wid, d)
 								tm.durNS.Observe(wid, d)

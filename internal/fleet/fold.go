@@ -32,13 +32,13 @@ type fold struct {
 
 	onRecord func(RunRecord) error
 	progress func(done, total int)
-	// nil when telemetry is off; shard 0, as the fold is single-goroutine.
+	// Shard 0, as the fold is single-goroutine.
 	folded, replayed, merges *telemetry.Counter
 }
 
 func newFold(suite Suite, cells []Cell, total int, onRecord func(RunRecord) error,
 	progress func(done, total int), col *telemetry.Collector) *fold {
-	f := &fold{
+	return &fold{
 		suite:    suite,
 		cells:    cells,
 		total:    total,
@@ -46,13 +46,10 @@ func newFold(suite Suite, cells []Cell, total int, onRecord func(RunRecord) erro
 		partCell: -1,
 		onRecord: onRecord,
 		progress: progress,
+		folded:   col.Counter(MetricScenariosFolded),
+		replayed: col.Counter(MetricScenariosReplayed),
+		merges:   col.Counter(MetricFoldMerges),
 	}
-	if col != nil {
-		f.folded = col.Counter(MetricScenariosFolded)
-		f.replayed = col.Counter(MetricScenariosReplayed)
-		f.merges = col.Counter(MetricFoldMerges)
-	}
-	return f
 }
 
 // add folds rec at position next; fresh records (executed, not replayed
@@ -64,11 +61,9 @@ func (f *fold) add(rec *RunRecord, fresh bool) error {
 	}
 	f.part.Add(&rec.Metrics)
 	f.next++
-	if f.folded != nil {
-		f.folded.Inc(0)
-		if !fresh {
-			f.replayed.Inc(0)
-		}
+	f.folded.Inc(0)
+	if !fresh {
+		f.replayed.Inc(0)
 	}
 	if fresh && f.onRecord != nil {
 		if err := f.onRecord(*rec); err != nil {
@@ -88,9 +83,7 @@ func (f *fold) closePartial() {
 	}
 	f.accs[f.partCell].Merge(&f.part)
 	f.part, f.partCell = emulation.Accumulator{}, -1
-	if f.merges != nil {
-		f.merges.Inc(0)
-	}
+	f.merges.Inc(0)
 }
 
 // result closes the last partial and reports the per-cell aggregates.

@@ -277,16 +277,14 @@ type CheckpointWriter struct {
 	unflushed int                // records since the last flush
 	lastSync  time.Time          // end of the last fsync; zero before the first
 	syncCalls int                // fsyncs issued, Instrumented or not
-	syncs     *telemetry.Counter // nil until Instrument
+	syncs     *telemetry.Counter // set by Instrument
 }
 
 // Instrument counts the writer's fsyncs on the collector
 // (fleet.checkpoint_syncs). Pure observer: the file contents and sync
 // cadence are identical with or without it.
 func (c *CheckpointWriter) Instrument(col *telemetry.Collector) {
-	if col != nil {
-		c.syncs = col.Counter(MetricCheckpointSyncs)
-	}
+	c.syncs = col.Counter(MetricCheckpointSyncs)
 }
 
 // newCheckpointWriter assembles the (gzip)→buffer→file pipeline.
@@ -496,9 +494,7 @@ func (c *CheckpointWriter) sync() error {
 // fsync makes the flushed bytes durable and restarts the power-cut window.
 func (c *CheckpointWriter) fsync() error {
 	c.syncCalls++
-	if c.syncs != nil {
-		c.syncs.Inc(0)
-	}
+	c.syncs.Inc(0)
 	err := c.f.Sync()
 	c.lastSync = time.Now()
 	if err != nil {

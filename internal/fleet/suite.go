@@ -263,7 +263,7 @@ func (s Suite) Validate() error {
 	}
 	seenBackends := make(map[string]bool, len(s.Backends))
 	for _, b := range s.Backends {
-		if _, ok := LookupBackend(b); !ok {
+		if _, ok := LookupBackend(b); !ok && b != BackendEmulation {
 			return fmt.Errorf("%w: unknown backend %q (known: %v)",
 				ErrBadSuite, b, BackendNames())
 		}

@@ -96,9 +96,7 @@ const (
 // steps, the paper grid a thousand, stress configurations more).
 var stepBuckets = []int64{50, 100, 200, 500, 1000, 2000, 5000, 10000}
 
-// fleetMetrics bundles the engine's per-run metric handles. A nil
-// *fleetMetrics is the disabled state: every record site nil-checks it, so
-// an uninstrumented run touches no telemetry code beyond that check.
+// fleetMetrics bundles the engine's per-run metric handles.
 type fleetMetrics struct {
 	started *telemetry.Counter
 	batches *telemetry.Counter
@@ -107,13 +105,9 @@ type fleetMetrics struct {
 	steps   *telemetry.Histogram
 }
 
-// newFleetMetrics registers the engine metrics, returning nil for a nil
-// collector (telemetry disabled).
-func newFleetMetrics(col *telemetry.Collector) *fleetMetrics {
-	if col == nil {
-		return nil
-	}
-	return &fleetMetrics{
+// newFleetMetrics registers the engine metrics.
+func newFleetMetrics(col *telemetry.Collector) fleetMetrics {
+	return fleetMetrics{
 		started: col.Counter(MetricScenariosStarted),
 		batches: col.Counter(MetricBatchesClaimed),
 		busyNS:  col.Counter(MetricWorkerBusyNS),

@@ -45,7 +45,10 @@ type WorkerConfig struct {
 	// process; nil creates a fresh one.
 	Cache *StrategyCache
 	// Telemetry, when set, instruments the local engine runs (the usual
-	// fleet.* metrics) — side-channel only, like everywhere else.
+	// fleet.* metrics) — side-channel only, like everywhere else. The
+	// session is one run: fleet.scenarios_total is the suite's, fleet.workers
+	// the local pool, and it records one fleet.fit and one fleet.run, from
+	// its first lease to its drain.
 	Telemetry *telemetry.Collector
 	// Chaos is the armed fault-injection plan (nil = off), threaded into
 	// each lease's engine Config so non-emulation backends inject faults
@@ -85,8 +88,8 @@ type workerSession struct {
 	// batch of the session, since each Endpoint writes or copies a payload
 	// before Send returns.
 	records []byte
-	// folded counts fleet.scenarios_folded: records handed to a frame (nil
-	// when telemetry is off). A worker folds nothing — the coordinator does.
+	// folded counts fleet.scenarios_folded: records handed to a frame. A
+	// worker folds nothing — the coordinator does.
 	folded *telemetry.Counter
 
 	// sendBO paces send-failure retries inside call. It jitters from a
@@ -122,14 +125,16 @@ func ConnectWorker(ctx context.Context, cfg WorkerConfig) error {
 	if cfg.testBatchRecords <= 0 {
 		cfg.testBatchRecords = workerBatchRecords
 	}
-	s := &workerSession{cfg: cfg}
-	s.sendBO = newBackoff(50*time.Millisecond, time.Second, cfg.Endpoint.Addr()+"/send")
-	if cfg.Telemetry != nil {
-		s.folded = cfg.Telemetry.Counter(MetricScenariosFolded)
+	s := &workerSession{
+		cfg:    cfg,
+		folded: cfg.Telemetry.Counter(MetricScenariosFolded),
+		sendBO: newBackoff(50*time.Millisecond, time.Second, cfg.Endpoint.Addr()+"/send"),
 	}
 	if err := s.handshake(ctx); err != nil {
 		return err
 	}
+	cfg.Telemetry.Gauge(MetricScenariosTotal).Set(float64(s.total))
+	cfg.Telemetry.Gauge(MetricWorkers).Set(float64(s.engine().Workers))
 	leases := 0
 	for {
 		if err := ctx.Err(); err != nil {
@@ -149,6 +154,10 @@ func ConnectWorker(ctx context.Context, cfg WorkerConfig) error {
 				return ErrDrained
 			}
 			return nil
+		}
+		if leases == 0 {
+			// Deferred once: the session's one fleet.run ends at its return.
+			defer cfg.Telemetry.Phase("fleet.run")()
 		}
 		if err := s.runLease(ctx, lease); err != nil {
 			if errors.Is(err, context.Canceled) {
@@ -327,6 +336,12 @@ func (s *workerSession) runLease(ctx context.Context, lease proto.Lease) error {
 		}
 	}()
 
+	// The first lease fits, under its heartbeats; later ones reuse the fit.
+	engine := s.engine()
+	if err := s.plan.fit(engine); err != nil {
+		return err
+	}
+
 	// Each record's canonical bytes go straight into the open Records
 	// frame, which ships — and is resent until acked — once it holds a
 	// batch.
@@ -341,12 +356,7 @@ func (s *workerSession) runLease(ctx context.Context, lease proto.Lease) error {
 		seq++
 		return err
 	}
-	err := s.plan.execute(ctx, indices, Config{
-		Workers:   s.cfg.Workers,
-		Cache:     s.cfg.Cache,
-		Telemetry: s.cfg.Telemetry,
-		Chaos:     s.cfg.Chaos,
-	}, func(rec *RunRecord, _ bool) error {
+	err := s.plan.execute(ctx, indices, engine, func(rec *RunRecord, _ bool) error {
 		if batched == 0 {
 			s.records = appendRecordsFrameHead(s.records[:0], lease.ID, seq)
 		} else {
@@ -359,9 +369,7 @@ func (s *workerSession) runLease(ctx context.Context, lease proto.Lease) error {
 		batched++
 		done.Add(1)
 		s.sent++
-		if s.folded != nil {
-			s.folded.Inc(0)
-		}
+		s.folded.Inc(0)
 		if s.cfg.testFailAfterRecords > 0 && s.sent >= s.cfg.testFailAfterRecords {
 			if ferr := flush(); ferr != nil {
 				return ferr
@@ -383,6 +391,11 @@ func (s *workerSession) runLease(ctx context.Context, lease proto.Lease) error {
 		return err
 	}
 	return flush()
+}
+
+// engine is every lease's engine configuration.
+func (s *workerSession) engine() Config {
+	return Config{Workers: s.cfg.Workers, Cache: s.cfg.Cache, Telemetry: s.cfg.Telemetry, Chaos: s.cfg.Chaos}.withDefaults()
 }
 
 // shipRecords sends the Records frame of batch seq under lease leaseID and

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"tolerance/internal/fleet/proto"
+	"tolerance/internal/telemetry"
 	"tolerance/internal/transport"
 )
 
@@ -231,5 +232,54 @@ func TestLeaseAllocatesForItsOwnScenarios(t *testing.T) {
 		t.Errorf("an 8-scenario lease allocated %d bytes on a warm session, want at most %d", n, bound)
 	} else {
 		t.Logf("an 8-scenario lease allocated %d bytes on a warm session", n)
+	}
+}
+
+// TestWorkerSessionIsOneRun: a worker session over several leases is one
+// run on its collector. It fits once and records one fleet.run phase, its
+// gauges describe the session rather than its last lease, and the
+// records it folded equal the suite's scenarios.
+func TestWorkerSessionIsOneRun(t *testing.T) {
+	suite := testSuite()
+	total := suite.NumScenarios()
+	coordEP := listenLoopback(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	col, coordCol := telemetry.New(), telemetry.New()
+	werr := make(chan error, 1)
+	go func() {
+		werr <- ConnectWorker(ctx, WorkerConfig{
+			Endpoint: listenLoopback(t), Coordinator: coordEP.Addr(), Workers: 2, Telemetry: col,
+		})
+	}()
+	if _, err := Coordinate(ctx, suite, CoordinatorConfig{
+		Endpoint: coordEP, LeaseScenarios: 4, Heartbeat: coordTestHeartbeat, Telemetry: coordCol,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-werr; err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+
+	if n := coordCol.Snapshot().Counter(MetricCoordLeasesGranted); n < 3 {
+		t.Fatalf("the session ran %d leases, want at least 3", n)
+	}
+	snap := col.Snapshot()
+	phases := map[string]int{}
+	for _, p := range snap.Phases {
+		phases[p.Name]++
+	}
+	if phases["fleet.run"] != 1 || phases["fleet.fit"] != 1 {
+		t.Errorf("worker phases %v, want one fleet.fit and one fleet.run", snap.Phases)
+	}
+	if got := snap.Counter(MetricScenariosFolded); got != int64(total) {
+		t.Errorf("worker folded %d records, want %d", got, total)
+	}
+	if got := snap.Gauges[MetricScenariosTotal]; got != float64(total) {
+		t.Errorf("worker %s = %v, want the suite's %d", MetricScenariosTotal, got, total)
+	}
+	if got := snap.Gauges[MetricWorkers]; got != 2 {
+		t.Errorf("worker %s = %v, want its pool of 2", MetricWorkers, got)
 	}
 }

@@ -71,23 +71,6 @@ type Optimizer interface {
 	Minimize(rng *rand.Rand, dim int, obj Objective, budget, workers int) (*Result, error)
 }
 
-// Instrument wraps an objective so every evaluation reports its value to
-// onEval. The wrapper is a pure observer and preserves the determinism
-// contract: it changes no draw, no fold order and no result — it only sees
-// values after they are computed. Under workers > 1 evaluations run
-// concurrently, so onEval must be safe for concurrent use (the telemetry
-// training sinks are). A nil onEval returns obj unchanged.
-func Instrument(obj Objective, onEval func(v float64)) Objective {
-	if onEval == nil {
-		return obj
-	}
-	return func(theta []float64) float64 {
-		v := obj(theta)
-		onEval(v)
-		return v
-	}
-}
-
 // tracker accumulates evaluations and the best-so-far trace.
 type tracker struct {
 	obj       Objective

@@ -114,10 +114,7 @@ func Algorithm1(ctx context.Context, p nodemodel.Params, cfg Algorithm1Config) (
 		m := evaluate(&tapeCursor{tape: tape}, p, &kernel, s, simCfg)
 		return m.AvgCost
 	}
-
-	if cfg.Telemetry != nil {
-		objective = opt.Instrument(objective, cfg.Telemetry.ObserveEval)
-	}
+	objective = cfg.Telemetry.Objective(objective)
 
 	workers := cfg.Workers
 	if workers <= 0 {

@@ -84,9 +84,7 @@ func NewManifest() *Manifest {
 func (m *Manifest) Finish(c *Collector) {
 	m.End = time.Now()
 	m.WallSeconds = m.End.Sub(m.Start).Seconds()
-	if c != nil {
-		m.Telemetry = c.Snapshot()
-	}
+	m.Telemetry = c.Snapshot()
 }
 
 // Encode writes the manifest as indented JSON.

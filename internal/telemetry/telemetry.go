@@ -14,6 +14,14 @@
 // three — so the fleet hot path stays at zero allocations per scenario with
 // instrumentation active (TestTelemetryHotPathZeroAllocs).
 //
+// Telemetry off is a nil *Collector, and this package is the only place
+// that asks whether one is attached. A nil Collector hands out nil
+// handles; every method of a nil Collector, Counter, Gauge, Histogram or
+// Training does nothing and allocates nothing, a nil Collector's Phase
+// returns a no-op end func without reading the clock, and its Snapshot is
+// the zero Snapshot. Callers record unconditionally
+// (TestNilTelemetryIsNoop).
+//
 // Sharding, not locking, is what makes recording cheap: every metric holds
 // NumShards independent cells and each fleet worker records into the cell
 // indexed by its worker id, so cells are single-writer in steady state and
@@ -58,6 +66,9 @@ type Counter struct {
 // Add folds n into the shard's cell. Shard is typically the recording
 // worker's index; any int is valid (it is masked into the shard space).
 func (c *Counter) Add(shard int, n int64) {
+	if c == nil {
+		return
+	}
 	c.cells[shard&shardMask].v.n.Add(n)
 }
 
@@ -66,15 +77,15 @@ func (c *Counter) Inc(shard int) { c.Add(shard, 1) }
 
 // Total sums the cells. It is safe to call while workers record.
 func (c *Counter) Total() int64 {
+	if c == nil {
+		return 0
+	}
 	var t int64
 	for i := range c.cells {
 		t += c.cells[i].v.n.Load()
 	}
 	return t
 }
-
-// Name returns the counter's registered name.
-func (c *Counter) Name() string { return c.name }
 
 // Gauge is a last-value (or running-minimum or -maximum) float64 metric:
 // optimizer best-objective-so-far, last PPO evaluation cost, worker-pool
@@ -85,32 +96,30 @@ type Gauge struct {
 }
 
 // Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+func (g *Gauge) Set(v float64) {
+	if g != nil {
+		g.bits.Store(math.Float64bits(v))
+	}
+}
 
 // Min folds v as a running minimum (for best-so-far objectives). The
 // zero-value gauge starts at +Inf semantics: a gauge that was never Set or
 // Min'ed reports NaN-free snapshots because Snapshot drops non-finite
 // values.
 func (g *Gauge) Min(v float64) {
+	if g == nil {
+		return
+	}
 	if v == 0 {
 		// +0.0 has the zero bit pattern, which encodes "unset"; store -0.0
 		// (equal under <=) so the observation is distinguishable from it.
 		v = math.Copysign(0, -1)
 	}
 	for {
+		// The zero bits encode "unset": the first observation claims them.
 		old := g.bits.Load()
-		cur := math.Float64frombits(old)
-		if old != 0 && cur <= v {
+		if old != 0 && math.Float64frombits(old) <= v {
 			return
-		}
-		if old == 0 {
-			// First observation: the zero value encodes "unset" (0 bits is
-			// +0.0, which no Min caller can distinguish — Set(0) callers use
-			// Set). Claim it with v directly.
-			if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
-				return
-			}
-			continue
 		}
 		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
 			return
@@ -122,6 +131,9 @@ func (g *Gauge) Min(v float64) {
 // Min: a gauge that was never Set or folded takes the first v, and a
 // compare-and-swap loop keeps concurrent folds from losing the larger one.
 func (g *Gauge) Max(v float64) {
+	if g == nil {
+		return
+	}
 	if v == 0 {
 		v = math.Copysign(0, -1) // as in Min: +0.0's bits encode "unset"
 	}
@@ -137,10 +149,12 @@ func (g *Gauge) Max(v float64) {
 }
 
 // Value loads the gauge.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Name returns the gauge's registered name.
-func (g *Gauge) Name() string { return g.name }
+func (g *Gauge) Value() float64 {
+	if g == nil {
+		return 0
+	}
+	return math.Float64frombits(g.bits.Load())
+}
 
 // Histogram is a fixed-bucket, per-worker sharded distribution of int64
 // observations (durations in nanoseconds, step counts). Bucket bounds are
@@ -162,6 +176,9 @@ type pad8 struct {
 
 // Observe folds one value into the shard's cells.
 func (h *Histogram) Observe(shard int, v int64) {
+	if h == nil {
+		return
+	}
 	row := (shard & shardMask) * h.stride
 	h.cells[row].n.Add(1)
 	h.cells[row+1].n.Add(v)
@@ -173,9 +190,6 @@ func (h *Histogram) Observe(shard int, v int64) {
 	}
 	h.cells[row+2+len(h.bounds)].n.Add(1)
 }
-
-// Name returns the histogram's registered name.
-func (h *Histogram) Name() string { return h.name }
 
 // snapshot folds the shards.
 func (h *Histogram) snapshot() HistogramSnapshot {
@@ -264,7 +278,6 @@ func (s Snapshot) Counter(name string) int64 { return s.Counters[name] }
 type Collector struct {
 	mu     sync.Mutex
 	start  time.Time
-	order  []string // registration order, for tests and debugging
 	ctrs   map[string]*Counter
 	gauges map[string]*Gauge
 	hists  map[string]*Histogram
@@ -285,6 +298,9 @@ func New() *Collector {
 
 // Counter registers (or retrieves) a sharded counter.
 func (c *Collector) Counter(name string) *Counter {
+	if c == nil {
+		return nil
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if m, ok := c.ctrs[name]; ok {
@@ -292,12 +308,14 @@ func (c *Collector) Counter(name string) *Counter {
 	}
 	m := &Counter{name: name}
 	c.ctrs[name] = m
-	c.order = append(c.order, name)
 	return m
 }
 
 // Gauge registers (or retrieves) a gauge.
 func (c *Collector) Gauge(name string) *Gauge {
+	if c == nil {
+		return nil
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if m, ok := c.gauges[name]; ok {
@@ -305,13 +323,15 @@ func (c *Collector) Gauge(name string) *Gauge {
 	}
 	m := &Gauge{name: name}
 	c.gauges[name] = m
-	c.order = append(c.order, name)
 	return m
 }
 
 // Histogram registers (or retrieves) a fixed-bucket histogram. The first
 // registration's bounds win; bounds must be ascending.
 func (c *Collector) Histogram(name string, bounds []int64) *Histogram {
+	if c == nil {
+		return nil
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if m, ok := c.hists[name]; ok {
@@ -325,7 +345,6 @@ func (c *Collector) Histogram(name string, bounds []int64) *Histogram {
 		cells:  make([]pad8, NumShards*(len(b)+3)),
 	}
 	c.hists[name] = m
-	c.order = append(c.order, name)
 	return m
 }
 
@@ -334,11 +353,11 @@ func (c *Collector) Histogram(name string, bounds []int64) *Histogram {
 // snapshot without being counted twice. Re-registering a name replaces the
 // source (a fresh cache attached to a shared collector supersedes the old).
 func (c *Collector) CounterFunc(name string, fn func() int64) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.funcs[name]; !ok {
-		c.order = append(c.order, name)
-	}
 	c.funcs[name] = fn
 }
 
@@ -346,6 +365,9 @@ func (c *Collector) CounterFunc(name string, fn func() int64) {
 // it; the completed phase joins the snapshot's Phases list. Phases are for
 // coarse run structure (expand, fit, execute), not hot paths.
 func (c *Collector) Phase(name string) func() {
+	if c == nil {
+		return endNothing
+	}
 	start := time.Now()
 	return func() {
 		sec := time.Since(start).Seconds()
@@ -355,10 +377,16 @@ func (c *Collector) Phase(name string) func() {
 	}
 }
 
+// endNothing is the Phase end func of a nil Collector.
+func endNothing() {}
+
 // Snapshot folds every registered metric. It is safe to call concurrently
 // with recording; counts are per-cell atomic, so a snapshot is a consistent
 // recent view, not a stop-the-world cut.
 func (c *Collector) Snapshot() Snapshot {
+	if c == nil {
+		return Snapshot{}
+	}
 	c.mu.Lock()
 	ctrs := make([]*Counter, 0, len(c.ctrs))
 	for _, m := range c.ctrs {
@@ -423,8 +451,12 @@ type Training struct {
 	LastCost *Gauge
 }
 
-// NewTraining registers the training metrics on the collector.
+// NewTraining registers the training metrics on the collector; a nil
+// collector gives the nil sink.
 func NewTraining(c *Collector) *Training {
+	if c == nil {
+		return nil
+	}
 	return &Training{
 		Evals:      c.Counter("training.evals"),
 		Iterations: c.Counter("training.iterations"),
@@ -433,9 +465,7 @@ func NewTraining(c *Collector) *Training {
 	}
 }
 
-// ObserveEval records one objective evaluation — the hook Algorithm 1
-// threads through opt.Instrument. Nil-safe so callers can pass the method
-// value unconditionally.
+// ObserveEval records one objective evaluation.
 func (t *Training) ObserveEval(v float64) {
 	if t == nil {
 		return
@@ -445,7 +475,7 @@ func (t *Training) ObserveEval(v float64) {
 }
 
 // ObserveIteration records one PPO rollout/update cycle and its evaluation
-// cost. Nil-safe.
+// cost.
 func (t *Training) ObserveIteration(cost float64) {
 	if t == nil {
 		return
@@ -453,4 +483,20 @@ func (t *Training) ObserveIteration(cost float64) {
 	t.Iterations.Inc(0)
 	t.LastCost.Set(cost)
 	t.Best.Min(cost)
+}
+
+// Objective wraps an optimizer objective so every evaluation's value is
+// recorded through ObserveEval — the hook Algorithm 1 threads its Monte-Carlo
+// objective through. The wrapper only sees values after they are computed,
+// so it changes no draw, fold order or result; evaluations may run
+// concurrently, which ObserveEval allows. A nil sink returns obj itself.
+func (t *Training) Objective(obj func(theta []float64) float64) func(theta []float64) float64 {
+	if t == nil {
+		return obj
+	}
+	return func(theta []float64) float64 {
+		v := obj(theta)
+		t.ObserveEval(v)
+		return v
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -302,6 +303,72 @@ func TestTrainingNilSafe(t *testing.T) {
 	var tr *Training
 	tr.ObserveEval(1)      // must not panic
 	tr.ObserveIteration(1) // must not panic
+}
+
+// TestNilTelemetryIsNoop holds the package's nil contract: telemetry off is
+// a nil *Collector, whose handles are nil, and every method of a nil
+// Collector, Counter, Gauge, Histogram or Training does nothing without
+// allocating.
+func TestNilTelemetryIsNoop(t *testing.T) {
+	var c *Collector
+	ctr, g, h, tr := c.Counter("x"), c.Gauge("x"), c.Histogram("x", DurationBuckets()), NewTraining(c)
+	if ctr != nil || g != nil || h != nil || tr != nil {
+		t.Fatalf("a nil collector handed out %v, %v, %v, %v; want nil handles", ctr, g, h, tr)
+	}
+	obj := func(theta []float64) float64 { return theta[0] }
+	checks := []struct {
+		name string
+		fn   func()
+	}{
+		{"Collector.Counter", func() { c.Counter("x") }},
+		{"Collector.Gauge", func() { c.Gauge("x") }},
+		{"Collector.Histogram", func() { c.Histogram("x", nil) }},
+		{"Collector.CounterFunc", func() { c.CounterFunc("x", nil) }},
+		{"Collector.Phase", func() { c.Phase("x")() }},
+		{"Collector.Snapshot", func() { c.Snapshot() }},
+		{"NewTraining", func() { NewTraining(c) }},
+		{"Counter.Inc", func() { ctr.Inc(3) }},
+		{"Counter.Add", func() { ctr.Add(3, 5) }},
+		{"Counter.Total", func() { ctr.Total() }},
+		{"Gauge.Set", func() { g.Set(1.5) }},
+		{"Gauge.Min", func() { g.Min(1.25) }},
+		{"Gauge.Max", func() { g.Max(1.25) }},
+		{"Gauge.Value", func() { g.Value() }},
+		{"Histogram.Observe", func() { h.Observe(3, 123456) }},
+		{"Training.ObserveEval", func() { tr.ObserveEval(2.5) }},
+		{"Training.ObserveIteration", func() { tr.ObserveIteration(2.5) }},
+		{"Training.Objective", func() { tr.Objective(obj) }},
+	}
+	for _, check := range checks {
+		if allocs := testing.AllocsPerRun(100, check.fn); allocs != 0 {
+			t.Errorf("nil %s allocates %.1f per op, want 0", check.name, allocs)
+		}
+	}
+	if ctr.Total() != 0 || g.Value() != 0 {
+		t.Error("a nil handle reports a value")
+	}
+	if s := c.Snapshot(); !reflect.DeepEqual(s, Snapshot{}) {
+		t.Errorf("nil collector snapshot = %+v, want the zero Snapshot", s)
+	}
+	if got := tr.Objective(obj); reflect.ValueOf(got).Pointer() != reflect.ValueOf(obj).Pointer() {
+		t.Error("a nil Training wrapped the objective")
+	}
+}
+
+// TestTrainingObjectiveObserves: the wrapped objective returns the inner
+// value and records each evaluation.
+func TestTrainingObjectiveObserves(t *testing.T) {
+	c := New()
+	f := NewTraining(c).Objective(func(theta []float64) float64 { return theta[0] })
+	for _, v := range []float64{3, 1, 2} {
+		if got := f([]float64{v}); got != v {
+			t.Fatalf("objective returned %v, want %v", got, v)
+		}
+	}
+	s := c.Snapshot()
+	if s.Counter("training.evals") != 3 || s.Gauges["training.best_objective"] != 1 {
+		t.Errorf("evals %d, best %v; want 3 and 1", s.Counter("training.evals"), s.Gauges["training.best_objective"])
+	}
 }
 
 func TestDurationBucketsAscending(t *testing.T) {

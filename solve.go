@@ -13,16 +13,6 @@ import (
 	"tolerance/internal/telemetry"
 )
 
-// trainingSink registers a training-progress sink on the attached
-// collector, or nil when no telemetry is attached (the training loops
-// accept nil and skip recording).
-func trainingSink(t *Telemetry) *telemetry.Training {
-	if t == nil {
-		return nil
-	}
-	return telemetry.NewTraining(t.collector())
-}
-
 // Problem is one of the paper's two control problems; RecoveryProblem and
 // ReplicationProblem are the implementations.
 type Problem interface {
@@ -198,7 +188,7 @@ func solveRecovery(ctx context.Context, pr RecoveryProblem, o options) (*Solutio
 			Iterations: o.budget, // zero keeps the ppo default
 			Seed:       seed,
 			Workers:    o.workers, // zero defaults to GOMAXPROCS
-			Telemetry:  trainingSink(o.telemetry),
+			Telemetry:  telemetry.NewTraining(o.telemetry.collector()),
 		})
 		if err != nil {
 			return nil, err
@@ -229,7 +219,7 @@ func solveRecovery(ctx context.Context, pr RecoveryProblem, o options) (*Solutio
 			Horizon:   200,
 			Seed:      seed,
 			Workers:   o.workers, // zero defaults to GOMAXPROCS
-			Telemetry: trainingSink(o.telemetry),
+			Telemetry: telemetry.NewTraining(o.telemetry.collector()),
 		})
 		if err != nil {
 			return nil, err
