@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"strconv"
 	"sync"
@@ -402,8 +401,7 @@ func (c *StrategyCache) solveLP(model *cmdp.Model) (*cmdp.Solution, error) {
 func (c *StrategyCache) PolicyFor(ctx context.Context, cell Cell, suite Suite) (baselines.Policy, error) {
 	strat, ok := strategies.Lookup(string(cell.Policy))
 	if !ok {
-		return nil, fmt.Errorf("%w: unknown policy %q (known: %v)",
-			ErrBadSuite, cell.Policy, strategies.Names())
+		return nil, errUnknownPolicy(cell.Policy)
 	}
 	spec := cell.spec(suite)
 	spec.Seed = trainingSeed(suite.Seed, cell.Policy, strat.Fingerprint(spec))

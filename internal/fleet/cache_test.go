@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"tolerance/internal/cmdp"
 	"tolerance/internal/nodemodel"
 	"tolerance/internal/recovery"
+	"tolerance/internal/strategies"
 )
 
 // qRequest is one request for q through ReplicationFor.
@@ -191,6 +193,23 @@ func TestPolicyForWarmAllocations(t *testing.T) {
 		})
 		if allocs > want[cell.Policy] {
 			t.Errorf("%s: warm PolicyFor makes %v allocations, want %v", cell.Policy, allocs, want[cell.Policy])
+		}
+	}
+}
+
+// TestUnknownPolicyIsUnknownStrategy: a policy name the strategy registry
+// lacks is both a bad suite and an unknown strategy, whether a suite's
+// validation or a strategy cache's resolution finds it.
+func TestUnknownPolicyIsUnknownStrategy(t *testing.T) {
+	s := testSuite()
+	s.Policies = append(s.Policies, "no-such-strategy")
+	verr := s.Validate()
+	cell := testSuite().Cells()[0]
+	cell.Policy = "no-such-strategy"
+	_, perr := NewStrategyCache().PolicyFor(context.Background(), cell, testSuite())
+	for what, err := range map[string]error{"Validate": verr, "PolicyFor": perr} {
+		if !errors.Is(err, ErrBadSuite) || !errors.Is(err, strategies.ErrUnknownStrategy) {
+			t.Errorf("%s: %v, want an error matching ErrBadSuite and strategies.ErrUnknownStrategy", what, err)
 		}
 	}
 }

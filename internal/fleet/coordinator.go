@@ -102,6 +102,11 @@ type coordinator struct {
 	degraded bool
 	started  time.Time
 
+	// endServe ends the fleet.serve phase, which opens at the first lease
+	// grant: a coordinator's fleet.run also covers the wait for its first
+	// worker, so its scenarios/s is timed from here. Nil before the grant.
+	endServe func()
+
 	tm coordMetrics
 }
 
@@ -162,6 +167,11 @@ func Coordinate(ctx context.Context, suite Suite, cfg CoordinatorConfig) (*Resul
 
 	c.cfg.Telemetry.Gauge(MetricScenariosTotal).Set(float64(c.total))
 	defer c.cfg.Telemetry.Phase("fleet.run")()
+	defer func() {
+		if c.endServe != nil {
+			c.endServe()
+		}
+	}()
 
 	c.started = time.Now()
 	ticker := time.NewTicker(c.hb)
@@ -435,6 +445,9 @@ func (c *coordinator) grant(worker string, now time.Time) (proto.Lease, bool) {
 		}
 		c.leases[lease.ID] = &coordLease{
 			id: lease.ID, worker: worker, start: lease.Start, end: lease.End, last: now,
+		}
+		if c.endServe == nil {
+			c.endServe = c.cfg.Telemetry.Phase("fleet.serve")
 		}
 		c.tm.granted.Inc(0)
 		c.updateGauges()

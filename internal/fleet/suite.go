@@ -73,15 +73,10 @@ func (k PolicyKind) Valid() bool {
 	return ok
 }
 
-// PolicyKinds lists every registered strategy name in sorted order — the
-// valid values for Suite.Policies and suite-file "policies" entries.
-func PolicyKinds() []PolicyKind {
-	names := strategies.Names()
-	kinds := make([]PolicyKind, len(names))
-	for i, n := range names {
-		kinds[i] = PolicyKind(n)
-	}
-	return kinds
+// errUnknownPolicy is the error for a kind the strategy registry lacks: a
+// bad suite and an unknown strategy, so errors.Is matches either.
+func errUnknownPolicy(k PolicyKind) error {
+	return fmt.Errorf("%w: %w %q (known: %v)", ErrBadSuite, strategies.ErrUnknownStrategy, k, strategies.Names())
 }
 
 // LearnedConfig tunes the training budget of the learned:* policy kinds in
@@ -257,8 +252,7 @@ func (s Suite) Validate() error {
 	}
 	for _, p := range s.Policies {
 		if !p.Valid() {
-			return fmt.Errorf("%w: unknown policy %q (known: %v)",
-				ErrBadSuite, p, strategies.Names())
+			return errUnknownPolicy(p)
 		}
 	}
 	seenBackends := make(map[string]bool, len(s.Backends))

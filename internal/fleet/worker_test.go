@@ -283,3 +283,41 @@ func TestWorkerSessionIsOneRun(t *testing.T) {
 		t.Errorf("worker %s = %v, want its pool of 2", MetricWorkers, got)
 	}
 }
+
+// TestCoordinatorRateFromFirstGrant: a coordinator times its throughput
+// from its first lease grant. Its fleet.run opens before any worker joins,
+// so with a worker that arrives late, fleet.serve — first grant to last
+// fold — must be shorter than fleet.run by about the late arrival.
+func TestCoordinatorRateFromFirstGrant(t *testing.T) {
+	const late = 300 * time.Millisecond
+	suite := testSuite()
+	coordEP := listenLoopback(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	coordCol := telemetry.New()
+	werr := make(chan error, 1)
+	go func() {
+		time.Sleep(late)
+		werr <- ConnectWorker(ctx, WorkerConfig{
+			Endpoint: listenLoopback(t), Coordinator: coordEP.Addr(), Workers: 2,
+		})
+	}()
+	if _, err := Coordinate(ctx, suite, CoordinatorConfig{
+		Endpoint: coordEP, LeaseScenarios: 4, Heartbeat: coordTestHeartbeat, Telemetry: coordCol,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-werr; err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+
+	phases := map[string]float64{}
+	for _, p := range coordCol.Snapshot().Phases {
+		phases[p.Name] = p.Seconds
+	}
+	run, serve := phases["fleet.run"], phases["fleet.serve"]
+	if serve <= 0 || run-serve < 0.8*late.Seconds() {
+		t.Errorf("coordinator phases %v: want a fleet.serve at least %v shorter than fleet.run", phases, 0.8*late.Seconds())
+	}
+}

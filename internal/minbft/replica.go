@@ -14,11 +14,8 @@ import (
 	"tolerance/internal/usig"
 )
 
-// Errors returned by the replica.
-var (
-	ErrBadConfig = errors.New("minbft: bad config")
-	ErrStopped   = errors.New("minbft: replica stopped")
-)
+// ErrBadConfig is returned for an invalid replica configuration.
+var ErrBadConfig = errors.New("minbft: bad config")
 
 // ByzantineMode selects the adversarial behaviour of a compromised replica
 // (§VIII-A: after compromising a replica the attacker chooses between

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"tolerance/internal/nodemodel"
 )
@@ -52,6 +53,14 @@ func (c DPConfig) Normalized() DPConfig { return c.withDefaults() }
 // found by safeguarded regula falsi. Crash absorption (probability <= pC2 per
 // step) is ignored by the DP and handled by the simulator; the induced bias
 // is O(pC2).
+//
+// Both inductions use the threshold structure (Theorem 1): before each
+// Bellman sweep a cheap lower bound on the wait value marks the top rows of
+// the grid where recovering is certain to be optimal, and only the rows
+// below them take the observation expectation (recoverFrom). The bound
+// carries a margin wider than the sweep's rounding, so a skipped row is one
+// the full sweep would also have set to the recover value, and every
+// threshold and average cost is the full sweep's bit for bit.
 type DPSolution struct {
 	// AvgCost is the optimal long-run average cost J* (eq. 5).
 	AvgCost float64
@@ -131,9 +140,14 @@ func SolveDP(p nodemodel.Params, cfg DPConfig) (*DPSolution, error) {
 	return SolveDPWith(p, cfg, nil)
 }
 
+// arenas holds the scratch of solves that bring no arena of their own
+// (SolveDP, Ladder.Window), so a cold solve reuses the slabs of an earlier
+// one instead of allocating its own.
+var arenas = sync.Pool{New: func() any { return NewArena() }}
+
 // SolveDPWith is SolveDP drawing solver scratch from a reusable arena (nil
-// allocates fresh scratch, which is exactly SolveDP). The returned solution
-// is bit-identical either way and never aliases the arena.
+// draws one from a package pool, which is exactly SolveDP). The returned
+// solution is bit-identical either way and never aliases the arena.
 func SolveDPWith(p nodemodel.Params, cfg DPConfig, arena *Arena) (*DPSolution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -143,7 +157,8 @@ func SolveDPWith(p nodemodel.Params, cfg DPConfig, arena *Arena) (*DPSolution, e
 		return nil, fmt.Errorf("%w: deltaR = %d", ErrBadStrategy, cfg.DeltaR)
 	}
 	if arena == nil {
-		arena = NewArena()
+		arena = arenas.Get().(*Arena)
+		defer arenas.Put(arena)
 	}
 	solver := &dpSolver{p: p, cfg: cfg, ar: arena}
 	solver.prepare()
@@ -179,6 +194,13 @@ type dpSolver struct {
 	// suite hold bit-for-bit).
 	stIdx        []int32 // len numObs*gridSize
 	stWlo, stWhi []float64
+	// Per grid row: the lowest value index any of its observations reads
+	// with a nonzero weight, and the sum of its weights (about 1). They
+	// bound a row's expectation from below without taking it (recoverFrom).
+	rowLo   []int32
+	rowMass []float64
+	// slack is recoverFrom's rounding margin per unit of scale.
+	slack float64
 	// Stencil from the post-recovery prior pA (used both for the recover
 	// action's continuation and the window start), pruned of
 	// zero-probability observations.
@@ -246,7 +268,7 @@ func (d *dpSolver) prepare() {
 	zH, zC := d.p.ZHealthy, d.p.ZCompromised
 	g := d.cfg.GridSize + 1
 	window := d.cfg.DeltaR // InfiniteDeltaR = 0: no window storage
-	arena := d.ar.grabFloats(2*numObs*g + 5*g + 2*window)
+	arena := d.ar.grabFloats(2*numObs*g + 6*g + 2*window)
 	cut := func(size int) []float64 {
 		s := arena[:size:size]
 		arena = arena[size:]
@@ -261,11 +283,14 @@ func (d *dpSolver) prepare() {
 	d.buf0 = cut(g)
 	d.buf1 = cut(g)
 	d.accBuf = cut(g)
+	d.rowMass = cut(g)
 	preds := cut(g)
 	d.tauBuf, d.eBuf = cut(window)[:0], cut(window)[:0]
-	d.stIdx = d.ar.grabInts(numObs * g)
+	ints := d.ar.grabInts((numObs + 1) * g)
+	d.stIdx, d.rowLo = ints[:numObs*g:numObs*g], ints[numObs*g:]
 	for i, b := range d.grid {
 		preds[i] = d.p.PredictBelief(b, nodemodel.Wait)
+		d.rowLo[i] = int32(g)
 	}
 	for o := 0; o < numObs; o++ {
 		base := o * g
@@ -275,11 +300,19 @@ func (d *dpSolver) prepare() {
 			if st.po == 0 {
 				continue // zero weights: exact-zero contribution
 			}
+			wlo, whi := st.po*st.omfrac, st.po*st.frac
 			d.stIdx[base+i] = st.idx
-			d.stWlo[base+i] = st.po * st.omfrac
-			d.stWhi[base+i] = st.po * st.frac
+			d.stWlo[base+i] = wlo
+			d.stWhi[base+i] = whi
+			d.rowMass[i] += wlo + whi
+			lo := st.idx
+			if wlo == 0 {
+				lo++ // a clamped posterior reads only idx+1
+			}
+			d.rowLo[i] = min(d.rowLo[i], lo)
 		}
 	}
+	d.slack = 1e-13 * float64(numObs+4)
 	d.resetSt = d.ar.resetSt[:0]
 	for o := 0; o < numObs; o++ {
 		if st := stencilEntryFor(d.p.PA, zH.Prob(o), zC.Prob(o), len(d.grid)-1); st.po != 0 {
@@ -290,22 +323,23 @@ func (d *dpSolver) prepare() {
 	d.warm = false
 }
 
-// expectWaitAll computes E_o[ W(b'(b,o)) ] under Wait for every grid
-// belief at once into acc — the dense-slice-product form of the Bellman
-// expectation. Each observation column is swept across the whole grid, so
-// consecutive iterations touch independent accumulator cells
+// expectWaitRows computes E_o[ W(b'(b,o)) ] under Wait for the grid
+// beliefs of rows [0, rows) at once into acc — the dense-slice-product form
+// of the Bellman expectation. Each observation column is swept across the
+// rows, so consecutive iterations touch independent accumulator cells
 // (instruction-level parallelism instead of one serial add chain per grid
 // point); the first column assigns instead of accumulating, which fuses
-// the zeroing pass.
-func (d *dpSolver) expectWaitAll(w, acc []float64) {
+// the zeroing pass. A row's float operations do not depend on rows, so a
+// row's expectation is the same bits whatever the row count.
+func (d *dpSolver) expectWaitRows(w, acc []float64, rows int) {
 	g := len(d.grid)
-	acc = acc[:g]
+	acc = acc[:rows]
 	numObs := len(d.stWlo) / g
 	for o := 0; o < numObs; o++ {
 		base := o * g
-		wlo := d.stWlo[base : base+g : base+g]
-		whi := d.stWhi[base : base+g : base+g]
-		idx := d.stIdx[base : base+g : base+g]
+		wlo := d.stWlo[base : base+rows : base+rows]
+		whi := d.stWhi[base : base+rows : base+rows]
+		idx := d.stIdx[base : base+rows : base+rows]
 		if len(whi) < len(wlo) || len(idx) < len(wlo) || len(acc) < len(wlo) {
 			panic("recovery: stencil shape")
 		}
@@ -321,6 +355,50 @@ func (d *dpSolver) expectWaitAll(w, acc []float64) {
 			acc[i] += w[j]*lo + w[j+1]*whi[i]
 		}
 	}
+}
+
+// recoverFrom returns the lowest grid row K such that on every row of
+// [K, g) the Bellman sweep's wait value is provably at least recoverVal, so
+// the sweep would store recoverVal there without taking the expectation.
+// The wait value of row i is eta*b_i + off + E_o w(b'), and the
+// expectation sums nonnegative weights (rowMass[i] in all) times values of
+// w at indices >= rowLo[i]. With m_i the minimum of w over [rowLo[i], g),
+//
+//	L_i = eta*b_i + off + m_i*rowMass[i] <= wait value of row i
+//
+// in exact arithmetic. Rows are tested from the top down and the scan stops
+// at the first with L_i - rel*L_i - abs < recoverVal; rel and abs must cover
+// the rounding of both sides (stage and stoppingValue derive theirs). The
+// suffix minima m_i are built in accBuf, which the sweep overwrites next; a
+// NaN in w poisons every minimum below it, and the test is written so that
+// a NaN L stops the scan. The top row is tested as soon as its minimum is
+// known, so a sweep that skips nothing pays little more than that row.
+func (d *dpSolver) recoverFrom(w []float64, off, recoverVal, rel, abs float64) int {
+	g := len(d.grid)
+	w, sm := w[:g], d.accBuf[:g]
+	rowLo, mass, grid := d.rowLo[:g], d.rowMass[:g], d.grid[:g]
+	eta := d.p.Eta
+	recovers := func(i int) bool {
+		L := eta*grid[i] + off + sm[rowLo[i]]*mass[i]
+		return L-rel*L-abs >= recoverVal
+	}
+	top := int(rowLo[g-1])
+	m := math.Inf(1)
+	for j := g - 1; j >= 0; j-- {
+		if v := w[j]; v < m || v != v {
+			m = v
+		}
+		sm[j] = m
+		if j == top && !recovers(g-1) {
+			return g
+		}
+	}
+	for k := g - 1; k > 0; k-- {
+		if !recovers(k - 1) {
+			return k
+		}
+	}
+	return 0
 }
 
 // expectReset computes E_o[ W(b'(o)) ] from the post-recovery prior pA.
@@ -344,7 +422,7 @@ const rhoTolerance = 1e-11
 //
 // and the optimal rho zeroes the cycle-start value E_o W(b_1(o)).
 func (d *dpSolver) solveStationary() (*DPSolution, error) {
-	rho, w, err := d.stationaryRoot()
+	rho, w, err := d.stationaryRoot(d.stoppingValue)
 	if err != nil {
 		return nil, err
 	}
@@ -356,7 +434,7 @@ func (d *dpSolver) solveStationary() (*DPSolution, error) {
 // than waiting (1 when there is none).
 func (d *dpSolver) stationaryThreshold(rho float64, w []float64) float64 {
 	recoverVal := 1 - rho
-	d.expectWaitAll(w, d.accBuf)
+	d.expectWaitRows(w, d.accBuf, len(d.grid))
 	for i, b := range d.grid {
 		if waitVal := d.p.Eta*b - rho + d.accBuf[i]; recoverVal <= waitVal {
 			return b
@@ -384,8 +462,10 @@ func (d *dpSolver) stationaryThreshold(rho float64, w []float64) float64 {
 // the bracket instead of creeping toward it.
 //
 // The returned rho is a bracket end at most rhoTolerance from the root, and
-// w (aliasing the solver's buffer) is its converged stopping value.
-func (d *dpSolver) stationaryRoot() (rho float64, w []float64, err error) {
+// w (aliasing the solver's buffer) is its converged stopping value. Each
+// probe's stopping value comes from stoppingValue (the solver's own, or an
+// oracle in tests).
+func (d *dpSolver) stationaryRoot(stoppingValue func(rho float64) ([]float64, error)) (rho float64, w []float64, err error) {
 	lo, hi := 0.0, 1.0
 	glo, ghi := math.NaN(), math.NaN()
 	// The bracket's width three, two and one probes ago, and the end the
@@ -401,7 +481,7 @@ func (d *dpSolver) stationaryRoot() (rho float64, w []float64, err error) {
 			rho = min(max(rho, lo+rhoTolerance/2), hi-rhoTolerance/2)
 		}
 		widths = [3]float64{widths[1], widths[2], width}
-		w, err = d.stoppingValue(rho)
+		w, err = stoppingValue(rho)
 		g := d.expectReset(w)
 		if err != nil {
 			// Above the average cost of waiting forever the stopping value
@@ -436,7 +516,7 @@ func (d *dpSolver) stationaryRoot() (rho float64, w []float64, err error) {
 	}
 	// The last probe set hi without converging; lo is within the tolerance.
 	rho = lo
-	w, err = d.stoppingValue(rho)
+	w, err = stoppingValue(rho)
 	return rho, w, err
 }
 
@@ -449,23 +529,46 @@ func (d *dpSolver) stationaryRoot() (rho float64, w []float64, err error) {
 // tolerance). The returned slice aliases the solver's converged buffer: it
 // is valid until the next stoppingValue call. With ErrDPNotConverged the
 // slice is the last iterate, not a fixed point.
+//
+// Each sweep takes the expectation only below recoverFrom's K and stores
+// recoverVal on [K, g), where math.Min would have returned it; diff counts
+// those rows as the full sweep does. The values may be negative, so the
+// margin is absolute: with u = 2^-53, n observations, W = max|w| and the
+// row mass about 1, the sweep's wait value and L each round by at most
+// about ((n+3)*W + 3*eta + 2*|rho|)*u, and abs = slack*(eta + |rho| + W)
+// is over 100 times their sum.
 func (d *dpSolver) stoppingValue(rho float64) ([]float64, error) {
 	p := d.p
 	recoverVal := 1 - rho
 	w, next := d.buf0, d.buf1
+	top := 0.0 // max |w|
 	if !d.warm {
-		for i := range w {
-			w[i] = 0
+		clear(w)
+	} else {
+		for _, v := range w {
+			top = max(top, math.Abs(v))
 		}
 	}
 	for it := 0; it < d.cfg.MaxValueIterations; it++ {
+		k := d.recoverFrom(w, -rho, recoverVal, 0, d.slack*(p.Eta+math.Abs(rho)+top))
+		d.expectWaitRows(w, d.accBuf, k)
 		diff := 0.0
-		d.expectWaitAll(w, d.accBuf)
-		for i, b := range d.grid {
+		top = 0
+		for i, b := range d.grid[:k] {
 			waitVal := p.Eta*b - rho + d.accBuf[i]
 			v := math.Min(recoverVal, waitVal)
 			next[i] = v
 			if dd := math.Abs(v - w[i]); dd > diff {
+				diff = dd
+			}
+			top = max(top, math.Abs(v))
+		}
+		if k < len(next) {
+			top = max(top, math.Abs(recoverVal))
+		}
+		for i := k; i < len(next); i++ {
+			next[i] = recoverVal
+			if dd := math.Abs(recoverVal - w[i]); dd > diff {
 				diff = dd
 			}
 		}

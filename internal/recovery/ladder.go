@@ -64,7 +64,7 @@ func (l *Ladder) Depth() int {
 }
 
 // Extend runs the induction stages the ladder lacks to reach depth,
-// drawing the stencils from arena (nil allocates fresh scratch). A ladder
+// drawing the stencils from arena (nil draws pooled scratch). A ladder
 // already that deep is left alone.
 func (l *Ladder) Extend(depth int, arena *Arena) {
 	l.mu.Lock()
@@ -77,7 +77,8 @@ func (l *Ladder) extend(depth int, arena *Arena) {
 		return
 	}
 	if arena == nil {
-		arena = NewArena()
+		arena = arenas.Get().(*Arena)
+		defer arenas.Put(arena)
 	}
 	d := dpSolver{p: l.p, cfg: DPConfig{GridSize: l.gridSize}.withDefaults(), ar: arena}
 	d.prepare()
@@ -85,7 +86,7 @@ func (l *Ladder) extend(depth int, arena *Arena) {
 }
 
 // Window returns the optimal solution for a window of deltaR >= 1 steps,
-// extending the ladder with fresh scratch if it is not yet deltaR-1 deep.
+// extending the ladder on pooled scratch if it is not yet deltaR-1 deep.
 // The solution does not alias the ladder.
 func (l *Ladder) Window(deltaR int) (*DPSolution, error) {
 	if deltaR < 1 {
@@ -98,8 +99,8 @@ func (l *Ladder) Window(deltaR int) (*DPSolution, error) {
 }
 
 // climb runs stages len(tau)+1 .. depth on a prepared solver. Stage r
-// reads U_{r-1} only through e_{r-1} and expectWaitAll, both taken before
-// it writes, so U is overwritten in place.
+// reads U_{r-1} through e_{r-1}, recoverFrom's scan and expectWaitRows,
+// all taken before it writes, so U is overwritten in place.
 func (l *Ladder) climb(d *dpSolver, depth int) {
 	if len(l.e) == 0 {
 		l.e = append(l.e, d.expectReset(l.u))
@@ -128,12 +129,23 @@ func (l *Ladder) window(deltaR int) *DPSolution {
 // recovering costs 1 plus e = expectReset(U_{r-1}), and returns tau_r, the
 // first grid belief at which recovering is no dearer than waiting (1 when
 // there is none).
+//
+// The rows [k, g) that recoverFrom proves recover get recoverVal without an
+// expectation, and tau_r is the first recovering row below k, else grid[k].
+// Every value and weight here is >= 0, so the margin is relative: with
+// u = 2^-53 and n observations, the sweep's wait value is at least
+// L*(1 - (2n+7)*u) (each of its terms rounds at most n+2 times, the row
+// mass at most n+1), and rel = slack is over 100 times that.
 func (d *dpSolver) stage(u []float64, e float64) float64 {
 	recoverVal := 1 + e
-	d.expectWaitAll(u, d.accBuf)
+	k := d.recoverFrom(u, 0, recoverVal, d.slack, 0)
+	d.expectWaitRows(u, d.accBuf, k)
 	threshold := 1.0
+	if k < len(d.grid) {
+		threshold = d.grid[k]
+	}
 	set := false
-	for i, b := range d.grid {
+	for i, b := range d.grid[:k] {
 		waitVal := d.p.Eta*b + d.accBuf[i]
 		if recoverVal <= waitVal {
 			u[i] = recoverVal
@@ -144,6 +156,9 @@ func (d *dpSolver) stage(u []float64, e float64) float64 {
 		} else {
 			u[i] = waitVal
 		}
+	}
+	for i := k; i < len(u); i++ {
+		u[i] = recoverVal
 	}
 	return threshold
 }

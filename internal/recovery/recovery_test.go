@@ -398,7 +398,7 @@ func TestSolveStationaryFixedPoint(t *testing.T) {
 	cfg := DPConfig{DeltaR: InfiniteDeltaR}
 	solver := &dpSolver{p: p, cfg: cfg.withDefaults(), ar: NewArena()}
 	solver.prepare()
-	rho, w, err := solver.stationaryRoot()
+	rho, w, err := solver.stationaryRoot(solver.stoppingValue)
 	if err != nil {
 		t.Fatal(err)
 	}

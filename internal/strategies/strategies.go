@@ -29,7 +29,8 @@ import (
 	"tolerance/internal/telemetry"
 )
 
-// ErrUnknownStrategy is returned when a name is not in the registry.
+// ErrUnknownStrategy is wrapped by the errors a suite's validation and a
+// fleet strategy cache return for a policy name that is not in the registry.
 var ErrUnknownStrategy = errors.New("strategies: unknown strategy")
 
 // ErrBadStrategy is returned for invalid registrations.

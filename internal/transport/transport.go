@@ -20,8 +20,7 @@ import (
 
 // Errors returned by transports.
 var (
-	ErrClosed         = errors.New("transport: endpoint closed")
-	ErrUnknownAddress = errors.New("transport: unknown address")
+	ErrClosed = errors.New("transport: endpoint closed")
 	// ErrTimeout marks a dial or write that exceeded its deadline. Callers
 	// match it with errors.Is; the wrapped message names the peer and the
 	// deadline so a stalled-replica diagnosis does not need packet captures.
@@ -143,13 +142,6 @@ func (n *SimNetwork) block(from, to string) {
 		n.partition[from] = make(map[string]bool)
 	}
 	n.partition[from][to] = true
-}
-
-// SetConditions replaces the network impairments.
-func (n *SimNetwork) SetConditions(cond Conditions) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.conditions = cond
 }
 
 // Close shuts the network down and waits for in-flight deliveries.
