@@ -503,29 +503,15 @@ func printSummary(w io.Writer, s telemetry.Snapshot) {
 	if replayed > 0 {
 		line += fmt.Sprintf(" (%d replayed from checkpoint)", replayed)
 	}
-	// A coordinator's fleet.run includes the wait for its first worker, so
-	// its rate is timed from the first lease grant (fleet.serve) instead.
-	var run, serve float64
 	for _, p := range s.Phases {
-		switch p.Name {
-		case "fleet.run":
-			run = p.Seconds
-		case "fleet.serve":
-			serve = p.Seconds
+		if p.Name == "fleet.run" && p.Seconds > 0 {
+			line += fmt.Sprintf(", %.0f scenarios/s", float64(folded-replayed)/p.Seconds)
+			break
 		}
-	}
-	if serve > 0 {
-		run = serve
-	}
-	if run > 0 {
-		line += fmt.Sprintf(", %.0f scenarios/s", float64(folded-replayed)/run)
 	}
 	// Merge-only and fully-replayed resume runs never touch the strategy
 	// cache; a zero-valued cache line there would misread as "ran but
 	// solved nothing", so it is printed only when the cache saw traffic.
-	// cache.arena_reuses is deliberately not part of the traffic gate or
-	// the line: arena pooling is memory reuse inside a solve, not a cache
-	// hit.
 	builds := s.Counter("cache.policy_builds")
 	solves := s.Counter("cache.recovery_solves") + s.Counter("cache.replication_solves") +
 		s.Counter("cache.fit_solves")

@@ -143,13 +143,6 @@ type StrategyCache struct {
 		table *recovery.OccupancyTable
 	}
 
-	// arenas pools the DP solver's scratch arenas across ladder extensions
-	// and stationary solves: one suite's cells solve through a shared slab
-	// set instead of re-allocating per cell. Arenas are scratch only —
-	// ladders and DPSolution buffers are never arena-backed — so pooling
-	// cannot alias cached solutions.
-	arenas sync.Pool
-
 	recoverySolves    atomic.Int64
 	recoveryHits      atomic.Int64
 	replicationSolves atomic.Int64
@@ -159,11 +152,6 @@ type StrategyCache struct {
 	fitHits           atomic.Int64
 	policyBuilds      atomic.Int64
 	policyHits        atomic.Int64
-	// arenaReuses counts ladder extensions and stationary DP solves that
-	// ran on a pooled arena instead of a fresh one. It is a memory-reuse
-	// gauge, not cache activity: a reuse does not imply any solution was
-	// shared.
-	arenaReuses atomic.Int64
 
 	// tel is the attached telemetry bundle (nil until Instrument; read it
 	// through telemetry). It is an atomic pointer so attaching never
@@ -215,7 +203,6 @@ func (c *StrategyCache) Instrument(col *telemetry.Collector) {
 	col.CounterFunc("cache.fit_hits", c.fitHits.Load)
 	col.CounterFunc("cache.policy_builds", c.policyBuilds.Load)
 	col.CounterFunc("cache.policy_hits", c.policyHits.Load)
-	col.CounterFunc("cache.arena_reuses", c.arenaReuses.Load)
 	c.tel.Store(&cacheTelemetry{
 		training: telemetry.NewTraining(col),
 		waits:    col.Counter("cache.singleflight_waits"),
@@ -288,9 +275,7 @@ func (c *StrategyCache) Recovery(p nodemodel.Params, cfg recovery.DPConfig) (*re
 		if n.DeltaR > 0 {
 			sol, err = c.window(p, model, n)
 		} else {
-			arena := c.arena()
-			sol, err = recovery.SolveDPWith(p, n, arena)
-			c.arenas.Put(arena)
+			sol, err = recovery.SolveDPWith(p, n, nil)
 		}
 		c.telemetry().solveNS.Observe(0, int64(time.Since(start)))
 		return sol, err
@@ -307,21 +292,9 @@ func (c *StrategyCache) window(p nodemodel.Params, model dist.Digest, n recovery
 		return nil, err
 	}
 	if l.Depth() < n.DeltaR-1 {
-		arena := c.arena()
-		l.Extend(n.DeltaR-1, arena)
-		c.arenas.Put(arena)
+		l.Extend(n.DeltaR-1, nil)
 	}
 	return l.Window(n.DeltaR)
-}
-
-// arena draws a DP scratch arena from the pool, counting the reuse, or
-// makes a fresh one when the pool is empty.
-func (c *StrategyCache) arena() *recovery.Arena {
-	if a, ok := c.arenas.Get().(*recovery.Arena); ok {
-		c.arenaReuses.Add(1)
-		return a
-	}
-	return recovery.NewArena()
 }
 
 // ReplicationFor returns the Problem 2 solution for the node model under

@@ -102,10 +102,10 @@ type coordinator struct {
 	degraded bool
 	started  time.Time
 
-	// endServe ends the fleet.serve phase, which opens at the first lease
-	// grant: a coordinator's fleet.run also covers the wait for its first
-	// worker, so its scenarios/s is timed from here. Nil before the grant.
-	endServe func()
+	// endRun ends the fleet.run phase, which opens at the first lease
+	// grant, so the wait for the first worker does not dilute the
+	// coordinator's scenarios/s. Nil before the grant.
+	endRun func()
 
 	tm coordMetrics
 }
@@ -166,10 +166,9 @@ func Coordinate(ctx context.Context, suite Suite, cfg CoordinatorConfig) (*Resul
 	}
 
 	c.cfg.Telemetry.Gauge(MetricScenariosTotal).Set(float64(c.total))
-	defer c.cfg.Telemetry.Phase("fleet.run")()
 	defer func() {
-		if c.endServe != nil {
-			c.endServe()
+		if c.endRun != nil {
+			c.endRun()
 		}
 	}()
 
@@ -446,8 +445,8 @@ func (c *coordinator) grant(worker string, now time.Time) (proto.Lease, bool) {
 		c.leases[lease.ID] = &coordLease{
 			id: lease.ID, worker: worker, start: lease.Start, end: lease.End, last: now,
 		}
-		if c.endServe == nil {
-			c.endServe = c.cfg.Telemetry.Phase("fleet.serve")
+		if c.endRun == nil {
+			c.endRun = c.cfg.Telemetry.Phase("fleet.run")
 		}
 		c.tm.granted.Inc(0)
 		c.updateGauges()

@@ -533,10 +533,12 @@ func (d *dpSolver) stationaryRoot(stoppingValue func(rho float64) ([]float64, er
 // Each sweep takes the expectation only below recoverFrom's K and stores
 // recoverVal on [K, g), where math.Min would have returned it; diff counts
 // those rows as the full sweep does. The values may be negative, so the
-// margin is absolute: with u = 2^-53, n observations, W = max|w| and the
-// row mass about 1, the sweep's wait value and L each round by at most
-// about ((n+3)*W + 3*eta + 2*|rho|)*u, and abs = slack*(eta + |rho| + W)
-// is over 100 times their sum.
+// margin is absolute. With u = 2^-53, n observations, W = max|w| and the
+// row mass about 1, the sweep's wait value rounds by at most about
+// ((n+2)*W + 3*eta + 2*|rho|)*u; L, whose row mass sums 2n weights, by at
+// most about ((2n+2)*W + 4*eta + 3*|rho|)*u with the test's subtraction
+// of abs: ((3n+4)*W + 7*eta + 5*|rho|)*u in all. abs = slack*(eta + |rho|
+// + W), about 900*(n+4)*u*(eta + |rho| + W), is over 300 times that.
 func (d *dpSolver) stoppingValue(rho float64) ([]float64, error) {
 	p := d.p
 	recoverVal := 1 - rho

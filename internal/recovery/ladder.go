@@ -132,10 +132,13 @@ func (l *Ladder) window(deltaR int) *DPSolution {
 //
 // The rows [k, g) that recoverFrom proves recover get recoverVal without an
 // expectation, and tau_r is the first recovering row below k, else grid[k].
-// Every value and weight here is >= 0, so the margin is relative: with
-// u = 2^-53 and n observations, the sweep's wait value is at least
-// L*(1 - (2n+7)*u) (each of its terms rounds at most n+2 times, the row
-// mass at most n+1), and rel = slack is over 100 times that.
+// Every value and weight here is >= 0, so the margin is relative. With
+// u = 2^-53 and n observations, each term of the sweep's wait value rounds
+// at most n+2 times, so it is at least its exact value times 1 - (n+2)*u.
+// L's row mass sums 2n weights, so the computed L is at most its exact
+// value times 1 + (2n+2)*u, and the test's own two operations add 2u: the
+// skip is exact if rel >= (3n+6)*u. rel = slack, about 900*(n+4)*u, is
+// over 300 times that for every n.
 func (d *dpSolver) stage(u []float64, e float64) float64 {
 	recoverVal := 1 + e
 	k := d.recoverFrom(u, 0, recoverVal, d.slack, 0)
