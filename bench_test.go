@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"tolerance/internal/cmdp"
 	"tolerance/internal/dist"
@@ -208,9 +207,7 @@ func BenchmarkFig10MinBFTThroughput(b *testing.B) {
 				r, err := minbft.NewReplica(minbft.Config{
 					ID: id, Members: members, Endpoint: ep, USIG: u,
 					Verifier: verifier, Registry: registry,
-					Store:          replica.NewKVStore(),
-					RequestTimeout: 2 * time.Second,
-					TickInterval:   2 * time.Millisecond,
+					Store: replica.NewKVStore(),
 				})
 				if err != nil {
 					b.Fatal(err)

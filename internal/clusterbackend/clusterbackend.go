@@ -310,16 +310,14 @@ func (c *cluster) startReplica(p *proc, ep *transport.TCPEndpoint, members []str
 		return err
 	}
 	rep, err := minbft.NewReplica(minbft.Config{
-		ID:             addr,
-		Members:        members,
-		K:              c.sc.K,
-		Endpoint:       c.opts.Chaos.WrapEndpoint(ep),
-		USIG:           u,
-		Verifier:       c.verifier,
-		Registry:       c.registry,
-		Store:          replica.NewKVStore(),
-		RequestTimeout: 250 * time.Millisecond,
-		TickInterval:   5 * time.Millisecond,
+		ID:       addr,
+		Members:  members,
+		K:        c.sc.K,
+		Endpoint: c.opts.Chaos.WrapEndpoint(ep),
+		USIG:     u,
+		Verifier: c.verifier,
+		Registry: c.registry,
+		Store:    replica.NewKVStore(),
 	})
 	if err != nil {
 		return err

@@ -30,6 +30,7 @@ const (
 	typeNewView       msgType = "new-view"
 	typeStateRequest  msgType = "state-request"
 	typeStateResponse msgType = "state-response"
+	typeResend        msgType = "resend"
 )
 
 // envelope wraps every message with its type.
@@ -134,6 +135,14 @@ type stateResponseMsg struct {
 	Digest    [32]byte `json:"digest"`
 	Snapshot  []byte   `json:"snapshot"`
 	Members   []string `json:"members"`
+}
+
+// resendMsg tells a peer the last of its UI counters this replica has
+// processed, so the peer sends again what followed: without it, one lost
+// message would stall the FIFO gate for that peer for good.
+type resendMsg struct {
+	ReplicaID string `json:"replicaId"`
+	Counter   uint64 `json:"counter"`
 }
 
 // configOp is the payload of reconfiguration requests (join/evict, Fig 17

@@ -1,376 +1,140 @@
 package minbft
 
 import (
+	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"slices"
 	"testing"
-	"time"
 
 	"tolerance/internal/replica"
 	"tolerance/internal/transport"
 	"tolerance/internal/usig"
 )
 
-var clusterKey = []byte("minbft-test-shared-key-32-bytes!")
-
-// cluster bundles a test deployment.
-type cluster struct {
-	t        *testing.T
-	net      *transport.SimNetwork
-	replicas map[string]*Replica
-	stores   map[string]*replica.KVStore
-	usigs    map[string]*usig.USIG
-	registry *replica.Registry
-	verifier *usig.Verifier
-	members  []string
-	k        int
-}
-
-// newCluster starts n replicas named r0..r(n-1) over a simulated network.
-func newCluster(t *testing.T, n, k int, cond transport.Conditions) *cluster {
-	t.Helper()
-	net, err := transport.NewSimNetwork(cond, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	verifier, err := usig.NewHMACVerifier(clusterKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	registry := replica.NewRegistry()
-	members := make([]string, n)
-	for i := 0; i < n; i++ {
-		members[i] = fmt.Sprintf("r%d", i)
-	}
-	c := &cluster{
-		t:        t,
-		net:      net,
-		replicas: make(map[string]*Replica),
-		stores:   make(map[string]*replica.KVStore),
-		usigs:    make(map[string]*usig.USIG),
-		registry: registry,
-		verifier: verifier,
-		members:  members,
-		k:        k,
-	}
-	for _, id := range members {
-		c.startReplica(id)
-	}
-	t.Cleanup(c.close)
-	return c
-}
-
-func (c *cluster) startReplica(id string) *Replica {
-	c.t.Helper()
-	u, err := usig.NewHMAC(id, clusterKey)
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	return c.runReplica(id, u)
-}
-
-// restartReplica stops id's process and starts a new one in place: the same
-// endpoint, an empty store, and the trusted USIG resumed from the old
-// counter (peers drop a reset counter as a replay). The new process asks
-// its peers for their state.
-func (c *cluster) restartReplica(id string) *Replica {
-	c.t.Helper()
-	c.replicas[id].Stop()
-	u, err := usig.ResumeHMAC(id, clusterKey, c.usigs[id].Counter())
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	r := c.runReplica(id, u)
-	r.RequestStateSync(1)
-	return r
-}
-
-// runReplica starts id's replica with trusted component u and a fresh
-// store on id's endpoint (the live one, when the replica restarts in place).
-func (c *cluster) runReplica(id string, u *usig.USIG) *Replica {
-	c.t.Helper()
-	ep, err := c.net.Endpoint(id)
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	store := replica.NewKVStore()
-	r, err := NewReplica(Config{
-		ID:                 id,
-		Members:            c.members,
-		K:                  c.k,
-		Endpoint:           ep,
-		USIG:               u,
-		Verifier:           c.verifier,
-		Registry:           c.registry,
-		Store:              store,
-		RequestTimeout:     250 * time.Millisecond,
-		CheckpointInterval: 5,
-		TickInterval:       5 * time.Millisecond,
-	})
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	c.replicas[id] = r
-	c.stores[id] = store
-	c.usigs[id] = u
-	return r
-}
-
-func (c *cluster) close() {
-	for _, r := range c.replicas {
-		r.Stop()
-	}
-	c.net.Close()
-}
-
-// client creates a signed client attached to the network.
-func (c *cluster) client(id string) *Client {
-	c.t.Helper()
-	signer, err := replica.NewSigner(id)
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	if err := c.registry.Register(id, signer.PublicKey()); err != nil {
-		c.t.Fatal(err)
-	}
-	ep, err := c.net.Endpoint(id)
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	f := (len(c.members) - 1 - c.k) / 2
-	cl, err := NewClient(signer, ep, c.members, f)
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	cl.Timeout = 8 * time.Second
-	cl.RetransmitInterval = 200 * time.Millisecond
-	return cl
-}
-
-// waitForAgreement blocks until the given replicas have executed at least
-// seq operations or the deadline passes.
-func (c *cluster) waitForAgreement(ids []string, seq uint64, timeout time.Duration) {
-	c.t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		all := true
-		for _, id := range ids {
-			if c.replicas[id].LastExecuted() < seq {
-				all = false
-				break
-			}
-		}
-		if all {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	for _, id := range ids {
-		c.t.Logf("%s lastExec=%d view=%d", id, c.replicas[id].LastExecuted(), c.replicas[id].View())
-	}
-	c.t.Fatalf("replicas did not reach seq %d in %v", seq, timeout)
-}
-
 func TestNormalCaseWriteAndRead(t *testing.T) {
-	c := newCluster(t, 3, 0, transport.Conditions{})
-	cl := c.client("alice")
-
-	result, err := cl.Submit(replica.Op{Type: replica.OpWrite, Key: "x", Value: "1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if result != "1" {
-		t.Errorf("write result = %q, want %q", result, "1")
-	}
-	got, err := cl.Submit(replica.Op{Type: replica.OpRead, Key: "x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != "1" {
-		t.Errorf("read = %q, want %q", got, "1")
-	}
+	eachSeed(t, func(t *testing.T, seed int64) {
+		g := newGroup(t, seed, 3, 0)
+		cl := g.client("alice")
+		if got := cl.submit(write("x", "1")); got != "1" {
+			g.fatalf("write result = %q, want %q", got, "1")
+		}
+		if got := cl.submit(replica.Op{Type: replica.OpRead, Key: "x"}); got != "1" {
+			g.fatalf("read = %q, want %q", got, "1")
+		}
+	})
 }
 
 func TestSafetyAllHonestReplicasAgree(t *testing.T) {
-	c := newCluster(t, 5, 0, transport.Conditions{})
-	cl := c.client("alice")
-	const ops = 20
-	for i := 0; i < ops; i++ {
-		if _, err := cl.Submit(replica.Op{
-			Type: replica.OpWrite, Key: fmt.Sprintf("k%d", i%4), Value: fmt.Sprintf("v%d", i),
-		}); err != nil {
-			t.Fatal(err)
+	eachSeed(t, func(t *testing.T, seed int64) {
+		g := newGroup(t, seed, 5, 0)
+		cl := g.client("alice")
+		const ops = 20
+		for i := 0; i < ops; i++ {
+			cl.submit(write(fmt.Sprintf("k%d", i%4), fmt.Sprintf("v%d", i)))
 		}
-	}
-	c.waitForAgreement(c.members, ops, 5*time.Second)
-	// Safety: every replica executed the same sequence => identical state.
-	ref := c.stores["r0"].Digest()
-	for _, id := range c.members[1:] {
-		if d := c.stores[id].Digest(); d != ref {
-			t.Errorf("replica %s diverged", id)
-		}
-	}
+		// Safety: every replica executed the same sequence => identical state.
+		g.executed(g.members, ops)
+		g.sameState(g.members)
+	})
 }
 
 func TestValidityRejectsUnsignedRequests(t *testing.T) {
-	c := newCluster(t, 3, 0, transport.Conditions{})
-	// Send a forged request directly (no registered key / bad signature).
-	ep, err := c.net.Endpoint("mallory")
-	if err != nil {
-		t.Fatal(err)
-	}
-	forged := &replica.Request{ClientID: "mallory", Seq: 1,
-		Op: replica.Op{Type: replica.OpWrite, Key: "x", Value: "evil"}}
-	payload, err := encode(typeRequest, forged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range c.members {
-		_ = ep.Send(m, payload)
-	}
-	time.Sleep(300 * time.Millisecond)
-	for _, id := range c.members {
-		if c.replicas[id].LastExecuted() != 0 {
-			t.Fatalf("replica %s executed a forged request", id)
+	eachSeed(t, func(t *testing.T, seed int64) {
+		g := newGroup(t, seed, 3, 0)
+		// A forged request: no registered key, no signature.
+		forged := &replica.Request{ClientID: "mallory", Seq: 1, Op: write("x", "evil")}
+		payload, err := encode(typeRequest, forged)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		for _, m := range g.members {
+			g.enqueue("mallory", []outbound{{to: m, data: payload}})
+		}
+		g.runUntil("the forgery is delivered", func() bool { return len(g.queue) == 0 })
+		for _, id := range g.members {
+			if c := g.cores[id]; c.lastExec != 0 || len(c.pendingRequests) != 0 {
+				g.fatalf("%s accepted a forged request", id)
+			}
+		}
+	})
 }
 
 func TestToleratesByzantineFollower(t *testing.T) {
 	// N=3, k=0 => f=1: one byzantine follower must not break the service.
-	c := newCluster(t, 3, 0, transport.Conditions{})
-	// Make a non-leader byzantine.
-	leader := c.replicas["r0"].Leader()
-	var victim string
-	for _, id := range c.members {
-		if id != leader {
-			victim = id
-			break
+	eachSeed(t, func(t *testing.T, seed int64) {
+		g := newGroup(t, seed, 3, 0)
+		victim := g.members[1] // r0 leads view 0
+		g.cores[victim].byzantine = Garbage
+		cl := g.client("alice")
+		for i := 0; i < 5; i++ {
+			cl.submit(write("k", fmt.Sprintf("v%d", i)))
 		}
-	}
-	c.replicas[victim].SetByzantine(Garbage)
-
-	cl := c.client("alice")
-	for i := 0; i < 5; i++ {
-		if _, err := cl.Submit(replica.Op{
-			Type: replica.OpWrite, Key: "k", Value: fmt.Sprintf("v%d", i),
-		}); err != nil {
-			t.Fatalf("op %d: %v", i, err)
-		}
-	}
-	// The two honest replicas agree.
-	honest := []string{}
-	for _, id := range c.members {
-		if id != victim {
-			honest = append(honest, id)
-		}
-	}
-	c.waitForAgreement(honest, 5, 5*time.Second)
-	if c.stores[honest[0]].Digest() != c.stores[honest[1]].Digest() {
-		t.Error("honest replicas diverged")
-	}
+		honest := g.others(victim)
+		g.executed(honest, 5)
+		g.sameState(honest)
+	})
 }
 
 func TestToleratesSilentFollower(t *testing.T) {
-	c := newCluster(t, 3, 0, transport.Conditions{})
-	leader := c.replicas["r0"].Leader()
-	var victim string
-	for _, id := range c.members {
-		if id != leader {
-			victim = id
-			break
-		}
-	}
-	c.replicas[victim].SetByzantine(Silent)
-	cl := c.client("alice")
-	if _, err := cl.Submit(replica.Op{Type: replica.OpWrite, Key: "a", Value: "b"}); err != nil {
-		t.Fatal(err)
-	}
+	eachSeed(t, func(t *testing.T, seed int64) {
+		g := newGroup(t, seed, 3, 0)
+		g.cores[g.members[1]].byzantine = Silent
+		g.client("alice").submit(write("a", "b"))
+	})
 }
 
 func TestViewChangeOnLeaderCrash(t *testing.T) {
-	c := newCluster(t, 3, 0, transport.Conditions{})
-	leader := c.replicas["r0"].Leader()
-	// Crash the leader outright.
-	c.replicas[leader].Stop()
-	c.net.Isolate(leader)
-
-	cl := c.client("alice")
-	start := time.Now()
-	if _, err := cl.Submit(replica.Op{Type: replica.OpWrite, Key: "x", Value: "after-crash"}); err != nil {
-		t.Fatalf("request after leader crash: %v", err)
-	}
-	t.Logf("recovered via view change in %v", time.Since(start))
-	// The survivors installed a new view with a different leader.
-	for _, id := range c.members {
-		if id == leader {
-			continue
+	eachSeed(t, func(t *testing.T, seed int64) {
+		g := newGroup(t, seed, 3, 0)
+		leader := g.cores["r0"].leader()
+		g.crash(leader)
+		g.client("alice").submit(write("x", "after-crash"))
+		// The survivors installed a new view with a different leader.
+		for _, id := range g.others(leader) {
+			if c := g.cores[id]; c.view == 0 || c.leader() == leader {
+				g.fatalf("%s in view %d still believes %s leads", id, c.view, leader)
+			}
 		}
-		if c.replicas[id].View() == 0 {
-			t.Errorf("replica %s still in view 0", id)
-		}
-		if c.replicas[id].Leader() == leader {
-			t.Errorf("replica %s still believes %s leads", id, leader)
-		}
-	}
+	})
 }
 
 func TestViewChangeOnSilentByzantineLeader(t *testing.T) {
-	c := newCluster(t, 5, 0, transport.Conditions{})
-	leader := c.replicas["r0"].Leader()
-	c.replicas[leader].SetByzantine(Silent)
-
-	cl := c.client("alice")
-	if _, err := cl.Submit(replica.Op{Type: replica.OpWrite, Key: "x", Value: "1"}); err != nil {
-		t.Fatalf("request under silent leader: %v", err)
-	}
+	eachSeed(t, func(t *testing.T, seed int64) {
+		g := newGroup(t, seed, 5, 0)
+		g.cores[g.cores["r0"].leader()].byzantine = Silent
+		g.client("alice").submit(write("x", "1"))
+	})
 }
 
 func TestCheckpointsBecomeStable(t *testing.T) {
-	c := newCluster(t, 3, 0, transport.Conditions{})
-	cl := c.client("alice")
-	// CheckpointInterval is 5; run 12 ops to cross two checkpoints.
-	for i := 0; i < 12; i++ {
-		if _, err := cl.Submit(replica.Op{
-			Type: replica.OpWrite, Key: "k", Value: fmt.Sprintf("%d", i),
-		}); err != nil {
-			t.Fatal(err)
+	eachSeed(t, func(t *testing.T, seed int64) {
+		g := newGroup(t, seed, 3, 0)
+		cl := g.client("alice")
+		// The checkpoint interval is 5; 12 ops cross two checkpoints.
+		for i := 0; i < 12; i++ {
+			cl.submit(write("k", fmt.Sprint(i)))
 		}
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		if c.replicas["r0"].StableCheckpoint() >= 10 {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatalf("stable checkpoint = %d, want >= 10", c.replicas["r0"].StableCheckpoint())
+		g.runUntil("checkpoint 10 is stable", func() bool { return g.cores["r0"].stableSeq >= 10 })
+	})
 }
 
 func TestStateTransferForLaggingReplica(t *testing.T) {
-	c := newCluster(t, 3, 0, transport.Conditions{})
-	// Isolate r2, run traffic, then heal and let it catch up.
-	c.net.Isolate("r2")
-	cl := c.client("alice")
-	for i := 0; i < 8; i++ {
-		if _, err := cl.Submit(replica.Op{
-			Type: replica.OpWrite, Key: fmt.Sprintf("k%d", i), Value: "v",
-		}); err != nil {
-			t.Fatal(err)
+	eachSeed(t, func(t *testing.T, seed int64) {
+		g := newGroup(t, seed, 3, 0)
+		// Isolate r2, run traffic, then heal and let it catch up.
+		g.isolate("r2")
+		cl := g.client("alice")
+		for i := 0; i < 8; i++ {
+			cl.submit(write(fmt.Sprintf("k%d", i), "v"))
 		}
-	}
-	c.net.Heal()
-	// Ask for a sync explicitly (a recovered node does this on restart).
-	c.replicas["r2"].RequestStateSync(1)
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if c.stores["r2"].Digest() == c.stores["r0"].Digest() &&
-			c.replicas["r2"].LastExecuted() >= 8 {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatalf("r2 did not catch up: lastExec=%d", c.replicas["r2"].LastExecuted())
+		g.heal()
+		// Ask for a sync explicitly (a recovered node does this on restart).
+		g.admin("r2", func(c *core) { c.requestStateSync(1) })
+		g.runUntil("r2 catches up", func() bool {
+			return g.stores["r2"].Digest() == g.stores["r0"].Digest() && g.cores["r2"].lastExec >= 8
+		})
+	})
 }
 
 // TestRestartInPlaceCatchesUp restarts two backups in place while a client
@@ -379,53 +143,36 @@ func TestStateTransferForLaggingReplica(t *testing.T) {
 // up with the group's execution through state transfer, and a restart is
 // not an eviction: membership is unchanged.
 func TestRestartInPlaceCatchesUp(t *testing.T) {
-	c := newCluster(t, 4, 1, transport.Conditions{})
-	cl := c.client("alice")
-	commit := func(from, to int) {
-		t.Helper()
-		for i := from; i < to; i++ {
-			if _, err := cl.Submit(replica.Op{
-				Type: replica.OpWrite, Key: fmt.Sprintf("k%d", i), Value: "v",
-			}); err != nil {
-				t.Fatalf("submit %d: %v", i, err)
+	eachSeed(t, func(t *testing.T, seed int64) {
+		g := newGroup(t, seed, 4, 1)
+		cl := g.client("alice")
+		commit := func(from, to int) {
+			for i := from; i < to; i++ {
+				cl.submit(write(fmt.Sprintf("k%d", i), "v"))
 			}
 		}
-	}
-	leader := c.replicas["r0"].Leader()
-	var backups []string
-	for _, id := range c.members {
-		if id != leader {
-			backups = append(backups, id)
-		}
-	}
-	// Commits between the restarts land them mid-stream, not between idle
-	// periods.
-	commit(0, 5)
-	c.restartReplica(backups[0])
-	commit(5, 10)
-	c.restartReplica(backups[1])
-	commit(10, 15)
+		leader := g.cores["r0"].leader()
+		backups := g.others(leader)
+		// Commits between the restarts land them mid-stream, not between
+		// idle periods.
+		commit(0, 5)
+		g.restart(backups[0])
+		commit(5, 10)
+		g.restart(backups[1])
+		commit(10, 15)
 
-	// One sequence number per committed operation.
-	const target = 15
-	deadline := time.Now().Add(10 * time.Second)
-	for _, id := range backups[:2] {
-		for c.replicas[id].LastExecuted() < target {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s stuck at %d, group at %d", id, c.replicas[id].LastExecuted(), target)
+		// One sequence number per committed operation.
+		const target = 15
+		for _, id := range backups[:2] {
+			g.catchUp(id, func() uint64 { return target }, func() bool { return g.cores[id].lastExec >= target })
+			if got := len(g.cores[id].members); got != 4 {
+				g.fatalf("%s sees %d members after its restart, want 4", id, got)
 			}
-			// A commit that lands during the initial transfer leaves a gap;
-			// the next stable checkpoint or this retry closes it.
-			c.replicas[id].RequestStateSync(target)
-			time.Sleep(50 * time.Millisecond)
 		}
-		if got := len(c.replicas[id].Members()); got != 4 {
-			t.Errorf("%s sees %d members after its restart, want 4", id, got)
+		if got := len(g.cores[leader].members); got != 4 {
+			g.fatalf("membership changed to %d members by restarts", got)
 		}
-	}
-	if got := len(c.replicas[leader].Members()); got != 4 {
-		t.Errorf("membership changed to %d members by restarts", got)
-	}
+	})
 }
 
 // TestViewChangeAfterPrimaryCrashThenEvict crashes the view-0 primary: the
@@ -433,185 +180,211 @@ func TestRestartInPlaceCatchesUp(t *testing.T) {
 // then orders the eviction of the crashed ex-primary (Fig 17f); every
 // survivor converges on the smaller membership and the service continues.
 func TestViewChangeAfterPrimaryCrashThenEvict(t *testing.T) {
-	c := newCluster(t, 4, 1, transport.Conditions{})
-	cl := c.client("bob")
-	if _, err := cl.Submit(replica.Op{Type: replica.OpWrite, Key: "a", Value: "1"}); err != nil {
-		t.Fatalf("pre-crash submit: %v", err)
-	}
-	primary := c.replicas["r0"].Leader()
-	c.replicas[primary].Stop()
-	c.net.Isolate(primary)
-	var survivors []string
-	for _, id := range c.members {
-		if id != primary {
-			survivors = append(survivors, id)
-		}
-	}
+	eachSeed(t, func(t *testing.T, seed int64) {
+		g := newGroup(t, seed, 4, 1)
+		cl := g.client("bob")
+		cl.submit(write("a", "1"))
+		primary := g.cores["r0"].leader()
+		g.crash(primary)
+		survivors := g.others(primary)
 
-	if _, err := cl.Submit(replica.Op{Type: replica.OpWrite, Key: "b", Value: "2"}); err != nil {
-		t.Fatalf("post-crash submit: %v", err)
-	}
-	for _, id := range survivors {
-		if v := c.replicas[id].View(); v < 1 {
-			t.Errorf("%s still in view %d after the primary crashed", id, v)
-		}
-		if c.replicas[id].Leader() == primary {
-			t.Errorf("%s still follows the crashed primary", id)
-		}
-	}
-
-	op, err := EncodeConfigOp("evict", primary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Submit(op); err != nil {
-		t.Fatalf("evict %s: %v", primary, err)
-	}
-	// The evict op commits on f+1 replies, so a backup that missed the view
-	// change's traffic can lag behind it; state transfer, which carries the
-	// membership, brings it up.
-	evicted := func(id string) bool {
-		m := c.replicas[id].Members()
-		return len(m) == 3 && !slices.Contains(m, primary)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for _, id := range survivors {
-		for !evicted(id) {
-			if time.Now().After(deadline) {
-				r := c.replicas[id]
-				t.Fatalf("%s did not apply the eviction: members %v, view %d, executed %d",
-					id, r.Members(), r.View(), r.LastExecuted())
+		cl.submit(write("b", "2"))
+		// The request committed on f+1 replies; every survivor then
+		// installs the new view, which another replica leads.
+		g.runUntil("the survivors leave view 0", func() bool {
+			return !slices.ContainsFunc(survivors, func(id string) bool { return g.cores[id].view == 0 })
+		})
+		for _, id := range survivors {
+			if g.cores[id].leader() == primary {
+				g.fatalf("%s still follows the crashed primary", id)
 			}
-			var head uint64
+		}
+
+		cl.submit(reconfigure(t, "evict", primary))
+		// The evict op commits on f+1 replies, so a backup that missed the
+		// view change's traffic can lag behind it; state transfer, which
+		// carries the membership, brings it up.
+		head := func() uint64 {
+			var h uint64
 			for _, s := range survivors {
-				head = max(head, c.replicas[s].LastExecuted())
+				h = max(h, g.cores[s].lastExec)
 			}
-			c.replicas[id].RequestStateSync(head)
-			time.Sleep(50 * time.Millisecond)
+			return h
 		}
-	}
-	s := c.replicas[survivors[0]]
-	cl.UpdateMembership(s.Members(), s.Tolerance())
-	if _, err := cl.Submit(replica.Op{Type: replica.OpWrite, Key: "c", Value: "3"}); err != nil {
-		t.Fatalf("post-evict submit: %v", err)
-	}
+		for _, id := range survivors {
+			g.catchUp(id, head, func() bool {
+				m := g.cores[id].members
+				return len(m) == 3 && !slices.Contains(m, primary)
+			})
+		}
+		cl.follow(survivors[0])
+		cl.submit(write("c", "3"))
+	})
 }
 
 func TestReconfigurationJoin(t *testing.T) {
-	c := newCluster(t, 3, 0, transport.Conditions{})
-	cl := c.client("admin")
+	eachSeed(t, func(t *testing.T, seed int64) {
+		g := newGroup(t, seed, 3, 0)
+		cl := g.client("admin")
+		// Start the new replica first so it can receive protocol traffic.
+		g.members = append(g.members, "r3")
+		u, err := usig.NewHMAC("r3", clusterKey)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.start("r3", u)
 
-	// Start the new replica first so it can receive protocol traffic.
-	c.members = append(c.members, "r3")
-	newR := c.startReplica("r3")
-	_ = newR
-
-	op, err := EncodeConfigOp("join", "r3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Submit(op); err != nil {
-		t.Fatal(err)
-	}
-	// All original replicas now list r3.
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		ok := true
-		for _, id := range []string{"r0", "r1", "r2"} {
-			if len(c.replicas[id].Members()) != 4 {
-				ok = false
+		cl.submit(reconfigure(t, "join", "r3"))
+		// All original replicas now list r3.
+		g.runUntil("the join applies", func() bool {
+			for _, id := range []string{"r0", "r1", "r2"} {
+				if len(g.cores[id].members) != 4 {
+					return false
+				}
 			}
-		}
-		if ok {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	for _, id := range []string{"r0", "r1", "r2"} {
-		if got := len(c.replicas[id].Members()); got != 4 {
-			t.Fatalf("%s has %d members, want 4", id, got)
-		}
-	}
-	// The joiner syncs state and can participate.
-	c.replicas["r3"].RequestStateSync(1)
-	cl.UpdateMembership(c.replicas["r0"].Members(), c.replicas["r0"].Tolerance())
-	if _, err := cl.Submit(replica.Op{Type: replica.OpWrite, Key: "post-join", Value: "yes"}); err != nil {
-		t.Fatal(err)
-	}
+			return true
+		})
+		// The joiner syncs state and can participate.
+		g.admin("r3", func(c *core) { c.requestStateSync(1) })
+		cl.follow("r0")
+		cl.submit(write("post-join", "yes"))
+	})
 }
 
 func TestReconfigurationEvictNonLeader(t *testing.T) {
-	c := newCluster(t, 5, 0, transport.Conditions{})
-	cl := c.client("admin")
-	leader := c.replicas["r0"].Leader()
-	var victim string
-	for _, id := range c.members {
-		if id != leader {
-			victim = id
-			break
-		}
-	}
-	op, err := EncodeConfigOp("evict", victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Submit(op); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		if len(c.replicas[leader].Members()) == 4 {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if got := len(c.replicas[leader].Members()); got != 4 {
-		t.Fatalf("leader has %d members after evict, want 4", got)
-	}
-	// Service continues with the smaller group.
-	cl.UpdateMembership(c.replicas[leader].Members(), c.replicas[leader].Tolerance())
-	if _, err := cl.Submit(replica.Op{Type: replica.OpWrite, Key: "post-evict", Value: "yes"}); err != nil {
-		t.Fatal(err)
-	}
+	eachSeed(t, func(t *testing.T, seed int64) {
+		g := newGroup(t, seed, 5, 0)
+		cl := g.client("admin")
+		leader := g.cores["r0"].leader()
+		victim := g.others(leader)[0]
+		cl.submit(reconfigure(t, "evict", victim))
+		g.runUntil("the leader applies the eviction", func() bool { return len(g.cores[leader].members) == 4 })
+		// Service continues with the smaller group.
+		cl.follow(leader)
+		cl.submit(write("post-evict", "yes"))
+	})
 }
 
 func TestReconfigurationEvictLeaderTriggersViewChange(t *testing.T) {
-	c := newCluster(t, 5, 0, transport.Conditions{})
-	cl := c.client("admin")
-	leader := c.replicas["r0"].Leader()
-	op, err := EncodeConfigOp("evict", leader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Submit(op); err != nil {
-		t.Fatal(err)
-	}
-	c.net.Isolate(leader) // the evicted node is gone
-	var survivor string
-	for _, id := range c.members {
-		if id != leader {
-			survivor = id
-			break
+	eachSeed(t, func(t *testing.T, seed int64) {
+		g := newGroup(t, seed, 5, 0)
+		cl := g.client("admin")
+		leader := g.cores["r0"].leader()
+		cl.submit(reconfigure(t, "evict", leader))
+		g.isolate(leader) // the evicted node is gone
+		survivors := g.others(leader)
+		// The eviction commits on f+1 replies. A survivor that joined the
+		// view change before it executed the eviction ignores the rest of
+		// view 0, so state transfer brings it the smaller membership.
+		for _, id := range survivors {
+			g.catchUp(id, func() uint64 { return 1 }, func() bool { return len(g.cores[id].members) == 4 })
 		}
-	}
-	cl.UpdateMembership(c.replicas[survivor].Members(), c.replicas[survivor].Tolerance())
-	if _, err := cl.Submit(replica.Op{Type: replica.OpWrite, Key: "after", Value: "evict-leader"}); err != nil {
-		t.Fatalf("service did not survive leader eviction: %v", err)
-	}
-	if c.replicas[survivor].Leader() == leader {
-		t.Error("survivor still believes the evicted node leads")
-	}
+		cl.follow(survivors[0])
+		cl.submit(write("after", "evict-leader"))
+		if g.cores[survivors[0]].leader() == leader {
+			g.fatalf("%s still believes the evicted node leads", survivors[0])
+		}
+	})
 }
 
 func TestLossyNetworkStillCommits(t *testing.T) {
 	// The paper's emulation uses 0.05%-0.1% loss; we stress with 5%.
-	c := newCluster(t, 3, 0, transport.Conditions{Loss: 0.05})
-	cl := c.client("alice")
-	for i := 0; i < 5; i++ {
-		if _, err := cl.Submit(replica.Op{
-			Type: replica.OpWrite, Key: "k", Value: fmt.Sprintf("%d", i),
-		}); err != nil {
-			t.Fatalf("op %d under loss: %v", i, err)
+	eachSeed(t, func(t *testing.T, seed int64) {
+		g := newGroup(t, seed, 3, 0)
+		g.loss = 0.05
+		cl := g.client("alice")
+		for i := 0; i < 5; i++ {
+			cl.submit(write("k", fmt.Sprint(i)))
+		}
+	})
+}
+
+// TestSafetyUnderChurn crashes and restarts replicas at steps drawn from
+// the seed, at most f at a time, on a lossy, duplicating network while two
+// clients keep writing. Progress is not promised (a restarted replica's
+// FIFO gate can wait for counters its peers no longer hold); agreement is:
+// every replica that reaches a sequence number holds the same state there.
+func TestSafetyUnderChurn(t *testing.T) {
+	seedRange(t, raceTrim(seeds), func(t *testing.T, seed int64) {
+		g := newGroup(t, seed, 4, 0)
+		g.loss, g.dup, g.churn = 0.02, 0.02, 0.004
+		clients := []*testClient{g.client("alice"), g.client("bob")}
+		for i := 0; i < 1500; i++ {
+			for _, cl := range clients {
+				if cl.req == nil || cl.done {
+					cl.send(write(cl.id, fmt.Sprint(i)))
+				}
+			}
+			g.step()
+			g.checkAgreement(g.members)
+		}
+	})
+}
+
+// TestFIFOGateBuffersOutOfOrder exercises the anti-equivocation FIFO rule
+// under pipelining: ten clients submit at once, so each replica sees the
+// leader's counters out of order and must still execute one sequence.
+func TestFIFOGateBuffersOutOfOrder(t *testing.T) {
+	eachSeed(t, func(t *testing.T, seed int64) {
+		g := newGroup(t, seed, 3, 0)
+		var clients []*testClient
+		for i := 0; i < 10; i++ {
+			cl := g.client(fmt.Sprintf("client-%d", i))
+			cl.send(write(fmt.Sprintf("k%d", i), "v"))
+			clients = append(clients, cl)
+		}
+		g.runUntil("every client gets a reply", func() bool {
+			for _, cl := range clients {
+				if !cl.done {
+					return false
+				}
+			}
+			return true
+		})
+		g.executed(g.members, 10)
+		g.sameState(g.members)
+	})
+}
+
+// TestNewLeaderProposesInArrivalOrder crashes the leader with three
+// requests pending at every backup. The new leader proposes them in the
+// order it first saw them, not in map order, so a seed replays one
+// (seq -> request) assignment and one byte stream every time.
+func TestNewLeaderProposesInArrivalOrder(t *testing.T) {
+	run := func(seed int64) (proposals []string, trace [32]byte) {
+		g := newGroup(t, seed, 4, 0)
+		g.crash("r0")
+		h := sha256.New()
+		g.sent = func(m inFlight) {
+			fmt.Fprintf(h, "%s>%s:%s\n", m.from, m.to, m.data)
+			var env envelope
+			var p prepareMsg
+			if m.from == "r1" && m.to == "r2" && json.Unmarshal(m.data, &env) == nil && env.Type == typePrepare &&
+				json.Unmarshal(env.Data, &p) == nil {
+				proposals = append(proposals, fmt.Sprintf("%d:%s", p.Seq, p.Request.ID()))
+			}
+		}
+		var clients []*testClient
+		for _, id := range []string{"alice", "bob", "carol"} {
+			cl := g.client(id)
+			cl.send(write(id, "v"))
+			clients = append(clients, cl)
+		}
+		g.runUntil("every client gets a reply", func() bool {
+			return !slices.ContainsFunc(clients, func(cl *testClient) bool { return !cl.done })
+		})
+		copy(trace[:], h.Sum(nil))
+		return proposals, trace
+	}
+	const seed = 7
+	want, wantTrace := run(seed)
+	if len(want) < 3 {
+		t.Fatalf("the new leader proposed %v, want all three requests", want)
+	}
+	for i := 1; i < 20; i++ {
+		got, trace := run(seed)
+		if !slices.Equal(got, want) || trace != wantTrace {
+			t.Fatalf("replay %d: proposals %v, want %v (trace equal: %v)", i, got, want, trace == wantTrace)
 		}
 	}
 }
@@ -671,12 +444,10 @@ func TestEncodeConfigOpValidation(t *testing.T) {
 
 func TestToleranceThreshold(t *testing.T) {
 	// f = (N-1-k)/2 per Prop. 1.
-	c := newCluster(t, 5, 0, transport.Conditions{})
-	if f := c.replicas["r0"].Tolerance(); f != 2 {
+	if f := newGroup(t, 1, 5, 0).cores["r0"].tolerance(); f != 2 {
 		t.Errorf("f = %d, want 2 for N=5, k=0", f)
 	}
-	c2 := newCluster(t, 4, 1, transport.Conditions{})
-	if f := c2.replicas["r0"].Tolerance(); f != 1 {
+	if f := newGroup(t, 1, 4, 1).cores["r0"].tolerance(); f != 1 {
 		t.Errorf("f = %d, want 1 for N=4, k=1", f)
 	}
 }

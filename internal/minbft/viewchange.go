@@ -3,142 +3,99 @@ package minbft
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"sort"
+	"strings"
 
 	"tolerance/internal/replica"
 )
 
 // startViewChange suspects the current leader and votes for view+1
 // (Fig 17b).
-func (r *Replica) startViewChange() {
-	r.mu.Lock()
-	if r.inViewChange {
-		r.mu.Unlock()
+func (c *core) startViewChange() {
+	if c.inViewChange {
 		return
 	}
-	r.inViewChange = true
-	target := r.view + 1
-	lastExec := r.lastExec
-	r.mu.Unlock()
+	c.inViewChange = true
+	target := c.view + 1
+	c.voteViewChange(target)
+	c.maybeInstallView(target)
+}
 
-	r.logf("view change -> %d", target)
-	v := &viewChangeMsg{ReplicaID: r.cfg.ID, NewView: target, LastExec: lastExec}
-	ui, err := r.cfg.USIG.CreateUI(v.signedPayload())
+// voteViewChange certifies, records and broadcasts this replica's vote for
+// view target.
+func (c *core) voteViewChange(target uint64) {
+	v := &viewChangeMsg{ReplicaID: c.cfg.ID, NewView: target, LastExec: c.lastExec}
+	ui, err := c.cfg.USIG.CreateUI(v.signedPayload())
 	if err != nil {
 		return
 	}
 	v.UI = ui
-	r.recordViewChange(v)
-	r.broadcast(typeViewChange, v)
-	r.maybeInstallView(target)
+	c.recordViewChange(v)
+	c.keep(ui, c.broadcast(typeViewChange, v))
 }
 
 // onViewChange handles a peer's VIEW-CHANGE vote.
-func (r *Replica) onViewChange(v *viewChangeMsg) {
-	r.mu.Lock()
-	if v.NewView <= r.view {
-		r.mu.Unlock()
+func (c *core) onViewChange(v *viewChangeMsg) {
+	if v.NewView <= c.view || v.UI.ReplicaID != v.ReplicaID {
 		return
 	}
-	if v.UI.ReplicaID != v.ReplicaID {
-		r.mu.Unlock()
-		return
-	}
-	quorum := r.toleranceLocked() + 1
-	r.mu.Unlock()
-
-	r.recordViewChange(v)
+	c.recordViewChange(v)
 
 	// Join the view change once f+1 distinct replicas vote for it — this
 	// replica cannot be left behind even if its own timer never fired.
-	r.mu.Lock()
-	votes := len(r.viewChangeVotes[v.NewView])
-	joined := r.inViewChange
-	r.mu.Unlock()
-	if votes >= quorum && !joined {
-		r.mu.Lock()
-		r.inViewChange = true
-		lastExec := r.lastExec
-		r.mu.Unlock()
-		own := &viewChangeMsg{ReplicaID: r.cfg.ID, NewView: v.NewView, LastExec: lastExec}
-		if ui, err := r.cfg.USIG.CreateUI(own.signedPayload()); err == nil {
-			own.UI = ui
-			r.recordViewChange(own)
-			r.broadcast(typeViewChange, own)
-		}
+	if len(c.viewChangeVotes[v.NewView]) >= c.tolerance()+1 && !c.inViewChange {
+		c.inViewChange = true
+		c.voteViewChange(v.NewView)
 	}
-	r.maybeInstallView(v.NewView)
+	c.maybeInstallView(v.NewView)
 }
 
 // recordViewChange stores a vote.
-func (r *Replica) recordViewChange(v *viewChangeMsg) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.viewChangeVotes[v.NewView] == nil {
-		r.viewChangeVotes[v.NewView] = make(map[string]*viewChangeMsg)
+func (c *core) recordViewChange(v *viewChangeMsg) {
+	if c.viewChangeVotes[v.NewView] == nil {
+		c.viewChangeVotes[v.NewView] = make(map[string]*viewChangeMsg)
 	}
-	r.viewChangeVotes[v.NewView][v.ReplicaID] = v
+	c.viewChangeVotes[v.NewView][v.ReplicaID] = v
 }
 
 // maybeInstallView lets the new view's leader broadcast NEW-VIEW once it
 // holds f+1 votes (including its own).
-func (r *Replica) maybeInstallView(target uint64) {
-	r.mu.Lock()
-	if target <= r.view {
-		r.mu.Unlock()
+func (c *core) maybeInstallView(target uint64) {
+	if target <= c.view || c.leaderOf(target) != c.cfg.ID {
 		return
 	}
-	newLeader := r.members[int(target)%len(r.members)]
-	if newLeader != r.cfg.ID {
-		r.mu.Unlock()
+	votes := c.viewChangeVotes[target]
+	if len(votes) < c.tolerance()+1 {
 		return
 	}
-	votes := r.viewChangeVotes[target]
-	quorum := r.toleranceLocked() + 1
-	if len(votes) < quorum {
-		r.mu.Unlock()
-		return
-	}
-	maxExec := uint64(0)
+	maxExec := c.lastExec
 	proof := make([]viewChangeMsg, 0, len(votes))
 	for _, v := range votes {
 		proof = append(proof, *v)
-		if v.LastExec > maxExec {
-			maxExec = v.LastExec
-		}
+		maxExec = max(maxExec, v.LastExec)
 	}
 	sort.Slice(proof, func(i, j int) bool { return proof[i].ReplicaID < proof[j].ReplicaID })
-	if r.lastExec > maxExec {
-		maxExec = r.lastExec
-	}
-	r.mu.Unlock()
 
-	n := &newViewMsg{View: target, LeaderID: r.cfg.ID, MaxExec: maxExec, Proof: proof}
-	ui, err := r.cfg.USIG.CreateUI(n.signedPayload())
+	n := &newViewMsg{View: target, LeaderID: c.cfg.ID, MaxExec: maxExec, Proof: proof}
+	ui, err := c.cfg.USIG.CreateUI(n.signedPayload())
 	if err != nil {
 		return
 	}
 	n.UI = ui
-	r.logf("installing view %d (maxExec %d)", target, maxExec)
-	r.adoptView(n)
-	r.broadcast(typeNewView, n)
+	c.adoptView(n)
+	c.keep(ui, c.broadcast(typeNewView, n))
 }
 
 // onNewView handles the NEW-VIEW installation message.
-func (r *Replica) onNewView(n *newViewMsg) {
-	r.mu.Lock()
-	if n.View <= r.view {
-		r.mu.Unlock()
+func (c *core) onNewView(n *newViewMsg) {
+	if n.View <= c.view {
 		return
 	}
-	expectedLeader := r.members[int(n.View)%len(r.members)]
+	expectedLeader := c.leaderOf(n.View)
 	if n.UI.ReplicaID != expectedLeader || n.LeaderID != expectedLeader {
-		r.mu.Unlock()
 		return
 	}
-	quorum := r.toleranceLocked() + 1
-	r.mu.Unlock()
-
 	// Verify the proof: f+1 distinct valid view-change votes for this view.
 	valid := make(map[string]bool)
 	for i := range n.Proof {
@@ -146,101 +103,85 @@ func (r *Replica) onNewView(n *newViewMsg) {
 		if v.NewView != n.View || v.UI.ReplicaID != v.ReplicaID {
 			continue
 		}
-		if err := r.cfg.Verifier.VerifyUI(v.signedPayload(), v.UI); err != nil {
+		if err := c.cfg.Verifier.VerifyUI(v.signedPayload(), v.UI); err != nil {
 			continue
 		}
 		valid[v.ReplicaID] = true
 	}
-	if len(valid) < quorum {
-		r.logf("reject new-view %d: only %d valid votes", n.View, len(valid))
+	if len(valid) < c.tolerance()+1 {
 		return
 	}
-	r.adoptView(n)
+	c.adoptView(n)
 }
 
 // adoptView switches to the new view and re-tracks pending requests.
-func (r *Replica) adoptView(n *newViewMsg) {
-	r.mu.Lock()
-	if n.View <= r.view {
-		r.mu.Unlock()
+func (c *core) adoptView(n *newViewMsg) {
+	if n.View <= c.view {
 		return
 	}
-	r.view = n.View
-	r.inViewChange = false
-	r.entries = make(map[uint64]*pendingEntry)
-	start := n.MaxExec
-	if r.lastExec > start {
-		start = r.lastExec
-	}
-	r.nextPrepareSeq = start + 1
-	r.expectedSeq = start + 1
-	for view := range r.viewChangeVotes {
+	c.view = n.View
+	c.inViewChange = false
+	c.entries = make(map[uint64]*pendingEntry)
+	start := max(n.MaxExec, c.lastExec)
+	c.nextPrepareSeq = start + 1
+	c.expectedSeq = start + 1
+	for view := range c.viewChangeVotes {
 		if view <= n.View {
-			delete(r.viewChangeVotes, view)
+			delete(c.viewChangeVotes, view)
 		}
 	}
-	behind := r.lastExec < n.MaxExec
-	r.mu.Unlock()
-
-	if behind {
-		r.requestStateSyncLocked(n.MaxExec)
+	if c.lastExec < n.MaxExec {
+		c.requestStateSync(n.MaxExec)
 	}
 }
 
 // emitCheckpoint broadcasts this replica's state digest (Fig 17c).
-func (r *Replica) emitCheckpoint(seq uint64) {
-	c := &checkpointMsg{ReplicaID: r.cfg.ID, Seq: seq, Digest: r.cfg.Store.Digest()}
-	ui, err := r.cfg.USIG.CreateUI(c.signedPayload())
+func (c *core) emitCheckpoint(seq uint64) {
+	m := &checkpointMsg{ReplicaID: c.cfg.ID, Seq: seq, Digest: c.cfg.Store.Digest()}
+	ui, err := c.cfg.USIG.CreateUI(m.signedPayload())
 	if err != nil {
 		return
 	}
-	c.UI = ui
-	r.recordCheckpoint(c)
-	r.broadcast(typeCheckpoint, c)
+	m.UI = ui
+	c.recordCheckpoint(m)
+	c.keep(ui, c.broadcast(typeCheckpoint, m))
 }
 
 // onCheckpoint handles a peer's checkpoint.
-func (r *Replica) onCheckpoint(c *checkpointMsg) {
-	if c.UI.ReplicaID != c.ReplicaID {
+func (c *core) onCheckpoint(m *checkpointMsg) {
+	if m.UI.ReplicaID != m.ReplicaID {
 		return
 	}
-	r.recordCheckpoint(c)
+	c.recordCheckpoint(m)
 	// A replica that observes a stable checkpoint far ahead of its own
 	// execution is missing state (e.g. it joined or recovered); catch up.
-	r.mu.Lock()
-	behind := c.Seq > r.lastExec && r.stableSeq >= c.Seq
-	target := c.Seq
-	r.mu.Unlock()
-	if behind {
-		r.requestStateSyncLocked(target)
+	if m.Seq > c.lastExec && c.stableSeq >= m.Seq {
+		c.requestStateSync(m.Seq)
 	}
 }
 
 // recordCheckpoint stores a checkpoint vote and advances the stable
 // checkpoint on f+1 matching digests.
-func (r *Replica) recordCheckpoint(c *checkpointMsg) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c.Seq <= r.stableSeq {
+func (c *core) recordCheckpoint(m *checkpointMsg) {
+	if m.Seq <= c.stableSeq {
 		return
 	}
-	if r.checkpointVotes[c.Seq] == nil {
-		r.checkpointVotes[c.Seq] = make(map[string][32]byte)
+	if c.checkpointVotes[m.Seq] == nil {
+		c.checkpointVotes[m.Seq] = make(map[string][32]byte)
 	}
-	r.checkpointVotes[c.Seq][c.ReplicaID] = c.Digest
+	c.checkpointVotes[m.Seq][m.ReplicaID] = m.Digest
 	// Count agreement on the most common digest.
 	counts := make(map[[32]byte]int)
-	for _, d := range r.checkpointVotes[c.Seq] {
+	for _, d := range c.checkpointVotes[m.Seq] {
 		counts[d]++
 	}
-	quorum := r.toleranceLocked() + 1
 	for _, n := range counts {
-		if n >= quorum {
-			r.stableSeq = c.Seq
+		if n >= c.tolerance()+1 {
+			c.stableSeq = m.Seq
 			// Garbage-collect old votes.
-			for seq := range r.checkpointVotes {
-				if seq <= r.stableSeq {
-					delete(r.checkpointVotes, seq)
+			for seq := range c.checkpointVotes {
+				if seq <= c.stableSeq {
+					delete(c.checkpointVotes, seq)
 				}
 			}
 			break
@@ -248,115 +189,86 @@ func (r *Replica) recordCheckpoint(c *checkpointMsg) {
 	}
 }
 
-// StableCheckpoint returns the highest sequence with f+1 matching digests.
-func (r *Replica) StableCheckpoint() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stableSeq
-}
-
-// RequestStateSync asks peers for a snapshot at or beyond minSeq (used by
+// requestStateSync asks peers for a snapshot at or beyond minSeq (used by
 // joining and recovered replicas, Fig 17d-e).
-func (r *Replica) RequestStateSync(minSeq uint64) {
-	r.requestStateSyncLocked(minSeq)
-}
-
-func (r *Replica) requestStateSyncLocked(minSeq uint64) {
-	req := &stateRequestMsg{ReplicaID: r.cfg.ID, MinSeq: minSeq}
-	r.broadcast(typeStateRequest, req)
+func (c *core) requestStateSync(minSeq uint64) {
+	c.broadcast(typeStateRequest, &stateRequestMsg{ReplicaID: c.cfg.ID, MinSeq: minSeq})
 }
 
 // onStateRequest serves a snapshot (STATE, Fig 17d).
-func (r *Replica) onStateRequest(s *stateRequestMsg) {
-	r.mu.Lock()
-	lastExec := r.lastExec
-	view := r.view
-	members := append([]string(nil), r.members...)
-	r.mu.Unlock()
-	if lastExec < s.MinSeq {
+func (c *core) onStateRequest(s *stateRequestMsg) {
+	if c.lastExec < s.MinSeq {
 		return // cannot help
 	}
-	snapshot, err := r.cfg.Store.Snapshot()
+	snapshot, err := c.cfg.Store.Snapshot()
 	if err != nil {
 		return
 	}
-	resp := &stateResponseMsg{
-		ReplicaID: r.cfg.ID,
-		Seq:       lastExec,
-		View:      view,
-		Digest:    r.cfg.Store.Digest(),
+	c.sendTo(s.ReplicaID, typeStateResponse, &stateResponseMsg{
+		ReplicaID: c.cfg.ID,
+		Seq:       c.lastExec,
+		View:      c.view,
+		Digest:    c.cfg.Store.Digest(),
 		Snapshot:  snapshot,
-		Members:   members,
-	}
-	r.sendTo(s.ReplicaID, typeStateResponse, resp)
+		Members:   c.members,
+	})
 }
 
 // stateVoteKey identifies a snapshot candidate.
 type stateVoteKey struct {
-	seq    uint64
-	digest [32]byte
+	seq     uint64
+	digest  [32]byte
+	members string // the responder's membership, joined
 }
 
-// newProbeStore builds a scratch store for snapshot digest verification.
-func newProbeStore() *replica.KVStore { return replica.NewKVStore() }
-
-// onStateResponse collects snapshots and installs one once f+1 replicas
-// agree on (seq, digest). The f+1 rule mirrors §VII-C: a recovered replica
-// initializes its state from f+1 identical copies.
-func (r *Replica) onStateResponse(s *stateResponseMsg) {
-	r.mu.Lock()
-	if s.Seq <= r.lastExec {
-		r.mu.Unlock()
+// onStateResponse collects snapshots and installs one once f+1 members
+// agree on (seq, digest, membership). The f+1 rule mirrors §VII-C: a
+// recovered replica initializes its state from f+1 identical copies. A
+// response counts only for the member the transport delivered it from, so
+// no one can cast another's vote.
+func (c *core) onStateResponse(from string, s *stateResponseMsg) {
+	if s.ReplicaID != from || !slices.Contains(c.members, from) || s.Seq <= c.lastExec {
 		return
 	}
-	if r.stateResponses == nil {
-		r.stateResponses = make(map[stateVoteKey]map[string]*stateResponseMsg)
+	if c.stateResponses == nil {
+		c.stateResponses = make(map[stateVoteKey]map[string]*stateResponseMsg)
 	}
-	key := stateVoteKey{seq: s.Seq, digest: s.Digest}
-	if r.stateResponses[key] == nil {
-		r.stateResponses[key] = make(map[string]*stateResponseMsg)
+	key := stateVoteKey{seq: s.Seq, digest: s.Digest, members: strings.Join(s.Members, "\x00")}
+	if c.stateResponses[key] == nil {
+		c.stateResponses[key] = make(map[string]*stateResponseMsg)
 	}
-	r.stateResponses[key][s.ReplicaID] = s
-	quorum := r.toleranceLocked() + 1
-	votes := len(r.stateResponses[key])
-	r.mu.Unlock()
-
-	if votes < quorum {
+	c.stateResponses[key][s.ReplicaID] = s
+	if len(c.stateResponses[key]) < c.tolerance()+1 {
 		return
 	}
 	// Verify the snapshot digest matches before installing.
 	probe := replicaStoreDigest(s.Snapshot)
 	if probe == nil || !bytes.Equal(probe, s.Digest[:]) {
-		r.logf("state response digest mismatch from %s", s.ReplicaID)
 		return
 	}
-	if err := r.cfg.Store.Restore(s.Snapshot); err != nil {
-		r.logf("restore: %v", err)
+	if c.cfg.Store.Restore(s.Snapshot) != nil {
 		return
 	}
-	r.mu.Lock()
-	r.lastExec = s.Seq
-	if s.View > r.view {
-		r.view = s.View
-		r.inViewChange = false
+	c.lastExec = s.Seq
+	if s.View > c.view {
+		c.view = s.View
+		c.inViewChange = false
 	}
 	if len(s.Members) >= 2 {
 		members := append([]string(nil), s.Members...)
 		sort.Strings(members)
-		r.members = members
+		c.members = members
 	}
-	r.entries = make(map[uint64]*pendingEntry)
-	r.nextPrepareSeq = s.Seq + 1
-	r.expectedSeq = s.Seq + 1
-	r.stateResponses = nil
-	r.mu.Unlock()
-	r.logf("state transfer complete at seq %d", s.Seq)
+	c.entries = make(map[uint64]*pendingEntry)
+	c.nextPrepareSeq = s.Seq + 1
+	c.expectedSeq = s.Seq + 1
+	c.stateResponses = nil
 }
 
 // replicaStoreDigest computes the digest a fresh store would have after
 // restoring the snapshot.
 func replicaStoreDigest(snapshot []byte) []byte {
-	probe := newProbeStore()
+	probe := replica.NewKVStore()
 	if err := probe.Restore(snapshot); err != nil {
 		return nil
 	}
@@ -367,42 +279,36 @@ func replicaStoreDigest(snapshot []byte) []byte {
 // applyConfigOp executes a reconfiguration op that was ordered through
 // consensus (Fig 17 e-f). All honest replicas apply it at the same sequence
 // number, so membership changes deterministically.
-func (r *Replica) applyConfigOp(value string) {
+func (c *core) applyConfigOp(value string) {
 	var op configOp
-	if err := json.Unmarshal([]byte(value), &op); err != nil {
-		r.logf("bad config op: %v", err)
+	if json.Unmarshal([]byte(value), &op) != nil {
 		return
 	}
-	r.mu.Lock()
-	oldLeader := r.leaderLocked()
+	oldLeader := c.leader()
 	switch op.Action {
 	case "join":
 		present := false
-		for _, m := range r.members {
+		for _, m := range c.members {
 			if m == op.NodeID {
 				present = true
 			}
 		}
 		if !present {
-			r.members = append(r.members, op.NodeID)
-			sort.Strings(r.members)
+			c.members = append(c.members, op.NodeID)
+			sort.Strings(c.members)
 		}
 	case "evict":
-		out := r.members[:0]
-		for _, m := range r.members {
+		out := c.members[:0]
+		for _, m := range c.members {
 			if m != op.NodeID {
 				out = append(out, m)
 			}
 		}
-		r.members = out
+		c.members = out
 	}
-	leaderEvicted := op.Action == "evict" && op.NodeID == oldLeader
-	r.mu.Unlock()
-	r.logf("config %s %s -> members %v", op.Action, op.NodeID, r.Members())
-
-	if leaderEvicted {
+	if op.Action == "evict" && op.NodeID == oldLeader {
 		// The evicted node can no longer lead; move to the next view
 		// (Fig 17f: EVICT triggers NEW-VIEW).
-		r.startViewChange()
+		c.startViewChange()
 	}
 }
