@@ -1,7 +1,6 @@
 package minbft
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/json"
 	"slices"
@@ -20,9 +19,10 @@ const requestTimeoutTicks = 50
 // and the log of its own UI-certified messages a replica keeps to resend.
 const pendingCap = 1024
 
-// resendTicks is how often a replica tells each peer the last of the peer's
-// UI counters it has processed; resendBatch bounds what one such message
-// makes the peer send again.
+// resendTicks is how often a replica that waits on its peers (it holds
+// early messages from one, is in a view change, or has a request half past
+// its deadline) tells them the last of their UI counters it has processed;
+// resendBatch bounds what one such message makes a peer send again.
 const (
 	resendTicks = 10
 	resendBatch = 64
@@ -187,7 +187,7 @@ func (c *core) receive(from string, payload []byte) {
 	case typeStateRequest:
 		var m stateRequestMsg
 		if json.Unmarshal(env.Data, &m) == nil {
-			c.onStateRequest(&m)
+			c.onStateRequest(from, &m)
 		}
 	case typeStateResponse:
 		var m stateResponseMsg
@@ -197,7 +197,7 @@ func (c *core) receive(from string, payload []byte) {
 	case typeResend:
 		var m resendMsg
 		if json.Unmarshal(env.Data, &m) == nil {
-			c.onResend(&m)
+			c.onResend(from, &m)
 		}
 	}
 }
@@ -262,10 +262,11 @@ func (c *core) keep(ui usig.UI, data []byte) {
 	}
 }
 
-// onResend sends a member again the messages it lacks, in counter order,
-// from the first it lacks while this replica still holds them.
-func (c *core) onResend(m *resendMsg) {
-	if !slices.Contains(c.members, m.ReplicaID) {
+// onResend sends the member the transport delivered m from the messages it
+// lacks again, in counter order, from the first it lacks while this replica
+// still holds them.
+func (c *core) onResend(from string, m *resendMsg) {
+	if m.ReplicaID != from || !slices.Contains(c.members, from) {
 		return
 	}
 	for n := m.Counter + 1; n <= m.Counter+resendBatch; n++ {
@@ -273,7 +274,7 @@ func (c *core) onResend(m *resendMsg) {
 		if !ok {
 			return
 		}
-		c.out = append(c.out, outbound{to: m.ReplicaID, data: data})
+		c.out = append(c.out, outbound{to: from, data: data})
 	}
 }
 
@@ -359,7 +360,7 @@ func (c *core) propose(req *replica.Request) {
 
 // onPrepare handles the leader's PREPARE at a follower.
 func (c *core) onPrepare(p *prepareMsg) {
-	if !c.signed(p.Request) {
+	if c.cfg.Registry.Verify(p.Request) != nil {
 		return
 	}
 	if p.View != c.view || c.inViewChange || p.UI.ReplicaID != c.leader() {
@@ -387,16 +388,6 @@ func (c *core) onPrepare(p *prepareMsg) {
 	c.recordCommit(m.Seq, m.PrepareDigest, c.cfg.ID)
 	c.keep(ui, c.broadcast(typeCommit, m))
 	c.tryExecute()
-}
-
-// signed reports whether req carries its client's signature. A request
-// this replica holds pending was verified on arrival, so the same signed
-// request inside the leader's PREPARE is not verified twice.
-func (c *core) signed(req *replica.Request) bool {
-	if tr := c.pendingRequests[req.ID()]; tr != nil && bytes.Equal(tr.req.Sig, req.Sig) && tr.req.Digest() == req.Digest() {
-		return true
-	}
-	return c.cfg.Registry.Verify(req) == nil
 }
 
 // acceptPrepare installs the slot entry.
@@ -485,21 +476,17 @@ func (c *core) execute(seq uint64, req *replica.Request) {
 	}
 }
 
-// tick advances the core's clock by one tick and drives timeouts: peers
-// hear which of their messages arrived, request deadlines trigger view
-// changes, and the leader re-proposes, in arrival order, requests it has
-// not ordered yet.
+// tick advances the core's clock by one tick and drives timeouts: a
+// replica that waits on its peers asks them for what it lacks, request
+// deadlines trigger view changes, and the leader re-proposes, in arrival
+// order, requests it has not ordered yet.
 func (c *core) tick() {
 	c.ticks++
 	if c.byzantine == Silent {
 		return
 	}
 	if c.ticks%resendTicks == 0 {
-		for _, m := range c.members {
-			if m != c.cfg.ID {
-				c.sendTo(m, typeResend, resendMsg{ReplicaID: c.cfg.ID, Counter: c.peerCounters[m]})
-			}
-		}
+		c.askPeers()
 	}
 	if c.inViewChange {
 		// Votes or a state transfer's membership may since have made this
@@ -537,5 +524,29 @@ func (c *core) tick() {
 	}
 	if expired {
 		c.startViewChange()
+	}
+}
+
+// askPeers, while this replica waits on its peers, tells each the last of
+// its UI counters processed here, so the peer resends what was lost; a
+// replica that waits on nothing sends nothing. It also asks for state while
+// in a view change, or while it leads with a request past its deadline:
+// peers that executed past it bring it their view and membership. A
+// replica that missed the reconfiguration that started a view change lacks
+// both, and then rejects the new leader's NEW-VIEW or leads a view no peer
+// follows.
+func (c *core) askPeers() {
+	waiting, overdue := c.inViewChange, false
+	for _, tr := range c.pendingRequests {
+		waiting = waiting || c.ticks+requestTimeoutTicks/2 > tr.deadline
+		overdue = overdue || c.ticks > tr.deadline
+	}
+	for _, m := range c.members {
+		if m != c.cfg.ID && (waiting || len(c.pendingByPeer[m]) > 0) {
+			c.sendTo(m, typeResend, resendMsg{ReplicaID: c.cfg.ID, Counter: c.peerCounters[m]})
+		}
+	}
+	if c.inViewChange || overdue && c.leader() == c.cfg.ID {
+		c.requestStateSync(c.lastExec + 1)
 	}
 }

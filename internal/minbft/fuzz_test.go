@@ -3,6 +3,7 @@ package minbft
 import (
 	"encoding/binary"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"tolerance/internal/replica"
@@ -32,8 +33,10 @@ func fuzzEntry(to, flags byte, envelope []byte) []byte {
 // protocol handlers rather than stopping at the decoder. Entries are sent
 // from r3 or from an outsider, never as an honest replica (the transport
 // names the sender). Checked after every step: no panic, no sender's
-// buffer at the FIFO gate above its cap, and honest cores that reach a
-// sequence number hold the same state there.
+// buffer at the FIFO gate above its cap, honest cores that reach a
+// sequence number hold the same state there, a resend makes its receiver
+// send at most resendBatch messages, all to the member that sent it, and a
+// state request at most one snapshot, to its sender.
 func FuzzCoreEnvelope(f *testing.F) {
 	g := newGroup(f, 1, 4, 0)
 	req := g.client("alice").sign(write("x", "1"))
@@ -58,6 +61,12 @@ func FuzzCoreEnvelope(f *testing.F) {
 		{2, 0, typeStateRequest, stateRequestMsg{ReplicaID: "r3", MinSeq: 0}},
 		{0, 0, typeStateResponse, stateResponseMsg{ReplicaID: "r3", Seq: 1, Digest: empty, Snapshot: snapshot, Members: []string{"r3", "r9"}}},
 		{1, 0, typeResend, resendMsg{ReplicaID: "r3"}},
+		// A resend naming another member, from r3 or from an outsider,
+		// once made the receiver send its log to that member.
+		{1, 0, typeResend, resendMsg{ReplicaID: "r0"}},
+		{2, 2, typeResend, resendMsg{ReplicaID: "r0"}},
+		// So did a state request naming another replica, with a snapshot.
+		{0, 2, typeStateRequest, stateRequestMsg{ReplicaID: "r1"}},
 		{2, 0, typeRequest, req},
 	} {
 		data, err := encode(e.t, e.msg)
@@ -90,6 +99,18 @@ func FuzzCoreEnvelope(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, entries []byte) {
 		g := newGroup(t, seed, 4, 0)
 		g.cores["r3"].byzantine = Silent
+		g.received = func(m inFlight, sends []outbound) {
+			var env envelope
+			if len(sends) == 0 || json.Unmarshal(m.data, &env) != nil {
+				return
+			}
+			toOthers := slices.ContainsFunc(sends, func(s outbound) bool { return s.to != m.from })
+			switch {
+			case env.Type == typeResend && (toOthers || len(sends) > resendBatch || !slices.Contains(g.members, m.from)),
+				env.Type == typeStateRequest && (toOthers || len(sends) > 1):
+				g.fatalf("a %s from %s made %s send %d messages, to %v", env.Type, m.from, m.to, len(sends), sends[0].to)
+			}
+		}
 		fuzzer := g.usigs["r3"]
 		for len(entries) >= 4 {
 			to, flags := g.members[entries[0]%4], entries[1]

@@ -77,9 +77,9 @@ type group struct {
 	stateAt  map[uint64][32]byte
 	seenExec map[string]uint64
 
-	// received, when set, sees every envelope a core takes and the sends
+	// received, when set, sees every message a core takes and the sends
 	// it queued in response.
-	received func(to string, payload []byte, sends []outbound)
+	received func(m inFlight, sends []outbound)
 	// sent, when set, sees every message put on the queue.
 	sent func(m inFlight)
 }
@@ -263,7 +263,7 @@ func (g *group) deliverNext() {
 	c.receive(m.from, m.data)
 	sends := c.takeSends()
 	if g.received != nil {
-		g.received(m.to, m.data, sends)
+		g.received(m, sends)
 	}
 	g.enqueue(m.to, sends)
 }
@@ -460,8 +460,8 @@ func reconfigure(t testing.TB, action, id string) replica.Op {
 	return op
 }
 
-// eachSeed runs body on seeds schedules.
-func eachSeed(t *testing.T, body func(t *testing.T, seed int64)) { seedRange(t, seeds, body) }
+// eachSeed runs body on seeds schedules (raceTrim'd).
+func eachSeed(t *testing.T, body func(t *testing.T, seed int64)) { seedRange(t, raceTrim(seeds), body) }
 
 // raceTrim is n, or a quarter of n under the race detector.
 func raceTrim(n int64) int64 {

@@ -1165,7 +1165,8 @@ func matchOracle(t *testing.T, seed int64) {
 		g.cores[id].byzantine = mode
 		oracles[id].SetByzantine(mode)
 	}
-	g.received = func(to string, payload []byte, sends []outbound) {
+	g.received = func(m inFlight, sends []outbound) {
+		to, payload := m.to, m.data
 		o := oracles[to]
 		o.handleRaw(transport.Message{To: to, Payload: payload})
 		ep := o.cfg.Endpoint.(*captureEndpoint)

@@ -2,7 +2,7 @@
 
 package minbft
 
-// raceEnabled trims the two longest schedule tests, the oracle comparison
-// and the churn run, to a quarter of their seeds under the race detector,
-// which has nothing to find in them: each schedule runs on one goroutine.
+// raceEnabled trims every schedule test to a quarter of its seeds under the
+// race detector, which has nothing to find in them: each schedule runs on
+// one goroutine.
 const raceEnabled = true

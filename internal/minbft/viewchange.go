@@ -114,7 +114,8 @@ func (c *core) onNewView(n *newViewMsg) {
 	c.adoptView(n)
 }
 
-// adoptView switches to the new view and re-tracks pending requests.
+// adoptView switches to the new view and re-tracks pending requests: each
+// gets a full timeout for the new leader to order it.
 func (c *core) adoptView(n *newViewMsg) {
 	if n.View <= c.view {
 		return
@@ -122,6 +123,9 @@ func (c *core) adoptView(n *newViewMsg) {
 	c.view = n.View
 	c.inViewChange = false
 	c.entries = make(map[uint64]*pendingEntry)
+	for _, tr := range c.pendingRequests {
+		tr.deadline = c.ticks + requestTimeoutTicks
+	}
 	start := max(n.MaxExec, c.lastExec)
 	c.nextPrepareSeq = start + 1
 	c.expectedSeq = start + 1
@@ -195,10 +199,11 @@ func (c *core) requestStateSync(minSeq uint64) {
 	c.broadcast(typeStateRequest, &stateRequestMsg{ReplicaID: c.cfg.ID, MinSeq: minSeq})
 }
 
-// onStateRequest serves a snapshot (STATE, Fig 17d).
-func (c *core) onStateRequest(s *stateRequestMsg) {
-	if c.lastExec < s.MinSeq {
-		return // cannot help
+// onStateRequest serves a snapshot (STATE, Fig 17d) to the replica the
+// transport delivered the request from, and to no other.
+func (c *core) onStateRequest(from string, s *stateRequestMsg) {
+	if s.ReplicaID != from || c.lastExec < s.MinSeq {
+		return // misaddressed, or cannot help
 	}
 	snapshot, err := c.cfg.Store.Snapshot()
 	if err != nil {
@@ -224,8 +229,10 @@ type stateVoteKey struct {
 // onStateResponse collects snapshots and installs one once f+1 members
 // agree on (seq, digest, membership). The f+1 rule mirrors §VII-C: a
 // recovered replica initializes its state from f+1 identical copies. A
-// response counts only for the member the transport delivered it from, so
-// no one can cast another's vote.
+// response counts only for the member the transport names as its sender.
+// The transport's sender is not authenticated (over TCP it is the frame
+// header the sender writes), so this binds a vote to a sender, not to a
+// proof of one.
 func (c *core) onStateResponse(from string, s *stateResponseMsg) {
 	if s.ReplicaID != from || !slices.Contains(c.members, from) || s.Seq <= c.lastExec {
 		return
