@@ -54,10 +54,6 @@ func CampaignFor(replicaType int) (Campaign, error) {
 	return c, nil
 }
 
-// NumCampaigns is the number of intrusion types (the paper evaluates
-// against 10).
-func NumCampaigns() int { return len(campaigns) }
-
 // Behaviour is the post-compromise strategy of §VIII-A.
 type Behaviour int
 
@@ -121,14 +117,6 @@ func (i *Intrusion) Begin(replicaType int) error {
 
 // Done reports whether the replica is fully compromised.
 func (i *Intrusion) Done() bool { return i.step >= len(i.campaign.Steps) }
-
-// CurrentStep returns the in-progress step, or nil when done.
-func (i *Intrusion) CurrentStep() *Step {
-	if i.Done() {
-		return nil
-	}
-	return &i.campaign.Steps[i.step]
-}
 
 // Advance progresses the campaign by one time step; when the final step
 // completes the post-compromise behaviour is sampled. It returns the alert

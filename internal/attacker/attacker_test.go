@@ -6,8 +6,8 @@ import (
 )
 
 func TestAllTenCampaignsDefined(t *testing.T) {
-	if NumCampaigns() != 10 {
-		t.Fatalf("NumCampaigns = %d, want 10 (Table 6)", NumCampaigns())
+	if len(campaigns) != 10 {
+		t.Fatalf("%d campaigns, want 10 (Table 6)", len(campaigns))
 	}
 	for id := 1; id <= 10; id++ {
 		c, err := CampaignFor(id)
@@ -53,7 +53,7 @@ func TestIntrusionLifecycle(t *testing.T) {
 	if intr.Done() {
 		t.Fatal("fresh intrusion already done")
 	}
-	if s := intr.CurrentStep(); s == nil || s.Name != "ICMP scan" {
+	if s := intr.campaign.Steps[intr.step]; s.Name != "ICMP scan" {
 		t.Fatalf("current step = %+v", s)
 	}
 	totalBoost := 0
@@ -74,7 +74,7 @@ func TestIntrusionLifecycle(t *testing.T) {
 	if intr.Behaviour < Participate || intr.Behaviour > SendRandom {
 		t.Errorf("behaviour = %v not sampled", intr.Behaviour)
 	}
-	if intr.CurrentStep() != nil {
+	if intr.step != len(intr.campaign.Steps) {
 		t.Error("done intrusion still has a current step")
 	}
 	if intr.Advance(rng) != 0 {

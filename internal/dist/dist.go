@@ -190,32 +190,6 @@ func Binomial(n int, p float64, k int) float64 {
 	return math.Exp(ln)
 }
 
-// GeometricCDF returns P[T <= t] = 1 - (1-p)^t for a geometric waiting time
-// with per-step success probability p.
-func GeometricCDF(p float64, t int) float64 {
-	if t <= 0 {
-		return 0
-	}
-	if p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return 1
-	}
-	return 1 - math.Pow(1-p, float64(t))
-}
-
-// SampleBernoulli draws a Bernoulli(p) outcome.
-func SampleBernoulli(rng *rand.Rand, p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return rng.Float64() < p
-}
-
 // binomialInvWalk is BinomialSampler's CDF walk: one uniform, then the pmf
 // recurrence P[k+1] = P[k] (n-k)/(k+1) p/q from P[X = 0] = q0 until the
 // running CDF passes u, with the fixed odds ratio pq = p/q. The recurrence
@@ -435,11 +409,6 @@ func FitEmpirical(rng *rand.Rand, src *Categorical, support, m int) (*Empirical,
 		e.counts[src.Sample(rng)]++
 	}
 	return e, nil
-}
-
-// Counts returns a copy of the per-value sample counts.
-func (e *Empirical) Counts() []int {
-	return append([]int(nil), e.counts...)
 }
 
 // Samples returns the number of samples the fit is based on.

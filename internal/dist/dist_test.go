@@ -102,15 +102,6 @@ func TestBinomialPMF(t *testing.T) {
 	}
 }
 
-func TestGeometricCDF(t *testing.T) {
-	if got, want := GeometricCDF(0.1, 50), 1-math.Pow(0.9, 50); math.Abs(got-want) > 1e-12 {
-		t.Errorf("GeometricCDF(0.1, 50) = %v, want %v", got, want)
-	}
-	if GeometricCDF(0.1, 0) != 0 || GeometricCDF(1, 3) != 1 || GeometricCDF(0, 3) != 0 {
-		t.Error("edge cases")
-	}
-}
-
 func TestCategoricalNormalizationAndSampling(t *testing.T) {
 	c := MustCategorical([]float64{2, 1, 1})
 	if got := c.Prob(0); math.Abs(got-0.5) > 1e-12 {
@@ -155,7 +146,7 @@ func TestFitEmpiricalConverges(t *testing.T) {
 		t.Errorf("MLE divergence %v at 50k samples", got)
 	}
 	total := 0
-	for _, c := range fit.Counts() {
+	for _, c := range fit.counts {
 		total += c
 	}
 	if total != 50000 {
@@ -245,22 +236,5 @@ func TestSampleBinomial(t *testing.T) {
 		if math.Abs(variance-wantVar) > 0.1*wantVar+0.1 {
 			t.Errorf("n=%d p=%v: empirical variance %v, want %v", tc.n, tc.p, variance, wantVar)
 		}
-	}
-}
-
-func TestSampleBernoulli(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	if SampleBernoulli(rng, 0) || !SampleBernoulli(rng, 1) {
-		t.Error("edge probabilities")
-	}
-	hits := 0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		if SampleBernoulli(rng, 0.3) {
-			hits++
-		}
-	}
-	if got := float64(hits) / n; math.Abs(got-0.3) > 0.01 {
-		t.Errorf("empirical p = %v", got)
 	}
 }

@@ -39,8 +39,8 @@ func (s *Stream) Float64() float64 {
 	}
 }
 
-// Bernoulli draws a Bernoulli(p) outcome; like SampleBernoulli it consumes
-// no draw when p is outside (0, 1).
+// Bernoulli draws a Bernoulli(p) outcome; it consumes no draw when p is
+// outside (0, 1).
 func (s *Stream) Bernoulli(p float64) bool {
 	if p <= 0 {
 		return false

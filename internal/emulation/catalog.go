@@ -129,33 +129,6 @@ func buildCatalog() ([]Container, error) {
 	return out, nil
 }
 
-// PhysicalNode describes one server of Table 3 (kept as reference data for
-// the documentation; the simulation does not model hardware).
-type PhysicalNode struct {
-	Name       string
-	Processors string
-	RAMGB      int
-}
-
-// PhysicalCluster returns the Table 3 inventory.
-func PhysicalCluster() []PhysicalNode {
-	nodes := make([]PhysicalNode, 0, 13)
-	for i := 1; i <= 9; i++ {
-		nodes = append(nodes, PhysicalNode{
-			Name:       fmt.Sprintf("%d, R715 2U", i),
-			Processors: "two 12-core AMD Opteron",
-			RAMGB:      64,
-		})
-	}
-	nodes = append(nodes,
-		PhysicalNode{"10, R630 2U", "two 12-core Intel Xeon E5-2680", 256},
-		PhysicalNode{"11, R740 2U", "one 20-core Intel Xeon Gold 5218R", 32},
-		PhysicalNode{"12, Supermicro 7049", "2x Tesla P100, one 16-core Intel Xeon", 126},
-		PhysicalNode{"13, Supermicro 7049", "4x RTX 8000, one 24-core Intel Xeon", 768},
-	)
-	return nodes
-}
-
 // BackgroundWorkload models the client population of §VIII-A: arrivals are
 // Poisson(lambda = 20) and service times exponential with mean mu = 4 time
 // steps; the active session count modulates baseline alert noise.

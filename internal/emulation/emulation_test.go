@@ -226,16 +226,6 @@ func BenchmarkStep(b *testing.B) {
 	}
 }
 
-func TestPhysicalClusterTable3(t *testing.T) {
-	nodes := PhysicalCluster()
-	if len(nodes) != 13 {
-		t.Fatalf("physical cluster has %d nodes, want 13 (Table 3)", len(nodes))
-	}
-	if nodes[12].RAMGB != 768 {
-		t.Errorf("node 13 RAM = %d, want 768", nodes[12].RAMGB)
-	}
-}
-
 func toleranceScenario(t testing.TB, n1, deltaR int, seed int64) Scenario {
 	t.Helper()
 	params := nodemodel.DefaultParams()

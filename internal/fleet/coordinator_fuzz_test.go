@@ -5,52 +5,32 @@ import (
 	"encoding/json"
 	"fmt"
 	"testing"
+	"time"
 
 	"tolerance/internal/fleet/proto"
 	"tolerance/internal/telemetry"
-	"tolerance/internal/transport"
 )
 
-// stubEndpoint is a coordinator endpoint with no network behind it: sends
-// are counted and dropped but the last one is kept, and Receive reports
-// that it was asked.
-type stubEndpoint struct {
-	sent     int
-	last     []byte
-	received bool
-}
-
-func (e *stubEndpoint) Addr() string { return "stub" }
-func (e *stubEndpoint) Send(_ string, payload []byte) error {
-	e.sent++
-	e.last = payload
-	return nil
-}
-func (e *stubEndpoint) Close() error { return nil }
-func (e *stubEndpoint) Receive() <-chan transport.Message {
-	e.received = true
-	return nil
-}
-
-// FuzzCoordinatorFrames drives the coordinator's network parse surface —
-// envelope, payloads and wire records — with arbitrary frames. Each input
-// line is one frame: its first byte picks one of three senders, the rest is
-// the payload handed to handle. After every frame the frontier must not
-// have moved back, every index must have folded exactly once and in order,
-// the records kept ahead of the frontier must fit in the suite, and the
-// reject and duplicate counters must equal what an encoding/json model of
-// the same frames predicts.
+// FuzzCoordinatorFrames drives the lease table's network parse surface —
+// envelope, payloads and wire records — with arbitrary frames, straight
+// into the machine. Each input line is one frame: its first byte picks one
+// of three senders, the rest is the payload handed to receive, and a tick
+// follows it a quarter second later. After every frame the frontier must
+// not have moved back, every index must have folded exactly once and in
+// order, the records kept ahead of the frontier must fit in the suite, and
+// the reject and duplicate counters must equal what an encoding/json model
+// of the same frames predicts.
 func FuzzCoordinatorFrames(f *testing.F) {
 	suite := testSuite().withDefaults()
 	total := suite.NumScenarios()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		col := telemetry.New()
 		var folded []int
+		now := time.Unix(0, 0)
 		c, err := newCoordinator(suite, CoordinatorConfig{
-			Endpoint:  &stubEndpoint{},
 			Telemetry: col,
 			OnRecord:  func(rec RunRecord) error { folded = append(folded, rec.Index); return nil },
-		})
+		}, now)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,9 +45,11 @@ func FuzzCoordinatorFrames(f *testing.F) {
 			rejects, dupes = rejects+r, dupes+d
 
 			before := c.fold.next
-			if err := c.handle(transport.Message{From: fmt.Sprintf("w%d", line[0]%3), Payload: frame}); err != nil {
-				t.Fatalf("handle: %v", err)
+			if err := c.receive(fmt.Sprintf("w%d", line[0]%3), frame, now); err != nil {
+				t.Fatalf("receive: %v", err)
 			}
+			now = now.Add(DefaultHeartbeat / 4)
+			c.tick(now)
 			if c.fold.next < before {
 				t.Fatalf("frontier moved back from %d to %d", before, c.fold.next)
 			}

@@ -97,76 +97,6 @@ func TestCoordinateLoopbackDeterminism(t *testing.T) {
 	}
 }
 
-// TestCoordinateWorkerKillReLease is the fault-tolerance contract: a worker
-// that dies mid-range without a Goodbye (simulated SIGKILL) must have its
-// lease expire after the timeout and the missing scenarios re-leased to a
-// surviving worker, with the final result still byte-identical — the
-// replayed prefix the dead worker shipped is deduped, not double-counted.
-func TestCoordinateWorkerKillReLease(t *testing.T) {
-	suite := testSuite()
-	want := referenceRun(t, suite)
-
-	coordEP := listenLoopback(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	col := telemetry.New()
-
-	// Victim: ships records one at a time, dies hard after the third.
-	victimDone := make(chan error, 1)
-	go func() {
-		victimDone <- ConnectWorker(ctx, WorkerConfig{
-			Endpoint:             listenLoopback(t),
-			Coordinator:          coordEP.Addr(),
-			Workers:              1,
-			testFailAfterRecords: 3,
-			testBatchRecords:     1,
-		})
-	}()
-
-	// Survivor: joins after the victim so the victim holds the first lease.
-	survivorDone := make(chan error, 1)
-	go func() {
-		time.Sleep(2 * coordTestHeartbeat)
-		survivorDone <- ConnectWorker(ctx, WorkerConfig{
-			Endpoint:    listenLoopback(t),
-			Coordinator: coordEP.Addr(),
-			Workers:     2,
-		})
-	}()
-
-	res, err := Coordinate(ctx, suite, CoordinatorConfig{
-		Endpoint:       coordEP,
-		LeaseScenarios: 6,
-		Heartbeat:      coordTestHeartbeat,
-		Telemetry:      col,
-	})
-	if err != nil {
-		t.Fatalf("Coordinate: %v", err)
-	}
-	if verr := <-victimDone; !errors.Is(verr, errWorkerKilled) {
-		t.Errorf("victim worker: got %v, want simulated kill", verr)
-	}
-	if serr := <-survivorDone; serr != nil && !errors.Is(serr, ErrDrained) {
-		t.Errorf("survivor worker: %v", serr)
-	}
-
-	got, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Errorf("result after worker kill differs from single-machine run:\n%s\n%s", got, want)
-	}
-	s := col.Snapshot()
-	if s.Counter(MetricCoordLeasesExpired) < 1 {
-		t.Errorf("coord.leases_expired = %d, want >= 1 (victim's lease must expire)",
-			s.Counter(MetricCoordLeasesExpired))
-	}
-	if folded := s.Counter(MetricScenariosFolded); folded != int64(suite.NumScenarios()) {
-		t.Errorf("fleet.scenarios_folded = %d, want %d", folded, suite.NumScenarios())
-	}
-}
-
 // TestCoordinateDuplicateRecordsDeduped drives the wire protocol directly:
 // a hand-rolled worker ships every leased record batch twice. First write
 // wins — the duplicates count as coord.records_replayed and the merged
@@ -412,76 +342,6 @@ func TestRunIndicesValidation(t *testing.T) {
 	}
 }
 
-// bogusLeaseEndpoint wraps the coordinator's endpoint and slips the given
-// malformed leases in ahead of the first real lease it sends.
-type bogusLeaseEndpoint struct {
-	transport.Endpoint
-	bogus []proto.Lease
-	once  sync.Once
-}
-
-func (e *bogusLeaseEndpoint) Send(to string, payload []byte) error {
-	if kind, _, err := proto.Decode(payload); err == nil && kind == proto.KindLease {
-		e.once.Do(func() {
-			for _, l := range e.bogus {
-				if data, err := proto.Encode(proto.KindLease, l); err == nil {
-					_ = e.Endpoint.Send(to, data)
-				}
-			}
-		})
-	}
-	return e.Endpoint.Send(to, payload)
-}
-
-// TestConnectWorkerDropsMalformedLease: a lease outside the suite is
-// handled like any malformed frame — dropped, and the worker asks again —
-// so the worker finishes the run instead of exiting on the first bad frame.
-func TestConnectWorkerDropsMalformedLease(t *testing.T) {
-	suite := testSuite()
-	want := referenceRun(t, suite)
-	total := suite.NumScenarios()
-
-	ep := listenLoopback(t)
-	coordEP := &bogusLeaseEndpoint{Endpoint: ep, bogus: []proto.Lease{
-		{ID: 1 << 40, Start: total, End: total + 3},
-		{ID: 1<<40 + 1, Start: -2, End: 1},
-	}}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-
-	workerDone := make(chan error, 1)
-	go func() {
-		err := ConnectWorker(ctx, WorkerConfig{
-			Endpoint:    listenLoopback(t),
-			Coordinator: ep.Addr(),
-			Workers:     2,
-		})
-		if err != nil && !errors.Is(err, ErrDrained) {
-			cancel() // the worker quit: the coordinator would wait forever
-		}
-		workerDone <- err
-	}()
-
-	res, err := Coordinate(ctx, suite, CoordinatorConfig{
-		Endpoint:       coordEP,
-		LeaseScenarios: 4,
-		Heartbeat:      coordTestHeartbeat,
-	})
-	if werr := <-workerDone; werr != nil {
-		t.Fatalf("worker: %v", werr)
-	}
-	if err != nil {
-		t.Fatalf("Coordinate: %v", err)
-	}
-	got, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Errorf("result after malformed leases differs from single-machine run")
-	}
-}
-
 // TestCoordinateResumeByteIdentical is the coordinator's crash-recovery
 // contract: half the suite's records given as Completed (a prefix and a
 // scattering after it), two loopback workers run the rest, and the Result
@@ -577,6 +437,24 @@ func TestCoordinateResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// stubEndpoint is a coordinator endpoint with no network behind it: sends
+// are counted and dropped, and Receive reports that it was asked.
+type stubEndpoint struct {
+	sent     int
+	received bool
+}
+
+func (e *stubEndpoint) Addr() string { return "stub" }
+func (e *stubEndpoint) Send(string, []byte) error {
+	e.sent++
+	return nil
+}
+func (e *stubEndpoint) Close() error { return nil }
+func (e *stubEndpoint) Receive() <-chan transport.Message {
+	e.received = true
+	return nil
+}
+
 // rangeInts returns [start, end) as a slice.
 func rangeInts(start, end int) []int {
 	out := make([]int, 0, end-start)
@@ -584,30 +462,4 @@ func rangeInts(start, end int) []int {
 		out = append(out, i)
 	}
 	return out
-}
-
-// TestWelcomeAdvertisesLeaseTimeout: a lease expires after five missed
-// heartbeats, and the Welcome tells every worker so.
-func TestWelcomeAdvertisesLeaseTimeout(t *testing.T) {
-	ep := &stubEndpoint{}
-	c, err := newCoordinator(testSuite(), CoordinatorConfig{Endpoint: ep, Heartbeat: 70 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hello, err := proto.Encode(proto.KindHello, proto.Hello{Version: proto.Version})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.handle(transport.Message{From: "worker", Payload: hello}); err != nil {
-		t.Fatal(err)
-	}
-	var w proto.Welcome
-	kind, raw, err := proto.Decode(ep.last)
-	if err != nil || kind != proto.KindWelcome || proto.Unmarshal(raw, &w) != nil {
-		t.Fatalf("the reply to Hello is not a Welcome: %q", ep.last)
-	}
-	if w.HeartbeatMillis != 70 || w.LeaseTimeoutMillis != 5*70 {
-		t.Errorf("Welcome advertises heartbeat %d ms and lease timeout %d ms, want 70 and 350",
-			w.HeartbeatMillis, w.LeaseTimeoutMillis)
-	}
 }

@@ -13,12 +13,12 @@
 //
 //	Hello        -> Welcome      handshake: version check; the coordinator
 //	                             returns the suite document, its
-//	                             fingerprint and the lease timings
+//	                             fingerprint and the heartbeat interval
 //	LeaseRequest -> Lease        an index-contiguous scenario range
 //	                             [Start, End) to execute, or
 //	             -> Wait         no range available right now (Drain=false:
-//	                             back off and ask again; Drain=true: the
-//	                             run is over, disconnect)
+//	                             ask again one heartbeat later; Drain=true:
+//	                             the run is over, disconnect)
 //	Records      -> RecordsAck   a batch of completed run records under a
 //	                             lease; resent until acknowledged
 //	Heartbeat    -> (nothing)    keep-alive while executing a lease
@@ -26,9 +26,11 @@
 //	                             releases the worker's leases immediately
 //
 // A lease is live while heartbeats (or record batches, which refresh it
-// too) keep arriving; a lease that misses heartbeats for the advertised
-// LeaseTimeout is expired and its incomplete indices are re-leased to the
-// next requester. Workers never coordinate with each other.
+// too) keep arriving; a lease silent for five heartbeat intervals is
+// expired and its incomplete indices are re-leased to the next requester.
+// A worker has one request outstanding at a time (Hello, LeaseRequest or
+// an unacknowledged Records batch) and resends it until answered. Workers
+// never coordinate with each other.
 //
 // # Replay dedupe
 //
@@ -47,6 +49,12 @@
 // different protocol version. The suite itself travels as the versioned
 // JSON suite document (fleet.DumpSuite / fleet.ParseSuite), so the suite
 // schema is versioned independently of the wire protocol.
+//
+// Fields leave without a version bump when no peer reads them:
+// Wait.BackoffMillis, Welcome.LeaseTimeoutMillis and Heartbeat.Done went
+// this way. encoding/json ignores a field it does not know, and an older
+// peer reads a missing one as zero, which it takes as one heartbeat (the
+// wait) and five heartbeats (the lease timeout) — the values they carried.
 package proto
 
 import (
@@ -111,10 +119,9 @@ type Welcome struct {
 	// Scenarios is the suite's total scenario count.
 	Scenarios int `json:"scenarios"`
 	// HeartbeatMillis is how often the worker must heartbeat a held lease.
+	// A lease silent for five heartbeats is re-leased, and a worker told
+	// to Wait asks again one heartbeat later.
 	HeartbeatMillis int `json:"heartbeatMillis"`
-	// LeaseTimeoutMillis is how long a silent lease survives before the
-	// coordinator re-leases its incomplete range.
-	LeaseTimeoutMillis int `json:"leaseTimeoutMillis"`
 }
 
 // LeaseRequest asks for the next scenario range. It is also the worker's
@@ -134,11 +141,9 @@ type Lease struct {
 // Wait tells a requesting worker there is no range to grant.
 type Wait struct {
 	// Drain, when true, means the run is over (complete or shutting down):
-	// the worker should disconnect instead of asking again.
+	// the worker should disconnect instead of asking again one heartbeat
+	// later.
 	Drain bool `json:"drain"`
-	// BackoffMillis is how long to wait before the next LeaseRequest when
-	// Drain is false.
-	BackoffMillis int `json:"backoffMillis"`
 }
 
 // Records delivers a batch of completed scenario records executed under a
@@ -166,9 +171,6 @@ type RecordsAck struct {
 type Heartbeat struct {
 	// LeaseID is the lease being kept alive.
 	LeaseID uint64 `json:"leaseId"`
-	// Done is the number of scenarios of the lease completed so far
-	// (informational).
-	Done int `json:"done"`
 }
 
 // Goodbye announces a voluntary departure (Ctrl-C on the worker); the

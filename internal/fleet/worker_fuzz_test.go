@@ -2,70 +2,78 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 	"time"
 
 	"tolerance/internal/fleet/proto"
 )
 
-// FuzzWorkerFrames drives the worker's network parse surface — frame, the
-// one place call handles a coordinator frame — with arbitrary frames. Each
-// input line is one frame; its first byte picks the call waiting for it
-// (handshake, lease request, or the records ack of lease 1, batch 0), the
-// rest is the payload. After every frame: only a frame the waiting call's
-// matcher accepts completes the call, a Wait{Drain:true} that does not
-// complete it drains the session and nothing else does, a decodable stray
-// fails the call once the session is drained (an undecodable one is just
-// dropped), and a completed lease request never carries a lease that does
-// not parse or is not a valid range of the suite.
+// FuzzWorkerFrames drives the worker session's network parse surface with
+// arbitrary frames, straight into the machine. Each input line is one
+// frame: its first byte puts a fresh session in a phase (the Hello, a lease
+// request, the ack of lease 1's batch 0, a wait, a running lease), the
+// rest is the frame. After every frame: a drain ends the session from any
+// phase; otherwise a phase ends only on the frame it awaits — a Welcome, a
+// Lease or a Wait, a Lease, the batch's ack — and nothing moves a running
+// lease; every lease a session starts is a valid range of the suite; and
+// only a handshake that ends in a lease request sends anything.
 func FuzzWorkerFrames(f *testing.F) {
 	const total = 8
+	phases := []phase{phaseHello, phaseRequest, phaseShip, phaseWait, phaseRun}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := &workerSession{total: total, sendBO: newBackoff(time.Millisecond, time.Second, "fuzz")}
 		for _, line := range bytes.Split(data, []byte("\n")) {
 			if len(line) == 0 {
 				continue
 			}
-			var lease proto.Lease
-			matchers := []func(proto.Kind, json.RawMessage) bool{
-				matchWelcome, matchLease(total, &lease), matchAck(1, 0),
+			from, payload := phases[int(line[0]-'0')%len(phases)], line[1:]
+			now := time.Unix(0, 0)
+			s := newSession("coordinator", nil, now)
+			s.takeSends()
+			if from != phaseHello {
+				s.phase, s.total, s.hb = from, total, time.Second
+				s.lease, s.leases = proto.Lease{ID: 1, Start: 0, End: 2}, 1
 			}
-			match, payload := matchers[int(line[0])%len(matchers)], line[1:]
+			s.receive(payload, now)
+			sent := s.takeSends()
 
-			// The model: decode the frame independently and ask the matcher.
-			mk, mraw, derr := proto.Decode(payload)
-			wantDone := derr == nil && match(mk, mraw)
+			kind, raw, derr := proto.Decode(payload)
 			var w proto.Wait
-			drainNotice := derr == nil && !wantDone && mk == proto.KindWait &&
-				proto.Unmarshal(mraw, &w) == nil && w.Drain
-			wantDrained := s.drained || drainNotice
-			lease = proto.Lease{}
-
-			k, raw, done, err := s.frame(payload, match)
-			if done != wantDone {
-				t.Fatalf("frame %q: done = %v, matcher says %v", payload, done, wantDone)
-			}
-			if done && (k != mk || !bytes.Equal(raw, mraw) || err != nil) {
-				t.Fatalf("frame %q: completed as (%q, %q, %v), decoded as (%q, %q)", payload, k, raw, err, mk, mraw)
-			}
-			if s.drained != wantDrained {
-				t.Fatalf("frame %q: drained = %v, want %v", payload, s.drained, wantDrained)
-			}
-			if !done {
-				var wantErr error
-				if derr == nil && s.drained {
-					wantErr = errSessionDrained
+			drain := derr == nil && kind == proto.KindWait && proto.Unmarshal(raw, &w) == nil && w.Drain
+			if drain {
+				if s.phase != phaseOver || (s.err == ErrDrained) != (from == phaseHello) {
+					t.Fatalf("%q in phase %d: drain left phase %d, err %v", payload, from, s.phase, s.err)
 				}
-				if err != wantErr {
-					t.Fatalf("frame %q: err = %v with drained = %v", payload, err, s.drained)
-				}
+				continue
 			}
-			if done && k == proto.KindLease {
-				var got proto.Lease
-				if proto.Unmarshal(raw, &got) != nil || !validLease(got, total) || got != lease {
-					t.Fatalf("frame %q: returned lease %q (matcher stored %+v) is not a valid range of %d", payload, raw, lease, total)
+			switch to := s.phase; {
+			case to == from:
+			case from == phaseHello && kind == proto.KindWelcome && to == phaseOver:
+				if s.err == nil {
+					t.Fatalf("%q: a refused Welcome ended the session without an error", payload)
 				}
+			case from == phaseHello && kind == proto.KindWelcome && to == phaseRequest:
+				var welcome proto.Welcome
+				if proto.Unmarshal(raw, &welcome) != nil || s.total != welcome.Scenarios || s.total <= 0 ||
+					s.suite.Fingerprint() != welcome.Fingerprint {
+					t.Fatalf("%q: joined a suite of %d scenarios the Welcome does not describe", payload, s.total)
+				}
+			case (from == phaseRequest || from == phaseWait) && kind == proto.KindLease && to == phaseRun:
+				var l proto.Lease
+				if proto.Unmarshal(raw, &l) != nil || l != s.lease || !validLease(s.lease, total) {
+					t.Fatalf("%q: started lease %+v, not a valid range of %d", payload, s.lease, total)
+				}
+			case from == phaseRequest && kind == proto.KindWait && to == phaseWait:
+			case from == phaseShip && kind == proto.KindRecordsAck && to == phaseRun:
+				var ack proto.RecordsAck
+				if proto.Unmarshal(raw, &ack) != nil || ack != (proto.RecordsAck{LeaseID: 1, Seq: 0}) {
+					t.Fatalf("%q: an ack of another batch ended the wait for lease 1's batch 0", payload)
+				}
+			default:
+				t.Fatalf("%q: phase %d moved to %d on a %q frame", payload, from, to, kind)
+			}
+			if wantSent := from == phaseHello && s.phase == phaseRequest; (len(sent) > 0) != wantSent ||
+				wantSent && !bytes.Equal(sent[0], leaseRequestFrame) {
+				t.Fatalf("%q in phase %d: sent %q", payload, from, sent)
 			}
 		}
 	})

@@ -98,11 +98,10 @@ func TestConnectWorkerExitsOnDrain(t *testing.T) {
 }
 
 // refusingEndpoint is a coordinator the worker never reaches: every Send
-// fails, and the drainAt-th failure also delivers a drain notice, as from a
+// fails, and the first failure also delivers a drain notice, as from a
 // coordinator that finished its run and exited while the worker dialed.
 type refusingEndpoint struct {
 	in      chan transport.Message
-	drainAt int
 	sends   int
 	drained time.Time // when the notice was delivered
 }
@@ -111,23 +110,36 @@ func (e *refusingEndpoint) Addr() string                      { return "worker" 
 func (e *refusingEndpoint) Receive() <-chan transport.Message { return e.in }
 func (e *refusingEndpoint) Close() error                      { return nil }
 func (e *refusingEndpoint) Send(string, []byte) error {
-	e.sends++
-	if e.sends == e.drainAt {
-		drain, err := proto.Encode(proto.KindWait, proto.Wait{Drain: true})
-		if err != nil {
-			return err
-		}
-		e.in <- transport.Message{From: "coordinator", Payload: drain}
+	if e.sends++; e.sends == 1 {
+		e.in <- transport.Message{From: "coordinator", Payload: encode(proto.KindWait, proto.Wait{Drain: true})}
 		e.drained = time.Now()
 	}
 	return errors.New("connection refused")
 }
 
-// TestDrainEndsSendBackoff: a worker backing off after a failed send still
-// reads its endpoint, so a drain notice ends the session at once, not when
-// the backoff (by the 6th failure, 0.5–1 s) runs out.
-func TestDrainEndsSendBackoff(t *testing.T) {
-	ep := &refusingEndpoint{in: make(chan transport.Message, 1), drainAt: 6}
+// TestDrainEndsAnyWait: a drain notice ends a worker session at once from
+// every phase — while its Hello, lease request or Records batch awaits a
+// reply, while it waits to ask again, while a lease runs — and the shell
+// returns on it without waiting out a retry.
+func TestDrainEndsAnyWait(t *testing.T) {
+	drain := encode(proto.KindWait, proto.Wait{Drain: true})
+	now := time.Unix(0, 0)
+	for _, p := range []phase{phaseHello, phaseRequest, phaseWait, phaseRun, phaseShip} {
+		s := newSession("coordinator", nil, now)
+		if p != phaseHello {
+			s.phase, s.total, s.hb, s.leases = p, 8, time.Second, 1
+		}
+		s.receive(drain, now)
+		if s.phase != phaseOver || (s.err == ErrDrained) != (p == phaseHello) {
+			t.Errorf("phase %d: a drain left phase %d with err %v", p, s.phase, s.err)
+		}
+		s.tick(now.Add(time.Hour))
+		if sent := s.takeSends(); len(sent) > 1 {
+			t.Errorf("phase %d: a drained session sent %q", p, sent[1:])
+		}
+	}
+
+	ep := &refusingEndpoint{in: make(chan transport.Message, 1)}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	err := ConnectWorker(ctx, WorkerConfig{Endpoint: ep, Coordinator: "coordinator", Workers: 1})
@@ -135,37 +147,9 @@ func TestDrainEndsSendBackoff(t *testing.T) {
 	if !errors.Is(err, ErrDrained) {
 		t.Fatalf("ConnectWorker after %d sends: %v, want ErrDrained", ep.sends, err)
 	}
-	if ep.drained.IsZero() {
-		t.Fatalf("ConnectWorker drained after %d sends, before the notice was delivered", ep.sends)
-	}
 	if lag := returned.Sub(ep.drained); lag > 250*time.Millisecond {
 		t.Errorf("ConnectWorker returned %s after the drain notice, want within 250ms", lag)
 	}
-}
-
-// ackEndpoint is a coordinator with no network behind it: every Records
-// frame sent to it is acknowledged at once, everything else is dropped. Its
-// inbox holds the one ack a call waits for.
-type ackEndpoint struct {
-	in   chan transport.Message
-	recs []RunRecord
-}
-
-func (e *ackEndpoint) Addr() string                      { return "worker" }
-func (e *ackEndpoint) Receive() <-chan transport.Message { return e.in }
-func (e *ackEndpoint) Close() error                      { return nil }
-func (e *ackEndpoint) Send(_ string, payload []byte) error {
-	leaseID, seq, recs, ok := decodeRecordsFrame(payload, e.recs[:0])
-	e.recs = recs
-	if !ok {
-		return nil
-	}
-	ack, err := proto.Encode(proto.KindRecordsAck, proto.RecordsAck{LeaseID: leaseID, Seq: seq})
-	if err != nil {
-		return err
-	}
-	e.in <- transport.Message{From: "coordinator", Payload: ack}
-	return nil
 }
 
 // benchWideSuite is go run ./bench's wide suite at full scale: 3 072 cells
@@ -197,33 +181,34 @@ func TestLeaseAllocatesForItsOwnScenarios(t *testing.T) {
 	if got := len(suite.Cells()); got != 3072 {
 		t.Fatalf("wide suite has %d cells, want 3072", got)
 	}
-	ep := &ackEndpoint{in: make(chan transport.Message, 1)}
-	s := &workerSession{
-		cfg: WorkerConfig{Endpoint: ep, Coordinator: "coordinator", Workers: 1, Cache: NewStrategyCache(),
-			testBatchRecords: workerBatchRecords},
-		plan:   newPlan(suite),
-		total:  suite.NumScenarios(),
-		hb:     time.Second,
-		sendBO: newBackoff(time.Millisecond, time.Second, "test"),
+	r := &leaseRunner{plan: newPlan(suite), cfg: Config{Workers: 1, Cache: NewStrategyCache()}.withDefaults()}
+	var shipped []RunRecord
+	ship := func(seq int, frame []byte) error {
+		_, _, recs, ok := decodeRecordsFrame(frame, shipped[:0])
+		if !ok {
+			t.Fatalf("batch %d is not a Records frame: %q", seq, frame)
+		}
+		shipped = recs
+		return nil
 	}
 	// Cell 1 000's scenarios: the first lease solves its policy and fits
 	// the suite's observation model; the second finds both cached.
 	lease := proto.Lease{ID: 1, Start: 8000, End: 8008}
-	if err := s.runLease(context.Background(), lease); err != nil {
+	if err := r.run(context.Background(), lease, ship); err != nil {
 		t.Fatal(err)
 	}
-	want, err := recordsFrameOf(lease.ID, 0, ep.recs)
+	want, err := recordsFrameOf(lease.ID, 0, shipped)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(s.records, want) {
-		t.Errorf("the lease's frame is not proto.Encode's:\n got %s\nwant %s", s.records, want)
+	if !bytes.Equal(r.frame, want) {
+		t.Errorf("the lease's frame is not proto.Encode's:\n got %s\nwant %s", r.frame, want)
 	}
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	lease.ID = 2
-	if err := s.runLease(context.Background(), lease); err != nil {
+	if err := r.run(context.Background(), lease, ship); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)

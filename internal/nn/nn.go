@@ -64,9 +64,6 @@ func NewMLP(rng *rand.Rand, hidden Activation, sizes ...int) (*MLP, error) {
 	return m, nil
 }
 
-// NumLayers returns the number of weight layers.
-func (m *MLP) NumLayers() int { return len(m.w) }
-
 // InputSize returns the expected input dimension.
 func (m *MLP) InputSize() int { return m.sizes[0] }
 

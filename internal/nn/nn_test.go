@@ -22,8 +22,8 @@ func TestNewMLPValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.InputSize() != 2 || m.OutputSize() != 3 || m.NumLayers() != 2 {
-		t.Errorf("shape accessors wrong: %d/%d/%d", m.InputSize(), m.OutputSize(), m.NumLayers())
+	if m.InputSize() != 2 || m.OutputSize() != 3 || len(m.w) != 2 {
+		t.Errorf("shape accessors wrong: %d/%d/%d", m.InputSize(), m.OutputSize(), len(m.w))
 	}
 }
 

@@ -6,9 +6,10 @@
 // ever reused ("the tamperproof service can assert whether a given sequence
 // number was assigned to a message").
 //
-// Two certification modes are provided: HMAC-SHA256 over a shared symmetric
-// key (fast; models the trusted hardware of the hybrid failure model) and
-// RSA signatures with 1024-bit keys (the paper's Table 8 configuration).
+// Certification is HMAC-SHA256 over a shared symmetric key, which models the
+// trusted hardware of the hybrid failure model. (The paper's Table 8
+// configuration signs with 1024-bit RSA keys; certification cost is not
+// part of what this reproduction measures.)
 //
 // In the TOLERANCE architecture the USIG lives in a node's privileged
 // domain, which by assumption can only fail by crashing; a compromised
@@ -17,22 +18,15 @@
 package usig
 
 import (
-	"crypto"
 	"crypto/hmac"
-	"crypto/rand"
-	"crypto/rsa"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"sync"
 )
 
-// Errors returned by USIG operations.
-var (
-	ErrBadCertificate = errors.New("usig: invalid certificate")
-	ErrUnknownReplica = errors.New("usig: unknown replica")
-)
+// ErrBadCertificate is returned for a UI whose certificate does not match.
+var ErrBadCertificate = errors.New("usig: invalid certificate")
 
 // UI is a unique identifier: a certified (counter, message-digest) pair.
 type UI struct {
@@ -50,7 +44,6 @@ type USIG struct {
 	id      string
 	counter uint64
 	hmacKey []byte
-	rsaKey  *rsa.PrivateKey
 }
 
 // NewHMAC creates a USIG certifying with HMAC-SHA256 over a shared key.
@@ -83,22 +76,6 @@ func ResumeHMAC(id string, key []byte, counter uint64) (*USIG, error) {
 	return u, nil
 }
 
-// NewRSA creates a USIG certifying with RSA signatures (Table 8: 1024-bit
-// keys). bits < 1024 is rejected.
-func NewRSA(id string, bits int) (*USIG, error) {
-	if id == "" {
-		return nil, errors.New("usig: empty replica id")
-	}
-	if bits < 1024 {
-		return nil, fmt.Errorf("usig: rsa key size %d below 1024", bits)
-	}
-	key, err := rsa.GenerateKey(rand.Reader, bits)
-	if err != nil {
-		return nil, fmt.Errorf("usig: generate rsa key: %w", err)
-	}
-	return &USIG{id: id, rsaKey: key}, nil
-}
-
 // ID returns the owning replica's identifier.
 func (u *USIG) ID() string { return u.id }
 
@@ -107,14 +84,6 @@ func (u *USIG) Counter() uint64 {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	return u.counter
-}
-
-// PublicKey returns the RSA public key, or nil in HMAC mode.
-func (u *USIG) PublicKey() *rsa.PublicKey {
-	if u.rsaKey == nil {
-		return nil
-	}
-	return &u.rsaKey.PublicKey
 }
 
 // CreateUI assigns the next counter value to the message and certifies it.
@@ -126,21 +95,9 @@ func (u *USIG) CreateUI(message []byte) (UI, error) {
 	u.counter++
 	digest := sha256.Sum256(message)
 	payload := certPayload(u.id, u.counter, digest[:])
-	var cert []byte
-	if u.rsaKey != nil {
-		hashed := sha256.Sum256(payload)
-		sig, err := rsa.SignPKCS1v15(rand.Reader, u.rsaKey, crypto.SHA256, hashed[:])
-		if err != nil {
-			u.counter-- // certification failed; do not burn the counter
-			return UI{}, fmt.Errorf("usig: sign: %w", err)
-		}
-		cert = sig
-	} else {
-		mac := hmac.New(sha256.New, u.hmacKey)
-		mac.Write(payload)
-		cert = mac.Sum(nil)
-	}
-	return UI{ReplicaID: u.id, Counter: u.counter, Cert: cert}, nil
+	mac := hmac.New(sha256.New, u.hmacKey)
+	mac.Write(payload)
+	return UI{ReplicaID: u.id, Counter: u.counter, Cert: mac.Sum(nil)}, nil
 }
 
 // certPayload canonically encodes (id, counter, digest).
@@ -157,13 +114,11 @@ func certPayload(id string, counter uint64, digest []byte) []byte {
 	return buf
 }
 
-// Verifier checks UIs created by a set of USIGs. In HMAC mode all replicas
-// share the key (the trusted components hold it; byzantine application
-// domains never see it); in RSA mode the verifier holds public keys.
+// Verifier checks UIs created by a set of USIGs. All replicas share the key
+// (the trusted components hold it; byzantine application domains never see
+// it).
 type Verifier struct {
-	mu      sync.RWMutex
 	hmacKey []byte
-	rsaKeys map[string]*rsa.PublicKey
 }
 
 // NewHMACVerifier builds a verifier for HMAC-mode USIGs.
@@ -176,43 +131,11 @@ func NewHMACVerifier(key []byte) (*Verifier, error) {
 	return &Verifier{hmacKey: k}, nil
 }
 
-// NewRSAVerifier builds a verifier over registered RSA public keys.
-func NewRSAVerifier() *Verifier {
-	return &Verifier{rsaKeys: make(map[string]*rsa.PublicKey)}
-}
-
-// Register adds (or replaces) a replica's RSA public key.
-func (v *Verifier) Register(id string, key *rsa.PublicKey) error {
-	if v.rsaKeys == nil {
-		return errors.New("usig: verifier is in HMAC mode")
-	}
-	if key == nil {
-		return errors.New("usig: nil public key")
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.rsaKeys[id] = key
-	return nil
-}
-
 // VerifyUI checks that the UI certifies the given message for its claimed
 // replica and counter.
 func (v *Verifier) VerifyUI(message []byte, ui UI) error {
 	digest := sha256.Sum256(message)
 	payload := certPayload(ui.ReplicaID, ui.Counter, digest[:])
-	if v.rsaKeys != nil {
-		v.mu.RLock()
-		key, ok := v.rsaKeys[ui.ReplicaID]
-		v.mu.RUnlock()
-		if !ok {
-			return fmt.Errorf("%w: %s", ErrUnknownReplica, ui.ReplicaID)
-		}
-		hashed := sha256.Sum256(payload)
-		if err := rsa.VerifyPKCS1v15(key, crypto.SHA256, hashed[:], ui.Cert); err != nil {
-			return fmt.Errorf("%w: rsa: %v", ErrBadCertificate, err)
-		}
-		return nil
-	}
 	mac := hmac.New(sha256.New, v.hmacKey)
 	mac.Write(payload)
 	if !hmac.Equal(mac.Sum(nil), ui.Cert) {

@@ -109,37 +109,6 @@ func TestCountersNeverReusedConcurrently(t *testing.T) {
 	}
 }
 
-func TestRSAMode(t *testing.T) {
-	if testing.Short() {
-		t.Skip("rsa keygen is slow")
-	}
-	u, err := NewRSA("r1", 1024) // Table 8: 1024-bit keys
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := NewRSAVerifier()
-	if err := v.Register("r1", u.PublicKey()); err != nil {
-		t.Fatal(err)
-	}
-	msg := []byte("commit")
-	ui, err := u.CreateUI(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := v.VerifyUI(msg, ui); err != nil {
-		t.Errorf("valid rsa UI rejected: %v", err)
-	}
-	if err := v.VerifyUI([]byte("tampered"), ui); err == nil {
-		t.Error("tampered rsa message accepted")
-	}
-	// Unknown replica.
-	other := ui
-	other.ReplicaID = "r9"
-	if err := v.VerifyUI(msg, other); err == nil {
-		t.Error("unknown replica accepted")
-	}
-}
-
 func TestConstructorValidation(t *testing.T) {
 	if _, err := NewHMAC("", testKey); err == nil {
 		t.Error("empty id should fail")
@@ -147,26 +116,8 @@ func TestConstructorValidation(t *testing.T) {
 	if _, err := NewHMAC("r1", []byte("short")); err == nil {
 		t.Error("short key should fail")
 	}
-	if _, err := NewRSA("r1", 512); err == nil {
-		t.Error("512-bit rsa should fail")
-	}
-	if _, err := NewRSA("", 1024); err == nil {
-		t.Error("empty id should fail")
-	}
 	if _, err := NewHMACVerifier([]byte("x")); err == nil {
 		t.Error("short verifier key should fail")
-	}
-	v, _ := NewHMACVerifier(testKey)
-	if err := v.Register("r1", nil); err == nil {
-		t.Error("register on hmac verifier should fail")
-	}
-	rv := NewRSAVerifier()
-	if err := rv.Register("r1", nil); err == nil {
-		t.Error("nil key should fail")
-	}
-	u, _ := NewHMAC("r1", testKey)
-	if u.PublicKey() != nil {
-		t.Error("hmac usig should have no public key")
 	}
 }
 
