@@ -238,3 +238,27 @@ func TestSampleBinomial(t *testing.T) {
 		}
 	}
 }
+
+// TestSampleBernoulli: the stream's Bernoulli draw is certain outside
+// (0, 1) and consumes no draw there, and hits at rate p inside.
+func TestSampleBernoulli(t *testing.T) {
+	var s, ref Stream
+	s.Seed(6)
+	ref.Seed(6)
+	if s.Bernoulli(0) || !s.Bernoulli(1) || s.Bernoulli(-0.5) || !s.Bernoulli(2) {
+		t.Error("edge probabilities")
+	}
+	if s.Uint64() != ref.Uint64() {
+		t.Error("an edge probability consumed a draw")
+	}
+	hits := 0
+	const n = 100000
+	for i := 0; i < n; i++ {
+		if s.Bernoulli(0.3) {
+			hits++
+		}
+	}
+	if got := float64(hits) / n; math.Abs(got-0.3) > 0.01 {
+		t.Errorf("empirical p = %v", got)
+	}
+}

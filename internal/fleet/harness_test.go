@@ -91,10 +91,9 @@ type harnessWorker struct {
 	records  int       // Records frames it sent
 	mutedTil time.Time // its sends are dropped before this
 
-	// The engine: the lease it runs, that lease's batches and the next
-	// one to hand over. running is false once finished is handed over.
+	// The engine: the held lease's batches and how many it handed over.
+	// running is false once finished is handed over.
 	running bool
-	lease   proto.Lease
 	frames  [][]byte
 	shipped int
 }
@@ -270,7 +269,7 @@ func (n *leaseNet) index(w *harnessWorker) int { return slices.Index(n.workers, 
 // into Records frames of the schedule's batch size.
 func (n *leaseNet) execute(w *harnessWorker) {
 	lease := w.s.lease
-	w.running, w.lease, w.frames, w.shipped = true, lease, nil, 0
+	w.running, w.frames, w.shipped = true, nil, 0
 	var frame []byte
 	batched := 0
 	flush := func() {

@@ -61,9 +61,9 @@ type session struct {
 	logf        func(format string, args ...any)
 
 	phase phase
-	// err is the session's outcome once over: nil after a drain that
-	// followed a lease, ErrDrained after one that did not, otherwise why
-	// it failed.
+	// err is the session's outcome once over: nil after a departure or a
+	// drain that followed a lease, ErrDrained after one that did not,
+	// otherwise why it failed.
 	err error
 
 	// The Welcome's suite, its scenario count and the heartbeat interval.
