@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -34,6 +35,9 @@ const (
 	helloTimeout = time.Second
 	maxAttempts  = 10
 )
+
+// errNoReply ends a session whose request went unanswered.
+var errNoReply = errors.New("no reply")
 
 // Frames whose bytes never change.
 var (
@@ -201,7 +205,7 @@ func (s *session) tick(now time.Time) {
 		s.sentAt = now
 		s.attempts++
 	default:
-		s.fail(fmt.Errorf("fleet: coordinator %s unreachable: no reply to %d sends", s.coordinator, s.attempts))
+		s.fail(fmt.Errorf("fleet: coordinator %s unreachable: %w to %d sends", s.coordinator, errNoReply, s.attempts))
 	}
 }
 

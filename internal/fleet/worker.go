@@ -97,9 +97,12 @@ func ConnectWorker(ctx context.Context, cfg WorkerConfig) error {
 	}
 	ticker := time.NewTicker(DefaultHeartbeat / ticksPerBeat)
 	defer ticker.Stop()
+	// A failed send is a lost frame to the session; the last one's error
+	// says why a session that gets no reply gave up.
+	var sendErr error
 	send := func() {
 		for _, data := range s.takeSends() {
-			_ = cfg.Endpoint.Send(cfg.Coordinator, data)
+			sendErr = cfg.Endpoint.Send(cfg.Coordinator, data)
 		}
 	}
 
@@ -134,6 +137,9 @@ func ConnectWorker(ctx context.Context, cfg WorkerConfig) error {
 		send()
 		switch {
 		case s.phase == phaseOver:
+			if errors.Is(s.err, errNoReply) && sendErr != nil {
+				return fmt.Errorf("%w; last send: %v", s.err, sendErr)
+			}
 			return s.err
 		case runner.plan == nil && s.total > 0:
 			// Joined. The session is one run: one fit, and one fleet.run
