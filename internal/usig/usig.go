@@ -8,8 +8,8 @@
 //
 // Certification is HMAC-SHA256 over a shared symmetric key, which models the
 // trusted hardware of the hybrid failure model. (The paper's Table 8
-// configuration signs with 1024-bit RSA keys; certification cost is not
-// part of what this reproduction measures.)
+// configuration signs with 1024-bit RSA keys; this reproduction's replicas
+// certify with HMAC only.)
 //
 // In the TOLERANCE architecture the USIG lives in a node's privileged
 // domain, which by assumption can only fail by crashing; a compromised
