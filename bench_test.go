@@ -183,45 +183,46 @@ func BenchmarkFig09LPSolveTime(b *testing.B) {
 }
 
 // BenchmarkFig10MinBFTThroughput measures request throughput of the MinBFT
-// implementation for growing replica groups (Fig 10).
+// implementation for growing replica groups (Fig 10), over loopback TCP as
+// the cluster backend deploys them: member and client addresses are the
+// endpoints' listen addresses, because replicas reply to the request's
+// client id.
 func BenchmarkFig10MinBFTThroughput(b *testing.B) {
 	key := []byte("bench-minbft-key-32-bytes-long!!")
+	listen := func(b *testing.B) *transport.TCPEndpoint {
+		ep, err := transport.ListenTCP("127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { _ = ep.Close() })
+		return ep
+	}
 	for _, n := range []int{3, 5, 7, 10} {
 		n := n
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			net, err := transport.NewSimNetwork(transport.Conditions{}, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer net.Close()
 			verifier, _ := usig.NewHMACVerifier(key)
 			registry := replica.NewRegistry()
+			eps := make([]*transport.TCPEndpoint, n)
 			members := make([]string, n)
 			for i := range members {
-				members[i] = fmt.Sprintf("r%d", i)
+				eps[i] = listen(b)
+				members[i] = eps[i].Addr()
 			}
-			var replicas []*minbft.Replica
-			for _, id := range members {
-				ep, _ := net.Endpoint(id)
+			for i, id := range members {
 				u, _ := usig.NewHMAC(id, key)
 				r, err := minbft.NewReplica(minbft.Config{
-					ID: id, Members: members, Endpoint: ep, USIG: u,
+					ID: id, Members: members, Endpoint: eps[i], USIG: u,
 					Verifier: verifier, Registry: registry,
 					Store: replica.NewKVStore(),
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				replicas = append(replicas, r)
+				defer r.Stop()
 			}
-			defer func() {
-				for _, r := range replicas {
-					r.Stop()
-				}
-			}()
-			signer, _ := replica.NewSigner("bench-client")
-			_ = registry.Register("bench-client", signer.PublicKey())
-			ep, _ := net.Endpoint("bench-client")
+			ep := listen(b)
+			signer, _ := replica.NewSigner(ep.Addr())
+			_ = registry.Register(ep.Addr(), signer.PublicKey())
 			f := (n - 1) / 2
 			client, err := minbft.NewClient(signer, ep, members, f)
 			if err != nil {

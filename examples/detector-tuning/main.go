@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"tolerance"
+	"tolerance/internal/dist"
 	"tolerance/internal/ids"
 )
 
@@ -63,7 +64,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%10d %14.5f\n", m, ids.ModelMismatch(profile, fit))
+		fmt.Printf("%10d %14.5f\n", m, dist.KLSmoothed(profile.Intrusion, fit.Compromised, 1e-9))
 	}
 
 	fmt.Println("\nFig 18: metric ranking by empirical KL divergence")

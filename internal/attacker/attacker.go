@@ -93,15 +93,6 @@ type Intrusion struct {
 	Behaviour Behaviour
 }
 
-// Start begins a campaign against the given replica type.
-func Start(replicaType int) (*Intrusion, error) {
-	i := &Intrusion{}
-	if err := i.Begin(replicaType); err != nil {
-		return nil, err
-	}
-	return i, nil
-}
-
 // Begin (re)starts a campaign against the given replica type in place,
 // reusing the receiver's storage. Emulation runners embed an Intrusion per
 // node and recycle nodes across scenarios, so intrusion tracking never
@@ -131,9 +122,4 @@ func (i *Intrusion) Advance(rng *rand.Rand) int {
 		i.Behaviour = SampleBehaviour(rng)
 	}
 	return step.AlertBoost
-}
-
-// Progress returns completed and total step counts.
-func (i *Intrusion) Progress() (completed, total int) {
-	return i.step, len(i.campaign.Steps)
 }

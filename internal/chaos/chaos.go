@@ -220,6 +220,8 @@ func NewPlanByName(name string, seed int64) (*Plan, error) {
 // SetClock replaces the wall clock driving partition and stall windows and
 // resets their epoch — test hook for exercising window logic without
 // sleeping.
+//
+//tolerance:testonly seam: tests drive partition and stall windows without sleeping
 func (p *Plan) SetClock(now func() time.Time) {
 	p.now = now
 	p.epoch = now()

@@ -92,9 +92,13 @@ type Theorem2Report struct {
 }
 
 // AllHold reports whether every checked assumption holds.
+//
+//tolerance:testonly checks Theorem 2's assumptions B-D for cmdp's tests
 func (r Theorem2Report) AllHold() bool { return r.B && r.C && r.D }
 
 // CheckTheorem2Assumptions inspects assumptions B-D of Theorem 2.
+//
+//tolerance:testonly checks Theorem 2's assumptions B-D for cmdp's tests
 func (m *Model) CheckTheorem2Assumptions() (Theorem2Report, error) {
 	rep := Theorem2Report{B: true, C: true, D: true, Detail: map[string]string{}}
 	if err := m.Validate(); err != nil {
@@ -144,15 +148,10 @@ assumptionD:
 	return rep, nil
 }
 
-// Fingerprint returns a canonical hash over everything that determines the
-// occupancy-measure LP solution: the dimensions, the availability bound and
-// the transition kernel bit-for-bit. Two models with equal fingerprints pose
-// the same Algorithm 2 problem, which is what replication-strategy caches
-// key on.
-func (m *Model) Fingerprint() string { return m.Digest().String() }
-
-// Digest is the hash Fingerprint spells: SMax, F and EpsilonA, then every
-// row of FS in order, bit for bit.
+// Digest is a canonical hash over everything that determines the
+// occupancy-measure LP solution: SMax, F and EpsilonA, then every row of FS
+// in order, bit for bit. Two models with equal digests pose the same
+// Algorithm 2 problem, which is what replication-strategy caches key on.
 func (m *Model) Digest() dist.Digest {
 	d := dist.NewDigest().Float(float64(m.SMax)).Float(float64(m.F)).Float(m.EpsilonA)
 	for _, action := range m.FS {

@@ -132,7 +132,7 @@ func goldenSolverRuns(t *testing.T) (goldenSolvers, map[string]goldenLP) {
 				exact(name, err)
 				continue
 			}
-			out.Exact = append(out.Exact, goldenExact{Name: name + "/fingerprint", Text: m.Fingerprint()})
+			out.Exact = append(out.Exact, goldenExact{Name: name + "/fingerprint", Text: m.Digest().String()})
 			sol, err := Solve(m)
 			if err != nil {
 				exact(name, err)

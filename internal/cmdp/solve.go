@@ -44,6 +44,8 @@ func (sol *Solution) Sample(rng *rand.Rand, s int) int {
 // pi*(1|s) is non-increasing in s with at most one fractional state (i.e. a
 // randomized mixture of two threshold strategies), together with the largest
 // state where a node is added with positive probability.
+//
+//tolerance:testonly checks Theorem 2's threshold shape for cmdp's and internal/core's tests
 func (sol *Solution) ThresholdStructure() (isThresholdMixture bool, lastAddState int) {
 	const tol = 1e-6
 	lastAddState = -1

@@ -127,7 +127,11 @@ func TestNodeControllerDetectsIntrusion(t *testing.T) {
 		belief, last := p.PA, nodemodel.Wait
 		// step feeds one observation and returns the controller's decision.
 		step := func(t int, compromised bool) nodemodel.Action {
-			obs := profile.Sample(rng, compromised)
+			z := profile.NoIntrusion
+			if compromised {
+				z = profile.Intrusion
+			}
+			obs := z.Sample(rng)
 			if obs >= ids.AlertSupport {
 				obs = ids.AlertSupport - 1
 			}

@@ -170,6 +170,8 @@ func (b *BetaBinomial) Categorical() *Categorical {
 }
 
 // Binomial returns the pmf P[Binomial(n, p) = k].
+//
+//tolerance:testonly oracle: the per-entry pmf the binomial kernels are held to
 func Binomial(n int, p float64, k int) float64 {
 	if k < 0 || k > n || n < 0 {
 		return 0
@@ -410,9 +412,6 @@ func FitEmpirical(rng *rand.Rand, src *Categorical, support, m int) (*Empirical,
 	}
 	return e, nil
 }
-
-// Samples returns the number of samples the fit is based on.
-func (e *Empirical) Samples() int { return e.n }
 
 // Distribution returns the MLE categorical distribution (relative
 // frequencies; cells with no samples have probability zero).

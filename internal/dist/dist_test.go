@@ -139,8 +139,8 @@ func TestFitEmpiricalConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fit.Samples() != 50000 {
-		t.Errorf("Samples = %d", fit.Samples())
+	if fit.n != 50000 {
+		t.Errorf("samples = %d", fit.n)
 	}
 	if got := KLSmoothed(src, fit.Distribution(), 1e-9); got > 0.02 {
 		t.Errorf("MLE divergence %v at 50k samples", got)

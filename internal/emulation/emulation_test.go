@@ -101,11 +101,11 @@ func TestFitSetSharedEquivalence(t *testing.T) {
 	if *inline != *shared {
 		t.Errorf("pre-fitted run differs from inline fit:\n%+v\n%+v", inline, shared)
 	}
-	if fits.Len() != 10 || fits.Samples() != s.FitSamples {
-		t.Errorf("fit set shape: len %d samples %d", fits.Len(), fits.Samples())
+	if fits.Len() != 10 {
+		t.Errorf("fit set holds %d containers, want 10", fits.Len())
 	}
 	for i := 0; i < fits.Len(); i++ {
-		if fits.Fitted(i) == nil || fits.Container(i).ID != i+1 {
+		if fit := fits.Fitted(i); fit == nil || fit.Samples != s.FitSamples || fits.Container(i).ID != i+1 {
 			t.Errorf("fit %d malformed", i)
 		}
 	}
@@ -382,7 +382,7 @@ func TestRunSeedsAggregation(t *testing.T) {
 	if acc.Runs() != 5 {
 		t.Fatalf("folded %d runs, want 5", acc.Runs())
 	}
-	agg := acc.Aggregate()
+	agg := acc.AggregateValue()
 	if agg.Availability.Mean <= 0 || agg.Availability.Mean > 1 {
 		t.Errorf("availability mean = %v", agg.Availability.Mean)
 	}
@@ -553,7 +553,7 @@ func TestAccumulatorMerge(t *testing.T) {
 	if a.Runs() != whole.Runs() {
 		t.Fatalf("merged runs %d, want %d", a.Runs(), whole.Runs())
 	}
-	got, want := a.Aggregate(), whole.Aggregate()
+	got, want := a.AggregateValue(), whole.AggregateValue()
 	pairs := [][2]Summary{
 		{got.Availability, want.Availability},
 		{got.QuorumAvailability, want.QuorumAvailability},

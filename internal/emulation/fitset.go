@@ -45,8 +45,6 @@ func WorkloadStreamSeed(seed int64) int64 { return splitStream(seed, workloadStr
 // changes no controller-visible semantics).
 type FitSet struct {
 	catalog []Container
-	samples int
-	seed    int64
 	fits    []*ids.FittedZ
 	// zhFlat[i*support+o] = Ẑ_i(o | H) and zcFlat[i*support+o] = Ẑ_i(o | C)
 	// for container i: one dense slab each, so the runner's per-node
@@ -68,8 +66,6 @@ func NewFitSet(m int, seed int64) (*FitSet, error) {
 	}
 	fs := &FitSet{
 		catalog: catalog,
-		samples: m,
-		seed:    seed,
 		fits:    make([]*ids.FittedZ, len(catalog)),
 		zhFlat:  make([]float64, len(catalog)*ids.AlertSupport),
 		zcFlat:  make([]float64, len(catalog)*ids.AlertSupport),
@@ -91,14 +87,10 @@ func NewFitSet(m int, seed int64) (*FitSet, error) {
 // Len returns the number of fitted containers.
 func (f *FitSet) Len() int { return len(f.catalog) }
 
-// Samples returns the per-state MLE sample count M.
-func (f *FitSet) Samples() int { return f.samples }
-
-// Seed returns the fit-stream seed the set was drawn with.
-func (f *FitSet) Seed() int64 { return f.seed }
-
 // Container returns the i-th catalog container.
 func (f *FitSet) Container(i int) Container { return f.catalog[i] }
 
 // Fitted returns the i-th container's fitted observation model.
+//
+//tolerance:testonly seam: tests build a node controller's model from a container's fit
 func (f *FitSet) Fitted(i int) *ids.FittedZ { return f.fits[i] }

@@ -35,7 +35,8 @@ type goldenEntry struct {
 // (pool recycling, lane compaction) and additions (spawn phase draws).
 func goldenGrid(t *testing.T) (names []string, scenarios []Scenario) {
 	t.Helper()
-	fits, err := NewFitSet(2000, FitStreamSeed(99))
+	fitSeed := FitStreamSeed(99)
+	fits, err := NewFitSet(2000, fitSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func goldenGrid(t *testing.T) (names []string, scenarios []Scenario) {
 							Params:  prof.params,
 							Policy:  pol,
 							Fits:    fits,
-							FitSeed: fits.Seed(),
+							FitSeed: fitSeed,
 						})
 					}
 				}

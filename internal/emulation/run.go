@@ -495,6 +495,8 @@ func RunInto(r *Runner, s Scenario) (Metrics, error) {
 // Run executes a scenario and returns its metrics. It is the allocate-fresh
 // wrapper around RunInto; callers executing many scenarios should hold a
 // Runner and use RunInto instead.
+//
+//tolerance:testonly oracle: the fresh-Runner run that reuse and the live cluster are held to
 func Run(s Scenario) (*Metrics, error) {
 	m, err := RunInto(NewRunner(), s)
 	if err != nil {
@@ -938,12 +940,6 @@ func (a *Accumulator) Merge(other *Accumulator) {
 
 // Runs returns the number of folded runs.
 func (a *Accumulator) Runs() int64 { return a.Availability.Count }
-
-// Aggregate summarizes the folded runs.
-func (a *Accumulator) Aggregate() *Aggregate {
-	out := a.AggregateValue()
-	return &out
-}
 
 // AggregateValue summarizes the folded runs without allocating — the form
 // fleet result assembly uses once per grid cell.

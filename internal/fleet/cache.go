@@ -111,7 +111,7 @@ func (m *memo[K, V]) do(c *StrategyCache, key K, hits *atomic.Int64, f func() (V
 
 // StrategyCache memoizes the control-problem solvers and the policies built
 // on them. Every memo is keyed by a comparable struct over the node model's
-// digest (nodemodel.Params.Digest, the hash its Fingerprint spells) and the
+// digest (nodemodel.Params.Digest) and the
 // problem's other inputs: a Problem 1 solution by (model, normalized
 // recovery.DPConfig), its ladder by (model, grid), q by (model, recovery
 // rule fingerprint, Delta_R), a Problem 2 solution by those plus (smax, f,

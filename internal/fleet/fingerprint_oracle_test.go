@@ -117,14 +117,14 @@ func checkFingerprints(t *testing.T, c fingerprintCase) {
 	if got, want := dist.Fingerprint(c.values...), oracleFingerprint(c.values...); got != want {
 		t.Fatalf("dist.Fingerprint(%v) = %s, oracle %s", c.values, got, want)
 	}
-	if got, want := c.params.Fingerprint(), oracleParamsFingerprint(c.params); got != want {
-		t.Fatalf("Params.Fingerprint(%+v) = %s, oracle %s", c.params, got, want)
+	if got, want := c.params.Digest().String(), oracleParamsFingerprint(c.params); got != want {
+		t.Fatalf("Params.Digest(%+v) = %s, oracle %s", c.params, got, want)
 	}
 	if got, want := c.thresholds.Fingerprint(), oracleThresholdFingerprint(c.thresholds); got != want {
 		t.Fatalf("ThresholdStrategy.Fingerprint(%+v) = %s, oracle %s", c.thresholds, got, want)
 	}
-	if got, want := c.model.Fingerprint(), oracleModelFingerprint(c.model); got != want {
-		t.Fatalf("Model.Fingerprint(%+v) = %s, oracle %s", c.model, got, want)
+	if got, want := c.model.Digest().String(), oracleModelFingerprint(c.model); got != want {
+		t.Fatalf("Model.Digest(%+v) = %s, oracle %s", c.model, got, want)
 	}
 	for _, name := range strategies.Names() {
 		strat, _ := strategies.Lookup(name)

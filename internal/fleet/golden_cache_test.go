@@ -73,7 +73,7 @@ func goldenCacheLine(t *testing.T, cell Cell, suite Suite) string {
 	seedless := strat.Fingerprint(spec)
 	spec.Seed = trainingSeed(suite.Seed, cell.Policy, seedless)
 	return fmt.Sprintf("%d %s %s %s %d %s", cell.Index, cell.Policy,
-		spec.Params.Fingerprint(), seedless, spec.Seed, strat.Fingerprint(spec))
+		spec.Params.Digest(), seedless, spec.Seed, strat.Fingerprint(spec))
 }
 
 func goldenCacheRuns(t *testing.T) []goldenCacheSuite {

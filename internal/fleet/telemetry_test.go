@@ -81,8 +81,8 @@ func TestTelemetrySnapshotReconciles(t *testing.T) {
 			t.Errorf("histogram %s count = %d, want %d", name, got, total)
 		}
 	}
-	if got := s.Histograms[MetricScenarioSteps].Mean(); got != float64(suite.Steps) {
-		t.Errorf("mean steps = %v, want %v", got, suite.Steps)
+	if h := s.Histograms[MetricScenarioSteps]; h.Sum != int64(suite.Steps)*h.Count {
+		t.Errorf("%s sums to %d over %d scenarios, want %d steps each", MetricScenarioSteps, h.Sum, h.Count, suite.Steps)
 	}
 	if got := s.Gauges[MetricScenariosTotal]; got != float64(total) {
 		t.Errorf("gauge %s = %v, want %v", MetricScenariosTotal, got, total)

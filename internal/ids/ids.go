@@ -49,14 +49,6 @@ func (p Profile) Validate() error {
 	return nil
 }
 
-// Sample draws an alert count for the given compromise state.
-func (p Profile) Sample(rng *rand.Rand, compromised bool) int {
-	if compromised {
-		return p.Intrusion.Sample(rng)
-	}
-	return p.NoIntrusion.Sample(rng)
-}
-
 // Divergence returns D_KL(Z_H || Z_C), the detectability of intrusions on
 // this container (Fig 14's x-axis).
 func (p Profile) Divergence() float64 {
@@ -115,10 +107,4 @@ func Fit(rng *rand.Rand, p Profile, m int) (*FittedZ, error) {
 		Compromised: c.Distribution(),
 		Samples:     m,
 	}, nil
-}
-
-// ModelMismatch returns D_KL(Z(.|C) || Ẑ(.|C)) — the x-axis of the right
-// panel of Fig 14 (sensitivity of the controllers to estimation error).
-func ModelMismatch(p Profile, fit *FittedZ) float64 {
-	return dist.KLSmoothed(p.Intrusion, fit.Compromised, 1e-9)
 }

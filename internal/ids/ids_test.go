@@ -3,6 +3,8 @@ package ids
 import (
 	"math/rand"
 	"testing"
+
+	"tolerance/internal/dist"
 )
 
 func TestNewBetaBinomialProfile(t *testing.T) {
@@ -40,8 +42,8 @@ func TestProfileSampleStates(t *testing.T) {
 	const n = 20000
 	sumH, sumC := 0, 0
 	for i := 0; i < n; i++ {
-		sumH += p.Sample(rng, false)
-		sumC += p.Sample(rng, true)
+		sumH += p.NoIntrusion.Sample(rng)
+		sumC += p.Intrusion.Sample(rng)
 	}
 	if sumC <= sumH {
 		t.Error("compromised samples not louder on average")
@@ -61,9 +63,10 @@ func TestFitConvergesToTruth(t *testing.T) {
 	if fit.Samples != 25000 {
 		t.Errorf("samples = %d", fit.Samples)
 	}
-	// The model mismatch (Fig 14 right panel x-axis) should be small at
-	// M = 25k.
-	if mm := ModelMismatch(p, fit); mm > 0.02 {
+	// The model mismatch D_KL(Z(.|C) || Ẑ(.|C)) (Fig 14 right panel
+	// x-axis) should be small at M = 25k.
+	mismatch := func(fit *FittedZ) float64 { return dist.KLSmoothed(p.Intrusion, fit.Compromised, 1e-9) }
+	if mm := mismatch(fit); mm > 0.02 {
 		t.Errorf("model mismatch = %v, want < 0.02 at M=25k", mm)
 	}
 	// A tiny sample gives a worse fit.
@@ -72,7 +75,7 @@ func TestFitConvergesToTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ModelMismatch(p, small) <= ModelMismatch(p, fit) {
+	if mismatch(small) <= mismatch(fit) {
 		t.Error("30-sample fit should be worse than 25k-sample fit")
 	}
 }

@@ -28,11 +28,6 @@ type MetricProfile struct {
 	Intrude *dist.Categorical
 }
 
-// Divergence returns D_KL(Ẑ_{O|H} || Ẑ_{O|C}) for the metric.
-func (m MetricProfile) Divergence() float64 {
-	return dist.KLSmoothed(m.Healthy, m.Intrude, 1e-9)
-}
-
 // DefaultMetricProfiles returns signal models calibrated so the KL ranking
 // matches Fig 18: IDS alerts carry by far the most information (paper:
 // 0.49), blocks written and failed logins a little (0.12, 0.07), while

@@ -3,10 +3,14 @@ package minbft
 import (
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"tolerance/internal/replica"
+	"tolerance/internal/transport"
 	"tolerance/internal/usig"
 )
 
@@ -191,4 +195,112 @@ func certify(u *usig.USIG, envelopeBytes []byte) []byte {
 		return sign(&m, &m.UI)
 	}
 	return envelopeBytes
+}
+
+// FuzzConfigOp applies arbitrary values of the reserved config key, one
+// per line, to a harness core, as ordered writes of ConfigKey would: any
+// signed client can write that key, past EncodeConfigOp's checks. After
+// every op the membership is sorted, unique, non-empty and free of "",
+// and the core can name its leader.
+func FuzzConfigOp(f *testing.F) {
+	value := func(action, id string) string {
+		data, err := json.Marshal(configOp{Action: action, NodeID: id})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return string(data)
+	}
+	// Evicting every member once left the core with none, and leaderOf
+	// divided by zero.
+	f.Add(strings.Join([]string{value("evict", "r1"), value("evict", "r2"), value("evict", "r3"), value("evict", "r0")}, "\n"))
+	f.Add(value("join", ""))
+	f.Add(value("join", "r9") + "\n" + value("evict", "r0") + "\n" + value("join", "r9"))
+	f.Add("garbage\n" + value("reboot", "r1"))
+
+	f.Fuzz(func(t *testing.T, script string) {
+		c := newGroup(t, 1, 4, 0).cores["r0"]
+		for _, v := range strings.Split(script, "\n") {
+			c.applyConfigOp(v)
+			if len(c.members) == 0 || slices.Contains(c.members, "") || !slices.IsSorted(c.members) ||
+				len(slices.Compact(slices.Clone(c.members))) != len(c.members) {
+				t.Fatalf("after %q the members are %q", v, c.members)
+			}
+			_ = c.leader()
+		}
+	})
+}
+
+// FuzzClientReply drives Client.Submit over a stubEndpoint: arbitrary
+// frames from outsiders and from the f Byzantine members, then one reply
+// from each of the f+1 honest members. Submit must return the honest
+// result, because a forged one reaches at most f distinct members: an
+// outsider's reply, a reply naming another replica than its sender and a
+// member's repeated replies never add a vote. A frame is [sender][kind]
+// [len][data]; an odd kind wraps data as a reply's result, kind&2 names
+// the replica members[kind>>3] in it and kind&4 the request data.
+func FuzzClientReply(f *testing.F) {
+	entry := func(sender, kind byte, data string) []byte {
+		return append([]byte{sender, kind, byte(len(data))}, data...)
+	}
+	// Senders 0 and 1 are outsiders, 2 onwards the Byzantine members.
+	f.Add(uint8(1), slices.Concat(entry(2, 1, "evil"), entry(2, 1, "evil")))
+	f.Add(uint8(1), slices.Concat(entry(2, 1|2|1<<3, "evil"), entry(2, 1, "evil")))
+	f.Add(uint8(1), slices.Concat(entry(0, 1, "evil"), entry(2, 1, "evil"), entry(1, 1|2, "evil")))
+	f.Add(uint8(2), slices.Concat(entry(2, 1, "evil"), entry(3, 1, "evil"), entry(3, 5, "alice/1"), entry(0, 0, "junk")))
+	f.Add(uint8(0), entry(0, 1, "evil"))
+
+	f.Fuzz(func(t *testing.T, fb uint8, frames []byte) {
+		tolerated := int(fb % 3)
+		var members []string
+		for i := 0; i < 2*tolerated+1; i++ {
+			members = append(members, fmt.Sprintf("r%d", i))
+		}
+		senders := append([]string{"mallory", ""}, members[:tolerated]...)
+		const request = "alice/1" // the first request alice signs
+		reply := func(from, request, result string) []byte {
+			data, err := encode(typeReply, replica.Reply{ReplicaID: from, RequestID: request, Result: result})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return data
+		}
+		var in []transport.Message
+		for len(frames) >= 3 {
+			from, kind := senders[int(frames[0])%len(senders)], frames[1]
+			n := min(int(frames[2]), len(frames)-3)
+			data := string(frames[3 : 3+n])
+			frames = frames[3+n:]
+			payload := []byte(data)
+			if kind&1 != 0 {
+				id, req := from, request
+				if kind&2 != 0 {
+					id = members[int(kind>>3)%len(members)]
+				}
+				if kind&4 != 0 {
+					req = data
+				}
+				payload = reply(id, req, data)
+			}
+			in = append(in, transport.Message{From: from, To: "alice", Payload: payload})
+		}
+		for _, m := range members[tolerated:] {
+			in = append(in, transport.Message{From: m, To: "alice", Payload: reply(m, request, "honest")})
+		}
+		ep := &stubEndpoint{addr: "alice", in: make(chan transport.Message, len(in))}
+		for _, m := range in {
+			ep.in <- m
+		}
+		signer, err := replica.NewSigner("alice")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := NewClient(signer, ep, members, tolerated)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl.RetransmitInterval = time.Hour
+		if got, err := cl.Submit(write("x", "honest")); err != nil || got != "honest" {
+			t.Fatalf("f = %d: Submit = %q, %v; want the honest result", tolerated, got, err)
+		}
+	})
 }

@@ -396,10 +396,20 @@ func TestNewLeaderProposesInArrivalOrder(t *testing.T) {
 	}
 }
 
+// stubEndpoint is an Endpoint whose inbound traffic a test queues on in
+// and whose sends go nowhere.
+type stubEndpoint struct {
+	addr string
+	in   chan transport.Message
+}
+
+func (e *stubEndpoint) Addr() string                      { return e.addr }
+func (e *stubEndpoint) Send(string, []byte) error         { return nil }
+func (e *stubEndpoint) Receive() <-chan transport.Message { return e.in }
+func (e *stubEndpoint) Close() error                      { return nil }
+
 func TestConfigValidation(t *testing.T) {
-	net, _ := transport.NewSimNetwork(transport.Conditions{}, 1)
-	defer net.Close()
-	ep, _ := net.Endpoint("x")
+	ep := &stubEndpoint{addr: "x"}
 	u, _ := usig.NewHMAC("x", clusterKey)
 	v, _ := usig.NewHMACVerifier(clusterKey)
 	reg := replica.NewRegistry()

@@ -121,9 +121,6 @@ func (r *Replica) Stop() {
 	<-r.done
 }
 
-// ID returns the replica's identity.
-func (r *Replica) ID() string { return r.core.cfg.ID }
-
 // View returns the current view number.
 func (r *Replica) View() uint64 {
 	r.mu.Lock()

@@ -285,26 +285,26 @@ func replicaStoreDigest(snapshot []byte) []byte {
 
 // applyConfigOp executes a reconfiguration op that was ordered through
 // consensus (Fig 17 e-f). All honest replicas apply it at the same sequence
-// number, so membership changes deterministically.
+// number, so membership changes deterministically. Any signed client can
+// write ConfigKey, past EncodeConfigOp's checks, so every replica ignores,
+// by the same rule, an op with an empty node id and an evict that would
+// leave no member.
 func (c *core) applyConfigOp(value string) {
 	var op configOp
-	if json.Unmarshal([]byte(value), &op) != nil {
+	if json.Unmarshal([]byte(value), &op) != nil || op.NodeID == "" {
 		return
 	}
 	oldLeader := c.leader()
 	switch op.Action {
 	case "join":
-		present := false
-		for _, m := range c.members {
-			if m == op.NodeID {
-				present = true
-			}
-		}
-		if !present {
+		if !slices.Contains(c.members, op.NodeID) {
 			c.members = append(c.members, op.NodeID)
 			sort.Strings(c.members)
 		}
 	case "evict":
+		if !slices.ContainsFunc(c.members, func(m string) bool { return m != op.NodeID }) {
+			return
+		}
 		out := c.members[:0]
 		for _, m := range c.members {
 			if m != op.NodeID {

@@ -64,12 +64,6 @@ func NewMLP(rng *rand.Rand, hidden Activation, sizes ...int) (*MLP, error) {
 	return m, nil
 }
 
-// InputSize returns the expected input dimension.
-func (m *MLP) InputSize() int { return m.sizes[0] }
-
-// OutputSize returns the output dimension.
-func (m *MLP) OutputSize() int { return m.sizes[len(m.sizes)-1] }
-
 func (m *MLP) activate(v float64) float64 {
 	switch m.hidden {
 	case ReLU:

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -22,8 +23,8 @@ func TestNewMLPValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.InputSize() != 2 || m.OutputSize() != 3 || len(m.w) != 2 {
-		t.Errorf("shape accessors wrong: %d/%d/%d", m.InputSize(), m.OutputSize(), len(m.w))
+	if !slices.Equal(m.sizes, []int{2, 8, 3}) || len(m.w) != 2 {
+		t.Errorf("shape wrong: sizes %v, %d weight layers", m.sizes, len(m.w))
 	}
 }
 
@@ -224,8 +225,8 @@ func TestForwardIntoReusesCacheBitIdentically(t *testing.T) {
 		}
 		reused, fresh := m.NewGrads(), m.NewGrads()
 		for sample := 0; sample < 5; sample++ {
-			x := make([]float64, m.InputSize())
-			dOut := make([]float64, m.OutputSize())
+			x := make([]float64, m.sizes[0])
+			dOut := make([]float64, m.sizes[len(m.sizes)-1])
 			for i := range x {
 				x[i] = rng.NormFloat64()
 			}

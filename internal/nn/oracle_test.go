@@ -159,11 +159,11 @@ func TestKernelsMatchOracle(t *testing.T) {
 			}
 			var c, oc Cache
 			for sample := 0; sample < 4; sample++ {
-				x := make([]float64, m.InputSize())
+				x := make([]float64, m.sizes[0])
 				for i := range x {
 					x[i] = signedZeros(rng, 0.25)
 				}
-				dOut := make([]float64, m.OutputSize())
+				dOut := make([]float64, m.sizes[len(m.sizes)-1])
 				for i := range dOut {
 					dOut[i] = signedZeros(rng, 0.3)
 				}

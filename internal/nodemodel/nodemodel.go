@@ -134,6 +134,8 @@ func (p Params) Validate() error {
 
 // CheckTheorem1Assumptions verifies assumptions A-E of Theorem 1 and returns
 // a descriptive error naming the first violated assumption.
+//
+//tolerance:testonly checks Theorem 1's assumptions A-E for nodemodel's tests
 func (p Params) CheckTheorem1Assumptions() error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -188,16 +190,12 @@ func (p Params) CheckTheorem1Assumptions() error {
 // NumObs returns the size of the observation space.
 func (p Params) NumObs() int { return p.ZHealthy.Len() }
 
-// Fingerprint returns a canonical hash over every quantity that determines
-// the model's control problems: the scalar parameters bit-for-bit and both
-// observation distributions. Two Params values with the same fingerprint
-// yield identical solutions of Problems 1 and 2, which is what strategy
-// caches key on.
-func (p Params) Fingerprint() string { return p.Digest().String() }
-
-// Digest is the hash Fingerprint spells: pA, pC1, pC2, pU and eta, then for
-// each observation distribution its size and probabilities (NaN for a nil
-// one), every value bit for bit.
+// Digest is a canonical hash over every quantity that determines the
+// model's control problems: pA, pC1, pC2, pU and eta, then for each
+// observation distribution its size and probabilities (NaN for a nil one),
+// every value bit for bit. Two Params values with the same digest yield
+// identical solutions of Problems 1 and 2, which is what strategy caches
+// key on.
 func (p Params) Digest() dist.Digest {
 	d := dist.NewDigest().Float(p.PA).Float(p.PC1).Float(p.PC2).Float(p.PU).Float(p.Eta)
 	for _, z := range [2]*dist.Categorical{p.ZHealthy, p.ZCompromised} {
@@ -266,6 +264,8 @@ func (p Params) Observation(s State) *dist.Categorical {
 }
 
 // SampleTransition draws the successor state.
+//
+//tolerance:testonly oracle: the Params-stepped loop Kernel and Algorithm 1's tape are held to
 func (p Params) SampleTransition(rng *rand.Rand, s State, a Action) State {
 	row := p.Transition(s, a)
 	u := rng.Float64()
@@ -280,6 +280,8 @@ func (p Params) SampleTransition(rng *rand.Rand, s State, a Action) State {
 }
 
 // SampleObservation draws an alert count from Z(. | s).
+//
+//tolerance:testonly oracle: the Params-stepped loop Kernel and Algorithm 1's tape are held to
 func (p Params) SampleObservation(rng *rand.Rand, s State) int {
 	return p.Observation(s).Sample(rng)
 }
@@ -303,6 +305,8 @@ func (p Params) UpdateBelief(b float64, a Action, o int) float64 {
 // Posterior applies only the observation part of the belief update: the
 // compromise probability after observing o from prior, with no action and
 // no transition before it (an episode's first observation).
+//
+//tolerance:testonly oracle: the Params-stepped loop Kernel and Algorithm 1's tape are held to
 func (p Params) Posterior(prior float64, o int) float64 {
 	zc := p.ZCompromised.Prob(o)
 	zh := p.ZHealthy.Prob(o)

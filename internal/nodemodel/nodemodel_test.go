@@ -31,8 +31,8 @@ func TestDefaultParamsShareAlertPair(t *testing.T) {
 	fresh := p1
 	fresh.ZHealthy = dist.MustBetaBinomial(10, 0.7, 3).Categorical()
 	fresh.ZCompromised = dist.MustBetaBinomial(10, 1, 0.7).Categorical()
-	if p1.Fingerprint() != fresh.Fingerprint() {
-		t.Errorf("shared pair fingerprint %s, freshly built %s", p1.Fingerprint(), fresh.Fingerprint())
+	if p1.Digest() != fresh.Digest() {
+		t.Errorf("shared pair digest %s, freshly built %s", p1.Digest(), fresh.Digest())
 	}
 }
 

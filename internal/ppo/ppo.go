@@ -162,6 +162,8 @@ func (p *Policy) features(belief float64, windowPos int) [2]float64 {
 }
 
 // Probabilities returns the action distribution (P[Wait], P[Recover]).
+//
+//tolerance:testonly seam: TestGoldenParentLearned pins PPO's action distribution through it
 func (p *Policy) Probabilities(belief float64, windowPos int) []float64 {
 	x := p.features(belief, windowPos)
 	return nn.Softmax(p.net.Forward(x[:]))

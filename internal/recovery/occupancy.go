@@ -69,6 +69,8 @@ type OccupancyShares struct {
 // 16 steps); a dependence on t that first shows later than that is not
 // seen. Iterates that do not settle within a fixed bound return
 // ErrOccupancyNotConverged.
+//
+//tolerance:testonly oracle: the one-call table that shared OccupancyTables are held to with ==
 func Occupancy(p nodemodel.Params, s Strategy, deltaR int) (OccupancyShares, error) {
 	t, err := NewOccupancyTable(p)
 	if err != nil {

@@ -105,12 +105,16 @@ func (s *ThresholdStrategy) Threshold(windowPos int) float64 {
 }
 
 // NeverRecover is the NO-RECOVERY baseline as a Strategy.
+//
+//tolerance:testonly reference strategy for recovery's, cmdp's and fleet's tests
 type NeverRecover struct{}
 
 // Action implements Strategy.
 func (NeverRecover) Action(float64, int) nodemodel.Action { return nodemodel.Wait }
 
 // AlwaysRecover recovers every step; useful as a cost upper bound in tests.
+//
+//tolerance:testonly reference strategy for recovery's, cmdp's and fleet's tests
 type AlwaysRecover struct{}
 
 // Action implements Strategy.
@@ -119,6 +123,8 @@ func (AlwaysRecover) Action(float64, int) nodemodel.Action { return nodemodel.Re
 // PeriodicStrategy recovers at fixed calendar times (every Period steps)
 // regardless of the belief — the PERIODIC baseline of §VIII-B restricted to
 // a single node.
+//
+//tolerance:testonly reference strategy for recovery's, cmdp's and fleet's tests
 type PeriodicStrategy struct {
 	// Period between recoveries; <= 0 never recovers.
 	Period int

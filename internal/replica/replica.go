@@ -100,9 +100,6 @@ func NewSigner(clientID string) (*Signer, error) {
 	return &Signer{clientID: clientID, priv: priv, pub: pub}, nil
 }
 
-// ClientID returns the signer's client identifier.
-func (s *Signer) ClientID() string { return s.clientID }
-
 // PublicKey returns the verification key to register with replicas.
 func (s *Signer) PublicKey() ed25519.PublicKey { return s.pub }
 
@@ -195,13 +192,6 @@ func (kv *KVStore) Apply(req *Request) (string, error) {
 	}
 }
 
-// Applied returns the number of executed operations.
-func (kv *KVStore) Applied() uint64 {
-	kv.mu.RLock()
-	defer kv.mu.RUnlock()
-	return kv.applied
-}
-
 // Digest returns a deterministic hash of the full state, used for
 // checkpoints and state transfer (§VII-C: a recovered replica initializes
 // its state from f+1 identical copies).
@@ -269,14 +259,6 @@ func (kv *KVStore) Restore(snapshot []byte) error {
 	}
 	kv.applied = s.Applied
 	return nil
-}
-
-// Get reads a key outside consensus (used by tests and local inspection).
-func (kv *KVStore) Get(key string) (string, bool) {
-	kv.mu.RLock()
-	defer kv.mu.RUnlock()
-	v, ok := kv.data[key]
-	return v, ok
 }
 
 // Reply is one replica's response to a request.

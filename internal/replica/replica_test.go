@@ -1,6 +1,8 @@
 package replica
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 	"testing/quick"
 )
@@ -78,20 +80,33 @@ func TestKVStoreApplyAndDedup(t *testing.T) {
 	if _, err := kv.Apply(w1); err != nil { // stale duplicate
 		t.Fatal(err)
 	}
-	if v, _ := kv.Get("x"); v != "2" {
-		t.Errorf("stale write overwrote newer state: %q", v)
-	}
 	r := s.Sign(Op{Type: OpRead, Key: "x"})
 	if res, _ := kv.Apply(r); res != "2" {
-		t.Errorf("read = %q, want 2", res)
+		t.Errorf("stale write overwrote newer state: read = %q, want 2", res)
 	}
-	if kv.Applied() != 4 {
-		t.Errorf("applied = %d, want 4", kv.Applied())
+	if n := applied(t, kv); n != 4 {
+		t.Errorf("applied = %d, want 4", n)
 	}
 	bad := s.Sign(Op{Type: OpType(99), Key: "x"})
 	if _, err := kv.Apply(bad); err == nil {
 		t.Error("unknown op should fail")
 	}
+}
+
+// applied returns the executed-operation count kv's snapshot carries.
+func applied(t *testing.T, kv *KVStore) uint64 {
+	t.Helper()
+	snap, err := kv.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s struct {
+		Applied uint64 `json:"applied"`
+	}
+	if err := json.Unmarshal(snap, &s); err != nil {
+		t.Fatal(err)
+	}
+	return s.Applied
 }
 
 func TestKVStoreDigestDeterminism(t *testing.T) {
@@ -131,8 +146,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if restored.Digest() != kv.Digest() {
 		t.Error("restored digest differs")
 	}
-	if restored.Applied() != kv.Applied() {
-		t.Error("restored applied count differs")
+	if again, err := restored.Snapshot(); err != nil || !bytes.Equal(again, snap) {
+		t.Errorf("restored store snapshots to %s, want %s (err %v)", again, snap, err)
 	}
 	if err := restored.Restore([]byte("not json")); err == nil {
 		t.Error("bad snapshot should fail")

@@ -234,14 +234,6 @@ type HistogramSnapshot struct {
 	Overflow int64         `json:"overflow,omitempty"`
 }
 
-// Mean returns Sum/Count (zero when empty).
-func (h HistogramSnapshot) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
-}
-
 // Phase is one completed wall-clock phase of a run (suite expansion, the
 // offline fit, scenario execution, ...), in completion order.
 type Phase struct {

@@ -6,190 +6,6 @@ import (
 	"time"
 )
 
-func TestSimNetworkBasicDelivery(t *testing.T) {
-	n, err := NewSimNetwork(Conditions{}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	a, err := n.Endpoint("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := n.Endpoint("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Send("b", []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case msg := <-b.Receive():
-		if msg.From != "a" || msg.To != "b" || string(msg.Payload) != "hello" {
-			t.Errorf("got %+v", msg)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("message not delivered")
-	}
-}
-
-func TestSimNetworkPayloadIsolation(t *testing.T) {
-	n, _ := NewSimNetwork(Conditions{}, 1)
-	defer n.Close()
-	a, _ := n.Endpoint("a")
-	b, _ := n.Endpoint("b")
-	buf := []byte("original")
-	if err := a.Send("b", buf); err != nil {
-		t.Fatal(err)
-	}
-	buf[0] = 'X' // mutate after send; receiver must see the original
-	msg := <-b.Receive()
-	if string(msg.Payload) != "original" {
-		t.Errorf("payload aliased sender buffer: %q", msg.Payload)
-	}
-}
-
-func TestSimNetworkLoss(t *testing.T) {
-	n, err := NewSimNetwork(Conditions{Loss: 1}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	a, _ := n.Endpoint("a")
-	b, _ := n.Endpoint("b")
-	for i := 0; i < 50; i++ {
-		if err := a.Send("b", []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	select {
-	case <-b.Receive():
-		t.Fatal("message delivered despite 100% loss")
-	case <-time.After(50 * time.Millisecond):
-	}
-}
-
-func TestSimNetworkLossRate(t *testing.T) {
-	n, _ := NewSimNetwork(Conditions{Loss: 0.5}, 3)
-	defer n.Close()
-	a, _ := n.Endpoint("a")
-	b, _ := n.Endpoint("b")
-	const total = 2000
-	for i := 0; i < total; i++ {
-		_ = a.Send("b", []byte("x"))
-	}
-	// Drain with a deadline.
-	received := 0
-	deadline := time.After(time.Second)
-drain:
-	for {
-		select {
-		case <-b.Receive():
-			received++
-		case <-deadline:
-			break drain
-		default:
-			if received > 0 {
-				break drain
-			}
-		}
-	}
-	frac := float64(received) / total
-	if frac < 0.4 || frac > 0.6 {
-		t.Errorf("received fraction %v, want ~0.5", frac)
-	}
-}
-
-func TestSimNetworkPartitionAndHeal(t *testing.T) {
-	n, _ := NewSimNetwork(Conditions{}, 4)
-	defer n.Close()
-	a, _ := n.Endpoint("a")
-	b, _ := n.Endpoint("b")
-	n.Partition([]string{"a"}, []string{"b"})
-	if err := a.Send("b", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-b.Receive():
-		t.Fatal("delivered across partition")
-	case <-time.After(30 * time.Millisecond):
-	}
-	n.Heal()
-	if err := a.Send("b", []byte("y")); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case msg := <-b.Receive():
-		if string(msg.Payload) != "y" {
-			t.Errorf("got %q", msg.Payload)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("not delivered after heal")
-	}
-}
-
-func TestSimNetworkIsolate(t *testing.T) {
-	n, _ := NewSimNetwork(Conditions{}, 5)
-	defer n.Close()
-	a, _ := n.Endpoint("a")
-	b, _ := n.Endpoint("b")
-	c, _ := n.Endpoint("c")
-	n.Isolate("b")
-	_ = a.Send("b", []byte("x"))
-	_ = a.Send("c", []byte("y"))
-	select {
-	case msg := <-c.Receive():
-		if string(msg.Payload) != "y" {
-			t.Errorf("got %q", msg.Payload)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("c should still receive")
-	}
-	select {
-	case <-b.Receive():
-		t.Fatal("isolated endpoint received")
-	case <-time.After(30 * time.Millisecond):
-	}
-}
-
-func TestSimNetworkDelay(t *testing.T) {
-	n, _ := NewSimNetwork(Conditions{Delay: 50 * time.Millisecond}, 6)
-	defer n.Close()
-	a, _ := n.Endpoint("a")
-	b, _ := n.Endpoint("b")
-	start := time.Now()
-	_ = a.Send("b", []byte("x"))
-	<-b.Receive()
-	if elapsed := time.Since(start); elapsed < 40*time.Millisecond {
-		t.Errorf("delivered after %v, want >= ~50ms", elapsed)
-	}
-}
-
-func TestSimNetworkClosedEndpoint(t *testing.T) {
-	n, _ := NewSimNetwork(Conditions{}, 7)
-	defer n.Close()
-	a, _ := n.Endpoint("a")
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Send("b", []byte("x")); err != ErrClosed {
-		t.Errorf("Send on closed endpoint = %v, want ErrClosed", err)
-	}
-	// Receive channel must be closed.
-	if _, ok := <-a.Receive(); ok {
-		t.Error("receive channel should be closed")
-	}
-	// Sending to a closed endpoint silently drops.
-	b, _ := n.Endpoint("b")
-	_ = b
-}
-
-func TestSimNetworkValidation(t *testing.T) {
-	if _, err := NewSimNetwork(Conditions{Loss: 1.5}, 1); err == nil {
-		t.Error("loss > 1 should fail")
-	}
-}
-
 func TestTCPEndpointRoundTrip(t *testing.T) {
 	a, err := ListenTCP("127.0.0.1:0")
 	if err != nil {

@@ -76,9 +76,6 @@ func ResumeHMAC(id string, key []byte, counter uint64) (*USIG, error) {
 	return u, nil
 }
 
-// ID returns the owning replica's identifier.
-func (u *USIG) ID() string { return u.id }
-
 // Counter returns the last assigned counter value.
 func (u *USIG) Counter() uint64 {
 	u.mu.Lock()
