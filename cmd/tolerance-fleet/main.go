@@ -309,7 +309,7 @@ func run() (retErr error) {
 			}
 			cfg.Completed = ck.Records
 			if !*quiet {
-				fmt.Fprintf(os.Stderr, "resuming: %d scenarios already complete\n", len(ck.Records))
+				fmt.Fprintf(os.Stderr, "resuming: %d scenarios already complete\n", ck.Records.Len())
 			}
 			writer, err = fleet.AppendCheckpoint(*checkpoint, ck)
 		} else {
@@ -542,8 +542,8 @@ func runMerge(paths []string, format string, col *telemetry.Collector, manifestP
 	if err != nil {
 		return err
 	}
-	col.Counter(fleet.MetricScenariosFolded).Add(0, int64(len(records)))
-	col.Counter(fleet.MetricScenariosReplayed).Add(0, int64(len(records)))
+	col.Counter(fleet.MetricScenariosFolded).Add(0, int64(records.Len()))
+	col.Counter(fleet.MetricScenariosReplayed).Add(0, int64(records.Len()))
 	if !quiet {
 		printSummary(os.Stderr, col.Snapshot())
 	}

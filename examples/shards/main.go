@@ -91,7 +91,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("crash simulation: killed shard 0/2 with %d of %d scenarios done\n",
-		len(ck.Records), len(fleet.Shard{Index: 0, Count: 2}.Indices(loaded.NumScenarios())))
+		ck.Records.Len(), len(fleet.Shard{Index: 0, Count: 2}.Indices(loaded.NumScenarios())))
 	w, err := fleet.AppendCheckpoint(crashed, ck)
 	if err != nil {
 		return err

@@ -38,9 +38,9 @@ type CoordinatorConfig struct {
 	// worker told to wait asks again one heartbeat later.
 	Heartbeat time.Duration
 	// Completed holds records from an earlier (killed) coordinator run's
-	// checkpoint, keyed by scenario index; they fold as replays instead of
-	// being leased out again.
-	Completed map[int]RunRecord
+	// checkpoint, by scenario index; they fold as replays instead of being
+	// leased out again.
+	Completed *RecordTable
 	// OnRecord, when set, receives every freshly ingested record in strict
 	// scenario-index order — the checkpoint write hook, identical in
 	// contract to Config.OnRecord. An error aborts the run.
@@ -87,7 +87,7 @@ func Coordinate(ctx context.Context, suite Suite, cfg CoordinatorConfig) (*Resul
 		return nil, err
 	}
 	c.logf("coordinator: suite %s (%s): %d scenarios, %d already complete, lease size %d, heartbeat %s, lease timeout %s",
-		c.suite.Name, c.fp, c.total, len(cfg.Completed), c.leaseSize, c.hb, c.timeout)
+		c.suite.Name, c.fp, c.total, cfg.Completed.Len(), c.leaseSize, c.hb, c.timeout)
 	if c.done() {
 		// Everything was already in the checkpoint; nothing to serve.
 		return c.fold.result(), nil

@@ -308,7 +308,7 @@ func TestRunIndicesDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := MergeRecords(suite, records)
+	res, err := MergeRecords(suite, tableOf(records))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestCoordinateResumeByteIdentical(t *testing.T) {
 		Endpoint:       coordEP,
 		LeaseScenarios: 3,
 		Heartbeat:      coordTestHeartbeat,
-		Completed:      completed,
+		Completed:      tableOf(completed),
 		Telemetry:      col,
 		OnRecord:       func(rec RunRecord) error { fresh = append(fresh, rec.Index); return nil },
 	})
@@ -423,7 +423,7 @@ func TestCoordinateResumeByteIdentical(t *testing.T) {
 	stub := &stubEndpoint{}
 	res, err = Coordinate(context.Background(), suite, CoordinatorConfig{
 		Endpoint:  stub,
-		Completed: all,
+		Completed: tableOf(all),
 		OnRecord:  func(rec RunRecord) error { t.Errorf("replayed record %d reached OnRecord", rec.Index); return nil },
 	})
 	if err != nil {

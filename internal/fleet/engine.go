@@ -36,10 +36,10 @@ type Config struct {
 	// streams — that a whole run would.
 	Shard Shard
 	// Completed holds records of scenarios already finished by an earlier
-	// (killed) run of the same suite and shard, keyed by scenario index.
-	// They are folded from the stored metrics instead of re-executed, so
-	// a resumed run completes with byte-identical output.
-	Completed map[int]RunRecord
+	// (killed) run of the same suite and shard, by scenario index. They
+	// are folded from the stored metrics instead of re-executed, so a
+	// resumed run completes with byte-identical output.
+	Completed *RecordTable
 	// OnRecord, when set, receives every freshly executed scenario in
 	// fold (index) order — the checkpoint write hook. An error aborts the
 	// run.
@@ -159,8 +159,8 @@ func Run(ctx context.Context, suite Suite, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("%w: shard %s selects no scenarios of %d",
 			ErrBadSuite, cfg.Shard, gridTotal)
 	}
-	for idx, rec := range cfg.Completed {
-		if err := checkCompleted(idx, &rec, gridTotal, suite.SeedsPerCell, cfg.Shard); err != nil {
+	for rec := range cfg.Completed.records() {
+		if err := checkCompleted(rec.Index, rec, gridTotal, suite.SeedsPerCell, cfg.Shard); err != nil {
 			return nil, err
 		}
 	}
@@ -170,7 +170,7 @@ func Run(ctx context.Context, suite Suite, cfg Config) (*Result, error) {
 	cfg.Telemetry.Gauge(MetricWorkers).Set(float64(cfg.Workers))
 	// A run whose scheduled work is entirely replayed from records never
 	// fits at all.
-	if len(cfg.Completed) < len(sched) {
+	if cfg.Completed.Len() < len(sched) {
 		if err := p.fit(cfg); err != nil {
 			return nil, err
 		}
@@ -301,7 +301,7 @@ func (p *plan) execute(ctx context.Context, sched []int, cfg Config, emit func(r
 					idx := sched[pos]
 					cell := &cells[idx/suite.SeedsPerCell]
 					oc := outcome{rec: RunRecord{Index: idx, Cell: cell.Index}, fresh: true}
-					if rec, ok := cfg.Completed[idx]; ok {
+					if rec, ok := cfg.Completed.get(idx); ok {
 						oc.rec.Metrics, oc.fresh = rec.Metrics, false
 					} else {
 						st := &states[cell.Index-firstCell]

@@ -498,8 +498,8 @@ func TestRunCancellationLeavesValidCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cancelled checkpoint unreadable: %v", err)
 	}
-	if len(ck.Records) < 3 {
-		t.Fatalf("checkpoint holds %d records, want >= 3", len(ck.Records))
+	if ck.Records.Len() < 3 {
+		t.Fatalf("checkpoint holds %d records, want >= 3", ck.Records.Len())
 	}
 	w2, err := AppendCheckpoint(path, ck)
 	if err != nil {

@@ -10,7 +10,7 @@ import (
 
 // runWithCheckpoint executes the suite writing every record to path and
 // returns the serialized result.
-func runWithCheckpoint(t *testing.T, suite Suite, path string, completed map[int]RunRecord) []byte {
+func runWithCheckpoint(t *testing.T, suite Suite, path string, completed *RecordTable) []byte {
 	t.Helper()
 	var w *CheckpointWriter
 	var err error
@@ -74,12 +74,12 @@ func TestGzipCheckpointRoundTrip(t *testing.T) {
 	if gz.Suite.Fingerprint() != plain.Suite.Fingerprint() {
 		t.Error("suite fingerprint differs between plain and gzip checkpoints")
 	}
-	if len(gz.Records) != len(plain.Records) {
-		t.Fatalf("gzip checkpoint has %d records, plain %d", len(gz.Records), len(plain.Records))
+	if gz.Records.Len() != plain.Records.Len() {
+		t.Fatalf("gzip checkpoint has %d records, plain %d", gz.Records.Len(), plain.Records.Len())
 	}
-	for idx, rec := range plain.Records {
-		if gz.Records[idx] != rec {
-			t.Errorf("record %d differs between plain and gzip checkpoints", idx)
+	for rec := range plain.Records.records() {
+		if g, ok := gz.Records.get(rec.Index); !ok || *g != *rec {
+			t.Errorf("record %d differs between plain and gzip checkpoints", rec.Index)
 		}
 	}
 
@@ -139,8 +139,8 @@ func TestGzipCheckpointKilledRunResumes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("killed gzip checkpoint unreadable: %v", err)
 	}
-	if len(ck.Records) != len(half) {
-		t.Fatalf("recovered %d records from killed gzip checkpoint, want %d", len(ck.Records), len(half))
+	if ck.Records.Len() != len(half) {
+		t.Fatalf("recovered %d records from killed gzip checkpoint, want %d", ck.Records.Len(), len(half))
 	}
 
 	resumedJSON := runWithCheckpoint(t, suite, path, ck.Records)
@@ -153,8 +153,8 @@ func TestGzipCheckpointKilledRunResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(final.Records) != len(recs) {
-		t.Errorf("resumed gzip checkpoint has %d records, want %d", len(final.Records), len(recs))
+	if final.Records.Len() != len(recs) {
+		t.Errorf("resumed gzip checkpoint has %d records, want %d", final.Records.Len(), len(recs))
 	}
 }
 

@@ -56,7 +56,7 @@ type leaseSchedule struct {
 	// joinAfter holds the first workers back this long.
 	joinAfter time.Duration
 	// completed resumes the coordinator from these records.
-	completed map[int]RunRecord
+	completed *RecordTable
 	// mute, when positive, silences worker i's sends for this long from
 	// its (i+1)-th Records frame on, that frame included.
 	mute time.Duration
@@ -542,7 +542,7 @@ func (n *leaseNet) check(want []byte) {
 	}
 	var missing []int
 	for i := range n.coord.total {
-		if _, ok := n.sched.completed[i]; !ok {
+		if _, ok := n.sched.completed.get(i); !ok {
 			missing = append(missing, i)
 		}
 	}

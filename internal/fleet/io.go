@@ -2,19 +2,14 @@ package fleet
 
 import (
 	"bufio"
-	"bytes"
 	"compress/gzip"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
-	"runtime"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"tolerance/internal/emulation"
@@ -84,179 +79,6 @@ var newline = []byte{'\n'}
 // (-checkpoint, -resume, -merge) handles them transparently. The JSONL
 // payload inside is identical to a plain file's.
 func gzipCheckpoint(path string) bool { return strings.HasSuffix(path, ".gz") }
-
-// Checkpoint is the parsed content of a checkpoint or shard result file.
-type Checkpoint struct {
-	// Suite is the defaulted suite the records were produced from.
-	Suite Suite
-	// Shard is the slice of the scenario index set the writer was assigned.
-	Shard Shard
-	// Records maps scenario index to its completed record.
-	Records map[int]RunRecord
-	// Corrupted counts record lines that were detected as damaged — a
-	// parse failure before the final line, or a CRC mismatch — and skipped.
-	// Their scenarios are simply missing from Records, so a resume re-runs
-	// them; nothing about the rest of the file is distrusted.
-	Corrupted int
-	// validBytes is the extent of the intact newline-terminated prefix (of
-	// the decompressed payload for gzip files); AppendCheckpoint truncates
-	// plain files to it so a torn tail is never glued onto fresh records.
-	validBytes int64
-	// gz records that the file was gzip-framed; resume rewrites such files
-	// instead of truncate-and-append.
-	gz bool
-}
-
-// readCheckpointBytes loads a checkpoint file's JSONL payload. For gzip
-// files it decompresses as far as the stream allows: a run killed
-// mid-write leaves a truncated gzip tail, which surfaces as an unexpected
-// EOF after some decompressed prefix — exactly the torn-tail shape the
-// JSONL parser already tolerates (the writer's periodic Flush guarantees
-// every flushed record is in a decompressible block), so a crashed gzip
-// checkpoint is always loadable.
-func readCheckpointBytes(path string) ([]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: read checkpoint: %w", err)
-	}
-	if !gzipCheckpoint(path) {
-		return data, nil
-	}
-	zr, err := gzip.NewReader(bytes.NewReader(data))
-	if err != nil {
-		return nil, fmt.Errorf("%w: checkpoint %s: %v", ErrBadSuite, path, err)
-	}
-	// The buffer doubles as it fills. The gzip trailer's size field is no
-	// guide: a file torn after a sync flush ends in the flush marker
-	// 00 00 ff ff, which reads as a 4.29 GB payload.
-	var out bytes.Buffer
-	if _, err := out.ReadFrom(zr); err != nil && !errors.Is(err, io.ErrUnexpectedEOF) {
-		return nil, fmt.Errorf("%w: checkpoint %s: %v", ErrBadSuite, path, err)
-	}
-	// Close verifies the trailer checksum, which a truncated member cannot
-	// pass; the decompressed prefix is still a valid torn-tail payload.
-	_ = zr.Close()
-	return out.Bytes(), nil
-}
-
-// ReadCheckpoint parses a checkpoint file (gzip-framed when the path ends
-// in .gz). The format is JSONL: a header line followed by one record per
-// line, each carrying a CRC32 of its record (absent in legacy files, which
-// still read fine). A torn final line — the signature of a run killed
-// mid-write — is ignored, so a crashed run's file is always loadable.
-// A damaged line anywhere else (unparseable, or parseable with a CRC
-// mismatch — a flipped byte can leave valid JSON with a wrong value) is
-// skipped and counted in Checkpoint.Corrupted rather than failing the
-// load or silently truncating the resume prefix: the affected scenarios
-// are re-run on resume, every record after them is kept.
-func ReadCheckpoint(path string) (*Checkpoint, error) {
-	data, err := readCheckpointBytes(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(data) == 0 {
-		return nil, fmt.Errorf("%w: checkpoint %s is empty", ErrBadSuite, path)
-	}
-	// Lines are walked over data in place. First drop trailing blank lines
-	// (the file ends with a newline when intact): end becomes the end of the
-	// last non-blank line, which starts at last.
-	end, last := len(data), 0
-	for {
-		last = bytes.LastIndexByte(data[:end], '\n') + 1
-		if len(bytes.TrimSpace(data[last:end])) != 0 {
-			break
-		}
-		if last == 0 {
-			return nil, fmt.Errorf("%w: checkpoint %s is empty", ErrBadSuite, path)
-		}
-		end = last - 1
-	}
-	// A line is only durable once its newline is on disk. A file that does
-	// not end in '\n' was killed mid-write: its final line is torn even if
-	// the cut happened to land after complete JSON — counting it would make
-	// validBytes overshoot the file and corrupt the truncate-then-append
-	// resume path.
-	if data[len(data)-1] != '\n' {
-		if last == 0 {
-			return nil, fmt.Errorf("%w: checkpoint %s has a torn header", ErrBadSuite, path)
-		}
-		end = last - 1
-	}
-	header, body, hasBody := bytes.Cut(data[:end], newline)
-	nBody := 0
-	if hasBody {
-		nBody = bytes.Count(body, newline) + 1
-	}
-	var hdr checkpointHeader
-	if err := json.Unmarshal(header, &hdr); err != nil {
-		return nil, fmt.Errorf("%w: checkpoint %s header: %v", ErrBadSuite, path, err)
-	}
-	if hdr.Version != CheckpointVersion {
-		return nil, fmt.Errorf("%w: checkpoint %s version %d, want %d",
-			ErrBadSuite, path, hdr.Version, CheckpointVersion)
-	}
-	if got := hdr.Suite.Fingerprint(); got != hdr.Fingerprint {
-		return nil, fmt.Errorf("%w: checkpoint %s fingerprint %s does not match its suite (%s)",
-			ErrBadSuite, path, hdr.Fingerprint, got)
-	}
-	shard, err := ParseShard(hdr.Shard)
-	if err != nil {
-		return nil, fmt.Errorf("%w: checkpoint %s: %v", ErrBadSuite, path, err)
-	}
-	ck := &Checkpoint{
-		Suite:      hdr.Suite,
-		Shard:      shard,
-		Records:    make(map[int]RunRecord, nBody),
-		validBytes: int64(len(header) + 1),
-		gz:         gzipCheckpoint(path),
-	}
-	scratch := make([]byte, 0, maxRecordJSON) // the CRC fallback's re-encoding
-	for i := 0; i < nBody; i++ {
-		var line []byte
-		line, body, _ = bytes.Cut(body, newline)
-		rec, crc, crcAt, ok := decodeRecordLine(line)
-		hasCRC := crcAt >= 0
-		if !ok {
-			// Not the writer's canonical shape: either damage, or valid JSON
-			// spelled differently, which encoding/json decides as it always
-			// has.
-			var cl checkpointLine
-			if err := json.Unmarshal(line, &cl); err != nil {
-				if i == nBody-1 {
-					break // torn tail from a killed run; the record is simply redone
-				}
-				// A torn or corrupted line mid-file (a chaos tear glues a half
-				// line onto its successor). validBytes still advances: the
-				// damage is already durable, and truncating it away would also
-				// discard every good record that follows.
-				ck.Corrupted++
-				ck.validBytes += int64(len(line) + 1)
-				continue
-			}
-			rec, hasCRC = cl.RunRecord, cl.CRC != nil
-			if hasCRC {
-				crc = *cl.CRC
-			}
-		}
-		// A canonical line's crc is checked on its own record bytes. Only a
-		// mismatch there, or a line encoding/json decoded, re-encodes the
-		// record, so a non-canonical spelling of the right values verifies.
-		if hasCRC && (crcAt < 0 || lineCRC(line, crcAt) != crc) {
-			if sum, err := recordCRC(scratch, rec); err != nil || sum != crc {
-				ck.Corrupted++
-				ck.validBytes += int64(len(line) + 1)
-				continue
-			}
-		}
-		if rec.Index < 0 || rec.Index >= hdr.Scenarios || !shard.Contains(rec.Index) {
-			return nil, fmt.Errorf("%w: checkpoint %s has out-of-shard scenario %d",
-				ErrBadSuite, path, rec.Index)
-		}
-		ck.Records[rec.Index] = rec
-		ck.validBytes += int64(len(line) + 1)
-	}
-	return ck, nil
-}
 
 // CheckpointWriter appends run records to a checkpoint file as they
 // complete, flushing every checkpointFlushEvery records and fsyncing at
@@ -351,13 +173,8 @@ func AppendCheckpoint(path string, ck *Checkpoint) (*CheckpointWriter, error) {
 			os.Remove(tmp)
 			return nil, err
 		}
-		idxs := make([]int, 0, len(ck.Records))
-		for idx := range ck.Records {
-			idxs = append(idxs, idx)
-		}
-		sort.Ints(idxs)
-		for _, idx := range idxs {
-			if err := w.writeRecord(ck.Records[idx]); err != nil {
+		for rec := range ck.Records.records() {
+			if err := w.writeRecord(*rec); err != nil {
 				return abort(err)
 			}
 		}
@@ -501,69 +318,4 @@ func (c *CheckpointWriter) fsync() error {
 		return fmt.Errorf("fleet: checkpoint: %w", err)
 	}
 	return nil
-}
-
-// ReadShardSet reads and cross-validates a set of checkpoint / shard
-// result files for merging: every file must describe the same suite
-// (by fingerprint), and no scenario may appear in two files. It returns
-// the common suite and the combined record map, ready for MergeRecords.
-//
-// Files are read concurrently, at most GOMAXPROCS at a time: a file is in
-// flight from the start of its read until its records are combined, so a
-// set of many shards never holds more than GOMAXPROCS payloads at once.
-// Records are combined in argument order, and the error is the one a read
-// of the files one after the other would return: that of the first file,
-// in argument order, that fails to read, describes a different suite or
-// repeats a scenario. ReadShardSet returns only after every read it
-// started has finished.
-func ReadShardSet(paths []string) (Suite, map[int]RunRecord, error) {
-	if len(paths) == 0 {
-		return Suite{}, nil, fmt.Errorf("%w: no shard files", ErrBadSuite)
-	}
-	type shardRead struct {
-		ck  *Checkpoint
-		err error
-	}
-	reads := make([]chan shardRead, len(paths))
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	window, started := runtime.GOMAXPROCS(0), 0
-	var suite Suite
-	var fingerprint string
-	var combined map[int]RunRecord
-	for i, path := range paths {
-		// Keep files i … i+window−1 in flight.
-		for ; started < len(paths) && started < i+window; started++ {
-			ch := make(chan shardRead, 1) // the reader never blocks on its one send
-			reads[started] = ch
-			wg.Add(1)
-			go func(path string) {
-				defer wg.Done()
-				ck, err := ReadCheckpoint(path)
-				ch <- shardRead{ck, err}
-			}(paths[started])
-		}
-		r := <-reads[i]
-		if r.err != nil {
-			return Suite{}, nil, r.err
-		}
-		ck := r.ck
-		if fingerprint == "" {
-			suite, fingerprint = ck.Suite, ck.Suite.Fingerprint()
-			// Shards of one grid are near-equal slices: size for all of them
-			// from the first so the map does not rehash per file.
-			combined = make(map[int]RunRecord, len(ck.Records)*len(paths))
-		} else if got := ck.Suite.Fingerprint(); got != fingerprint {
-			return Suite{}, nil, fmt.Errorf("%w: %s was produced by a different suite (fingerprint %s, want %s)",
-				ErrBadSuite, path, got, fingerprint)
-		}
-		for idx, rec := range ck.Records {
-			if _, dup := combined[idx]; dup {
-				return Suite{}, nil, fmt.Errorf("%w: scenario %d appears in more than one shard file (%s)",
-					ErrBadSuite, idx, path)
-			}
-			combined[idx] = rec
-		}
-	}
-	return suite, combined, nil
 }

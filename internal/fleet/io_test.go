@@ -70,11 +70,11 @@ func TestCheckpointKillKeepsFlushedPrefix(t *testing.T) {
 		if ck.Corrupted != 0 {
 			t.Errorf("%s: %d corrupted lines, want 0", name, ck.Corrupted)
 		}
-		if len(ck.Records) != len(flushed) {
-			t.Errorf("%s: %d records read back, want the %d flushed", name, len(ck.Records), len(flushed))
+		if ck.Records.Len() != len(flushed) {
+			t.Errorf("%s: %d records read back, want the %d flushed", name, ck.Records.Len(), len(flushed))
 		}
 		for _, rec := range flushed {
-			if got, ok := ck.Records[rec.Index]; !ok || got != rec {
+			if got, ok := ck.Records.get(rec.Index); !ok || *got != rec {
 				t.Errorf("%s: scenario %d = %+v, %v; want %+v", name, rec.Index, got, ok, rec)
 				break
 			}

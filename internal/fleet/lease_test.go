@@ -36,7 +36,7 @@ func TestLeaseResumedCoordinator(t *testing.T) {
 		}
 	}
 	sched := chaotic
-	sched.completed = completed
+	sched.completed = tableOf(completed)
 	eachLeaseSeed(t, func(t *testing.T, seed int64) {
 		n := runLeaseSchedule(t, fx, seed, sched)
 		if got := n.col.Snapshot().Counter(MetricScenariosReplayed); got != int64(len(completed)) {

@@ -123,7 +123,7 @@ func newCoordinator(suite Suite, cfg CoordinatorConfig, now time.Time) (*coordin
 		fp:       suite.Fingerprint(),
 		total:    total,
 		fold:     newFold(suite, suite.Cells(), total, cfg.OnRecord, cfg.Progress, cfg.Telemetry),
-		records:  make(map[int]RunRecord, len(cfg.Completed)),
+		records:  make(map[int]RunRecord, cfg.Completed.Len()),
 		leases:   make(map[uint64]*coordLease),
 		workers:  make(map[string]time.Time),
 		started:  now,
@@ -139,11 +139,11 @@ func newCoordinator(suite Suite, cfg CoordinatorConfig, now time.Time) (*coordin
 		c.leaseSize = min(max(total/16, 1), maxLeaseScenarios)
 	}
 
-	for idx, rec := range cfg.Completed {
-		if err := checkCompleted(idx, &rec, total, suite.SeedsPerCell, Shard{}); err != nil {
+	for rec := range cfg.Completed.records() {
+		if err := checkCompleted(rec.Index, rec, total, suite.SeedsPerCell, Shard{}); err != nil {
 			return nil, err
 		}
-		c.records[idx] = rec
+		c.records[rec.Index] = *rec
 	}
 	// Fold the resumed prefix before serving, so Progress and the pending
 	// gauge reflect the checkpoint from the first tick. Replays never reach
@@ -298,7 +298,7 @@ func (c *coordinator) advance() error {
 			return nil
 		}
 		delete(c.records, rec.Index)
-		_, resumed := c.cfg.Completed[rec.Index]
+		_, resumed := c.cfg.Completed.get(rec.Index)
 		if err := c.fold.add(&rec, !resumed); err != nil {
 			return err
 		}

@@ -2,16 +2,19 @@ package fleet
 
 import (
 	"bytes"
+	"compress/flate"
 	"compress/gzip"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -323,20 +326,11 @@ func FuzzRecordCodec(f *testing.F) {
 // readCheckpointReference is the ReadCheckpoint that preceded the record
 // codec, kept as the oracle: gunzip with io.ReadAll, split a string copy
 // into lines, decode every line with encoding/json, verify the CRC by
-// marshalling the record again.
+// marshalling the record again, collect the records in a map.
 func readCheckpointReference(path string) (*Checkpoint, error) {
-	data, err := os.ReadFile(path)
+	data, err := checkpointPayload(path)
 	if err != nil {
 		return nil, err
-	}
-	if gzipCheckpoint(path) {
-		zr, err := gzip.NewReader(bytes.NewReader(data))
-		if err != nil {
-			return nil, err
-		}
-		if data, err = io.ReadAll(zr); err != nil && !errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, err
-		}
 	}
 	if len(data) == 0 {
 		return nil, fmt.Errorf("%w: empty", ErrBadSuite)
@@ -360,15 +354,16 @@ func readCheckpointReference(path string) (*Checkpoint, error) {
 	if err := json.Unmarshal([]byte(lines[0]), &hdr); err != nil {
 		return nil, fmt.Errorf("%w: header: %v", ErrBadSuite, err)
 	}
-	if hdr.Version != CheckpointVersion || hdr.Suite.Fingerprint() != hdr.Fingerprint {
-		return nil, fmt.Errorf("%w: version or fingerprint", ErrBadSuite)
+	if hdr.Version != CheckpointVersion || hdr.Suite.Fingerprint() != hdr.Fingerprint ||
+		hdr.Scenarios != hdr.Suite.NumScenarios() {
+		return nil, fmt.Errorf("%w: version, fingerprint or scenario count", ErrBadSuite)
 	}
 	shard, err := ParseShard(hdr.Shard)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSuite, err)
 	}
-	ck := &Checkpoint{Suite: hdr.Suite, Shard: shard, Records: map[int]RunRecord{},
-		validBytes: int64(len(lines[0]) + 1), gz: gzipCheckpoint(path)}
+	ck := &Checkpoint{Suite: hdr.Suite, Shard: shard, validBytes: int64(len(lines[0]) + 1), gz: gzipCheckpoint(path)}
+	records := map[int]RunRecord{}
 	for i, line := range body {
 		var rec checkpointLine
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
@@ -390,10 +385,34 @@ func readCheckpointReference(path string) (*Checkpoint, error) {
 		if rec.Index < 0 || rec.Index >= hdr.Scenarios || !shard.Contains(rec.Index) {
 			return nil, fmt.Errorf("%w: out-of-shard scenario %d", ErrBadSuite, rec.Index)
 		}
-		ck.Records[rec.Index] = rec.RunRecord
+		records[rec.Index] = rec.RunRecord
 		ck.validBytes += int64(len(line) + 1)
 	}
+	ck.Records = tableOf(records)
 	return ck, nil
+}
+
+// checkpointPayload is a checkpoint file's JSONL payload as the reference
+// reads it: a gzip file decompressed with io.ReadAll as far as its stream
+// goes. Three stream failures keep what was decompressed before them: a
+// truncated stream (a run killed mid-write), damaged deflate data, and a
+// trailer whose checksum does not match, which gzip.Reader.Read reports at
+// the end of the stream (Close checks nothing).
+func checkpointPayload(path string) ([]byte, error) {
+	data, err := os.ReadFile(path)
+	if err != nil || !gzipCheckpoint(path) {
+		return data, err
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	var corrupt flate.CorruptInputError
+	if data, err = io.ReadAll(zr); err != nil && !errors.Is(err, io.ErrUnexpectedEOF) &&
+		!errors.Is(err, gzip.ErrChecksum) && !errors.As(err, &corrupt) {
+		return nil, err
+	}
+	return data, nil
 }
 
 // checkReadCheckpoint asserts ReadCheckpoint against the reference on one
@@ -413,12 +432,12 @@ func checkReadCheckpoint(t *testing.T, path string) *Checkpoint {
 		t.Fatalf("ReadCheckpoint: corrupted %d validBytes %d shard %v, reference %d / %d / %v",
 			got.Corrupted, got.validBytes, got.Shard, want.Corrupted, want.validBytes, want.Shard)
 	}
-	if len(got.Records) != len(want.Records) {
-		t.Fatalf("ReadCheckpoint: %d records, reference %d", len(got.Records), len(want.Records))
+	if got.Records.Len() != want.Records.Len() {
+		t.Fatalf("ReadCheckpoint: %d records, reference %d", got.Records.Len(), want.Records.Len())
 	}
-	for idx, rec := range want.Records {
-		if g, ok := got.Records[idx]; !ok || !sameRecord(g, rec) {
-			t.Fatalf("record %d: %+v (present %v), reference %+v", idx, g, ok, rec)
+	for rec := range want.Records.records() {
+		if g, ok := got.Records.get(rec.Index); !ok || !sameRecord(*g, *rec) {
+			t.Fatalf("record %d: %+v (present %v), reference %+v", rec.Index, g, ok, *rec)
 		}
 	}
 	return got
@@ -436,6 +455,8 @@ func damagedCheckpoints(t testing.TB) map[string]checkpointFile {
 	t.Helper()
 	plain := mustReadFile(t, filepath.Join("testdata", "v1-parent.jsonl"))
 	zipped := mustReadFile(t, filepath.Join("testdata", "v1-parent.jsonl.gz"))
+	_, wide, flippedMid, flippedCRC, undecodable := damagedGzip(t, 256)
+	_, _, flippedMidSmall, _, _ := damagedGzip(t, 64)
 	lines := bytes.SplitAfter(plain, newline)
 	lines = lines[:len(lines)-1] // the empty piece after the final newline
 	edit := func(f func(lines [][]byte) [][]byte) []byte {
@@ -509,6 +530,32 @@ func damagedCheckpoints(t testing.TB) map[string]checkpointFile {
 			l[6] = bytes.Replace(l[6], []byte(`"crc":1115699595}`), []byte(`"crc":1115699596}`), 1)
 			return l
 		}), false},
+		// Cut after whitespace, the last record torn: the line before it is
+		// the final one, so its parse failure is a torn tail, not damage.
+		"garbage-before-blank-torn": {edit(func(l [][]byte) [][]byte {
+			n := len(l)
+			return append(l[:n-1:n-1], []byte("{\"index\":\n"), l[n-1], []byte("  "))
+		}), false},
+		"blank-before-blank-torn": {edit(func(l [][]byte) [][]byte {
+			n := len(l)
+			return append(l[:n-1:n-1], []byte(" \n"), l[n-1], []byte("\t"))
+		}), false},
+		// The header's count sizes the record table, so one that disagrees
+		// with its suite is refused rather than allocated.
+		"header-count": {edit(func(l [][]byte) [][]byte {
+			l[0] = bytes.Replace(l[0], []byte(`"scenarios":16,`), []byte(`"scenarios":1600000000000,`), 1)
+			return l
+		}), false},
+		// A torn line after blank lines: the last of them is the final line.
+		"blanks-then-torn": {append(bytes.Clone(plain), " \n\t\n{\"ind"...), false},
+		"wide-gz":          {wide, true},
+		"gzip-flipped-mid": {flippedMid, true},
+		"gzip-flipped-crc": {flippedCRC, true},
+		"gzip-undecodable": {undecodable, true},
+		// The midpoint flip of a smaller file garbles a line into valid
+		// JSON without a crc member and with an index out of range: it
+		// reads as a legacy line, so the index rejects the whole file.
+		"gzip-flipped-mid-small": {flippedMidSmall, true},
 	}
 }
 
@@ -535,6 +582,8 @@ func TestReadCheckpointMatchesReference(t *testing.T) {
 		"empty-line": {8, 1, 1}, "crlf": {8, 0, 1}, "blank-tail": {8, 0, 1}, "blank-torn": {7, 0, 1},
 		"last-line-garbage": {8, 0, 1}, "torn-header": {}, "out-of-shard": {},
 		"respelled-floats": {8, 0, 1}, "metric-digit-flip": {7, 1, 1}, "crc-digit-flip": {7, 1, 1},
+		"garbage-before-blank-torn": {7, 0, 1}, "blank-before-blank-torn": {7, 0, 1}, "blanks-then-torn": {8, 1, 1},
+		"wide-gz": {256, 0, 1}, "gzip-flipped-crc": {256, 0, 1}, "header-count": {},
 	}
 	for name, file := range damagedCheckpoints(t) {
 		t.Run(name, func(t *testing.T) {
@@ -546,8 +595,8 @@ func TestReadCheckpointMatchesReference(t *testing.T) {
 			if (ck != nil) != (w[2] == 1) {
 				t.Fatalf("loadable = %v, want %v", ck != nil, w[2] == 1)
 			}
-			if ck != nil && (len(ck.Records) != w[0] || ck.Corrupted != w[1]) {
-				t.Errorf("%d records, %d corrupted; want %d, %d", len(ck.Records), ck.Corrupted, w[0], w[1])
+			if ck != nil && (ck.Records.Len() != w[0] || ck.Corrupted != w[1]) {
+				t.Errorf("%d records, %d corrupted; want %d, %d", ck.Records.Len(), ck.Corrupted, w[0], w[1])
 			}
 		})
 	}
@@ -590,13 +639,26 @@ func TestCheckpointCRCPaths(t *testing.T) {
 }
 
 // FuzzReadCheckpoint mutates whole files — plain and gzip-framed — and
-// holds ReadCheckpoint to the reference reader.
+// the size of the blocks the reader takes the payload in, 1 to 512 bytes,
+// so that headers, record lines, blank tails and torn gzip tails straddle
+// blocks, and holds ReadCheckpoint to the reference reader.
 func FuzzReadCheckpoint(f *testing.F) {
-	for _, file := range damagedCheckpoints(f) {
-		f.Add(file.data, file.gz)
+	cases := damagedCheckpoints(f)
+	for i, name := range slices.Sorted(maps.Keys(cases)) {
+		f.Add(cases[name].data, cases[name].gz, uint16(37*i))
 	}
+	intact, header := cases["intact"].data, bytes.IndexByte(cases["intact"].data, '\n')+1
+	f.Add(intact, false, uint16(100-1))                     // the header spans five blocks
+	f.Add(intact, false, uint16(header-1))                  // the header ends a block
+	f.Add(intact, false, uint16(41-1))                      // so does the first record line, at 17 × 41 bytes
+	f.Add(cases["gzip-truncated"].data, true, uint16(97-1)) // the cut payload ends mid-block
+	f.Add(cases["gzip-flipped-mid"].data, true, uint16(300-1))
+	f.Add(cases["gzip-flipped-crc"].data, true, uint16(512-1))
+	f.Add(cases["gzip-undecodable"].data, true, uint16(333-1))
 	dir := f.TempDir() // one per fuzz worker process, which runs its inputs one at a time
-	f.Fuzz(func(t *testing.T, data []byte, gz bool) {
+	f.Fuzz(func(t *testing.T, data []byte, gz bool, block uint16) {
+		defer func(n int) { readBlockSize = n }(readBlockSize)
+		readBlockSize = 1 + int(block)%512
 		checkReadCheckpoint(t, writeCheckpointFile(t, dir, data, gz))
 	})
 }
@@ -626,7 +688,7 @@ func TestGoldenParentCheckpoints(t *testing.T) {
 	cells := suite.Cells()
 	rebased := func(cell int) bool { return cells[cell].Policy == PolicyTolerance }
 	for _, rec := range directRecs {
-		golden := records[rec.Index]
+		golden, _ := records.get(rec.Index)
 		if !rebased(rec.Cell) && !bytes.Equal(mustMarshal(t, rec), mustMarshal(t, golden)) {
 			t.Errorf("record %d (%s) differs from the parent's", rec.Index, cells[rec.Cell].Policy)
 		}
@@ -639,8 +701,8 @@ func TestGoldenParentCheckpoints(t *testing.T) {
 
 	for i, path := range paths {
 		ck := checkReadCheckpoint(t, path)
-		if ck.Corrupted != 0 || len(ck.Records) != suite.NumScenarios()/2 {
-			t.Fatalf("%s: %d records, %d corrupted", path, len(ck.Records), ck.Corrupted)
+		if ck.Corrupted != 0 || ck.Records.Len() != suite.NumScenarios()/2 {
+			t.Fatalf("%s: %d records, %d corrupted", path, ck.Records.Len(), ck.Corrupted)
 		}
 		// Rewrite the shard with today's writer, in the original order.
 		out := filepath.Join(t.TempDir(), filepath.Base(path))
@@ -649,8 +711,8 @@ func TestGoldenParentCheckpoints(t *testing.T) {
 			t.Fatal(err)
 		}
 		for idx := 0; idx < suite.NumScenarios(); idx++ {
-			if rec, ok := ck.Records[idx]; ok {
-				if err := w.Append(rec); err != nil {
+			if rec, ok := ck.Records.get(idx); ok {
+				if err := w.Append(*rec); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -658,11 +720,11 @@ func TestGoldenParentCheckpoints(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		want, err := readCheckpointBytes(path)
+		want, err := checkpointPayload(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := readCheckpointBytes(out)
+		got, err := checkpointPayload(out)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -787,7 +849,7 @@ func TestGzipResumeRewriteSyncsOnce(t *testing.T) {
 	if err := os.WriteFile(stale, original[:len(original)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if again, err := ReadCheckpoint(path); err != nil || len(again.Records) != len(kept) {
+	if again, err := ReadCheckpoint(path); err != nil || again.Records.Len() != len(kept) {
 		t.Fatalf("original beside a stale rewrite: %v", err)
 	}
 
@@ -804,7 +866,7 @@ func TestGzipResumeRewriteSyncsOnce(t *testing.T) {
 	}
 	// The rewrite is durable before any fresh record: abandon the writer
 	// here, as a kill would, and everything replayed reads back.
-	if mid, err := ReadCheckpoint(path); err != nil || len(mid.Records) != len(kept) {
+	if mid, err := ReadCheckpoint(path); err != nil || mid.Records.Len() != len(kept) {
 		t.Fatalf("rewritten file before fresh records: %v", err)
 	}
 	// Fresh records flush every checkpointFlushEvery, and fsync there once
@@ -823,8 +885,8 @@ func TestGzipResumeRewriteSyncsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	final := checkReadCheckpoint(t, path)
-	if len(final.Records) != len(recs) || final.Corrupted != 0 {
-		t.Errorf("resumed file has %d records (%d corrupted), want %d", len(final.Records), final.Corrupted, len(recs))
+	if final.Records.Len() != len(recs) || final.Corrupted != 0 {
+		t.Errorf("resumed file has %d records (%d corrupted), want %d", final.Records.Len(), final.Corrupted, len(recs))
 	}
 	zr, err := gzip.NewReader(bytes.NewReader(mustReadFile(t, path)))
 	if err != nil {

@@ -77,26 +77,26 @@ func (s Shard) String() string {
 // run, index i at position i, so every floating-point operation happens in
 // the same order with the same operands as in an unsharded run and the
 // merged Result serializes byte-identically.
-func MergeRecords(suite Suite, records map[int]RunRecord) (*Result, error) {
+func MergeRecords(suite Suite, records *RecordTable) (*Result, error) {
 	suite = suite.withDefaults()
 	if err := suite.Validate(); err != nil {
 		return nil, err
 	}
 	total := suite.NumScenarios()
-	if len(records) != total {
+	if records.Len() != total {
 		return nil, fmt.Errorf("%w: merge has %d records, suite expands to %d scenarios",
-			ErrBadSuite, len(records), total)
+			ErrBadSuite, records.Len(), total)
 	}
 	f := newFold(suite, suite.Cells(), total, nil, nil, nil)
 	for i := 0; i < total; i++ {
-		rec, ok := records[i]
+		rec, ok := records.get(i)
 		if !ok {
 			return nil, fmt.Errorf("%w: merge is missing scenario %d", ErrBadSuite, i)
 		}
-		if err := checkCompleted(i, &rec, total, suite.SeedsPerCell, Shard{}); err != nil {
+		if err := checkCompleted(i, rec, total, suite.SeedsPerCell, Shard{}); err != nil {
 			return nil, err
 		}
-		if err := f.add(&rec, false); err != nil {
+		if err := f.add(rec, false); err != nil {
 			return nil, err
 		}
 	}

@@ -83,7 +83,7 @@ func TestShardPartition(t *testing.T) {
 
 // collectRecords runs the suite (optionally one shard of it) and returns
 // the result plus every record emitted through OnRecord.
-func collectRecords(t *testing.T, suite Suite, shard Shard, completed map[int]RunRecord) (*Result, []RunRecord) {
+func collectRecords(t *testing.T, suite Suite, shard Shard, completed *RecordTable) (*Result, []RunRecord) {
 	t.Helper()
 	var recs []RunRecord
 	res, err := Run(context.Background(), suite, Config{
@@ -96,6 +96,21 @@ func collectRecords(t *testing.T, suite Suite, shard Shard, completed map[int]Ru
 		t.Fatal(err)
 	}
 	return res, recs
+}
+
+// tableOf holds a map's records in a record table.
+func tableOf(recs map[int]RunRecord) *RecordTable {
+	size := 0
+	for idx := range recs {
+		size = max(size, idx+1)
+	}
+	t := newRecordTable(size)
+	for _, rec := range recs {
+		if claimed, _ := t.claim(&rec, 1); claimed {
+			t.n++
+		}
+	}
+	return t
 }
 
 // TestShardMergeByteIdentical is the scale-out contract: running a suite
@@ -132,7 +147,7 @@ func TestShardMergeByteIdentical(t *testing.T) {
 				records[r.Index] = r
 			}
 		}
-		merged, err := MergeRecords(suite, records)
+		merged, err := MergeRecords(suite, tableOf(records))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +180,7 @@ func TestMergeRecordsValidation(t *testing.T) {
 		missing[k] = v
 	}
 	delete(missing, 3)
-	if _, err := MergeRecords(suite, missing); err == nil {
+	if _, err := MergeRecords(suite, tableOf(missing)); err == nil {
 		t.Error("missing scenario should fail merge")
 	}
 
@@ -176,15 +191,15 @@ func TestMergeRecordsValidation(t *testing.T) {
 	r := wrongCell[0]
 	r.Cell++
 	wrongCell[0] = r
-	if _, err := MergeRecords(suite, wrongCell); !errors.Is(err, ErrBadSuite) {
+	if _, err := MergeRecords(suite, tableOf(wrongCell)); !errors.Is(err, ErrBadSuite) {
 		t.Errorf("inconsistent cell: merge err = %v, want ErrBadSuite", err)
 	}
-	if _, err := Run(context.Background(), suite, Config{Completed: map[int]RunRecord{0: r}}); !errors.Is(err, ErrBadSuite) {
+	if _, err := Run(context.Background(), suite, Config{Completed: tableOf(map[int]RunRecord{0: r})}); !errors.Is(err, ErrBadSuite) {
 		t.Errorf("inconsistent cell: resume err = %v, want ErrBadSuite", err)
 	}
 	if _, err := Coordinate(context.Background(), suite, CoordinatorConfig{
 		Endpoint:  &stubEndpoint{},
-		Completed: map[int]RunRecord{0: r},
+		Completed: tableOf(map[int]RunRecord{0: r}),
 	}); !errors.Is(err, ErrBadSuite) {
 		t.Errorf("inconsistent cell: coordinator resume err = %v, want ErrBadSuite", err)
 	}
@@ -205,7 +220,7 @@ func TestResumeByteIdentical(t *testing.T) {
 	for _, r := range recs[:len(recs)/2] {
 		completed[r.Index] = r
 	}
-	resumed, fresh := collectRecords(t, suite, Shard{}, completed)
+	resumed, fresh := collectRecords(t, suite, Shard{}, tableOf(completed))
 	resumedJSON, err := json.Marshal(resumed)
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +240,7 @@ func TestResumeByteIdentical(t *testing.T) {
 	// Completed records outside the shard are a configuration error.
 	if _, err := Run(context.Background(), suite, Config{
 		Shard:     Shard{Index: 0, Count: 2},
-		Completed: map[int]RunRecord{1: {Index: 1}},
+		Completed: tableOf(map[int]RunRecord{1: {Index: 1}}),
 	}); err == nil {
 		t.Error("out-of-shard completed record should fail")
 	}
@@ -268,8 +283,8 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	if ck.Suite.Fingerprint() != suite.Fingerprint() {
 		t.Error("checkpoint suite fingerprint mismatch")
 	}
-	if len(ck.Records) != res.Scenarios {
-		t.Fatalf("checkpoint has %d records, run folded %d", len(ck.Records), res.Scenarios)
+	if ck.Records.Len() != res.Scenarios {
+		t.Fatalf("checkpoint has %d records, run folded %d", ck.Records.Len(), res.Scenarios)
 	}
 
 	// Resuming from a complete checkpoint executes nothing new and still
@@ -299,8 +314,8 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("torn checkpoint should load: %v", err)
 	}
-	if len(ck2.Records) != len(ck.Records) {
-		t.Errorf("torn checkpoint has %d records, want %d", len(ck2.Records), len(ck.Records))
+	if ck2.Records.Len() != ck.Records.Len() {
+		t.Errorf("torn checkpoint has %d records, want %d", ck2.Records.Len(), ck.Records.Len())
 	}
 
 	// Appending after a torn tail must truncate the fragment first; the
@@ -323,7 +338,7 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	gotLines := strings.Split(strings.TrimRight(string(raw), "\n"), "\n")
-	if want := 1 + len(ck.Records) + 1; len(gotLines) != want {
+	if want := 1 + ck.Records.Len() + 1; len(gotLines) != want {
 		t.Fatalf("appended torn file has %d lines, want %d", len(gotLines), want)
 	}
 	var last RunRecord
@@ -347,14 +362,14 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("newline-less checkpoint should load: %v", err)
 	}
-	if len(ck3.Records) != len(ck.Records)-1 {
+	if ck3.Records.Len() != ck.Records.Len()-1 {
 		t.Errorf("newline-less checkpoint has %d records, want %d (tail not durable)",
-			len(ck3.Records), len(ck.Records)-1)
+			ck3.Records.Len(), ck.Records.Len()-1)
 	}
 	var dropped RunRecord
-	for idx, rec := range ck.Records {
-		if _, ok := ck3.Records[idx]; !ok {
-			dropped = rec
+	for rec := range ck.Records.records() {
+		if _, ok := ck3.Records.get(rec.Index); !ok {
+			dropped = *rec
 		}
 	}
 	aw2, err := AppendCheckpoint(noNLPath, ck3)
@@ -371,8 +386,8 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("checkpoint unreadable after torn-tail append: %v", err)
 	}
-	if len(ck4.Records) != len(ck3.Records)+1 {
-		t.Errorf("after append: %d records, want %d", len(ck4.Records), len(ck3.Records)+1)
+	if ck4.Records.Len() != ck3.Records.Len()+1 {
+		t.Errorf("after append: %d records, want %d", ck4.Records.Len(), ck3.Records.Len()+1)
 	}
 
 	// Corruption before the tail is detected, skipped and counted — not a
@@ -395,9 +410,9 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 		if ck5.Corrupted != 1 {
 			t.Errorf("Corrupted = %d, want 1", ck5.Corrupted)
 		}
-		if len(ck5.Records) != len(ck.Records)-1 {
+		if ck5.Records.Len() != ck.Records.Len()-1 {
 			t.Errorf("corrupt checkpoint kept %d records, want %d (one skipped)",
-				len(ck5.Records), len(ck.Records)-1)
+				ck5.Records.Len(), ck.Records.Len()-1)
 		}
 		// validBytes must span the whole intact file (the damage is durable;
 		// truncating it away would discard the good records after it), so a
@@ -427,8 +442,8 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 		if ck6.Corrupted != 1 {
 			t.Errorf("bit rot: Corrupted = %d, want 1", ck6.Corrupted)
 		}
-		if len(ck6.Records) != len(ck.Records)-1 {
-			t.Errorf("bit rot kept %d records, want %d", len(ck6.Records), len(ck.Records)-1)
+		if ck6.Records.Len() != ck.Records.Len()-1 {
+			t.Errorf("bit rot kept %d records, want %d", ck6.Records.Len(), ck.Records.Len()-1)
 		}
 	}
 
@@ -454,9 +469,9 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("legacy (pre-CRC) checkpoint should load: %v", err)
 	}
-	if len(ck7.Records) != len(ck.Records) || ck7.Corrupted != 0 {
+	if ck7.Records.Len() != ck.Records.Len() || ck7.Corrupted != 0 {
 		t.Errorf("legacy checkpoint: %d records (want %d), Corrupted %d (want 0)",
-			len(ck7.Records), len(ck.Records), ck7.Corrupted)
+			ck7.Records.Len(), ck.Records.Len(), ck7.Corrupted)
 	}
 
 	// ReadShardSet cross-validation: duplicate coverage is rejected.
@@ -552,8 +567,8 @@ func TestReadShardSetMatchesSequentialRead(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for idx, rec := range ck.Records {
-			want[idx] = rec
+		for rec := range ck.Records.records() {
+			want[rec.Index] = *rec
 		}
 	}
 	if len(want) != suite.NumScenarios() {
@@ -569,11 +584,11 @@ func TestReadShardSetMatchesSequentialRead(t *testing.T) {
 		if got.Fingerprint() != suite.Fingerprint() {
 			t.Errorf("suite fingerprint %s, want %s", got.Fingerprint(), suite.Fingerprint())
 		}
-		if len(records) != len(want) {
-			t.Fatalf("%d records, want %d", len(records), len(want))
+		if records.Len() != len(want) {
+			t.Fatalf("%d records, want %d", records.Len(), len(want))
 		}
 		for idx, rec := range want {
-			if g, ok := records[idx]; !ok || !sameRecord(g, rec) {
+			if g, ok := records.get(idx); !ok || !sameRecord(*g, rec) {
 				t.Fatalf("record %d: %+v (present %v), want %+v", idx, g, ok, rec)
 			}
 		}

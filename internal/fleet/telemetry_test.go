@@ -127,7 +127,7 @@ func TestTelemetryCountsReplays(t *testing.T) {
 
 	col := telemetry.New()
 	res, err := Run(context.Background(), suite, Config{
-		Workers: 2, Completed: completed, Telemetry: col,
+		Workers: 2, Completed: tableOf(completed), Telemetry: col,
 	})
 	if err != nil {
 		t.Fatal(err)
