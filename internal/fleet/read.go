@@ -63,16 +63,21 @@ const readDecoders = 2
 // early: either way the lines decompressed before that point are the
 // payload, its last line torn unless a newline ended it. A stream that
 // decompresses whole but fails its trailer's checksum is read like a plain
-// file, each line's CRC deciding.
+// file, each line's CRC deciding. Damage may garble a line into one
+// without a CRC, so in a stream found damaged — undecodable deflate data,
+// or a trailer checksum mismatch — such a line counts as Corrupted, not as
+// a legacy record.
 //
 // The file is read as a pipeline: one goroutine produces the payload in
 // fixed blocks while others decode the complete lines in them, and the
 // caller applies the decoded lines in payload order, carrying a line that
 // straddles two blocks over to the next. A gzip file's decompression and
-// its decoding overlap, and neither payload is ever held whole.
+// its decoding overlap, and neither payload is ever held whole. The
+// records land in a table with a slot for each scenario of the file's
+// shard.
 func ReadCheckpoint(path string) (*Checkpoint, error) {
-	r, err := readCheckpoint(path, 1, func(hdr *checkpointHeader) *RecordTable {
-		return newRecordTable(hdr.Scenarios)
+	r, err := readCheckpoint(path, 1, func(hdr *checkpointHeader, shard Shard) *RecordTable {
+		return newRecordTable(hdr.Scenarios, shard)
 	})
 	if err != nil {
 		return nil, err
@@ -82,8 +87,9 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 }
 
 // readCheckpoint reads one file as the file-th (1-based) of a set, its
-// records claimed into the table that table returns for its header.
-func readCheckpoint(path string, file int32, table func(*checkpointHeader) *RecordTable) (*checkpointReader, error) {
+// records claimed into the table that table returns for its header and
+// shard.
+func readCheckpoint(path string, file int32, table func(*checkpointHeader, Shard) *RecordTable) (*checkpointReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: read checkpoint: %w", err)
@@ -112,12 +118,13 @@ func readCheckpoint(path string, file int32, table func(*checkpointHeader) *Reco
 	defer p.stop()
 	for last := false; !last; {
 		b := p.next()
-		if b.err != nil {
+		if err := rejects(b.err); err != nil {
 			if gz {
-				return nil, fmt.Errorf("%w: checkpoint %s: %v", ErrBadSuite, path, b.err)
+				return nil, fmt.Errorf("%w: checkpoint %s: %v", ErrBadSuite, path, err)
 			}
-			return nil, fmt.Errorf("fleet: read checkpoint: %w", b.err)
+			return nil, fmt.Errorf("fleet: read checkpoint: %w", err)
 		}
+		r.damaged = b.last && damaged(b.err)
 		if err := r.block(b); err != nil {
 			return nil, err
 		}
@@ -139,7 +146,7 @@ type readBlock struct {
 	buf  []byte
 	data []byte        // buf[:n]: the payload bytes the block carries
 	last bool          // the payload ends with this block
-	err  error         // when last: why the payload ended, if that rejects the file
+	err  error         // when last: why the payload ended
 	done chan struct{} // a decoder has set the fields below
 
 	head  int          // data[:head] ends the line earlier blocks began; -1: data holds no newline
@@ -157,7 +164,8 @@ type lineResult struct {
 type lineKind uint8
 
 const (
-	lineRecord   lineKind = iota // a record whose CRC verifies, or that has none
+	lineRecord   lineKind = iota // a record whose CRC verifies
+	lineLegacy                   // a record with no CRC, as files before CRCs have
 	lineBadCRC                   // a record whose CRC does not verify
 	lineUnparsed                 // no record in any spelling
 	lineBlank                    // whitespace only, so no record either
@@ -194,6 +202,9 @@ func decodeLine(line, scratch []byte, res *lineResult) {
 		}
 	}
 	res.rec, res.kind = rec, lineRecord
+	if !hasCRC {
+		res.kind = lineLegacy
+	}
 }
 
 // decode splits the block at its first and last newline and decodes the
@@ -264,8 +275,8 @@ func (p *blockPipe) produce(src io.Reader) {
 		case <-p.quit:
 			return
 		}
-		n, err := fill(src, b.buf)
-		b.data, b.last, b.err = b.buf[:n], err != nil, rejects(err)
+		n, err := io.ReadFull(src, b.buf)
+		b.data, b.last, b.err = b.buf[:n], err != nil, err
 		p.work <- b
 		p.order <- b
 		if b.last {
@@ -299,34 +310,24 @@ func (p *blockPipe) stop() {
 	p.wg.Wait()
 }
 
-// fill reads from src until buf is full or src fails.
-func fill(src io.Reader, buf []byte) (int, error) {
-	n := 0
-	for n < len(buf) {
-		m, err := src.Read(buf[n:])
-		n += m
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
-}
-
 // rejects returns the error that ended a payload if it rejects the file,
-// nil if the bytes read so far are the payload: at io.EOF, and at the
-// three gzip failures that leave lines whose CRCs can speak for them — a
-// truncated stream (io.ErrUnexpectedEOF), damaged deflate data
-// (flate.CorruptInputError) and a trailer whose checksum or length
-// disagrees (gzip.ErrChecksum, which Read returns once the stream is
-// delivered whole).
+// nil if the bytes read so far are the payload: at the payload's end
+// (io.EOF, or io.ErrUnexpectedEOF from a part block or a truncated gzip
+// stream), and at a damaged gzip stream.
 func rejects(err error) error {
-	if err == nil || err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, gzip.ErrChecksum) {
-		return nil
-	}
-	if corrupt := flate.CorruptInputError(0); errors.As(err, &corrupt) {
+	if err == nil || err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) || damaged(err) {
 		return nil
 	}
 	return err
+}
+
+// damaged reports a gzip stream that ended damaged: its deflate data
+// undecodable (flate.CorruptInputError), or its trailer's checksum or
+// length wrong (gzip.ErrChecksum, which Read returns once the stream is
+// delivered whole). Its lines may be garbled, so only those a CRC vouches
+// for are records.
+func damaged(err error) bool {
+	return errors.Is(err, gzip.ErrChecksum) || errors.As(err, new(flate.CorruptInputError))
 }
 
 // checkpointReader applies a payload's lines in order: the header, then
@@ -338,7 +339,7 @@ func rejects(err error) error {
 type checkpointReader struct {
 	path        string
 	file        int32
-	table       func(*checkpointHeader) *RecordTable
+	table       func(*checkpointHeader, Shard) *RecordTable
 	ck          *Checkpoint
 	fingerprint string
 	scenarios   int
@@ -346,6 +347,12 @@ type checkpointReader struct {
 	claimed     int   // slots this file filled
 	clashes     []int // indices whose slot another file's record holds
 	scratch     []byte
+	damaged     bool // the payload ended in a damaged gzip stream
+
+	// deferred holds a gzip file's record lines from its first legacy one
+	// on, in order: whether a legacy line is a record depends on how the
+	// stream ends, so they are applied when it has.
+	deferred []lineResult
 
 	carry    []byte     // the line the blocks so far began and have not ended
 	started  bool       // the header line has been seen
@@ -407,7 +414,11 @@ func (r *checkpointReader) header(line []byte) error {
 		return fmt.Errorf("%w: checkpoint %s fingerprint %s does not match its suite (%s)",
 			ErrBadSuite, r.path, hdr.Fingerprint, got)
 	}
-	// The count sizes the record table, so it must be the suite's own.
+	// The count sizes the record table, so it must be the suite's own,
+	// and the suite within bounds.
+	if err := hdr.Suite.Validate(); err != nil {
+		return fmt.Errorf("%w: checkpoint %s: %v", ErrBadSuite, r.path, err)
+	}
 	if n := hdr.Suite.NumScenarios(); hdr.Scenarios != n {
 		return fmt.Errorf("%w: checkpoint %s counts %d scenarios, its suite expands to %d",
 			ErrBadSuite, r.path, hdr.Scenarios, n)
@@ -417,7 +428,7 @@ func (r *checkpointReader) header(line []byte) error {
 		return fmt.Errorf("%w: checkpoint %s: %v", ErrBadSuite, r.path, err)
 	}
 	r.ck.Suite, r.ck.Shard, r.fingerprint, r.scenarios = hdr.Suite, shard, hdr.Fingerprint, hdr.Scenarios
-	r.ck.Records = r.table(&hdr)
+	r.ck.Records = r.table(&hdr, shard)
 	r.ck.validBytes = int64(len(line) + 1)
 	return nil
 }
@@ -464,17 +475,11 @@ func (r *checkpointReader) apply(final bool) error {
 	res := &r.held
 	r.undo = 0
 	switch res.kind {
-	case lineRecord:
-		if idx := res.rec.Index; idx < 0 || idx >= r.scenarios || !r.ck.Shard.Contains(idx) {
-			return fmt.Errorf("%w: checkpoint %s has out-of-shard scenario %d",
-				ErrBadSuite, r.path, idx)
-		}
-		claimed, clash := r.ck.Records.claim(&res.rec, r.file)
-		if claimed {
-			r.claimed++
-		}
-		if clash {
-			r.clashes = append(r.clashes, res.rec.Index)
+	case lineRecord, lineLegacy:
+		if r.deferred != nil || (res.kind == lineLegacy && r.ck.gz) {
+			r.deferred = append(r.deferred, *res)
+		} else if err := r.record(res); err != nil {
+			return err
 		}
 	case lineBadCRC:
 		r.ck.Corrupted++
@@ -493,12 +498,47 @@ func (r *checkpointReader) apply(final bool) error {
 	return nil
 }
 
-// finish applies what the payload's end decides. A line is only durable
+// record claims a record line's record, or counts it Corrupted if it is a
+// legacy line of a damaged stream.
+func (r *checkpointReader) record(res *lineResult) error {
+	if res.kind == lineLegacy && r.damaged {
+		r.ck.Corrupted++
+		return nil
+	}
+	if idx := res.rec.Index; idx < 0 || idx >= r.scenarios || !r.ck.Shard.Contains(idx) {
+		return fmt.Errorf("%w: checkpoint %s has out-of-shard scenario %d",
+			ErrBadSuite, r.path, idx)
+	}
+	claimed, clash := r.ck.Records.claim(&res.rec, r.file)
+	if claimed {
+		r.claimed++
+	}
+	if clash {
+		r.clashes = append(r.clashes, res.rec.Index)
+	}
+	return nil
+}
+
+// finish applies what the payload's end decides, then the deferred record
+// lines.
+func (r *checkpointReader) finish() error {
+	if err := r.end(); err != nil {
+		return err
+	}
+	for i := range r.deferred {
+		if err := r.record(&r.deferred[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// end applies the lines the payload's end decides. A line is only durable
 // once its newline is on disk, so a payload that does not end in one was
 // cut mid-write and its last non-blank line is torn, even if the cut
 // happened to land after complete JSON — counting it would make validBytes
 // overshoot the file and corrupt the truncate-then-append resume path.
-func (r *checkpointReader) finish() error {
+func (r *checkpointReader) end() error {
 	frag := r.carry // after the last newline
 	blankFrag := len(bytes.TrimSpace(frag)) == 0
 	r.nonBlank = r.nonBlank || !blankFrag
@@ -551,12 +591,12 @@ func ReadShardSet(paths []string) (Suite, *RecordTable, error) {
 	// records never meet the others'; it is refused below.
 	var mu sync.Mutex
 	tables := make(map[string]*RecordTable, 1)
-	table := func(hdr *checkpointHeader) *RecordTable {
+	table := func(hdr *checkpointHeader, _ Shard) *RecordTable {
 		mu.Lock()
 		defer mu.Unlock()
 		t := tables[hdr.Fingerprint]
 		if t == nil {
-			t = newRecordTable(hdr.Scenarios)
+			t = newRecordTable(hdr.Scenarios, Shard{})
 			tables[hdr.Fingerprint] = t
 		}
 		return t
@@ -619,12 +659,12 @@ func ReadShardSet(paths []string) (Suite, *RecordTable, error) {
 func (r *checkpointReader) repeats(clashed map[int]bool) (int, bool) {
 	t := r.ck.Records
 	for _, idx := range r.clashes {
-		if t.from[idx].Load() < r.file || clashed[idx] {
+		if t.file(idx) < r.file || clashed[idx] {
 			return idx, true
 		}
 	}
 	for idx := range clashed {
-		if t.from[idx].Load() == r.file {
+		if t.file(idx) == r.file {
 			return idx, true
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"compress/gzip"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -88,12 +89,45 @@ func damagedGzip(t testing.TB, n int) (recs []RunRecord, intact, flippedMid, fli
 	return recs, intact, flippedMid, flippedCRC, undecodable
 }
 
+// garbledGzip is damagedGzip's n-record file with the first bit flip that
+// garbles a line into valid JSON without a crc member and with an index of
+// the file's shard — a line that passes for a legacy record — with its
+// records and that index.
+func garbledGzip(t testing.TB, n int) (recs []RunRecord, garbled []byte, idx int) {
+	t.Helper()
+	recs, intact, _, _, _ := damagedGzip(t, n)
+	for at := range len(intact) {
+		for bit := range 8 {
+			data := bytes.Clone(intact)
+			data[at] ^= 1 << bit
+			zr, err := gzip.NewReader(bytes.NewReader(data))
+			if err != nil {
+				continue
+			}
+			payload, _ := io.ReadAll(zr)
+			lines := bytes.Split(payload, newline)
+			if len(lines) < 2 {
+				continue
+			}
+			for _, line := range lines[1 : len(lines)-1] { // the last is torn or empty
+				var cl checkpointLine
+				if json.Unmarshal(line, &cl) == nil && cl.CRC == nil && cl.Index >= 0 && cl.Index < 2*n && cl.Index%2 == 1 {
+					return recs, data, cl.Index
+				}
+			}
+		}
+	}
+	t.Fatal("no bit flip garbles a line into a legacy record")
+	return nil, nil, 0
+}
+
 // TestDamagedGzipCheckpointLoads: one damaged byte in a .gz checkpoint
 // costs the records it reaches, not the file. With the deflate data
 // damaged, the lines before the damage load (a flip may decompress on
 // into wrong bytes, which fail their lines' CRCs, or stop decompression);
 // with only the trailer's checksum damaged, every line loads, each
-// vouched for by its own CRC.
+// vouched for by its own CRC. A line the damage garbles into one without a
+// CRC is counted, not loaded as a legacy record.
 func TestDamagedGzipCheckpointLoads(t *testing.T) {
 	recs, _, flippedMid, flippedCRC, undecodable := damagedGzip(t, 256)
 	dir := t.TempDir()
@@ -122,6 +156,20 @@ func TestDamagedGzipCheckpointLoads(t *testing.T) {
 			if g, ok := ck.Records.get(rec.Index); ok && !sameRecord(*g, rec) {
 				t.Errorf("%s: record %d loads as %+v, want %+v", name, rec.Index, *g, rec)
 			}
+		}
+	}
+
+	recs, garbled, idx := garbledGzip(t, 16)
+	ck = checkReadCheckpoint(t, writeCheckpointFile(t, dir, garbled, true))
+	if ck == nil || ck.Corrupted == 0 {
+		t.Fatalf("garbled: %v, want the file to load with the garbled line corrupted", ck)
+	}
+	if g, ok := ck.Records.get(idx); ok {
+		t.Errorf("garbled: the line without a crc loads as record %d: %+v", idx, *g)
+	}
+	for _, rec := range recs {
+		if g, ok := ck.Records.get(rec.Index); ok && !sameRecord(*g, rec) {
+			t.Errorf("garbled: record %d loads as %+v, want %+v", rec.Index, *g, rec)
 		}
 	}
 }
@@ -201,7 +249,7 @@ func TestReadAllocationsIndependentOfSize(t *testing.T) {
 // files skip the blocks of a few bytes, tens of thousands of them.
 func TestReadCheckpointAcrossBlocks(t *testing.T) {
 	defer func(n int) { readBlockSize = n }(readBlockSize)
-	cases := damagedCheckpoints(t)
+	cases := damagedCheckpoints(t, 256)
 	for _, size := range []int{1, 7, 64, 266, 267, 268, 511, 128 << 10} {
 		readBlockSize = size
 		for name, file := range cases {

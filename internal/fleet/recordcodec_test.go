@@ -328,7 +328,7 @@ func FuzzRecordCodec(f *testing.F) {
 // into lines, decode every line with encoding/json, verify the CRC by
 // marshalling the record again, collect the records in a map.
 func readCheckpointReference(path string) (*Checkpoint, error) {
-	data, err := checkpointPayload(path)
+	data, damaged, err := checkpointPayload(path)
 	if err != nil {
 		return nil, err
 	}
@@ -355,8 +355,8 @@ func readCheckpointReference(path string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: header: %v", ErrBadSuite, err)
 	}
 	if hdr.Version != CheckpointVersion || hdr.Suite.Fingerprint() != hdr.Fingerprint ||
-		hdr.Scenarios != hdr.Suite.NumScenarios() {
-		return nil, fmt.Errorf("%w: version, fingerprint or scenario count", ErrBadSuite)
+		hdr.Suite.Validate() != nil || hdr.Scenarios != hdr.Suite.NumScenarios() {
+		return nil, fmt.Errorf("%w: version, fingerprint, suite or scenario count", ErrBadSuite)
 	}
 	shard, err := ParseShard(hdr.Shard)
 	if err != nil {
@@ -370,6 +370,12 @@ func readCheckpointReference(path string) (*Checkpoint, error) {
 			if i == len(body)-1 {
 				break
 			}
+			ck.Corrupted++
+			ck.validBytes += int64(len(line) + 1)
+			continue
+		}
+		if rec.CRC == nil && damaged {
+			// Garbled by the damage, for all the stream can tell.
 			ck.Corrupted++
 			ck.validBytes += int64(len(line) + 1)
 			continue
@@ -395,24 +401,25 @@ func readCheckpointReference(path string) (*Checkpoint, error) {
 // checkpointPayload is a checkpoint file's JSONL payload as the reference
 // reads it: a gzip file decompressed with io.ReadAll as far as its stream
 // goes. Three stream failures keep what was decompressed before them: a
-// truncated stream (a run killed mid-write), damaged deflate data, and a
-// trailer whose checksum does not match, which gzip.Reader.Read reports at
-// the end of the stream (Close checks nothing).
-func checkpointPayload(path string) ([]byte, error) {
-	data, err := os.ReadFile(path)
+// truncated stream (a run killed mid-write), and, reported as damaged,
+// undecodable deflate data and a trailer whose checksum does not match,
+// which gzip.Reader.Read reports at the end of the stream (Close checks
+// nothing).
+func checkpointPayload(path string) (data []byte, damaged bool, err error) {
+	data, err = os.ReadFile(path)
 	if err != nil || !gzipCheckpoint(path) {
-		return data, err
+		return data, false, err
 	}
 	zr, err := gzip.NewReader(bytes.NewReader(data))
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	var corrupt flate.CorruptInputError
-	if data, err = io.ReadAll(zr); err != nil && !errors.Is(err, io.ErrUnexpectedEOF) &&
-		!errors.Is(err, gzip.ErrChecksum) && !errors.As(err, &corrupt) {
-		return nil, err
+	data, err = io.ReadAll(zr)
+	damaged = errors.Is(err, gzip.ErrChecksum) || errors.As(err, new(flate.CorruptInputError))
+	if err != nil && !damaged && !errors.Is(err, io.ErrUnexpectedEOF) {
+		return nil, false, err
 	}
-	return data, nil
+	return data, damaged, nil
 }
 
 // checkReadCheckpoint asserts ReadCheckpoint against the reference on one
@@ -450,13 +457,15 @@ type checkpointFile struct {
 	gz   bool
 }
 
-// damagedCheckpoints builds the reader's hard cases from a real shard file.
-func damagedCheckpoints(t testing.TB) map[string]checkpointFile {
+// damagedCheckpoints builds the reader's hard cases from a real shard file,
+// and from synthetic gzip files of wide records the damaged .gz cases.
+func damagedCheckpoints(t testing.TB, wideRecords int) map[string]checkpointFile {
 	t.Helper()
 	plain := mustReadFile(t, filepath.Join("testdata", "v1-parent.jsonl"))
 	zipped := mustReadFile(t, filepath.Join("testdata", "v1-parent.jsonl.gz"))
-	_, wide, flippedMid, flippedCRC, undecodable := damagedGzip(t, 256)
+	_, wide, flippedMid, flippedCRC, undecodable := damagedGzip(t, wideRecords)
 	_, _, flippedMidSmall, _, _ := damagedGzip(t, 64)
+	_, garbled, _ := garbledGzip(t, 16)
 	lines := bytes.SplitAfter(plain, newline)
 	lines = lines[:len(lines)-1] // the empty piece after the final newline
 	edit := func(f func(lines [][]byte) [][]byte) []byte {
@@ -465,6 +474,20 @@ func damagedCheckpoints(t testing.TB) map[string]checkpointFile {
 			cp[i] = bytes.Clone(l)
 		}
 		return bytes.Join(f(cp), nil)
+	}
+	// reseeded gives the header's suite seedsPerCell seeds a cell, its
+	// fingerprint and scenario count made to agree.
+	reseeded := func(seedsPerCell int) []byte {
+		return edit(func(l [][]byte) [][]byte {
+			var hdr checkpointHeader
+			if err := json.Unmarshal(l[0], &hdr); err != nil {
+				t.Fatal(err)
+			}
+			hdr.Suite.SeedsPerCell = seedsPerCell
+			hdr.Fingerprint, hdr.Scenarios = hdr.Suite.Fingerprint(), hdr.Suite.NumScenarios()
+			l[0] = append(mustMarshal(t, hdr), '\n')
+			return l
+		})
 	}
 	return map[string]checkpointFile{
 		"intact":           {plain, false},
@@ -546,6 +569,10 @@ func damagedCheckpoints(t testing.TB) map[string]checkpointFile {
 			l[0] = bytes.Replace(l[0], []byte(`"scenarios":16,`), []byte(`"scenarios":1600000000000,`), 1)
 			return l
 		}), false},
+		// Headers that agree with themselves on a count no table can hold:
+		// 10¹⁵ scenarios, and 8 cells × MaxInt/4 seeds, which wraps negative.
+		"header-huge-suite":     {reseeded(125e12), false},
+		"header-overflow-suite": {reseeded(math.MaxInt / 4), false},
 		// A torn line after blank lines: the last of them is the final line.
 		"blanks-then-torn": {append(bytes.Clone(plain), " \n\t\n{\"ind"...), false},
 		"wide-gz":          {wide, true},
@@ -553,9 +580,12 @@ func damagedCheckpoints(t testing.TB) map[string]checkpointFile {
 		"gzip-flipped-crc": {flippedCRC, true},
 		"gzip-undecodable": {undecodable, true},
 		// The midpoint flip of a smaller file garbles a line into valid
-		// JSON without a crc member and with an index out of range: it
-		// reads as a legacy line, so the index rejects the whole file.
+		// JSON without a crc member and with an index out of range: the
+		// stream is damaged, so the line counts as Corrupted rather than
+		// rejecting the file.
 		"gzip-flipped-mid-small": {flippedMidSmall, true},
+		// A flip that garbles a line into a legacy record of the shard.
+		"gzip-garbled-legacy": {garbled, true},
 	}
 }
 
@@ -584,16 +614,22 @@ func TestReadCheckpointMatchesReference(t *testing.T) {
 		"respelled-floats": {8, 0, 1}, "metric-digit-flip": {7, 1, 1}, "crc-digit-flip": {7, 1, 1},
 		"garbage-before-blank-torn": {7, 0, 1}, "blank-before-blank-torn": {7, 0, 1}, "blanks-then-torn": {8, 1, 1},
 		"wide-gz": {256, 0, 1}, "gzip-flipped-crc": {256, 0, 1}, "header-count": {},
+		"header-huge-suite": {}, "header-overflow-suite": {},
+		"gzip-flipped-mid-small": {21, 48, 1}, "gzip-garbled-legacy": {0, 16, 1},
 	}
-	for name, file := range damagedCheckpoints(t) {
+	for name, file := range damagedCheckpoints(t, 256) {
 		t.Run(name, func(t *testing.T) {
-			ck := checkReadCheckpoint(t, writeCheckpointFile(t, t.TempDir(), file.data, file.gz))
+			path := writeCheckpointFile(t, t.TempDir(), file.data, file.gz)
+			ck := checkReadCheckpoint(t, path)
 			w, pinned := want[name]
 			if !pinned {
 				return
 			}
 			if (ck != nil) != (w[2] == 1) {
 				t.Fatalf("loadable = %v, want %v", ck != nil, w[2] == 1)
+			}
+			if _, _, err := ReadShardSet([]string{path}); (err == nil) != (w[2] == 1) {
+				t.Fatalf("ReadShardSet error %v, want loadable = %v", err, w[2] == 1)
 			}
 			if ck != nil && (ck.Records.Len() != w[0] || ck.Corrupted != w[1]) {
 				t.Errorf("%d records, %d corrupted; want %d, %d", ck.Records.Len(), ck.Corrupted, w[0], w[1])
@@ -608,7 +644,7 @@ func TestReadCheckpointMatchesReference(t *testing.T) {
 // check and verifies by re-encoding; a flipped digit in a metric or in the
 // crc fails both.
 func TestCheckpointCRCPaths(t *testing.T) {
-	cases := damagedCheckpoints(t)
+	cases := damagedCheckpoints(t, 256)
 	for name, want := range map[string][3]int{ // on line bytes, by re-encoding, neither
 		"intact":            {8, 0, 0},
 		"respelled-floats":  {5, 3, 0},
@@ -641,9 +677,11 @@ func TestCheckpointCRCPaths(t *testing.T) {
 // FuzzReadCheckpoint mutates whole files — plain and gzip-framed — and
 // the size of the blocks the reader takes the payload in, 1 to 512 bytes,
 // so that headers, record lines, blank tails and torn gzip tails straddle
-// blocks, and holds ReadCheckpoint to the reference reader.
+// blocks, and holds ReadCheckpoint to the reference reader. Its damaged
+// .gz seeds have 64 records: at one-byte blocks a 256-record payload costs
+// as much as a hundred small inputs.
 func FuzzReadCheckpoint(f *testing.F) {
-	cases := damagedCheckpoints(f)
+	cases := damagedCheckpoints(f, 64)
 	for i, name := range slices.Sorted(maps.Keys(cases)) {
 		f.Add(cases[name].data, cases[name].gz, uint16(37*i))
 	}
@@ -720,11 +758,11 @@ func TestGoldenParentCheckpoints(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		want, err := checkpointPayload(path)
+		want, _, err := checkpointPayload(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := checkpointPayload(out)
+		got, _, err := checkpointPayload(out)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,12 +7,16 @@ import (
 
 // RecordTable holds completed run records addressed by scenario index: a
 // checkpoint's records, a shard set's union, the records a resumed run
-// folds instead of executing. A reader sizes it by the suite's scenario
-// count, so a lookup is a slice index and a shard set's files fill one
+// folds instead of executing. A reader sizes it by the scenarios its
+// records may have — a checkpoint's by its shard's, a shard set's by the
+// suite's — so a lookup is a slice index and a shard set's files fill one
 // table instead of each filling a map that is then copied. A nil table
 // holds no records.
 type RecordTable struct {
-	recs []RunRecord
+	// shard is the slice of the index set the slots cover: slot i holds
+	// scenario i·Count + Index (i itself for a whole table).
+	shard Shard
+	recs  []RunRecord
 	// from marks a slot present: 0 while empty, otherwise the number of
 	// the file (1-based, in ReadShardSet's argument order) whose record it
 	// holds. Files claim slots concurrently.
@@ -20,8 +24,13 @@ type RecordTable struct {
 	n    int // present slots
 }
 
-func newRecordTable(size int) *RecordTable {
-	return &RecordTable{recs: make([]RunRecord, size), from: make([]atomic.Int32, size)}
+// newRecordTable is a table for the scenarios of shard among total.
+func newRecordTable(total int, shard Shard) *RecordTable {
+	size := total
+	if !shard.IsWhole() {
+		size = (total - shard.Index + shard.Count - 1) / shard.Count
+	}
+	return &RecordTable{shard: shard, recs: make([]RunRecord, size), from: make([]atomic.Int32, size)}
 }
 
 // Len is the number of records the table holds.
@@ -32,12 +41,34 @@ func (t *RecordTable) Len() int {
 	return t.n
 }
 
+// slot returns the slot of scenario idx, if the table has one.
+func (t *RecordTable) slot(idx int) (int, bool) {
+	if idx < 0 || !t.shard.Contains(idx) {
+		return 0, false
+	}
+	s := idx / max(t.shard.Count, 1)
+	return s, s < len(t.from)
+}
+
+// file returns the number of the file whose record the slot of scenario
+// idx holds, 0 if none.
+func (t *RecordTable) file(idx int) int32 {
+	if s, ok := t.slot(idx); ok {
+		return t.from[s].Load()
+	}
+	return 0
+}
+
 // get returns the record of scenario idx, if the table holds one.
 func (t *RecordTable) get(idx int) (*RunRecord, bool) {
-	if t == nil || idx < 0 || idx >= len(t.from) || t.from[idx].Load() == 0 {
+	if t == nil {
 		return nil, false
 	}
-	return &t.recs[idx], true
+	s, ok := t.slot(idx)
+	if !ok || t.from[s].Load() == 0 {
+		return nil, false
+	}
+	return &t.recs[s], true
 }
 
 // records yields the held records in index order.
@@ -57,14 +88,15 @@ func (t *RecordTable) records() iter.Seq[*RunRecord] {
 // claim stores rec, read from the given file, in its slot. A later record
 // of the same file replaces an earlier one, as a map insert would; a slot
 // another file holds is left alone and reported as a clash. claimed
-// reports a slot that was empty. rec.Index must lie in the table.
+// reports a slot that was empty. The table must have a slot for
+// rec.Index.
 func (t *RecordTable) claim(rec *RunRecord, file int32) (claimed, clash bool) {
-	slot := &t.from[rec.Index]
-	if slot.CompareAndSwap(0, file) {
+	s, _ := t.slot(rec.Index)
+	if t.from[s].CompareAndSwap(0, file) {
 		claimed = true
-	} else if slot.Load() != file {
+	} else if t.from[s].Load() != file {
 		return false, true
 	}
-	t.recs[rec.Index] = *rec
+	t.recs[s] = *rec
 	return claimed, false
 }

@@ -104,7 +104,7 @@ func tableOf(recs map[int]RunRecord) *RecordTable {
 	for idx := range recs {
 		size = max(size, idx+1)
 	}
-	t := newRecordTable(size)
+	t := newRecordTable(size, Shard{})
 	for _, rec := range recs {
 		if claimed, _ := t.claim(&rec, 1); claimed {
 			t.n++

@@ -274,8 +274,20 @@ func (s Suite) Validate() error {
 	if s.EpsilonA >= 1 {
 		return fmt.Errorf("%w: epsilonA %v", ErrBadSuite, s.EpsilonA)
 	}
+	n := 1
+	for _, d := range s.dims() {
+		if n > maxScenarios/d {
+			return fmt.Errorf("%w: the suite expands to more than %d scenarios", ErrBadSuite, maxScenarios)
+		}
+		n *= d
+	}
 	return nil
 }
+
+// maxScenarios bounds the scenarios a suite may expand to. A checkpoint
+// reader sizes a record table by its header's count, 108 B a scenario, so
+// the header's suite is held to this before anything is allocated.
+const maxScenarios = 1 << 24
 
 // Cell is one concrete grid point: a full model/workload/size/policy
 // configuration evaluated across SeedsPerCell seeds.
@@ -364,10 +376,20 @@ func (s Suite) Cells() []Cell {
 
 // NumCells returns the grid size.
 func (s Suite) NumCells() int {
-	s = s.withDefaults()
-	return max(1, len(s.Backends)) * len(s.AttackRates) * len(s.CrashProfiles) *
-		len(s.UpdateRates) * len(s.Etas) * len(s.Workloads) * len(s.N1s) *
-		len(s.DeltaRs) * len(s.Policies)
+	dims, n := s.withDefaults().dims(), 1
+	for _, d := range dims[:9] {
+		n *= d
+	}
+	return n
+}
+
+// dims is the defaulted suite's grid dimensions, each at least 1: the
+// product of the first nine is its cell count, that of all ten its
+// scenario count.
+func (s Suite) dims() [10]int {
+	return [10]int{max(1, len(s.Backends)), len(s.AttackRates), len(s.CrashProfiles),
+		len(s.UpdateRates), len(s.Etas), len(s.Workloads), len(s.N1s),
+		len(s.DeltaRs), len(s.Policies), s.SeedsPerCell}
 }
 
 // NumScenarios returns the total number of emulation runs the suite expands
