@@ -284,7 +284,10 @@ func (b *binomialRows) row(s int) []float64 {
 // estimates divided crashes per episode by the episode length, which
 // undercounts once episodes end in crashes. The node model enters through
 // its closed-loop table t (recovery.NewOccupancyTable), which every strategy
-// and deltaR of the model share.
+// and deltaR of the model share: a finite-deltaR threshold strategy's
+// window starts from the table's stored closed loop under its leading
+// threshold, so the positions a model's windows agree on run once per
+// table, and q is the same bits as from a walk of the whole window.
 func HealthyProb(t *recovery.OccupancyTable, s recovery.Strategy, deltaR int) (float64, error) {
 	occ, err := t.Shares(s, deltaR)
 	if err != nil {

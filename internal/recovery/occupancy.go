@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"tolerance/internal/nodemodel"
 )
@@ -83,8 +85,22 @@ func Occupancy(p nodemodel.Params, s Strategy, deltaR int) (OccupancyShares, err
 // node model alone: the DP's belief grid, eq. 2's transition rows and where
 // each grid point's posterior lands after each observation. Build one per
 // node model and evaluate every strategy and Delta_R of that model on it;
-// Shares(s, deltaR) equals Occupancy(p, s, deltaR) bit for bit. A table is
-// read-only once built, so concurrent Shares calls may share it.
+// Shares(s, deltaR) equals Occupancy(p, s, deltaR) bit for bit.
+//
+// A table is not read-only once built: it keeps trunks, each the closed
+// loop from the renewal distribution under one constant threshold, stored
+// after every window position. Window Delta_R of a Ladder acts on
+// tau_{Delta_R-k} at position k, and tau_r settles on one grid value after
+// the first few r, so a model's windows agree on their leading positions.
+// Shares of a finite-Delta_R *ThresholdStrategy loads the trunk state after
+// its leading run of equal thresholds (never the forced recovery) and
+// walks only the rest of the window. The trunk runs the window's own step
+// and observe operations in the same order, so every share is the bits of
+// a walk of the whole window. Trunks are keyed by the threshold's bits and
+// grow on demand under the table's mutex; a position costs at most two
+// grid rows, and a trunk's slabs hold at most twice the positions asked
+// of it. Delta_R = infinity and strategies of other types walk as before.
+// Concurrent Shares calls may share a table.
 type OccupancyTable struct {
 	pA   float64
 	grid []float64
@@ -101,6 +117,27 @@ type OccupancyTable struct {
 	waitSpan  []cellSpan
 	reset     []obsPlacement
 	resetSpan cellSpan
+
+	mu     sync.Mutex        // guards trunks and every trunk's growth
+	trunks map[uint64]*trunk // by the Float64bits of the constant threshold
+}
+
+// trunk is the closed loop from the renewal distribution under one constant
+// threshold: states[j-1] is the distribution after position j (its step and
+// its observation) and the running sum of positions 1..j.
+type trunk struct {
+	states []trunkState
+	// free is the unused end of the newest slab the states' masses are
+	// carved from.
+	free []float64
+}
+
+// trunkState is one stored position: the healthy then the compromised mass
+// of its cells [lo, hi), and the window's running sum through it.
+type trunkState struct {
+	mass   []float64
+	lo, hi int
+	sum    stepMass
 }
 
 // NewOccupancyTable builds the closed-loop table of node model p on the
@@ -125,10 +162,98 @@ func (t *OccupancyTable) shares(s Strategy, deltaR, maxSteps int) (OccupancyShar
 		return OccupancyShares{}, fmt.Errorf("%w: deltaR = %d", ErrBadStrategy, deltaR)
 	}
 	l := newClosedLoop(t, s)
-	if deltaR != InfiniteDeltaR {
-		return l.window(deltaR), nil
+	if deltaR == InfiniteDeltaR {
+		return l.longRun(maxSteps)
 	}
-	return l.longRun(maxSteps)
+	if ts, ok := s.(*ThresholdStrategy); ok {
+		if run := ts.leadingRun(deltaR); run > 0 {
+			sum := t.fromTrunk(l, ts.Thresholds[0], run)
+			return l.walk(run+1, sum, deltaR), nil
+		}
+	}
+	return l.window(deltaR), nil
+}
+
+// leadingRun returns how many of window deltaR's strategy positions
+// 1..deltaR-1 act on the position-1 threshold before any other does, bit
+// for bit; 0 when there are no strategy positions.
+func (s *ThresholdStrategy) leadingRun(deltaR int) int {
+	if deltaR < 2 || len(s.Thresholds) == 0 {
+		return 0
+	}
+	first := math.Float64bits(s.Thresholds[0])
+	run := 1
+	for run < deltaR-1 && math.Float64bits(s.Threshold(run+1)) == first {
+		run++
+	}
+	return run
+}
+
+// fromTrunk loads into l the trunk of constant threshold th at position
+// run and returns the running sum through it. A trunk shorter than run is
+// first extended by walking l, whose strategy acts on th at every position
+// up to run, from the trunk's last state (the renewal distribution when it
+// has none).
+func (t *OccupancyTable) fromTrunk(l *closedLoop, th float64, run int) stepMass {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	key := math.Float64bits(th)
+	tr := t.trunks[key]
+	if tr == nil {
+		if t.trunks == nil {
+			t.trunks = make(map[uint64]*trunk)
+		}
+		tr = &trunk{}
+		t.trunks[key] = tr
+	}
+	depth := len(tr.states)
+	if depth >= run {
+		return tr.load(l, run)
+	}
+	var sum stepMass
+	if depth == 0 {
+		l.start()
+	} else {
+		sum = tr.load(l, depth)
+	}
+	for k := depth + 1; k <= run; k++ {
+		sum.add(l.step(k, false))
+		l.observe()
+		tr.store(l, sum, run)
+	}
+	return sum
+}
+
+// load copies the state after position j into l, whose mass must be zero
+// outside the state's cells, and returns its running sum.
+func (tr *trunk) load(l *closedLoop, j int) stepMass {
+	st := &tr.states[j-1]
+	w := st.hi - st.lo
+	copy(l.mH[st.lo:st.hi], st.mass[:w])
+	copy(l.mC[st.lo:st.hi], st.mass[w:])
+	l.lo, l.hi = st.lo, st.hi
+	return st.sum
+}
+
+// store appends l's distribution as the next position's state, on the way
+// to depth positions. A full slab is followed by one with room for the
+// positions still to come or for as many as the trunk holds, whichever is
+// more, each at the whole grid's width: a trunk grows geometrically, with
+// no copy and no allocation per position.
+func (tr *trunk) store(l *closedLoop, sum stepMass, depth int) {
+	w := l.hi - l.lo
+	n := len(tr.states)
+	if len(tr.free) < 2*w {
+		tr.free = make([]float64, 2*len(l.grid)*max(depth-n, n))
+	}
+	if n == cap(tr.states) {
+		tr.states = slices.Grow(tr.states, max(n, depth-n))
+	}
+	mass := tr.free[: 2*w : 2*w]
+	tr.free = tr.free[2*w:]
+	copy(mass, l.mH[l.lo:l.hi])
+	copy(mass[w:], l.mC[l.lo:l.hi])
+	tr.states = append(tr.states, trunkState{mass: mass, lo: l.lo, hi: l.hi, sum: sum})
 }
 
 // obsPlacement carries one observation's share of a grid cell's mass to the
@@ -323,11 +448,16 @@ func (l *closedLoop) observe() float64 {
 
 // window sums one BTR window of deltaR steps from the renewal distribution:
 // positions 1..deltaR-1 follow the strategy, position deltaR is the forced
-// recovery that renews the process.
+// recovery that renews the process. It takes no trunk.
 func (l *closedLoop) window(deltaR int) OccupancyShares {
 	l.start()
-	var sum stepMass
-	for k := 1; k <= deltaR; k++ {
+	return l.walk(1, stepMass{}, deltaR)
+}
+
+// walk finishes window deltaR from position first, l holding the
+// distribution after position first-1 and sum the running sum through it.
+func (l *closedLoop) walk(first int, sum stepMass, deltaR int) OccupancyShares {
+	for k := first; k <= deltaR; k++ {
 		sum.add(l.step(k, k == deltaR))
 		if k < deltaR {
 			l.observe()

@@ -560,6 +560,153 @@ func TestOccupancyTableMatchesOccupancy(t *testing.T) {
 	}
 }
 
+// trunkCase is one window the trunk property test evaluates, with the
+// trunk-free walk's shares.
+type trunkCase struct {
+	what   string
+	s      *ThresholdStrategy
+	deltaR int
+	want   OccupancyShares
+}
+
+// TestOccupancyTrunkMatchesWindow is the trunk's property test. Over random
+// models, every Delta_R in 1..60 and threshold strategies of every shape —
+// the ladder's windows, random thresholds, a random leading run before
+// random thresholds, one threshold everywhere but one interior position,
+// and a single threshold used at finite Delta_R (Threshold clamps, so it
+// is constant) — Shares is == to the window walk, which takes no trunk.
+// The cases run ascending, descending and shuffled on one fresh table each,
+// and from 4 goroutines sharing a fresh table. The interior and single
+// cases draw from two thresholds a model, so strategies of different
+// shapes meet on one trunk.
+func TestOccupancyTrunkMatchesWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	models := 2
+	if testing.Short() {
+		models = 1
+	}
+	for m := 0; m < models; m++ {
+		p := randomLadderModel(rng)
+		ladder, err := NewLadder(p, occupancyGridSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle, err := NewOccupancyTable(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cases []trunkCase
+		add := func(what string, th []float64, dr int) {
+			s := &ThresholdStrategy{Thresholds: th, DeltaR: dr}
+			cases = append(cases, trunkCase{
+				what: fmt.Sprintf("model %d %s ΔR %d", m, what, dr), s: s, deltaR: dr,
+				want: newClosedLoop(oracle, s).window(dr),
+			})
+		}
+		taus := []float64{rng.Float64(), rng.Float64()}
+		for dr := 1; dr <= 60; dr++ {
+			dp, err := ladder.Window(dr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			add("ladder", dp.Thresholds, dr)
+			dim := ThresholdDim(dr)
+			random, lead, notch := make([]float64, dim), make([]float64, dim), make([]float64, dim)
+			run, tau := rng.Intn(dim+1), taus[rng.Intn(2)]
+			for k := range dim {
+				random[k], lead[k], notch[k] = rng.Float64(), taus[0], tau
+				if k >= run {
+					lead[k] = rng.Float64()
+				}
+			}
+			if dim > 2 {
+				notch[1+rng.Intn(dim-2)] = rng.Float64()
+			}
+			add("random", random, dr)
+			add("lead", lead, dr)
+			add("notch", notch, dr)
+			add("single", []float64{taus[rng.Intn(2)]}, dr)
+		}
+
+		perm := rng.Perm(len(cases))
+		for _, order := range []struct {
+			name string
+			at   func(i int) int
+		}{
+			{"ascending", func(i int) int { return i }},
+			{"descending", func(i int) int { return len(cases) - 1 - i }},
+			{"shuffled", func(i int) int { return perm[i] }},
+		} {
+			table, err := NewOccupancyTable(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range cases {
+				c := cases[order.at(i)]
+				got, err := table.Shares(c.s, c.deltaR)
+				sameShares(t, order.name+" "+c.what, got, err, c.want, nil)
+			}
+		}
+		table, err := NewOccupancyTable(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			order := rng.Perm(len(cases))
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, i := range order {
+					c := cases[i]
+					got, err := table.Shares(c.s, c.deltaR)
+					sameShares(t, "concurrent "+c.what, got, err, c.want, nil)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// TestOccupancyTrunkAllocations: a window the trunk already covers costs
+// what a walk of the whole window costs, the loop and its slab, and no
+// allocation for the trunk.
+func TestOccupancyTrunkAllocations(t *testing.T) {
+	p := nodemodel.DefaultParams()
+	table, err := NewOccupancyTable(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ladder, err := NewLadder(p, occupancyGridSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deep, err := ladder.Window(50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := table.Shares(deep.Strategy(50), 50); err != nil {
+		t.Fatal(err)
+	}
+	sol, err := ladder.Window(40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sol.Strategy(40)
+	if run := s.leadingRun(40); run < 2 {
+		t.Fatalf("window 40's leading run is %d positions; the test needs a trunk", run)
+	}
+	walk := testing.AllocsPerRun(20, func() { newClosedLoop(table, s).window(40) })
+	trunk := testing.AllocsPerRun(20, func() {
+		if _, err := table.Shares(s, 40); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if trunk > walk || walk > 2 {
+		t.Errorf("Shares of a covered window allocates %v times, the whole-window walk %v; want at most the walk's, and it at most 2", trunk, walk)
+	}
+}
+
 // TestOccupancyTableRejects keeps Occupancy's argument checks on the split
 // form: the model when the table is built, the strategy and Delta_R when
 // shares are evaluated.
