@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"tolerance/internal/nodemodel"
@@ -200,9 +199,6 @@ func (t *OccupancyTable) fromTrunk(l *closedLoop, th float64, run int) stepMass 
 	key := math.Float64bits(th)
 	tr := t.trunks[key]
 	if tr == nil {
-		if t.trunks == nil {
-			t.trunks = make(map[uint64]*trunk)
-		}
 		tr = &trunk{}
 		t.trunks[key] = tr
 	}
@@ -245,9 +241,6 @@ func (tr *trunk) store(l *closedLoop, sum stepMass, depth int) {
 	n := len(tr.states)
 	if len(tr.free) < 2*w {
 		tr.free = make([]float64, 2*len(l.grid)*max(depth-n, n))
-	}
-	if n == cap(tr.states) {
-		tr.states = slices.Grow(tr.states, max(n, depth-n))
 	}
 	mass := tr.free[: 2*w : 2*w]
 	tr.free = tr.free[2*w:]
@@ -318,6 +311,7 @@ func newOccupancyTable(p nodemodel.Params, gridSize int) (*OccupancyTable, error
 		wait:     make([]obsPlacement, g*numObs),
 		waitSpan: make([]cellSpan, g),
 		reset:    make([]obsPlacement, numObs),
+		trunks:   make(map[uint64]*trunk),
 	}
 	for x, st := range []nodemodel.State{nodemodel.Healthy, nodemodel.Compromised} {
 		for _, a := range []nodemodel.Action{nodemodel.Wait, nodemodel.Recover} {

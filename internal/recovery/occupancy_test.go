@@ -668,9 +668,10 @@ func TestOccupancyTrunkMatchesWindow(t *testing.T) {
 	}
 }
 
-// TestOccupancyTrunkAllocations: a window the trunk already covers costs
-// what a walk of the whole window costs, the loop and its slab, and no
-// allocation for the trunk.
+// TestOccupancyTrunkAllocations: a window leaves its leading run in a
+// trunk, and a window the trunk already covers costs what a walk of the
+// whole window costs, the loop and its slab, and no allocation for the
+// trunk.
 func TestOccupancyTrunkAllocations(t *testing.T) {
 	p := nodemodel.DefaultParams()
 	table, err := NewOccupancyTable(p)
@@ -687,6 +688,10 @@ func TestOccupancyTrunkAllocations(t *testing.T) {
 	}
 	if _, err := table.Shares(deep.Strategy(50), 50); err != nil {
 		t.Fatal(err)
+	}
+	run := deep.Strategy(50).leadingRun(50)
+	if tr := table.trunks[math.Float64bits(deep.Thresholds[0])]; tr == nil || len(tr.states) != run {
+		t.Fatalf("window 50 (leading run %d) left no trunk that deep: %+v", run, table.trunks)
 	}
 	sol, err := ladder.Window(40)
 	if err != nil {
