@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"tolerance/internal/emulation"
+	"tolerance/internal/recovery"
 	"tolerance/internal/telemetry"
 )
 
@@ -453,6 +454,45 @@ func TestUnknownPolicyKindRejected(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), suite, Config{}); !errors.Is(err, ErrBadSuite) {
 		t.Errorf("Run = %v, want ErrBadSuite", err)
+	}
+}
+
+// TestLearnedTapeBounded: a learned block whose Algorithm 1 tape would
+// exceed recovery.MaxTapeDraws — an overflowing product or a 64 GB one —
+// fails suite parsing with ErrBadSuite instead of crashing the process
+// that trains it, a worker included.
+func TestLearnedTapeBounded(t *testing.T) {
+	var smoke Suite
+	for _, s := range Builtin() {
+		if s.Name == "learned-smoke" {
+			smoke = s
+		}
+	}
+	for _, lc := range []LearnedConfig{
+		{Episodes: 1 << 31, Horizon: 1 << 31},
+		{Episodes: 4_000_000, Horizon: 1000},
+		{Horizon: recovery.MaxTapeDraws / 2},
+	} {
+		raw, err := DumpSuite(smoke)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var file map[string]any
+		if err := json.Unmarshal(raw, &file); err != nil {
+			t.Fatal(err)
+		}
+		file["learned"] = lc
+		if raw, err = json.Marshal(file); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParseSuite(raw); !errors.Is(err, ErrBadSuite) {
+			t.Errorf("episodes %d, horizon %d: ParseSuite = %v, want ErrBadSuite", lc.Episodes, lc.Horizon, err)
+		}
+	}
+	s := smoke
+	s.Learned = &LearnedConfig{Episodes: 1, Horizon: (recovery.MaxTapeDraws - 2) / 2}
+	if err := s.Validate(); err != nil {
+		t.Errorf("a tape of exactly MaxTapeDraws draws: %v", err)
 	}
 }
 

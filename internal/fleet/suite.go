@@ -38,6 +38,7 @@
 package fleet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 
@@ -269,6 +270,14 @@ func (s Suite) Validate() error {
 	if lc := s.Learned; lc != nil {
 		if lc.Budget < 0 || lc.Episodes < 0 || lc.Horizon < 0 || lc.Iterations < 0 || lc.Workers < 0 {
 			return fmt.Errorf("%w: negative learned config %+v", ErrBadSuite, *lc)
+		}
+		// Algorithm 1 records Episodes·(2+2·Horizon) draws before its first
+		// evaluation; a worker takes this block from its coordinator.
+		episodes := cmp.Or(lc.Episodes, strategies.DefaultEpisodes)
+		horizon := cmp.Or(lc.Horizon, strategies.DefaultHorizon)
+		if !recovery.TapeFits(episodes, horizon) {
+			return fmt.Errorf("%w: learned episodes %d, horizon %d need more than %d draws",
+				ErrBadSuite, episodes, horizon, recovery.MaxTapeDraws)
 		}
 	}
 	if s.EpsilonA >= 1 {

@@ -103,14 +103,18 @@ func (c CEM) Minimize(rng *rand.Rand, dim int, obj Objective, budget, workers in
 			std[i] = math.Max(minStd, math.Sqrt(v))
 		}
 	}
-	// Spend any remaining budget refining around the mean.
-	theta := make([]float64, dim)
-	for tr.evals < budget {
+	// Spend any remaining budget (fewer than pop evaluations) refining
+	// around the mean: drawn in the order a draw-evaluate loop would draw
+	// them, then evaluated as one batch.
+	n := budget - tr.evals
+	for s := 0; s < n; s++ {
+		theta := samples[s].theta
 		for i := range theta {
 			theta[i] = mean[i] + minStd*rng.NormFloat64()
 		}
 		clamp01(theta)
-		tr.evaluate(theta)
+		thetas[s] = theta
 	}
+	tr.evaluateBatch(thetas[:n], values[:n], workers)
 	return tr.result(), nil
 }

@@ -23,9 +23,19 @@ import (
 // ErrBadConfig is returned when an optimizer is configured inconsistently.
 var ErrBadConfig = errors.New("opt: bad configuration")
 
-// Objective evaluates a parameter vector in [0,1]^dim; smaller is better.
-// Evaluations may be stochastic (Monte-Carlo estimates of J_i in eq. (5)).
-type Objective func(theta []float64) float64
+// Objective evaluates a batch of parameter vectors in [0,1]^dim, writing
+// the value of thetas[i] to out[i] (len(out) == len(thetas)); smaller is
+// better. Evaluations may be stochastic (Monte-Carlo estimates of J_i in
+// eq. (5)). A value must not depend on which other candidates share its
+// batch: the optimizers batch candidates differently for different workers
+// values.
+type Objective func(thetas [][]float64, out []float64)
+
+// Lanes is the longest run of candidates one objective call receives when
+// a batch is spread over workers: an objective that scores its candidates
+// side by side, like recovery's Algorithm 1 objective, scores up to Lanes
+// of them at once.
+const Lanes = 4
 
 // TracePoint records the best objective value seen after a number of
 // evaluations; used to reproduce the convergence curves of Fig 7.
@@ -59,15 +69,18 @@ type Optimizer interface {
 	// evaluated concurrently (values <= 1 run fully sequentially).
 	//
 	// Determinism contract: every optimizer draws its candidates from rng
-	// in a fixed order that never depends on workers, and folds evaluation
-	// results (the evaluation counter, the best-so-far trace, population
-	// updates) in candidate order — so Theta, Value, Evaluations and the
-	// Trace are bit-identical for every workers value. With workers > 1 the
-	// objective must be safe for concurrent calls and independent of
-	// evaluation order; objectives that draw from a private rng stream per
-	// evaluation, or that replay a read-only recorded stream through their
-	// own cursor (recovery.Algorithm1's Monte-Carlo objective), satisfy
-	// both; objectives that share one mutable rng do not.
+	// in a fixed order that never depends on workers, hands the objective
+	// runs of consecutive candidates whose length may depend on workers,
+	// and folds evaluation results (the evaluation counter, the best-so-far
+	// trace, population updates) in candidate order — so Theta, Value,
+	// Evaluations and the Trace are bit-identical for every workers value,
+	// provided a candidate's value does not depend on its run. With
+	// workers > 1 the objective must also be safe for concurrent calls and
+	// independent of evaluation order; objectives that draw from a private
+	// rng stream per candidate, or that replay a read-only recorded stream
+	// from its start for every candidate (recovery.Algorithm1's Monte-Carlo
+	// objective), satisfy all three; objectives that share one mutable rng
+	// do not.
 	Minimize(rng *rand.Rand, dim int, obj Objective, budget, workers int) (*Result, error)
 }
 
@@ -79,14 +92,21 @@ type tracker struct {
 	bestTheta []float64
 	bestValue float64
 	trace     []TracePoint
+	// one and oneOut are the batch of one a single evaluation hands obj.
+	one    [1][]float64
+	oneOut [1]float64
 }
 
 func newTracker(obj Objective) *tracker {
 	return &tracker{obj: obj, start: time.Now(), bestValue: math.Inf(1)}
 }
 
+// evaluate evaluates one candidate as a batch of one and folds it.
 func (t *tracker) evaluate(theta []float64) float64 {
-	v := t.obj(theta)
+	t.one[0] = theta
+	t.obj(t.one[:], t.oneOut[:])
+	t.one[0] = nil
+	v := t.oneOut[0]
 	t.fold(theta, v)
 	return v
 }
@@ -99,7 +119,7 @@ func (t *tracker) fold(theta []float64, v float64) {
 	t.evals++
 	if v < t.bestValue {
 		t.bestValue = v
-		t.bestTheta = append([]float64(nil), theta...)
+		t.bestTheta = append(t.bestTheta[:0], theta...)
 		t.trace = append(t.trace, TracePoint{
 			Evaluations: t.evals,
 			Elapsed:     time.Since(t.start),
@@ -110,35 +130,42 @@ func (t *tracker) fold(theta []float64, v float64) {
 
 // evaluateBatch evaluates one generation's candidates, writing values into
 // out (sized to len(thetas)) and folding them into the tracker in candidate
-// order. workers bounds the concurrent objective calls; any value yields
-// bit-identical tracker state because candidates are pre-drawn and the fold
-// is sequential in index order.
+// order. The objective receives runs of max(1, min(Lanes, ⌈n/workers⌉))
+// consecutive candidates, which workers goroutines claim through one
+// counter, so a pair still spreads over two workers. Any workers value
+// yields bit-identical tracker state because candidates are pre-drawn and
+// the fold is sequential in index order.
 func (t *tracker) evaluateBatch(thetas [][]float64, out []float64, workers int) {
-	if workers > len(thetas) {
-		workers = len(thetas)
+	n := len(thetas)
+	if workers > n {
+		workers = n
 	}
-	if workers <= 1 {
-		for i, theta := range thetas {
-			out[i] = t.evaluate(theta)
+	workers = max(1, workers)
+	run := max(1, min(Lanes, (n+workers-1)/workers))
+	if workers == 1 {
+		for i := 0; i < n; i += run {
+			j := min(n, i+run)
+			t.obj(thetas[i:j], out[i:j])
 		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(thetas) {
-					return
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					i := int(next.Add(int64(run))) - run
+					if i >= n {
+						return
+					}
+					j := min(n, i+run)
+					t.obj(thetas[i:j], out[i:j])
 				}
-				out[i] = t.obj(thetas[i])
-			}
-		}()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	for i, theta := range thetas {
 		t.fold(theta, out[i])
 	}

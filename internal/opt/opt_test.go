@@ -7,24 +7,36 @@ import (
 	"testing/quick"
 )
 
+// each is the batch objective that scores every candidate with f, in
+// candidate order.
+func each(f func(theta []float64) float64) Objective {
+	return func(thetas [][]float64, out []float64) {
+		for i, theta := range thetas {
+			out[i] = f(theta)
+		}
+	}
+}
+
 // sphere has its minimum 0 at the given center.
 func sphere(center []float64) Objective {
-	return func(theta []float64) float64 {
+	return each(func(theta []float64) float64 {
 		s := 0.0
 		for i, v := range theta {
 			d := v - center[i]
 			s += d * d
 		}
 		return s
-	}
+	})
 }
 
 // noisySphere adds Gaussian noise to the sphere objective.
 func noisySphere(center []float64, sigma float64, rng *rand.Rand) Objective {
 	base := sphere(center)
-	return func(theta []float64) float64 {
-		return base(theta) + sigma*rng.NormFloat64()
-	}
+	return each(func(theta []float64) float64 {
+		var v [1]float64
+		base([][]float64{theta}, v[:])
+		return v[0] + sigma*rng.NormFloat64()
+	})
 }
 
 func allOptimizers() []Optimizer {
@@ -65,7 +77,7 @@ func TestOptimizersRespectBudget(t *testing.T) {
 			calls++
 			return theta[0]
 		}
-		res, err := o.Minimize(rng, 1, obj, 50, 1)
+		res, err := o.Minimize(rng, 1, each(obj), 50, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", o.Name(), err)
 		}
@@ -144,7 +156,7 @@ func TestThetaWithinBoundsProperty(t *testing.T) {
 			return theta[0]
 		}
 		for _, o := range allOptimizers() {
-			if _, err := o.Minimize(rng, 3, obj, 60, 1); err != nil {
+			if _, err := o.Minimize(rng, 3, each(obj), 60, 1); err != nil {
 				return false
 			}
 		}

@@ -3,6 +3,7 @@ package opt
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -36,12 +37,12 @@ func TestMinimizeWorkersBitIdentical(t *testing.T) {
 	for _, o := range allOptimizers() {
 		o := o
 		t.Run(o.Name(), func(t *testing.T) {
-			base, err := o.Minimize(rand.New(rand.NewSource(9)), 3, deterministicObjective, 150, 1)
+			base, err := o.Minimize(rand.New(rand.NewSource(9)), 3, each(deterministicObjective), 150, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 8} {
-				res, err := o.Minimize(rand.New(rand.NewSource(9)), 3, deterministicObjective, 150, workers)
+				res, err := o.Minimize(rand.New(rand.NewSource(9)), 3, each(deterministicObjective), 150, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -72,5 +73,61 @@ func TestMinimizeWorkersBitIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEvaluateBatchRuns pins how a batch reaches the objective: every
+// candidate exactly once, in runs of max(1, min(Lanes, ⌈n/workers⌉))
+// consecutive candidates (the last run may be shorter), each value written
+// to its own slot.
+func TestEvaluateBatchRuns(t *testing.T) {
+	for n := 1; n <= 13; n++ {
+		for _, workers := range []int{1, 2, 3, 8} {
+			var mu sync.Mutex
+			var runs []int
+			tr := newTracker(func(thetas [][]float64, out []float64) {
+				mu.Lock()
+				runs = append(runs, len(thetas))
+				mu.Unlock()
+				for i, theta := range thetas {
+					out[i] = 2 * theta[0]
+				}
+			})
+			thetas := make([][]float64, n)
+			for i := range thetas {
+				thetas[i] = []float64{float64(i)}
+			}
+			out := make([]float64, n)
+			tr.evaluateBatch(thetas, out, workers)
+			for i, v := range out {
+				if v != 2*float64(i) {
+					t.Fatalf("n %d, workers %d: out[%d] = %v", n, workers, i, v)
+				}
+			}
+			run := max(1, min(Lanes, (n+min(workers, n)-1)/min(workers, n)))
+			total, short := 0, 0
+			for _, r := range runs {
+				total += r
+				if r > run {
+					t.Fatalf("n %d, workers %d: a run of %d, want at most %d", n, workers, r, run)
+				}
+				if r < run {
+					short++
+				}
+			}
+			if total != n || short > 1 || tr.evals != n {
+				t.Fatalf("n %d, workers %d: runs %v for %d candidates (%d folded)", n, workers, runs, n, tr.evals)
+			}
+		}
+	}
+}
+
+// TestSingleEvaluationAllocatesNothing: a single evaluation hands the
+// objective a batch of one the tracker holds.
+func TestSingleEvaluationAllocatesNothing(t *testing.T) {
+	tr := newTracker(func(thetas [][]float64, out []float64) { out[0] = 1 })
+	theta := []float64{0.5}
+	if allocs := testing.AllocsPerRun(100, func() { tr.evaluate(theta) }); allocs != 0 {
+		t.Errorf("a single evaluation allocates %v times, want 0", allocs)
 	}
 }

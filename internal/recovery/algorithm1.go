@@ -59,6 +59,10 @@ func (c Algorithm1Config) validate() error {
 		return fmt.Errorf("%w: episodes = %d, horizon = %d",
 			ErrBadAlgorithm1Config, c.Episodes, c.Horizon)
 	}
+	if !TapeFits(c.Episodes, c.Horizon) {
+		return fmt.Errorf("%w: episodes = %d, horizon = %d need more than %d draws",
+			ErrBadAlgorithm1Config, c.Episodes, c.Horizon, MaxTapeDraws)
+	}
 	if c.Workers < 0 {
 		return fmt.Errorf("%w: workers = %d", ErrBadAlgorithm1Config, c.Workers)
 	}
@@ -79,14 +83,18 @@ type Algorithm1Result struct {
 // space with ThresholdDim(deltaR) thresholds (exploiting Theorem 1), defines
 // the objective as the Monte-Carlo estimate of J_i (eq. 5) under the BTR
 // constraint, and delegates the search to the given parametric optimizer.
-// Cancelling ctx aborts the search within one objective evaluation and
-// returns the context's error.
+// Cancelling ctx aborts the search within one objective call (at most
+// opt.Lanes candidates a worker) and returns the context's error.
 func Algorithm1(ctx context.Context, p nodemodel.Params, cfg Algorithm1Config) (*Algorithm1Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
+	}
+	if p.NumObs() > maxTapeAlerts {
+		return nil, fmt.Errorf("%w: %d alert values, the tape holds at most %d",
+			ErrBadAlgorithm1Config, p.NumObs(), maxTapeAlerts)
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -97,22 +105,22 @@ func Algorithm1(ctx context.Context, p nodemodel.Params, cfg Algorithm1Config) (
 	// Common random numbers: every candidate is scored on the same uniform
 	// stream, rand.New(rand.NewSource(Seed+1)), which reduces the variance
 	// of comparisons between candidates. The stream's first maxDraws values
-	// — all one evaluation can consume — are recorded once, and every
-	// objective call replays them from the start through its own cursor, so
-	// each call sees exactly the stream a fresh rng would give it. The tape
-	// is read-only, which makes the objective safe for the optimizer's
-	// concurrent batch evaluation: no candidate's draws can shift another's.
-	tape := recordTape(cfg.Seed+1, simCfg.maxDraws())
-	kernel := p.Kernel()
-	objective := func(theta []float64) float64 {
+	// — all one evaluation can consume — are recorded once, decoded, and
+	// every candidate replays them from the start, so each sees exactly the
+	// stream a fresh rng would give it. The tape is read-only, which makes
+	// the objective safe for the optimizer's concurrent batches: no
+	// candidate's draws can shift another's.
+	scorer := newLaneScorer(p, simCfg, cfg.Seed+1)
+	objective := func(thetas [][]float64, out []float64) {
 		if ctx.Err() != nil {
 			// Cancelled: short-circuit the remaining budget so the search
 			// unwinds quickly; the result is discarded below.
-			return 1e9
+			for i := range out {
+				out[i] = 1e9
+			}
+			return
 		}
-		s := &ThresholdStrategy{Thresholds: theta, DeltaR: cfg.DeltaR}
-		m := evaluate(&tapeCursor{tape: tape}, p, &kernel, s, simCfg)
-		return m.AvgCost
+		scorer.score(thetas, out)
 	}
 	objective = cfg.Telemetry.Objective(objective)
 
@@ -133,28 +141,4 @@ func Algorithm1(ctx context.Context, p nodemodel.Params, cfg Algorithm1Config) (
 		return nil, err
 	}
 	return &Algorithm1Result{Strategy: strategy, Cost: res.Value, Search: res}, nil
-}
-
-// recordTape returns the first n values of
-// rand.New(rand.NewSource(seed)).Float64().
-func recordTape(seed int64, n int) []float64 {
-	rng := rand.New(rand.NewSource(seed))
-	tape := make([]float64, n)
-	for i := range tape {
-		tape[i] = rng.Float64()
-	}
-	return tape
-}
-
-// tapeCursor replays a recorded uniform stream from its start. Reading past
-// the end panics: the tape holds every value an evaluation can consume.
-type tapeCursor struct {
-	tape []float64
-	next int
-}
-
-func (c *tapeCursor) Float64() float64 {
-	u := c.tape[c.next]
-	c.next++
-	return u
 }

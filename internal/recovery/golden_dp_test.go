@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"tolerance"
+	"tolerance/internal/recovery"
 )
 
 // goldenDPPath holds exact-DP Solve outputs written by commit b2e7beb, the
@@ -129,7 +130,7 @@ func goldenDPRuns(skip func(tolerance.NodeModel) bool) []goldenDPModel {
 // failure's error text, with what the golden commit produced.
 func TestGoldenParentDP(t *testing.T) {
 	skip := func(tolerance.NodeModel) bool { return false }
-	if raceEnabled && !*updateGolden {
+	if recovery.RaceEnabled && !*updateGolden {
 		skip = raceSlow
 	}
 	got := goldenDPRuns(skip)

@@ -1,8 +1,9 @@
 //go:build race
 
-package recovery_test
+package recovery
 
-// raceEnabled trims TestGoldenParentDP under the race detector, which slows
+// RaceEnabled trims TestGoldenParentDP under the race detector, which slows
 // the slowest stationary solves about twentyfold and has nothing to find in
-// them: each model's solves run on one goroutine.
-const raceEnabled = true
+// them (each model's solves run on one goroutine), and skips the allocation
+// budgets, whose counts the detector's instrumentation changes.
+const RaceEnabled = true

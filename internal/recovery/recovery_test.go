@@ -2,11 +2,13 @@ package recovery
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"tolerance/internal/dist"
 	"tolerance/internal/nodemodel"
 	"tolerance/internal/opt"
 )
@@ -326,6 +328,25 @@ func TestAlgorithm1Validation(t *testing.T) {
 	}
 	if _, err := Algorithm1(context.Background(), p, Algorithm1Config{Optimizer: opt.RandomSearch{}, Budget: 10, Episodes: 0, Horizon: 1}); err == nil {
 		t.Error("episodes 0 should fail")
+	}
+	// Tapes past MaxTapeDraws: an overflowing Episodes·(2+2·Horizon), and
+	// a 64 GB one.
+	for _, mh := range [][2]int{{1 << 31, 1 << 31}, {4_000_000, 1000}, {1, MaxTapeDraws / 2}} {
+		cfg := Algorithm1Config{Optimizer: opt.RandomSearch{}, Budget: 10, Episodes: mh[0], Horizon: mh[1]}
+		if _, err := Algorithm1(context.Background(), p, cfg); !errors.Is(err, ErrBadAlgorithm1Config) {
+			t.Errorf("episodes %d, horizon %d: %v, want ErrBadAlgorithm1Config", mh[0], mh[1], err)
+		}
+	}
+	if !TapeFits(1, (MaxTapeDraws-2)/2) || TapeFits(2, (MaxTapeDraws-2)/2) {
+		t.Error("TapeFits misplaces the bound")
+	}
+	// An alert support the tape's 16-bit alerts cannot index.
+	wide := p
+	wide.ZHealthy = dist.MustBetaBinomial(maxTapeAlerts, 1, 1).Categorical()
+	wide.ZCompromised = wide.ZHealthy
+	cfg := Algorithm1Config{Optimizer: opt.RandomSearch{}, Budget: 10, Episodes: 1, Horizon: 1}
+	if _, err := Algorithm1(context.Background(), wide, cfg); !errors.Is(err, ErrBadAlgorithm1Config) {
+		t.Errorf("%d alert values: %v, want ErrBadAlgorithm1Config", wide.NumObs(), err)
 	}
 }
 

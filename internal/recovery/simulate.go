@@ -78,12 +78,6 @@ func Evaluate(rng *rand.Rand, p nodemodel.Params, s Strategy, cfg SimConfig) (*M
 	return &m, nil
 }
 
-// uniforms is what the episode loop draws from: *rand.Rand, and the tape
-// cursor Algorithm 1 replays its common random numbers through.
-type uniforms interface {
-	Float64() float64
-}
-
 // maxDraws bounds the uniforms one evaluate call consumes: per episode one
 // for the initial state and one for the first alert, then one transition
 // and one alert per step. A crash ends its episode early, so only a run
@@ -93,11 +87,12 @@ func (c SimConfig) maxDraws() int {
 }
 
 // evaluate is Evaluate on a validated model, its kernel k and a validated
-// config.
-func evaluate(u uniforms, p nodemodel.Params, k *nodemodel.Kernel, s Strategy, cfg SimConfig) Metrics {
+// config. On a fresh rng seeded Seed+1 it is the oracle of Algorithm 1's
+// objective, which replays that stream decoded (tape.go).
+func evaluate(rng *rand.Rand, p nodemodel.Params, k *nodemodel.Kernel, s Strategy, cfg SimConfig) Metrics {
 	var sum episodeSums
 	for e := 0; e < cfg.Episodes; e++ {
-		runEpisode(u, p, k, s, cfg, &sum)
+		runEpisode(rng, p, k, s, cfg, &sum)
 	}
 
 	m := Metrics{
@@ -145,14 +140,14 @@ func (sum *episodeSums) addRecoveryTime(t float64) {
 // starts with initial compromise probability pA (b_{i,1} = p_{A,i}, eq. 6a),
 // the controller observes alerts, updates the belief (App. A) and acts; the
 // BTR constraint forces recovery when the window position reaches deltaR.
-func runEpisode(u uniforms, p nodemodel.Params, k *nodemodel.Kernel, s Strategy, cfg SimConfig, sum *episodeSums) {
+func runEpisode(rng *rand.Rand, p nodemodel.Params, k *nodemodel.Kernel, s Strategy, cfg SimConfig, sum *episodeSums) {
 	state := nodemodel.Healthy
-	if u.Float64() < p.PA {
+	if rng.Float64() < p.PA {
 		state = nodemodel.Compromised
 		sum.intrusions++
 	}
 	// Initial belief and observation.
-	belief := k.Posterior(p.PA, k.SampleObservation(state, u.Float64()))
+	belief := k.Posterior(p.PA, k.SampleObservation(state, rng.Float64()))
 
 	compromisedAt := -1
 	if state == nodemodel.Compromised {
@@ -187,7 +182,7 @@ func runEpisode(u uniforms, p nodemodel.Params, k *nodemodel.Kernel, s Strategy,
 		}
 
 		prevState := state
-		state = k.SampleTransition(prevState, action, u.Float64())
+		state = k.SampleTransition(prevState, action, rng.Float64())
 		if state == nodemodel.Crashed {
 			sum.crashes++
 			if compromisedAt >= 0 {
@@ -211,7 +206,7 @@ func runEpisode(u uniforms, p nodemodel.Params, k *nodemodel.Kernel, s Strategy,
 			compromisedAt = -1
 		}
 
-		zc, zh := k.Likelihoods(k.SampleObservation(state, u.Float64()))
+		zc, zh := k.Likelihoods(k.SampleObservation(state, rng.Float64()))
 		belief = k.Update(belief, action, zc, zh)
 	}
 	if compromisedAt >= 0 {

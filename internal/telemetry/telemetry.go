@@ -477,18 +477,20 @@ func (t *Training) ObserveIteration(cost float64) {
 	t.Best.Min(cost)
 }
 
-// Objective wraps an optimizer objective so every evaluation's value is
-// recorded through ObserveEval — the hook Algorithm 1 threads its Monte-Carlo
-// objective through. The wrapper only sees values after they are computed,
-// so it changes no draw, fold order or result; evaluations may run
-// concurrently, which ObserveEval allows. A nil sink returns obj itself.
-func (t *Training) Objective(obj func(theta []float64) float64) func(theta []float64) float64 {
+// Objective wraps an optimizer's batch objective so every candidate's value
+// is recorded through ObserveEval, in candidate order — the hook Algorithm
+// 1 threads its Monte-Carlo objective through. The wrapper only sees values
+// after they are computed, so it changes no draw, fold order or result;
+// batches may run concurrently, which ObserveEval allows. A nil sink
+// returns obj itself.
+func (t *Training) Objective(obj func(thetas [][]float64, out []float64)) func(thetas [][]float64, out []float64) {
 	if t == nil {
 		return obj
 	}
-	return func(theta []float64) float64 {
-		v := obj(theta)
-		t.ObserveEval(v)
-		return v
+	return func(thetas [][]float64, out []float64) {
+		obj(thetas, out)
+		for _, v := range out {
+			t.ObserveEval(v)
+		}
 	}
 }

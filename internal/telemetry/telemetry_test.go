@@ -312,7 +312,7 @@ func TestNilTelemetryIsNoop(t *testing.T) {
 	if ctr != nil || g != nil || h != nil || tr != nil {
 		t.Fatalf("a nil collector handed out %v, %v, %v, %v; want nil handles", ctr, g, h, tr)
 	}
-	obj := func(theta []float64) float64 { return theta[0] }
+	obj := func(thetas [][]float64, out []float64) { copy(out, thetas[0]) }
 	checks := []struct {
 		name string
 		fn   func()
@@ -353,18 +353,30 @@ func TestNilTelemetryIsNoop(t *testing.T) {
 }
 
 // TestTrainingObjectiveObserves: the wrapped objective returns the inner
-// value and records each evaluation.
+// values and records each candidate of each batch.
 func TestTrainingObjectiveObserves(t *testing.T) {
 	c := New()
-	f := NewTraining(c).Objective(func(theta []float64) float64 { return theta[0] })
-	for _, v := range []float64{3, 1, 2} {
-		if got := f([]float64{v}); got != v {
-			t.Fatalf("objective returned %v, want %v", got, v)
+	f := NewTraining(c).Objective(func(thetas [][]float64, out []float64) {
+		for i, theta := range thetas {
+			out[i] = theta[0]
+		}
+	})
+	for _, batch := range [][]float64{{3}, {4, 1, 5}, {2}} {
+		thetas := make([][]float64, len(batch))
+		for i, v := range batch {
+			thetas[i] = []float64{v}
+		}
+		out := make([]float64, len(batch))
+		f(thetas, out)
+		for i, v := range batch {
+			if out[i] != v {
+				t.Fatalf("objective returned %v, want %v", out[i], v)
+			}
 		}
 	}
 	s := c.Snapshot()
-	if s.Counter("training.evals") != 3 || s.Gauges["training.best_objective"] != 1 {
-		t.Errorf("evals %d, best %v; want 3 and 1", s.Counter("training.evals"), s.Gauges["training.best_objective"])
+	if s.Counter("training.evals") != 5 || s.Gauges["training.best_objective"] != 1 {
+		t.Errorf("evals %d, best %v; want 5 and 1", s.Counter("training.evals"), s.Gauges["training.best_objective"])
 	}
 }
 
