@@ -115,15 +115,11 @@ type lane struct {
 // score writes each candidate's average cost to out.
 func (sc *laneScorer) score(thetas [][]float64, out []float64) {
 	var lanes [opt.Lanes]lane
-	next, busy := 0, 0
-	for i := range lanes {
-		if next == len(thetas) {
-			break
-		}
-		sc.start(&lanes[i], next, thetas[next])
-		next++
-		busy++
+	busy := min(len(thetas), len(lanes))
+	for i := range busy {
+		sc.start(&lanes[i], i, thetas[i])
 	}
+	next := busy
 	for busy > 0 {
 		for i := range lanes {
 			l := &lanes[i]

@@ -169,17 +169,6 @@ func TestEvaluateMatchesParamsOracle(t *testing.T) {
 	}
 }
 
-// thresholdCase draws a model, a config and a threshold strategy of the
-// config's dimension: the strategies Algorithm 1's objective scores.
-func thresholdCase(rng *rand.Rand) (nodemodel.Params, *ThresholdStrategy, SimConfig) {
-	p, _, cfg := randomTapeCase(rng)
-	theta := make([]float64, ThresholdDim(cfg.DeltaR))
-	for i := range theta {
-		theta[i] = rng.Float64()
-	}
-	return p, &ThresholdStrategy{Thresholds: theta, DeltaR: cfg.DeltaR}, cfg
-}
-
 // TestTapeReplayMatchesEvaluate is the decoded tape's contract: each
 // position holds what the model's Kernel makes of the stream's value in
 // every role it can play, and a candidate replayed on it, any number of
@@ -187,7 +176,8 @@ func thresholdCase(rng *rand.Rand) (nodemodel.Params, *ThresholdStrategy, SimCon
 func TestTapeReplayMatchesEvaluate(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 400; trial++ {
-		p, s, cfg := thresholdCase(rng)
+		p, _, cfg := randomTapeCase(rng)
+		s := &ThresholdStrategy{Thresholds: batchThetas(rng, 1, ThresholdDim(cfg.DeltaR))[0], DeltaR: cfg.DeltaR}
 		seed := rng.Int63()
 		k := p.Kernel()
 		sc := newLaneScorer(p, cfg, seed)
