@@ -52,8 +52,6 @@ type SystemContext struct {
 // Policy is a two-level control strategy: per-node recovery plus global
 // replication.
 type Policy interface {
-	// Name identifies the strategy in tables and figures.
-	Name() string
 	// UsesBTR reports whether the emulation should apply the forced
 	// calendar recoveries of eq. (6b).
 	UsesBTR() bool
@@ -65,9 +63,6 @@ type Policy interface {
 
 // NoRecovery is the NO-RECOVERY baseline.
 type NoRecovery struct{}
-
-// Name implements Policy.
-func (NoRecovery) Name() string { return "NO-RECOVERY" }
 
 // UsesBTR implements Policy.
 func (NoRecovery) UsesBTR() bool { return false }
@@ -81,9 +76,6 @@ func (NoRecovery) AddNode(SystemContext) bool { return false }
 // Periodic is the PERIODIC baseline: recovery comes only from the forced
 // calendar (every Delta_R steps); no replication control.
 type Periodic struct{}
-
-// Name implements Policy.
-func (Periodic) Name() string { return "PERIODIC" }
 
 // UsesBTR implements Policy.
 func (Periodic) UsesBTR() bool { return true }
@@ -103,9 +95,6 @@ type PeriodicAdaptive struct {
 	// TargetN are alive. Zero disables the cap.
 	TargetN int
 }
-
-// Name implements Policy.
-func (PeriodicAdaptive) Name() string { return "PERIODIC-ADAPTIVE" }
 
 // UsesBTR implements Policy.
 func (PeriodicAdaptive) UsesBTR() bool { return true }
@@ -145,9 +134,6 @@ func NewTolerance(rec *recovery.ThresholdStrategy, rep *cmdp.Solution) (*Toleran
 	}
 	return &Tolerance{Recovery: rec, Replication: rep}, nil
 }
-
-// Name implements Policy.
-func (*Tolerance) Name() string { return "TOLERANCE" }
 
 // UsesBTR implements Policy.
 func (*Tolerance) UsesBTR() bool { return true }

@@ -9,7 +9,7 @@ import (
 	"tolerance/internal/recovery"
 )
 
-func TestPolicyNames(t *testing.T) {
+func TestPolicyUsesBTR(t *testing.T) {
 	tol, err := NewTolerance(&recovery.ThresholdStrategy{Thresholds: []float64{0.5}}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -24,9 +24,6 @@ func TestPolicyNames(t *testing.T) {
 		{PeriodicAdaptive{}, "PERIODIC-ADAPTIVE", true},
 		{tol, "TOLERANCE", true},
 	} {
-		if tc.p.Name() != tc.name {
-			t.Errorf("name = %q, want %q", tc.p.Name(), tc.name)
-		}
 		if tc.p.UsesBTR() != tc.btr {
 			t.Errorf("%s UsesBTR = %v, want %v", tc.name, tc.p.UsesBTR(), tc.btr)
 		}

@@ -71,23 +71,26 @@ func goldenGrid(t *testing.T) (names []string, scenarios []Scenario) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				policies := []baselines.Policy{
-					baselines.NoRecovery{},
-					baselines.Periodic{},
-					baselines.PeriodicAdaptive{TargetN: 13},
-					tol,
+				policies := []struct {
+					name string
+					pol  baselines.Policy
+				}{
+					{"NO-RECOVERY", baselines.NoRecovery{}},
+					{"PERIODIC", baselines.Periodic{}},
+					{"PERIODIC-ADAPTIVE", baselines.PeriodicAdaptive{TargetN: 13}},
+					{"TOLERANCE", tol},
 				}
-				for _, pol := range policies {
+				for _, p := range policies {
 					for seed := int64(1); seed <= 4; seed++ {
 						names = append(names, fmt.Sprintf("%s/dR=%d/N1=%d/%s/seed=%d",
-							prof.name, deltaR, n1, pol.Name(), seed))
+							prof.name, deltaR, n1, p.name, seed))
 						scenarios = append(scenarios, Scenario{
 							N1:      n1,
 							DeltaR:  deltaR,
 							Steps:   300,
 							Seed:    seed,
 							Params:  prof.params,
-							Policy:  pol,
+							Policy:  p.pol,
 							Fits:    fits,
 							FitSeed: fitSeed,
 						})

@@ -183,9 +183,9 @@ func (p *recordingPlant) Clean(id int) {
 func TestPlantSeesEveryDecision(t *testing.T) {
 	params := nodemodel.DefaultParams()
 	params.PA, params.PC1, params.PC2 = 0.2, 0.02, 0.05
-	for _, s := range []Scenario{
-		{N1: 4, SMax: 9, DeltaR: 5, Steps: 300, Seed: 3, Params: params, Policy: baselines.PeriodicAdaptive{TargetN: 8}, FitSamples: 300},
-		{N1: 3, SMax: 7, Steps: 300, Seed: 4, Params: params, Policy: baselines.NoRecovery{}, FitSamples: 300},
+	for name, s := range map[string]Scenario{
+		"PERIODIC-ADAPTIVE": {N1: 4, SMax: 9, DeltaR: 5, Steps: 300, Seed: 3, Params: params, Policy: baselines.PeriodicAdaptive{TargetN: 8}, FitSamples: 300},
+		"NO-RECOVERY":       {N1: 3, SMax: 7, Steps: 300, Seed: 4, Params: params, Policy: baselines.NoRecovery{}, FitSamples: 300},
 	} {
 		want, err := NewRunner().RunInto(s)
 		if err != nil {
@@ -200,15 +200,15 @@ func TestPlantSeesEveryDecision(t *testing.T) {
 		}
 		got := r.Finish()
 		if got != want {
-			t.Errorf("%s: metrics with a plant differ:\n got %+v\nwant %+v", s.Policy.Name(), got, want)
+			t.Errorf("%s: metrics with a plant differ:\n got %+v\nwant %+v", name, got, want)
 		}
 		if p.recovers != got.Recoveries || p.evicts != got.Evictions || p.adds != got.Additions ||
 			p.intrudes != got.Intrusions || p.measures != s.Steps {
 			t.Errorf("%s: plant heard recover %d, evict %d, add %d, compromise %d, measure %d; run had %+v over %d steps",
-				s.Policy.Name(), p.recovers, p.evicts, p.adds, p.intrudes, p.measures, got, s.Steps)
+				name, p.recovers, p.evicts, p.adds, p.intrudes, p.measures, got, s.Steps)
 		}
 		if got.Evictions == 0 || got.Intrusions == 0 {
-			t.Errorf("%s: no eviction or no intrusion, the hooks went untested: %+v", s.Policy.Name(), got)
+			t.Errorf("%s: no eviction or no intrusion, the hooks went untested: %+v", name, got)
 		}
 	}
 }

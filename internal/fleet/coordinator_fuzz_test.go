@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
@@ -19,7 +18,8 @@ import (
 // not have moved back, every index must have folded exactly once and in
 // order, the records kept ahead of the frontier must fit in the suite, and
 // the reject and duplicate counters must equal what an encoding/json model
-// of the same frames predicts.
+// of the same frames predicts: a Records frame is one only in the
+// one-spelling rule's bytes (decodeRecordsFrameReference).
 func FuzzCoordinatorFrames(f *testing.F) {
 	suite := testSuite().withDefaults()
 	total := suite.NumScenarios()
@@ -78,8 +78,9 @@ func FuzzCoordinatorFrames(f *testing.F) {
 }
 
 // modelFrame predicts how many rejects and duplicates the coordinator must
-// count for one frame, decoding wire records with encoding/json alone;
-// seen tracks the indices already accepted.
+// count for one frame, decoding it with encoding/json alone; seen tracks
+// the indices already accepted. A Records frame in any spelling but the
+// one json.Marshal writes is one reject, like any malformed frame.
 func modelFrame(frame []byte, total, seedsPerCell int, seen map[int]bool) (rejects, dupes int64) {
 	kind, payload, err := proto.Decode(frame)
 	if err != nil {
@@ -98,15 +99,13 @@ func modelFrame(frame []byte, total, seedsPerCell int, seen map[int]bool) (rejec
 		}
 	case proto.KindLeaseRequest, proto.KindGoodbye:
 	case proto.KindRecords:
-		var batch proto.Records
-		if proto.Unmarshal(payload, &batch) != nil {
+		_, _, recs, ok := decodeRecordsFrameReference(frame)
+		if !ok {
 			return 1, 0
 		}
-		for _, raw := range batch.Records {
-			var rec RunRecord
+		for _, rec := range recs {
 			switch {
-			case json.Unmarshal(raw, &rec) != nil || rec.Index < 0 || rec.Index >= total ||
-				rec.Cell != rec.Index/seedsPerCell:
+			case rec.Index < 0 || rec.Index >= total || rec.Cell != rec.Index/seedsPerCell:
 				rejects++
 			case seen[rec.Index]:
 				dupes++

@@ -98,14 +98,13 @@ func TestCoordinateLoopbackDeterminism(t *testing.T) {
 }
 
 // TestCoordinateDuplicateRecordsDeduped drives the wire protocol directly:
-// a hand-rolled worker ships every leased record batch twice. First write
-// wins — the duplicates count as coord.records_replayed and the merged
-// result stays byte-identical to the single-machine run. The worker frames
-// its batches through proto.Encode, which is the spelling a worker splices
-// (the coordinator's fast path), and through a respelling with reordered
-// keys and whitespace (its encoding/json fallback); both are accepted in
-// full, so workers that frame either way interoperate with this
-// coordinator.
+// a hand-rolled worker ships every leased record batch twice, framed
+// through proto.Encode, the bytes a worker splices. First write wins — the
+// duplicates count as coord.records_replayed and the merged result stays
+// byte-identical to the single-machine run. In the "respelled" case each
+// batch first goes out with reordered keys and whitespace: that frame is
+// no Records frame, so it is counted in coord.records_rejected and never
+// acked, and the proto.Encode copies still fold to the same bytes.
 func TestCoordinateDuplicateRecordsDeduped(t *testing.T) {
 	suite := testSuite()
 	want := referenceRun(t, suite)
@@ -127,10 +126,7 @@ func TestCoordinateDuplicateRecordsDeduped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for name, spell := range map[string]func(proto.Records) ([]byte, error){
-		"proto.Encode": func(batch proto.Records) ([]byte, error) { return proto.Encode(proto.KindRecords, batch) },
-		"respelled":    respellRecords,
-	} {
+	for name, respelled := range map[string]bool{"proto.Encode": false, "respelled": true} {
 		t.Run(name, func(t *testing.T) {
 			coordEP := listenLoopback(t)
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -138,9 +134,12 @@ func TestCoordinateDuplicateRecordsDeduped(t *testing.T) {
 			col := telemetry.New()
 
 			fakeDone := make(chan error, 1)
-			duplicated := 0
+			duplicated, refused := 0, 0
 			go func() {
-				fakeDone <- runDoubleShippingWorker(ctx, coordEP.Addr(), listenLoopback(t), suite.NumScenarios(), recordBytes, spell, &duplicated)
+				var stats doubleShipStats
+				err := runDoubleShippingWorker(ctx, coordEP.Addr(), listenLoopback(t), suite.NumScenarios(), recordBytes, respelled, &stats)
+				duplicated, refused = stats.duplicated, stats.respelled
+				fakeDone <- err
 			}()
 
 			res, err := Coordinate(ctx, suite, CoordinatorConfig{
@@ -174,10 +173,62 @@ func TestCoordinateDuplicateRecordsDeduped(t *testing.T) {
 			if s.Counter(MetricCoordRecordsReceived) != total {
 				t.Errorf("coord.records_received = %d, want %d", s.Counter(MetricCoordRecordsReceived), total)
 			}
-			if got := s.Counter(MetricCoordRecordsRejected); got != 0 {
-				t.Errorf("coord.records_rejected = %d, want 0", got)
+			if respelled && refused == 0 {
+				t.Fatal("fake worker sent no respelled frame; test exercised nothing")
+			}
+			if got := s.Counter(MetricCoordRecordsRejected); got != int64(refused) {
+				t.Errorf("coord.records_rejected = %d, want %d (one per respelled frame)", got, refused)
 			}
 		})
+	}
+}
+
+// TestRespelledRecordsFrameRejected: a Records frame in any spelling but
+// the bytes a worker splices is malformed — the lease table counts it in
+// coord.records_rejected, folds none of its records and acks nothing —
+// while the same batch as a worker splices it folds and is acked.
+func TestRespelledRecordsFrameRejected(t *testing.T) {
+	suite := testSuite().withDefaults()
+	rec := RunRecord{Index: 0, Cell: 0, Metrics: sampleRecord.Metrics}
+	canon, err := appendRecordsFrame(nil, 1, 0, []RunRecord{rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := mustMarshal(t, rec)
+	respelled, err := respellRecords(proto.Records{LeaseID: 1, Records: []json.RawMessage{raw}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reordered := bytes.Replace(canon, []byte(`"index":0,"cell":0`), []byte(`"cell":0,"index":0`), 1)
+	renumbered := bytes.Replace(canon, []byte(`"Availability":0.9875`), []byte(`"Availability":0.98750`), 1)
+	for name, frame := range map[string][]byte{"respelled": respelled, "reordered": reordered, "renumbered": renumbered} {
+		if bytes.Equal(frame, canon) {
+			t.Fatalf("%s: frame is the spliced one", name)
+		}
+		now := time.Unix(0, 0)
+		c, err := newCoordinator(suite, CoordinatorConfig{Telemetry: telemetry.New()}, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.receive("w", frame, now); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.tm.rejected.Total(); got != 1 || c.fold.next != 0 || len(c.records) != 0 {
+			t.Errorf("%s: %d rejected, frontier %d, %d records held; want 1, 0, 0", name, got, c.fold.next, len(c.records))
+		}
+		if sends := c.takeSends(); len(sends) != 0 {
+			t.Errorf("%s: the coordinator answered %q", name, sends[0].data)
+		}
+		if err := c.receive("w", canon, now); err != nil {
+			t.Fatal(err)
+		}
+		sends := c.takeSends()
+		if c.fold.next != 1 || len(sends) != 1 {
+			t.Fatalf("%s, then the spliced frame: frontier %d, %d sends; want 1, 1", name, c.fold.next, len(sends))
+		}
+		if kind, _, err := proto.Decode(sends[0].data); err != nil || kind != proto.KindRecordsAck {
+			t.Errorf("%s, then the spliced frame: answered %q, want a RecordsAck", name, sends[0].data)
+		}
 	}
 }
 
@@ -196,14 +247,22 @@ func respellRecords(batch proto.Records) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// doubleShipStats is what runDoubleShippingWorker sent: records shipped
+// twice, and respelled frames.
+type doubleShipStats struct {
+	duplicated, respelled int
+}
+
 // runDoubleShippingWorker speaks the lease protocol by hand: handshake,
-// lease, then ship the pre-computed records for the range twice, framed by
-// spell, before asking for the next lease. The batch that completes the suite is shipped
-// once — the coordinator returns the moment the last record lands, so a
-// duplicate of that batch would never be acknowledged. *duplicated reports
-// how many records went over the wire twice.
+// lease, then ship the pre-computed records for the range twice through
+// proto.Encode, before asking for the next lease. The batch that completes
+// the suite is shipped once — the coordinator returns the moment the last
+// record lands, so a duplicate of that batch would never be acknowledged.
+// With respelled, each batch first goes out respelled (respellRecords) as
+// a frame the coordinator must not ack: the next ack must be the
+// proto.Encode copy's, which carries another batch number.
 func runDoubleShippingWorker(ctx context.Context, coord string, ep transport.Endpoint, total int, records map[int]json.RawMessage,
-	spell func(proto.Records) ([]byte, error), duplicated *int) error {
+	respelled bool, stats *doubleShipStats) error {
 	send := func(kind proto.Kind, payload any) error {
 		data, err := proto.Encode(kind, payload)
 		if err != nil {
@@ -268,20 +327,40 @@ func runDoubleShippingWorker(ctx context.Context, coord string, ep transport.End
 			ships = 1 // final batch: the coordinator exits on its first copy
 		}
 		for ship := 0; ship < ships; ship++ {
-			frame, err := spell(proto.Records{LeaseID: lease.ID, Seq: seq, Records: batch})
+			if respelled {
+				frame, err := respellRecords(proto.Records{LeaseID: lease.ID, Seq: seq, Records: batch})
+				if err != nil {
+					return err
+				}
+				if err := ep.Send(coord, frame); err != nil {
+					return err
+				}
+				stats.respelled++
+				seq++
+			}
+			frame, err := proto.Encode(proto.KindRecords, proto.Records{LeaseID: lease.ID, Seq: seq, Records: batch})
 			if err != nil {
 				return err
 			}
 			if err := ep.Send(coord, frame); err != nil {
 				return err
 			}
-			if raw, err := recv(proto.KindRecordsAck); err != nil {
+			raw, err := recv(proto.KindRecordsAck)
+			if err != nil {
 				return err
 			} else if raw == nil {
 				return nil // drained mid-ack: coordinator finished
 			}
+			var ack proto.RecordsAck
+			if err := proto.Unmarshal(raw, &ack); err != nil {
+				return err
+			}
+			if ack.LeaseID != lease.ID || ack.Seq != seq {
+				return fmt.Errorf("ack for lease %d batch %d, want lease %d batch %d (a respelled frame acked?)",
+					ack.LeaseID, ack.Seq, lease.ID, seq)
+			}
 			if ship == 1 {
-				*duplicated += len(batch)
+				stats.duplicated += len(batch)
 			}
 			seq++
 		}

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"tolerance/internal/baselines"
 	"tolerance/internal/emulation"
 	"tolerance/internal/recovery"
 	"tolerance/internal/telemetry"
@@ -588,8 +589,8 @@ func TestPolicyCacheNotPoisonedByCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("shared cache poisoned by cancellation: %v", err)
 	}
-	if pol.Name() != "learned:cem" {
-		t.Errorf("rebuilt policy named %q", pol.Name())
+	if _, ok := pol.(*baselines.Tolerance); !ok {
+		t.Errorf("rebuilt policy %T, want learned thresholds in a *baselines.Tolerance", pol)
 	}
 }
 

@@ -28,20 +28,6 @@ type RunRecord struct {
 	Metrics emulation.Metrics `json:"metrics"`
 }
 
-// checkpointLine is the on-disk shape of one record line as encoding/json
-// sees it: the RunRecord fields flattened plus a trailing CRC32 (IEEE) of
-// the record's canonical encoding (see recordCRC). The writer and the
-// reader's fast path go through the record codec instead; this type only
-// decodes lines that are valid JSON in some other shape (reordered keys,
-// whitespace, "crc":null), so the accepted set stays encoding/json's. Such
-// a line has no canonical record bytes to checksum, so its CRC is always
-// verified by re-encoding the decoded record. CRC is a pointer so legacy
-// lines without one read back as nil and are accepted unverified.
-type checkpointLine struct {
-	RunRecord
-	CRC *uint32 `json:"crc,omitempty"`
-}
-
 // checkpointHeader is the first line of a checkpoint / shard result file.
 // It embeds the full defaulted suite (so -merge needs no side channel) and
 // its fingerprint (so resume and merge refuse records from a different

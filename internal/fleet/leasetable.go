@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"encoding/json"
 	"fmt"
 	"maps"
 	"slices"
@@ -165,11 +164,11 @@ func (c *coordinator) takeSends() []outbound {
 }
 
 // receive handles one frame from worker from at time now. A Records frame
-// in the exact shape a worker splices decodes in one pass through the
-// record codec; every other frame — any other kind, or a Records frame
-// spelled some other way — goes through proto.Decode, so the accepted set,
-// the rejects and the acks are encoding/json's. Garbage from the network is
-// dropped and counted, never fatal; the one error is the OnRecord hook's.
+// is the exact bytes a worker splices, decoded in one pass by the record
+// codec; a frame of any other kind goes through proto.Decode. A Records
+// frame spelled any other way is malformed like any undecodable frame:
+// garbage from the network is dropped and counted, never fatal; the one
+// error is the OnRecord hook's.
 func (c *coordinator) receive(from string, payload []byte, now time.Time) error {
 	leaseID, seq, recs, ok := decodeRecordsFrame(payload, c.batch[:0])
 	c.batch = recs[:0]
@@ -209,25 +208,6 @@ func (c *coordinator) receive(from string, payload []byte, now time.Time) error 
 			// again a heartbeat later (it inherits expired ranges that way).
 			c.send(from, proto.KindWait, proto.Wait{Drain: c.done()})
 		}
-	case proto.KindRecords:
-		var batch proto.Records
-		if err := proto.Unmarshal(raw, &batch); err != nil {
-			c.reject()
-			return nil
-		}
-		recs := c.batch[:0]
-		for _, raw := range batch.Records {
-			// A canonical record takes the codec's fast path; any other
-			// spelling is encoding/json's to judge.
-			rec, _, _, ok := decodeRecordLine(raw)
-			if !ok && json.Unmarshal(raw, &rec) != nil {
-				c.reject()
-				continue
-			}
-			recs = append(recs, rec)
-		}
-		c.batch = recs[:0]
-		return c.ingestBatch(from, now, batch.LeaseID, batch.Seq, recs)
 	case proto.KindHeartbeat:
 		var hb proto.Heartbeat
 		if err := proto.Unmarshal(raw, &hb); err != nil {

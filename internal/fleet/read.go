@@ -22,10 +22,11 @@ type Checkpoint struct {
 	Shard Shard
 	// Records holds the completed records by scenario index.
 	Records *RecordTable
-	// Corrupted counts record lines that were detected as damaged — a
-	// parse failure before the final line, or a CRC mismatch — and skipped.
-	// Their scenarios are simply missing from Records, so a resume re-runs
-	// them; nothing about the rest of the file is distrusted.
+	// Corrupted counts the lines that are not records — any line but the
+	// final one that is not a record's canonical spelling, and any
+	// canonical line whose CRC is missing or does not verify — and were
+	// skipped. Their scenarios are simply missing from Records, so a resume
+	// re-runs them; nothing about the rest of the file is distrusted.
 	Corrupted int
 	// validBytes is the extent of the intact newline-terminated prefix (of
 	// the decompressed payload for gzip files); AppendCheckpoint truncates
@@ -49,12 +50,13 @@ const readDecoders = 2
 
 // ReadCheckpoint parses a checkpoint file (gzip-framed when the path ends
 // in .gz). The format is JSONL: a header line followed by one record per
-// line, each carrying a CRC32 of its record (absent in legacy files, which
-// still read fine). A torn final line — the signature of a run killed
-// mid-write — is ignored, so a crashed run's file is always loadable.
-// A damaged line anywhere else (unparseable, or parseable with a CRC
-// mismatch — a flipped byte can leave valid JSON with a wrong value) is
-// skipped and counted in Checkpoint.Corrupted rather than failing the
+// line. A line is a record only when it is the record codec's canonical
+// spelling of one (decodeRecordLine) and carries the CRC32 of its own
+// record bytes (lineCRC). A torn final line — the signature of a run
+// killed mid-write — is ignored, so a crashed run's file is always
+// loadable. Any other line that is not a record (damaged, or spelled in
+// some other way — a flipped byte can leave valid JSON with a wrong value)
+// is skipped and counted in Checkpoint.Corrupted rather than failing the
 // load or silently truncating the resume prefix: the affected scenarios
 // are re-run on resume, every record after them is kept.
 //
@@ -63,10 +65,7 @@ const readDecoders = 2
 // early: either way the lines decompressed before that point are the
 // payload, its last line torn unless a newline ended it. A stream that
 // decompresses whole but fails its trailer's checksum is read like a plain
-// file, each line's CRC deciding. Damage may garble a line into one
-// without a CRC, so in a stream found damaged — undecodable deflate data,
-// or a trailer checksum mismatch — such a line counts as Corrupted, not as
-// a legacy record.
+// file, each line's CRC deciding.
 //
 // The file is read as a pipeline: one goroutine produces the payload in
 // fixed blocks while others decode the complete lines in them, and the
@@ -105,11 +104,10 @@ func readCheckpoint(path string, file int32, table func(*checkpointHeader, Shard
 		src = zr
 	}
 	r := &checkpointReader{
-		path:    path,
-		file:    file,
-		table:   table,
-		ck:      &Checkpoint{gz: gz},
-		scratch: make([]byte, 0, maxRecordJSON),
+		path:  path,
+		file:  file,
+		table: table,
+		ck:    &Checkpoint{gz: gz},
 		// Room for any record line, so only a longer line that straddles
 		// blocks, such as a long header, grows it.
 		carry: make([]byte, 0, 2*maxRecordJSON),
@@ -124,14 +122,13 @@ func readCheckpoint(path string, file int32, table func(*checkpointHeader, Shard
 			}
 			return nil, fmt.Errorf("fleet: read checkpoint: %w", err)
 		}
-		r.damaged = b.last && damaged(b.err)
 		if err := r.block(b); err != nil {
 			return nil, err
 		}
 		last = b.last
 		p.release(b)
 	}
-	if err := r.finish(); err != nil {
+	if err := r.end(); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -165,51 +162,32 @@ type lineKind uint8
 
 const (
 	lineRecord   lineKind = iota // a record whose CRC verifies
-	lineLegacy                   // a record with no CRC, as files before CRCs have
-	lineBadCRC                   // a record whose CRC does not verify
-	lineUnparsed                 // no record in any spelling
+	lineBadCRC                   // a record's spelling whose CRC is missing or does not verify
+	lineUnparsed                 // not a record's spelling
 	lineBlank                    // whitespace only, so no record either
 )
 
-// decodeLine decodes one record line into res. A line in the writer's
-// canonical shape goes through the record codec and has its CRC checked on
-// its own bytes; only a mismatch there, or a line encoding/json decoded,
-// re-encodes the record (into scratch), so a non-canonical spelling of the
-// right values verifies. Any other line is encoding/json's to decide, as
-// it always has been.
-func decodeLine(line, scratch []byte, res *lineResult) {
+// decodeLine decodes one record line into res: the record codec decides
+// whether the line spells a record, and the CRC is checked on the line's
+// own bytes.
+func decodeLine(line []byte, res *lineResult) {
 	res.size = len(line)
 	rec, crc, crcAt, ok := decodeRecordLine(line)
-	hasCRC := crcAt >= 0
-	if !ok {
-		var cl checkpointLine
-		if err := json.Unmarshal(line, &cl); err != nil {
-			res.kind = lineUnparsed
-			if len(bytes.TrimSpace(line)) == 0 {
-				res.kind = lineBlank
-			}
-			return
-		}
-		rec, hasCRC = cl.RunRecord, cl.CRC != nil
-		if hasCRC {
-			crc = *cl.CRC
-		}
-	}
-	if hasCRC && (crcAt < 0 || lineCRC(line, crcAt) != crc) {
-		if sum, err := recordCRC(scratch, rec); err != nil || sum != crc {
-			res.kind = lineBadCRC
-			return
-		}
-	}
-	res.rec, res.kind = rec, lineRecord
-	if !hasCRC {
-		res.kind = lineLegacy
+	switch {
+	case !ok && len(bytes.TrimSpace(line)) == 0:
+		res.kind = lineBlank
+	case !ok:
+		res.kind = lineUnparsed
+	case crcAt < 0 || lineCRC(line, crcAt) != crc:
+		res.kind = lineBadCRC
+	default:
+		res.rec, res.kind = rec, lineRecord
 	}
 }
 
 // decode splits the block at its first and last newline and decodes the
 // lines between.
-func (b *readBlock) decode(scratch []byte) {
+func (b *readBlock) decode() {
 	b.lines = b.lines[:0]
 	b.head = bytes.IndexByte(b.data, '\n')
 	if b.head < 0 {
@@ -220,7 +198,7 @@ func (b *readBlock) decode(scratch []byte) {
 		var line []byte
 		line, rest, _ = bytes.Cut(rest, newline)
 		b.lines = append(b.lines, lineResult{})
-		decodeLine(line, scratch, &b.lines[len(b.lines)-1])
+		decodeLine(line, &b.lines[len(b.lines)-1])
 	}
 }
 
@@ -287,9 +265,8 @@ func (p *blockPipe) produce(src io.Reader) {
 
 func (p *blockPipe) decode() {
 	defer p.wg.Done()
-	scratch := make([]byte, 0, maxRecordJSON) // the CRC fallback's re-encoding
 	for b := range p.work {
-		b.decode(scratch)
+		b.decode()
 		b.done <- struct{}{}
 	}
 }
@@ -324,8 +301,8 @@ func rejects(err error) error {
 // damaged reports a gzip stream that ended damaged: its deflate data
 // undecodable (flate.CorruptInputError), or its trailer's checksum or
 // length wrong (gzip.ErrChecksum, which Read returns once the stream is
-// delivered whole). Its lines may be garbled, so only those a CRC vouches
-// for are records.
+// delivered whole). Its lines may be garbled, but only those a CRC vouches
+// for are records anyway.
 func damaged(err error) bool {
 	return errors.Is(err, gzip.ErrChecksum) || errors.As(err, new(flate.CorruptInputError))
 }
@@ -346,13 +323,6 @@ type checkpointReader struct {
 	hdrErr      error // the header's verdict, returned when the header is applied
 	claimed     int   // slots this file filled
 	clashes     []int // indices whose slot another file's record holds
-	scratch     []byte
-	damaged     bool // the payload ended in a damaged gzip stream
-
-	// deferred holds a gzip file's record lines from its first legacy one
-	// on, in order: whether a legacy line is a record depends on how the
-	// stream ends, so they are applied when it has.
-	deferred []lineResult
 
 	carry    []byte     // the line the blocks so far began and have not ended
 	started  bool       // the header line has been seen
@@ -386,7 +356,7 @@ func (r *checkpointReader) block(b *readBlock) error {
 		r.hdrErr = r.header(line)
 	} else {
 		var res lineResult
-		decodeLine(line, r.scratch, &res)
+		decodeLine(line, &res)
 		if err := r.line(&res); err != nil {
 			return err
 		}
@@ -466,8 +436,8 @@ func (r *checkpointReader) flush() error {
 }
 
 // apply applies the held line — for the header, its verdict. A final
-// line that does not parse is a torn tail from a killed run: the record is
-// simply redone, so it is neither counted nor part of the valid prefix.
+// line that spells no record is a torn tail from a killed run: the record
+// is simply redone, so it is neither counted nor part of the valid prefix.
 func (r *checkpointReader) apply(final bool) error {
 	if !r.heldBody {
 		return r.hdrErr
@@ -475,10 +445,8 @@ func (r *checkpointReader) apply(final bool) error {
 	res := &r.held
 	r.undo = 0
 	switch res.kind {
-	case lineRecord, lineLegacy:
-		if r.deferred != nil || (res.kind == lineLegacy && r.ck.gz) {
-			r.deferred = append(r.deferred, *res)
-		} else if err := r.record(res); err != nil {
+	case lineRecord:
+		if err := r.record(res); err != nil {
 			return err
 		}
 	case lineBadCRC:
@@ -498,13 +466,8 @@ func (r *checkpointReader) apply(final bool) error {
 	return nil
 }
 
-// record claims a record line's record, or counts it Corrupted if it is a
-// legacy line of a damaged stream.
+// record claims a record line's record.
 func (r *checkpointReader) record(res *lineResult) error {
-	if res.kind == lineLegacy && r.damaged {
-		r.ck.Corrupted++
-		return nil
-	}
 	if idx := res.rec.Index; idx < 0 || idx >= r.scenarios || !r.ck.Shard.Contains(idx) {
 		return fmt.Errorf("%w: checkpoint %s has out-of-shard scenario %d",
 			ErrBadSuite, r.path, idx)
@@ -515,20 +478,6 @@ func (r *checkpointReader) record(res *lineResult) error {
 	}
 	if clash {
 		r.clashes = append(r.clashes, res.rec.Index)
-	}
-	return nil
-}
-
-// finish applies what the payload's end decides, then the deferred record
-// lines.
-func (r *checkpointReader) finish() error {
-	if err := r.end(); err != nil {
-		return err
-	}
-	for i := range r.deferred {
-		if err := r.record(&r.deferred[i]); err != nil {
-			return err
-		}
 	}
 	return nil
 }

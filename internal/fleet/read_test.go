@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -110,7 +111,7 @@ func garbledGzip(t testing.TB, n int) (recs []RunRecord, garbled []byte, idx int
 				continue
 			}
 			for _, line := range lines[1 : len(lines)-1] { // the last is torn or empty
-				var cl checkpointLine
+				var cl refLine
 				if json.Unmarshal(line, &cl) == nil && cl.CRC == nil && cl.Index >= 0 && cl.Index < 2*n && cl.Index%2 == 1 {
 					return recs, data, cl.Index
 				}
@@ -280,5 +281,93 @@ func TestReadShardSetNamesFirstRepeat(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "appears in more than one shard file ("+paths[1]+")") {
 			t.Fatalf("ReadShardSet error %v, want a repeat in %s", err, paths[1])
 		}
+	}
+}
+
+// TestNonCanonicalLinesAreDamage: a line without a crc member, and a line
+// whose keys are reordered around a crc that verifies its values, are no
+// records, in a plain file and in an intact gzip one: each counts as
+// Corrupted, a resume re-runs exactly their scenarios, and a merge is
+// refused naming the first of them.
+func TestNonCanonicalLinesAreDamage(t *testing.T) {
+	suite := testSuite()
+	for _, name := range []string{"s0.jsonl", "s0.jsonl.gz"} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			paths := writeShardFiles(t, dir, suite, 2)
+			payload, _, err := checkpointPayload(paths[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := bytes.SplitAfter(payload, newline) // the header, the records, ""
+			var damagedIdx []int
+			for i, respell := range []func(line []byte, rec RunRecord) []byte{
+				func(_ []byte, rec RunRecord) []byte { return append(mustMarshal(t, rec), '\n') },
+				func(line []byte, _ RunRecord) []byte {
+					at := bytes.Index(line, []byte(recKeyCRC))
+					return fmt.Appendf(nil, "{%s,%s}\n", line[at+1:len(line)-2], line[1:at])
+				},
+			} {
+				line := lines[1+i]
+				var rec RunRecord
+				if err := json.Unmarshal(line, &rec); err != nil {
+					t.Fatal(err)
+				}
+				lines[1+i] = respell(line, rec)
+				if !json.Valid(bytes.TrimSpace(lines[1+i])) {
+					t.Fatalf("respelled line %q is not JSON", lines[1+i])
+				}
+				damagedIdx = append(damagedIdx, rec.Index)
+			}
+			path := filepath.Join(dir, name)
+			os.Remove(paths[0])
+			writeFramed(t, path, bytes.Join(lines, nil))
+
+			ck := checkReadCheckpoint(t, path)
+			if ck == nil || ck.Corrupted != 2 {
+				t.Fatalf("checkpoint: %+v, want it to load with 2 lines Corrupted", ck)
+			}
+			for _, idx := range damagedIdx {
+				if _, ok := ck.Records.get(idx); ok {
+					t.Errorf("scenario %d loads from a line that is not its record's spelling", idx)
+				}
+			}
+			_, fresh := collectRecords(t, suite, ck.Shard, ck.Records)
+			var rerun []int
+			for _, rec := range fresh {
+				rerun = append(rerun, rec.Index)
+			}
+			if slices.Sort(rerun); !slices.Equal(rerun, damagedIdx) {
+				t.Errorf("resume re-ran scenarios %v, want %v", rerun, damagedIdx)
+			}
+			mergedSuite, records, err := ReadShardSet([]string{path, paths[1]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := MergeRecords(mergedSuite, records); err == nil ||
+				!strings.Contains(err.Error(), fmt.Sprintf("missing scenario %d", damagedIdx[0])) {
+				t.Errorf("merge: err = %v, want it to name missing scenario %d", err, damagedIdx[0])
+			}
+		})
+	}
+}
+
+// writeFramed writes payload to path, gzip-framed when the path ends in
+// .gz.
+func writeFramed(t *testing.T, path string, payload []byte) {
+	t.Helper()
+	if gzipCheckpoint(path) {
+		var buf bytes.Buffer
+		zw := gzip.NewWriter(&buf)
+		if _, err := zw.Write(payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		payload = buf.Bytes()
+	}
+	if err := os.WriteFile(path, payload, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

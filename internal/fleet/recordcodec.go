@@ -10,13 +10,13 @@ import (
 )
 
 // The RunRecord codec: the one place a record becomes bytes (checkpoint
-// lines, Records frames, the CRC input) and canonical bytes become a
-// record. The encoder is byte-for-byte json.Marshal(RunRecord) — the
-// format is unchanged — written by hand so the hot paths neither reflect
-// nor allocate; the decoder accepts exactly the shape the encoder writes
-// and reports anything else as "not canonical", which callers hand to
-// encoding/json (a whole frame: to proto.Decode) so the accepted set is
-// the reference's.
+// lines, Records frames, the CRC input) and bytes become a record. The
+// encoder is byte-for-byte json.Marshal(RunRecord) — the format is
+// unchanged — written by hand so the hot paths neither reflect nor
+// allocate. The decoder accepts exactly the bytes the encoder writes, every
+// number spelled as the encoder spells its value, and reports anything
+// else as "not canonical": a record has one spelling, and any other is
+// damage.
 
 // The canonical key sequence. Every key is written with its leading
 // separator so encode and decode walk the same table.
@@ -110,23 +110,6 @@ func appendJSONFloat(dst []byte, f float64) ([]byte, error) {
 	return dst, nil
 }
 
-// recordCRC is the per-record checksum: CRC32 (IEEE) over the record's
-// canonical encoding. The writer gets those bytes from appendRecordJSON and
-// checksums them before splicing the crc member in. A reader checksums the
-// line's own record bytes first (lineCRC) and re-encodes what it parsed
-// through recordCRC only when they disagree, so a non-canonical spelling of
-// the same numbers still verifies. The encoding goes into scratch[:0],
-// which the caller reuses across records: crc32 dispatches through a
-// function value, so a stack buffer would be moved to the heap on every
-// call.
-func recordCRC(scratch []byte, rec RunRecord) (uint32, error) {
-	body, err := appendRecordJSON(scratch[:0], rec)
-	if err != nil {
-		return 0, err
-	}
-	return crc32.ChecksumIEEE(body), nil
-}
-
 // closingBrace is the record's own closing brace, which the crc member
 // displaced on a checkpoint line (a package variable, so lineCRC does not
 // allocate one per call).
@@ -134,21 +117,20 @@ var closingBrace = []byte{'}'}
 
 // lineCRC checksums the record bytes of a checkpoint line whose crc member
 // starts at crcAt: the line up to that member, closed by the brace the
-// member displaced. The writer spells every number canonically, so for the
-// lines it writes this is bit for bit recordCRC of the decoded record, with
-// no re-encoding.
+// member displaced. The per-record checksum is CRC32 (IEEE) over the
+// record's canonical encoding, and a line decodeRecordLine accepts is
+// canonical, so this is that checksum with no re-encoding.
 func lineCRC(line []byte, crcAt int) uint32 {
 	return crc32.Update(crc32.ChecksumIEEE(line[:crcAt]), crc32.IEEETable, closingBrace)
 }
 
-// decodeRecordLine decodes one record in canonical shape: the encoder's
-// key order and spelling, no whitespace, strict JSON numbers, optionally a
-// trailing "crc" member (a checkpoint line). ok reports whether the input
-// had that shape; when it is false nothing is said about validity and the
-// caller falls back to encoding/json. When it is true, rec and crc are
-// what encoding/json would have produced, and crcAt is the offset of the
-// crc member — where the record's own bytes end — or -1 when the line has
-// none.
+// decodeRecordLine decodes one record in its canonical spelling, the
+// bytes json.Marshal(rec) writes, optionally with a trailing "crc" member
+// (a checkpoint line) spelled as json.Marshal spells a uint32. ok reports
+// whether the input was spelled so; a line it is false for is no record.
+// When it is true, rec and crc are what encoding/json would have produced,
+// and crcAt is the offset of the crc member — where the record's own bytes
+// end — or -1 when the line has none.
 func decodeRecordLine(line []byte) (rec RunRecord, crc uint32, crcAt int, ok bool) {
 	s := recScanner{b: line, ok: true}
 	s.record(&rec)
@@ -190,13 +172,13 @@ func appendRecordsFrameHead(dst []byte, leaseID uint64, seq int) []byte {
 	return append(dst, recordsFrameRecords...)
 }
 
-// decodeRecordsFrame decodes a Records frame of exactly the shape the
+// decodeRecordsFrame decodes a Records frame of exactly the bytes a
 // worker writes — at least one record, each canonical without a crc
-// member — appending the records to dst. ok reports whether the frame had
-// that shape; when it is false recs may hold a partial batch, nothing is
-// said about validity and the caller hands the frame to proto.Decode. When
-// it is true, the lease, batch number and records are what proto.Decode,
-// proto.Unmarshal and decodeRecordLine would have produced.
+// member — appending the records to dst. ok reports whether the frame was
+// spelled so; a frame it is false for is no Records frame, and recs may
+// hold a partial batch. When it is true, the lease, batch number and
+// records are what proto.Decode, proto.Unmarshal and decodeRecordLine
+// would have produced.
 func decodeRecordsFrame(frame []byte, dst []RunRecord) (leaseID uint64, seq int, recs []RunRecord, ok bool) {
 	s, recs := recScanner{b: frame, ok: true}, dst
 	s.lit(recordsFrameHead)
@@ -236,6 +218,9 @@ func (s *recScanner) record(rec *RunRecord) {
 	}
 	if s.has(recKeyLatency) {
 		rec.Metrics.ServiceLatencyMS = s.float()
+		if rec.Metrics.ServiceLatencyMS == 0 { // the encoder omits ±0
+			s.ok = false
+		}
 	}
 	s.lit("}")
 }
@@ -310,7 +295,7 @@ func (s *recScanner) uint(limit uint64) uint64 {
 }
 
 // int consumes a JSON integer in int's range, so everything the encoder
-// writes comes back through the fast path.
+// writes decodes; "-0" is not the encoder's.
 func (s *recScanner) int() int {
 	neg := s.has("-")
 	limit := uint64(math.MaxInt)
@@ -318,6 +303,9 @@ func (s *recScanner) int() int {
 		limit++
 	}
 	v := s.uint(limit)
+	if neg && v == 0 {
+		s.ok = false
+	}
 	if neg {
 		return int(-int64(v))
 	}
@@ -325,22 +313,25 @@ func (s *recScanner) int() int {
 }
 
 // float consumes a number in the strict JSON grammar
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? and converts it with
-// strconv.ParseFloat, as encoding/json does; a value out of range is not
-// canonical.
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? and converts it as
+// encoding/json does, to the nearest float64; a value out of range, or a
+// spelling other than appendJSONFloat's for the value, is not canonical.
 func (s *recScanner) float() float64 {
 	if !s.ok {
 		return 0
 	}
 	b, n := s.b, 0
-	if len(b) > 0 && b[0] == '-' {
+	neg := len(b) > 0 && b[0] == '-'
+	if neg {
 		n = 1
 	}
 	d := intPart(b[n:])
 	n += d
+	digits, fracDigits, exp := d, 0, false
 	if d > 0 && n < len(b) && b[n] == '.' {
 		d = digitRun(b[n+1:])
 		n += 1 + d
+		digits, fracDigits = digits+d, d
 	}
 	if d > 0 && n < len(b) && b[n]|0x20 == 'e' {
 		n++
@@ -349,16 +340,40 @@ func (s *recScanner) float() float64 {
 		}
 		d = digitRun(b[n:])
 		n += d
+		exp = true
 	}
 	if d == 0 { // a part of the grammar that needs digits had none
 		s.ok = false
 		return 0
 	}
-	f, err := strconv.ParseFloat(string(b[:n]), 64)
-	if err != nil {
-		s.ok = false
-		return 0
-	}
+	num := b[:n]
 	s.b = b[n:]
+	// At most 15 digits name a normal float64 uniquely, so they are its
+	// shortest round-trip digits: in plain notation with no trailing
+	// fraction zero they are appendJSONFloat's spelling, unless the value
+	// is below 1e-6, which it spells with an exponent. They also fit a
+	// float64's mantissa, and so does their power of ten, so one division
+	// rounds to the nearest float64 as strconv.ParseFloat does.
+	if !exp && digits <= 15 && (fracDigits == 0 || num[n-1] != '0') {
+		var m uint64
+		for _, c := range num {
+			if c >= '0' { // not the sign or the point
+				m = m*10 + uint64(c-'0')
+			}
+		}
+		f := float64(m) / math.Pow10(fracDigits)
+		if neg {
+			f = -f
+		}
+		if f != 0 && math.Abs(f) < 1e-6 {
+			s.ok = false
+		}
+		return f
+	}
+	f, err := strconv.ParseFloat(string(num), 64)
+	var buf [32]byte
+	if canon, _ := appendJSONFloat(buf[:0], f); err != nil || string(canon) != string(num) {
+		s.ok = false
+	}
 	return f
 }

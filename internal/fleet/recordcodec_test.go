@@ -11,10 +11,12 @@ import (
 	"io"
 	"maps"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -30,8 +32,16 @@ var sampleRecord = RunRecord{Index: 24575, Cell: 3071, Metrics: emulation.Metric
 	Intrusions: 21, Recoveries: 45, Evictions: 0, Additions: 2,
 }}
 
-// checkpointLineOf is the reference writer: the parent format's line for
-// rec, built with encoding/json alone.
+// refLine is a checkpoint record line as encoding/json sees it: the
+// RunRecord fields flattened, then a CRC32 (IEEE) of the record's
+// json.Marshal bytes, omitted when nil.
+type refLine struct {
+	RunRecord
+	CRC *uint32 `json:"crc,omitempty"`
+}
+
+// checkpointLineOf is the reference writer: the line for rec, built with
+// encoding/json alone.
 func checkpointLineOf(t testing.TB, rec RunRecord) []byte {
 	t.Helper()
 	body, err := json.Marshal(rec)
@@ -39,11 +49,34 @@ func checkpointLineOf(t testing.TB, rec RunRecord) []byte {
 		t.Fatal(err)
 	}
 	sum := crc32.ChecksumIEEE(body)
-	line, err := json.Marshal(checkpointLine{RunRecord: rec, CRC: &sum})
+	line, err := json.Marshal(refLine{RunRecord: rec, CRC: &sum})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return line
+}
+
+// oneSpelling is the one-spelling rule, in encoding/json alone: raw is
+// canonical when json.Unmarshal decodes it into v and json.Marshal of what
+// it decoded writes raw back byte for byte.
+func oneSpelling(raw []byte, v any) bool {
+	if json.Unmarshal(raw, v) != nil {
+		return false
+	}
+	back, err := json.Marshal(v)
+	return err == nil && bytes.Equal(back, raw)
+}
+
+// referenceRecordLine classifies a checkpoint line by the one-spelling
+// rule: spelled when it is json.Marshal's spelling of a refLine, and a
+// record when it is also one whose crc is the CRC32 of json.Marshal(rec).
+func referenceRecordLine(line []byte) (rec RunRecord, spelled, record bool) {
+	var cl refLine
+	if !oneSpelling(line, &cl) {
+		return RunRecord{}, false, false
+	}
+	body, err := json.Marshal(cl.RunRecord)
+	return cl.RunRecord, true, err == nil && cl.CRC != nil && *cl.CRC == crc32.ChecksumIEEE(body)
 }
 
 // sameRecord compares bit for bit, so -0 and 0 differ.
@@ -101,8 +134,8 @@ func checkEncode(t *testing.T, rec RunRecord) {
 	if !ok || crcAt != bytes.Index(line, []byte(recKeyCRC)) || !sameRecord(back, ref) {
 		t.Fatalf("decodeRecordLine(%s) = %+v, crcAt %d, ok %v", line, back, crcAt, ok)
 	}
-	if sum, err := recordCRC(nil, back); err != nil || sum != crc || crc != crc32.ChecksumIEEE(want) {
-		t.Fatalf("recordCRC = %d, %v; line carries %d, reference %d", sum, err, crc, crc32.ChecksumIEEE(want))
+	if crc != crc32.ChecksumIEEE(want) {
+		t.Fatalf("line carries crc %d, reference %d", crc, crc32.ChecksumIEEE(want))
 	}
 	// The writer's line checksums to its crc on its own bytes: the reader
 	// verifies it without re-encoding.
@@ -111,15 +144,18 @@ func checkEncode(t *testing.T, rec RunRecord) {
 	}
 }
 
-// checkDecode asserts the decoder against encoding/json on arbitrary
-// bytes: whenever the fast path claims a line, the reference accepts it
-// too — as a checkpoint line and as a wire record — with the same value and
-// the same CRC presence, and the crc member starts at crcAt. (A line the
-// fast path declines goes to encoding/json in production, so there is
-// nothing to compare.)
+// checkDecode asserts the decoder against the one-spelling rule on
+// arbitrary bytes: it accepts a line exactly when json.Marshal writes the
+// line back from what encoding/json decodes — as a checkpoint line, the
+// crc member optional — and then to the same value and CRC, with the crc
+// member at crcAt.
 func checkDecode(t *testing.T, line []byte) {
 	t.Helper()
 	rec, crc, crcAt, ok := decodeRecordLine(line)
+	var ref refLine
+	if spelled := oneSpelling(line, &ref); ok != spelled {
+		t.Fatalf("%q: decodeRecordLine ok = %v, one spelling %v", line, ok, spelled)
+	}
 	if !ok {
 		if crcAt != -1 {
 			t.Fatalf("%q declined with crcAt %d", line, crcAt)
@@ -130,19 +166,11 @@ func checkDecode(t *testing.T, line []byte) {
 	if hasCRC && !bytes.HasPrefix(line[crcAt:], []byte(recKeyCRC)) {
 		t.Fatalf("%q: crcAt %d is not the crc member", line, crcAt)
 	}
-	var ref checkpointLine
-	if err := json.Unmarshal(line, &ref); err != nil {
-		t.Fatalf("fast path accepted %q, encoding/json rejects it: %v", line, err)
-	}
 	if !sameRecord(rec, ref.RunRecord) {
 		t.Fatalf("%q: fast path %+v, encoding/json %+v", line, rec, ref.RunRecord)
 	}
 	if hasCRC != (ref.CRC != nil) || (hasCRC && crc != *ref.CRC) {
 		t.Fatalf("%q: fast path crc %d (present %v), encoding/json %v", line, crc, hasCRC, ref.CRC)
-	}
-	var wire RunRecord
-	if err := json.Unmarshal(line, &wire); err != nil || !sameRecord(rec, wire) {
-		t.Fatalf("%q as a wire record: fast path %+v, encoding/json %+v, %v", line, rec, wire, err)
 	}
 }
 
@@ -241,6 +269,17 @@ func nonCanonicalLines(t testing.TB) [][]byte {
 		with(`"TimeToRecovery":51.4`, `"TimeToRecovery":51.40`),
 		with(`"TimeToRecovery":51.4`, `"TimeToRecovery":-0`),
 		with(`"TimeToRecovery":51.4`, `"TimeToRecovery":1e-999`),
+		with(`"TimeToRecovery":51.4`, `"TimeToRecovery":0.0`),
+		with(`"TimeToRecovery":51.4`, `"TimeToRecovery":0.0000001`),              // 1e-7
+		with(`"TimeToRecovery":51.4`, `"TimeToRecovery":1000000000000000000000`), // 1e+21
+		with(`"TimeToRecovery":51.4`, `"TimeToRecovery":1e+2`),
+		with(`"TimeToRecovery":51.4`, `"TimeToRecovery":1.5e-09`),
+		with(`"RecoveryFrequency":0.12968299711815562`, `"RecoveryFrequency":0.12968299711815563`),
+		with(`"RecoveryFrequency":0.12968299711815562`, `"RecoveryFrequency":0.129682997118155620`),
+		with(`"AvgNodes":4.3375`, `"AvgNodes":4.33750`),
+		with(`"index":24575`, `"index":-0`),
+		with(`"Additions":2}`, `"Additions":2,"ServiceLatencyMS":-0}`),
+		with(`"Additions":2}`, `"Additions":2,"ServiceLatencyMS":1.50}`),
 		with(`"Intrusions":21`, `"Intrusions":21.0`),
 		with(`"Intrusions":21`, `"Intrusions":2e1`),
 		with(`"Intrusions":21`, `"Intrusions":-0`),
@@ -290,6 +329,68 @@ func TestRecordDecodeMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// TestRecordDecodeNumberSpellings holds the decoder's float check to the
+// one-spelling rule on spellings of random values: the encoder's, the
+// other strconv formats, a trailing zero, the last digit moved by one,
+// and random decimals of 1 to 18 digits in plain and exponent notation,
+// whose values the ones of up to 15 digits name uniquely.
+func TestRecordDecodeNumberSpellings(t *testing.T) {
+	canon := string(checkpointLineOf(t, sampleRecord))
+	const field = `"Availability":0.9875`
+	rng := rand.New(rand.NewSource(1))
+	spellings := func(f float64) []string {
+		enc, err := appendJSONFloat(nil, f)
+		if err != nil {
+			return nil
+		}
+		s := string(enc)
+		out := []string{s, s + "0", s + ".0",
+			strconv.FormatFloat(f, 'e', -1, 64), strconv.FormatFloat(f, 'f', -1, 64),
+			strconv.FormatFloat(f, 'g', 17, 64), strconv.FormatFloat(f, 'e', 16, 64)}
+		if mant, _, _ := strings.Cut(s, "e"); len(mant) > 0 {
+			last := mant[len(mant)-1]
+			for _, d := range []byte{last - 1, last + 1} {
+				if d >= '0' && d <= '9' {
+					out = append(out, mant[:len(mant)-1]+string(d)+s[len(mant):])
+				}
+			}
+		}
+		return out
+	}
+	for range 5000 {
+		var values []float64
+		switch rng.Intn(3) {
+		case 0:
+			values = append(values, math.Float64frombits(rng.Uint64()))
+		case 1:
+			values = append(values, rng.Float64()*math.Pow(10, float64(rng.Intn(50)-25)))
+		}
+		var nums []string
+		for _, f := range values {
+			nums = append(nums, spellings(f)...)
+		}
+		// A random decimal: digits, a point somewhere, maybe an exponent.
+		digits := make([]byte, 1+rng.Intn(18))
+		for i := range digits {
+			digits[i] = byte('0' + rng.Intn(10))
+		}
+		num := string(digits)
+		if at := rng.Intn(len(digits) + 1); at < len(digits) && at > 0 {
+			num = num[:at] + "." + num[at:]
+		}
+		if rng.Intn(4) == 0 {
+			num += fmt.Sprintf("e%d", rng.Intn(60)-30)
+		}
+		if rng.Intn(2) == 0 {
+			num = "-" + num
+		}
+		nums = append(nums, num)
+		for _, num := range nums {
+			checkDecode(t, []byte(strings.Replace(canon, field, `"Availability":`+num, 1)))
+		}
+	}
+}
+
 func mustMarshal(t testing.TB, v any) []byte {
 	t.Helper()
 	data, err := json.Marshal(v)
@@ -323,12 +424,14 @@ func FuzzRecordCodec(f *testing.F) {
 	})
 }
 
-// readCheckpointReference is the ReadCheckpoint that preceded the record
-// codec, kept as the oracle: gunzip with io.ReadAll, split a string copy
-// into lines, decode every line with encoding/json, verify the CRC by
-// marshalling the record again, collect the records in a map.
+// readCheckpointReference is the oracle ReadCheckpoint is held to: gunzip
+// with io.ReadAll, split a string copy into lines, classify every line by
+// the one-spelling rule in encoding/json alone (referenceRecordLine),
+// collect the records in a map. A line that is json.Marshal's spelling of
+// a record line with a wrong or missing crc counts as Corrupted wherever
+// it is; any other line that is not a record counts unless it is the last.
 func readCheckpointReference(path string) (*Checkpoint, error) {
-	data, damaged, err := checkpointPayload(path)
+	data, _, err := checkpointPayload(path)
 	if err != nil {
 		return nil, err
 	}
@@ -365,33 +468,19 @@ func readCheckpointReference(path string) (*Checkpoint, error) {
 	ck := &Checkpoint{Suite: hdr.Suite, Shard: shard, validBytes: int64(len(lines[0]) + 1), gz: gzipCheckpoint(path)}
 	records := map[int]RunRecord{}
 	for i, line := range body {
-		var rec checkpointLine
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			if i == len(body)-1 {
-				break
-			}
+		rec, spelled, record := referenceRecordLine([]byte(line))
+		if !spelled && i == len(body)-1 {
+			break // a torn tail
+		}
+		if !record {
 			ck.Corrupted++
 			ck.validBytes += int64(len(line) + 1)
 			continue
-		}
-		if rec.CRC == nil && damaged {
-			// Garbled by the damage, for all the stream can tell.
-			ck.Corrupted++
-			ck.validBytes += int64(len(line) + 1)
-			continue
-		}
-		if rec.CRC != nil {
-			canon, err := json.Marshal(rec.RunRecord)
-			if err != nil || crc32.ChecksumIEEE(canon) != *rec.CRC {
-				ck.Corrupted++
-				ck.validBytes += int64(len(line) + 1)
-				continue
-			}
 		}
 		if rec.Index < 0 || rec.Index >= hdr.Scenarios || !shard.Contains(rec.Index) {
 			return nil, fmt.Errorf("%w: out-of-shard scenario %d", ErrBadSuite, rec.Index)
 		}
-		records[rec.Index] = rec.RunRecord
+		records[rec.Index] = rec
 		ck.validBytes += int64(len(line) + 1)
 	}
 	ck.Records = tableOf(records)
@@ -515,6 +604,7 @@ func damagedCheckpoints(t testing.TB, wideRecords int) map[string]checkpointFile
 			l[1] = append([]byte("\n"), l[1]...)
 			return l
 		}), false},
+		// Files written before lines carried a crc: every line is damage.
 		"legacy-no-crc": {edit(func(l [][]byte) [][]byte {
 			for i := 1; i < len(l); i++ {
 				l[i] = append(l[i][:bytes.Index(l[i], []byte(recKeyCRC))], "}\n"...)
@@ -525,6 +615,8 @@ func damagedCheckpoints(t testing.TB, wideRecords int) map[string]checkpointFile
 			l[1] = append(l[1][:bytes.Index(l[1], []byte(recKeyCRC))], "}\n"...)
 			return bytes.SplitAfter(bytes.Replace(bytes.Join(l, nil), []byte(`"Recoveries":`), []byte(`"Recoveries":7`), 1), newline)
 		}), false},
+		// The crc member first, whitespace after it: a spelling of the
+		// values the crc verifies, but not the record's.
 		"reordered-keys": {edit(func(l [][]byte) [][]byte {
 			at := bytes.Index(l[1], []byte(recKeyCRC))
 			crc, fields := l[1][at+1:len(l[1])-2], l[1][1:at]
@@ -536,9 +628,9 @@ func damagedCheckpoints(t testing.TB, wideRecords int) map[string]checkpointFile
 			return append(l, append(checkpointLineOf(t, rec), '\n'))
 		}), false},
 		"last-line-garbage": {append(bytes.Clone(plain), "{\"index\":\n"...), false},
-		// Canonical shape, other spellings of the same values, the writer's
-		// crc: the line's own bytes do not checksum to it, the re-encoding
-		// fallback does.
+		// The key order and crc the writer writes, other spellings of the
+		// same values: no record's spelling, so damage (the last line a torn
+		// tail), though the values would checksum to the crc.
 		"respelled-floats": {edit(func(l [][]byte) [][]byte {
 			l[1] = bytes.Replace(l[1], []byte(`"QuorumAvailability":0.75,`), []byte(`"QuorumAvailability":0.750,`), 1)
 			l[2] = bytes.Replace(l[2], []byte(`"TimeToRecovery":1000,`), []byte(`"TimeToRecovery":1e3,`), 1)
@@ -579,12 +671,13 @@ func damagedCheckpoints(t testing.TB, wideRecords int) map[string]checkpointFile
 		"gzip-flipped-mid": {flippedMid, true},
 		"gzip-flipped-crc": {flippedCRC, true},
 		"gzip-undecodable": {undecodable, true},
-		// The midpoint flip of a smaller file garbles a line into valid
-		// JSON without a crc member and with an index out of range: the
-		// stream is damaged, so the line counts as Corrupted rather than
-		// rejecting the file.
+		// The midpoint flip of a smaller file garbles lines into valid
+		// JSON without a crc member and with an index out of range: no
+		// record's spelling, so they count as Corrupted (the last one as a
+		// torn tail) rather than rejecting the file.
 		"gzip-flipped-mid-small": {flippedMidSmall, true},
-		// A flip that garbles a line into a legacy record of the shard.
+		// A flip that garbles a line into valid JSON without a crc member
+		// and with an index of the shard: no record either.
 		"gzip-garbled-legacy": {garbled, true},
 	}
 }
@@ -608,14 +701,14 @@ func TestReadCheckpointMatchesReference(t *testing.T) {
 	want := map[string][3]int{
 		"intact": {8, 0, 1}, "intact-gz": {8, 0, 1}, "torn-tail": {7, 0, 1},
 		"torn-after-brace": {7, 0, 1}, "crc-bad": {7, 1, 1}, "mid-file-tear": {6, 1, 1},
-		"legacy-no-crc": {8, 0, 1}, "legacy-flipped-value": {8, 0, 1}, "reordered-keys": {8, 0, 1},
-		"empty-line": {8, 1, 1}, "crlf": {8, 0, 1}, "blank-tail": {8, 0, 1}, "blank-torn": {7, 0, 1},
+		"legacy-no-crc": {0, 8, 1}, "legacy-flipped-value": {7, 1, 1}, "reordered-keys": {7, 1, 1},
+		"empty-line": {8, 1, 1}, "crlf": {7, 1, 1}, "blank-tail": {8, 0, 1}, "blank-torn": {7, 0, 1},
 		"last-line-garbage": {8, 0, 1}, "torn-header": {}, "out-of-shard": {},
-		"respelled-floats": {8, 0, 1}, "metric-digit-flip": {7, 1, 1}, "crc-digit-flip": {7, 1, 1},
+		"respelled-floats": {5, 2, 1}, "metric-digit-flip": {7, 1, 1}, "crc-digit-flip": {7, 1, 1},
 		"garbage-before-blank-torn": {7, 0, 1}, "blank-before-blank-torn": {7, 0, 1}, "blanks-then-torn": {8, 1, 1},
 		"wide-gz": {256, 0, 1}, "gzip-flipped-crc": {256, 0, 1}, "header-count": {},
 		"header-huge-suite": {}, "header-overflow-suite": {},
-		"gzip-flipped-mid-small": {21, 48, 1}, "gzip-garbled-legacy": {0, 16, 1},
+		"gzip-flipped-mid-small": {21, 47, 1}, "gzip-garbled-legacy": {0, 15, 1},
 	}
 	for name, file := range damagedCheckpoints(t, 256) {
 		t.Run(name, func(t *testing.T) {
@@ -639,37 +732,37 @@ func TestReadCheckpointMatchesReference(t *testing.T) {
 }
 
 // TestCheckpointCRCPaths pins which check decides each record line of the
-// hard cases: a line the writer produced verifies on its own bytes; a
-// canonical-shape line that spells its values differently fails that
-// check and verifies by re-encoding; a flipped digit in a metric or in the
-// crc fails both.
+// hard cases: a line the writer produced verifies on its own bytes; a line
+// that spells its values another way is no record's spelling, whatever its
+// crc; a flipped digit in a metric or in the crc leaves a canonical line
+// whose crc does not verify; a line without a crc verifies nothing.
 func TestCheckpointCRCPaths(t *testing.T) {
 	cases := damagedCheckpoints(t, 256)
-	for name, want := range map[string][3]int{ // on line bytes, by re-encoding, neither
-		"intact":            {8, 0, 0},
-		"respelled-floats":  {5, 3, 0},
-		"metric-digit-flip": {7, 0, 1},
-		"crc-digit-flip":    {7, 0, 1},
+	for name, want := range map[string][4]int{ // verified, not spelled, crc wrong, crc missing
+		"intact":            {8, 0, 0, 0},
+		"respelled-floats":  {5, 3, 0, 0},
+		"reordered-keys":    {7, 1, 0, 0},
+		"metric-digit-flip": {7, 0, 1, 0},
+		"crc-digit-flip":    {7, 0, 1, 0},
+		"legacy-no-crc":     {0, 0, 0, 8},
 	} {
 		lines := bytes.Split(bytes.TrimSuffix(cases[name].data, newline), newline)[1:]
-		var got [3]int
+		var got [4]int
 		for _, line := range lines {
-			rec, crc, crcAt, ok := decodeRecordLine(line)
-			if !ok || crcAt < 0 {
-				t.Fatalf("%s: line %s declined", name, line)
-			}
-			sum, err := recordCRC(nil, rec)
+			_, crc, crcAt, ok := decodeRecordLine(line)
 			switch {
-			case lineCRC(line, crcAt) == crc:
-				got[0]++
-			case err == nil && sum == crc:
+			case !ok:
 				got[1]++
-			default:
+			case crcAt < 0:
+				got[3]++
+			case lineCRC(line, crcAt) != crc:
 				got[2]++
+			default:
+				got[0]++
 			}
 		}
 		if got != want {
-			t.Errorf("%s: %v lines verified on their bytes / by re-encoding / not at all, want %v", name, got, want)
+			t.Errorf("%s: %v lines verified / not spelled canonically / crc wrong / crc missing, want %v", name, got, want)
 		}
 	}
 }
@@ -774,9 +867,8 @@ func TestGoldenParentCheckpoints(t *testing.T) {
 
 // TestRecordCodecZeroAllocs pins the steady-state record paths at zero
 // allocations: a plain writer's line (encode, CRC, splice, one Write into
-// the buffered file; the periodic fsync is Append's, not the line's), the
-// reader's fast path with the CRC checked on the line's bytes, and its
-// re-encoding fallback.
+// the buffered file; the periodic fsync is Append's, not the line's) and
+// the reader's decode with the CRC checked on the line's bytes.
 func TestRecordCodecZeroAllocs(t *testing.T) {
 	w, err := CreateCheckpoint(filepath.Join(t.TempDir(), "ck.jsonl"), testSuite(), Shard{})
 	if err != nil {
@@ -792,7 +884,6 @@ func TestRecordCodecZeroAllocs(t *testing.T) {
 	}
 
 	line := checkpointLineOf(t, sampleRecord)
-	scratch := make([]byte, 0, maxRecordJSON)
 	if n := testing.AllocsPerRun(200, func() {
 		_, crc, crcAt, ok := decodeRecordLine(line)
 		if !ok || crcAt < 0 {
@@ -803,14 +894,6 @@ func TestRecordCodecZeroAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("decoding and verifying a record line: %v allocs, want 0", n)
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		rec, crc, _, ok := decodeRecordLine(line)
-		if sum, err := recordCRC(scratch, rec); !ok || err != nil || sum != crc {
-			t.Fatal("CRC mismatch")
-		}
-	}); n != 0 {
-		t.Errorf("decoding a record line and re-encoding its CRC: %v allocs, want 0", n)
 	}
 }
 
@@ -946,11 +1029,10 @@ func mustReadFile(t testing.TB, path string) []byte {
 
 // BenchmarkRecordCodec is the record layer's go test -bench row: one
 // checkpoint line written (encode + CRC + splice into a discarded sink) and
-// one read back (fast-path decode + CRC over the line's record bytes, and
-// the re-encoding fallback a mismatch takes); and one
-// worker batch of 64 records as a Records frame, spliced by the worker and
-// decoded by the coordinator, beside the proto.Encode / proto.Decode path
-// the frame codec falls back to.
+// one read back (decode + CRC over the line's record bytes), beside
+// encoding/json doing the same; and one worker batch of 64 records as a
+// Records frame, spliced by the worker and decoded by the coordinator,
+// beside the proto.Encode / proto.Decode reference.
 func BenchmarkRecordCodec(b *testing.B) {
 	batch := make([]RunRecord, workerBatchRecords)
 	for i := range batch {
@@ -1033,22 +1115,11 @@ func BenchmarkRecordCodec(b *testing.B) {
 			}
 		}
 	})
-	b.Run("decode+reencode", func(b *testing.B) {
-		scratch := make([]byte, 0, maxRecordJSON)
-		b.ReportAllocs()
-		b.SetBytes(int64(len(line) + 1))
-		for i := 0; i < b.N; i++ {
-			rec, crc, _, ok := decodeRecordLine(line)
-			if sum, err := recordCRC(scratch, rec); !ok || err != nil || sum != crc {
-				b.Fatal("canonical line did not verify")
-			}
-		}
-	})
 	b.Run("reference-encoding-json", func(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(line) + 1))
 		for i := 0; i < b.N; i++ {
-			var ref checkpointLine
+			var ref refLine
 			if err := json.Unmarshal(line, &ref); err != nil {
 				b.Fatal(err)
 			}

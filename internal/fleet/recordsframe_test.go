@@ -40,43 +40,51 @@ func recordsFrameOf(leaseID uint64, seq int, recs []RunRecord) ([]byte, error) {
 	return proto.Encode(proto.KindRecords, proto.Records{LeaseID: leaseID, Seq: seq, Records: raws})
 }
 
-// decodeRecordsFrameReference is the coordinator's fallback path:
-// proto.Decode, proto.Unmarshal, then each record through decodeRecordLine
-// or encoding/json. ok is false if any of them refuses.
+// decodeRecordsFrameReference is the one-spelling rule for a Records
+// frame, in encoding/json alone: proto.Decode and proto.Unmarshal decode a
+// batch of at least one record, each record is one json.Marshal writes
+// back byte for byte (oneSpelling), and proto.Encode writes the frame back
+// byte for byte. ok is false if any of them refuses.
 func decodeRecordsFrameReference(frame []byte) (leaseID uint64, seq int, recs []RunRecord, ok bool) {
 	kind, payload, err := proto.Decode(frame)
 	if err != nil || kind != proto.KindRecords {
 		return 0, 0, nil, false
 	}
 	var batch proto.Records
-	if proto.Unmarshal(payload, &batch) != nil {
+	if proto.Unmarshal(payload, &batch) != nil || len(batch.Records) == 0 {
 		return 0, 0, nil, false
 	}
 	for _, raw := range batch.Records {
-		rec, _, _, ok := decodeRecordLine(raw)
-		if !ok && json.Unmarshal(raw, &rec) != nil {
+		var rec RunRecord
+		if !oneSpelling(raw, &rec) {
 			return 0, 0, nil, false
 		}
 		recs = append(recs, rec)
 	}
+	again, err := proto.Encode(proto.KindRecords, batch)
+	if err != nil || !bytes.Equal(again, frame) {
+		return 0, 0, nil, false
+	}
 	return batch.LeaseID, batch.Seq, recs, true
 }
 
-// checkRecordsFrame asserts the frame codec on arbitrary bytes: whenever
-// the fast path claims a frame, the reference path decodes it to the same
-// lease, batch number and records, and splicing those back writes exactly
-// what proto.Encode writes. (A frame the fast path declines goes to the
-// reference path in production, so there is nothing to compare.)
+// checkRecordsFrame asserts the frame codec on arbitrary bytes: the fast
+// path claims a frame exactly when the reference does, decodes it to the
+// same lease, batch number and records, and splicing those back writes
+// exactly what proto.Encode writes.
 func checkRecordsFrame(t *testing.T, frame []byte) {
 	t.Helper()
 	leaseID, seq, recs, ok := decodeRecordsFrame(frame, nil)
+	wantLease, wantSeq, wantRecs, wantOK := decodeRecordsFrameReference(frame)
+	if ok != wantOK {
+		t.Fatalf("%q: fast path ok = %v, reference %v", frame, ok, wantOK)
+	}
 	if !ok {
 		return
 	}
-	wantLease, wantSeq, wantRecs, wantOK := decodeRecordsFrameReference(frame)
-	if !wantOK || leaseID != wantLease || seq != wantSeq || len(recs) != len(wantRecs) {
-		t.Fatalf("%q: fast path (%d, %d, %d records), reference (%d, %d, %d records, ok %v)",
-			frame, leaseID, seq, len(recs), wantLease, wantSeq, len(wantRecs), wantOK)
+	if leaseID != wantLease || seq != wantSeq || len(recs) != len(wantRecs) {
+		t.Fatalf("%q: fast path (%d, %d, %d records), reference (%d, %d, %d records)",
+			frame, leaseID, seq, len(recs), wantLease, wantSeq, len(wantRecs))
 	}
 	for i := range recs {
 		if !sameRecord(recs[i], wantRecs[i]) {
@@ -125,7 +133,7 @@ func recordsFrameBatches() [][]RunRecord {
 }
 
 // nearMissRecordsFrames are valid and invalid Records frames one step
-// from the spliced shape; the fast path must decline every one.
+// from the spliced bytes; the fast path must decline every one.
 func nearMissRecordsFrames(t testing.TB) [][]byte {
 	rec := string(mustMarshal(t, sampleRecord))
 	canon := `{"kind":"records","payload":{"leaseId":7,"seq":3,"records":[` + rec + "," + rec + `]}}`
@@ -152,6 +160,8 @@ func nearMissRecordsFrames(t testing.TB) [][]byte {
 		with(`"leaseId":7`, `"leaseId":07`),
 		with(`"seq":3`, `"seq":9223372036854775808`), // seq out of range
 		with(`"seq":3`, `"seq":3.0`),
+		with(`"seq":3`, `"seq":-0`),
+		with(`"Availability":0.9875`, `"Availability":0.98750`), // a respelled number
 		with(`"kind":"records"`, `"kind":"heartbeat"`),
 		with(`"kind":"records"`, `"kind":"Records"`),
 		nil,
@@ -161,8 +171,8 @@ func nearMissRecordsFrames(t testing.TB) [][]byte {
 // TestRecordsFrameMatchesProto: the frame a worker splices is
 // proto.Encode's byte for byte, for every lease ID and batch number and
 // every number the record codec formats; the coordinator's fast path
-// decodes it to what the reference path does, and declines every near
-// miss.
+// decodes it to what the reference does, and declines every near miss
+// as the reference does.
 func TestRecordsFrameMatchesProto(t *testing.T) {
 	for _, leaseID := range []uint64{0, 1, 1 << 40, math.MaxUint64} {
 		for _, seq := range []int{0, 1, 63, math.MaxInt} {
@@ -189,6 +199,7 @@ func TestRecordsFrameMatchesProto(t *testing.T) {
 		if _, _, _, ok := decodeRecordsFrame(frame, nil); ok {
 			t.Errorf("fast path accepted the near miss %s", frame)
 		}
+		checkRecordsFrame(t, frame)
 	}
 }
 
@@ -222,10 +233,10 @@ func TestRecordsFrameZeroAllocs(t *testing.T) {
 
 // FuzzRecordsFrame mutates spliced frames — seeded with every number case
 // of the record codec, lease IDs up to MaxUint64 and batch numbers from 0
-// — and the near misses. Every frame the fast path accepts must decode as
-// the reference path decodes it, and its records must splice back to
-// proto.Encode's bytes, so each record value the mutator reaches is checked
-// in both directions.
+// — and the near misses. The fast path must accept exactly the frames the
+// reference accepts and decode them as it does, and their records must
+// splice back to proto.Encode's bytes, so each record value the mutator
+// reaches is checked in both directions.
 func FuzzRecordsFrame(f *testing.F) {
 	for i, batch := range recordsFrameBatches() {
 		for _, leaseID := range []uint64{uint64(i), math.MaxUint64 - uint64(i)} {

@@ -73,17 +73,19 @@ func (s Shard) String() string {
 // MergeRecords folds per-scenario run records — the union of one or more
 // shard result files — back into the aggregate Result a single-machine run
 // of the suite would produce. The records must cover the suite's scenario
-// index set exactly; they pass through the same ordered fold as a whole
-// run, index i at position i, so every floating-point operation happens in
-// the same order with the same operands as in an unsharded run and the
-// merged Result serializes byte-identically.
+// index set exactly (the error names the first scenario missing, such as
+// one whose line a shard file holds damaged); they pass through the same
+// ordered fold as a whole run, index i at position i, so every
+// floating-point operation happens in the same order with the same
+// operands as in an unsharded run and the merged Result serializes
+// byte-identically.
 func MergeRecords(suite Suite, records *RecordTable) (*Result, error) {
 	suite = suite.withDefaults()
 	if err := suite.Validate(); err != nil {
 		return nil, err
 	}
 	total := suite.NumScenarios()
-	if records.Len() != total {
+	if records.Len() > total {
 		return nil, fmt.Errorf("%w: merge has %d records, suite expands to %d scenarios",
 			ErrBadSuite, records.Len(), total)
 	}

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -447,8 +448,9 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Legacy record lines without a crc field are accepted unverified —
-	// checkpoints written before the CRC era must keep resuming.
+	// Lines without a crc member — files written before lines carried one
+	// — are no record's spelling: every line counts as Corrupted, a resume
+	// re-runs every scenario, and a merge is refused naming one missing.
 	legacy := append([]string(nil), lines...)
 	for i := 1; i < len(legacy); i++ {
 		var rec RunRecord
@@ -467,11 +469,38 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	}
 	ck7, err := ReadCheckpoint(legacyPath)
 	if err != nil {
-		t.Fatalf("legacy (pre-CRC) checkpoint should load: %v", err)
+		t.Fatalf("a checkpoint of crc-less lines should load: %v", err)
 	}
-	if ck7.Records.Len() != ck.Records.Len() || ck7.Corrupted != 0 {
-		t.Errorf("legacy checkpoint: %d records (want %d), Corrupted %d (want 0)",
-			ck7.Records.Len(), ck.Records.Len(), ck7.Corrupted)
+	if ck7.Records.Len() != 0 || ck7.Corrupted != len(legacy)-1 {
+		t.Errorf("crc-less checkpoint: %d records (want 0), Corrupted %d (want %d)",
+			ck7.Records.Len(), ck7.Corrupted, len(legacy)-1)
+	}
+	redone, fresh := collectRecords(t, suite, shard, ck7.Records)
+	if len(fresh) != res.Scenarios {
+		t.Errorf("resume of the crc-less checkpoint re-ran %d scenarios, want all %d", len(fresh), res.Scenarios)
+	}
+	if a, b := mustMarshal(t, res), mustMarshal(t, redone); !bytes.Equal(a, b) {
+		t.Error("resume of the crc-less checkpoint differs from the original shard run")
+	}
+	other := filepath.Join(dir, "shard0.jsonl")
+	w0, err := CreateCheckpoint(other, suite, Shard{Index: 0, Count: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(context.Background(), suite, Config{Shard: Shard{Index: 0, Count: 2}, OnRecord: w0.Append}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w0.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mergedSuite, merged, err := ReadShardSet([]string{other, legacyPath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := shard.Indices(suite.NumScenarios())[0]
+	if _, err := MergeRecords(mergedSuite, merged); !errors.Is(err, ErrBadSuite) ||
+		!strings.Contains(err.Error(), fmt.Sprintf("missing scenario %d", first)) {
+		t.Errorf("merge with the crc-less shard: err = %v, want it to name missing scenario %d", err, first)
 	}
 
 	// ReadShardSet cross-validation: duplicate coverage is rejected.

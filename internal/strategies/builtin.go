@@ -58,16 +58,6 @@ func init() {
 	mustRegister(ppoStrategy{})
 }
 
-// namedPolicy renames a policy so fleet rows distinguish strategy variants
-// that share an implementation (e.g. learned thresholds wrapped in the
-// TOLERANCE two-level pair).
-type namedPolicy struct {
-	baselines.Policy
-	name string
-}
-
-func (p namedPolicy) Name() string { return p.name }
-
 // toleranceStrategy is the paper's feedback strategy pair: exact DP
 // recovery thresholds (Theorem 1) plus the CMDP replication strategy
 // (Algorithm 2), both routed through the shared solver cache.
@@ -231,11 +221,7 @@ func (s learnedStrategy) Policy(ctx context.Context, spec Spec, solvers Solvers)
 	if err != nil {
 		return nil, err
 	}
-	inner, err := baselines.NewTolerance(res.Strategy, rep)
-	if err != nil {
-		return nil, err
-	}
-	return namedPolicy{Policy: inner, name: s.Name()}, nil
+	return baselines.NewTolerance(res.Strategy, rep)
 }
 
 // ppoStrategy trains the PPO baseline of Table 2 for the cell's node model
@@ -298,7 +284,6 @@ type ppoPolicy struct {
 	replication *cmdp.Solution
 }
 
-func (p *ppoPolicy) Name() string  { return "learned:ppo" }
 func (p *ppoPolicy) UsesBTR() bool { return true }
 
 func (p *ppoPolicy) NodeAction(ctx baselines.NodeContext) nodemodel.Action {

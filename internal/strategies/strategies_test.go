@@ -82,17 +82,22 @@ func (f fakeStrategy) Policy(context.Context, Spec, Solvers) (baselines.Policy, 
 }
 
 func TestBaselineStrategiesBuildWithoutSolvers(t *testing.T) {
-	for _, name := range []string{"NO-RECOVERY", "PERIODIC", "PERIODIC-ADAPTIVE"} {
+	spec := defaultSpec()
+	for name, want := range map[string]baselines.Policy{
+		"NO-RECOVERY":       baselines.NoRecovery{},
+		"PERIODIC":          baselines.Periodic{},
+		"PERIODIC-ADAPTIVE": baselines.PeriodicAdaptive{TargetN: spec.N1},
+	} {
 		s, ok := Lookup(name)
 		if !ok {
 			t.Fatalf("%q not registered", name)
 		}
-		pol, err := s.Policy(context.Background(), defaultSpec(), nil)
+		pol, err := s.Policy(context.Background(), spec, nil)
 		if err != nil {
 			t.Fatalf("%q: %v", name, err)
 		}
-		if pol.Name() != name {
-			t.Errorf("%q built policy named %q", name, pol.Name())
+		if pol != want {
+			t.Errorf("%q built policy %#v, want %#v", name, pol, want)
 		}
 	}
 }

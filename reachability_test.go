@@ -27,18 +27,21 @@ const testOnlyDirective = "//tolerance:testonly"
 //   - an internal/ package that no non-test package outside examples/
 //     imports (a test-only package, with no non-test file, holds nothing
 //     to keep alive), and
-//   - an exported package-level func, type, var or const, or an exported
-//     method, declared in internal/, that no non-test code outside
-//     examples/ uses.
+//   - an exported package-level func, type, var or const, an exported
+//     method, or an exported method of an interface type, declared in
+//     internal/, that no non-test code outside examples/ uses.
 //
 // Examples are demos of the library, not reasons to keep code alive; cmd/
 // and bench/ count. Uses are resolved to go/types objects, so a dead
-// method is caught even when a live identifier shares its name. Uses
-// inside the object's own declaration, and receivers, do not count. Exempt
-// by rule: a method of a type that implements an interface with that
-// method (calls reach it through the interface), and a declaration whose
-// doc comment carries testOnlyDirective with a reason. A marked object
-// that non-test code does use fails too, so no mark outlives its reason.
+// method is caught even when a live identifier shares its name; an
+// interface's method is used where it is called through that interface
+// (or one embedding it), not where an implementation is called directly.
+// Uses inside the object's own declaration, and receivers, do not count.
+// Exempt by rule: a method of a type that implements another interface
+// with that method (calls reach it through that interface), and a
+// declaration whose doc comment carries testOnlyDirective with a reason.
+// A marked object that non-test code does use fails too, so no mark
+// outlives its reason.
 func TestInternalCodeIsReachable(t *testing.T) {
 	pkgs := listPackages(t)
 	var mod string
@@ -106,6 +109,15 @@ func TestInternalCodeIsReachable(t *testing.T) {
 						switch s := spec.(type) {
 						case *ast.TypeSpec:
 							names, doc = []*ast.Ident{s.Name}, s.Doc
+							if it, ok := s.Type.(*ast.InterfaceType); ok {
+								for _, m := range it.Methods.List {
+									for _, name := range m.Names { // none for an embedded interface
+										if name.IsExported() {
+											cands[l.info.Defs[name]] = &candidate{decl: m, doc: m.Doc}
+										}
+									}
+								}
+							}
 						case *ast.ValueSpec:
 							names, doc = s.Names, s.Doc
 						}
@@ -172,7 +184,8 @@ func directive(doc *ast.CommentGroup) (string, bool) {
 }
 
 // implementsInterfaceMethod reports whether obj is a method of a type
-// that implements one of ifaces, and that interface has obj's name.
+// that implements one of ifaces other than its own (an interface's
+// methods' receiver is the interface), and that interface has obj's name.
 func implementsInterfaceMethod(obj types.Object, ifaces []*types.Interface) bool {
 	fn, ok := obj.(*types.Func)
 	if !ok || fn.Type().(*types.Signature).Recv() == nil {
@@ -183,6 +196,9 @@ func implementsInterfaceMethod(obj types.Object, ifaces []*types.Interface) bool
 		T = p.Elem()
 	}
 	for _, iface := range ifaces {
+		if types.Identical(iface, T.Underlying()) {
+			continue
+		}
 		for i := 0; i < iface.NumMethods(); i++ {
 			if iface.Method(i).Name() == fn.Name() && (types.Implements(T, iface) || types.Implements(types.NewPointer(T), iface)) {
 				return true

@@ -182,7 +182,6 @@ type policyAdapter struct {
 	p Policy
 }
 
-func (a policyAdapter) Name() string  { return a.p.Name() }
 func (a policyAdapter) UsesBTR() bool { return a.p.UsesBTR() }
 
 func (a policyAdapter) NodeAction(ctx baselines.NodeContext) nodemodel.Action {
