@@ -313,25 +313,22 @@ func (s *recScanner) int() int {
 }
 
 // float consumes a number in the strict JSON grammar
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? and converts it as
-// encoding/json does, to the nearest float64; a value out of range, or a
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? and converts it with
+// strconv.ParseFloat, as encoding/json does; a value out of range, or a
 // spelling other than appendJSONFloat's for the value, is not canonical.
 func (s *recScanner) float() float64 {
 	if !s.ok {
 		return 0
 	}
 	b, n := s.b, 0
-	neg := len(b) > 0 && b[0] == '-'
-	if neg {
+	if len(b) > 0 && b[0] == '-' {
 		n = 1
 	}
 	d := intPart(b[n:])
 	n += d
-	digits, fracDigits, exp := d, 0, false
 	if d > 0 && n < len(b) && b[n] == '.' {
 		d = digitRun(b[n+1:])
 		n += 1 + d
-		digits, fracDigits = digits+d, d
 	}
 	if d > 0 && n < len(b) && b[n]|0x20 == 'e' {
 		n++
@@ -340,7 +337,6 @@ func (s *recScanner) float() float64 {
 		}
 		d = digitRun(b[n:])
 		n += d
-		exp = true
 	}
 	if d == 0 { // a part of the grammar that needs digits had none
 		s.ok = false
@@ -348,28 +344,6 @@ func (s *recScanner) float() float64 {
 	}
 	num := b[:n]
 	s.b = b[n:]
-	// At most 15 digits name a normal float64 uniquely, so they are its
-	// shortest round-trip digits: in plain notation with no trailing
-	// fraction zero they are appendJSONFloat's spelling, unless the value
-	// is below 1e-6, which it spells with an exponent. They also fit a
-	// float64's mantissa, and so does their power of ten, so one division
-	// rounds to the nearest float64 as strconv.ParseFloat does.
-	if !exp && digits <= 15 && (fracDigits == 0 || num[n-1] != '0') {
-		var m uint64
-		for _, c := range num {
-			if c >= '0' { // not the sign or the point
-				m = m*10 + uint64(c-'0')
-			}
-		}
-		f := float64(m) / math.Pow10(fracDigits)
-		if neg {
-			f = -f
-		}
-		if f != 0 && math.Abs(f) < 1e-6 {
-			s.ok = false
-		}
-		return f
-	}
 	f, err := strconv.ParseFloat(string(num), 64)
 	var buf [32]byte
 	if canon, _ := appendJSONFloat(buf[:0], f); err != nil || string(canon) != string(num) {

@@ -332,8 +332,7 @@ func TestRecordDecodeMatchesEncodingJSON(t *testing.T) {
 // TestRecordDecodeNumberSpellings holds the decoder's float check to the
 // one-spelling rule on spellings of random values: the encoder's, the
 // other strconv formats, a trailing zero, the last digit moved by one,
-// and random decimals of 1 to 18 digits in plain and exponent notation,
-// whose values the ones of up to 15 digits name uniquely.
+// and random decimals of 1 to 18 digits in plain and exponent notation.
 func TestRecordDecodeNumberSpellings(t *testing.T) {
 	canon := string(checkpointLineOf(t, sampleRecord))
 	const field = `"Availability":0.9875`
