@@ -309,7 +309,12 @@ func run() (retErr error) {
 			}
 			cfg.Completed = ck.Records
 			if !*quiet {
-				fmt.Fprintf(os.Stderr, "resuming: %d scenarios already complete\n", ck.Records.Len())
+				fmt.Fprintf(os.Stderr, "resuming: %d scenarios already complete", ck.Records.Len())
+				if ck.Corrupted > 0 {
+					// A damaged line holds no record, so its scenario runs again.
+					fmt.Fprintf(os.Stderr, ", %d damaged checkpoint lines skipped", ck.Corrupted)
+				}
+				fmt.Fprintln(os.Stderr)
 			}
 			writer, err = fleet.AppendCheckpoint(*checkpoint, ck)
 		} else {
