@@ -52,6 +52,9 @@ type goldenBOCase struct {
 //   - a NaN objective, whose acquisitions are all NaN, so no candidate
 //     wins and every step evaluates the zero vector (repeated points
 //     again, and a very long length scale makes every kernel entry 1);
+//     and one that turns NaN only near its minimum but not at the zero
+//     vector, so steps in which a candidate won come before the first in
+//     which none does, and that step's zero vector is the best point;
 //   - a constant objective, normalize's std < 1e-12 branch;
 //   - dimensions 1, 2, 4 and 14.
 //
@@ -83,6 +86,12 @@ func goldenBOCases() []goldenBOCase {
 		{"jitter/d2/ls1e3/b200", BO{NoiseVar: 1e-300, LengthScale: 1e3}, 2, 200, linear},
 		{"nan/d1/b40", BO{NoiseVar: 1e-300}, 1, 40, func([]float64) float64 { return math.NaN() }},
 		{"nan/d2/lsInf/b40", BO{NoiseVar: 1e-300, LengthScale: math.Inf(1)}, 2, 40, func([]float64) float64 { return math.NaN() }},
+		{"nan-late/d2/b60", BO{}, 2, 60, func(theta []float64) float64 {
+			if theta[0] > 0 && theta[0] < 0.05 {
+				return math.NaN()
+			}
+			return theta[0] + theta[1]
+		}},
 		{"const/d2/b40", BO{}, 2, 40, func([]float64) float64 { return 3 }},
 		{"const/d4/tiny/b40", BO{NoiseVar: 1e-300}, 4, 40, func([]float64) float64 { return -1 }},
 	}
