@@ -138,18 +138,23 @@ func CreateCheckpoint(path string, suite Suite, shard Shard) (*CheckpointWriter,
 // prefix, discarding any torn final line a kill left behind — otherwise
 // the first appended record would be glued onto the fragment, corrupting
 // the file for -merge and later resumes. A gzip file cannot be truncated
-// to a record boundary in place, so it is rewritten from the parsed
-// records (in index order — the fold order the original writer used)
-// before appending continues. The replayed records are not synced in
-// batches — the original stays in place until the rename, so nothing is at
-// risk before the one fsync that precedes it.
+// to a record boundary in place, and a plain file with damaged lines
+// (ck.Corrupted > 0) would keep them for every later read to skip and
+// report again, so both are rewritten from the parsed records (in index
+// order — the fold order the original writer used) before appending
+// continues. The replayed records are not synced in batches — the original
+// stays in place until the rename, so nothing is at risk before the one
+// fsync that precedes it.
 func AppendCheckpoint(path string, ck *Checkpoint) (*CheckpointWriter, error) {
-	if ck.gz {
+	if ck.gz || ck.Corrupted > 0 {
 		// Rewrite to a sibling temp file and rename over the original only
 		// once every parsed record is durable, so a second kill during the
 		// rewrite cannot lose the records the first run already synced.
-		// (The .gz suffix on the temp name keeps the gzip framing.)
-		tmp := strings.TrimSuffix(path, ".gz") + ".rewrite.gz"
+		// (A .gz suffix on the temp name keeps the gzip framing.)
+		tmp := strings.TrimSuffix(path, ".gz") + ".rewrite"
+		if ck.gz {
+			tmp += ".gz"
+		}
 		w, err := CreateCheckpoint(tmp, ck.Suite, ck.Shard)
 		if err != nil {
 			return nil, err

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"compress/gzip"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -195,5 +196,89 @@ func TestCheckpointBytesIndependentOfSyncTiming(t *testing.T) {
 			t.Errorf("%s: file (%d bytes) differs from its flush points' reference (%d bytes)",
 				name, len(files[0]), want.Len())
 		}
+	}
+}
+
+// TestResumeRewritesDamagedPlainCheckpoint: resuming a plain checkpoint
+// with damaged lines rewrites it, as a .gz one is rewritten, so a later
+// read finds no damage to skip and report again, and a stale temp file a
+// kill left before the rename is overwritten. A clean plain file keeps
+// truncate-and-append: its bytes stay the resumed file's prefix.
+func TestResumeRewritesDamagedPlainCheckpoint(t *testing.T) {
+	suite, recs := budgetRecords(t)
+	dir := t.TempDir()
+	kept := recs[:len(recs)/2]
+	clean := filepath.Join(dir, "clean.jsonl")
+	w, err := CreateCheckpoint(clean, suite, Shard{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range kept {
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	original := mustReadFile(t, clean)
+
+	// resume reads path, appends every record it lacks and reads it again.
+	resume := func(path string) (before, after *Checkpoint) {
+		t.Helper()
+		before = checkReadCheckpoint(t, path)
+		aw, err := AppendCheckpoint(path, before)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			if _, ok := before.Records.get(rec.Index); ok {
+				continue
+			}
+			if err := aw.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := aw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return before, checkReadCheckpoint(t, path)
+	}
+
+	if _, after := resume(clean); after.Records.Len() != len(recs) || after.Corrupted != 0 {
+		t.Errorf("clean resume: %d records, %d corrupted; want %d, 0", after.Records.Len(), after.Corrupted, len(recs))
+	}
+	if resumed := mustReadFile(t, clean); !bytes.HasPrefix(resumed, original) {
+		t.Error("a clean plain checkpoint was rewritten on resume, not appended to")
+	}
+
+	// Damage four record lines (line 0 is the header) by changing the last
+	// digit of their crc, and leave a stale half-written rewrite beside them.
+	damaged := filepath.Join(dir, "damaged.jsonl")
+	lines := bytes.SplitAfter(bytes.Clone(original), newline)
+	for _, i := range []int{1, 4, 7, 10} {
+		d := len(lines[i]) - len("0}\n")
+		if lines[i][d] == '0' {
+			lines[i][d] = '1'
+		} else {
+			lines[i][d] = '0'
+		}
+	}
+	if err := os.WriteFile(damaged, bytes.Join(lines, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stale := damaged + ".rewrite"
+	if err := os.WriteFile(stale, original[:len(original)/3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before, after := resume(damaged)
+	if before.Corrupted != 4 || before.Records.Len() != len(kept)-4 {
+		t.Fatalf("damaged file read %d records, %d corrupted; want %d, 4", before.Records.Len(), before.Corrupted, len(kept)-4)
+	}
+	if after.Records.Len() != len(recs) || after.Corrupted != 0 {
+		t.Errorf("damaged resume: %d records, %d corrupted; want %d, 0", after.Records.Len(), after.Corrupted, len(recs))
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Errorf("temp file still present after the rename: %v", err)
 	}
 }

@@ -32,8 +32,8 @@ type Checkpoint struct {
 	// the decompressed payload for gzip files); AppendCheckpoint truncates
 	// plain files to it so a torn tail is never glued onto fresh records.
 	validBytes int64
-	// gz records that the file was gzip-framed; resume rewrites such files
-	// instead of truncate-and-append.
+	// gz records that the file was gzip-framed; resume rewrites such files,
+	// and plain ones with Corrupted lines, instead of truncate-and-append.
 	gz bool
 }
 

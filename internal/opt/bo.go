@@ -21,7 +21,8 @@ type BO struct {
 	// NoiseVar models observation noise of the stochastic objective.
 	NoiseVar float64
 	// MaxGPPoints caps the conditioning set; the most recent and the best
-	// points are kept when it is exceeded (keeps fitting O(n^3) bounded).
+	// points are kept when it is exceeded. Past it the factor is refit from
+	// scratch; below it a point costs one row.
 	MaxGPPoints int
 }
 
@@ -68,8 +69,8 @@ func (b BO) Minimize(rng *rand.Rand, dim int, obj Objective, budget, workers int
 	}
 
 	tr := newTracker(obj)
-	xs := make([][]float64, initial)
-	ys := make([]float64, initial)
+	xs := make([][]float64, initial, budget)
+	ys := make([]float64, initial, budget)
 	for e := range xs {
 		theta := make([]float64, dim)
 		for i := range theta {
@@ -79,13 +80,18 @@ func (b BO) Minimize(rng *rand.Rand, dim int, obj Objective, budget, workers int
 	}
 	tr.evaluateBatch(xs, ys, workers)
 
-	model := newGP(lengthScale, 1, noise)
+	model := newGP(lengthScale, 1, noise, min(budget, maxPoints))
+	normYs := make([]float64, 0, budget)
+	bestTheta := make([]float64, dim)
+	probe := make([]float64, dim)
 	for tr.evals < budget {
 		fitXs, fitYs := xs, ys
 		if len(xs) > maxPoints {
 			fitXs, fitYs = selectGPPoints(xs, ys, maxPoints)
+			model.reset()
 		}
-		if err := model.fit(fitXs, normalize(fitYs)); err != nil {
+		normYs = normalizeInto(normYs, fitYs)
+		if err := model.fit(fitXs, normYs); err != nil {
 			// A singular kernel (duplicated points) falls back on random
 			// exploration for this step.
 			theta := make([]float64, dim)
@@ -98,10 +104,10 @@ func (b BO) Minimize(rng *rand.Rand, dim int, obj Objective, budget, workers int
 			continue
 		}
 		// Minimize the LCB acquisition mu - beta*sigma by random multistart
-		// plus local jitter around the incumbent.
+		// plus local jitter around the incumbent. A step in which no
+		// candidate wins (every acquisition NaN) evaluates the zero vector.
 		bestAcq := math.Inf(1)
-		bestTheta := make([]float64, dim)
-		probe := make([]float64, dim)
+		clear(bestTheta)
 		for cIdx := 0; cIdx < candidates; cIdx++ {
 			if cIdx%4 == 0 && tr.bestTheta != nil {
 				for i := range probe {
@@ -113,9 +119,7 @@ func (b BO) Minimize(rng *rand.Rand, dim int, obj Objective, budget, workers int
 				}
 			}
 			clamp01(probe)
-			mu, v := model.predict(probe)
-			acq := mu - beta*math.Sqrt(v)
-			if acq < bestAcq {
+			if acq, _ := model.lcb(probe, beta, bestAcq); acq < bestAcq {
 				bestAcq = acq
 				copy(bestTheta, probe)
 			}
@@ -127,8 +131,9 @@ func (b BO) Minimize(rng *rand.Rand, dim int, obj Objective, budget, workers int
 	return tr.result(), nil
 }
 
-// normalize returns ys standardized to zero mean, unit variance.
-func normalize(ys []float64) []float64 {
+// normalizeInto writes ys standardized to zero mean, unit variance into dst's
+// array and returns it.
+func normalizeInto(dst, ys []float64) []float64 {
 	n := float64(len(ys))
 	mean := 0.0
 	for _, y := range ys {
@@ -145,11 +150,11 @@ func normalize(ys []float64) []float64 {
 	if std < 1e-12 {
 		std = 1
 	}
-	out := make([]float64, len(ys))
+	dst = grow(dst, len(ys))
 	for i, y := range ys {
-		out[i] = (y - mean) / std
+		dst[i] = (y - mean) / std
 	}
-	return out
+	return dst
 }
 
 // selectGPPoints keeps the best half and the most recent half of the budget.

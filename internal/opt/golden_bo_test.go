@@ -42,7 +42,7 @@ type goldenBOCase struct {
 }
 
 // goldenBOCases are the paths Algorithm 1's golden searches (budget 60,
-// dimensions up to 3) do not reach:
+// dimensions 1 and 14, default settings) do not reach:
 //   - more points than MaxGPPoints, so selectGPPoints changes the set
 //     (budget 200 at the default 160; MaxGPPoints 12 at budget 60);
 //   - the jitter retry: a NoiseVar of 1e-300 vanishes beside the unit

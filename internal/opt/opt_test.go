@@ -167,15 +167,23 @@ func TestThetaWithinBoundsProperty(t *testing.T) {
 	}
 }
 
+// posterior reads the posterior mean and variance at x off two
+// acquisitions, β = 0 and β = 1.
+func posterior(g *gp, x []float64) (mean, variance float64) {
+	mean, _ = g.lcb(x, 0, math.Inf(1))
+	lower, _ := g.lcb(x, 1, math.Inf(1))
+	return mean, (mean - lower) * (mean - lower)
+}
+
 func TestGPInterpolatesObservations(t *testing.T) {
-	g := newGP(0.3, 1, 1e-6)
+	g := newGP(0.3, 1, 1e-6, 0)
 	xs := [][]float64{{0.1}, {0.5}, {0.9}}
 	ys := []float64{1, -1, 2}
 	if err := g.fit(xs, ys); err != nil {
 		t.Fatal(err)
 	}
 	for i, x := range xs {
-		mu, v := g.predict(x)
+		mu, v := posterior(g, x)
 		if math.Abs(mu-ys[i]) > 0.01 {
 			t.Errorf("predict(%v) = %v, want ~%v", x, mu, ys[i])
 		}
@@ -184,7 +192,7 @@ func TestGPInterpolatesObservations(t *testing.T) {
 		}
 	}
 	// Far from data the variance approaches the prior.
-	_, vFar := g.predict([]float64{100})
+	_, vFar := posterior(g, []float64{100})
 	if vFar < 0.9 {
 		t.Errorf("variance far from data = %v, want near prior 1", vFar)
 	}
@@ -192,11 +200,11 @@ func TestGPInterpolatesObservations(t *testing.T) {
 
 func TestGPPredictionBetweenPoints(t *testing.T) {
 	// GP mean between two equal observations should be close to them.
-	g := newGP(0.5, 1, 1e-6)
+	g := newGP(0.5, 1, 1e-6, 0)
 	if err := g.fit([][]float64{{0.4}, {0.6}}, []float64{2, 2}); err != nil {
 		t.Fatal(err)
 	}
-	mu, _ := g.predict([]float64{0.5})
+	mu, _ := posterior(g, []float64{0.5})
 	if math.Abs(mu-2) > 0.05 {
 		t.Errorf("mid prediction = %v, want ~2", mu)
 	}
@@ -243,13 +251,13 @@ func TestCholSolveRoundTrip(t *testing.T) {
 }
 
 func TestNormalize(t *testing.T) {
-	ys := normalize([]float64{1, 2, 3})
+	ys := normalizeInto(nil, []float64{1, 2, 3})
 	mean := (ys[0] + ys[1] + ys[2]) / 3
 	if math.Abs(mean) > 1e-12 {
 		t.Errorf("normalized mean = %v", mean)
 	}
 	// Constant input should not produce NaN.
-	for _, v := range normalize([]float64{5, 5, 5}) {
+	for _, v := range normalizeInto(nil, []float64{5, 5, 5}) {
 		if math.IsNaN(v) {
 			t.Error("normalize of constant produced NaN")
 		}
