@@ -99,7 +99,7 @@ func (m *memo[K, V]) do(c *StrategyCache, key K, hits *atomic.Int64, f func() (V
 		c.noteWait(!entry.done.Load())
 	}
 	v, err := entry.compute(f)
-	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+	if cancelled(err) {
 		m.mu.Lock()
 		if m.m[key] == entry {
 			delete(m.m, key)
@@ -109,6 +109,77 @@ func (m *memo[K, V]) do(c *StrategyCache, key K, hits *atomic.Int64, f func() (V
 	return v, err
 }
 
+// cancelled reports whether err is a context cancellation or deadline: a
+// computation that failed so is forgotten rather than cached.
+func cancelled(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// templateBlockCells is how many cells' scenario templates one block of a
+// suite's template storage holds.
+const templateBlockCells = 64
+
+// suiteTemplates is one suite's scenario templates, a slot per cell in
+// blocks of templateBlockCells allocated as cells in them are first
+// requested: a worker that touches one lease's cells holds a block or two,
+// not a table the size of the grid, and a cell costs no allocation of its
+// own.
+type suiteTemplates struct {
+	mu     sync.Mutex
+	blocks map[int]*[templateBlockCells]templateSlot
+}
+
+// slot returns cell's slot, allocating its block on first use.
+func (t *suiteTemplates) slot(cell int) *templateSlot {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	b := t.blocks[cell/templateBlockCells]
+	if b == nil {
+		if t.blocks == nil {
+			t.blocks = make(map[int]*[templateBlockCells]templateSlot)
+		}
+		b = new([templateBlockCells]templateSlot)
+		t.blocks[cell/templateBlockCells] = b
+	}
+	return &b[cell%templateBlockCells]
+}
+
+// templateSlot is a single-flight slot for one cell's scenario template:
+// the first request resolves it holding mu, and a request that finds mu
+// held waits for that resolution and shares it. A resolution that fails
+// with a context cancellation is not kept, so a cancelled run cannot poison
+// the slot for a later request with a live context.
+type templateSlot struct {
+	mu   sync.Mutex
+	done atomic.Bool
+	sc   emulation.Scenario
+	err  error
+}
+
+// get returns the slot's template, resolving it with resolve at most once
+// across concurrent callers. A caller that finds it resolved, or waits for
+// another's resolution, counts a policy hit, and a wait counts a
+// single-flight wait, as a memo hit does.
+func (s *templateSlot) get(c *StrategyCache, resolve func() (emulation.Scenario, error)) (emulation.Scenario, error) {
+	if !s.done.Load() {
+		if !s.mu.TryLock() {
+			c.noteWait(true)
+			s.mu.Lock()
+		}
+		defer s.mu.Unlock()
+		if !s.done.Load() {
+			sc, err := resolve()
+			if !cancelled(err) {
+				s.sc, s.err = sc, err
+				s.done.Store(true)
+			}
+			return sc, err
+		}
+	}
+	c.policyHits.Add(1)
+	return s.sc, s.err
+}
+
 // StrategyCache memoizes the control-problem solvers and the policies built
 // on them. Every memo is keyed by a comparable struct over the node model's
 // digest (nodemodel.Params.Digest) and the
@@ -116,12 +187,12 @@ func (m *memo[K, V]) do(c *StrategyCache, key K, hits *atomic.Int64, f func() (V
 // recovery.DPConfig), its ladder by (model, grid), q by (model, recovery
 // rule fingerprint, Delta_R), a Problem 2 solution by those plus (smax, f,
 // epsilon_A's bits), and the LP beneath it by cmdp.Model.Digest. Policies
-// are keyed by (policy kind, strategy fingerprint), fits by (catalog
-// fingerprint, samples, fit seed), scenario templates by (suite
-// fingerprint, cell index). Beyond the memos the cache retains one
-// closed-loop occupancy table: that of the node model whose q it evaluated
-// last. It is safe for concurrent use; duplicate concurrent requests for
-// one key run the solver once.
+// are keyed by (policy kind, strategy fingerprint) and fits by (catalog
+// fingerprint, samples, fit seed); scenario templates live in per-suite
+// storage by suite fingerprint and cell index. Beyond these the cache
+// retains one closed-loop occupancy table: that of the node model whose q
+// it evaluated last. It is safe for concurrent use; duplicate concurrent
+// requests for one key run the solver once.
 type StrategyCache struct {
 	recovery    memo[recoveryKey, *recovery.DPSolution]
 	ladders     memo[ladderKey, *recovery.Ladder]
@@ -130,7 +201,11 @@ type StrategyCache struct {
 	lp          memo[dist.Digest, *cmdp.Solution]
 	fits        memo[fitKey, *emulation.FitSet]
 	policies    memo[policyKey, baselines.Policy]
-	scenarios   memo[scenarioKey, emulation.Scenario]
+
+	// templates holds each suite's scenario templates by suite
+	// fingerprint.
+	templatesMu sync.Mutex
+	templates   map[string]*suiteTemplates
 
 	// occ is the occupancy table of the node model whose q was evaluated
 	// last. Cells expand with the node-model axes outermost (Suite.Cells),
@@ -377,8 +452,12 @@ func (c *StrategyCache) PolicyFor(ctx context.Context, cell Cell, suite Suite) (
 		return nil, errUnknownPolicy(cell.Policy)
 	}
 	spec := cell.spec(suite)
-	spec.Seed = trainingSeed(suite.Seed, cell.Policy, strat.Fingerprint(spec))
-	key := policyKey{cell.Policy, strat.Fingerprint(spec)}
+	fp := strat.Fingerprint(spec)
+	spec.Seed = trainingSeed(suite.Seed, cell.Policy, fp)
+	if sr, ok := strat.(strategies.SeedReader); !ok || sr.ReadsSeed() {
+		fp = strat.Fingerprint(spec)
+	}
+	key := policyKey{cell.Policy, fp}
 	return c.policies.do(c, key, &c.policyHits, func() (baselines.Policy, error) {
 		c.policyBuilds.Add(1)
 		t := c.telemetry()
@@ -396,15 +475,25 @@ func (c *StrategyCache) PolicyFor(ctx context.Context, cell Cell, suite Suite) (
 
 // scenarioFor resolves the cell's policy and assembles the scenario
 // template every seed of the cell copies (Seed, FitSeed and Fits are set
-// per scenario by the engine). The template is memoized under the cheap
-// (suite fingerprint, cell index) key, so the steady-state fleet hot path —
-// a cell whose policy was already built by an earlier run of the same suite
-// — skips the canonical construction-fingerprint computation and its
-// allocations entirely; the first resolution per key still routes through
-// PolicyFor, which deduplicates the actual build (including learned
-// training) across suites by construction fingerprint.
+// per scenario by the engine). The template is kept in the suite's
+// template storage by (suite fingerprint, cell index), so the steady-state
+// fleet hot path — a cell whose policy was already built by an earlier run
+// of the same suite — skips the canonical construction-fingerprint
+// computation and its allocations entirely; the first resolution per cell
+// still routes through PolicyFor, which deduplicates the actual build
+// (including learned training) across suites by construction fingerprint.
 func (c *StrategyCache) scenarioFor(ctx context.Context, suiteFP string, cell *Cell, suite Suite) (emulation.Scenario, error) {
-	return c.scenarios.do(c, scenarioKey{suiteFP, cell.Index}, &c.policyHits, func() (emulation.Scenario, error) {
+	c.templatesMu.Lock()
+	t := c.templates[suiteFP]
+	if t == nil {
+		if c.templates == nil {
+			c.templates = make(map[string]*suiteTemplates)
+		}
+		t = &suiteTemplates{}
+		c.templates[suiteFP] = t
+	}
+	c.templatesMu.Unlock()
+	return t.slot(cell.Index).get(c, func() (emulation.Scenario, error) {
 		policy, err := c.PolicyFor(ctx, *cell, suite)
 		if err != nil {
 			return emulation.Scenario{}, err
@@ -453,12 +542,6 @@ type (
 	policyKey struct {
 		kind PolicyKind
 		fp   string
-	}
-	// scenarioKey names a cell's scenario template: the suite fingerprint
-	// and the cell index.
-	scenarioKey struct {
-		suiteFP string
-		cell    int
 	}
 )
 

@@ -19,7 +19,8 @@ import (
 // order, the records kept ahead of the frontier must fit in the suite, and
 // the reject and duplicate counters must equal what an encoding/json model
 // of the same frames predicts: a Records frame is one only in the
-// one-spelling rule's bytes (decodeRecordsFrameReference).
+// one-spelling rule's bytes (decodeRecordsFrameReference), and so is a
+// LeaseRequest (oneSpellingFrame).
 func FuzzCoordinatorFrames(f *testing.F) {
 	suite := testSuite().withDefaults()
 	total := suite.NumScenarios()
@@ -79,8 +80,9 @@ func FuzzCoordinatorFrames(f *testing.F) {
 
 // modelFrame predicts how many rejects and duplicates the coordinator must
 // count for one frame, decoding it with encoding/json alone; seen tracks
-// the indices already accepted. A Records frame in any spelling but the
-// one json.Marshal writes is one reject, like any malformed frame.
+// the indices already accepted. A Records or LeaseRequest frame in any
+// spelling but the one json.Marshal writes is one reject, like any
+// malformed frame.
 func modelFrame(frame []byte, total, seedsPerCell int, seen map[int]bool) (rejects, dupes int64) {
 	kind, payload, err := proto.Decode(frame)
 	if err != nil {
@@ -97,7 +99,11 @@ func modelFrame(frame []byte, total, seedsPerCell int, seen map[int]bool) (rejec
 		if proto.Unmarshal(payload, &hb) != nil {
 			return 1, 0
 		}
-	case proto.KindLeaseRequest, proto.KindGoodbye:
+	case proto.KindLeaseRequest:
+		if !oneSpellingFrame(frame, kind, &proto.LeaseRequest{}) {
+			return 1, 0
+		}
+	case proto.KindGoodbye:
 	case proto.KindRecords:
 		_, _, recs, ok := decodeRecordsFrameReference(frame)
 		if !ok {

@@ -112,9 +112,9 @@ type outcome struct {
 }
 
 // batchResult carries the outcomes of one contiguous slice of scheduled
-// positions, [start, start+len(outs)). An execution allocates a fixed set
-// of them up front; workers take one per batch, the aggregator returns it
-// after folding.
+// positions, [start, start+len(outs)). An execution takes a fixed set of
+// them from its plan's pool up front; workers take one per batch, the
+// aggregator returns it after folding.
 type batchResult struct {
 	start int
 	outs  []outcome // a prefix of arr
@@ -190,12 +190,129 @@ func Run(ctx context.Context, suite Suite, cfg Config) (*Result, error) {
 // template key) and its offline fit. Run builds one per call; a worker
 // session builds one after the handshake has verified the fingerprint and
 // executes every lease against it, so a lease costs its own scenarios and
-// not the grid's, and the session fits once.
+// not the grid's, the session fits once, and a lease finds the runners
+// and buffers of the leases before it in the plan's pool.
 type plan struct {
 	suite Suite
 	cells []Cell
 	fp    string
 	fits  *emulation.FitSet // nil until fit
+	pool  execPool
+}
+
+// execPool holds what the executions of one plan take and give back: the
+// emulation runners, whose node pools, rng streams and scratch outlive the
+// execution that grew them, and the executions' shared state and buffers.
+// Executions of one plan may run at once, so each takes its own rather than
+// a slot per worker index: a worker goroutine takes a runner when it starts
+// and gives it back before it exits, and an execution takes its state when
+// it starts and gives it back once every worker of it has exited.
+type execPool struct {
+	mu      sync.Mutex
+	runners []*emulation.Runner
+	execs   []*execution
+}
+
+// runner takes a runner, a fresh one if none is free.
+func (p *execPool) runner() *emulation.Runner {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.runners)
+	if n == 0 {
+		return emulation.NewRunner()
+	}
+	r := p.runners[n-1]
+	p.runners = p.runners[:n-1]
+	return r
+}
+
+// putRunner gives a runner back.
+func (p *execPool) putRunner(r *emulation.Runner) {
+	p.mu.Lock()
+	p.runners = append(p.runners, r)
+	p.mu.Unlock()
+}
+
+// execution is what one plan.execute shares with its workers: the
+// schedule and its configuration, the batch counter, the batch buffers
+// with the channel they wait in for a worker and the ring they wait in for
+// the fold, the outcome channel and the scheduled cells' states.
+type execution struct {
+	p          *plan
+	ctx        context.Context
+	cancel     context.CancelFunc
+	cfg        Config
+	tm         fleetMetrics
+	sched      []int
+	fitSeed    int64
+	firstCell  int
+	numBatches int
+	nextBatch  atomic.Int64
+
+	bufs    []batchResult
+	free    chan *batchResult
+	pending []*batchResult
+	// outcomes carries the workers' batches to the fold, and a nil from
+	// each worker as it exits.
+	outcomes chan *batchResult
+	// states resolves each scheduled cell's policy and scenario template
+	// at most once per execution (replayed cells not at all), with an
+	// allocation-free fast path after the first resolution. It spans only
+	// the cells the schedule touches — a lease's one or two, not the
+	// grid's thousands.
+	states []cellState
+}
+
+// takeExecution takes an execution of sched under cfg (with its defaults)
+// from the pool: its buffers all free, its ring empty, its cells
+// unresolved.
+func (p *plan) takeExecution(ctx context.Context, sched []int, cfg Config) *execution {
+	p.pool.mu.Lock()
+	var e *execution
+	if n := len(p.pool.execs); n > 0 {
+		e = p.pool.execs[n-1]
+		p.pool.execs = p.pool.execs[:n-1]
+	}
+	p.pool.mu.Unlock()
+	if e == nil {
+		e = &execution{p: p}
+	}
+	total := len(sched)
+	e.ctx, e.cancel = context.WithCancel(ctx)
+	e.cfg, e.sched, e.tm = cfg, sched, newFleetMetrics(cfg.Telemetry)
+	e.fitSeed = emulation.FitStreamSeed(p.suite.Seed)
+	e.firstCell = sched[0] / p.suite.SeedsPerCell
+	e.numBatches = (total + foldSpan - 1) / foldSpan
+	e.nextBatch.Store(0)
+	n := min(e.numBatches, batchesPerWorker*cfg.Workers)
+	if len(e.bufs) < n {
+		e.bufs = make([]batchResult, n)
+		e.free = make(chan *batchResult, n)
+	}
+	for i := range e.bufs[:n] {
+		e.bufs[i].outs = e.bufs[i].arr[:0]
+		e.free <- &e.bufs[i]
+	}
+	e.pending = append(e.pending[:0], make([]*batchResult, n)...)
+	if cap(e.outcomes) < cfg.Workers {
+		e.outcomes = make(chan *batchResult, cfg.Workers)
+	}
+	e.states = append(e.states[:0], make([]cellState, sched[total-1]/p.suite.SeedsPerCell-e.firstCell+1)...)
+	return e
+}
+
+// putExecution gives e back once every worker of it has exited.
+func (p *plan) putExecution(e *execution) {
+	e.cancel()
+	for len(e.free) > 0 {
+		<-e.free
+	}
+	clear(e.pending)
+	clear(e.states)
+	e.ctx, e.cancel, e.cfg, e.sched = nil, nil, Config{}, nil
+	p.pool.mu.Lock()
+	p.pool.execs = append(p.pool.execs, e)
+	p.pool.mu.Unlock()
 }
 
 func newPlan(suite Suite) *plan {
@@ -226,155 +343,149 @@ func (p *plan) fit(cfg Config) error {
 // frame it ships. Per-index seeding makes the records identical to the ones
 // a whole run produces, whichever schedule executes them. An emit error
 // aborts the execution and is returned.
+//
+// Workers claim index-contiguous batches of scheduled positions through
+// one atomic counter — one channel round-trip per batch instead of two per
+// scenario — and execute them on an emulation runner from the plan's pool,
+// whose node pool, rng streams and scratch survive from scenario to
+// scenario and from execution to execution. The outcome buffers come from
+// the plan's pool too and cycle between the workers and the fold, so the
+// per-scenario path allocates nothing, an execution allocates the same
+// number of times however its workers are scheduled, and a warm worker
+// session's lease allocates the same number of times however many
+// scenarios it holds.
 func (p *plan) execute(ctx context.Context, sched []int, cfg Config, emit func(rec *RunRecord, fresh bool) error) error {
-	cfg = cfg.withDefaults()
-	suite, cells := p.suite, p.cells
-	total := len(sched)
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	tm := newFleetMetrics(cfg.Telemetry)
-	fitSeed, fits := emulation.FitStreamSeed(suite.Seed), p.fits
-
-	// Per-run cell execution state: each scheduled cell resolves its policy
-	// and scenario template at most once per run (replayed cells not at
-	// all), with an allocation-free fast path after the first resolution.
-	// The slice spans only the cells the schedule touches — a lease's one or
-	// two, not the grid's thousands.
-	firstCell := sched[0] / suite.SeedsPerCell
-	states := make([]cellState, sched[total-1]/suite.SeedsPerCell-firstCell+1)
-
-	// Workers claim index-contiguous batches of scheduled positions through
-	// one atomic counter — one channel round-trip per batch instead of two
-	// per scenario — and execute them on a worker-resident emulation runner
-	// whose node pool, rng streams and scratch survive from scenario to
-	// scenario. Outcome buffers are allocated once per execution and cycle
-	// between the workers and the aggregator, so the per-scenario path
-	// allocates nothing and an execution allocates the same number of times
-	// however its workers are scheduled.
-	numBatches := (total + foldSpan - 1) / foldSpan
-	bufs := make([]batchResult, min(numBatches, batchesPerWorker*cfg.Workers))
-	free := make(chan *batchResult, len(bufs))
-	for i := range bufs {
-		bufs[i].outs = bufs[i].arr[:0]
-		free <- &bufs[i]
+	e := p.takeExecution(ctx, sched, cfg.withDefaults())
+	defer p.putExecution(e)
+	for w := 0; w < e.cfg.Workers; w++ {
+		go e.work(w)
 	}
+	return e.fold(emit)
+}
 
-	outcomes := make(chan *batchResult, cfg.Workers)
-	var nextBatch atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(wid int) {
-			defer wg.Done()
-			runner := emulation.NewRunner()
-			// The hook is a closure allocation a nil handle cannot skip.
-			if cfg.Telemetry != nil {
-				runner.OnRun(func(steps int) { tm.steps.Observe(wid, int64(steps)) })
-			}
-			for ctx.Err() == nil {
-				// Every claimed batch not yet folded holds a buffer, so the
-				// batch the fold waits for is always in some worker's hands
-				// and waiting here for a free buffer cannot deadlock.
-				var br *batchResult
-				select {
-				case br = <-free:
-				case <-ctx.Done():
-					return
-				}
-				bi := int(nextBatch.Add(1)) - 1
-				if bi >= numBatches {
-					free <- br // for the next worker to find the batches gone
-					return
-				}
-				tm.batches.Inc(wid)
-				start := bi * foldSpan
-				end := min(start+foldSpan, total)
-				br.start = start
-				br.outs = br.outs[:0]
-				failed := false
-				for pos := start; pos < end && !failed; pos++ {
-					if ctx.Err() != nil {
-						break // cancelled mid-batch: deliver the executed prefix
-					}
-					idx := sched[pos]
-					cell := &cells[idx/suite.SeedsPerCell]
-					oc := outcome{rec: RunRecord{Index: idx, Cell: cell.Index}, fresh: true}
-					if rec, ok := cfg.Completed.get(idx); ok {
-						oc.rec.Metrics, oc.fresh = rec.Metrics, false
-					} else {
-						st := &states[cell.Index-firstCell]
-						st.once.Do(func() { st.sc, st.err = cfg.Cache.scenarioFor(ctx, p.fp, cell, suite) })
-						if st.err != nil {
-							oc.err = st.err
-						} else {
-							sc := st.sc
-							sc.Seed = scenarioSeed(suite.Seed, idx)
-							sc.FitSeed = fitSeed
-							sc.Fits = fits
-							// Timing wraps the run from outside: the scenario's
-							// rng streams are seeded purely from (suite seed,
-							// index) above, so the clock reads cannot perturb
-							// results. A clock read is the one cost a nil
-							// handle cannot skip, so an uninstrumented run
-							// makes none.
-							tm.started.Inc(wid)
-							var t0 time.Time
-							if cfg.Telemetry != nil {
-								t0 = time.Now()
-							}
-							// Cells on a non-default backend dispatch through
-							// the registry; the default (emulation) path stays
-							// on the worker-resident zero-allocation runner.
-							if cell.Backend == "" {
-								oc.rec.Metrics, oc.err = runner.RunInto(sc)
-							} else if be, ok := LookupBackend(cell.Backend); ok {
-								oc.rec.Metrics, oc.err = be.Run(ctx, sc, BackendOptions{Telemetry: cfg.Telemetry, Shard: wid, Chaos: cfg.Chaos})
-							} else {
-								// Unreachable after Validate — defensive.
-								oc.err = fmt.Errorf("%w: unknown backend %q", ErrBadSuite, cell.Backend)
-							}
-							if cfg.Telemetry != nil {
-								d := int64(time.Since(t0))
-								tm.busyNS.Add(wid, d)
-								tm.durNS.Observe(wid, d)
-							}
-						}
-					}
-					br.outs = append(br.outs, oc)
-					failed = oc.err != nil
-				}
-				// The send is unconditional: the aggregator drains the
-				// channel until every worker has exited, so delivery cannot
-				// block — and must not be skipped, or a dropped batch ahead
-				// of a failure in fold order would mask the real scenario
-				// error behind the cancellation it triggered.
-				outcomes <- br
-				if failed {
-					cancel() // fail fast; the aggregator reports the error
-					return
-				}
-			}
-		}(w)
-	}
-	go func() {
-		wg.Wait()
-		close(outcomes)
+// work is worker wid's loop: claim a batch with a free buffer in hand, run
+// its scenarios, send it to the fold, until the batches run out, the
+// execution is cancelled or a scenario fails. Its last send is a nil, after
+// its runner is back in the pool.
+func (e *execution) work(wid int) {
+	p, cfg, tm := e.p, &e.cfg, &e.tm
+	suite := &p.suite
+	runner := p.pool.runner()
+	defer func() {
+		p.pool.putRunner(runner)
+		e.outcomes <- nil
 	}()
+	// The hook is a closure allocation a nil handle cannot skip. A pooled
+	// runner's hook is set or cleared every execution, so an execution
+	// never observes into an earlier one's collector.
+	if cfg.Telemetry != nil {
+		h := tm.steps
+		runner.OnRun(func(steps int) { h.Observe(wid, int64(steps)) })
+	} else {
+		runner.OnRun(nil)
+	}
+	for e.ctx.Err() == nil {
+		// Every claimed batch not yet folded holds a buffer, so the batch
+		// the fold waits for is always in some worker's hands and waiting
+		// here for a free buffer cannot deadlock.
+		var br *batchResult
+		select {
+		case br = <-e.free:
+		case <-e.ctx.Done():
+			return
+		}
+		bi := int(e.nextBatch.Add(1)) - 1
+		if bi >= e.numBatches {
+			e.free <- br // for the next worker to find the batches gone
+			return
+		}
+		tm.batches.Inc(wid)
+		start := bi * foldSpan
+		end := min(start+foldSpan, len(e.sched))
+		br.start = start
+		br.outs = br.outs[:0]
+		failed := false
+		for pos := start; pos < end && !failed; pos++ {
+			if e.ctx.Err() != nil {
+				break // cancelled mid-batch: deliver the executed prefix
+			}
+			idx := e.sched[pos]
+			cell := &p.cells[idx/suite.SeedsPerCell]
+			oc := outcome{rec: RunRecord{Index: idx, Cell: cell.Index}, fresh: true}
+			if rec, ok := cfg.Completed.get(idx); ok {
+				oc.rec.Metrics, oc.fresh = rec.Metrics, false
+			} else {
+				st := &e.states[cell.Index-e.firstCell]
+				st.once.Do(func() { st.sc, st.err = cfg.Cache.scenarioFor(e.ctx, p.fp, cell, *suite) })
+				if st.err != nil {
+					oc.err = st.err
+				} else {
+					sc := st.sc
+					sc.Seed = scenarioSeed(suite.Seed, idx)
+					sc.FitSeed = e.fitSeed
+					sc.Fits = p.fits
+					// Timing wraps the run from outside: the scenario's rng
+					// streams are seeded purely from (suite seed, index)
+					// above, so the clock reads cannot perturb results. A
+					// clock read is the one cost a nil handle cannot skip,
+					// so an uninstrumented run makes none.
+					tm.started.Inc(wid)
+					var t0 time.Time
+					if cfg.Telemetry != nil {
+						t0 = time.Now()
+					}
+					// Cells on a non-default backend dispatch through the
+					// registry; the default (emulation) path stays on the
+					// worker's zero-allocation runner.
+					if cell.Backend == "" {
+						oc.rec.Metrics, oc.err = runner.RunInto(sc)
+					} else if be, ok := LookupBackend(cell.Backend); ok {
+						oc.rec.Metrics, oc.err = be.Run(e.ctx, sc, BackendOptions{Telemetry: cfg.Telemetry, Shard: wid, Chaos: cfg.Chaos})
+					} else {
+						// Unreachable after Validate — defensive.
+						oc.err = fmt.Errorf("%w: unknown backend %q", ErrBadSuite, cell.Backend)
+					}
+					if cfg.Telemetry != nil {
+						d := int64(time.Since(t0))
+						tm.busyNS.Add(wid, d)
+						tm.durNS.Observe(wid, d)
+					}
+				}
+			}
+			br.outs = append(br.outs, oc)
+			failed = oc.err != nil
+		}
+		// The send is unconditional: the fold drains the channel until
+		// every worker has exited, so delivery cannot block — and must not
+		// be skipped, or a dropped batch ahead of a failure in fold order
+		// would mask the real scenario error behind the cancellation it
+		// triggered.
+		e.outcomes <- br
+		if failed {
+			e.cancel() // fail fast; the fold reports the error
+			return
+		}
+	}
+}
 
-	// Aggregator: hand batches to emit in strict schedule order, with
-	// out-of-order completions parked in a reorder ring. The batches claimed
-	// and not yet emitted each hold one of the len(bufs) buffers, so they are
-	// consecutive, start at next's batch and fit the ring one slot each.
-	// Run's fold spans are fixed, so every floating-point result is
-	// independent of scheduling and worker count, and a checkpoint file is
-	// always an index-ordered prefix of the work.
+// fold hands the workers' batches to emit in strict schedule order, with
+// out-of-order completions parked in a reorder ring, until every worker has
+// exited. The batches claimed and not yet emitted each hold one of the
+// len(pending) buffers, so they are consecutive, start at next's batch and
+// fit the ring one slot each. Run's fold spans are fixed, so every
+// floating-point result is independent of scheduling and worker count, and
+// a checkpoint file is always an index-ordered prefix of the work.
+func (e *execution) fold(emit func(rec *RunRecord, fresh bool) error) error {
+	pending := e.pending
 	next := 0 // positions [0, next) are emitted
-	pending := make([]*batchResult, len(bufs))
 	slot := func(start int) int { return start / foldSpan % len(pending) }
 	var firstErr error
-	for br := range outcomes {
+	for running := e.cfg.Workers; running > 0; {
+		br := <-e.outcomes
+		if br == nil {
+			running--
+			continue
+		}
 		// Scenario errors are captured on receipt, not in fold order: a
 		// cancelled sibling worker may have delivered only a prefix of an
 		// earlier batch, so the ordered fold might never reach the batch
@@ -398,22 +509,22 @@ func (p *plan) execute(ctx context.Context, sched []int, cfg Config, emit func(r
 			for i := range b.outs {
 				if err := emit(&b.outs[i].rec, b.outs[i].fresh); err != nil {
 					firstErr = err
-					cancel()
+					e.cancel()
 					break
 				}
 				next++
 			}
-			free <- b
+			e.free <- b
 		}
 	}
 	if firstErr != nil {
 		return firstErr
 	}
-	if err := ctx.Err(); err != nil {
+	if err := e.ctx.Err(); err != nil {
 		return err
 	}
-	if next != total {
-		return fmt.Errorf("fleet: emitted %d of %d scenarios", next, total)
+	if next != len(e.sched) {
+		return fmt.Errorf("fleet: emitted %d of %d scenarios", next, len(e.sched))
 	}
 	return nil
 }

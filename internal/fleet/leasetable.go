@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"fmt"
 	"maps"
 	"slices"
@@ -156,24 +157,37 @@ func newCoordinator(suite Suite, cfg CoordinatorConfig, now time.Time) (*coordin
 }
 
 // takeSends hands the caller the frames queued since the last call, in the
-// order they were queued.
+// order they were queued. The slice is the table's queue, valid until its
+// next event.
 func (c *coordinator) takeSends() []outbound {
 	out := c.out
-	c.out = nil
+	c.out = c.out[:0]
 	return out
 }
 
 // receive handles one frame from worker from at time now. A Records frame
 // is the exact bytes a worker splices, decoded in one pass by the record
-// codec; a frame of any other kind goes through proto.Decode. A Records
-// frame spelled any other way is malformed like any undecodable frame:
-// garbage from the network is dropped and counted, never fatal; the one
-// error is the OnRecord hook's.
+// codec, and a LeaseRequest the frame codec's one spelling; a frame of any
+// other kind goes through proto.Decode. A Records or LeaseRequest frame
+// spelled any other way is malformed like any undecodable frame: garbage
+// from the network is dropped and counted, never fatal; the one error is
+// the OnRecord hook's.
 func (c *coordinator) receive(from string, payload []byte, now time.Time) error {
 	leaseID, seq, recs, ok := decodeRecordsFrame(payload, c.batch[:0])
 	c.batch = recs[:0]
 	if ok {
 		return c.ingestBatch(from, now, leaseID, seq, recs)
+	}
+	if bytes.Equal(payload, leaseRequestFrame) {
+		c.alive(from, now)
+		if lease, ok := c.grant(from, now); ok {
+			c.send(from, appendLeaseFrame(make([]byte, 0, maxControlFrame), lease))
+		} else {
+			// Outstanding leases cover the remaining work; the worker asks
+			// again a heartbeat later (it inherits expired ranges that way).
+			c.send(from, encode(proto.KindWait, proto.Wait{Drain: c.done()}))
+		}
+		return nil
 	}
 	kind, raw, err := proto.Decode(payload)
 	if err != nil {
@@ -192,22 +206,13 @@ func (c *coordinator) receive(from string, payload []byte, now time.Time) error 
 		}
 		c.alive(from, now)
 		c.updateGauges()
-		c.send(from, proto.KindWelcome, proto.Welcome{
+		c.send(from, encode(proto.KindWelcome, proto.Welcome{
 			Version:         proto.Version,
 			Suite:           c.suiteDoc,
 			Fingerprint:     c.fp,
 			Scenarios:       c.total,
 			HeartbeatMillis: int(c.hb / time.Millisecond),
-		})
-	case proto.KindLeaseRequest:
-		c.alive(from, now)
-		if lease, ok := c.grant(from, now); ok {
-			c.send(from, proto.KindLease, lease)
-		} else {
-			// Outstanding leases cover the remaining work; the worker asks
-			// again a heartbeat later (it inherits expired ranges that way).
-			c.send(from, proto.KindWait, proto.Wait{Drain: c.done()})
-		}
+		}))
 	case proto.KindHeartbeat:
 		var hb proto.Heartbeat
 		if err := proto.Unmarshal(raw, &hb); err != nil {
@@ -240,7 +245,7 @@ func (c *coordinator) ingestBatch(from string, now time.Time, leaseID uint64, se
 			return err
 		}
 	}
-	c.send(from, proto.KindRecordsAck, proto.RecordsAck{LeaseID: leaseID, Seq: seq})
+	c.send(from, appendRecordsAckFrame(make([]byte, 0, maxControlFrame), proto.RecordsAck{LeaseID: leaseID, Seq: seq}))
 	c.completeLease(leaseID)
 	return nil
 }
@@ -441,13 +446,14 @@ func (c *coordinator) missingSpans(start, end int) []span {
 // (best effort — a missed drain costs the worker its retries).
 func (c *coordinator) drain() {
 	for _, addr := range slices.Sorted(maps.Keys(c.workers)) {
-		c.send(addr, proto.KindWait, proto.Wait{Drain: true})
+		c.send(addr, encode(proto.KindWait, proto.Wait{Drain: true}))
 	}
 }
 
-// send encodes and queues one message.
-func (c *coordinator) send(to string, kind proto.Kind, payload any) {
-	c.out = append(c.out, outbound{to: to, data: encode(kind, payload)})
+// send queues one frame. The frame is its own: the shell may hand it to an
+// endpoint that keeps it.
+func (c *coordinator) send(to string, data []byte) {
+	c.out = append(c.out, outbound{to: to, data: data})
 }
 
 func (c *coordinator) reject() {

@@ -125,7 +125,10 @@ type Welcome struct {
 }
 
 // LeaseRequest asks for the next scenario range. It is also the worker's
-// poll after a Wait.
+// poll after a Wait. It has no fields, and the fleet writes and reads its
+// one spelling as bytes.
+//
+//tolerance:testonly the message's type, which the encoding/json oracle of that spelling decodes
 type LeaseRequest struct{}
 
 // Lease grants the scenario index range [Start, End) under lease ID.

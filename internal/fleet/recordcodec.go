@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"tolerance/internal/emulation"
+	"tolerance/internal/fleet/proto"
 )
 
 // The RunRecord codec: the one place a record becomes bytes (checkpoint
@@ -197,6 +198,80 @@ func decodeRecordsFrame(frame []byte, dst []RunRecord) (leaseID uint64, seq int,
 	}
 	s.lit(recordsFrameTail)
 	return leaseID, seq, recs, s.ok && len(s.b) == 0
+}
+
+// The lease protocol's other frames on the hot path — the lease request,
+// the lease and the records ack — in the bytes proto.Encode writes for
+// them: the envelope's kind and payload members in that order, the
+// payload's members in field order, numbers as strconv writes them, no
+// whitespace. Every peer writes them so, so their decoders accept those
+// bytes only; a frame of these kinds spelled any other way is malformed.
+const (
+	leaseFrameHead   = `{"kind":"` + string(proto.KindLease) + `","payload":{"id":`
+	leaseFrameStart  = `,"start":`
+	leaseFrameEnd    = `,"end":`
+	ackFrameHead     = `{"kind":"` + string(proto.KindRecordsAck) + `","payload":{"leaseId":`
+	ackFrameSeq      = `,"seq":`
+	controlFrameTail = `}}`
+
+	// maxControlFrame bounds a lease or records-ack frame: the longest
+	// head, three numbers of at most 20 bytes, the separators and the tail.
+	maxControlFrame = len(ackFrameHead) + len(leaseFrameStart) + len(leaseFrameEnd) + 3*20 + len(controlFrameTail)
+)
+
+// leaseRequestFrame is the one spelling of a LeaseRequest frame.
+var leaseRequestFrame = []byte(`{"kind":"` + string(proto.KindLeaseRequest) + `","payload":{}}`)
+
+// appendLeaseFrame appends the Lease frame granting l.
+func appendLeaseFrame(dst []byte, l proto.Lease) []byte {
+	dst = append(dst, leaseFrameHead...)
+	dst = strconv.AppendUint(dst, l.ID, 10)
+	dst = append(dst, leaseFrameStart...)
+	dst = strconv.AppendInt(dst, int64(l.Start), 10)
+	dst = append(dst, leaseFrameEnd...)
+	dst = strconv.AppendInt(dst, int64(l.End), 10)
+	return append(dst, controlFrameTail...)
+}
+
+// decodeLeaseFrame decodes a Lease frame in its one spelling; ok reports
+// whether frame was one.
+func decodeLeaseFrame(frame []byte) (l proto.Lease, ok bool) {
+	s := recScanner{b: frame, ok: true}
+	s.lit(leaseFrameHead)
+	l.ID = s.uint(math.MaxUint64)
+	s.lit(leaseFrameStart)
+	l.Start = s.int()
+	s.lit(leaseFrameEnd)
+	l.End = s.int()
+	s.lit(controlFrameTail)
+	if !s.ok || len(s.b) != 0 {
+		return proto.Lease{}, false
+	}
+	return l, true
+}
+
+// appendRecordsAckFrame appends the RecordsAck frame acknowledging ack.
+func appendRecordsAckFrame(dst []byte, ack proto.RecordsAck) []byte {
+	dst = append(dst, ackFrameHead...)
+	dst = strconv.AppendUint(dst, ack.LeaseID, 10)
+	dst = append(dst, ackFrameSeq...)
+	dst = strconv.AppendInt(dst, int64(ack.Seq), 10)
+	return append(dst, controlFrameTail...)
+}
+
+// decodeRecordsAckFrame decodes a RecordsAck frame in its one spelling;
+// ok reports whether frame was one.
+func decodeRecordsAckFrame(frame []byte) (ack proto.RecordsAck, ok bool) {
+	s := recScanner{b: frame, ok: true}
+	s.lit(ackFrameHead)
+	ack.LeaseID = s.uint(math.MaxUint64)
+	s.lit(ackFrameSeq)
+	ack.Seq = s.int()
+	s.lit(controlFrameTail)
+	if !s.ok || len(s.b) != 0 {
+		return proto.RecordsAck{}, false
+	}
+	return ack, true
 }
 
 // record consumes a canonical record up to the closing brace of its

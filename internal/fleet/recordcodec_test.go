@@ -1093,6 +1093,70 @@ func BenchmarkRecordCodec(b *testing.B) {
 			}
 		}
 	})
+	lease := proto.Lease{ID: 1 << 40, Start: 24000, End: 24256}
+	ack := proto.RecordsAck{LeaseID: 1 << 40, Seq: 3}
+	leaseFrame, ackFrame := appendLeaseFrame(nil, lease), appendRecordsAckFrame(nil, ack)
+	control := make([]byte, 0, maxControlFrame)
+	b.Run("records-ack-encode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(ackFrame)))
+		for i := 0; i < b.N; i++ {
+			control = appendRecordsAckFrame(control[:0], ack)
+		}
+	})
+	b.Run("records-ack-decode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(ackFrame)))
+		for i := 0; i < b.N; i++ {
+			if got, ok := decodeRecordsAckFrame(ackFrame); !ok || got != ack {
+				b.Fatal("ack frame declined")
+			}
+		}
+	})
+	b.Run("lease-encode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(leaseFrame)))
+		for i := 0; i < b.N; i++ {
+			control = appendLeaseFrame(control[:0], lease)
+		}
+	})
+	b.Run("lease-decode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(leaseFrame)))
+		for i := 0; i < b.N; i++ {
+			if got, ok := decodeLeaseFrame(leaseFrame); !ok || got != lease {
+				b.Fatal("lease frame declined")
+			}
+		}
+	})
+	b.Run("lease-request-encode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(leaseRequestFrame)))
+		for i := 0; i < b.N; i++ {
+			control = append(control[:0], leaseRequestFrame...)
+		}
+	})
+	b.Run("lease-request-decode", func(b *testing.B) {
+		request := bytes.Clone(leaseRequestFrame)
+		b.ReportAllocs()
+		b.SetBytes(int64(len(request)))
+		for i := 0; i < b.N; i++ {
+			if !bytes.Equal(request, leaseRequestFrame) {
+				b.Fatal("lease request declined")
+			}
+		}
+	})
+	b.Run("reference-proto-control", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(leaseFrame) + len(ackFrame)))
+		for i := 0; i < b.N; i++ {
+			var l proto.Lease
+			var a proto.RecordsAck
+			if !oneSpellingFrame(leaseFrame, proto.KindLease, &l) || !oneSpellingFrame(ackFrame, proto.KindRecordsAck, &a) {
+				b.Fatal("control frames declined")
+			}
+		}
+	})
 	line := checkpointLineOf(b, sampleRecord)
 	b.Run("encode", func(b *testing.B) {
 		w := &CheckpointWriter{sink: io.Discard, line: make([]byte, 0, maxRecordJSON)}

@@ -68,6 +68,19 @@ func decodeRecordsFrameReference(frame []byte) (leaseID uint64, seq int, recs []
 	return batch.LeaseID, batch.Seq, recs, true
 }
 
+// oneSpellingFrame is the one-spelling rule for a frame of kind, in
+// encoding/json alone: proto.Decode reads kind, proto.Unmarshal decodes the
+// payload into v, and proto.Encode of what it decoded writes the frame
+// back byte for byte.
+func oneSpellingFrame(frame []byte, kind proto.Kind, v any) bool {
+	got, payload, err := proto.Decode(frame)
+	if err != nil || got != kind || proto.Unmarshal(payload, v) != nil {
+		return false
+	}
+	back, err := proto.Encode(kind, v)
+	return err == nil && bytes.Equal(back, frame)
+}
+
 // checkRecordsFrame asserts the frame codec on arbitrary bytes: the fast
 // path claims a frame exactly when the reference does, decodes it to the
 // same lease, batch number and records, and splicing those back writes
@@ -228,6 +241,139 @@ func TestRecordsFrameZeroAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("decoding a Records frame: %v allocs, want 0", n)
+	}
+}
+
+// controlFrameNumbers are the lease IDs and ints the control frames carry
+// at their extremes.
+var (
+	controlFrameIDs  = []uint64{0, 1, 7, 1 << 40, math.MaxUint64}
+	controlFrameInts = []int{0, 1, -2, 63, math.MaxInt, math.MinInt}
+)
+
+// nearMissControlFrames are frames one step from the codec's spellings of
+// a lease, a records ack and a lease request; the one-spelling rule
+// declines every one.
+func nearMissControlFrames(t testing.TB) [][]byte {
+	lease := `{"kind":"lease","payload":{"id":7,"start":3,"end":9}}`
+	ack := `{"kind":"records-ack","payload":{"leaseId":7,"seq":3}}`
+	with := func(canon, old, new string) []byte {
+		if !strings.Contains(canon, old) {
+			t.Fatalf("%s has no %q", canon, old)
+		}
+		return []byte(strings.Replace(canon, old, new, 1))
+	}
+	return [][]byte{
+		[]byte(lease[:len(lease)-1]), // truncated
+		[]byte(lease + " "),          // trailing whitespace
+		with(lease, `"id":7`, `"id":07`),
+		with(lease, `"id":7`, `"id":-7`),
+		with(lease, `"id":7`, `"id":18446744073709551616`),
+		with(lease, `"start":3`, `"start":3.0`),
+		with(lease, `"start":3`, `"start":-0`),
+		with(lease, `"start":3`, `"start":3e0`),
+		with(lease, `"end":9`, `"end":9223372036854775808`),
+		with(lease, `"end":9`, `"end":"9"`),
+		with(lease, `"id":7,"start":3`, `"start":3,"id":7`), // reordered members
+		with(lease, `,"end":9`, ``),                         // a missing member
+		with(lease, `}}`, `,"extra":1}}`),                   // an unknown member
+		with(lease, `,"payload":{"id":7,"start":3,"end":9}`, ``),
+		with(lease, `"payload":{"id":7,"start":3,"end":9}`, `"payload":null`),
+		with(lease, `"kind":"lease"`, `"kind":"Lease"`),
+		with(lease, `{"kind":"lease",`, `{"kind": "lease",`),
+		[]byte(`{"payload":{"id":7,"start":3,"end":9},"kind":"lease"}`),
+		with(ack, `"leaseId":7`, `"leaseId":007`),
+		with(ack, `"seq":3`, `"seq":+3`),
+		with(ack, `"seq":3`, `"seq":3,"seq":3`),
+		with(ack, `"leaseId":7`, `"leaseid":7`),
+		with(ack, `,"payload":{"leaseId":7,"seq":3}`, ``),
+		with(ack, `"kind":"records-ack"`, `"kind":"lease"`),
+		[]byte(`{"kind":"lease-request"}`),
+		[]byte(`{"kind":"lease-request","payload":null}`),
+		[]byte(`{"kind":"lease-request","payload":{"x":1}}`),
+		[]byte(`{"kind":"lease-request","payload":{} }`),
+		[]byte(`{"kind":"lease-request","payload":[]}`),
+		nil,
+	}
+}
+
+// checkControlFrame asserts the control-frame decoders on arbitrary bytes:
+// each claims a frame exactly when the one-spelling rule does for its kind
+// and decodes it to what encoding/json does.
+func checkControlFrame(t *testing.T, frame []byte) {
+	t.Helper()
+	var wantLease proto.Lease
+	lease, ok := decodeLeaseFrame(frame)
+	if wantOK := oneSpellingFrame(frame, proto.KindLease, &wantLease); ok != wantOK || ok && lease != wantLease {
+		t.Fatalf("%q: lease decoder (%+v, %v), reference (%+v, %v)", frame, lease, ok, wantLease, wantOK)
+	}
+	var wantAck proto.RecordsAck
+	ack, ok := decodeRecordsAckFrame(frame)
+	if wantOK := oneSpellingFrame(frame, proto.KindRecordsAck, &wantAck); ok != wantOK || ok && ack != wantAck {
+		t.Fatalf("%q: ack decoder (%+v, %v), reference (%+v, %v)", frame, ack, ok, wantAck, wantOK)
+	}
+	ok = bytes.Equal(frame, leaseRequestFrame)
+	if wantOK := oneSpellingFrame(frame, proto.KindLeaseRequest, &proto.LeaseRequest{}); ok != wantOK {
+		t.Fatalf("%q: lease request %v, reference %v", frame, ok, wantOK)
+	}
+}
+
+// TestControlFramesMatchProto: the lease, records-ack and lease-request
+// frames the codec writes are proto.Encode's byte for byte at every
+// extreme of their numbers, its decoders read them back, and they decline
+// every near miss as the one-spelling rule does.
+func TestControlFramesMatchProto(t *testing.T) {
+	check := func(got []byte, kind proto.Kind, v any) {
+		t.Helper()
+		want, err := proto.Encode(kind, v)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s frame:\n got %s\nwant %s (%v)", kind, got, want, err)
+		}
+		if len(got) > maxControlFrame {
+			t.Fatalf("%s frame of %d bytes exceeds maxControlFrame %d", kind, len(got), maxControlFrame)
+		}
+		checkControlFrame(t, got)
+	}
+	check(leaseRequestFrame, proto.KindLeaseRequest, proto.LeaseRequest{})
+	for _, id := range controlFrameIDs {
+		for _, a := range controlFrameInts {
+			ack := proto.RecordsAck{LeaseID: id, Seq: a}
+			check(appendRecordsAckFrame(nil, ack), proto.KindRecordsAck, ack)
+			for _, b := range controlFrameInts {
+				l := proto.Lease{ID: id, Start: a, End: b}
+				check(appendLeaseFrame(nil, l), proto.KindLease, l)
+			}
+		}
+	}
+	for _, frame := range nearMissControlFrames(t) {
+		checkControlFrame(t, frame)
+		if _, ok := decodeLeaseFrame(frame); ok {
+			t.Errorf("the lease decoder accepted the near miss %s", frame)
+		}
+		if _, ok := decodeRecordsAckFrame(frame); ok {
+			t.Errorf("the ack decoder accepted the near miss %s", frame)
+		}
+	}
+}
+
+// TestControlFramesZeroAllocs: writing a lease or records-ack frame into a
+// warm buffer and decoding one allocate nothing.
+func TestControlFramesZeroAllocs(t *testing.T) {
+	l := proto.Lease{ID: 1 << 40, Start: 24000, End: 24256}
+	ack := proto.RecordsAck{LeaseID: 1 << 40, Seq: 3}
+	leaseFrame, ackFrame := appendLeaseFrame(nil, l), appendRecordsAckFrame(nil, ack)
+	buf := make([]byte, 0, maxControlFrame)
+	if n := testing.AllocsPerRun(200, func() {
+		buf = appendLeaseFrame(buf[:0], l)
+		buf = appendRecordsAckFrame(buf[:0], ack)
+		if got, ok := decodeLeaseFrame(leaseFrame); !ok || got != l {
+			t.Fatal("lease frame declined")
+		}
+		if got, ok := decodeRecordsAckFrame(ackFrame); !ok || got != ack {
+			t.Fatal("ack frame declined")
+		}
+	}); n != 0 {
+		t.Errorf("writing and decoding control frames: %v allocs, want 0", n)
 	}
 }
 

@@ -39,11 +39,10 @@ const (
 // errNoReply ends a session whose request went unanswered.
 var errNoReply = errors.New("no reply")
 
-// Frames whose bytes never change.
+// Frames whose bytes never change (leaseRequestFrame is the frame codec's).
 var (
-	helloFrame        = encode(proto.KindHello, proto.Hello{Version: proto.Version})
-	leaseRequestFrame = encode(proto.KindLeaseRequest, proto.LeaseRequest{})
-	goodbyeFrame      = encode(proto.KindGoodbye, proto.Goodbye{})
+	helloFrame   = encode(proto.KindHello, proto.Hello{Version: proto.Version})
+	goodbyeFrame = encode(proto.KindGoodbye, proto.Goodbye{})
 )
 
 // session is one worker session's side of the lease protocol, as a pure
@@ -98,18 +97,35 @@ func newSession(coordinator string, logf func(string, ...any), now time.Time) *s
 	return s
 }
 
-// takeSends hands the caller the frames queued since the last call.
+// takeSends hands the caller the frames queued since the last call. The
+// slice is the session's queue, valid until its next event.
 func (s *session) takeSends() [][]byte {
 	out := s.out
-	s.out = nil
+	s.out = s.out[:0]
 	return out
 }
 
 // receive handles one coordinator frame at now. Only the frame the phase
 // awaits moves it on, and a drain notice ends the session; anything else —
 // undecodable, malformed, a lease outside the suite, a stray — is dropped.
+// A Lease or RecordsAck is one only in the frame codec's spelling; in any
+// other it is malformed.
 func (s *session) receive(payload []byte, now time.Time) {
 	if s.phase == phaseOver {
+		return
+	}
+	if l, ok := decodeLeaseFrame(payload); ok {
+		if (s.phase == phaseRequest || s.phase == phaseWait) && validLease(l, s.total) {
+			s.phase, s.lease, s.beatAt = phaseRun, l, now
+			s.leases++
+			s.log("worker: lease %d — scenarios [%d,%d)", l.ID, l.Start, l.End)
+		}
+		return
+	}
+	if ack, ok := decodeRecordsAckFrame(payload); ok {
+		if s.phase == phaseShip && ack == (proto.RecordsAck{LeaseID: s.lease.ID, Seq: s.seq}) {
+			s.phase = phaseRun
+		}
 		return
 	}
 	kind, raw, err := proto.Decode(payload)
@@ -130,20 +146,6 @@ func (s *session) receive(payload []byte, now time.Time) {
 	case proto.KindWelcome:
 		if s.phase == phaseHello {
 			s.welcome(raw, now)
-		}
-	case proto.KindLease:
-		var l proto.Lease
-		if (s.phase == phaseRequest || s.phase == phaseWait) &&
-			proto.Unmarshal(raw, &l) == nil && validLease(l, s.total) {
-			s.phase, s.lease, s.beatAt = phaseRun, l, now
-			s.leases++
-			s.log("worker: lease %d — scenarios [%d,%d)", l.ID, l.Start, l.End)
-		}
-	case proto.KindRecordsAck:
-		var ack proto.RecordsAck
-		if s.phase == phaseShip && proto.Unmarshal(raw, &ack) == nil &&
-			ack == (proto.RecordsAck{LeaseID: s.lease.ID, Seq: s.seq}) {
-			s.phase = phaseRun
 		}
 	}
 }

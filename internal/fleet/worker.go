@@ -205,6 +205,9 @@ type leaseRunner struct {
 	// batch of the session, since ship returns only once the batch is
 	// acked.
 	frame []byte
+	// indices is the running lease's schedule; one slice serves every
+	// lease of the session, which runs one at a time.
+	indices []int
 	// folded counts fleet.scenarios_folded: records handed to a frame. A
 	// worker folds nothing — the coordinator does.
 	folded *telemetry.Counter
@@ -218,9 +221,9 @@ func (r *leaseRunner) run(ctx context.Context, lease proto.Lease, ship func(seq 
 	if err := r.plan.fit(r.cfg); err != nil {
 		return err
 	}
-	indices := make([]int, 0, lease.End-lease.Start)
+	r.indices = r.indices[:0]
 	for i := lease.Start; i < lease.End; i++ {
-		indices = append(indices, i)
+		r.indices = append(r.indices, i)
 	}
 	batched, seq := 0, 0
 	flush := func() error {
@@ -233,7 +236,7 @@ func (r *leaseRunner) run(ctx context.Context, lease proto.Lease, ship func(seq 
 		seq++
 		return err
 	}
-	err := r.plan.execute(ctx, indices, r.cfg, func(rec *RunRecord, _ bool) error {
+	err := r.plan.execute(ctx, r.indices, r.cfg, func(rec *RunRecord, _ bool) error {
 		if batched == 0 {
 			r.frame = appendRecordsFrameHead(r.frame[:0], lease.ID, seq)
 		} else {

@@ -16,7 +16,11 @@ import (
 // phase; otherwise a phase ends only on the frame it awaits — a Welcome, a
 // Lease or a Wait, a Lease, the batch's ack — and nothing moves a running
 // lease; every lease a session starts is a valid range of the suite; and
-// only a handshake that ends in a lease request sends anything.
+// only a handshake that ends in a lease request sends anything. A Lease or
+// RecordsAck frame counts exactly when it is in its one spelling, stated
+// in encoding/json alone (oneSpellingFrame): a waiting session starts
+// every valid lease so spelled and no other, and a shipping one takes the
+// matching ack so spelled and no other.
 func FuzzWorkerFrames(f *testing.F) {
 	const total = 8
 	phases := []phase{phaseHello, phaseRequest, phaseShip, phaseWait, phaseRun}
@@ -37,6 +41,10 @@ func FuzzWorkerFrames(f *testing.F) {
 			sent := s.takeSends()
 
 			kind, raw, derr := proto.Decode(payload)
+			var lease proto.Lease
+			var ack proto.RecordsAck
+			isLease := oneSpellingFrame(payload, proto.KindLease, &lease)
+			isAck := oneSpellingFrame(payload, proto.KindRecordsAck, &ack)
 			var w proto.Wait
 			drain := derr == nil && kind == proto.KindWait && proto.Unmarshal(raw, &w) == nil && w.Drain
 			if drain {
@@ -58,18 +66,22 @@ func FuzzWorkerFrames(f *testing.F) {
 					t.Fatalf("%q: joined a suite of %d scenarios the Welcome does not describe", payload, s.total)
 				}
 			case (from == phaseRequest || from == phaseWait) && kind == proto.KindLease && to == phaseRun:
-				var l proto.Lease
-				if proto.Unmarshal(raw, &l) != nil || l != s.lease || !validLease(s.lease, total) {
-					t.Fatalf("%q: started lease %+v, not a valid range of %d", payload, s.lease, total)
+				if !isLease || lease != s.lease || !validLease(s.lease, total) {
+					t.Fatalf("%q: started lease %+v, not a valid range of %d in its one spelling", payload, s.lease, total)
 				}
 			case from == phaseRequest && kind == proto.KindWait && to == phaseWait:
 			case from == phaseShip && kind == proto.KindRecordsAck && to == phaseRun:
-				var ack proto.RecordsAck
-				if proto.Unmarshal(raw, &ack) != nil || ack != (proto.RecordsAck{LeaseID: 1, Seq: 0}) {
-					t.Fatalf("%q: an ack of another batch ended the wait for lease 1's batch 0", payload)
+				if !isAck || ack != (proto.RecordsAck{LeaseID: 1, Seq: 0}) {
+					t.Fatalf("%q: not lease 1's batch 0's ack in its one spelling, but it ended the wait for it", payload)
 				}
 			default:
 				t.Fatalf("%q: phase %d moved to %d on a %q frame", payload, from, to, kind)
+			}
+			if (from == phaseRequest || from == phaseWait) && isLease && validLease(lease, total) && s.phase != phaseRun {
+				t.Fatalf("%q in phase %d: a valid lease in its one spelling left phase %d", payload, from, s.phase)
+			}
+			if from == phaseShip && isAck && ack == (proto.RecordsAck{LeaseID: 1, Seq: 0}) && s.phase != phaseRun {
+				t.Fatalf("%q: the awaited ack in its one spelling left phase %d", payload, s.phase)
 			}
 			if wantSent := from == phaseHello && s.phase == phaseRequest; (len(sent) > 0) != wantSent ||
 				wantSent && !bytes.Equal(sent[0], leaseRequestFrame) {

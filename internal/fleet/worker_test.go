@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -217,6 +218,72 @@ func TestLeaseAllocatesForItsOwnScenarios(t *testing.T) {
 		t.Errorf("an 8-scenario lease allocated %d bytes on a warm session, want at most %d", n, bound)
 	} else {
 		t.Logf("an 8-scenario lease allocated %d bytes on a warm session", n)
+	}
+}
+
+// TestWarmLeaseAllocationCount: on a warm worker session of the wide
+// suite, a lease allocates a fixed number of objects however many
+// scenarios it holds — an 8-scenario lease and a 64-scenario lease, each
+// run once before, allocate within 2 of each other and at most 20 — since
+// its runners, batch buffers, index slice and frame buffer come back from
+// the session's earlier leases.
+func TestWarmLeaseAllocationCount(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what allocates")
+	}
+	r := &leaseRunner{plan: newPlan(benchWideSuite()), cfg: Config{Workers: 1, Cache: NewStrategyCache()}.withDefaults()}
+	ship := func(int, []byte) error { return nil }
+	run := func(l proto.Lease) {
+		if err := r.run(context.Background(), l, ship); err != nil {
+			t.Fatal(err)
+		}
+	}
+	small := proto.Lease{ID: 1, Start: 8000, End: 8008}
+	large := proto.Lease{ID: 2, Start: 8000, End: 8064}
+	run(small)
+	run(large)
+	allocs := func(l proto.Lease) float64 { return testing.AllocsPerRun(5, func() { run(l) }) }
+	a8, a64 := allocs(small), allocs(large)
+	if a8 > 20 || a64 > 20 || math.Abs(a8-a64) > 2 {
+		t.Errorf("a warm 8-scenario lease allocates %v times and a 64-scenario one %v; want equal within 2 and at most 20", a8, a64)
+	} else {
+		t.Logf("a warm 8-scenario lease allocates %v times, a 64-scenario one %v", a8, a64)
+	}
+}
+
+// TestPooledRunnerForgetsEarlierCollector: a runner an instrumented
+// execution gave back to its plan's pool, reused by an execution without
+// telemetry, records nothing into the earlier execution's collector.
+func TestPooledRunnerForgetsEarlierCollector(t *testing.T) {
+	p := newPlan(testSuite())
+	cfg := Config{Workers: 1, Cache: NewStrategyCache()}.withDefaults()
+	if err := p.fit(cfg); err != nil {
+		t.Fatal(err)
+	}
+	emit := func(*RunRecord, bool) error { return nil }
+	col := telemetry.New()
+	instrumented := cfg
+	instrumented.Telemetry = col
+	if err := p.execute(context.Background(), rangeInts(0, 4), instrumented, emit); err != nil {
+		t.Fatal(err)
+	}
+	steps := func() int64 { return col.Snapshot().Histograms[MetricScenarioSteps].Count }
+	if got := steps(); got != 4 {
+		t.Fatalf("the instrumented execution observed %d scenarios' steps, want 4", got)
+	}
+	pooled := p.pool.runners
+	if len(pooled) != 1 {
+		t.Fatalf("the plan's pool holds %d runners after a one-worker execution, want 1", len(pooled))
+	}
+	runner := pooled[0]
+	if err := p.execute(context.Background(), rangeInts(4, 12), cfg, emit); err != nil {
+		t.Fatal(err)
+	}
+	if len(p.pool.runners) != 1 || p.pool.runners[0] != runner {
+		t.Fatal("the uninstrumented execution did not reuse the pooled runner")
+	}
+	if got := steps(); got != 4 {
+		t.Errorf("after an uninstrumented execution on the pooled runner the collector holds %d scenarios' steps, want 4", got)
 	}
 }
 

@@ -84,10 +84,11 @@ func (b BO) Minimize(rng *rand.Rand, dim int, obj Objective, budget, workers int
 	normYs := make([]float64, 0, budget)
 	bestTheta := make([]float64, dim)
 	probe := make([]float64, dim)
+	var sel gpPoints
 	for tr.evals < budget {
 		fitXs, fitYs := xs, ys
 		if len(xs) > maxPoints {
-			fitXs, fitYs = selectGPPoints(xs, ys, maxPoints)
+			fitXs, fitYs = selectGPPoints(&sel, xs, ys, maxPoints)
 			model.reset()
 		}
 		normYs = normalizeInto(normYs, fitYs)
@@ -157,42 +158,38 @@ func normalizeInto(dst, ys []float64) []float64 {
 	return dst
 }
 
-// selectGPPoints keeps the best half and the most recent half of the budget.
-func selectGPPoints(xs [][]float64, ys []float64, limit int) ([][]float64, []float64) {
-	type pair struct {
-		x []float64
-		y float64
-	}
-	// Most recent limit/2 points.
+// gpPoints holds the conditioning set selectGPPoints keeps past
+// MaxGPPoints, in buffers the BO loop reuses every step.
+type gpPoints struct {
+	xs   [][]float64
+	ys   []float64
+	rest []int // indices of the points older than the recent half not yet kept
+}
+
+// selectGPPoints keeps the best half and the most recent half of the budget:
+// the limit/2 most recent points in order, then, until limit are kept, the
+// first-indexed strict minimum of the older points still left (a NaN there
+// is never less, so it stays first until it is kept). It writes the set into
+// sel's buffers and returns them.
+func selectGPPoints(sel *gpPoints, xs [][]float64, ys []float64, limit int) ([][]float64, []float64) {
 	recent := len(xs) - limit/2
-	keep := make([]pair, 0, limit)
-	for i := recent; i < len(xs); i++ {
-		keep = append(keep, pair{xs[i], ys[i]})
-	}
-	// Best remaining points.
-	type idxPair struct {
-		idx int
-		y   float64
-	}
-	var rest []idxPair
+	sel.xs = append(sel.xs[:0], xs[recent:]...)
+	sel.ys = append(sel.ys[:0], ys[recent:]...)
+	sel.rest = sel.rest[:0]
 	for i := 0; i < recent; i++ {
-		rest = append(rest, idxPair{i, ys[i]})
+		sel.rest = append(sel.rest, i)
 	}
-	for len(keep) < limit && len(rest) > 0 {
+	for len(sel.xs) < limit && len(sel.rest) > 0 {
 		best := 0
-		for i := range rest {
-			if rest[i].y < rest[best].y {
+		for i, idx := range sel.rest {
+			if ys[idx] < ys[sel.rest[best]] {
 				best = i
 			}
 		}
-		keep = append(keep, pair{xs[rest[best].idx], ys[rest[best].idx]})
-		rest = append(rest[:best], rest[best+1:]...)
+		idx := sel.rest[best]
+		sel.xs = append(sel.xs, xs[idx])
+		sel.ys = append(sel.ys, ys[idx])
+		sel.rest = append(sel.rest[:best], sel.rest[best+1:]...)
 	}
-	outX := make([][]float64, len(keep))
-	outY := make([]float64, len(keep))
-	for i, p := range keep {
-		outX[i] = p.x
-		outY[i] = p.y
-	}
-	return outX, outY
+	return sel.xs, sel.ys
 }

@@ -206,6 +206,9 @@ func TestBOAcquisitionZeroAllocs(t *testing.T) {
 // TestBOAllocationsGrowByStoredPoints is a size budget: BO at budget 100
 // allocates more than at budget 50 only for the 50 points it stores (one
 // slice a step) and the best-so-far trace's growth, nothing a candidate.
+// Past MaxGPPoints (160) a step also selects the conditioning set and
+// refits, in buffers the loop reuses, so budget 200 allocates at most two
+// more times a step than budget 160.
 func TestBOAllocationsGrowByStoredPoints(t *testing.T) {
 	allocs := func(budget int) float64 {
 		return testing.AllocsPerRun(3, func() {
@@ -217,5 +220,11 @@ func TestBOAllocationsGrowByStoredPoints(t *testing.T) {
 	small, large := allocs(50), allocs(100)
 	if extra := large - small; extra > 50+10 {
 		t.Errorf("BO allocates %v times at budget 50 and %v at 100: %v more for 50 more steps", small, large, extra)
+	}
+	atCap, past := allocs(160), allocs(200)
+	if extra := past - atCap; extra > 2*40 {
+		t.Errorf("BO allocates %v times at budget 160 and %v at 200: %v more for 40 steps past MaxGPPoints", atCap, past, extra)
+	} else {
+		t.Logf("BO allocates %v times at budget 160 and %v at 200", atCap, past)
 	}
 }

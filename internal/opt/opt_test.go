@@ -271,7 +271,7 @@ func TestSelectGPPoints(t *testing.T) {
 		xs = append(xs, []float64{float64(i)})
 		ys = append(ys, float64(20-i))
 	}
-	kx, ky := selectGPPoints(xs, ys, 10)
+	kx, ky := selectGPPoints(new(gpPoints), xs, ys, 10)
 	if len(kx) != 10 || len(ky) != 10 {
 		t.Fatalf("kept %d/%d, want 10", len(kx), len(ky))
 	}

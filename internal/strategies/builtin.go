@@ -69,6 +69,8 @@ func (toleranceStrategy) Describe() string {
 	return "Theorem 1 DP recovery thresholds + Algorithm 2 CMDP replication"
 }
 
+func (toleranceStrategy) ReadsSeed() bool { return false }
+
 func (toleranceStrategy) Fingerprint(spec Spec) string {
 	var buf [fingerprintBuf]byte
 	return string(appendProblem(buf[:0], spec))
@@ -120,6 +122,8 @@ func (noRecoveryStrategy) Describe() string {
 	return "never recovers or adds nodes (RAMPART, SECURE-RING)"
 }
 
+func (noRecoveryStrategy) ReadsSeed() bool { return false }
+
 func (noRecoveryStrategy) Fingerprint(Spec) string { return "static" }
 
 func (noRecoveryStrategy) Policy(context.Context, Spec, Solvers) (baselines.Policy, error) {
@@ -134,6 +138,8 @@ func (periodicStrategy) Name() string { return "PERIODIC" }
 func (periodicStrategy) Describe() string {
 	return "recovers every Delta_R steps, never adds nodes (PBFT, VM-FIT)"
 }
+
+func (periodicStrategy) ReadsSeed() bool { return false }
 
 func (periodicStrategy) Fingerprint(Spec) string { return "static" }
 
@@ -150,6 +156,8 @@ func (periodicAdaptiveStrategy) Name() string { return "PERIODIC-ADAPTIVE" }
 func (periodicAdaptiveStrategy) Describe() string {
 	return "periodic recovery + add a node when an observation doubles its mean (SITAR, ITUA)"
 }
+
+func (periodicAdaptiveStrategy) ReadsSeed() bool { return false }
 
 func (periodicAdaptiveStrategy) Fingerprint(spec Spec) string {
 	// TargetN caps additions, so the built policy depends on N1.
@@ -197,6 +205,8 @@ func (s learnedStrategy) config(spec Spec) recovery.Algorithm1Config {
 	}
 	return cfg
 }
+
+func (learnedStrategy) ReadsSeed() bool { return true }
 
 func (s learnedStrategy) Fingerprint(spec Spec) string {
 	cfg := s.config(spec)
@@ -251,6 +261,8 @@ func (ppoStrategy) config(spec Spec) ppo.Config {
 	}
 	return cfg
 }
+
+func (ppoStrategy) ReadsSeed() bool { return true }
 
 func (s ppoStrategy) Fingerprint(spec Spec) string {
 	cfg := s.config(spec)

@@ -98,6 +98,15 @@ type Strategy interface {
 	Policy(ctx context.Context, spec Spec, solvers Solvers) (baselines.Policy, error)
 }
 
+// SeedReader reports whether a strategy's construction reads Spec.Seed. A
+// strategy that does not implement it is taken to read it. One that does
+// not has the same fingerprint whatever the seed, so a cache builds its
+// fingerprint once, before deriving the training seed from it; every
+// built-in implements it.
+type SeedReader interface {
+	ReadsSeed() bool
+}
+
 var (
 	regMu    sync.RWMutex
 	registry = map[string]Strategy{}

@@ -161,3 +161,38 @@ func TestLearnedStrategyCancellation(t *testing.T) {
 
 // stubSolvers satisfies Solvers for tests that never reach a solve.
 type stubSolvers struct{ Solvers }
+
+// TestReadsSeedMatchesFingerprints holds every built-in's SeedReader
+// answer to its fingerprints: one that says it does not read the seed
+// fingerprints every spec the same whatever the seed, and one that says it
+// does tells seeds apart.
+func TestReadsSeedMatchesFingerprints(t *testing.T) {
+	seeds := []int64{0, 1, -7, 1 << 40, -1 << 63}
+	for _, name := range []string{
+		"TOLERANCE", "NO-RECOVERY", "PERIODIC", "PERIODIC-ADAPTIVE",
+		"learned:cem", "learned:de", "learned:bo", "learned:spsa",
+		"learned:random", "learned:ppo",
+	} {
+		s, _ := Lookup(name)
+		sr, ok := s.(SeedReader)
+		if !ok {
+			t.Errorf("built-in %s does not say whether it reads the seed", name)
+			continue
+		}
+		for _, n1 := range []int{1, 3, 9} {
+			for _, deltaR := range []int{1, 15, 1 << 20} {
+				spec := defaultSpec()
+				spec.N1, spec.DeltaR = n1, deltaR
+				fps := map[string]bool{}
+				for _, seed := range seeds {
+					spec.Seed = seed
+					fps[s.Fingerprint(spec)] = true
+				}
+				if reads := len(fps) > 1; reads != sr.ReadsSeed() {
+					t.Errorf("%s (N1 %d, ΔR %d): ReadsSeed() = %v, but %d seeds give %d fingerprints",
+						name, n1, deltaR, sr.ReadsSeed(), len(seeds), len(fps))
+				}
+			}
+		}
+	}
+}

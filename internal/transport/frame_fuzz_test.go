@@ -19,7 +19,17 @@ func (zeros) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// frameHeader is writeFrame's header for a payload of the declared size.
+// writeFrame writes the frame appendFrame assembles to w.
+func writeFrame(w io.Writer, from string, payload []byte) error {
+	frame, err := appendFrame(nil, from, payload)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(frame)
+	return err
+}
+
+// frameHeader is appendFrame's header for a payload of the declared size.
 func frameHeader(from string, size uint32) []byte {
 	h := binary.BigEndian.AppendUint16(nil, uint16(len(from)))
 	h = append(h, from...)
@@ -27,11 +37,12 @@ func frameHeader(from string, size uint32) []byte {
 }
 
 // FuzzReadFrame holds the TCP frame reader to three properties: a frame
-// writeFrame wrote reads back as the same sender and payload with nothing
+// appendFrame wrote reads back as the same sender and payload with nothing
 // left over; arbitrary bytes never panic it, and every frame it accepts
 // consumed exactly its header and payload; and a frame declaring more than
 // maxFrame returns errOversized after draining its body, so the frame behind
-// it still parses.
+// it still parses. What a frame consumed is what left the underlying
+// reader less what the frame reader still buffers.
 func FuzzReadFrame(f *testing.F) {
 	f.Add("peer", []byte("hello"), []byte{0, 4, 'p', 'e', 'e', 'r', 0, 0, 0, 1, 'x'}, uint16(0))
 	f.Add("", []byte{}, []byte{}, uint16(1))
@@ -42,21 +53,24 @@ func FuzzReadFrame(f *testing.F) {
 			if err := writeFrame(&buf, from, payload); err != nil {
 				t.Fatal(err)
 			}
-			gotFrom, gotPayload, err := readFrame(&buf)
-			if err != nil || gotFrom != from || !bytes.Equal(gotPayload, payload) || buf.Len() != 0 {
-				t.Fatalf("round trip of (%q, %x): (%q, %x), %v, %d bytes left", from, payload, gotFrom, gotPayload, err, buf.Len())
+			fr := newFrameReader(&buf)
+			gotFrom, gotPayload, err := fr.next()
+			if left := buf.Len() + fr.r.Buffered(); err != nil || gotFrom != from || !bytes.Equal(gotPayload, payload) || left != 0 {
+				t.Fatalf("round trip of (%q, %x): (%q, %x), %v, %d bytes left", from, payload, gotFrom, gotPayload, err, left)
 			}
 		}
 
 		r := bytes.NewReader(raw)
+		fr := newFrameReader(r)
+		unread := func() int { return r.Len() + fr.r.Buffered() }
 		for {
-			before := r.Len()
-			gotFrom, gotPayload, err := readFrame(r)
+			before := unread()
+			gotFrom, gotPayload, err := fr.next()
 			if err != nil && !errors.Is(err, errOversized) {
 				break
 			}
-			if err == nil && before-r.Len() != 2+len(gotFrom)+4+len(gotPayload) {
-				t.Fatalf("frame (%q, %d bytes) consumed %d bytes", gotFrom, len(gotPayload), before-r.Len())
+			if err == nil && before-unread() != 2+len(gotFrom)+4+len(gotPayload) {
+				t.Fatalf("frame (%q, %d bytes) consumed %d bytes", gotFrom, len(gotPayload), before-unread())
 			}
 		}
 
@@ -70,10 +84,11 @@ func FuzzReadFrame(f *testing.F) {
 		size := uint32(maxFrame) + 1 + uint32(over)
 		stream := io.MultiReader(bytes.NewReader(frameHeader(from, size)),
 			io.LimitReader(zeros{}, int64(size)), &next)
-		if _, _, err := readFrame(stream); !errors.Is(err, errOversized) {
+		sr := newFrameReader(stream)
+		if _, _, err := sr.next(); !errors.Is(err, errOversized) {
 			t.Fatalf("declared %d bytes: err %v, want errOversized", size, err)
 		}
-		gotFrom, gotPayload, err := readFrame(stream)
+		gotFrom, gotPayload, err := sr.next()
 		if err != nil || gotFrom != from || !bytes.Equal(gotPayload, payload) {
 			t.Fatalf("frame after the oversized one: (%q, %x), %v", gotFrom, gotPayload, err)
 		}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -64,6 +65,28 @@ type TCPEndpoint struct {
 type lockedConn struct {
 	mu   sync.Mutex
 	conn net.Conn
+	// buf assembles each frame under mu, so a frame is one Write — one
+	// segment with TCP_NODELAY — and a steady stream of them allocates
+	// nothing. A frame above maxRetainedFrame is not kept.
+	buf []byte
+}
+
+// maxRetainedFrame bounds the frame buffer a connection keeps between
+// sends; a larger frame is assembled in a buffer of its own.
+const maxRetainedFrame = 1 << 20
+
+// writeFrame writes one frame of payload from sender from with a single
+// Write. The caller holds lc.mu.
+func (lc *lockedConn) writeFrame(from string, payload []byte) error {
+	frame, err := appendFrame(lc.buf[:0], from, payload)
+	if err != nil {
+		return err
+	}
+	if cap(frame) <= maxRetainedFrame {
+		lc.buf = frame
+	}
+	_, err = lc.conn.Write(frame)
+	return err
 }
 
 var _ Endpoint = (*TCPEndpoint)(nil)
@@ -151,7 +174,7 @@ func (e *TCPEndpoint) Send(to string, payload []byte) error {
 	if e.WriteTimeout > 0 {
 		_ = lc.conn.SetWriteDeadline(time.Now().Add(e.WriteTimeout))
 	}
-	err := writeFrame(lc.conn, e.addr, payload)
+	err := lc.writeFrame(e.addr, payload)
 	if e.WriteTimeout > 0 {
 		_ = lc.conn.SetWriteDeadline(time.Time{})
 	}
@@ -238,8 +261,9 @@ func (e *TCPEndpoint) DroppedFrames() int64 { return e.dropped.Load() }
 func (e *TCPEndpoint) readLoop(conn net.Conn) {
 	defer e.wg.Done()
 	defer conn.Close()
+	fr := newFrameReader(conn)
 	for {
-		from, payload, err := readFrame(conn)
+		from, payload, err := fr.next()
 		if errors.Is(err, errOversized) {
 			// Quarantine, don't amputate: the oversized payload was already
 			// drained off the wire (readFrame keeps the stream framed), so
@@ -269,59 +293,115 @@ func (e *TCPEndpoint) readLoop(conn net.Conn) {
 	}
 }
 
-// writeFrame writes [fromLen u16][from][payloadLen u32][payload].
-func writeFrame(w io.Writer, from string, payload []byte) error {
+// appendFrame appends the frame [fromLen u16][from][payloadLen u32][payload]
+// to dst.
+func appendFrame(dst []byte, from string, payload []byte) ([]byte, error) {
 	if len(payload) > maxFrame {
-		return fmt.Errorf("transport: frame too large (%d bytes)", len(payload))
+		return dst, fmt.Errorf("transport: frame too large (%d bytes)", len(payload))
 	}
 	if len(from) > math.MaxUint16 {
-		return fmt.Errorf("transport: sender address too long (%d bytes)", len(from))
+		return dst, fmt.Errorf("transport: sender address too long (%d bytes)", len(from))
 	}
-	header := make([]byte, 2+len(from)+4)
-	binary.BigEndian.PutUint16(header[:2], uint16(len(from)))
-	copy(header[2:], from)
-	binary.BigEndian.PutUint32(header[2+len(from):], uint32(len(payload)))
-	if _, err := w.Write(header); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(from)))
+	dst = append(dst, from...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	return append(dst, payload...), nil
 }
 
 // errOversized marks a frame whose declared payload exceeds maxFrame. The
-// payload bytes have been consumed from the stream by the time readFrame
+// payload bytes have been consumed from the stream by the time next
 // returns it, so the caller may keep reading subsequent frames.
 var errOversized = errors.New("transport: oversized frame")
 
-// readFrame reads one frame written by writeFrame.
-func readFrame(r io.Reader) (from string, payload []byte, err error) {
-	var lenBuf [2]byte
-	if _, err = io.ReadFull(r, lenBuf[:]); err != nil {
+// frameReader reads one connection's frames through a buffer: a frame
+// usually costs one read of the connection, or none when an earlier read
+// brought it in, and allocates only its payload, which the receiver keeps.
+// The sender's address is read in place and compared with the previous
+// frame's, so a connection allocates its sender string once, not once a
+// frame.
+type frameReader struct {
+	r    *bufio.Reader
+	from string // the previous frame's sender
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{r: bufio.NewReader(r)}
+}
+
+// next reads one frame written by appendFrame. The stream ending at a
+// frame boundary is io.EOF; ending inside a frame is io.ErrUnexpectedEOF.
+func (fr *frameReader) next() (from string, payload []byte, err error) {
+	head, err := fr.peek(2, true)
+	if err != nil {
 		return "", nil, err
 	}
-	fromLen := binary.BigEndian.Uint16(lenBuf[:])
-	fromBuf := make([]byte, fromLen)
-	if _, err = io.ReadFull(r, fromBuf); err != nil {
+	fromLen := int(binary.BigEndian.Uint16(head))
+	fr.r.Discard(2)
+	if from, err = fr.sender(fromLen); err != nil {
 		return "", nil, err
 	}
-	var sizeBuf [4]byte
-	if _, err = io.ReadFull(r, sizeBuf[:]); err != nil {
+	if head, err = fr.peek(4, false); err != nil {
 		return "", nil, err
 	}
-	size := binary.BigEndian.Uint32(sizeBuf[:])
+	size := binary.BigEndian.Uint32(head)
+	fr.r.Discard(4)
 	if size > maxFrame {
 		// Drain the declared payload so the stream stays framed, then hand
 		// the caller a typed error: the frame is garbage, the connection is
 		// not. (The sender side enforces maxFrame too, so an oversized
 		// declaration is corruption or malice — either way, quarantine.)
-		if _, derr := io.CopyN(io.Discard, r, int64(size)); derr != nil {
-			return "", nil, derr
+		if _, err := fr.r.Discard(int(size)); err != nil {
+			return "", nil, unexpected(err)
 		}
 		return "", nil, fmt.Errorf("%w (%d bytes)", errOversized, size)
 	}
 	payload = make([]byte, size)
-	if _, err = io.ReadFull(r, payload); err != nil {
-		return "", nil, err
+	if _, err = io.ReadFull(fr.r, payload); err != nil {
+		return "", nil, unexpected(err)
 	}
-	return string(fromBuf), payload, nil
+	return from, payload, nil
+}
+
+// sender reads an n-byte sender address, reusing the previous frame's
+// string when the bytes are the same.
+func (fr *frameReader) sender(n int) (string, error) {
+	if n > fr.r.Size() {
+		// Longer than the buffer (at most 64 KiB, never a real address):
+		// read it into a slice of its own.
+		b := make([]byte, n)
+		if _, err := io.ReadFull(fr.r, b); err != nil {
+			return "", unexpected(err)
+		}
+		fr.from = string(b)
+		return fr.from, nil
+	}
+	b, err := fr.peek(n, false)
+	if err != nil {
+		return "", err
+	}
+	if string(b) != fr.from {
+		fr.from = string(b)
+	}
+	fr.r.Discard(n)
+	return fr.from, nil
+}
+
+// peek returns the stream's next n buffered bytes without consuming them;
+// n is at most the buffer's size. Only at a frame's start (first) may the
+// stream end cleanly.
+func (fr *frameReader) peek(n int, first bool) ([]byte, error) {
+	b, err := fr.r.Peek(n)
+	if err != nil && (len(b) > 0 || !first) {
+		err = unexpected(err)
+	}
+	return b, err
+}
+
+// unexpected reports the end of the stream inside a frame as
+// io.ErrUnexpectedEOF.
+func unexpected(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
