@@ -547,8 +547,8 @@ func runMerge(paths []string, format string, col *telemetry.Collector, manifestP
 	if err != nil {
 		return err
 	}
-	col.Counter(fleet.MetricScenariosFolded).Add(0, int64(records.Len()))
-	col.Counter(fleet.MetricScenariosReplayed).Add(0, int64(records.Len()))
+	col.Counter(fleet.MetricScenariosFolded).Add(int64(records.Len()))
+	col.Counter(fleet.MetricScenariosReplayed).Add(int64(records.Len()))
 	if !quiet {
 		printSummary(os.Stderr, col.Snapshot())
 	}

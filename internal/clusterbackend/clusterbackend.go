@@ -63,8 +63,6 @@ const adminTimeout = 3 * time.Second
 type Options struct {
 	// Telemetry receives the cluster.* series; nil records nothing.
 	Telemetry *telemetry.Collector
-	// Shard is the telemetry shard index (the fleet worker index).
-	Shard int
 	// StepInterval is the wall-clock length of one control interval
 	// (default 20ms — the emulation's 60-second step compressed so a
 	// smoke suite finishes in seconds).
@@ -145,7 +143,6 @@ type cluster struct {
 
 // clusterMetrics caches telemetry handles.
 type clusterMetrics struct {
-	shard     int
 	restarts  *telemetry.Counter
 	crashes   *telemetry.Counter
 	intrus    *telemetry.Counter
@@ -159,9 +156,8 @@ type clusterMetrics struct {
 	maxView   *telemetry.Gauge
 }
 
-func newClusterMetrics(col *telemetry.Collector, shard int) clusterMetrics {
+func newClusterMetrics(col *telemetry.Collector) clusterMetrics {
 	return clusterMetrics{
-		shard:     shard,
 		restarts:  col.Counter(MetricReplicaRestarts),
 		crashes:   col.Counter(MetricReplicaCrashes),
 		intrus:    col.Counter(MetricIntrusions),
@@ -220,7 +216,7 @@ func boot(sc emulation.Scenario, opts Options) (*cluster, error) {
 		run:      emulation.NewRunner(),
 		verifier: verifier,
 		registry: replica.NewRegistry(),
-		tm:       newClusterMetrics(opts.Telemetry, opts.Shard),
+		tm:       newClusterMetrics(opts.Telemetry),
 	}
 	if err := c.run.Start(sc, c); err != nil {
 		return nil, err
@@ -372,20 +368,20 @@ func (c *cluster) Recover(id int) {
 	}
 	ep, err := relisten(p.addr)
 	if err != nil {
-		c.tm.restFail.Inc(c.tm.shard)
+		c.tm.restFail.Inc()
 		p.dead = true
 		return
 	}
 	members, _ := c.realMembers()
 	if err := c.startReplica(p, ep, members, counter); err != nil {
-		c.tm.restFail.Inc(c.tm.shard)
+		c.tm.restFail.Inc()
 		_ = ep.Close()
 		p.dead = true
 		return
 	}
 	p.rep.RequestStateSync(1)
 	c.restarts++
-	c.tm.restarts.Inc(c.tm.shard)
+	c.tm.restarts.Inc()
 }
 
 // Measure submits one write through consensus and records the real
@@ -397,12 +393,12 @@ func (c *cluster) Measure() {
 		Type: replica.OpWrite, Key: "cluster-probe", Value: fmt.Sprintf("t%d", c.probes),
 	})
 	elapsed := time.Since(start)
-	c.tm.latency.Observe(c.tm.shard, elapsed.Nanoseconds())
+	c.tm.latency.Observe(elapsed.Nanoseconds())
 	if err != nil {
-		c.tm.probeFail.Inc(c.tm.shard)
+		c.tm.probeFail.Inc()
 		return
 	}
-	c.tm.probeOK.Inc(c.tm.shard)
+	c.tm.probeOK.Inc()
 	c.probeOK++
 	c.latencySumMS += float64(elapsed.Microseconds()) / 1000.0
 }
@@ -435,13 +431,13 @@ func (c *cluster) Crash(id int) {
 	if p.ep != nil {
 		_ = p.ep.Close()
 	}
-	c.tm.crashes.Inc(c.tm.shard)
+	c.tm.crashes.Inc()
 }
 
 // Compromise flips node id's replica to the attacker's protocol-level
 // behaviour: silent or garbage.
 func (c *cluster) Compromise(id int, b attacker.Behaviour) {
-	c.tm.intrus.Inc(c.tm.shard)
+	c.tm.intrus.Inc()
 	p := c.procs[id]
 	if p.rep == nil {
 		return
@@ -468,13 +464,13 @@ func (c *cluster) Clean(id int) {
 func (c *cluster) Evict(id int) {
 	addr := c.procs[id].addr
 	c.procs[id] = nil
-	c.tm.evicts.Inc(c.tm.shard)
+	c.tm.evicts.Inc()
 	op, err := minbft.EncodeConfigOp("evict", addr)
 	if err == nil {
 		_, err = c.admin.Submit(op)
 	}
 	if err != nil {
-		c.tm.cfgFail.Inc(c.tm.shard)
+		c.tm.cfgFail.Inc()
 	}
 	c.refreshClients()
 }
@@ -483,19 +479,19 @@ func (c *cluster) Evict(id int) {
 // enlarged membership and joins through consensus. A process that fails
 // to start or join stays in the node set as a dead process.
 func (c *cluster) Add(id int) {
-	c.tm.adds.Inc(c.tm.shard)
+	c.tm.adds.Inc()
 	p := &proc{}
 	c.procs = append(c.procs, p) // ids are issued in order: this is procs[id]
 	ep, err := transport.ListenTCP("127.0.0.1:0")
 	if err != nil {
-		c.tm.cfgFail.Inc(c.tm.shard)
+		c.tm.cfgFail.Inc()
 		p.addr = fmt.Sprintf("dead-node-%d", id)
 		p.dead = true
 		return
 	}
 	members, _ := c.realMembers()
 	if err := c.startReplica(p, ep, append(members, ep.Addr()), 0); err != nil {
-		c.tm.cfgFail.Inc(c.tm.shard)
+		c.tm.cfgFail.Inc()
 		p.addr = ep.Addr()
 		_ = ep.Close()
 		p.dead = true
@@ -508,7 +504,7 @@ func (c *cluster) Add(id int) {
 	if err != nil {
 		// The process runs but never joined the group; it stays a node
 		// whose messages the members ignore.
-		c.tm.cfgFail.Inc(c.tm.shard)
+		c.tm.cfgFail.Inc()
 		return
 	}
 	p.rep.RequestStateSync(1)

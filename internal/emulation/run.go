@@ -429,21 +429,11 @@ type Plant interface {
 // streams) from the grid hot path. Results are bit-identical to Run: reset
 // reproduces exactly the state a fresh runner would start with.
 type Runner struct {
-	run   runner
-	onRun func(steps int)
+	run runner
 }
 
 // NewRunner returns an empty reusable runner; the first RunInto sizes it.
 func NewRunner() *Runner { return &Runner{} }
-
-// OnRun installs a completion observer: every Finish (so every successful
-// RunInto) calls fn with the number of simulated steps (post-default, so the
-// real count). The observer is for telemetry only — it runs after the
-// scenario's randomness is fully consumed, receives no simulation state,
-// and must not retain references; metrics are unchanged whether one is
-// installed or not. The call itself is allocation-free, preserving the
-// warm-runner zero-alloc guarantee.
-func (r *Runner) OnRun(fn func(steps int)) { r.onRun = fn }
 
 // Start begins a step-at-a-time run of s: it validates the scenario,
 // resolves the offline fit and places the initial nodes, exactly as
@@ -469,9 +459,6 @@ func (r *Runner) Step() bool {
 // Finish applies the end-of-run penalties and returns the metrics of the
 // run Start began.
 func (r *Runner) Finish() Metrics {
-	if r.onRun != nil {
-		r.onRun(r.run.s.Steps)
-	}
 	return *r.run.finish()
 }
 

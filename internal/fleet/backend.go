@@ -29,9 +29,6 @@ type BackendOptions struct {
 	// Telemetry receives the backend's live metrics (e.g. the cluster.*
 	// family); nil disables collection.
 	Telemetry *telemetry.Collector
-	// Shard is the telemetry shard (the engine passes the worker id), so
-	// concurrent scenarios on one collector do not contend.
-	Shard int
 	// Chaos is the armed fault-injection plan (nil = off). Backends that
 	// open real network links wrap them with Chaos.WrapEndpoint.
 	Chaos *chaos.Plan
@@ -99,7 +96,6 @@ func (clusterBackend) Name() string { return BackendCluster }
 func (clusterBackend) Run(ctx context.Context, sc emulation.Scenario, opts BackendOptions) (emulation.Metrics, error) {
 	res, err := clusterbackend.Run(ctx, sc, clusterbackend.Options{
 		Telemetry: opts.Telemetry,
-		Shard:     opts.Shard,
 		Chaos:     opts.Chaos,
 	})
 	if err != nil {

@@ -291,7 +291,7 @@ func (c *StrategyCache) Instrument(col *telemetry.Collector) {
 // still being computed by another goroutine.
 func (c *StrategyCache) noteWait(inFlight bool) {
 	if inFlight {
-		c.telemetry().waits.Inc(0)
+		c.telemetry().waits.Inc()
 	}
 }
 
@@ -329,7 +329,7 @@ func (c *StrategyCache) Fits(samples int, fitSeed int64) (*emulation.FitSet, err
 		c.fitSolves.Add(1)
 		start := time.Now()
 		fs, err := emulation.NewFitSet(samples, fitSeed)
-		c.telemetry().fitNS.Observe(0, int64(time.Since(start)))
+		c.telemetry().fitNS.Observe(int64(time.Since(start)))
 		return fs, err
 	})
 }
@@ -352,7 +352,7 @@ func (c *StrategyCache) Recovery(p nodemodel.Params, cfg recovery.DPConfig) (*re
 		} else {
 			sol, err = recovery.SolveDPWith(p, n, nil)
 		}
-		c.telemetry().solveNS.Observe(0, int64(time.Since(start)))
+		c.telemetry().solveNS.Observe(int64(time.Since(start)))
 		return sol, err
 	})
 }
@@ -436,7 +436,7 @@ func (c *StrategyCache) solveLP(model *cmdp.Model) (*cmdp.Solution, error) {
 		c.replicationSolves.Add(1)
 		start := time.Now()
 		sol, err := cmdp.Solve(model)
-		c.telemetry().solveNS.Observe(0, int64(time.Since(start)))
+		c.telemetry().solveNS.Observe(int64(time.Since(start)))
 		return sol, err
 	})
 }
@@ -468,7 +468,7 @@ func (c *StrategyCache) PolicyFor(ctx context.Context, cell Cell, suite Suite) (
 		spec.Telemetry = t.training
 		start := time.Now()
 		pol, err := strat.Policy(ctx, spec, c)
-		t.buildNS.Observe(0, int64(time.Since(start)))
+		t.buildNS.Observe(int64(time.Since(start)))
 		return pol, err
 	})
 }

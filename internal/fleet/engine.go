@@ -357,17 +357,17 @@ func (p *plan) fit(cfg Config) error {
 func (p *plan) execute(ctx context.Context, sched []int, cfg Config, emit func(rec *RunRecord, fresh bool) error) error {
 	e := p.takeExecution(ctx, sched, cfg.withDefaults())
 	defer p.putExecution(e)
-	for w := 0; w < e.cfg.Workers; w++ {
-		go e.work(w)
+	for range e.cfg.Workers {
+		go e.work()
 	}
 	return e.fold(emit)
 }
 
-// work is worker wid's loop: claim a batch with a free buffer in hand, run
+// work is a worker's loop: claim a batch with a free buffer in hand, run
 // its scenarios, send it to the fold, until the batches run out, the
 // execution is cancelled or a scenario fails. Its last send is a nil, after
 // its runner is back in the pool.
-func (e *execution) work(wid int) {
+func (e *execution) work() {
 	p, cfg, tm := e.p, &e.cfg, &e.tm
 	suite := &p.suite
 	runner := p.pool.runner()
@@ -375,15 +375,6 @@ func (e *execution) work(wid int) {
 		p.pool.putRunner(runner)
 		e.outcomes <- nil
 	}()
-	// The hook is a closure allocation a nil handle cannot skip. A pooled
-	// runner's hook is set or cleared every execution, so an execution
-	// never observes into an earlier one's collector.
-	if cfg.Telemetry != nil {
-		h := tm.steps
-		runner.OnRun(func(steps int) { h.Observe(wid, int64(steps)) })
-	} else {
-		runner.OnRun(nil)
-	}
 	for e.ctx.Err() == nil {
 		// Every claimed batch not yet folded holds a buffer, so the batch
 		// the fold waits for is always in some worker's hands and waiting
@@ -399,7 +390,7 @@ func (e *execution) work(wid int) {
 			e.free <- br // for the next worker to find the batches gone
 			return
 		}
-		tm.batches.Inc(wid)
+		tm.batches.Inc()
 		start := bi * foldSpan
 		end := min(start+foldSpan, len(e.sched))
 		br.start = start
@@ -429,7 +420,7 @@ func (e *execution) work(wid int) {
 					// above, so the clock reads cannot perturb results. A
 					// clock read is the one cost a nil handle cannot skip,
 					// so an uninstrumented run makes none.
-					tm.started.Inc(wid)
+					tm.started.Inc()
 					var t0 time.Time
 					if cfg.Telemetry != nil {
 						t0 = time.Now()
@@ -438,17 +429,19 @@ func (e *execution) work(wid int) {
 					// registry; the default (emulation) path stays on the
 					// worker's zero-allocation runner.
 					if cell.Backend == "" {
-						oc.rec.Metrics, oc.err = runner.RunInto(sc)
+						if oc.rec.Metrics, oc.err = runner.RunInto(sc); oc.err == nil {
+							tm.steps.Observe(int64(sc.Steps))
+						}
 					} else if be, ok := LookupBackend(cell.Backend); ok {
-						oc.rec.Metrics, oc.err = be.Run(e.ctx, sc, BackendOptions{Telemetry: cfg.Telemetry, Shard: wid, Chaos: cfg.Chaos})
+						oc.rec.Metrics, oc.err = be.Run(e.ctx, sc, BackendOptions{Telemetry: cfg.Telemetry, Chaos: cfg.Chaos})
 					} else {
 						// Unreachable after Validate — defensive.
 						oc.err = fmt.Errorf("%w: unknown backend %q", ErrBadSuite, cell.Backend)
 					}
 					if cfg.Telemetry != nil {
 						d := int64(time.Since(t0))
-						tm.busyNS.Add(wid, d)
-						tm.durNS.Observe(wid, d)
+						tm.busyNS.Add(d)
+						tm.durNS.Observe(d)
 					}
 				}
 			}

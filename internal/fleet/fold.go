@@ -32,7 +32,7 @@ type fold struct {
 
 	onRecord func(RunRecord) error
 	progress func(done, total int)
-	// Shard 0, as the fold is single-goroutine.
+
 	folded, replayed, merges *telemetry.Counter
 }
 
@@ -61,9 +61,9 @@ func (f *fold) add(rec *RunRecord, fresh bool) error {
 	}
 	f.part.Add(&rec.Metrics)
 	f.next++
-	f.folded.Inc(0)
+	f.folded.Inc()
 	if !fresh {
-		f.replayed.Inc(0)
+		f.replayed.Inc()
 	}
 	if fresh && f.onRecord != nil {
 		if err := f.onRecord(*rec); err != nil {
@@ -83,7 +83,7 @@ func (f *fold) closePartial() {
 	}
 	f.accs[f.partCell].Merge(&f.part)
 	f.part, f.partCell = emulation.Accumulator{}, -1
-	f.merges.Inc(0)
+	f.merges.Inc()
 }
 
 // result closes the last partial and reports the per-cell aggregates.

@@ -84,7 +84,6 @@ type CheckpointWriter struct {
 	line      []byte             // the current line; reused across records
 	unflushed int                // records since the last flush
 	lastSync  time.Time          // end of the last fsync; zero before the first
-	syncCalls int                // fsyncs issued, Instrumented or not
 	syncs     *telemetry.Counter // set by Instrument
 }
 
@@ -133,63 +132,44 @@ func CreateCheckpoint(path string, suite Suite, shard Shard) (*CheckpointWriter,
 	return w, nil
 }
 
-// AppendCheckpoint reopens the checkpoint file ck was read from to append
-// fresh records after a resume. A plain file is truncated to ck's intact
-// prefix, discarding any torn final line a kill left behind — otherwise
-// the first appended record would be glued onto the fragment, corrupting
-// the file for -merge and later resumes. A gzip file cannot be truncated
-// to a record boundary in place, and a plain file with damaged lines
-// (ck.Corrupted > 0) would keep them for every later read to skip and
-// report again, so both are rewritten from the parsed records (in index
-// order — the fold order the original writer used) before appending
-// continues. The replayed records are not synced in batches — the original
-// stays in place until the rename, so nothing is at risk before the one
-// fsync that precedes it.
+// AppendCheckpoint rewrites the checkpoint file ck was read from to hold
+// exactly ck's records and returns a writer that appends fresh records
+// after them. The rewrite drops whatever the read skipped: a torn final
+// line a kill left behind, which the first appended record would otherwise
+// be glued onto, and damaged lines (ck.Corrupted), which every later read
+// would otherwise skip and report again. The records are written in index
+// order — the fold order the original writer used — so an intact file is
+// rewritten to its own bytes. They go to a sibling temp file, renamed over
+// the original only once they are synced, so a second kill during the
+// rewrite cannot lose the records the first run already synced; they are
+// not synced in batches, since nothing is at risk before the rename.
 func AppendCheckpoint(path string, ck *Checkpoint) (*CheckpointWriter, error) {
-	if ck.gz || ck.Corrupted > 0 {
-		// Rewrite to a sibling temp file and rename over the original only
-		// once every parsed record is durable, so a second kill during the
-		// rewrite cannot lose the records the first run already synced.
-		// (A .gz suffix on the temp name keeps the gzip framing.)
-		tmp := strings.TrimSuffix(path, ".gz") + ".rewrite"
-		if ck.gz {
-			tmp += ".gz"
-		}
-		w, err := CreateCheckpoint(tmp, ck.Suite, ck.Shard)
-		if err != nil {
-			return nil, err
-		}
-		abort := func(err error) (*CheckpointWriter, error) {
-			w.f.Close()
-			os.Remove(tmp)
-			return nil, err
-		}
-		for rec := range ck.Records.records() {
-			if err := w.writeRecord(*rec); err != nil {
-				return abort(err)
-			}
-		}
-		if err := w.sync(); err != nil {
+	// A .gz suffix on the temp name keeps the gzip framing.
+	tmp := strings.TrimSuffix(path, ".gz") + ".rewrite"
+	if gzipCheckpoint(path) {
+		tmp += ".gz"
+	}
+	w, err := CreateCheckpoint(tmp, ck.Suite, ck.Shard)
+	if err != nil {
+		return nil, err
+	}
+	abort := func(err error) (*CheckpointWriter, error) {
+		w.f.Close()
+		os.Remove(tmp)
+		return nil, err
+	}
+	for rec := range ck.Records.records() {
+		if err := w.writeRecord(*rec); err != nil {
 			return abort(err)
 		}
-		if err := os.Rename(tmp, path); err != nil {
-			return abort(fmt.Errorf("fleet: append checkpoint: %w", err))
-		}
-		return w, nil
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: append checkpoint: %w", err)
+	if err := w.sync(); err != nil {
+		return abort(err)
 	}
-	if err := f.Truncate(ck.validBytes); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("fleet: append checkpoint: %w", err)
+	if err := os.Rename(tmp, path); err != nil {
+		return abort(fmt.Errorf("fleet: append checkpoint: %w", err))
 	}
-	if _, err := f.Seek(ck.validBytes, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("fleet: append checkpoint: %w", err)
-	}
-	return newCheckpointWriter(path, f), nil
+	return w, nil
 }
 
 // InterposeSink puts wrap(sink) at the head of the output pipeline — the
@@ -301,8 +281,7 @@ func (c *CheckpointWriter) sync() error {
 
 // fsync makes the flushed bytes durable and restarts the power-cut window.
 func (c *CheckpointWriter) fsync() error {
-	c.syncCalls++
-	c.syncs.Inc(0)
+	c.syncs.Inc()
 	err := c.f.Sync()
 	c.lastSync = time.Now()
 	if err != nil {

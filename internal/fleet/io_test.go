@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"tolerance/internal/telemetry"
 )
 
 // budgetRecords is a suite of several flush points' worth of scenarios and
@@ -27,6 +29,38 @@ func holdSync(w *CheckpointWriter) { w.lastSync = time.Now().Add(time.Hour) }
 // dueSync backdates the last fsync by the whole window: the next flush
 // point fsyncs.
 func dueSync(w *CheckpointWriter) { w.lastSync = time.Now().Add(-checkpointSyncAfter) }
+
+// countSyncs instruments w on a collector of its own and returns a reader
+// of the fsyncs it has counted since (fleet.checkpoint_syncs).
+func countSyncs(w *CheckpointWriter) func() int64 {
+	col := telemetry.New()
+	w.Instrument(col)
+	return func() int64 { return col.Snapshot().Counter(MetricCheckpointSyncs) }
+}
+
+// gzipReference is the gzip stream a checkpoint writer makes of a payload
+// of lines: a flush point after the header line, after every flushEvery-th
+// record line when flushEvery > 0 and after the last, then, if closed, the
+// stream trailer.
+func gzipReference(payload []byte, flushEvery int, closed bool) []byte {
+	var out bytes.Buffer
+	zw := gzip.NewWriter(&out)
+	header, body, _ := bytes.Cut(payload, newline)
+	zw.Write(append(header, '\n'))
+	zw.Flush()
+	for n := 1; len(body) > 0; n++ {
+		line, rest, _ := bytes.Cut(body, newline)
+		zw.Write(append(line, '\n'))
+		if body = rest; flushEvery > 0 && n%flushEvery == 0 {
+			zw.Flush()
+		}
+	}
+	zw.Flush()
+	if closed {
+		zw.Close()
+	}
+	return out.Bytes()
+}
 
 // TestCheckpointKillKeepsFlushedPrefix: a writer abandoned without Close,
 // as a kill leaves it, has handed the OS every record up to its last
@@ -52,14 +86,15 @@ func TestCheckpointKillKeepsFlushedPrefix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		syncs := countSyncs(w)
 		holdSync(w)
 		for _, rec := range written {
 			if err := w.Append(rec); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if w.syncCalls != 1 {
-			t.Errorf("%s: %d fsyncs, want 1 (the header's)", name, w.syncCalls)
+		if n := syncs(); n != 0 {
+			t.Errorf("%s: %d fsyncs after the header's, want 0", name, n)
 		}
 		if err := w.f.Close(); err != nil {
 			t.Fatal(err)
@@ -93,7 +128,8 @@ func TestCheckpointSyncBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := 1 // the header's
+		syncs := countSyncs(w)
+		var want int64 // after the header's
 		next := 0
 		appendN := func(n int) {
 			t.Helper()
@@ -103,8 +139,8 @@ func TestCheckpointSyncBudget(t *testing.T) {
 				}
 			}
 			next += n
-			if w.syncCalls != want {
-				t.Errorf("%s: after %d records, %d fsyncs, want %d", name, next, w.syncCalls, want)
+			if got := syncs(); got != want {
+				t.Errorf("%s: after %d records, %d fsyncs, want %d", name, next, got, want)
 			}
 		}
 		holdSync(w)
@@ -124,8 +160,8 @@ func TestCheckpointSyncBudget(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if want++; w.syncCalls != want {
-			t.Errorf("%s: Close brought fsyncs to %d, want %d", name, w.syncCalls, want)
+		if want++; syncs() != want {
+			t.Errorf("%s: Close brought fsyncs to %d, want %d", name, syncs(), want)
 		}
 	}
 }
@@ -142,13 +178,14 @@ func TestCheckpointBytesIndependentOfSyncTiming(t *testing.T) {
 	var payload []byte // the plain file, built line by line
 	for _, name := range []string{"ck.jsonl", "ck.jsonl.gz"} {
 		var files [2][]byte
-		wantSyncs := [2]int{3 + 2, 2} // header and Close, plus every flush point
+		wantSyncs := [2]int64{3 + 1, 1} // Close's, plus every flush point
 		for i, before := range []func(*CheckpointWriter){dueSync, holdSync} {
 			path := filepath.Join(t.TempDir(), name)
 			w, err := CreateCheckpoint(path, suite, Shard{})
 			if err != nil {
 				t.Fatal(err)
 			}
+			syncs := countSyncs(w)
 			for _, rec := range recs {
 				before(w)
 				if err := w.Append(rec); err != nil {
@@ -158,8 +195,8 @@ func TestCheckpointBytesIndependentOfSyncTiming(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if w.syncCalls != wantSyncs[i] {
-				t.Errorf("%s: %d fsyncs, want %d", name, w.syncCalls, wantSyncs[i])
+			if got := syncs(); got != wantSyncs[i] {
+				t.Errorf("%s: %d fsyncs after the header's, want %d", name, got, wantSyncs[i])
 			}
 			files[i] = mustReadFile(t, path)
 		}
@@ -167,61 +204,58 @@ func TestCheckpointBytesIndependentOfSyncTiming(t *testing.T) {
 			t.Errorf("%s: always-fsync file (%d bytes) differs from never-fsync file (%d bytes)",
 				name, len(files[0]), len(files[1]))
 		}
-		var want bytes.Buffer
+		var want []byte
 		if payload == nil {
 			header, _, _ := bytes.Cut(files[0], newline)
-			want.Write(header)
-			want.WriteByte('\n')
+			want = append(header, '\n')
 			for _, rec := range recs {
-				want.Write(checkpointLineOf(t, rec))
-				want.WriteByte('\n')
+				want = append(append(want, checkpointLineOf(t, rec)...), '\n')
 			}
-			payload = want.Bytes()
+			payload = want
 		} else {
-			zw := gzip.NewWriter(&want)
-			header, body, _ := bytes.Cut(payload, newline)
-			zw.Write(append(header, '\n'))
-			zw.Flush()
-			for n := 1; len(body) > 0; n++ {
-				line, rest, _ := bytes.Cut(body, newline)
-				zw.Write(append(line, '\n'))
-				if body = rest; n%checkpointFlushEvery == 0 {
-					zw.Flush()
-				}
-			}
-			zw.Flush()
-			zw.Close()
+			want = gzipReference(payload, checkpointFlushEvery, true)
 		}
-		if !bytes.Equal(files[0], want.Bytes()) {
+		if !bytes.Equal(files[0], want) {
 			t.Errorf("%s: file (%d bytes) differs from its flush points' reference (%d bytes)",
-				name, len(files[0]), want.Len())
+				name, len(files[0]), len(want))
 		}
 	}
 }
 
 // TestResumeRewritesDamagedPlainCheckpoint: resuming a plain checkpoint
-// with damaged lines rewrites it, as a .gz one is rewritten, so a later
-// read finds no damage to skip and report again, and a stale temp file a
-// kill left before the rename is overwritten. A clean plain file keeps
-// truncate-and-append: its bytes stay the resumed file's prefix.
+// with damaged lines rewrites it without them, so a later read finds no
+// damage to skip and report again, and a stale temp file a kill left
+// before the rename is overwritten. A clean plain file, intact or with a
+// torn final line, is rewritten to its intact records' own bytes, so its
+// resume ends in the bytes an uninterrupted run writes.
 func TestResumeRewritesDamagedPlainCheckpoint(t *testing.T) {
 	suite, recs := budgetRecords(t)
 	dir := t.TempDir()
-	kept := recs[:len(recs)/2]
-	clean := filepath.Join(dir, "clean.jsonl")
-	w, err := CreateCheckpoint(clean, suite, Shard{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range kept {
-		if err := w.Append(rec); err != nil {
+	write := func(name string, recs []RunRecord) (string, []byte) {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		w, err := CreateCheckpoint(path, suite, Shard{})
+		if err != nil {
 			t.Fatal(err)
 		}
+		for _, rec := range recs {
+			if err := w.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return path, mustReadFile(t, path)
 	}
-	if err := w.Close(); err != nil {
+	_, uninterrupted := write("uninterrupted.jsonl", recs)
+	kept := recs[:len(recs)/2]
+	clean, original := write("clean.jsonl", kept)
+	torn := filepath.Join(dir, "torn.jsonl")
+	tornLine := checkpointLineOf(t, recs[len(kept)])
+	if err := os.WriteFile(torn, append(bytes.Clone(original), tornLine[:len(tornLine)/2]...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	original := mustReadFile(t, clean)
 
 	// resume reads path, appends every record it lacks and reads it again.
 	resume := func(path string) (before, after *Checkpoint) {
@@ -245,11 +279,14 @@ func TestResumeRewritesDamagedPlainCheckpoint(t *testing.T) {
 		return before, checkReadCheckpoint(t, path)
 	}
 
-	if _, after := resume(clean); after.Records.Len() != len(recs) || after.Corrupted != 0 {
-		t.Errorf("clean resume: %d records, %d corrupted; want %d, 0", after.Records.Len(), after.Corrupted, len(recs))
-	}
-	if resumed := mustReadFile(t, clean); !bytes.HasPrefix(resumed, original) {
-		t.Error("a clean plain checkpoint was rewritten on resume, not appended to")
+	for _, path := range []string{clean, torn} {
+		if _, after := resume(path); after.Records.Len() != len(recs) || after.Corrupted != 0 {
+			t.Errorf("%s: resume left %d records, %d corrupted; want %d, 0", filepath.Base(path), after.Records.Len(), after.Corrupted, len(recs))
+		}
+		if resumed := mustReadFile(t, path); !bytes.Equal(resumed, uninterrupted) {
+			t.Errorf("%s: resumed file (%d bytes) differs from an uninterrupted run's (%d bytes)",
+				filepath.Base(path), len(resumed), len(uninterrupted))
+		}
 	}
 
 	// Damage four record lines (line 0 is the header) by changing the last

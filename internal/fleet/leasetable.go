@@ -223,7 +223,7 @@ func (c *coordinator) receive(from string, payload []byte, now time.Time) error 
 		if l, ok := c.leases[hb.LeaseID]; ok {
 			l.last = now
 		}
-		c.tm.beats.Inc(0)
+		c.tm.beats.Inc()
 	case proto.KindGoodbye:
 		c.releaseWorker(from)
 	default:
@@ -261,11 +261,11 @@ func (c *coordinator) ingest(rec *RunRecord) error {
 		return nil
 	}
 	if c.has(rec.Index) {
-		c.tm.dupes.Inc(0)
+		c.tm.dupes.Inc()
 		return nil
 	}
 	c.records[rec.Index] = *rec
-	c.tm.received.Inc(0)
+	c.tm.received.Inc()
 	if err := c.advance(); err != nil {
 		return err
 	}
@@ -319,7 +319,7 @@ func (c *coordinator) grant(worker string, now time.Time) (proto.Lease, bool) {
 		if c.endRun == nil {
 			c.endRun = c.cfg.Telemetry.Phase("fleet.run")
 		}
-		c.tm.granted.Inc(0)
+		c.tm.granted.Inc()
 		c.updateGauges()
 		return lease, true
 	}
@@ -415,7 +415,7 @@ func (c *coordinator) revoke(expiry bool, dead func(*coordLease) bool) int {
 			for _, s := range missing {
 				n += s.end - s.start
 			}
-			c.tm.expired.Inc(0)
+			c.tm.expired.Inc()
 			c.logf("coordinator: lease %d [%d,%d) on %s expired after %s silence; %d scenarios re-leased",
 				id, l.start, l.end, l.worker, c.timeout, n)
 		}
@@ -457,7 +457,7 @@ func (c *coordinator) send(to string, data []byte) {
 }
 
 func (c *coordinator) reject() {
-	c.tm.rejected.Inc(0)
+	c.tm.rejected.Inc()
 }
 
 func (c *coordinator) updateGauges() {

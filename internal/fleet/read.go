@@ -28,13 +28,6 @@ type Checkpoint struct {
 	// skipped. Their scenarios are simply missing from Records, so a resume
 	// re-runs them; nothing about the rest of the file is distrusted.
 	Corrupted int
-	// validBytes is the extent of the intact newline-terminated prefix (of
-	// the decompressed payload for gzip files); AppendCheckpoint truncates
-	// plain files to it so a torn tail is never glued onto fresh records.
-	validBytes int64
-	// gz records that the file was gzip-framed; resume rewrites such files,
-	// and plain ones with Corrupted lines, instead of truncate-and-append.
-	gz bool
 }
 
 // readBlockSize is the size of the blocks a checkpoint's payload is read
@@ -107,7 +100,7 @@ func readCheckpoint(path string, file int32, table func(*checkpointHeader, Shard
 		path:  path,
 		file:  file,
 		table: table,
-		ck:    &Checkpoint{gz: gz},
+		ck:    &Checkpoint{},
 		// Room for any record line, so only a longer line that straddles
 		// blocks, such as a long header, grows it.
 		carry: make([]byte, 0, 2*maxRecordJSON),
@@ -154,7 +147,6 @@ type readBlock struct {
 // lineResult is one decoded record line.
 type lineResult struct {
 	rec  RunRecord
-	size int // without the newline
 	kind lineKind
 }
 
@@ -171,7 +163,6 @@ const (
 // whether the line spells a record, and the CRC is checked on the line's
 // own bytes.
 func decodeLine(line []byte, res *lineResult) {
-	res.size = len(line)
 	rec, crc, crcAt, ok := decodeRecordLine(line)
 	switch {
 	case !ok && len(bytes.TrimSpace(line)) == 0:
@@ -329,13 +320,11 @@ type checkpointReader struct {
 	nonBlank bool       // some line, or the final fragment, is not blank
 	held     lineResult // the last non-blank record line, not yet applied
 	heldBody bool       // held is a record line, not the header
-	// Blank lines after the held line: count, bytes with newlines, and the
-	// last one's bytes with its newline.
-	blanks, blankBytes, lastBlank int
-	// undo is the validBytes share of the last line applied when that line
-	// was unparsed: it was counted Corrupted, which the end takes back if
-	// it makes that line the final one. Zero otherwise.
-	undo int
+	blanks   int        // blank lines after the held line
+	// undo is set when the last line applied was unparsed or blank: it
+	// was counted Corrupted, which the end takes back if it makes that
+	// line the final one.
+	undo bool
 }
 
 // block applies a decoded block: the line it ends, then the lines wholly
@@ -399,7 +388,6 @@ func (r *checkpointReader) header(line []byte) error {
 	}
 	r.ck.Suite, r.ck.Shard, r.fingerprint, r.scenarios = hdr.Suite, shard, hdr.Fingerprint, hdr.Scenarios
 	r.ck.Records = r.table(&hdr, shard)
-	r.ck.validBytes = int64(len(line) + 1)
 	return nil
 }
 
@@ -408,8 +396,6 @@ func (r *checkpointReader) header(line []byte) error {
 func (r *checkpointReader) line(res *lineResult) error {
 	if res.kind == lineBlank {
 		r.blanks++
-		r.blankBytes += res.size + 1
-		r.lastBlank = res.size + 1
 		return nil
 	}
 	r.nonBlank = true
@@ -428,22 +414,21 @@ func (r *checkpointReader) flush() error {
 	}
 	if r.blanks > 0 {
 		r.ck.Corrupted += r.blanks
-		r.ck.validBytes += int64(r.blankBytes)
-		r.undo = r.lastBlank
-		r.blanks, r.blankBytes = 0, 0
+		r.undo = true
+		r.blanks = 0
 	}
 	return nil
 }
 
 // apply applies the held line — for the header, its verdict. A final
 // line that spells no record is a torn tail from a killed run: the record
-// is simply redone, so it is neither counted nor part of the valid prefix.
+// is simply redone, so it is not counted.
 func (r *checkpointReader) apply(final bool) error {
 	if !r.heldBody {
 		return r.hdrErr
 	}
 	res := &r.held
-	r.undo = 0
+	r.undo = false
 	switch res.kind {
 	case lineRecord:
 		if err := r.record(res); err != nil {
@@ -456,13 +441,10 @@ func (r *checkpointReader) apply(final bool) error {
 			return nil
 		}
 		// A torn or corrupted line mid-file (a chaos tear glues a half line
-		// onto its successor). validBytes still advances: the damage is
-		// already durable, and truncating it away would also discard every
-		// good record that follows.
+		// onto its successor).
 		r.ck.Corrupted++
-		r.undo = res.size + 1
+		r.undo = true
 	}
-	r.ck.validBytes += int64(res.size + 1)
 	return nil
 }
 
@@ -485,8 +467,7 @@ func (r *checkpointReader) record(res *lineResult) error {
 // end applies the lines the payload's end decides. A line is only durable
 // once its newline is on disk, so a payload that does not end in one was
 // cut mid-write and its last non-blank line is torn, even if the cut
-// happened to land after complete JSON — counting it would make validBytes
-// overshoot the file and corrupt the truncate-then-append resume path.
+// happened to land after complete JSON.
 func (r *checkpointReader) end() error {
 	frag := r.carry // after the last newline
 	blankFrag := len(bytes.TrimSpace(frag)) == 0
@@ -506,16 +487,14 @@ func (r *checkpointReader) end() error {
 			return r.apply(true)
 		}
 		r.blanks--
-		r.blankBytes -= r.lastBlank
 		return r.flush()
 	case !r.heldBody:
 		return fmt.Errorf("%w: checkpoint %s has a torn header", ErrBadSuite, r.path)
 	default:
 		// Cut after whitespace: the held line is torn, and the line applied
 		// before it was the last.
-		if r.undo > 0 {
+		if r.undo {
 			r.ck.Corrupted--
-			r.ck.validBytes -= int64(r.undo)
 		}
 		return nil
 	}

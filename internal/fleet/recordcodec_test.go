@@ -464,7 +464,7 @@ func readCheckpointReference(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSuite, err)
 	}
-	ck := &Checkpoint{Suite: hdr.Suite, Shard: shard, validBytes: int64(len(lines[0]) + 1), gz: gzipCheckpoint(path)}
+	ck := &Checkpoint{Suite: hdr.Suite, Shard: shard}
 	records := map[int]RunRecord{}
 	for i, line := range body {
 		rec, spelled, record := referenceRecordLine([]byte(line))
@@ -473,14 +473,12 @@ func readCheckpointReference(path string) (*Checkpoint, error) {
 		}
 		if !record {
 			ck.Corrupted++
-			ck.validBytes += int64(len(line) + 1)
 			continue
 		}
 		if rec.Index < 0 || rec.Index >= hdr.Scenarios || !shard.Contains(rec.Index) {
 			return nil, fmt.Errorf("%w: out-of-shard scenario %d", ErrBadSuite, rec.Index)
 		}
 		records[rec.Index] = rec
-		ck.validBytes += int64(len(line) + 1)
 	}
 	ck.Records = tableOf(records)
 	return ck, nil
@@ -511,7 +509,7 @@ func checkpointPayload(path string) (data []byte, damaged bool, err error) {
 }
 
 // checkReadCheckpoint asserts ReadCheckpoint against the reference on one
-// file: same accept/reject, records, Corrupted count and validBytes.
+// file: same accept/reject, records and Corrupted count.
 func checkReadCheckpoint(t *testing.T, path string) *Checkpoint {
 	t.Helper()
 	got, err := ReadCheckpoint(path)
@@ -522,10 +520,9 @@ func checkReadCheckpoint(t *testing.T, path string) *Checkpoint {
 	if err != nil {
 		return nil
 	}
-	if got.Corrupted != want.Corrupted || got.validBytes != want.validBytes || got.Shard != want.Shard ||
-		got.gz != want.gz || got.Suite.Fingerprint() != want.Suite.Fingerprint() {
-		t.Fatalf("ReadCheckpoint: corrupted %d validBytes %d shard %v, reference %d / %d / %v",
-			got.Corrupted, got.validBytes, got.Shard, want.Corrupted, want.validBytes, want.Shard)
+	if got.Corrupted != want.Corrupted || got.Shard != want.Shard || got.Suite.Fingerprint() != want.Suite.Fingerprint() {
+		t.Fatalf("ReadCheckpoint: corrupted %d shard %v, reference %d / %v",
+			got.Corrupted, got.Shard, want.Corrupted, want.Shard)
 	}
 	if got.Records.Len() != want.Records.Len() {
 		t.Fatalf("ReadCheckpoint: %d records, reference %d", got.Records.Len(), want.Records.Len())
@@ -977,29 +974,39 @@ func TestGzipResumeRewriteSyncsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One sync for the temp file's header, one before the rename.
-	if rw.syncCalls != 2 {
-		t.Errorf("rewrite of %d records issued %d syncs, want 2", len(kept), rw.syncCalls)
-	}
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
 		t.Errorf("temp file still present after the rename: %v", err)
 	}
 	// The rewrite is durable before any fresh record: abandon the writer
-	// here, as a kill would, and everything replayed reads back.
+	// here, as a kill would, and everything replayed reads back. Its
+	// replayed records lie between the header's flush point and the one
+	// before the rename, with none among them: an fsync follows only a
+	// flush point, so the rewrite synced at those two alone.
 	if mid, err := ReadCheckpoint(path); err != nil || mid.Records.Len() != len(kept) {
 		t.Fatalf("rewritten file before fresh records: %v", err)
 	}
+	payload := mustReadFile(t, path)
+	zr, err := gzip.NewReader(bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, _ := io.ReadAll(zr) // the stream has no trailer yet
+	if want := gzipReference(plain, 0, false); !bytes.Equal(payload, want) {
+		t.Errorf("rewrite of %d records (%d bytes) is not one block after the header's (%d bytes)",
+			len(kept), len(payload), len(want))
+	}
 	// Fresh records flush every checkpointFlushEvery, and fsync there once
 	// the power-cut window is due.
+	syncs := countSyncs(rw)
 	dueSync(rw)
 	for _, rec := range recs[len(kept):] {
 		if err := rw.Append(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if rw.syncCalls != 3 {
-		t.Errorf("%d fresh records brought syncs to %d, want 3 (flush every %d)",
-			len(recs)-len(kept), rw.syncCalls, checkpointFlushEvery)
+	if n := syncs(); n != 1 {
+		t.Errorf("%d fresh records issued %d syncs, want 1 (flush every %d)",
+			len(recs)-len(kept), n, checkpointFlushEvery)
 	}
 	if err := rw.Close(); err != nil {
 		t.Fatal(err)
@@ -1008,7 +1015,7 @@ func TestGzipResumeRewriteSyncsOnce(t *testing.T) {
 	if final.Records.Len() != len(recs) || final.Corrupted != 0 {
 		t.Errorf("resumed file has %d records (%d corrupted), want %d", final.Records.Len(), final.Corrupted, len(recs))
 	}
-	zr, err := gzip.NewReader(bytes.NewReader(mustReadFile(t, path)))
+	zr, err = gzip.NewReader(bytes.NewReader(mustReadFile(t, path)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,10 @@ import (
 	"tolerance/internal/telemetry"
 )
 
-// Fleet metric names. Counters are recorded per worker shard from the
-// worker pool (scenario starts, batch claims, busy time) or from the
-// single goroutine that owns the ordered fold (folds, replays, merges);
-// histograms observe each executed scenario's wall-clock and step count.
+// Fleet metric names. Counters are recorded from the worker pool (scenario
+// starts, batch claims, busy time) or from the single goroutine that owns
+// the ordered fold (folds, replays, merges); histograms observe each
+// executed scenario's wall-clock and step count.
 const (
 	// MetricScenariosStarted counts scenario executions begun by workers.
 	MetricScenariosStarted = "fleet.scenarios_started"

@@ -183,9 +183,9 @@ func TestCheckpointSyncsCounted(t *testing.T) {
 
 // TestTelemetryHotPathZeroAllocs pins the instrumented engine loop at zero
 // allocations per scenario: the exact per-scenario sequence the engine runs
-// with telemetry attached — start counter, timed RunInto with the step-count
-// hook installed, busy-time add, duration observation, then the instrumented
-// fold of the record — on a warm runner.
+// with telemetry attached — start counter, timed RunInto, step-count,
+// busy-time and duration observations, then the instrumented fold of the
+// record — on a warm runner.
 func TestTelemetryHotPathZeroAllocs(t *testing.T) {
 	col := telemetry.New()
 	tm := newFleetMetrics(col)
@@ -203,26 +203,25 @@ func TestTelemetryHotPathZeroAllocs(t *testing.T) {
 		Fits:    fits,
 		FitSeed: 5,
 	}
-	const wid = 3
 	suite := testSuite().withDefaults()
 	f := newFold(suite, suite.Cells(), suite.NumScenarios(), nil, nil, col)
 	var rec RunRecord
 	r := emulation.NewRunner()
-	r.OnRun(func(steps int) { tm.steps.Observe(wid, int64(steps)) })
 	if _, err := r.RunInto(s); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		tm.batches.Inc(wid)
-		tm.started.Inc(wid)
+		tm.batches.Inc()
+		tm.started.Inc()
 		t0 := time.Now()
 		var err error
 		if rec.Metrics, err = r.RunInto(s); err != nil {
 			t.Fatal(err)
 		}
+		tm.steps.Observe(int64(s.Steps))
 		d := int64(time.Since(t0))
-		tm.busyNS.Add(wid, d)
-		tm.durNS.Observe(wid, d)
+		tm.busyNS.Add(d)
+		tm.durNS.Observe(d)
 		if err := f.add(&rec, true); err != nil {
 			t.Fatal(err)
 		}

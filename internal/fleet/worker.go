@@ -247,7 +247,7 @@ func (r *leaseRunner) run(ctx context.Context, lease proto.Lease, ship func(seq 
 			return err
 		}
 		batched++
-		r.folded.Inc(0)
+		r.folded.Inc()
 		if batched >= workerBatchRecords {
 			return flush()
 		}

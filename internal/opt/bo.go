@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 )
@@ -92,17 +93,10 @@ func (b BO) Minimize(rng *rand.Rand, dim int, obj Objective, budget, workers int
 			model.reset()
 		}
 		normYs = normalizeInto(normYs, fitYs)
+		// With unit signal variance, the jittered diagonal keeps the kernel
+		// positive definite, so a fit cannot fail.
 		if err := model.fit(fitXs, normYs); err != nil {
-			// A singular kernel (duplicated points) falls back on random
-			// exploration for this step.
-			theta := make([]float64, dim)
-			for i := range theta {
-				theta[i] = rng.Float64()
-			}
-			y := tr.evaluate(theta)
-			xs = append(xs, theta)
-			ys = append(ys, y)
-			continue
+			return nil, fmt.Errorf("opt: bo after %d evaluations: %w", tr.evals, err)
 		}
 		// Minimize the LCB acquisition mu - beta*sigma by random multistart
 		// plus local jitter around the incumbent. A step in which no

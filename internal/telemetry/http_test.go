@@ -12,7 +12,7 @@ import (
 
 func TestHandlerMetrics(t *testing.T) {
 	c := New()
-	c.Counter("fleet.scenarios_folded").Add(0, 42)
+	c.Counter("fleet.scenarios_folded").Add(42)
 	c.Gauge("fleet.workers").Set(8)
 	srv := httptest.NewServer(Handler(c))
 	defer srv.Close()
@@ -42,7 +42,7 @@ func TestHandlerMetrics(t *testing.T) {
 
 func TestHandlerExpvarAndPprof(t *testing.T) {
 	c := New()
-	c.Counter("test.count").Inc(0)
+	c.Counter("test.count").Inc()
 	srv := httptest.NewServer(Handler(c))
 	defer srv.Close()
 
@@ -76,10 +76,10 @@ func TestHandlerExpvarAndPprof(t *testing.T) {
 // serving a second collector must rebind the published var to it.
 func TestHandlerRebindsExpvar(t *testing.T) {
 	c1 := New()
-	c1.Counter("rebind.count").Add(0, 1)
+	c1.Counter("rebind.count").Add(1)
 	Handler(c1)
 	c2 := New()
-	c2.Counter("rebind.count").Add(0, 2)
+	c2.Counter("rebind.count").Add(2)
 	srv := httptest.NewServer(Handler(c2))
 	defer srv.Close()
 
@@ -123,7 +123,7 @@ func TestServeAndClose(t *testing.T) {
 
 func TestManifestRoundTrip(t *testing.T) {
 	c := New()
-	c.Counter("fleet.scenarios_folded").Add(0, 16)
+	c.Counter("fleet.scenarios_folded").Add(16)
 	end := c.Phase("fleet.run")
 	end()
 

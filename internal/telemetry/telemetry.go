@@ -1,18 +1,17 @@
 // Package telemetry is the zero-overhead observability core of the
-// evaluation system: per-worker sharded counters and fixed-bucket
-// histograms that the fleet engine, the strategy cache and the training
-// loops record into, snapshotted on demand for the live progress meter,
-// the run manifest and the HTTP introspection endpoint.
+// evaluation system: counters and fixed-bucket histograms that the fleet
+// engine, the strategy cache and the training loops record into,
+// snapshotted on demand for the live progress meter, the run manifest and
+// the HTTP introspection endpoint.
 //
 // The package-wide invariant is that telemetry NEVER participates in
 // results: no metric read or write touches an rng stream, reorders a fold,
 // or writes to stdout, so every suite, solve and training output is
 // byte-identical with telemetry attached or detached (enforced by
 // TestTelemetryOutputInvariant and the CI metrics-smoke diff). Recording is
-// allocation-free — a counter add is one uncontended atomic add into the
-// recording worker's own cache-line-padded cell, a histogram observation is
-// three — so the fleet hot path stays at zero allocations per scenario with
-// instrumentation active (TestTelemetryHotPathZeroAllocs).
+// allocation-free — a counter add is one atomic add, a histogram
+// observation is three — so the fleet hot path stays at zero allocations
+// per scenario with instrumentation active (TestTelemetryHotPathZeroAllocs).
 //
 // Telemetry off is a nil *Collector, and this package is the only place
 // that asks whether one is attached. A nil Collector hands out nil
@@ -22,12 +21,11 @@
 // the zero Snapshot. Callers record unconditionally
 // (TestNilTelemetryIsNoop).
 //
-// Sharding, not locking, is what makes recording cheap: every metric holds
-// NumShards independent cells and each fleet worker records into the cell
-// indexed by its worker id, so cells are single-writer in steady state and
-// never bounce between cores. Snapshot folds the cells with atomic loads,
-// which is why a snapshot can be taken at any moment — mid-run, from the
-// HTTP handler, from the progress meter — without pausing workers.
+// A counter is one atomic count and a histogram one row of atomic slots,
+// shared by every goroutine that records into it. Snapshot reads them with
+// atomic loads, which is why a snapshot can be taken at any moment —
+// mid-run, from the HTTP handler, from the progress meter — without
+// pausing workers.
 package telemetry
 
 import (
@@ -37,54 +35,28 @@ import (
 	"time"
 )
 
-// NumShards is the number of independent cells per metric. Worker indices
-// are masked into the shard space, so any worker count is valid; beyond
-// NumShards workers, cells are shared (still correct, merely contended).
-// It must be a power of two.
-const NumShards = 32
-
-const shardMask = NumShards - 1
-
-// cell is one shard of a counter, padded to its own cache line so two
-// workers' counts never share one.
-type cell struct {
-	v pad64
-}
-
-// pad64 is an atomically updated int64 padded to a 64-byte cache line.
-type pad64 struct {
-	n atomic.Int64
-	_ [56]byte
-}
-
-// Counter is a monotonically increasing, per-worker sharded count.
+// Counter is a monotonically increasing count.
 type Counter struct {
-	name  string
-	cells [NumShards]cell
+	name string
+	n    atomic.Int64
 }
 
-// Add folds n into the shard's cell. Shard is typically the recording
-// worker's index; any int is valid (it is masked into the shard space).
-func (c *Counter) Add(shard int, n int64) {
-	if c == nil {
-		return
+// Add adds n to the count.
+func (c *Counter) Add(n int64) {
+	if c != nil {
+		c.n.Add(n)
 	}
-	c.cells[shard&shardMask].v.n.Add(n)
 }
 
-// Inc adds one to the shard's cell.
-func (c *Counter) Inc(shard int) { c.Add(shard, 1) }
+// Inc adds one to the count.
+func (c *Counter) Inc() { c.Add(1) }
 
-// Total sums the cells. It is safe to call while workers record.
+// Total loads the count. It is safe to call while workers record.
 func (c *Counter) Total() int64 {
 	if c == nil {
 		return 0
 	}
-	var t int64
-	for i := range c.cells {
-		t += c.cells[i].v.n.Load()
-	}
-	return t
+	return c.n.Load()
 }
 
 // Gauge is a last-value (or running-minimum or -maximum) float64 metric:
@@ -156,55 +128,44 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Histogram is a fixed-bucket, per-worker sharded distribution of int64
-// observations (durations in nanoseconds, step counts). Bucket bounds are
-// fixed at registration, so observing is a short linear scan plus three
-// uncontended atomic adds — no allocation, ever.
+// Histogram is a fixed-bucket distribution of int64 observations
+// (durations in nanoseconds, step counts). Bucket bounds are fixed at
+// registration, so observing is a short linear scan plus three atomic
+// adds — no allocation, ever.
 type Histogram struct {
 	name   string
 	bounds []int64 // ascending inclusive upper bounds
-	stride int     // slots per shard: count, sum, len(bounds) buckets, overflow
-	cells  []pad8  // NumShards * stride
+	// slots holds the count, the sum, one count per bound and the
+	// overflow count, in that order.
+	slots []atomic.Int64
 }
 
-// pad8 is a bare atomic int64 slot (histogram rows are spaced by stride, so
-// per-slot padding would waste cache; the row layout keeps one worker's
-// slots contiguous and workers' rows apart).
-type pad8 struct {
-	n atomic.Int64
-}
-
-// Observe folds one value into the shard's cells.
-func (h *Histogram) Observe(shard int, v int64) {
+// Observe folds one value into the histogram.
+func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	row := (shard & shardMask) * h.stride
-	h.cells[row].n.Add(1)
-	h.cells[row+1].n.Add(v)
+	h.slots[0].Add(1)
+	h.slots[1].Add(v)
 	for i, ub := range h.bounds {
 		if v <= ub {
-			h.cells[row+2+i].n.Add(1)
+			h.slots[2+i].Add(1)
 			return
 		}
 	}
-	h.cells[row+2+len(h.bounds)].n.Add(1)
+	h.slots[2+len(h.bounds)].Add(1)
 }
 
-// snapshot folds the shards.
+// snapshot loads the slots.
 func (h *Histogram) snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{Buckets: make([]BucketCount, len(h.bounds))}
-	for i, ub := range h.bounds {
-		s.Buckets[i].Le = ub
+	s := HistogramSnapshot{
+		Count:    h.slots[0].Load(),
+		Sum:      h.slots[1].Load(),
+		Buckets:  make([]BucketCount, len(h.bounds)),
+		Overflow: h.slots[2+len(h.bounds)].Load(),
 	}
-	for shard := 0; shard < NumShards; shard++ {
-		row := shard * h.stride
-		s.Count += h.cells[row].n.Load()
-		s.Sum += h.cells[row+1].n.Load()
-		for i := range h.bounds {
-			s.Buckets[i].Count += h.cells[row+2+i].n.Load()
-		}
-		s.Overflow += h.cells[row+2+len(h.bounds)].n.Load()
+	for i, ub := range h.bounds {
+		s.Buckets[i] = BucketCount{Le: ub, Count: h.slots[2+i].Load()}
 	}
 	return s
 }
@@ -288,7 +249,7 @@ func New() *Collector {
 	}
 }
 
-// Counter registers (or retrieves) a sharded counter.
+// Counter registers (or retrieves) a counter.
 func (c *Collector) Counter(name string) *Counter {
 	if c == nil {
 		return nil
@@ -329,12 +290,10 @@ func (c *Collector) Histogram(name string, bounds []int64) *Histogram {
 	if m, ok := c.hists[name]; ok {
 		return m
 	}
-	b := append([]int64(nil), bounds...)
 	m := &Histogram{
 		name:   name,
-		bounds: b,
-		stride: len(b) + 3,
-		cells:  make([]pad8, NumShards*(len(b)+3)),
+		bounds: append([]int64(nil), bounds...),
+		slots:  make([]atomic.Int64, len(bounds)+3),
 	}
 	c.hists[name] = m
 	return m
@@ -373,8 +332,8 @@ func (c *Collector) Phase(name string) func() {
 func endNothing() {}
 
 // Snapshot folds every registered metric. It is safe to call concurrently
-// with recording; counts are per-cell atomic, so a snapshot is a consistent
-// recent view, not a stop-the-world cut.
+// with recording; every count is read atomically, so a snapshot is a
+// consistent recent view, not a stop-the-world cut.
 func (c *Collector) Snapshot() Snapshot {
 	if c == nil {
 		return Snapshot{}
@@ -462,7 +421,7 @@ func (t *Training) ObserveEval(v float64) {
 	if t == nil {
 		return
 	}
-	t.Evals.Inc(0)
+	t.Evals.Inc()
 	t.Best.Min(v)
 }
 
@@ -472,7 +431,7 @@ func (t *Training) ObserveIteration(cost float64) {
 	if t == nil {
 		return
 	}
-	t.Iterations.Inc(0)
+	t.Iterations.Inc()
 	t.LastCost.Set(cost)
 	t.Best.Min(cost)
 }

@@ -13,14 +13,14 @@ import (
 	"time"
 )
 
-func TestCounterShardsFold(t *testing.T) {
+func TestCounterAddsAndReregisters(t *testing.T) {
 	c := New()
 	ctr := c.Counter("test.count")
-	for shard := 0; shard < NumShards*2; shard++ {
-		ctr.Add(shard, int64(shard))
+	for n := int64(0); n < 64; n++ {
+		ctr.Add(n)
 	}
-	want := int64(NumShards * 2 * (NumShards*2 - 1) / 2)
-	if got := ctr.Total(); got != want {
+	ctr.Inc()
+	if got, want := ctr.Total(), int64(64*63/2+1); got != want {
 		t.Errorf("Total = %d, want %d", got, want)
 	}
 	if c.Counter("test.count") != ctr {
@@ -127,10 +127,10 @@ func TestGaugeUnsetOmittedFromSnapshot(t *testing.T) {
 func TestHistogramBuckets(t *testing.T) {
 	c := New()
 	h := c.Histogram("test.hist", []int64{10, 100, 1000})
-	h.Observe(0, 5)    // bucket le=10
-	h.Observe(1, 10)   // bucket le=10 (inclusive)
-	h.Observe(2, 500)  // bucket le=1000
-	h.Observe(3, 5000) // overflow
+	h.Observe(5)    // bucket le=10
+	h.Observe(10)   // bucket le=10 (inclusive)
+	h.Observe(500)  // bucket le=1000
+	h.Observe(5000) // overflow
 	s := c.Snapshot().Histograms["test.hist"]
 	if s.Count != 4 || s.Sum != 5515 {
 		t.Errorf("Count/Sum = %d/%d, want 4/5515", s.Count, s.Sum)
@@ -178,10 +178,10 @@ func TestPhases(t *testing.T) {
 // reconciliation depend on stable output.
 func TestSnapshotStableJSON(t *testing.T) {
 	c := New()
-	c.Counter("b.two").Add(0, 2)
-	c.Counter("a.one").Add(0, 1)
+	c.Counter("b.two").Add(2)
+	c.Counter("a.one").Add(1)
 	c.Gauge("g.one").Set(1)
-	c.Histogram("h.one", []int64{10}).Observe(0, 3)
+	c.Histogram("h.one", []int64{10}).Observe(3)
 	s := c.Snapshot()
 	b1, err := json.Marshal(s)
 	if err != nil {
@@ -196,75 +196,94 @@ func TestSnapshotStableJSON(t *testing.T) {
 	}
 }
 
-// TestConcurrentRecordingAndSnapshot is the race-detector hammer: every
-// shard records from its own goroutine while another goroutine snapshots
-// continuously. Run with -race (CI does); the final totals must also be
-// exact because recording is atomic per cell.
+// TestConcurrentRecordingAndSnapshot is the race-detector hammer: 32
+// goroutines add to one counter and observe into one histogram at once
+// while another goroutine snapshots continuously. Run with -race (CI does).
+// Halfway, every recorder waits until a snapshot has been taken, which
+// must hold exactly the first halves; the final totals must be exact too,
+// which a load-then-store add misses as soon as two recorders overlap.
 func TestConcurrentRecordingAndSnapshot(t *testing.T) {
+	// Worker w adds w+1 and observes 0, 1, … per round, so each half of
+	// its rounds puts perHalf observations in each bucket.
+	const workers, perHalf = 32, 5000
 	c := New()
 	ctr := c.Counter("race.count")
 	g := c.Gauge("race.best")
-	h := c.Histogram("race.hist", DurationBuckets())
+	h := c.Histogram("race.hist", []int64{perHalf - 1})
 	tr := NewTraining(c)
 
-	const perWorker = 2000
-	var wg sync.WaitGroup
+	want := func(rounds int64) (count, sum int64) {
+		return rounds * workers * (workers + 1) / 2, workers * rounds * (rounds - 1) / 2
+	}
+	check := func(when string, s Snapshot, rounds int64) {
+		t.Helper()
+		count, sum := want(rounds)
+		if got := s.Counter("race.count"); got != count {
+			t.Errorf("%s: counter total = %d, want %d", when, got, count)
+		}
+		hs := s.Histograms["race.hist"]
+		if hs.Count != workers*rounds || hs.Sum != sum {
+			t.Errorf("%s: histogram count/sum = %d/%d, want %d/%d", when, hs.Count, hs.Sum, workers*rounds, sum)
+		}
+		if hs.Buckets[0].Count+hs.Overflow != hs.Count || hs.Buckets[0].Count != workers*perHalf {
+			t.Errorf("%s: buckets %d + overflow %d, want %d in the bucket of %d", when,
+				hs.Buckets[0].Count, hs.Overflow, workers*perHalf, hs.Count)
+		}
+		if got := s.Counter("training.evals"); got != workers*rounds {
+			t.Errorf("%s: training evals = %d, want %d", when, got, workers*rounds)
+		}
+	}
+
 	stop := make(chan struct{})
-	wg.Add(1)
+	snapped := make(chan struct{})
+	var snapper, half, recorders sync.WaitGroup
+	snapper.Add(1)
 	go func() {
-		defer wg.Done()
+		defer snapper.Done()
+		var last int64
 		for {
 			select {
 			case <-stop:
 				return
 			default:
-				s := c.Snapshot()
-				if s.Counter("race.count") < 0 {
-					t.Error("negative counter snapshot")
-					return
-				}
 			}
+			// A count only grows, so no snapshot reads less than the one
+			// before it.
+			n := c.Snapshot().Counter("race.count")
+			if n < last {
+				t.Errorf("counter snapshot went from %d back to %d", last, n)
+				return
+			}
+			last = n
 		}
 	}()
-	for w := 0; w < NumShards; w++ {
-		wg.Add(1)
-		go func(wid int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				ctr.Inc(wid)
-				g.Min(float64(wid + 1))
-				h.Observe(wid, int64(i))
+	half.Add(workers)
+	recorders.Add(workers)
+	for w := range workers {
+		go func() {
+			defer recorders.Done()
+			for i := range int64(2 * perHalf) {
+				if i == perHalf {
+					half.Done()
+					<-snapped
+				}
+				ctr.Add(int64(w + 1))
+				g.Min(float64(w + 1))
+				h.Observe(i)
 				tr.ObserveEval(float64(i + 1))
 			}
-		}(w)
+		}()
 	}
-	// Wait for the recorders (all but the snapshotter), then stop it.
-	done := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-	// The snapshotter loops until stop closes; signal it once recording
-	// goroutines can no longer be distinguished — simplest is a short grace
-	// period after the expected totals are reached.
-	for c.Counter("race.count").Total() < NumShards*perWorker {
-		time.Sleep(time.Millisecond)
-	}
+	half.Wait()
+	check("halfway", c.Snapshot(), perHalf)
+	close(snapped)
+	recorders.Wait()
 	close(stop)
-	<-done
+	snapper.Wait()
 
-	if got := ctr.Total(); got != NumShards*perWorker {
-		t.Errorf("counter total = %d, want %d", got, NumShards*perWorker)
-	}
+	check("at the end", c.Snapshot(), 2*perHalf)
 	if got := g.Value(); got != 1 {
 		t.Errorf("min gauge = %v, want 1", got)
-	}
-	s := c.Snapshot()
-	if got := s.Histograms["race.hist"].Count; got != NumShards*perWorker {
-		t.Errorf("histogram count = %d, want %d", got, NumShards*perWorker)
-	}
-	if got := s.Counter("training.evals"); got != NumShards*perWorker {
-		t.Errorf("training evals = %d, want %d", got, NumShards*perWorker)
 	}
 }
 
@@ -280,12 +299,12 @@ func TestRecordingZeroAllocs(t *testing.T) {
 		name string
 		fn   func()
 	}{
-		{"Counter.Inc", func() { ctr.Inc(3) }},
-		{"Counter.Add", func() { ctr.Add(3, 5) }},
+		{"Counter.Inc", func() { ctr.Inc() }},
+		{"Counter.Add", func() { ctr.Add(5) }},
 		{"Gauge.Set", func() { g.Set(1.5) }},
 		{"Gauge.Min", func() { g.Min(1.25) }},
 		{"Gauge.Max", func() { g.Max(1.25) }},
-		{"Histogram.Observe", func() { h.Observe(3, 123456) }},
+		{"Histogram.Observe", func() { h.Observe(123456) }},
 		{"Training.ObserveEval", func() { tr.ObserveEval(2.5) }},
 		{"Training.ObserveIteration", func() { tr.ObserveIteration(2.5) }},
 	}
@@ -324,14 +343,14 @@ func TestNilTelemetryIsNoop(t *testing.T) {
 		{"Collector.Phase", func() { c.Phase("x")() }},
 		{"Collector.Snapshot", func() { c.Snapshot() }},
 		{"NewTraining", func() { NewTraining(c) }},
-		{"Counter.Inc", func() { ctr.Inc(3) }},
-		{"Counter.Add", func() { ctr.Add(3, 5) }},
+		{"Counter.Inc", func() { ctr.Inc() }},
+		{"Counter.Add", func() { ctr.Add(5) }},
 		{"Counter.Total", func() { ctr.Total() }},
 		{"Gauge.Set", func() { g.Set(1.5) }},
 		{"Gauge.Min", func() { g.Min(1.25) }},
 		{"Gauge.Max", func() { g.Max(1.25) }},
 		{"Gauge.Value", func() { g.Value() }},
-		{"Histogram.Observe", func() { h.Observe(3, 123456) }},
+		{"Histogram.Observe", func() { h.Observe(123456) }},
 		{"Training.ObserveEval", func() { tr.ObserveEval(2.5) }},
 		{"Training.ObserveIteration", func() { tr.ObserveIteration(2.5) }},
 		{"Training.Objective", func() { tr.Objective(obj) }},

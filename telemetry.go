@@ -13,10 +13,9 @@ import (
 // Telemetry may serve many sequential or concurrent calls; counters
 // accumulate across them.
 //
-// Telemetry is observation only. Metrics are recorded outside the rng and
-// fold paths, writes land in per-worker sharded cells, and nothing is ever
-// printed to stdout — results are byte-identical and suite hot paths stay
-// allocation-free with telemetry attached or not.
+// Telemetry is observation only. Metrics are atomic adds outside the rng
+// and fold paths, and nothing is ever printed to stdout — results are
+// byte-identical and suite hot paths allocation-free, attached or not.
 type Telemetry struct {
 	c *telemetry.Collector
 }
