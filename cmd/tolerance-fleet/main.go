@@ -316,9 +316,9 @@ func run() (retErr error) {
 				}
 				fmt.Fprintln(os.Stderr)
 			}
-			writer, err = fleet.AppendCheckpoint(*checkpoint, ck)
+			writer, err = fleet.AppendCheckpoint(*checkpoint, ck, col)
 		} else {
-			writer, err = fleet.CreateCheckpoint(*checkpoint, suite, shard)
+			writer, err = fleet.CreateCountedCheckpoint(*checkpoint, suite, shard, col)
 		}
 		if err != nil {
 			return err
@@ -328,7 +328,6 @@ func run() (retErr error) {
 				writer.Close()
 			}
 		}()
-		writer.Instrument(col)
 		if plan != nil {
 			// Disk faults (torn tails, bit rot) hit only record lines: the
 			// sink interposes below the JSON encoder, so the header written

@@ -92,7 +92,7 @@ func run() error {
 	}
 	fmt.Printf("crash simulation: killed shard 0/2 with %d of %d scenarios done\n",
 		ck.Records.Len(), len(fleet.Shard{Index: 0, Count: 2}.Indices(loaded.NumScenarios())))
-	w, err := fleet.AppendCheckpoint(crashed, ck)
+	w, err := fleet.AppendCheckpoint(crashed, ck, nil)
 	if err != nil {
 		return err
 	}

@@ -180,48 +180,11 @@ func (m *Model) tailSum(a, sHat, s int) float64 {
 // clamped at the state-space boundary. A small smoothing mass eps keeps the
 // chain irreducible (assumption B of Theorem 2); eps <= 0 selects 1e-9.
 //
-// Each state's Binomial(s, q) pmf is computed once and shared by both
-// actions, and every row of f_S is carved from one backing array.
+// The model is built in an arena of its own (Arena.BinomialModel), which it
+// keeps; a caller that solves and discards kernels builds them in a pooled
+// arena instead.
 func NewBinomialModel(smax, f int, epsilonA, q, eps float64) (*Model, error) {
-	if !(q >= 0 && q <= 1) { // also rejects NaN
-		return nil, fmt.Errorf("%w: q = %v", ErrInvalidModel, q)
-	}
-	if eps <= 0 {
-		eps = 1e-9
-	}
-	n := max(smax+1, 0)
-	m := &Model{SMax: smax, F: f, EpsilonA: epsilonA}
-	m.FS = make([][][]float64, NumActions)
-	backing := make([]float64, NumActions*n*n)
-	for a := range m.FS {
-		m.FS[a] = make([][]float64, n)
-		for s := range m.FS[a] {
-			m.FS[a][s], backing = backing[:n:n], backing[n:]
-		}
-	}
-	pmf := newBinomialRows(smax, q)
-	for s := 0; s <= smax; s++ {
-		probs := pmf.row(s)
-		for a := 0; a < NumActions; a++ {
-			row := m.FS[a][s]
-			for k, pk := range probs {
-				row[min(k+a, smax)] += pk
-			}
-			// Smooth and renormalize.
-			total := 0.0
-			for i := range row {
-				row[i] += eps
-				total += row[i]
-			}
-			for i := range row {
-				row[i] /= total
-			}
-		}
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return new(Arena).BinomialModel(smax, f, epsilonA, q, eps)
 }
 
 // binomialRows computes the pmf rows P[Binomial(s, q) = k], k = 0..s, for
@@ -236,11 +199,12 @@ type binomialRows struct {
 	buf             []float64
 }
 
-func newBinomialRows(n int, q float64) *binomialRows {
+// newBinomialRows lays the rows out in scratch, which must hold 2*(n+1)
+// entries for n >= 0; every entry a row reads is written first.
+func newBinomialRows(n int, q float64, scratch []float64) binomialRows {
 	n = max(n, 0)
-	scratch := make([]float64, 2*(n+1))
-	b := &binomialRows{q: q, logQ: math.Log(q), log1mQ: math.Log(1 - q),
-		logFact: scratch[:n+1], buf: scratch[n+1:]}
+	b := binomialRows{q: q, logQ: math.Log(q), log1mQ: math.Log(1 - q),
+		logFact: scratch[:n+1], buf: scratch[n+1 : 2*(n+1)]}
 	for i := range b.logFact {
 		b.logFact[i], _ = math.Lgamma(float64(i) + 1)
 	}
@@ -311,7 +275,7 @@ func noRecoveryChain(n int, q float64) ([][]float64, error) {
 	}
 	p := make([][]float64, n+1)
 	backing := make([]float64, (n+1)*(n+1))
-	pmf := newBinomialRows(n, q)
+	pmf := newBinomialRows(n, q, make([]float64, 2*(n+1)))
 	for s := 0; s <= n; s++ {
 		row := backing[s*(n+1) : (s+1)*(n+1)]
 		copy(row, pmf.row(s))

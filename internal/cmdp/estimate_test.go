@@ -48,7 +48,7 @@ func TestHealthyProbMatchesRolloutEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []recovery.Strategy{dp.Strategy(deltaR), recovery.NeverRecover{}} {
+	for _, s := range []recovery.Strategy{&dp.ThresholdStrategy, recovery.NeverRecover{}} {
 		q, err := HealthyProb(table, s, deltaR)
 		if err != nil {
 			t.Fatal(err)
@@ -76,7 +76,7 @@ func TestRolloutHazardUndercounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := dp.Strategy(deltaR)
+	s := &dp.ThresholdStrategy
 	occ, err := recovery.Occupancy(p, s, deltaR)
 	if err != nil {
 		t.Fatal(err)

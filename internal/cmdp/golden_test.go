@@ -139,9 +139,7 @@ func goldenSolverRuns(t *testing.T) (goldenSolvers, map[string]goldenLP) {
 				continue
 			}
 			values := append([]float64{sol.AvgNodes, sol.Availability}, sol.Policy...)
-			for _, occ := range sol.Occupancy {
-				values = append(values, occ...)
-			}
+			values = append(values, sol.Occupancy...)
 			exact(name, nil, values...)
 			lps[name] = goldenLP{m: m, q: q}
 		}
@@ -180,11 +178,7 @@ func (g goldenLP) solution(bits []uint64) (*Solution, bool) {
 	for i, b := range bits {
 		v[i] = math.Float64frombits(b)
 	}
-	sol := &Solution{AvgNodes: v[0], Availability: v[1], Policy: v[2 : 2+n], Occupancy: make([][]float64, n)}
-	for s := range sol.Occupancy {
-		sol.Occupancy[s] = v[2+n+2*s : 2+n+2*s+2]
-	}
-	return sol, true
+	return &Solution{AvgNodes: v[0], Availability: v[1], Policy: v[2 : 2+n], Occupancy: v[2+n:]}, true
 }
 
 // TestGoldenParentSolvers compares this build's solver outputs with the ones

@@ -80,15 +80,16 @@ func solveTableau(m *Model) (*Solution, error) {
 
 	out := &Solution{
 		Policy:    make([]float64, n),
-		Occupancy: make([][]float64, n),
+		Occupancy: make([]float64, NumActions*n),
 	}
 	availability := 0.0
 	avgNodes := 0.0
 	for s := 0; s < n; s++ {
-		out.Occupancy[s] = []float64{sol.X[idx(s, 0)], sol.X[idx(s, 1)]}
-		total := out.Occupancy[s][0] + out.Occupancy[s][1]
+		occ := out.Occupancy[NumActions*s : NumActions*(s+1)]
+		occ[0], occ[1] = sol.X[idx(s, 0)], sol.X[idx(s, 1)]
+		total := occ[0] + occ[1]
 		if total > 1e-7 {
-			out.Policy[s] = out.Occupancy[s][1] / total
+			out.Policy[s] = occ[1] / total
 		} else if s <= m.F {
 			out.Policy[s] = 1
 		} else {
@@ -111,18 +112,18 @@ func solveTableau(m *Model) (*Solution, error) {
 // pivots on a near-zero element can leave rho(s,a) ≈ −1e-7 while every
 // balance row holds to 1e-15; that point is outside (14), and its objective
 // is not comparable to 1e-9.
-func stationarityResidual(m *Model, occ [][]float64) float64 {
+func stationarityResidual(m *Model, occ []float64) float64 {
 	n := m.SMax + 1
 	worst, total := 0.0, 0.0
 	for s := 0; s < n; s++ {
-		worst = math.Max(worst, -min(occ[s][0], occ[s][1]))
+		worst = math.Max(worst, -min(occ[2*s], occ[2*s+1]))
 		in := 0.0
 		for s2 := 0; s2 < n; s2++ {
 			for a := 0; a < NumActions; a++ {
-				in += occ[s2][a] * m.FS[a][s2][s]
+				in += occ[NumActions*s2+a] * m.FS[a][s2][s]
 			}
 		}
-		out := occ[s][0] + occ[s][1]
+		out := occ[2*s] + occ[2*s+1]
 		total += out
 		worst = math.Max(worst, math.Abs(in-out))
 	}
@@ -241,7 +242,7 @@ func checkStructure(t *testing.T, name string, m *Model, sol *Solution) {
 	const tol = 1e-6
 	fractional, blocks, adding := 0, 0, false
 	for s, p := range sol.Policy {
-		if sol.Occupancy[s][0]+sol.Occupancy[s][1] <= 1e-7 {
+		if sol.Occupancy[2*s]+sol.Occupancy[2*s+1] <= 1e-7 {
 			continue
 		}
 		if p > tol && p < 1-tol {

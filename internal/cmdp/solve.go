@@ -12,8 +12,9 @@ type Solution struct {
 	// Policy[s] is pi*(a = 1 | s), the probability of adding a node in
 	// state s (eq. 13, Fig 13a).
 	Policy []float64
-	// Occupancy is the optimal occupancy measure rho*(s, a) indexed [s][a].
-	Occupancy [][]float64
+	// Occupancy is the optimal occupancy measure: rho*(s, a) is
+	// Occupancy[NumActions*s+a].
+	Occupancy []float64
 	// AvgNodes is the objective value J (eq. 9): the stationary expected
 	// number of nodes.
 	AvgNodes float64
@@ -96,38 +97,75 @@ var errNotConverged = errors.New("cmdp: algorithm 2: policy walk did not converg
 //
 // When no switch can raise availability, the current policy maximizes it
 // and the constraint is infeasible.
+//
+// Solve draws its kernel-sized scratch from a pooled Arena and allocates
+// only the Solution: the struct and one slab for Policy and Occupancy.
 func Solve(m *Model) (*Solution, error) {
-	if err := m.Validate(); err != nil {
+	a := AcquireArena()
+	defer a.Release()
+	return a.Solve(m)
+}
+
+// Solve is the package's Solve on the arena's scratch.
+func (a *Arena) Solve(m *Model) (*Solution, error) {
+	ev, t, s, err := a.walk(m)
+	if err != nil {
 		return nil, err
 	}
-	for a := range m.FS {
-		for s, row := range m.FS[a] {
+	sol := new(Solution)
+	ev.solution(sol, make([]float64, (1+NumActions)*ev.n), t, s)
+	return sol, nil
+}
+
+// SolveTo is Solve on the arena's scratch writing the solution into sol,
+// whose Policy and Occupancy it carves from floats ((1+NumActions) *
+// (m.SMax+1) entries), so it allocates nothing of its own.
+func (a *Arena) SolveTo(m *Model, sol *Solution, floats []float64) error {
+	if len(floats) != (1+NumActions)*(m.SMax+1) {
+		return fmt.Errorf("%w: %d solution floats for smax = %d", ErrInvalidModel, len(floats), m.SMax)
+	}
+	ev, t, s, err := a.walk(m)
+	if err != nil {
+		return err
+	}
+	ev.solution(sol, floats, t, s)
+	return nil
+}
+
+// walk runs Solve's policy walk on the arena's scratch and returns the
+// evaluator it ends on with the mix weight t and state s of its solution.
+func (a *Arena) walk(m *Model) (evaluator, float64, int, error) {
+	if err := m.Validate(); err != nil {
+		return evaluator{}, 0, 0, err
+	}
+	for act := range m.FS {
+		for s, row := range m.FS[act] {
 			for s2, p := range row {
 				if p == 0 {
-					return nil, fmt.Errorf("%w: fS(%d|%d,%d) = 0 (Algorithm 2 needs assumption B, every entry positive)",
-						ErrInvalidModel, s2, s, a)
+					return evaluator{}, 0, 0, fmt.Errorf("%w: fS(%d|%d,%d) = 0 (Algorithm 2 needs assumption B, every entry positive)",
+						ErrInvalidModel, s2, s, act)
 				}
 			}
 		}
 	}
 	n := m.SMax + 1
-	ev, err := newEvaluator(m)
+	ev, err := a.evaluator(m)
 	if err != nil {
-		return nil, err
+		return ev, 0, 0, err
 	}
 
 	// 1. Policy iteration on the cost s. "Never add" is optimal for it on
 	// every kernel NewBinomialModel builds, so this is one evaluation.
 	for iter := 0; ; iter++ {
 		if iter > n {
-			return nil, errNotConverged
+			return ev, 0, 0, errNotConverged
 		}
 		ev.evaluate()
 		improved := false
 		for s := 0; s < n; s++ {
 			if dc, _ := ev.reducedCosts(s); dc < -ev.ucTol {
 				if err := ev.switchAction(s); err != nil {
-					return nil, err
+					return ev, 0, 0, err
 				}
 				improved = true
 			}
@@ -140,7 +178,7 @@ func Solve(m *Model) (*Solution, error) {
 	// 2. Raise availability one breakpoint at a time.
 	avail := ev.availability()
 	if avail >= m.EpsilonA {
-		return ev.solution(1, -1), nil
+		return ev, 1, -1, nil
 	}
 	for step := 0; step <= 4*n; step++ {
 		switched, best := -1, math.Inf(1)
@@ -150,12 +188,12 @@ func Solve(m *Model) (*Solution, error) {
 			}
 		}
 		if switched < 0 {
-			return nil, infeasible(m)
+			return ev, 0, 0, infeasible(m)
 		}
 		copy(ev.xPrev, ev.x)
 		availPrev := avail
 		if err := ev.switchAction(switched); err != nil {
-			return nil, err
+			return ev, 0, 0, err
 		}
 		ev.evaluate()
 		avail = ev.availability()
@@ -163,13 +201,13 @@ func Solve(m *Model) (*Solution, error) {
 		case avail <= availPrev:
 			// Only rounding was left to switch on: the previous policy
 			// maximizes availability.
-			return nil, infeasible(m)
+			return ev, 0, 0, infeasible(m)
 		case avail >= m.EpsilonA:
 			// 3. Mix the last two policies at the constraint.
-			return ev.solution((m.EpsilonA-availPrev)/(avail-availPrev), switched), nil
+			return ev, (m.EpsilonA - availPrev) / (avail - availPrev), switched, nil
 		}
 	}
-	return nil, errNotConverged
+	return ev, 0, 0, errNotConverged
 }
 
 func infeasible(m *Model) error {
@@ -215,17 +253,17 @@ type evaluator struct {
 	ucTol, uvTol               float64
 }
 
-// newEvaluator factors Z for "never add". Its scratch is two allocations,
-// whatever the model or the walk, and the Solution keeps neither.
-func newEvaluator(m *Model) (evaluator, error) {
+// evaluator factors Z for "never add" on the arena's scratch, which the
+// Solution never aliases.
+func (a *Arena) evaluator(m *Model) (evaluator, error) {
 	n := m.SMax + 1
-	scratch := make([]float64, n*n+2*maxUpdates*n+6*n)
+	scratch := grab(&a.eval, n*n+2*maxUpdates*n+6*n)
 	take := func(k int) []float64 {
 		s := scratch[:k:k]
 		scratch = scratch[k:]
 		return s
 	}
-	ints := make([]int, 2*n)
+	ints := grab(&a.ints, 2*n)
 	ev := evaluator{m: m, n: n, act: ints[:n:n], perm: ints[n:],
 		lu: take(n * n), ys: take(maxUpdates * n), ds: take(maxUpdates * n),
 		uc: take(n), uv: take(n), x: take(n), xPrev: take(n), rhs: take(n), res: take(n)}
@@ -400,16 +438,16 @@ func (ev *evaluator) availability() float64 {
 	return a
 }
 
-// solution returns the occupancy measure (1−t)·ρ(xPrev) + t·ρ(x), where
-// the previous policy differs from the current one only in state s (t = 1
-// and s = −1 for the current policy alone), with Policy, Occupancy and the
-// metrics carved from one allocation.
-func (ev *evaluator) solution(t float64, s int) *Solution {
+// solution writes the occupancy measure (1−t)·ρ(xPrev) + t·ρ(x), where the
+// previous policy differs from the current one only in state s (t = 1 and
+// s = −1 for the current policy alone), into sol, with Policy and
+// Occupancy carved from out, which it clears first.
+func (ev *evaluator) solution(sol *Solution, out []float64, t float64, s int) {
 	n, f := ev.n, ev.m.F
-	out := make([]float64, 3*n)
-	sol := &Solution{Policy: out[:n:n], Occupancy: make([][]float64, n)}
+	clear(out)
+	*sol = Solution{Policy: out[:n:n], Occupancy: out[n:]}
 	for i := 0; i < n; i++ {
-		occ := out[n+2*i : n+2*i+2 : n+2*i+2]
+		occ := sol.Occupancy[NumActions*i : NumActions*(i+1) : NumActions*(i+1)]
 		occ[ev.act[i]] = t * ev.x[i]
 		if t < 1 {
 			prev := ev.act[i]
@@ -418,7 +456,6 @@ func (ev *evaluator) solution(t float64, s int) *Solution {
 			}
 			occ[prev] += (1 - t) * ev.xPrev[i]
 		}
-		sol.Occupancy[i] = occ
 		total := occ[0] + occ[1]
 		// States with numerically negligible occupancy (only the smoothing
 		// mass visits them) take the defensive default rather than a noise
@@ -436,7 +473,6 @@ func (ev *evaluator) solution(t float64, s int) *Solution {
 			sol.Availability += total
 		}
 	}
-	return sol
 }
 
 func maxAbs(a []float64) float64 {

@@ -249,7 +249,7 @@ func toleranceScenario(t testing.TB, n1, deltaR int, seed int64) Scenario {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol, err := baselines.NewTolerance(dp.Strategy(deltaR), rep)
+	pol, err := baselines.NewTolerance(&dp.ThresholdStrategy, rep)
 	if err != nil {
 		t.Fatal(err)
 	}

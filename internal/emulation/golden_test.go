@@ -67,7 +67,7 @@ func goldenGrid(t *testing.T) (names []string, scenarios []Scenario) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				tol, err := baselines.NewTolerance(dp.Strategy(deltaR), rep)
+				tol, err := baselines.NewTolerance(&dp.ThresholdStrategy, rep)
 				if err != nil {
 					t.Fatal(err)
 				}

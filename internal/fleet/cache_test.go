@@ -50,7 +50,7 @@ func TestStrategyCacheSwitchesNodeModels(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			thresholds := dp.Strategy(dr)
+			thresholds := &dp.ThresholdStrategy
 			for _, r := range []struct {
 				rec recovery.Strategy
 				fp  string

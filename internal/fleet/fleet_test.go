@@ -542,7 +542,7 @@ func TestRunCancellationLeavesValidCheckpoint(t *testing.T) {
 	if ck.Records.Len() < 3 {
 		t.Fatalf("checkpoint holds %d records, want >= 3", ck.Records.Len())
 	}
-	w2, err := AppendCheckpoint(path, ck)
+	w2, err := AppendCheckpoint(path, ck, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

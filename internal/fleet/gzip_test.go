@@ -19,7 +19,7 @@ func runWithCheckpoint(t *testing.T, suite Suite, path string, completed *Record
 		if rerr != nil {
 			t.Fatal(rerr)
 		}
-		w, err = AppendCheckpoint(path, ck)
+		w, err = AppendCheckpoint(path, ck, nil)
 	} else {
 		w, err = CreateCheckpoint(path, suite, Shard{})
 	}

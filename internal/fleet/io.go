@@ -84,19 +84,21 @@ type CheckpointWriter struct {
 	line      []byte             // the current line; reused across records
 	unflushed int                // records since the last flush
 	lastSync  time.Time          // end of the last fsync; zero before the first
-	syncs     *telemetry.Counter // set by Instrument
+	syncs     *telemetry.Counter // fleet.checkpoint_syncs; nil uncounted
 }
 
-// Instrument counts the writer's fsyncs on the collector
+// Instrument counts the writer's later fsyncs on the collector
 // (fleet.checkpoint_syncs). Pure observer: the file contents and sync
 // cadence are identical with or without it.
 func (c *CheckpointWriter) Instrument(col *telemetry.Collector) {
 	c.syncs = col.Counter(MetricCheckpointSyncs)
 }
 
-// newCheckpointWriter assembles the (gzip)→buffer→file pipeline.
-func newCheckpointWriter(path string, f *os.File) *CheckpointWriter {
-	w := &CheckpointWriter{f: f, bw: bufio.NewWriter(f), line: make([]byte, 0, maxRecordJSON)}
+// newCheckpointWriter assembles the (gzip)→buffer→file pipeline, counting
+// its fsyncs on col.
+func newCheckpointWriter(path string, f *os.File, col *telemetry.Collector) *CheckpointWriter {
+	w := &CheckpointWriter{f: f, bw: bufio.NewWriter(f), line: make([]byte, 0, maxRecordJSON),
+		syncs: col.Counter(MetricCheckpointSyncs)}
 	w.sink = w.bw
 	if gzipCheckpoint(path) {
 		w.zw = gzip.NewWriter(w.bw)
@@ -105,15 +107,24 @@ func newCheckpointWriter(path string, f *os.File) *CheckpointWriter {
 	return w
 }
 
-// CreateCheckpoint creates (truncating) a checkpoint file for the suite
-// and shard and writes the header.
+// CreateCheckpoint is CreateCountedCheckpoint with no collector: its
+// fsyncs count from Instrument on, after the header's.
 func CreateCheckpoint(path string, suite Suite, shard Shard) (*CheckpointWriter, error) {
+	return CreateCountedCheckpoint(path, suite, shard, nil)
+}
+
+// CreateCountedCheckpoint creates (truncating) a checkpoint file for the
+// suite and shard and writes the header. Every fsync of the file, the
+// header's included, counts on col (fleet.checkpoint_syncs; nil counts
+// nothing), a pure observer: the file contents and sync cadence are the
+// same without it.
+func CreateCountedCheckpoint(path string, suite Suite, shard Shard, col *telemetry.Collector) (*CheckpointWriter, error) {
 	suite = suite.withDefaults()
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: create checkpoint: %w", err)
 	}
-	w := newCheckpointWriter(path, f)
+	w := newCheckpointWriter(path, f, col)
 	hdr := checkpointHeader{
 		Version:     CheckpointVersion,
 		Fingerprint: suite.Fingerprint(),
@@ -142,14 +153,15 @@ func CreateCheckpoint(path string, suite Suite, shard Shard) (*CheckpointWriter,
 // rewritten to its own bytes. They go to a sibling temp file, renamed over
 // the original only once they are synced, so a second kill during the
 // rewrite cannot lose the records the first run already synced; they are
-// not synced in batches, since nothing is at risk before the rename.
-func AppendCheckpoint(path string, ck *Checkpoint) (*CheckpointWriter, error) {
+// not synced in batches, since nothing is at risk before the rename. The
+// rewrite's fsyncs count on col like the writer's later ones.
+func AppendCheckpoint(path string, ck *Checkpoint, col *telemetry.Collector) (*CheckpointWriter, error) {
 	// A .gz suffix on the temp name keeps the gzip framing.
 	tmp := strings.TrimSuffix(path, ".gz") + ".rewrite"
 	if gzipCheckpoint(path) {
 		tmp += ".gz"
 	}
-	w, err := CreateCheckpoint(tmp, ck.Suite, ck.Shard)
+	w, err := CreateCountedCheckpoint(tmp, ck.Suite, ck.Shard, col)
 	if err != nil {
 		return nil, err
 	}

@@ -222,6 +222,78 @@ func TestCheckpointBytesIndependentOfSyncTiming(t *testing.T) {
 	}
 }
 
+// TestResumeCountsRewriteSyncs: every fsync of a checkpoint reaches the
+// collector handed to its writer, the ones made before the writer is
+// returned included: a fresh file's header, and on the resume of a torn
+// file, plain or gzip, the rewrite's two (the temp file's header and the
+// one before the rename). Then the closing one, with the power-cut window
+// held over the fresh records.
+func TestResumeCountsRewriteSyncs(t *testing.T) {
+	suite, recs := budgetRecords(t)
+	kept := recs[:len(recs)/2]
+	for _, name := range []string{"run.jsonl", "run.jsonl.gz"} {
+		path := filepath.Join(t.TempDir(), name)
+		col := telemetry.New()
+		syncs := func() int64 { return col.Snapshot().Counter(MetricCheckpointSyncs) }
+		w, err := CreateCountedCheckpoint(path, suite, Shard{}, col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := syncs(); n != 1 {
+			t.Errorf("%s: creating the file counted %d fsyncs, want 1 (the header's)", name, n)
+		}
+		holdSync(w)
+		for _, rec := range kept {
+			if err := w.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Tear the tail: a plain file ends in half a record line, a gzip
+		// file loses the last quarter of its stream.
+		file := mustReadFile(t, path)
+		if gzipCheckpoint(path) {
+			file = file[:len(file)*3/4]
+		} else {
+			line := checkpointLineOf(t, recs[len(kept)])
+			file = append(file, line[:len(line)/2]...)
+		}
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ck := checkReadCheckpoint(t, path)
+
+		col = telemetry.New()
+		aw, err := AppendCheckpoint(path, ck, col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := syncs(); n != 2 {
+			t.Errorf("%s: the resume's rewrite counted %d fsyncs, want 2", name, n)
+		}
+		holdSync(aw)
+		for _, rec := range recs {
+			if _, ok := ck.Records.get(rec.Index); ok {
+				continue
+			}
+			if err := aw.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := aw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n := syncs(); n != 3 {
+			t.Errorf("%s: the resumed writer counted %d fsyncs by its close, want 3", name, n)
+		}
+		if final := checkReadCheckpoint(t, path); final.Records.Len() != len(recs) || final.Corrupted != 0 {
+			t.Errorf("%s: resumed file has %d records (%d damaged), want %d", name, final.Records.Len(), final.Corrupted, len(recs))
+		}
+	}
+}
+
 // TestResumeRewritesDamagedPlainCheckpoint: resuming a plain checkpoint
 // with damaged lines rewrites it without them, so a later read finds no
 // damage to skip and report again, and a stale temp file a kill left
@@ -261,7 +333,7 @@ func TestResumeRewritesDamagedPlainCheckpoint(t *testing.T) {
 	resume := func(path string) (before, after *Checkpoint) {
 		t.Helper()
 		before = checkReadCheckpoint(t, path)
-		aw, err := AppendCheckpoint(path, before)
+		aw, err := AppendCheckpoint(path, before, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -970,7 +970,7 @@ func TestGzipResumeRewriteSyncsOnce(t *testing.T) {
 		t.Fatalf("original beside a stale rewrite: %v", err)
 	}
 
-	rw, err := AppendCheckpoint(path, ck)
+	rw, err := AppendCheckpoint(path, ck, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,7 +118,9 @@ func (s *session) receive(payload []byte, now time.Time) {
 		if (s.phase == phaseRequest || s.phase == phaseWait) && validLease(l, s.total) {
 			s.phase, s.lease, s.beatAt = phaseRun, l, now
 			s.leases++
-			s.log("worker: lease %d — scenarios [%d,%d)", l.ID, l.Start, l.End)
+			if s.logf != nil { // boxing the arguments allocates
+				s.logf("worker: lease %d — scenarios [%d,%d)", l.ID, l.Start, l.End)
+			}
 		}
 		return
 	}
@@ -179,8 +181,10 @@ func (s *session) welcome(raw []byte, now time.Time) {
 	if s.hb <= 0 {
 		s.hb = DefaultHeartbeat
 	}
-	s.log("worker: joined %s — suite %s (%s), %d scenarios, heartbeat %s",
-		s.coordinator, suite.Name, w.Fingerprint, w.Scenarios, s.hb)
+	if s.logf != nil {
+		s.logf("worker: joined %s — suite %s (%s), %d scenarios, heartbeat %s",
+			s.coordinator, suite.Name, w.Fingerprint, w.Scenarios, s.hb)
+	}
 	s.request(phaseRequest, leaseRequestFrame, s.attempt(), now)
 }
 
@@ -253,7 +257,9 @@ func (s *session) request(p phase, data []byte, timeout time.Duration, now time.
 func (s *session) attempt() time.Duration { return max(s.hb, time.Second) }
 
 func (s *session) drain() {
-	s.log("worker: drained after %d leases", s.leases)
+	if s.logf != nil {
+		s.logf("worker: drained after %d leases", s.leases)
+	}
 	s.phase = phaseOver
 	if s.leases == 0 {
 		s.err = ErrDrained
@@ -262,12 +268,6 @@ func (s *session) drain() {
 
 func (s *session) fail(err error) {
 	s.phase, s.err = phaseOver, err
-}
-
-func (s *session) log(format string, args ...any) {
-	if s.logf != nil {
-		s.logf(format, args...)
-	}
 }
 
 // validLease reports whether l is a non-empty index range of a suite with

@@ -321,7 +321,7 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 
 	// Appending after a torn tail must truncate the fragment first; the
 	// file must stay readable and gain exactly the appended record.
-	aw, err := AppendCheckpoint(tornPath, ck2)
+	aw, err := AppendCheckpoint(tornPath, ck2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 			dropped = *rec
 		}
 	}
-	aw2, err := AppendCheckpoint(noNLPath, ck3)
+	aw2, err := AppendCheckpoint(noNLPath, ck3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -222,30 +222,41 @@ func TestLeaseAllocatesForItsOwnScenarios(t *testing.T) {
 }
 
 // TestWarmLeaseAllocationCount: on a warm worker session of the wide
-// suite, a lease allocates a fixed number of objects however many
-// scenarios it holds — an 8-scenario lease and a 64-scenario lease, each
-// run once before, allocate within 2 of each other and at most 20 — since
-// its runners, batch buffers, index slice and frame buffer come back from
-// the session's earlier leases.
+// suite, a lease — the session taking its frame with no logger set, then
+// the lease's engine running it — allocates a fixed number of objects
+// however many scenarios it holds: an 8-scenario lease and a 64-scenario
+// lease, each run once before, allocate within 2 of each other and at most
+// 5, since its runners, batch buffers, index slice and frame buffer come
+// back from the session's earlier leases.
 func TestWarmLeaseAllocationCount(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what allocates")
 	}
 	r := &leaseRunner{plan: newPlan(benchWideSuite()), cfg: Config{Workers: 1, Cache: NewStrategyCache()}.withDefaults()}
 	ship := func(int, []byte) error { return nil }
-	run := func(l proto.Lease) {
+	s := newSession("coordinator", nil, time.Unix(0, 0))
+	s.total = r.plan.suite.NumScenarios()
+	run := func(l proto.Lease, frame []byte) {
+		s.phase = phaseRequest
+		s.receive(frame, time.Unix(1, 0))
+		if s.phase != phaseRun || s.lease != l {
+			t.Fatalf("the session did not take lease %+v (phase %v)", l, s.phase)
+		}
 		if err := r.run(context.Background(), l, ship); err != nil {
 			t.Fatal(err)
 		}
 	}
 	small := proto.Lease{ID: 1, Start: 8000, End: 8008}
 	large := proto.Lease{ID: 2, Start: 8000, End: 8064}
-	run(small)
-	run(large)
-	allocs := func(l proto.Lease) float64 { return testing.AllocsPerRun(5, func() { run(l) }) }
-	a8, a64 := allocs(small), allocs(large)
-	if a8 > 20 || a64 > 20 || math.Abs(a8-a64) > 2 {
-		t.Errorf("a warm 8-scenario lease allocates %v times and a 64-scenario one %v; want equal within 2 and at most 20", a8, a64)
+	smallFrame, largeFrame := appendLeaseFrame(nil, small), appendLeaseFrame(nil, large)
+	run(small, smallFrame)
+	run(large, largeFrame)
+	allocs := func(l proto.Lease, frame []byte) float64 {
+		return testing.AllocsPerRun(5, func() { run(l, frame) })
+	}
+	a8, a64 := allocs(small, smallFrame), allocs(large, largeFrame)
+	if a8 > 5 || a64 > 5 || math.Abs(a8-a64) > 2 {
+		t.Errorf("a warm 8-scenario lease allocates %v times and a 64-scenario one %v; want equal within 2 and at most 5", a8, a64)
 	} else {
 		t.Logf("a warm 8-scenario lease allocates %v times, a 64-scenario one %v", a8, a64)
 	}

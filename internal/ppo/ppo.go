@@ -129,15 +129,14 @@ func splitStream(seed int64, tag, k uint64) int64 {
 	return int64(dist.SplitMix64(uint64(seed)*dist.GoldenGamma + tag*0xbf58476d1ce4e5b9 + k + 1))
 }
 
-// episodeRng returns the dedicated rng stream of one rollout episode.
-func episodeRng(seed int64, iter, episode int) *rand.Rand {
-	return rand.New(rand.NewSource(splitStream(seed, episodeStreamTag,
-		uint64(iter)<<32|uint64(uint32(episode)))))
+// episodeSeed is the seed of one rollout episode's dedicated rng stream.
+func episodeSeed(seed int64, iter, episode int) int64 {
+	return splitStream(seed, episodeStreamTag, uint64(iter)<<32|uint64(uint32(episode)))
 }
 
-// evalRng returns the dedicated rng stream of one policy evaluation.
-func evalRng(seed int64, iter int) *rand.Rand {
-	return rand.New(rand.NewSource(splitStream(seed, evalStreamTag, uint64(iter))))
+// evalSeed is the seed of one policy evaluation's dedicated rng stream.
+func evalSeed(seed int64, iter int) int64 {
+	return splitStream(seed, evalStreamTag, uint64(iter))
 }
 
 // Policy is a trained PPO policy; it implements recovery.Strategy with a
@@ -177,15 +176,32 @@ func (p *Policy) Action(belief float64, windowPos int) nodemodel.Action {
 	if c == nil {
 		c = new(nn.Cache)
 	}
+	a := p.actionIn(c, belief, windowPos)
+	p.caches.Put(c)
+	return a
+}
+
+// actionIn is Action with its forward pass in c.
+func (p *Policy) actionIn(c *nn.Cache, belief float64, windowPos int) nodemodel.Action {
 	x := p.features(belief, windowPos)
 	p.net.ForwardInto(c, x[:])
 	logits := c.Output()
-	probs := nn.Softmax2(logits[0], logits[1])
-	p.caches.Put(c)
-	if probs[1] >= 0.5 {
+	if nn.Softmax2(logits[0], logits[1])[1] >= 0.5 {
 		return nodemodel.Recover
 	}
 	return nodemodel.Wait
+}
+
+// cachedPolicy is a policy deciding in one cache of its own: the strategy
+// Train's evaluations run, which no other goroutine calls.
+type cachedPolicy struct {
+	p *Policy
+	c nn.Cache
+}
+
+// Action implements recovery.Strategy.
+func (cp *cachedPolicy) Action(belief float64, windowPos int) nodemodel.Action {
+	return cp.p.actionIn(&cp.c, belief, windowPos)
 }
 
 // Result reports the trained policy and the learning trace.
@@ -238,25 +254,23 @@ func Train(ctx context.Context, params nodemodel.Params, cfg Config) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	policy := &Policy{net: policyNet, deltaR: cfg.DeltaR}
-	kernel := params.Kernel()
-	policyOpt := &nn.Adam{LR: cfg.LearningRate}
-	valueOpt := &nn.Adam{LR: cfg.LearningRate}
+	t := newTrainer(params, cfg, &Policy{net: policyNet, deltaR: cfg.DeltaR}, valueNet)
+	defer t.stop()
 
 	start := time.Now()
-	res := &Result{Policy: policy}
+	res := &Result{Policy: t.policy}
 	best := math.Inf(1)
 	evals := 0
 	for iter := 0; iter < cfg.Iterations; iter++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		batch := collectRollout(&kernel, params, policy, cfg, iter)
-		if err := update(policyNet, valueNet, policyOpt, valueOpt, batch, cfg); err != nil {
+		t.collectRollout(iter)
+		if err := t.update(); err != nil {
 			return nil, err
 		}
-		evals += len(batch.obs)
-		cost := evaluatePolicy(evalRng(cfg.Seed, iter), params, policy, cfg)
+		evals += len(t.batch.obs)
+		cost := t.evaluatePolicy(iter)
 		cfg.Telemetry.ObserveIteration(cost)
 		if cost < best {
 			best = cost
@@ -267,9 +281,131 @@ func Train(ctx context.Context, params nodemodel.Params, cfg Config) (*Result, e
 			})
 		}
 	}
-	res.Cost = evaluatePolicy(evalRng(cfg.Seed, cfg.Iterations), params, policy, cfg)
+	res.Cost = t.evaluatePolicy(cfg.Iterations)
 	res.Elapsed = time.Since(start)
 	return res, nil
+}
+
+// trainer is what one Train reuses across its iterations: the batch, one
+// episode slot per concurrent rollout, the two networks' optimizers,
+// caches and gradients, the evaluation's stream and cache, and with
+// Workers > 1 the crew of goroutines that plays episodes and runs the
+// value update beside the policy update. Every buffer is sized when Train
+// starts, so an iteration allocates no more than its evaluation's result.
+type trainer struct {
+	params              nodemodel.Params
+	k                   nodemodel.Kernel
+	cfg                 Config
+	policy              *Policy
+	valueNet            *nn.MLP
+	policyOpt, valueOpt *nn.Adam
+	pc, vc              nn.Cache
+	pGrads, vGrads      *nn.Grads
+
+	batch rollout
+	slots []episodeSlot
+	// iter and next are the iteration and the first episode index of the
+	// wave being played: slot w plays episode next+w.
+	iter, next int
+
+	evalRng *rand.Rand
+	eval    cachedPolicy
+
+	// jobs carries the crew's work (nil without a crew): slot indexes to
+	// play, or valueJob. pending counts jobs not yet done, exited the crew
+	// members still running; valueErr is the value update's result.
+	jobs     chan int
+	pending  sync.WaitGroup
+	exited   sync.WaitGroup
+	valueErr error
+}
+
+// episodeSlot is one concurrent rollout's storage: the episode's decisions,
+// with room for a whole horizon, its network cache and its rng, reseeded
+// per episode.
+type episodeSlot struct {
+	ep    rollout
+	cache nn.Cache
+	rng   *rand.Rand
+}
+
+// valueJob is the crew job that runs the value network's update.
+const valueJob = -1
+
+func newTrainer(params nodemodel.Params, cfg Config, policy *Policy, valueNet *nn.MLP) *trainer {
+	t := &trainer{
+		params:    params,
+		k:         params.Kernel(),
+		cfg:       cfg,
+		policy:    policy,
+		valueNet:  valueNet,
+		policyOpt: &nn.Adam{LR: cfg.LearningRate},
+		valueOpt:  &nn.Adam{LR: cfg.LearningRate},
+		pGrads:    policy.net.NewGrads(),
+		vGrads:    valueNet.NewGrads(),
+		// A batch stops at the first episode that meets the step quota,
+		// and an episode makes at most Horizon decisions.
+		batch: newRollout(cfg.StepsPerIteration+cfg.Horizon, true),
+		// A wave never holds more episodes than the quota has steps.
+		slots:   make([]episodeSlot, min(cfg.Workers, cfg.StepsPerIteration)),
+		evalRng: rand.New(rand.NewSource(0)),
+		eval:    cachedPolicy{p: policy},
+	}
+	for w := range t.slots {
+		t.slots[w] = episodeSlot{ep: newRollout(cfg.Horizon, false), rng: rand.New(rand.NewSource(0))}
+	}
+	if cfg.Workers > 1 {
+		t.jobs = make(chan int)
+		t.exited.Add(len(t.slots))
+		for range t.slots {
+			go t.work()
+		}
+	}
+	return t
+}
+
+// work is a crew member's loop; it returns when stop closes jobs.
+func (t *trainer) work() {
+	defer t.exited.Done()
+	for j := range t.jobs {
+		if j == valueJob {
+			t.valueErr = t.valueEpochs()
+		} else {
+			t.play(j)
+		}
+		t.pending.Done()
+	}
+}
+
+// stop ends the crew and waits for its members to return.
+func (t *trainer) stop() {
+	if t.jobs != nil {
+		close(t.jobs)
+		t.exited.Wait()
+	}
+}
+
+// play plays episode next+w of the current iteration into slot w.
+func (t *trainer) play(w int) {
+	s := &t.slots[w]
+	s.ep.reset()
+	s.rng.Seed(episodeSeed(t.cfg.Seed, t.iter, t.next+w))
+	runPPOEpisode(s.rng, &t.k, t.params, t.policy, &s.cache, t.cfg, &s.ep)
+}
+
+// evaluatePolicy estimates J_i of the current deterministic policy on the
+// evaluation stream of iteration iter.
+func (t *trainer) evaluatePolicy(iter int) float64 {
+	t.evalRng.Seed(evalSeed(t.cfg.Seed, iter))
+	m, err := recovery.Evaluate(t.evalRng, t.params, &t.eval, recovery.SimConfig{
+		Episodes: 20,
+		Horizon:  t.cfg.Horizon,
+		DeltaR:   t.cfg.DeltaR,
+	})
+	if err != nil {
+		return math.Inf(1)
+	}
+	return m.AvgCost
 }
 
 // rollout holds one batch of on-policy experience.
@@ -284,6 +420,32 @@ type rollout struct {
 	returns    []float64
 }
 
+// newRollout returns an empty rollout with room for n decision steps, and
+// for their advantages and returns if gae.
+func newRollout(n int, gae bool) rollout {
+	floats := make([]float64, 3*n)
+	b := rollout{
+		obs:      make([][2]float64, 0, n),
+		actions:  make([]int, 0, n),
+		logProbs: floats[:0:n],
+		rewards:  floats[n : n : 2*n],
+		values:   floats[2*n : 2*n : 3*n],
+		terminal: make([]bool, 0, n),
+	}
+	if gae {
+		gaeFloats := make([]float64, 2*n)
+		b.advantages, b.returns = gaeFloats[:0:n], gaeFloats[n:n:2*n]
+	}
+	return b
+}
+
+// reset empties the rollout, keeping its storage.
+func (b *rollout) reset() {
+	b.obs, b.actions, b.terminal = b.obs[:0], b.actions[:0], b.terminal[:0]
+	b.logProbs, b.rewards, b.values = b.logProbs[:0], b.rewards[:0], b.values[:0]
+	b.advantages, b.returns = b.advantages[:0], b.returns[:0]
+}
+
 // absorb appends another rollout's decision steps, preserving episode
 // boundaries (the terminal flags).
 func (b *rollout) absorb(ep *rollout) {
@@ -295,66 +457,50 @@ func (b *rollout) absorb(ep *rollout) {
 	b.terminal = append(b.terminal, ep.terminal...)
 }
 
-// collectRollout gathers at least StepsPerIteration decision steps from
-// fresh episodes of the node environment (same dynamics as
-// recovery.Evaluate). Episodes are independent — each plays on its own rng
-// stream — and are folded into the batch strictly in episode-index order
-// until the step quota is met, so the batch is the same whether episodes
-// were played sequentially or speculatively on cfg.Workers goroutines
-// (surplus speculative episodes are discarded).
-func collectRollout(k *nodemodel.Kernel, params nodemodel.Params, policy *Policy, cfg Config, iter int) *rollout {
-	b := &rollout{}
-	next := 0
-	if cfg.Workers <= 1 {
-		for len(b.obs) < cfg.StepsPerIteration {
-			runPPOEpisode(episodeRng(cfg.Seed, iter, next), k, params, policy, cfg, b)
-			next++
-		}
-		return b
-	}
-	waveBuf := make([]*rollout, cfg.Workers)
-	for len(b.obs) < cfg.StepsPerIteration {
+// collectRollout refills the batch with at least StepsPerIteration
+// decision steps from fresh episodes of the node environment (same
+// dynamics as recovery.Evaluate). Episodes are independent — each plays on
+// its own rng stream — and are folded into the batch strictly in
+// episode-index order until the step quota is met, so the batch is the
+// same whether episodes were played one at a time or speculatively by the
+// crew, a wave of up to Workers at once (surplus speculative episodes are
+// discarded).
+func (t *trainer) collectRollout(iter int) {
+	b, quota := &t.batch, t.cfg.StepsPerIteration
+	b.reset()
+	t.iter, t.next = iter, 0
+	for len(b.obs) < quota {
 		// Every episode contributes at least one decision step, so at most
 		// `need` more episodes can be used — don't speculate beyond that.
 		// The wave size depends only on the (deterministic) batch length,
 		// and the folded episodes are always the index prefix that meets
 		// the quota, so the batch stays bit-identical for any Workers.
-		wave := waveBuf
-		if need := cfg.StepsPerIteration - len(b.obs); need < len(wave) {
-			wave = wave[:need]
-		}
-		var wg sync.WaitGroup
-		for w := range wave {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				ep := &rollout{}
-				runPPOEpisode(episodeRng(cfg.Seed, iter, next+w), k, params, policy, cfg, ep)
-				wave[w] = ep
-			}(w)
-		}
-		wg.Wait()
-		next += len(wave)
-		for _, ep := range wave {
-			if len(b.obs) >= cfg.StepsPerIteration {
-				break
+		wave := min(len(t.slots), quota-len(b.obs))
+		if t.jobs == nil {
+			t.play(0)
+		} else {
+			t.pending.Add(wave)
+			for w := 0; w < wave; w++ {
+				t.jobs <- w
 			}
-			b.absorb(ep)
+			t.pending.Wait()
+		}
+		t.next += wave
+		for w := 0; w < wave && len(b.obs) < quota; w++ {
+			b.absorb(&t.slots[w].ep)
 		}
 	}
-	return b
 }
 
 // runPPOEpisode plays one episode, appending decision steps to the batch.
 // Rewards are negative costs (eq. 5).
-func runPPOEpisode(rng *rand.Rand, k *nodemodel.Kernel, params nodemodel.Params, policy *Policy, cfg Config, b *rollout) {
+func runPPOEpisode(rng *rand.Rand, k *nodemodel.Kernel, params nodemodel.Params, policy *Policy, c *nn.Cache, cfg Config, b *rollout) {
 	state := nodemodel.Healthy
 	if rng.Float64() < params.PA {
 		state = nodemodel.Compromised
 	}
 	belief := k.Posterior(params.PA, k.SampleObservation(state, rng.Float64()))
 
-	var c nn.Cache
 	for t := 1; t <= cfg.Horizon; t++ {
 		windowPos := t
 		forced := false
@@ -367,7 +513,7 @@ func runPPOEpisode(rng *rand.Rand, k *nodemodel.Kernel, params nodemodel.Params,
 			action = nodemodel.Recover
 		} else {
 			features := policy.features(belief, windowPos)
-			policy.net.ForwardInto(&c, features[:])
+			policy.net.ForwardInto(c, features[:])
 			logits := c.Output()
 			probs := nn.Softmax2(logits[0], logits[1])
 			a := 0
@@ -398,16 +544,17 @@ func runPPOEpisode(rng *rand.Rand, k *nodemodel.Kernel, params nodemodel.Params,
 	}
 }
 
-// computeGAE fills advantages and returns using the critic, whose forward
-// passes run in vc.
-func computeGAE(valueNet *nn.MLP, vc *nn.Cache, b *rollout, cfg Config) {
+// computeGAE fills the batch's advantages and returns using the critic,
+// whose forward passes run in vc.
+func (t *trainer) computeGAE() {
+	b, cfg := &t.batch, t.cfg
 	n := len(b.obs)
 	for i := 0; i < n; i++ {
-		valueNet.ForwardInto(vc, b.obs[i][:])
-		b.values[i] = vc.Output()[0]
+		t.valueNet.ForwardInto(&t.vc, b.obs[i][:])
+		b.values[i] = t.vc.Output()[0]
 	}
-	b.advantages = make([]float64, n)
-	b.returns = make([]float64, n)
+	b.advantages = b.advantages[:n]
+	b.returns = b.returns[:n]
 	gae := 0.0
 	for i := n - 1; i >= 0; i-- {
 		var nextValue float64
@@ -446,38 +593,32 @@ func computeGAE(valueNet *nn.MLP, vc *nn.Cache, b *rollout, cfg Config) {
 // policy network's epochs and the value network's epochs. The two share
 // only the batch, which they read — the policy loss its advantages, the
 // value loss its returns — and each has its own network, cache, grads and
-// Adam, so with cfg.Workers > 1 they run on two goroutines, each still
-// summing its samples in batch order. Every sample's forward and backward
-// pass runs in its network's one cache, so the loops allocate nothing per
-// sample.
-func update(policyNet, valueNet *nn.MLP, policyOpt, valueOpt *nn.Adam, b *rollout, cfg Config) error {
-	var vc nn.Cache
-	computeGAE(valueNet, &vc, b, cfg)
-	if cfg.Workers <= 1 {
-		return errors.Join(policyEpochs(policyNet, policyOpt, b, cfg), valueEpochs(valueNet, valueOpt, &vc, b, cfg))
+// Adam, so with a crew the value update runs on a crew member beside the
+// policy update, each still summing its samples in batch order. Every
+// sample's forward and backward pass runs in its network's one cache, so
+// the loops allocate nothing per sample.
+func (t *trainer) update() error {
+	t.computeGAE()
+	if t.jobs == nil {
+		return errors.Join(t.policyEpochs(), t.valueEpochs())
 	}
-	var valueErr error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		valueErr = valueEpochs(valueNet, valueOpt, &vc, b, cfg)
-	}()
-	policyErr := policyEpochs(policyNet, policyOpt, b, cfg)
-	<-done
-	return errors.Join(policyErr, valueErr)
+	t.pending.Add(1)
+	t.jobs <- valueJob
+	policyErr := t.policyEpochs()
+	t.pending.Wait()
+	return errors.Join(policyErr, t.valueErr)
 }
 
 // policyEpochs runs cfg.Epochs steps of the clipped surrogate with entropy
 // bonus on the policy network, each over the whole batch.
-func policyEpochs(policyNet *nn.MLP, policyOpt *nn.Adam, b *rollout, cfg Config) error {
-	var pc nn.Cache
+func (t *trainer) policyEpochs() error {
+	b, cfg, policyNet, pGrads := &t.batch, t.cfg, t.policy.net, t.pGrads
 	n := len(b.obs)
-	pGrads := policyNet.NewGrads()
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		pGrads.Zero()
 		for i := 0; i < n; i++ {
-			policyNet.ForwardInto(&pc, b.obs[i][:])
-			logits := pc.Output()
+			policyNet.ForwardInto(&t.pc, b.obs[i][:])
+			logits := t.pc.Output()
 			probs := nn.Softmax2(logits[0], logits[1])
 			a := b.actions[i]
 			logProb := math.Log(probs[a] + 1e-12)
@@ -514,9 +655,9 @@ func policyEpochs(policyNet *nn.MLP, policyOpt *nn.Adam, b *rollout, cfg Config)
 					dLogits[k] -= cfg.EntropyCoef * (-probs[k] * (math.Log(probs[k]+1e-12) + h))
 				}
 			}
-			policyNet.Backward(&pc, dLogits[:], pGrads)
+			policyNet.Backward(&t.pc, dLogits[:], pGrads)
 		}
-		if err := policyOpt.Step(policyNet, pGrads, float64(n)); err != nil {
+		if err := t.policyOpt.Step(policyNet, pGrads, float64(n)); err != nil {
 			return err
 		}
 	}
@@ -525,32 +666,19 @@ func policyEpochs(policyNet *nn.MLP, policyOpt *nn.Adam, b *rollout, cfg Config)
 
 // valueEpochs runs cfg.Epochs steps of the critic's squared-error
 // regression toward the returns, each over the whole batch, in vc.
-func valueEpochs(valueNet *nn.MLP, valueOpt *nn.Adam, vc *nn.Cache, b *rollout, cfg Config) error {
+func (t *trainer) valueEpochs() error {
+	b, valueNet, vGrads := &t.batch, t.valueNet, t.vGrads
 	n := len(b.obs)
-	vGrads := valueNet.NewGrads()
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < t.cfg.Epochs; epoch++ {
 		vGrads.Zero()
 		for i := 0; i < n; i++ {
-			valueNet.ForwardInto(vc, b.obs[i][:])
-			dv := [1]float64{vc.Output()[0] - b.returns[i]}
-			valueNet.Backward(vc, dv[:], vGrads)
+			valueNet.ForwardInto(&t.vc, b.obs[i][:])
+			dv := [1]float64{t.vc.Output()[0] - b.returns[i]}
+			valueNet.Backward(&t.vc, dv[:], vGrads)
 		}
-		if err := valueOpt.Step(valueNet, vGrads, float64(n)); err != nil {
+		if err := t.valueOpt.Step(valueNet, vGrads, float64(n)); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// evaluatePolicy estimates J_i of the current deterministic policy.
-func evaluatePolicy(rng *rand.Rand, params nodemodel.Params, policy *Policy, cfg Config) float64 {
-	m, err := recovery.Evaluate(rng, params, policy, recovery.SimConfig{
-		Episodes: 20,
-		Horizon:  cfg.Horizon,
-		DeltaR:   cfg.DeltaR,
-	})
-	if err != nil {
-		return math.Inf(1)
-	}
-	return m.AvgCost
 }

@@ -2,9 +2,12 @@ package ppo
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
+	"tolerance/internal/nn"
 	"tolerance/internal/nodemodel"
 	"tolerance/internal/recovery"
 )
@@ -206,5 +209,95 @@ func TestPolicyActionWarmZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm Action allocates %v times per call", allocs)
+	}
+}
+
+// rolloutBits is every field of a batch, floats as bit patterns.
+func rolloutBits(b *rollout) string {
+	bits := func(v []float64) []uint64 {
+		out := make([]uint64, len(v))
+		for i, x := range v {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	obs := make([]uint64, 0, 2*len(b.obs))
+	for _, o := range b.obs {
+		obs = append(obs, math.Float64bits(o[0]), math.Float64bits(o[1]))
+	}
+	return fmt.Sprint(obs, b.actions, bits(b.logProbs), bits(b.rewards), bits(b.values), b.terminal,
+		bits(b.advantages), bits(b.returns))
+}
+
+// TestPooledRolloutMatchesFresh: a batch collected by a trainer whose
+// batch and episode slots last held another iteration's episodes — more or
+// fewer of them, longer or shorter — is, with its advantages and returns,
+// the batch a fresh trainer collects for that iteration, bit for bit, at
+// one worker and with a crew. Crashes end the crash-prone model's episodes
+// early, so the slots' previous contents outlast the episodes that reuse
+// them.
+func TestPooledRolloutMatchesFresh(t *testing.T) {
+	params := nodemodel.DefaultParams()
+	params.PC2 = 0.03
+	for _, workers := range []int{1, 3} {
+		cfg := Config{DeltaR: 15, StepsPerIteration: 150, Horizon: 70, Hidden: 8, Seed: 12, Workers: workers}.withDefaults()
+		rng := rand.New(rand.NewSource(cfg.Seed))
+		policyNet, err := nn.NewMLP(rng, nn.ReLU, 2, 8, 8, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		valueNet, err := nn.NewMLP(rng, nn.ReLU, 2, 8, 8, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		policy := &Policy{net: policyNet, deltaR: cfg.DeltaR}
+		pooled := newTrainer(params, cfg, policy, valueNet)
+		lengths := map[int]bool{}
+		for _, iter := range []int{0, 5, 1, 7, 2, 2, 9} {
+			pooled.collectRollout(iter)
+			pooled.computeGAE()
+			fresh := newTrainer(params, cfg, policy, valueNet)
+			fresh.collectRollout(iter)
+			fresh.computeGAE()
+			fresh.stop()
+			if got, want := rolloutBits(&pooled.batch), rolloutBits(&fresh.batch); got != want {
+				t.Fatalf("workers %d, iteration %d: the pooled trainer's batch (%d steps) differs from a fresh one's (%d steps)",
+					workers, iter, len(pooled.batch.obs), len(fresh.batch.obs))
+			}
+			lengths[len(pooled.batch.obs)] = true
+		}
+		pooled.stop()
+		if len(lengths) < 3 {
+			t.Fatalf("workers %d: every batch had one of %d lengths; the test needs batches that shrink and grow", workers, len(lengths))
+		}
+	}
+}
+
+// TestTrainAllocationsPerIteration: a trainer sizes its batch, episode
+// slots, caches, gradients and crew when Train starts, so an iteration
+// allocates only what its evaluation returns: four iterations allocate at
+// most 8 objects more than two (hundreds per iteration when every episode
+// grew its own rollout and cache).
+func TestTrainAllocationsPerIteration(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what allocates")
+	}
+	params := nodemodel.DefaultParams()
+	for _, workers := range []int{1, 2} {
+		allocs := func(iterations int) float64 {
+			cfg := Config{DeltaR: 15, Iterations: iterations, StepsPerIteration: 256, Horizon: 60, Hidden: 8,
+				Seed: 3, Workers: workers}
+			return testing.AllocsPerRun(3, func() {
+				if _, err := Train(context.Background(), params, cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		a2, a4 := allocs(2), allocs(4)
+		if a4 > a2+8 {
+			t.Errorf("workers %d: Train allocates %v objects at 2 iterations and %v at 4, want at most 8 more", workers, a2, a4)
+		} else {
+			t.Logf("workers %d: Train allocates %v objects at 2 iterations and %v at 4", workers, a2, a4)
+		}
 	}
 }

@@ -64,32 +64,10 @@ func (c DPConfig) Normalized() DPConfig { return c.withDefaults() }
 type DPSolution struct {
 	// AvgCost is the optimal long-run average cost J* (eq. 5).
 	AvgCost float64
-	// Thresholds holds the optimal recovery thresholds alpha*_k per window
-	// position k = 1..len(Thresholds) (Fig 15, Cor. 1); for
-	// DeltaR = infinity it has a single stationary entry.
-	Thresholds []float64
-}
-
-// Threshold returns alpha*_k clamped to the available window positions.
-func (s *DPSolution) Threshold(windowPos int) float64 {
-	k := windowPos
-	if k < 1 {
-		k = 1
-	}
-	if k > len(s.Thresholds) {
-		k = len(s.Thresholds)
-	}
-	return s.Thresholds[k-1]
-}
-
-// Strategy converts the DP solution into a threshold strategy for deltaR.
-func (s *DPSolution) Strategy(deltaR int) *ThresholdStrategy {
-	dim := ThresholdDim(deltaR)
-	th := make([]float64, dim)
-	for k := 1; k <= dim; k++ {
-		th[k-1] = s.Threshold(k)
-	}
-	return &ThresholdStrategy{Thresholds: th, DeltaR: deltaR}
+	// ThresholdStrategy is the optimal strategy for the solved Delta_R: its
+	// Thresholds hold alpha*_k per window position k = 1..len(Thresholds)
+	// (Fig 15, Cor. 1), a single stationary entry for Delta_R = infinity.
+	ThresholdStrategy
 }
 
 // Arena is reusable scratch storage for dpSolver: the belief grid, stencil
@@ -100,9 +78,9 @@ func (s *DPSolution) Strategy(deltaR int) *ThresholdStrategy {
 // re-derives every slab entry it reads (guarded by
 // TestDPArenaReuseBitIdentical). Solver *output* (DPSolution's thresholds)
 // is never arena-backed: solutions escape into long-lived caches, so they
-// get their own allocations. An Arena is for one solve at a time; callers
-// that solve in parallel hold one arena per worker (the fleet strategy
-// cache pools them per-P).
+// get their own allocations, or the caller's (SolveDPTo). An Arena is for
+// one solve at a time; callers that solve in parallel hold one arena per
+// worker (the fleet strategy cache pools them per-P).
 type Arena struct {
 	floats  []float64
 	ints    []int32
@@ -149,12 +127,29 @@ var arenas = sync.Pool{New: func() any { return NewArena() }}
 // draws one from a package pool, which is exactly SolveDP). The returned
 // solution is bit-identical either way and never aliases the arena.
 func SolveDPWith(p nodemodel.Params, cfg DPConfig, arena *Arena) (*DPSolution, error) {
-	if err := p.Validate(); err != nil {
+	sol := &DPSolution{ThresholdStrategy: ThresholdStrategy{Thresholds: make([]float64, ThresholdDim(cfg.DeltaR))}}
+	cost, err := SolveDPTo(p, cfg, arena, &sol.ThresholdStrategy)
+	if err != nil {
 		return nil, err
+	}
+	sol.AvgCost = cost
+	return sol, nil
+}
+
+// SolveDPTo is SolveDPWith writing the optimal strategy into dst, whose
+// Thresholds the caller sizes to ThresholdDim(cfg.DeltaR), and returning
+// the optimal average cost: the solve itself allocates nothing.
+func SolveDPTo(p nodemodel.Params, cfg DPConfig, arena *Arena, dst *ThresholdStrategy) (float64, error) {
+	if err := p.Validate(); err != nil {
+		return 0, err
 	}
 	cfg = cfg.withDefaults()
 	if cfg.DeltaR < 0 {
-		return nil, fmt.Errorf("%w: deltaR = %d", ErrBadStrategy, cfg.DeltaR)
+		return 0, fmt.Errorf("%w: deltaR = %d", ErrBadStrategy, cfg.DeltaR)
+	}
+	if len(dst.Thresholds) != ThresholdDim(cfg.DeltaR) {
+		return 0, fmt.Errorf("%w: %d thresholds for deltaR %d, want %d",
+			ErrBadStrategy, len(dst.Thresholds), cfg.DeltaR, ThresholdDim(cfg.DeltaR))
 	}
 	if arena == nil {
 		arena = arenas.Get().(*Arena)
@@ -162,13 +157,25 @@ func SolveDPWith(p nodemodel.Params, cfg DPConfig, arena *Arena) (*DPSolution, e
 	}
 	solver := &dpSolver{p: p, cfg: cfg, ar: arena}
 	solver.prepare()
+	dst.DeltaR = cfg.DeltaR
 
 	if cfg.DeltaR != InfiniteDeltaR {
 		l := solver.windowLadder()
 		l.climb(solver, cfg.DeltaR-1)
-		return l.window(cfg.DeltaR), nil
+		return l.windowTo(cfg.DeltaR, dst.Thresholds), nil
 	}
-	return solver.solveStationary()
+	// The stationary problem is solved over the renewal-at-recovery
+	// decomposition: for fixed rho the optimal stopping value W satisfies
+	//
+	//	W(b) = min( 1 - rho,  eta*b - rho + E_o W(b') ),
+	//
+	// and the optimal rho zeroes the cycle-start value E_o W(b_1(o)).
+	rho, w, err := solver.stationaryRoot(solver.stoppingValue)
+	if err != nil {
+		return 0, err
+	}
+	dst.Thresholds[0] = solver.stationaryThreshold(rho, w)
+	return rho, nil
 }
 
 type dpSolver struct {
@@ -413,21 +420,6 @@ func (d *dpSolver) expectReset(w []float64) float64 {
 // rhoTolerance is the bracket width at which the stationary root finder
 // stops: the returned average cost is within it of the root.
 const rhoTolerance = 1e-11
-
-// solveStationary solves the unconstrained problem over the
-// renewal-at-recovery decomposition: for fixed rho the optimal stopping
-// value W satisfies
-//
-//	W(b) = min( 1 - rho,  eta*b - rho + E_o W(b') ),
-//
-// and the optimal rho zeroes the cycle-start value E_o W(b_1(o)).
-func (d *dpSolver) solveStationary() (*DPSolution, error) {
-	rho, w, err := d.stationaryRoot(d.stoppingValue)
-	if err != nil {
-		return nil, err
-	}
-	return &DPSolution{AvgCost: rho, Thresholds: []float64{d.stationaryThreshold(rho, w)}}, nil
-}
 
 // stationaryThreshold extracts the stationary threshold from the stopping
 // value w at rho: the first grid belief at which recovering costs no more

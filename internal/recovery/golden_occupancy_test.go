@@ -145,13 +145,13 @@ func goldenOccupancyRun(p nodemodel.Params, random []goldenRandomStrategy) (gold
 		if err != nil {
 			return out, err
 		}
-		record("ladder", sol.Strategy(dr), dr)
+		record("ladder", &sol.ThresholdStrategy, dr)
 	}
 	sol, err := recovery.SolveDP(p, recovery.DPConfig{DeltaR: recovery.InfiniteDeltaR, GridSize: goldenOccupancyGrid})
 	if err != nil {
 		return out, err
 	}
-	record("stationary", sol.Strategy(recovery.InfiniteDeltaR), recovery.InfiniteDeltaR)
+	record("stationary", &sol.ThresholdStrategy, recovery.InfiniteDeltaR)
 	for i, r := range random {
 		record(fmt.Sprintf("random-%d", i), r.s, r.deltaR)
 	}

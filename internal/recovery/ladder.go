@@ -45,9 +45,9 @@ func NewLadder(p nodemodel.Params, gridSize int) (*Ladder, error) {
 	return &Ladder{p: p, gridSize: g, u: u}, nil
 }
 
-// windowLadder is the one-window ladder of a finite SolveDPWith: U_r lives
+// windowLadder is the one-window ladder of a finite SolveDPTo: U_r lives
 // in the arena's first value buffer and tau, e in the storage prepare
-// carved for the window, so a single solve allocates only its solution.
+// carved for the window, so a single solve allocates nothing.
 func (d *dpSolver) windowLadder() *Ladder {
 	for i := range d.buf0 {
 		d.buf0[i] = 1
@@ -113,15 +113,24 @@ func (l *Ladder) climb(d *dpSolver, depth int) {
 
 // window reads window deltaR from a ladder at least deltaR-1 deep.
 func (l *Ladder) window(deltaR int) *DPSolution {
+	sol := &DPSolution{ThresholdStrategy: ThresholdStrategy{Thresholds: make([]float64, ThresholdDim(deltaR)), DeltaR: deltaR}}
+	sol.AvgCost = l.windowTo(deltaR, sol.Thresholds)
+	return sol
+}
+
+// windowTo writes window deltaR's thresholds, read from a ladder at least
+// deltaR-1 deep, into th (ThresholdDim(deltaR) entries) and returns its
+// average cost.
+func (l *Ladder) windowTo(deltaR int, th []float64) float64 {
 	if deltaR == 1 {
 		// Every step is a forced recovery.
-		return &DPSolution{AvgCost: 1, Thresholds: []float64{0}}
+		th[0] = 0
+		return 1
 	}
-	thresholds := make([]float64, deltaR-1)
-	for k := range thresholds {
-		thresholds[k] = l.tau[deltaR-k-2] // position k+1: tau_{deltaR-k-1}
+	for k := range th {
+		th[k] = l.tau[deltaR-k-2] // position k+1: tau_{deltaR-k-1}
 	}
-	return &DPSolution{AvgCost: l.e[deltaR-1] / float64(deltaR), Thresholds: thresholds}
+	return l.e[deltaR-1] / float64(deltaR)
 }
 
 // stage is one step of the backward induction: it overwrites u = U_{r-1}

@@ -62,7 +62,7 @@ func solveWindowOracle(p nodemodel.Params, deltaR, gridSize int) *DPSolution {
 	if deltaR == 1 {
 		thresholds[0] = 0
 	}
-	return &DPSolution{AvgCost: avg, Thresholds: thresholds}
+	return &DPSolution{AvgCost: avg, ThresholdStrategy: ThresholdStrategy{Thresholds: thresholds, DeltaR: deltaR}}
 }
 
 // sameSolution reports the first difference between two solutions, held

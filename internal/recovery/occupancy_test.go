@@ -191,7 +191,7 @@ func TestOccupancyMatchesRollouts(t *testing.T) {
 					name string
 					s    Strategy
 				}{
-					{"dp", dp.Strategy(deltaR)},
+					{"dp", &dp.ThresholdStrategy},
 					{"never", NeverRecover{}},
 					{"periodic", PeriodicStrategy{Period: 4}},
 					{"band", bandStrategy{lo: 0.3, hi: 0.6}},
@@ -392,7 +392,7 @@ func TestOccupancyGridConvergence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				s := dp.Strategy(deltaR)
+				s := &dp.ThresholdStrategy
 				coarse, err := occupancy(p, s, deltaR, occupancyGridSize, occupancyMaxSteps)
 				if err != nil {
 					t.Fatal(err)
@@ -428,7 +428,7 @@ func TestOccupancyMatchesDPCost(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			o, err := Occupancy(p, dp.Strategy(deltaR), deltaR)
+			o, err := Occupancy(p, &dp.ThresholdStrategy, deltaR)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -519,7 +519,7 @@ func TestOccupancyTableMatchesOccupancy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			add("dp", dp.Strategy(dr), dr)
+			add("dp", &dp.ThresholdStrategy, dr)
 			add("never", NeverRecover{}, dr)
 			add("periodic", PeriodicStrategy{Period: 1 + rng.Intn(8)}, dr)
 		}
@@ -686,10 +686,10 @@ func TestOccupancyTrunkAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := table.Shares(deep.Strategy(50), 50); err != nil {
+	if _, err := table.Shares(&deep.ThresholdStrategy, 50); err != nil {
 		t.Fatal(err)
 	}
-	run := deep.Strategy(50).leadingRun(50)
+	run := deep.leadingRun(50)
 	if tr := table.trunks[math.Float64bits(deep.Thresholds[0])]; tr == nil || len(tr.states) != run {
 		t.Fatalf("window 50 (leading run %d) left no trunk that deep: %+v", run, table.trunks)
 	}
@@ -697,7 +697,7 @@ func TestOccupancyTrunkAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sol.Strategy(40)
+	s := &sol.ThresholdStrategy
 	if run := s.leadingRun(40); run < 2 {
 		t.Fatalf("window 40's leading run is %d positions; the test needs a trunk", run)
 	}

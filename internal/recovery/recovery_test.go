@@ -220,7 +220,7 @@ func TestSolveDPMatchesSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sol.Strategy(InfiniteDeltaR)
+	s := &sol.ThresholdStrategy
 	rng := rand.New(rand.NewSource(6))
 	m, err := Evaluate(rng, p, s, SimConfig{Episodes: 300, Horizon: 300, DeltaR: InfiniteDeltaR})
 	if err != nil {
@@ -524,7 +524,7 @@ func TestSolveDPStationaryLowCostRegime(t *testing.T) {
 				t.Errorf("pA=%v eta=%v: threshold %v is not interior", pa, eta, al)
 			}
 			rng := rand.New(rand.NewSource(6))
-			m, err := Evaluate(rng, p, sol.Strategy(InfiniteDeltaR),
+			m, err := Evaluate(rng, p, &sol.ThresholdStrategy,
 				SimConfig{Episodes: 400, Horizon: 300, DeltaR: InfiniteDeltaR})
 			if err != nil {
 				t.Fatal(err)

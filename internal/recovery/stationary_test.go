@@ -46,7 +46,7 @@ func solveStationaryBisect(p nodemodel.Params, gridSize int) (*DPSolution, error
 	if err != nil {
 		return nil, err
 	}
-	return &DPSolution{AvgCost: rho, Thresholds: []float64{d.stationaryThreshold(rho, w)}}, nil
+	return &DPSolution{AvgCost: rho, ThresholdStrategy: ThresholdStrategy{Thresholds: []float64{d.stationaryThreshold(rho, w)}}}, nil
 }
 
 // TestStationaryRootMatchesBisection holds the regula falsi to the bisection

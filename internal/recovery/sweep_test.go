@@ -166,7 +166,7 @@ func checkBoundedSweeps(t *testing.T, what string, p nodemodel.Params, gridSize,
 			t.Errorf("%s: stationary error %v, oracle %v", what, gerr, werr)
 		}
 	default:
-		sameSolution(t, what+": stationary", got, &DPSolution{AvgCost: rho, Thresholds: []float64{o.stationaryThreshold(rho, w)}})
+		sameSolution(t, what+": stationary", got, &DPSolution{AvgCost: rho, ThresholdStrategy: ThresholdStrategy{Thresholds: []float64{o.stationaryThreshold(rho, w)}}})
 	}
 	return fin, stat
 }

@@ -105,7 +105,7 @@ func (toleranceStrategy) Policy(_ context.Context, spec Spec, solvers Solvers) (
 	if err != nil {
 		return nil, err
 	}
-	rec := dp.Strategy(spec.DeltaR)
+	rec := &dp.ThresholdStrategy
 	rep, err := solvers.ReplicationFor(spec.Params, rec, rec.Fingerprint(), spec.SMax, spec.F, spec.EpsilonA, spec.DeltaR)
 	if err != nil {
 		return nil, err

@@ -27,14 +27,19 @@ type options struct {
 	telemetry    *Telemetry
 }
 
+// collectOptions applies opts in order. The options escape to the options'
+// closures, so they are allocated only when there is one to apply.
 func collectOptions(opts []Option) options {
-	var o options
+	if len(opts) == 0 {
+		return options{}
+	}
+	o := new(options)
 	for _, opt := range opts {
 		if opt != nil {
-			opt(&o)
+			opt(o)
 		}
 	}
-	return o
+	return *o
 }
 
 // WithMethod selects the solver for Solve's recovery problem: MethodDP

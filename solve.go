@@ -171,17 +171,18 @@ func solveRecovery(ctx context.Context, pr RecoveryProblem, o options) (*Solutio
 	}
 	switch method {
 	case MethodDP:
-		sol, err := recovery.SolveDP(params, recovery.DPConfig{DeltaR: pr.DeltaR})
+		// The DP writes its thresholds into the inner strategy's half of
+		// one slab; the public copy is the other half.
+		dim := recovery.ThresholdDim(pr.DeltaR)
+		floats := make([]float64, 2*dim)
+		inner := recovery.ThresholdStrategy{Thresholds: floats[dim:]}
+		cost, err := recovery.SolveDPTo(params, recovery.DPConfig{DeltaR: pr.DeltaR}, nil, &inner)
 		if err != nil {
 			return nil, err
 		}
-		inner := sol.Strategy(pr.DeltaR)
-		return &Solution{Method: method, Recovery: &RecoveryStrategy{
-			Thresholds:   append([]float64(nil), inner.Thresholds...),
-			DeltaR:       pr.DeltaR,
-			ExpectedCost: sol.AvgCost,
-			inner:        inner,
-		}}, nil
+		copy(floats, inner.Thresholds)
+		ans := &recoveryAnswer{inner: inner}
+		return ans.solution(method, floats[:dim:dim], pr.DeltaR, cost, &ans.inner), nil
 	case MethodPPO:
 		res, err := ppo.Train(ctx, params, ppo.Config{
 			DeltaR:     pr.DeltaR,
@@ -193,11 +194,7 @@ func solveRecovery(ctx context.Context, pr RecoveryProblem, o options) (*Solutio
 		if err != nil {
 			return nil, err
 		}
-		return &Solution{Method: method, Recovery: &RecoveryStrategy{
-			DeltaR:       pr.DeltaR,
-			ExpectedCost: res.Cost,
-			inner:        res.Policy,
-		}}, nil
+		return new(recoveryAnswer).solution(method, nil, pr.DeltaR, res.Cost, res.Policy), nil
 	default:
 		// Any name in the shared optimizer table is an Algorithm 1 method.
 		po, ok := opt.ByName(method)
@@ -224,13 +221,33 @@ func solveRecovery(ctx context.Context, pr RecoveryProblem, o options) (*Solutio
 		if err != nil {
 			return nil, err
 		}
-		return &Solution{Method: method, Recovery: &RecoveryStrategy{
-			Thresholds:   append([]float64(nil), res.Strategy.Thresholds...),
-			DeltaR:       pr.DeltaR,
-			ExpectedCost: res.Cost,
-			inner:        res.Strategy,
-		}}, nil
+		thresholds := append([]float64(nil), res.Strategy.Thresholds...)
+		return new(recoveryAnswer).solution(method, thresholds, pr.DeltaR, res.Cost, res.Strategy), nil
 	}
+}
+
+// recoveryAnswer is a recovery Solution, its strategy and, for the DP, the
+// inner threshold strategy, allocated as one block.
+type recoveryAnswer struct {
+	sol   Solution
+	rec   RecoveryStrategy
+	inner recovery.ThresholdStrategy
+}
+
+// solution fills the block around the public thresholds and the inner
+// decision rule and returns its Solution.
+func (a *recoveryAnswer) solution(method string, thresholds []float64, deltaR int, cost float64, inner recovery.Strategy) *Solution {
+	a.rec = RecoveryStrategy{Thresholds: thresholds, DeltaR: deltaR, ExpectedCost: cost, inner: inner}
+	a.sol = Solution{Method: method, Recovery: &a.rec}
+	return &a.sol
+}
+
+// replicationAnswer is a replication Solution, its strategy and the inner
+// LP solution, allocated as one block.
+type replicationAnswer struct {
+	sol   Solution
+	rep   ReplicationStrategy
+	inner cmdp.Solution
 }
 
 func solveReplication(pr ReplicationProblem, o options) (*Solution, error) {
@@ -238,18 +255,28 @@ func solveReplication(pr ReplicationProblem, o options) (*Solution, error) {
 		return nil, fmt.Errorf("%w: method %q (Algorithm 2's LP is the only replication solver)",
 			ErrBadInput, o.method)
 	}
-	model, err := cmdp.NewBinomialModel(pr.SMax, pr.F, pr.EpsilonA, pr.Q, 0)
+	a := cmdp.AcquireArena()
+	defer a.Release()
+	model, err := a.BinomialModel(pr.SMax, pr.F, pr.EpsilonA, pr.Q, 0)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
-	sol, err := cmdp.Solve(model)
-	if err != nil {
+	// One slab: the public add probabilities, then the LP solution's
+	// policy and occupancy measure.
+	n := pr.SMax + 1
+	floats := make([]float64, (2+cmdp.NumActions)*n)
+	var inner cmdp.Solution
+	if err := a.SolveTo(model, &inner, floats[n:]); err != nil {
 		return nil, err
 	}
-	return &Solution{Method: "lp", Replication: &ReplicationStrategy{
-		AddProbability: append([]float64(nil), sol.Policy...),
-		ExpectedNodes:  sol.AvgNodes,
-		Availability:   sol.Availability,
-		inner:          sol,
-	}}, nil
+	copy(floats, inner.Policy)
+	ans := &replicationAnswer{inner: inner}
+	ans.rep = ReplicationStrategy{
+		AddProbability: floats[:n:n],
+		ExpectedNodes:  inner.AvgNodes,
+		Availability:   inner.Availability,
+		inner:          &ans.inner,
+	}
+	ans.sol = Solution{Method: "lp", Replication: &ans.rep}
+	return &ans.sol, nil
 }

@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"testing"
+
+	"tolerance/internal/recovery"
 )
 
 // TestErrBadInputContract is the facade error contract: every validation
@@ -147,6 +150,71 @@ func TestSolveRecoveryMethods(t *testing.T) {
 	cancel()
 	if _, err := Solve(cancelled, RecoveryProblem{Model: DefaultNodeModel()}); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled Solve: err = %v", err)
+	}
+}
+
+// TestSolveAllocatesOnlyItsAnswer: a cold exact solve allocates its answer
+// and nothing else — for the DP one block (Solution, strategy, inner
+// strategy) and one slab holding the public and the inner thresholds, for
+// the LP one block and one slab holding the public add probabilities and
+// the LP's policy and occupancy measure — so each family allocates the same
+// two objects at every size: DP at ΔR 5 and 100 and stationary (eight
+// before the solvers wrote into their caller's storage), LP at smax 13 and
+// 128 (sixteen). The public slices are copies: writing them leaves the
+// decision rule alone.
+func TestSolveAllocatesOnlyItsAnswer(t *testing.T) {
+	ctx := context.Background()
+	families := []struct {
+		name     string
+		bound    float64
+		problems []Problem
+	}{
+		{"dp", 2, []Problem{
+			RecoveryProblem{Model: DefaultNodeModel(), DeltaR: 5},
+			RecoveryProblem{Model: DefaultNodeModel(), DeltaR: 100},
+			RecoveryProblem{Model: DefaultNodeModel(), DeltaR: InfiniteDeltaR},
+		}},
+		{"lp", 2, []Problem{
+			ReplicationProblem{SMax: 13, F: 2, EpsilonA: 0.9, Q: 0.95},
+			ReplicationProblem{SMax: 128, F: 2, EpsilonA: 0.9, Q: 0.95},
+		}},
+	}
+	for _, fam := range families {
+		var counts []float64
+		for _, p := range fam.problems {
+			sol, err := Solve(ctx, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r := sol.Recovery; r != nil {
+				inner := r.inner.(*recovery.ThresholdStrategy)
+				r.Thresholds[0] = math.NaN()
+				if math.IsNaN(inner.Thresholds[0]) {
+					t.Errorf("%s %+v: the public thresholds alias the inner strategy's", fam.name, p)
+				}
+			}
+			if r := sol.Replication; r != nil {
+				r.AddProbability[0] = math.NaN()
+				if math.IsNaN(r.inner.Policy[0]) {
+					t.Errorf("%s %+v: the public add probabilities alias the LP policy", fam.name, p)
+				}
+			}
+			if raceEnabled {
+				continue // the race detector changes what allocates
+			}
+			counts = append(counts, testing.AllocsPerRun(10, func() {
+				if _, err := Solve(ctx, p); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		for _, n := range counts {
+			if n != counts[0] || n > fam.bound {
+				t.Errorf("%s: Solve allocates %v over its problems, want one count <= %v", fam.name, counts, fam.bound)
+				break
+			}
+		}
+		t.Logf("%s: %v allocations a solve", fam.name, counts)
 	}
 }
 
