@@ -76,7 +76,9 @@ func TestArenaReuseBitIdentical(t *testing.T) {
 		if got, want := kernelBits(gotModel), kernelBits(wantModel); got != want {
 			t.Fatalf("%s: the reused arena's kernel differs from a fresh arena's", name)
 		}
-		want := solutionBits(fresh.Solve(wantModel))
+		var wantSol Solution
+		wantErr = fresh.SolveTo(wantModel, &wantSol, make([]float64, (1+NumActions)*(smax+1)))
+		want := solutionBits(&wantSol, wantErr)
 
 		var sol Solution
 		floats := make([]float64, (1+NumActions)*(smax+1))

@@ -103,11 +103,6 @@ var errNotConverged = errors.New("cmdp: algorithm 2: policy walk did not converg
 func Solve(m *Model) (*Solution, error) {
 	a := AcquireArena()
 	defer a.Release()
-	return a.Solve(m)
-}
-
-// Solve is the package's Solve on the arena's scratch.
-func (a *Arena) Solve(m *Model) (*Solution, error) {
 	ev, t, s, err := a.walk(m)
 	if err != nil {
 		return nil, err

@@ -388,13 +388,11 @@ func (c *StrategyCache) ReplicationFor(p nodemodel.Params, rec recovery.Strategy
 		if err != nil {
 			return nil, err
 		}
-		a := cmdp.AcquireArena()
-		defer a.Release()
-		model, err := a.BinomialModel(smax, f, epsilonA, q, 0)
+		model, err := cmdp.NewBinomialModel(smax, f, epsilonA, q, 0)
 		if err != nil {
 			return nil, err
 		}
-		return c.solveLP(a, model)
+		return c.solveLP(model)
 	})
 }
 
@@ -429,16 +427,15 @@ func (c *StrategyCache) occupancyTable(p nodemodel.Params, model dist.Digest) (*
 	return table, nil
 }
 
-// solveLP memoizes cmdp.Solve by the model fingerprint, solving a miss on
-// the arena that holds the model.
-func (c *StrategyCache) solveLP(a *cmdp.Arena, model *cmdp.Model) (*cmdp.Solution, error) {
+// solveLP memoizes cmdp.Solve by the model fingerprint.
+func (c *StrategyCache) solveLP(model *cmdp.Model) (*cmdp.Solution, error) {
 	// The counter increments inside the once-guarded closure: exactly one
 	// caller's closure runs, so the count is one per distinct LP no matter
 	// which goroutine wins the race into compute.
 	return c.lp.do(c, model.Digest(), nil, func() (*cmdp.Solution, error) {
 		c.replicationSolves.Add(1)
 		start := time.Now()
-		sol, err := a.Solve(model)
+		sol, err := cmdp.Solve(model)
 		c.telemetry().solveNS.Observe(int64(time.Since(start)))
 		return sol, err
 	})
