@@ -96,7 +96,9 @@ func solveColdProblems() []solveColdItem {
 // recovery strategy its cost, DeltaR, public thresholds and the inner
 // strategy's (threshold vector or PPO's P[Recover] on goldenBeliefs x
 // goldenWindow); for a replication strategy its objective, availability,
-// public add probabilities and the inner LP policy.
+// public add probabilities and the inner LP solution's policy, objective,
+// availability and occupancy measure (row after row: rho*(s, a) in state
+// order, then action order).
 func solveColdDigest(sol *Solution) string {
 	h := sha256.New()
 	put := func(values ...float64) {
@@ -127,6 +129,8 @@ func solveColdDigest(sol *Solution) string {
 		put(r.ExpectedNodes, r.Availability)
 		put(r.AddProbability...)
 		put(r.inner.Policy...)
+		put(r.inner.AvgNodes, r.inner.Availability)
+		put(r.inner.Occupancy...)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -298,12 +298,15 @@ func TestSolveTighterAvailabilityCostsMore(t *testing.T) {
 // one slab for Policy and Occupancy, and takes the evaluator's scratch from
 // a pooled Arena — two allocations at any smax (five with the evaluator's
 // own scratch and the occupancy row headers; the tableau made 100 at smax
-// 13 and 679 at smax 128).
+// 13 and 679 at smax 128). The race detector drops pooled arenas at
+// random, and a dropped one costs at most the Arena and its float and int
+// slabs again, so there each solve is held to five and the two sizes need
+// not agree.
 func TestSolveAllocationsIndependentOfSize(t *testing.T) {
+	bound := 2.0
 	if raceEnabled {
-		t.Skip("the race detector drops pooled arenas at random")
+		bound = 5
 	}
-	const bound = 2
 	allocs := map[int]float64{}
 	for _, smax := range []int{13, 128} {
 		m := mustBinomialModel(t, smax, 2, 0.9, 0.95)
@@ -313,9 +316,35 @@ func TestSolveAllocationsIndependentOfSize(t *testing.T) {
 			}
 		})
 	}
-	if allocs[13] != allocs[128] || allocs[128] > bound {
-		t.Errorf("Solve allocates %v at smax 13 and %v at smax 128, want the same count <= %d",
+	if allocs[13] > bound || allocs[128] > bound || (!raceEnabled && allocs[13] != allocs[128]) {
+		t.Errorf("Solve allocates %v at smax 13 and %v at smax 128, want the same count <= %v",
 			allocs[13], allocs[128], bound)
+	}
+	t.Logf("Solve allocates %v at smax 13 and %v at smax 128", allocs[13], allocs[128])
+}
+
+// TestArenaWarmAllocatesNothing: on an arena the caller holds, once it has
+// grown to the largest kernel, building a kernel and solving it into the
+// caller's storage allocates nothing at any smax. It does not touch the
+// pool, so it holds under the race detector too.
+func TestArenaWarmAllocatesNothing(t *testing.T) {
+	a := new(Arena)
+	floats := make([]float64, (1+NumActions)*129)
+	var sol Solution
+	run := func(smax int) {
+		m, err := a.BinomialModel(smax, 2, 0.9, 0.95, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.SolveTo(m, &sol, floats[:(1+NumActions)*(smax+1)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(128)
+	for _, smax := range []int{13, 128} {
+		if n := testing.AllocsPerRun(10, func() { run(smax) }); n != 0 {
+			t.Errorf("a warm arena allocates %v building and solving smax %d, want 0", n, smax)
+		}
 	}
 }
 
