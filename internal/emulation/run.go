@@ -360,16 +360,6 @@ func (r *runner) reset(s Scenario) error {
 	return nil
 }
 
-// newRunner validates the scenario, resolves the offline fit, and places
-// the initial nodes.
-func newRunner(s Scenario) (*runner, error) {
-	r := &runner{}
-	if err := r.reset(s); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
 // spawn appends a node running a uniformly drawn catalog image — recycling
 // a previously evicted node struct when one is available — together with
 // its monitoring-lane entries (fresh belief pA, the container's Ẑ slab

@@ -8,6 +8,16 @@ import (
 	"tolerance/internal/nodemodel"
 )
 
+// newRunner validates the scenario, resolves the offline fit, and places
+// the initial nodes.
+func newRunner(s Scenario) (*runner, error) {
+	r := &runner{}
+	if err := r.reset(s); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
 // TestRunIntoMatchesRun is the worker-residency contract: a sequence of
 // scenarios executed through one reused Runner produces exactly the metrics
 // a fresh Run of each scenario produces — reset leaks no state between

@@ -50,63 +50,68 @@ type CacheStats struct {
 	PolicyHits int64 `json:"policyHits"`
 }
 
-// cacheEntry is a single-flight memoization slot: the first goroutine to
-// claim the key computes, later ones wait on the sync.Once and share the
-// result.
-type cacheEntry[T any] struct {
-	once sync.Once
+// slot is a single-flight slot: the first request resolves it holding
+// mu, and a request that finds mu held waits for that resolution and
+// shares it. A resolution that fails with a context cancellation or
+// deadline is not kept, so a cancelled request cannot poison the slot: the
+// next request, a waiter included, resolves it again with its own context.
+type slot[T any] struct {
+	mu   sync.Mutex
 	done atomic.Bool
 	val  T
 	err  error
 }
 
-func (e *cacheEntry[T]) compute(f func() (T, error)) (T, error) {
-	e.once.Do(func() {
-		e.val, e.err = f()
-		e.done.Store(true)
-	})
-	return e.val, e.err
+// get returns the slot's value, resolving it with resolve at most once
+// across concurrent callers unless a resolution is cancelled. A caller
+// that finds it resolved, or waits for another's resolution to be kept,
+// counts a hit in hits, and a wait counts a single-flight wait (nil hits:
+// the slot is internal and counts neither).
+func (s *slot[T]) get(c *StrategyCache, hits *atomic.Int64, resolve func() (T, error)) (T, error) {
+	if !s.done.Load() {
+		if !s.mu.TryLock() {
+			if hits != nil {
+				c.telemetry().waits.Inc()
+			}
+			s.mu.Lock()
+		}
+		defer s.mu.Unlock()
+		if !s.done.Load() {
+			v, err := resolve()
+			if !cancelled(err) {
+				s.val, s.err = v, err
+				s.done.Store(true)
+			}
+			return v, err
+		}
+	}
+	if hits != nil {
+		hits.Add(1)
+	}
+	return s.val, s.err
 }
 
-// memo is a single-flight memoization table: the first caller to claim a
-// key computes its value, and every later caller shares the result. The
-// zero value is ready to use.
+// memo is a single-flight memoization table, a slot per key. The zero
+// value is ready to use.
 type memo[K comparable, V any] struct {
 	mu sync.Mutex
-	m  map[K]*cacheEntry[V]
+	m  map[K]*slot[V]
 }
 
-// do returns the value memoized under key, running f at most once across
-// concurrent callers. A caller that finds the key already claimed counts a
-// hit in hits (nil: the memo is internal and counts none) and, if the value
-// is still being computed, a single-flight wait. A computation that fails
-// with a context cancellation or deadline is evicted, so a cancelled build
-// cannot poison the cache for a later caller with a live context.
+// do returns the value memoized under key, running f as the key's slot
+// resolves.
 func (m *memo[K, V]) do(c *StrategyCache, key K, hits *atomic.Int64, f func() (V, error)) (V, error) {
 	m.mu.Lock()
-	entry, hit := m.m[key]
-	if !hit {
+	s := m.m[key]
+	if s == nil {
 		if m.m == nil {
-			m.m = make(map[K]*cacheEntry[V])
+			m.m = make(map[K]*slot[V])
 		}
-		entry = &cacheEntry[V]{}
-		m.m[key] = entry
+		s = new(slot[V])
+		m.m[key] = s
 	}
 	m.mu.Unlock()
-
-	if hit && hits != nil {
-		hits.Add(1)
-		c.noteWait(!entry.done.Load())
-	}
-	v, err := entry.compute(f)
-	if cancelled(err) {
-		m.mu.Lock()
-		if m.m[key] == entry {
-			delete(m.m, key)
-		}
-		m.mu.Unlock()
-	}
-	return v, err
+	return s.get(c, hits, f)
 }
 
 // cancelled reports whether err is a context cancellation or deadline: a
@@ -126,58 +131,22 @@ const templateBlockCells = 64
 // own.
 type suiteTemplates struct {
 	mu     sync.Mutex
-	blocks map[int]*[templateBlockCells]templateSlot
+	blocks map[int]*[templateBlockCells]slot[emulation.Scenario]
 }
 
 // slot returns cell's slot, allocating its block on first use.
-func (t *suiteTemplates) slot(cell int) *templateSlot {
+func (t *suiteTemplates) slot(cell int) *slot[emulation.Scenario] {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	b := t.blocks[cell/templateBlockCells]
 	if b == nil {
 		if t.blocks == nil {
-			t.blocks = make(map[int]*[templateBlockCells]templateSlot)
+			t.blocks = make(map[int]*[templateBlockCells]slot[emulation.Scenario])
 		}
-		b = new([templateBlockCells]templateSlot)
+		b = new([templateBlockCells]slot[emulation.Scenario])
 		t.blocks[cell/templateBlockCells] = b
 	}
 	return &b[cell%templateBlockCells]
-}
-
-// templateSlot is a single-flight slot for one cell's scenario template:
-// the first request resolves it holding mu, and a request that finds mu
-// held waits for that resolution and shares it. A resolution that fails
-// with a context cancellation is not kept, so a cancelled run cannot poison
-// the slot for a later request with a live context.
-type templateSlot struct {
-	mu   sync.Mutex
-	done atomic.Bool
-	sc   emulation.Scenario
-	err  error
-}
-
-// get returns the slot's template, resolving it with resolve at most once
-// across concurrent callers. A caller that finds it resolved, or waits for
-// another's resolution, counts a policy hit, and a wait counts a
-// single-flight wait, as a memo hit does.
-func (s *templateSlot) get(c *StrategyCache, resolve func() (emulation.Scenario, error)) (emulation.Scenario, error) {
-	if !s.done.Load() {
-		if !s.mu.TryLock() {
-			c.noteWait(true)
-			s.mu.Lock()
-		}
-		defer s.mu.Unlock()
-		if !s.done.Load() {
-			sc, err := resolve()
-			if !cancelled(err) {
-				s.sc, s.err = sc, err
-				s.done.Store(true)
-			}
-			return sc, err
-		}
-	}
-	c.policyHits.Add(1)
-	return s.sc, s.err
 }
 
 // StrategyCache memoizes the control-problem solvers and the policies built
@@ -285,14 +254,6 @@ func (c *StrategyCache) Instrument(col *telemetry.Collector) {
 		solveNS:  col.Histogram("cache.solve_ns", telemetry.DurationBuckets()),
 		buildNS:  col.Histogram("cache.policy_build_ns", telemetry.DurationBuckets()),
 	})
-}
-
-// noteWait counts a single-flight wait when the entry a hit landed on is
-// still being computed by another goroutine.
-func (c *StrategyCache) noteWait(inFlight bool) {
-	if inFlight {
-		c.telemetry().waits.Inc()
-	}
 }
 
 // StrategyCache implements the solver interface strategies build on.
@@ -493,7 +454,7 @@ func (c *StrategyCache) scenarioFor(ctx context.Context, suiteFP string, cell *C
 		c.templates[suiteFP] = t
 	}
 	c.templatesMu.Unlock()
-	return t.slot(cell.Index).get(c, func() (emulation.Scenario, error) {
+	return t.slot(cell.Index).get(c, &c.policyHits, func() (emulation.Scenario, error) {
 		policy, err := c.PolicyFor(ctx, *cell, suite)
 		if err != nil {
 			return emulation.Scenario{}, err

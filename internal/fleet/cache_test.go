@@ -6,12 +6,15 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
+	"tolerance/internal/baselines"
 	"tolerance/internal/cmdp"
 	"tolerance/internal/emulation"
 	"tolerance/internal/nodemodel"
 	"tolerance/internal/recovery"
 	"tolerance/internal/strategies"
+	"tolerance/internal/telemetry"
 )
 
 // qRequest is one request for q through ReplicationFor.
@@ -267,5 +270,94 @@ func TestUnknownPolicyIsUnknownStrategy(t *testing.T) {
 		if !errors.Is(err, ErrBadSuite) || !errors.Is(err, strategies.ErrUnknownStrategy) {
 			t.Errorf("%s: %v, want an error matching ErrBadSuite and strategies.ErrUnknownStrategy", what, err)
 		}
+	}
+}
+
+// blockingStrategyName names blockingStrategy in the registry.
+const blockingStrategyName = "test:blocking"
+
+// blockingStrategy is a test strategy whose construction reports its start
+// on its context's gates and then blocks until they release it, or fails
+// with the context's error if that ends first.
+type blockingStrategy struct{}
+
+// blockingGates is what a blockingStrategy construction reads from its
+// context under blockingGatesKey.
+type blockingGates struct{ started, release chan struct{} }
+
+type blockingGatesKey struct{}
+
+func (blockingStrategy) Name() string                       { return blockingStrategyName }
+func (blockingStrategy) Describe() string                   { return "a test strategy whose construction blocks" }
+func (blockingStrategy) Fingerprint(strategies.Spec) string { return "blocking" }
+func (blockingStrategy) ReadsSeed() bool                    { return false }
+
+func (blockingStrategy) Policy(ctx context.Context, _ strategies.Spec, _ strategies.Solvers) (baselines.Policy, error) {
+	g := ctx.Value(blockingGatesKey{}).(*blockingGates)
+	g.started <- struct{}{}
+	select {
+	case <-g.release:
+		return baselines.Periodic{}, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+var registerBlockingStrategy = sync.OnceValue(func() error { return strategies.Register(blockingStrategy{}) })
+
+// TestPolicyWaiterOutlivesCancelledResolver: a PolicyFor that waits for
+// another request's build of the same policy, which its context's
+// cancellation then ends, builds the policy itself with its own live
+// context instead of returning the other request's context.Canceled; the
+// build it makes is kept, so the next request is a hit.
+func TestPolicyWaiterOutlivesCancelledResolver(t *testing.T) {
+	if err := registerBlockingStrategy(); err != nil {
+		t.Fatal(err)
+	}
+	suite := testSuite()
+	suite.Policies = []PolicyKind{blockingStrategyName}
+	suite = suite.withDefaults()
+	cell := suite.Cells()[0]
+	cache := NewStrategyCache()
+	col := telemetry.New()
+	cache.Instrument(col)
+	gates := &blockingGates{started: make(chan struct{}, 2), release: make(chan struct{})}
+	live := context.WithValue(context.Background(), blockingGatesKey{}, gates)
+	resolverCtx, cancel := context.WithCancel(live)
+	defer cancel()
+
+	resolver, waiter := make(chan error, 1), make(chan error, 1)
+	go func() {
+		_, err := cache.PolicyFor(resolverCtx, cell, suite)
+		resolver <- err
+	}()
+	<-gates.started
+	go func() {
+		_, err := cache.PolicyFor(live, cell, suite)
+		waiter <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); col.Snapshot().Counter("cache.singleflight_waits") == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the second request never waited for the first one's build")
+		}
+	}
+	cancel()
+	if err := <-resolver; !errors.Is(err, context.Canceled) {
+		t.Fatalf("the cancelled request: err = %v, want context.Canceled", err)
+	}
+	select {
+	case <-gates.started:
+	case err := <-waiter:
+		t.Fatalf("the waiter returned %v without building the policy itself", err)
+	}
+	close(gates.release)
+	if err := <-waiter; err != nil {
+		t.Fatalf("the waiter: %v", err)
+	}
+	if _, err := cache.PolicyFor(live, cell, suite); err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.PolicyBuilds != 2 || st.PolicyHits != 1 {
+		t.Errorf("%d policy builds and %d hits, want 2 (the cancelled one and the waiter's) and 1 (the last request)", st.PolicyBuilds, st.PolicyHits)
 	}
 }

@@ -232,6 +232,51 @@ func TestRespelledRecordsFrameRejected(t *testing.T) {
 	}
 }
 
+// TestResumedCoordinatorHoldsNoStoredRecord: a coordinator resumed from
+// stored records folds them from the table as its frontier reaches them
+// and never copies one into its ingest map. It folds the stored prefix at
+// once, leases only the missing spans, counts a wire record of a stored
+// scenario as a duplicate, and holds only ingested records past a gap.
+func TestResumedCoordinatorHoldsNoStoredRecord(t *testing.T) {
+	suite := testSuite()
+	_, recs := collectRecords(t, suite, Shard{}, nil)
+	var stored []RunRecord
+	for _, rec := range recs {
+		if rec.Index%4 < 2 {
+			stored = append(stored, rec)
+		}
+	}
+	now := time.Unix(0, 0)
+	c, err := newCoordinator(suite, CoordinatorConfig{Completed: storedTable(len(recs), Shard{}, stored), Telemetry: telemetry.New()}, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string, next, held, pending int) {
+		t.Helper()
+		if c.fold.next != next || len(c.records) != held || c.pending() != pending {
+			t.Errorf("%s: frontier %d, %d records held, %d pending; want %d, %d, %d",
+				when, c.fold.next, len(c.records), c.pending(), next, held, pending)
+		}
+	}
+	check("resumed", 2, 0, len(recs)-len(stored))
+	if want := fmt.Sprint(c.missingSpans(0, len(recs))); fmt.Sprint(c.queue) != want || len(c.queue) != len(recs)/4 {
+		t.Errorf("queue %v, want the %d missing spans %s", c.queue, len(recs)/4, want)
+	}
+	for _, idx := range []int{6, 3, 1} { // past the stored 4 and 5, the gap's second scenario, stored
+		if err := c.ingest(&recs[idx]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after 6, 3 and 1", 2, 2, len(recs)-len(stored)-2)
+	if got := c.tm.dupes.Total(); got != 1 {
+		t.Errorf("%d duplicates counted, want 1 (the stored scenario 1)", got)
+	}
+	if err := c.ingest(&recs[2]); err != nil {
+		t.Fatal(err)
+	}
+	check("after 2", 7, 0, len(recs)-len(stored)-3)
+}
+
 // respellRecords frames a batch as another JSON encoder might: envelope
 // and payload keys in reverse order, whitespace between tokens.
 func respellRecords(batch proto.Records) ([]byte, error) {
@@ -379,7 +424,7 @@ func TestRunIndicesDeterminism(t *testing.T) {
 	records := make(map[int]RunRecord, total)
 	p := newPlan(suite)
 	for _, idxs := range [][]int{rangeInts(0, total/2+1), rangeInts(total/2+1, total)} {
-		err := p.execute(context.Background(), idxs, Config{Workers: 3}, func(rec *RunRecord, _ bool) error {
+		err := p.execute(context.Background(), idxs, Config{Workers: 3}, func(rec *RunRecord) error {
 			records[rec.Index] = *rec
 			return nil
 		})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,8 +38,8 @@ type Config struct {
 	Shard Shard
 	// Completed holds records of scenarios already finished by an earlier
 	// (killed) run of the same suite and shard, by scenario index. They
-	// are folded from the stored metrics instead of re-executed, so a
-	// resumed run completes with byte-identical output.
+	// fold from the stored metrics and are not executed, so a resumed run
+	// completes with byte-identical output.
 	Completed *RecordTable
 	// OnRecord, when set, receives every freshly executed scenario in
 	// fold (index) order — the checkpoint write hook. An error aborts the
@@ -102,18 +103,17 @@ func scenarioSeed(suiteSeed int64, index int) int64 {
 	return int64(dist.SplitMix64(uint64(suiteSeed)*dist.GoldenGamma + uint64(index) + 1))
 }
 
-// outcome is one executed (or replayed) scenario's result. Records travel
-// by value inside the execution's batch buffers, so the steady-state path
-// moves no per-scenario allocation across the worker/aggregator boundary.
+// outcome is one executed scenario's result. Records travel by value
+// inside the execution's batch buffers, so the steady-state path moves no
+// per-scenario allocation across the worker/aggregator boundary.
 type outcome struct {
-	rec   RunRecord // rec.Index is the global scenario index — the seed and record identity
-	fresh bool
-	err   error
+	rec RunRecord // rec.Index is the global scenario index — the seed and record identity
+	err error
 }
 
 // batchResult carries the outcomes of one contiguous slice of scheduled
-// positions, [start, start+len(outs)). An execution takes a fixed set of
-// them from its plan's pool up front; workers take one per batch, the
+// positions, [start, start+len(outs)). An execution puts a fixed set of
+// them in its free channel up front; workers take one per batch, the
 // aggregator returns it after folding.
 type batchResult struct {
 	start int
@@ -135,13 +135,13 @@ type cellState struct {
 }
 
 // Run expands the suite and executes every scheduled scenario — the whole
-// grid, or the Config.Shard slice of it — on a bounded worker pool.
-// Scenarios already present in Config.Completed fold from their stored
-// metrics instead of re-running. The aggregator folds outcomes in strict
-// schedule order over fixed foldSpan-wide spans — the fold tree is a pure
-// function of the schedule, so the aggregates are bit-identical for any
-// worker count; with the strategy cache each distinct control problem is
-// solved exactly once.
+// grid, or the Config.Shard slice of it — that Config.Completed holds no
+// record of, on a bounded worker pool; the stored records fold in their
+// places. The aggregator folds in strict schedule order over fixed
+// foldSpan-wide spans — the fold tree is a pure function of the schedule,
+// so the aggregates are bit-identical for any worker count and any split
+// between stored and executed scenarios; with the strategy cache each
+// distinct control problem is solved exactly once.
 func Run(ctx context.Context, suite Suite, cfg Config) (*Result, error) {
 	suite = suite.withDefaults()
 	if err := suite.Validate(); err != nil {
@@ -159,25 +159,31 @@ func Run(ctx context.Context, suite Suite, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("%w: shard %s selects no scenarios of %d",
 			ErrBadSuite, cfg.Shard, gridTotal)
 	}
-	for rec := range cfg.Completed.records() {
-		if err := checkCompleted(rec.Index, rec, gridTotal, suite.SeedsPerCell, cfg.Shard); err != nil {
-			return nil, err
-		}
-	}
 	p := newPlan(suite)
+	f, err := newFold(p.suite, p.cells, cfg.Shard, cfg.Completed, cfg.OnRecord, cfg.Progress, cfg.Telemetry)
+	if err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	cfg.Telemetry.Gauge(MetricScenariosTotal).Set(float64(len(sched)))
 	cfg.Telemetry.Gauge(MetricWorkers).Set(float64(cfg.Workers))
-	// A run whose scheduled work is entirely replayed from records never
-	// fits at all.
-	if cfg.Completed.Len() < len(sched) {
+	sched = slices.DeleteFunc(sched, func(idx int) bool {
+		_, stored := cfg.Completed.get(idx)
+		return stored
+	})
+	// A run whose every scheduled scenario is stored neither fits nor
+	// executes; its engine metrics still read zero rather than go missing.
+	newFleetMetrics(cfg.Telemetry)
+	if len(sched) > 0 {
 		if err := p.fit(cfg); err != nil {
 			return nil, err
 		}
 	}
-	f := newFold(p.suite, p.cells, len(sched), cfg.OnRecord, cfg.Progress, cfg.Telemetry)
 	endRun := cfg.Telemetry.Phase("fleet.run")
-	err := p.execute(ctx, sched, cfg, f.add)
+	f.replay()
+	if len(sched) > 0 {
+		err = p.execute(ctx, sched, cfg, f.add)
+	}
 	endRun()
 	if err != nil {
 		return nil, err
@@ -190,47 +196,20 @@ func Run(ctx context.Context, suite Suite, cfg Config) (*Result, error) {
 // template key) and its offline fit. Run builds one per call; a worker
 // session builds one after the handshake has verified the fingerprint and
 // executes every lease against it, so a lease costs its own scenarios and
-// not the grid's, the session fits once, and a lease finds the runners
-// and buffers of the leases before it in the plan's pool.
+// not the grid's, the session fits once, and a lease finds the runners and
+// buffers of the leases before it in the plan's one execution.
 type plan struct {
 	suite Suite
 	cells []Cell
 	fp    string
 	fits  *emulation.FitSet // nil until fit
-	pool  execPool
-}
 
-// execPool holds what the executions of one plan take and give back: the
-// emulation runners, whose node pools, rng streams and scratch outlive the
-// execution that grew them, and the executions' shared state and buffers.
-// Executions of one plan may run at once, so each takes its own rather than
-// a slot per worker index: a worker goroutine takes a runner when it starts
-// and gives it back before it exits, and an execution takes its state when
-// it starts and gives it back once every worker of it has exited.
-type execPool struct {
-	mu      sync.Mutex
-	runners []*emulation.Runner
-	execs   []*execution
-}
-
-// runner takes a runner, a fresh one if none is free.
-func (p *execPool) runner() *emulation.Runner {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := len(p.runners)
-	if n == 0 {
-		return emulation.NewRunner()
-	}
-	r := p.runners[n-1]
-	p.runners = p.runners[:n-1]
-	return r
-}
-
-// putRunner gives a runner back.
-func (p *execPool) putRunner(r *emulation.Runner) {
-	p.mu.Lock()
-	p.runners = append(p.runners, r)
-	p.mu.Unlock()
+	// mu serializes the plan's executions, which all reuse exec: its
+	// emulation runners, one per worker index that has claimed a batch,
+	// whose node pools, rng streams and scratch outlive the execution that
+	// grew them, and its batch buffers.
+	mu   sync.Mutex
+	exec execution
 }
 
 // execution is what one plan.execute shares with its workers: the
@@ -248,6 +227,7 @@ type execution struct {
 	firstCell  int
 	numBatches int
 	nextBatch  atomic.Int64
+	runners    []*emulation.Runner
 
 	bufs    []batchResult
 	free    chan *batchResult
@@ -256,38 +236,34 @@ type execution struct {
 	// each worker as it exits.
 	outcomes chan *batchResult
 	// states resolves each scheduled cell's policy and scenario template
-	// at most once per execution (replayed cells not at all), with an
-	// allocation-free fast path after the first resolution. It spans only
-	// the cells the schedule touches — a lease's one or two, not the
-	// grid's thousands.
+	// at most once per execution, with an allocation-free fast path after
+	// the first resolution. It spans only the cells the schedule touches —
+	// a lease's one or two, not the grid's thousands.
 	states []cellState
 }
 
-// takeExecution takes an execution of sched under cfg (with its defaults)
-// from the pool: its buffers all free, its ring empty, its cells
-// unresolved.
-func (p *plan) takeExecution(ctx context.Context, sched []int, cfg Config) *execution {
-	p.pool.mu.Lock()
-	var e *execution
-	if n := len(p.pool.execs); n > 0 {
-		e = p.pool.execs[n-1]
-		p.pool.execs = p.pool.execs[:n-1]
-	}
-	p.pool.mu.Unlock()
-	if e == nil {
-		e = &execution{p: p}
-	}
-	total := len(sched)
+// reset readies e to execute sched under cfg (with its defaults): a runner
+// slot per worker, its buffers all free, its ring empty, its cells
+// unresolved. The execution before it has returned, so no worker holds a
+// buffer.
+func (e *execution) reset(ctx context.Context, sched []int, cfg Config) {
+	p, total := e.p, len(sched)
 	e.ctx, e.cancel = context.WithCancel(ctx)
 	e.cfg, e.sched, e.tm = cfg, sched, newFleetMetrics(cfg.Telemetry)
 	e.fitSeed = emulation.FitStreamSeed(p.suite.Seed)
 	e.firstCell = sched[0] / p.suite.SeedsPerCell
 	e.numBatches = (total + foldSpan - 1) / foldSpan
 	e.nextBatch.Store(0)
+	if n := cfg.Workers - len(e.runners); n > 0 {
+		e.runners = append(e.runners, make([]*emulation.Runner, n)...)
+	}
 	n := min(e.numBatches, batchesPerWorker*cfg.Workers)
 	if len(e.bufs) < n {
 		e.bufs = make([]batchResult, n)
 		e.free = make(chan *batchResult, n)
+	}
+	for len(e.free) > 0 {
+		<-e.free
 	}
 	for i := range e.bufs[:n] {
 		e.bufs[i].outs = e.bufs[i].arr[:0]
@@ -298,26 +274,13 @@ func (p *plan) takeExecution(ctx context.Context, sched []int, cfg Config) *exec
 		e.outcomes = make(chan *batchResult, cfg.Workers)
 	}
 	e.states = append(e.states[:0], make([]cellState, sched[total-1]/p.suite.SeedsPerCell-e.firstCell+1)...)
-	return e
-}
-
-// putExecution gives e back once every worker of it has exited.
-func (p *plan) putExecution(e *execution) {
-	e.cancel()
-	for len(e.free) > 0 {
-		<-e.free
-	}
-	clear(e.pending)
-	clear(e.states)
-	e.ctx, e.cancel, e.cfg, e.sched = nil, nil, Config{}, nil
-	p.pool.mu.Lock()
-	p.pool.execs = append(p.pool.execs, e)
-	p.pool.mu.Unlock()
 }
 
 func newPlan(suite Suite) *plan {
 	suite = suite.withDefaults()
-	return &plan{suite: suite, cells: suite.Cells(), fp: suite.Fingerprint()}
+	p := &plan{suite: suite, cells: suite.Cells(), fp: suite.Fingerprint()}
+	p.exec.p = p
+	return p
 }
 
 // fit resolves the suite-wide offline fit, once per plan, under the
@@ -334,47 +297,47 @@ func (p *plan) fit(cfg Config) error {
 	return err
 }
 
-// execute runs the scheduled scenario indices — ascending, in range, and a
-// superset of cfg.Completed's keys — on the plan's fit (p.fit must have
-// run unless every index is completed) and hands every outcome to emit in
-// schedule order; fresh reports that it was executed rather than taken from
-// cfg.Completed. Run derives the schedule from its shard and emits into its
-// fold; a worker passes a validated lease range and emits into the Records
-// frame it ships. Per-index seeding makes the records identical to the ones
-// a whole run produces, whichever schedule executes them. An emit error
-// aborts the execution and is returned.
+// execute runs the scheduled scenario indices — ascending and in range —
+// on the plan's fit (p.fit must have run) and hands every record to emit
+// in schedule order. Run derives the schedule from its shard less its
+// stored scenarios and emits into its fold; a worker passes a validated
+// lease range and emits into the Records frame it ships. Per-index seeding
+// makes the records identical to the ones a whole run produces, whichever
+// schedule executes them. An emit error aborts the execution and is
+// returned. emit runs under the plan's mutex, so it must not execute on
+// the same plan.
 //
 // Workers claim index-contiguous batches of scheduled positions through
 // one atomic counter — one channel round-trip per batch instead of two per
-// scenario — and execute them on an emulation runner from the plan's pool,
-// whose node pool, rng streams and scratch survive from scenario to
-// scenario and from execution to execution. The outcome buffers come from
-// the plan's pool too and cycle between the workers and the fold, so the
+// scenario — and execute them on the emulation runner of their worker
+// index, whose node pool, rng streams and scratch survive from scenario to
+// scenario and from execution to execution. The outcome buffers are the
+// plan's too and cycle between the workers and the fold, so the
 // per-scenario path allocates nothing, an execution allocates the same
 // number of times however its workers are scheduled, and a warm worker
 // session's lease allocates the same number of times however many
 // scenarios it holds.
-func (p *plan) execute(ctx context.Context, sched []int, cfg Config, emit func(rec *RunRecord, fresh bool) error) error {
-	e := p.takeExecution(ctx, sched, cfg.withDefaults())
-	defer p.putExecution(e)
-	for range e.cfg.Workers {
-		go e.work()
+func (p *plan) execute(ctx context.Context, sched []int, cfg Config, emit func(*RunRecord) error) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	e := &p.exec
+	e.reset(ctx, sched, cfg.withDefaults())
+	defer e.cancel()
+	for w := range e.cfg.Workers {
+		go e.work(w)
 	}
 	return e.fold(emit)
 }
 
-// work is a worker's loop: claim a batch with a free buffer in hand, run
-// its scenarios, send it to the fold, until the batches run out, the
-// execution is cancelled or a scenario fails. Its last send is a nil, after
-// its runner is back in the pool.
-func (e *execution) work() {
+// work is worker w's loop: claim a batch with a free buffer in hand, run
+// its scenarios on the worker's runner (made at its first batch), send it
+// to the fold, until the batches run out, the execution is cancelled or a
+// scenario fails. Its last send is a nil.
+func (e *execution) work(w int) {
 	p, cfg, tm := e.p, &e.cfg, &e.tm
 	suite := &p.suite
-	runner := p.pool.runner()
-	defer func() {
-		p.pool.putRunner(runner)
-		e.outcomes <- nil
-	}()
+	runner := e.runners[w]
+	defer func() { e.outcomes <- nil }()
 	for e.ctx.Err() == nil {
 		// Every claimed batch not yet folded holds a buffer, so the batch
 		// the fold waits for is always in some worker's hands and waiting
@@ -391,6 +354,10 @@ func (e *execution) work() {
 			return
 		}
 		tm.batches.Inc()
+		if runner == nil {
+			runner = emulation.NewRunner()
+			e.runners[w] = runner
+		}
 		start := bi * foldSpan
 		end := min(start+foldSpan, len(e.sched))
 		br.start = start
@@ -402,47 +369,43 @@ func (e *execution) work() {
 			}
 			idx := e.sched[pos]
 			cell := &p.cells[idx/suite.SeedsPerCell]
-			oc := outcome{rec: RunRecord{Index: idx, Cell: cell.Index}, fresh: true}
-			if rec, ok := cfg.Completed.get(idx); ok {
-				oc.rec.Metrics, oc.fresh = rec.Metrics, false
+			oc := outcome{rec: RunRecord{Index: idx, Cell: cell.Index}}
+			st := &e.states[cell.Index-e.firstCell]
+			st.once.Do(func() { st.sc, st.err = cfg.Cache.scenarioFor(e.ctx, p.fp, cell, *suite) })
+			if st.err != nil {
+				oc.err = st.err
 			} else {
-				st := &e.states[cell.Index-e.firstCell]
-				st.once.Do(func() { st.sc, st.err = cfg.Cache.scenarioFor(e.ctx, p.fp, cell, *suite) })
-				if st.err != nil {
-					oc.err = st.err
+				sc := st.sc
+				sc.Seed = scenarioSeed(suite.Seed, idx)
+				sc.FitSeed = e.fitSeed
+				sc.Fits = p.fits
+				// Timing wraps the run from outside: the scenario's rng
+				// streams are seeded purely from (suite seed, index) above,
+				// so the clock reads cannot perturb results. A clock read
+				// is the one cost a nil handle cannot skip, so an
+				// uninstrumented run makes none.
+				tm.started.Inc()
+				var t0 time.Time
+				if cfg.Telemetry != nil {
+					t0 = time.Now()
+				}
+				// Cells on a non-default backend dispatch through the
+				// registry; the default (emulation) path stays on the
+				// worker's zero-allocation runner.
+				if cell.Backend == "" {
+					if oc.rec.Metrics, oc.err = runner.RunInto(sc); oc.err == nil {
+						tm.steps.Observe(int64(sc.Steps))
+					}
+				} else if be, ok := LookupBackend(cell.Backend); ok {
+					oc.rec.Metrics, oc.err = be.Run(e.ctx, sc, BackendOptions{Telemetry: cfg.Telemetry, Chaos: cfg.Chaos})
 				} else {
-					sc := st.sc
-					sc.Seed = scenarioSeed(suite.Seed, idx)
-					sc.FitSeed = e.fitSeed
-					sc.Fits = p.fits
-					// Timing wraps the run from outside: the scenario's rng
-					// streams are seeded purely from (suite seed, index)
-					// above, so the clock reads cannot perturb results. A
-					// clock read is the one cost a nil handle cannot skip,
-					// so an uninstrumented run makes none.
-					tm.started.Inc()
-					var t0 time.Time
-					if cfg.Telemetry != nil {
-						t0 = time.Now()
-					}
-					// Cells on a non-default backend dispatch through the
-					// registry; the default (emulation) path stays on the
-					// worker's zero-allocation runner.
-					if cell.Backend == "" {
-						if oc.rec.Metrics, oc.err = runner.RunInto(sc); oc.err == nil {
-							tm.steps.Observe(int64(sc.Steps))
-						}
-					} else if be, ok := LookupBackend(cell.Backend); ok {
-						oc.rec.Metrics, oc.err = be.Run(e.ctx, sc, BackendOptions{Telemetry: cfg.Telemetry, Chaos: cfg.Chaos})
-					} else {
-						// Unreachable after Validate — defensive.
-						oc.err = fmt.Errorf("%w: unknown backend %q", ErrBadSuite, cell.Backend)
-					}
-					if cfg.Telemetry != nil {
-						d := int64(time.Since(t0))
-						tm.busyNS.Add(d)
-						tm.durNS.Observe(d)
-					}
+					// Unreachable after Validate — defensive.
+					oc.err = fmt.Errorf("%w: unknown backend %q", ErrBadSuite, cell.Backend)
+				}
+				if cfg.Telemetry != nil {
+					d := int64(time.Since(t0))
+					tm.busyNS.Add(d)
+					tm.durNS.Observe(d)
 				}
 			}
 			br.outs = append(br.outs, oc)
@@ -468,7 +431,7 @@ func (e *execution) work() {
 // fit the ring one slot each. Run's fold spans are fixed, so every
 // floating-point result is independent of scheduling and worker count, and
 // a checkpoint file is always an index-ordered prefix of the work.
-func (e *execution) fold(emit func(rec *RunRecord, fresh bool) error) error {
+func (e *execution) fold(emit func(*RunRecord) error) error {
 	pending := e.pending
 	next := 0 // positions [0, next) are emitted
 	slot := func(start int) int { return start / foldSpan % len(pending) }
@@ -500,7 +463,7 @@ func (e *execution) fold(emit func(rec *RunRecord, fresh bool) error) error {
 			}
 			pending[slot(next)] = nil
 			for i := range b.outs {
-				if err := emit(&b.outs[i].rec, b.outs[i].fresh); err != nil {
+				if err := emit(&b.outs[i].rec); err != nil {
 					firstErr = err
 					e.cancel()
 					break

@@ -76,6 +76,8 @@ func oracleStrategyFingerprint(t *testing.T, kind string, spec strategies.Spec) 
 			pfp, spec.DeltaR, spec.SMax, spec.F, spec.EpsilonA)
 	case kind == "NO-RECOVERY", kind == "PERIODIC":
 		return "static"
+	case kind == blockingStrategyName:
+		return "blocking"
 	case kind == "PERIODIC-ADAPTIVE":
 		return fmt.Sprintf("n1=%d", spec.N1)
 	case kind == "learned:ppo":

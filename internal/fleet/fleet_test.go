@@ -565,8 +565,8 @@ func TestRunCancellationLeavesValidCheckpoint(t *testing.T) {
 
 // TestPolicyCacheNotPoisonedByCancellation: a construction aborted by a
 // cancelled context must not leave the context error memoized in a shared
-// strategy cache — the slot is evicted so a later run with a live context
-// rebuilds the policy.
+// strategy cache — the slot does not keep a cancelled resolution, so a
+// later run with a live context rebuilds the policy.
 func TestPolicyCacheNotPoisonedByCancellation(t *testing.T) {
 	suite := Suite{
 		Name:        "poison-test",

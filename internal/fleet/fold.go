@@ -14,17 +14,28 @@ import (
 // runs share one floating-point fold tree and so serialize identically.
 const foldSpan = 8
 
-// fold is the ordered frontier every Result is built behind: Run's
-// aggregator, MergeRecords and the coordinator's ingest hand it records in
-// schedule order. It owns the span-fold — a Welford partial per run of
-// same-cell positions inside each foldSpan-wide span, merged into the
-// cell's accumulator when the next partial opens — and the ordered side
-// effects: onRecord (the checkpoint hook), the fold counters, progress.
+// fold is the ordered frontier every Result is built behind, and the one
+// place a stored record enters one. It covers a shard's scenarios by
+// schedule position — position i is scenario shard.Index + i·shard.Count —
+// and folds each position once: an executed record when Run's aggregator
+// or the coordinator's ingest hands it over with add, a stored one (a
+// resumed checkpoint's, a merged shard set's) when the frontier reaches its
+// position. It owns the span-fold — a Welford partial per run of same-cell
+// positions inside each foldSpan-wide span, merged into the cell's
+// accumulator when the next partial opens — and the ordered side effects:
+// onRecord (the checkpoint hook, executed records only), the fold
+// counters, progress.
 type fold struct {
 	suite Suite
 	cells []Cell
-	total int
+	shard Shard
+	total int // scheduled positions
 	next  int // positions [0, next) are folded
+
+	// stored holds the records to fold instead of executing (nil: none),
+	// checked once by newFold; storedAhead of them lie past the frontier.
+	stored      *RecordTable
+	storedAhead int
 
 	accs     []emulation.Accumulator
 	part     emulation.Accumulator
@@ -36,25 +47,64 @@ type fold struct {
 	folded, replayed, merges *telemetry.Counter
 }
 
-func newFold(suite Suite, cells []Cell, total int, onRecord func(RunRecord) error,
-	progress func(done, total int), col *telemetry.Collector) *fold {
+// newFold is the fold of shard's scenarios of suite (with its defaults),
+// whose cells are cells. Every stored record must pass checkCompleted.
+func newFold(suite Suite, cells []Cell, shard Shard, stored *RecordTable, onRecord func(RunRecord) error,
+	progress func(done, total int), col *telemetry.Collector) (*fold, error) {
+	gridTotal := suite.NumScenarios()
+	for rec := range stored.records() {
+		if err := checkCompleted(rec, gridTotal, suite.SeedsPerCell, shard); err != nil {
+			return nil, err
+		}
+	}
 	return &fold{
-		suite:    suite,
-		cells:    cells,
-		total:    total,
-		accs:     make([]emulation.Accumulator, len(cells)),
-		partCell: -1,
-		onRecord: onRecord,
-		progress: progress,
-		folded:   col.Counter(MetricScenariosFolded),
-		replayed: col.Counter(MetricScenariosReplayed),
-		merges:   col.Counter(MetricFoldMerges),
+		suite:       suite,
+		cells:       cells,
+		shard:       shard,
+		total:       shard.size(gridTotal),
+		stored:      stored,
+		storedAhead: stored.Len(),
+		accs:        make([]emulation.Accumulator, len(cells)),
+		partCell:    -1,
+		onRecord:    onRecord,
+		progress:    progress,
+		folded:      col.Counter(MetricScenariosFolded),
+		replayed:    col.Counter(MetricScenariosReplayed),
+		merges:      col.Counter(MetricFoldMerges),
+	}, nil
+}
+
+// replay folds the stored records from the frontier on, up to the first
+// position that has none. A caller runs it once before its first add; add
+// runs it after every record, so the frontier never rests on a stored
+// record.
+func (f *fold) replay() {
+	for f.next < f.total {
+		rec, ok := f.stored.get(f.shard.index(f.next))
+		if !ok {
+			return
+		}
+		f.put(rec)
+		f.storedAhead--
+		f.replayed.Inc()
 	}
 }
 
-// add folds rec at position next; fresh records (executed, not replayed
-// from storage) are delivered to onRecord.
-func (f *fold) add(rec *RunRecord, fresh bool) error {
+// add hands the executed record rec, the scenario at the frontier, to
+// onRecord, folds it and replays the stored records after it.
+func (f *fold) add(rec *RunRecord) error {
+	if f.onRecord != nil {
+		if err := f.onRecord(*rec); err != nil {
+			return fmt.Errorf("fleet: record scenario %d: %w", rec.Index, err)
+		}
+	}
+	f.put(rec)
+	f.replay()
+	return nil
+}
+
+// put folds rec at position next.
+func (f *fold) put(rec *RunRecord) {
 	if f.next%foldSpan == 0 || rec.Cell != f.partCell {
 		f.closePartial()
 		f.partCell = rec.Cell
@@ -62,18 +112,9 @@ func (f *fold) add(rec *RunRecord, fresh bool) error {
 	f.part.Add(&rec.Metrics)
 	f.next++
 	f.folded.Inc()
-	if !fresh {
-		f.replayed.Inc()
-	}
-	if fresh && f.onRecord != nil {
-		if err := f.onRecord(*rec); err != nil {
-			return fmt.Errorf("fleet: record scenario %d: %w", rec.Index, err)
-		}
-	}
 	if f.progress != nil {
 		f.progress(f.next, f.total)
 	}
-	return nil
 }
 
 // closePartial merges the open partial into its cell's accumulator.
@@ -105,12 +146,12 @@ func (f *fold) result() *Result {
 	return out
 }
 
-// checkCompleted is the one rule Run (-resume), MergeRecords (-merge) and
-// the coordinator (resume and the wire) apply to a stored or received
-// record before it folds: scenario idx lies in the suite and the shard, and
-// the record carries the cell idx expands to.
-func checkCompleted(idx int, rec *RunRecord, total, seedsPerCell int, shard Shard) error {
-	switch {
+// checkCompleted is the one rule a stored record (newFold: -resume, -merge,
+// a resumed coordinator) and a received one (the coordinator's ingest)
+// pass before they fold: its scenario lies in the suite and the shard, and
+// it carries the cell its index expands to.
+func checkCompleted(rec *RunRecord, total, seedsPerCell int, shard Shard) error {
+	switch idx := rec.Index; {
 	case idx < 0 || idx >= total:
 		return fmt.Errorf("%w: scenario %d is outside the suite (%d scenarios)", ErrBadSuite, idx, total)
 	case !shard.Contains(idx):

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -35,7 +36,9 @@ func spanFoldOracle(recs []RunRecord, numCells int) ([]emulation.Accumulator, in
 // Run, MergeRecords and the coordinator all fold through it, so it is the
 // one place a change to the partial boundaries would show. Cells here are
 // five seeds wide, so spans split cells and cells split spans; the sharded
-// leg folds positions that are not indices.
+// leg folds positions that are not indices. Each leg folds its records as
+// executed ones (add), as stored ones (replay) and as every third position
+// stored, the rest executed.
 func TestFoldSpanTopology(t *testing.T) {
 	suite := testSuite().withDefaults()
 	suite.SeedsPerCell = 5
@@ -53,31 +56,64 @@ func TestFoldSpanTopology(t *testing.T) {
 			AvgCost:            math.Exp(-x / 9),
 		}}
 	}
-	var sharded []RunRecord
-	for _, idx := range (Shard{Index: 1, Count: 3}).Indices(total) {
-		sharded = append(sharded, recs[idx])
-	}
 
-	for name, sched := range map[string][]RunRecord{"whole": recs, "shard 1/3": sharded} {
-		col := telemetry.New()
-		f := newFold(suite, cells, len(sched), nil, nil, col)
-		for i := range sched {
-			if err := f.add(&sched[i], false); err != nil {
+	for _, shard := range []Shard{{}, {Index: 1, Count: 3}} {
+		var sched []RunRecord
+		for _, idx := range shard.Indices(total) {
+			sched = append(sched, recs[idx])
+		}
+		want, merges := spanFoldOracle(sched, len(cells))
+		for _, every := range []int{0, 1, 3} { // every'th position stored; 0: none
+			name := fmt.Sprintf("shard %s, every %d stored", shard, every)
+			var stored, executed []RunRecord
+			for pos, rec := range sched {
+				if every > 0 && pos%every == 0 {
+					stored = append(stored, rec)
+				} else {
+					executed = append(executed, rec)
+				}
+			}
+			col := telemetry.New()
+			f, err := newFold(suite, cells, shard, storedTable(total, shard, stored), nil, nil, col)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		got := f.result()
-		want, merges := spanFoldOracle(sched, len(cells))
-		for c := range cells {
-			if got.Cells[c].Runs != want[c].Runs() {
-				t.Errorf("%s: cell %d folded %d runs, want %d", name, c, got.Cells[c].Runs, want[c].Runs())
+			f.replay()
+			for i := range executed {
+				if err := f.add(&executed[i]); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if !bytes.Equal(mustMarshal(t, got.Cells[c].Aggregate), mustMarshal(t, want[c].AggregateValue())) {
-				t.Errorf("%s: cell %d aggregate differs from the span-fold oracle", name, c)
+			if f.next != len(sched) {
+				t.Fatalf("%s: folded %d of %d positions", name, f.next, len(sched))
 			}
-		}
-		if got := col.Snapshot().Counter(MetricFoldMerges); got != int64(merges) {
-			t.Errorf("%s: fleet.fold_merges = %d, want %d", name, got, merges)
+			got := f.result()
+			for c := range cells {
+				if got.Cells[c].Runs != want[c].Runs() {
+					t.Errorf("%s: cell %d folded %d runs, want %d", name, c, got.Cells[c].Runs, want[c].Runs())
+				}
+				if !bytes.Equal(mustMarshal(t, got.Cells[c].Aggregate), mustMarshal(t, want[c].AggregateValue())) {
+					t.Errorf("%s: cell %d aggregate differs from the span-fold oracle", name, c)
+				}
+			}
+			s := col.Snapshot()
+			if got := s.Counter(MetricFoldMerges); got != int64(merges) {
+				t.Errorf("%s: fleet.fold_merges = %d, want %d", name, got, merges)
+			}
+			if got := s.Counter(MetricScenariosReplayed); got != int64(len(stored)) {
+				t.Errorf("%s: fleet.scenarios_replayed = %d, want %d", name, got, len(stored))
+			}
 		}
 	}
+}
+
+// storedTable is a table of shard's scenarios out of total holding recs.
+func storedTable(total int, shard Shard, recs []RunRecord) *RecordTable {
+	t := newRecordTable(total, shard)
+	for i := range recs {
+		if claimed, _ := t.claim(&recs[i], 1); claimed {
+			t.n++
+		}
+	}
+	return t
 }

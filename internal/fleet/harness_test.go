@@ -278,7 +278,7 @@ func (n *leaseNet) execute(w *harnessWorker) {
 			frame, batched = nil, 0
 		}
 	}
-	err := n.plan.execute(context.Background(), rangeInts(lease.Start, lease.End), n.cfg, func(rec *RunRecord, _ bool) error {
+	err := n.plan.execute(context.Background(), rangeInts(lease.Start, lease.End), n.cfg, func(rec *RunRecord) error {
 		if batched == 0 {
 			frame = appendRecordsFrameHead(nil, lease.ID, len(w.frames))
 		} else {

@@ -44,7 +44,8 @@ type coordinator struct {
 	timeout   time.Duration
 
 	// fold is the ordered-ingest frontier: scenarios [0, fold.next) are
-	// folded. records holds the ingested records ahead of it.
+	// folded, and it folds cfg.Completed's records as it reaches them.
+	// records holds the ingested records ahead of it.
 	fold    *fold
 	records map[int]RunRecord
 	batch   []RunRecord // decode buffer for one Records batch, reused
@@ -100,7 +101,7 @@ func newCoordMetrics(col *telemetry.Collector) coordMetrics {
 }
 
 // newCoordinator validates the run and builds its state as of now: the
-// resumed records are folded as far as they reach, and every index still
+// stored records are folded as far as they reach, and every index still
 // lacking a record is queued for leasing.
 func newCoordinator(suite Suite, cfg CoordinatorConfig, now time.Time) (*coordinator, error) {
 	suite = suite.withDefaults()
@@ -116,14 +117,18 @@ func newCoordinator(suite Suite, cfg CoordinatorConfig, now time.Time) (*coordin
 		return nil, err
 	}
 
+	f, err := newFold(suite, suite.Cells(), Shard{}, cfg.Completed, cfg.OnRecord, cfg.Progress, cfg.Telemetry)
+	if err != nil {
+		return nil, err
+	}
 	c := &coordinator{
 		cfg:      cfg,
 		suite:    suite,
 		suiteDoc: doc,
 		fp:       suite.Fingerprint(),
 		total:    total,
-		fold:     newFold(suite, suite.Cells(), total, cfg.OnRecord, cfg.Progress, cfg.Telemetry),
-		records:  make(map[int]RunRecord, cfg.Completed.Len()),
+		fold:     f,
+		records:  make(map[int]RunRecord),
 		leases:   make(map[uint64]*coordLease),
 		workers:  make(map[string]time.Time),
 		started:  now,
@@ -139,18 +144,10 @@ func newCoordinator(suite Suite, cfg CoordinatorConfig, now time.Time) (*coordin
 		c.leaseSize = min(max(total/16, 1), maxLeaseScenarios)
 	}
 
-	for rec := range cfg.Completed.records() {
-		if err := checkCompleted(rec.Index, rec, total, suite.SeedsPerCell, Shard{}); err != nil {
-			return nil, err
-		}
-		c.records[rec.Index] = *rec
-	}
-	// Fold the resumed prefix before serving, so Progress and the pending
+	// Fold the stored prefix before serving, so Progress and the pending
 	// gauge reflect the checkpoint from the first tick. Replays never reach
 	// OnRecord — the checkpoint already holds them.
-	if err := c.advance(); err != nil {
-		return nil, err
-	}
+	f.replay()
 	c.queue = c.missingSpans(0, total)
 	c.updateGauges()
 	return c, nil
@@ -256,7 +253,7 @@ func (c *coordinator) ingestBatch(from string, now time.Time, leaseID uint64, se
 // executed — counts as a replay and is dropped, which is sound because
 // record bytes are a pure function of (suite, index).
 func (c *coordinator) ingest(rec *RunRecord) error {
-	if checkCompleted(rec.Index, rec, c.total, c.suite.SeedsPerCell, Shard{}) != nil {
+	if checkCompleted(rec, c.total, c.suite.SeedsPerCell, Shard{}) != nil {
 		c.reject()
 		return nil
 	}
@@ -273,9 +270,10 @@ func (c *coordinator) ingest(rec *RunRecord) error {
 	return nil
 }
 
-// advance folds every record the frontier reaches — fresh ones through
-// OnRecord (the checkpoint hook), resumed ones as replays — and drops it,
-// so the checkpoint is an index-ordered prefix as a local run writes it.
+// advance folds every ingested record the frontier reaches through
+// OnRecord (the checkpoint hook), the fold replaying the stored ones
+// between them, and drops it, so the checkpoint is an index-ordered prefix
+// as a local run writes it.
 func (c *coordinator) advance() error {
 	for {
 		rec, ok := c.records[c.fold.next]
@@ -283,17 +281,23 @@ func (c *coordinator) advance() error {
 			return nil
 		}
 		delete(c.records, rec.Index)
-		_, resumed := c.cfg.Completed.get(rec.Index)
-		if err := c.fold.add(&rec, !resumed); err != nil {
+		if err := c.fold.add(&rec); err != nil {
 			return err
 		}
 	}
 }
 
-// has reports whether scenario idx has a record, folded or not.
+// has reports whether scenario idx has a record, folded or not: ingested
+// or stored.
 func (c *coordinator) has(idx int) bool {
-	_, ok := c.records[idx]
-	return ok || idx < c.fold.next
+	_, ingested := c.records[idx]
+	_, stored := c.cfg.Completed.get(idx)
+	return ingested || stored || idx < c.fold.next
+}
+
+// pending is the number of scenarios with no record yet.
+func (c *coordinator) pending() int {
+	return c.total - c.fold.next - len(c.records) - c.fold.storedAhead
 }
 
 // done reports whether every scenario has been folded.
@@ -369,7 +373,7 @@ func (c *coordinator) tick(now time.Time) {
 		c.degraded = true
 		c.tm.degraded.Set(1)
 		c.logf("coordinator: degraded — %d scenarios pending, no reachable workers; leases parked until the fleet returns",
-			c.total-c.fold.next-len(c.records))
+			c.pending())
 	}
 	c.updateGauges()
 }
@@ -462,7 +466,7 @@ func (c *coordinator) reject() {
 
 func (c *coordinator) updateGauges() {
 	c.tm.workers.Set(float64(len(c.workers)))
-	c.tm.pending.Set(float64(c.total - c.fold.next - len(c.records)))
+	c.tm.pending.Set(float64(c.pending()))
 	c.tm.leasesOut.Set(float64(len(c.leases)))
 }
 

@@ -26,10 +26,7 @@ type RecordTable struct {
 
 // newRecordTable is a table for the scenarios of shard among total.
 func newRecordTable(total int, shard Shard) *RecordTable {
-	size := total
-	if !shard.IsWhole() {
-		size = (total - shard.Index + shard.Count - 1) / shard.Count
-	}
+	size := shard.size(total)
 	return &RecordTable{shard: shard, recs: make([]RunRecord, size), from: make([]atomic.Int32, size)}
 }
 

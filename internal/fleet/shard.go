@@ -52,15 +52,23 @@ func (s Shard) Contains(index int) bool {
 // Indices enumerates the shard's scenario indices in ascending order, out
 // of a suite with the given total scenario count.
 func (s Shard) Indices(total int) []int {
-	n := max(s.Count, 1)
-	out := make([]int, 0, (total+n-1)/n)
-	for i := 0; i < total; i++ {
-		if s.Contains(i) {
-			out = append(out, i)
-		}
+	out := make([]int, s.size(total))
+	for pos := range out {
+		out[pos] = s.index(pos)
 	}
 	return out
 }
+
+// size is the number of the shard's scenarios out of total.
+func (s Shard) size(total int) int {
+	if s.IsWhole() {
+		return total
+	}
+	return (total - s.Index + s.Count - 1) / s.Count
+}
+
+// index is the scenario at position pos of the shard's ascending indices.
+func (s Shard) index(pos int) int { return s.Index + pos*max(s.Count, 1) }
 
 // String formats the shard as "i/n" ("0/1" for a whole run).
 func (s Shard) String() string {
@@ -74,8 +82,8 @@ func (s Shard) String() string {
 // shard result files — back into the aggregate Result a single-machine run
 // of the suite would produce. The records must cover the suite's scenario
 // index set exactly (the error names the first scenario missing, such as
-// one whose line a shard file holds damaged); they pass through the same
-// ordered fold as a whole run, index i at position i, so every
+// one whose line a shard file holds damaged); they are the stored records
+// of the same ordered fold as a whole run, index i at position i, so every
 // floating-point operation happens in the same order with the same
 // operands as in an unsharded run and the merged Result serializes
 // byte-identically.
@@ -84,23 +92,13 @@ func MergeRecords(suite Suite, records *RecordTable) (*Result, error) {
 	if err := suite.Validate(); err != nil {
 		return nil, err
 	}
-	total := suite.NumScenarios()
-	if records.Len() > total {
-		return nil, fmt.Errorf("%w: merge has %d records, suite expands to %d scenarios",
-			ErrBadSuite, records.Len(), total)
+	f, err := newFold(suite, suite.Cells(), Shard{}, records, nil, nil, nil)
+	if err != nil {
+		return nil, err
 	}
-	f := newFold(suite, suite.Cells(), total, nil, nil, nil)
-	for i := 0; i < total; i++ {
-		rec, ok := records.get(i)
-		if !ok {
-			return nil, fmt.Errorf("%w: merge is missing scenario %d", ErrBadSuite, i)
-		}
-		if err := checkCompleted(i, rec, total, suite.SeedsPerCell, Shard{}); err != nil {
-			return nil, err
-		}
-		if err := f.add(rec, false); err != nil {
-			return nil, err
-		}
+	f.replay()
+	if f.next < f.total {
+		return nil, fmt.Errorf("%w: merge is missing scenario %d", ErrBadSuite, f.next)
 	}
 	return f.result(), nil
 }

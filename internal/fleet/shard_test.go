@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -14,6 +15,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"tolerance/internal/telemetry"
 )
 
 func TestParseShard(t *testing.T) {
@@ -105,13 +108,7 @@ func tableOf(recs map[int]RunRecord) *RecordTable {
 	for idx := range recs {
 		size = max(size, idx+1)
 	}
-	t := newRecordTable(size, Shard{})
-	for _, rec := range recs {
-		if claimed, _ := t.claim(&rec, 1); claimed {
-			t.n++
-		}
-	}
-	return t
+	return storedTable(size, Shard{}, slices.Collect(maps.Values(recs)))
 }
 
 // TestShardMergeByteIdentical is the scale-out contract: running a suite
@@ -244,6 +241,74 @@ func TestResumeByteIdentical(t *testing.T) {
 		Completed: tableOf(map[int]RunRecord{1: {Index: 1}}),
 	}); err == nil {
 		t.Error("out-of-shard completed record should fail")
+	}
+}
+
+// TestRunOfStoredScenariosExecutesNothing: a Run whose every scheduled
+// scenario is stored fits nothing, claims no batch, starts no scenario,
+// hands OnRecord nothing and prints the bytes MergeRecords prints over the
+// same table.
+func TestRunOfStoredScenariosExecutesNothing(t *testing.T) {
+	suite := testSuite()
+	_, recs := collectRecords(t, suite, Shard{}, nil)
+	table := storedTable(suite.NumScenarios(), Shard{}, recs)
+	col := telemetry.New()
+	cache := NewStrategyCache()
+	res, err := Run(context.Background(), suite, Config{
+		Workers: 2, Cache: cache, Completed: table, Telemetry: col,
+		OnRecord: func(rec RunRecord) error { return fmt.Errorf("scenario %d reached OnRecord", rec.Index) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := MergeRecords(suite, table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := mustMarshal(t, res), mustMarshal(t, merged); !bytes.Equal(got, want) {
+		t.Errorf("the stored run differs from the merge of its table:\n%s\n%s", got, want)
+	}
+	if got := cache.Stats().FitSolves; got != 0 {
+		t.Errorf("the stored run fitted %d times, want 0", got)
+	}
+	s := col.Snapshot()
+	for name, want := range map[string]int64{
+		MetricBatchesClaimed:    0,
+		MetricScenariosStarted:  0,
+		MetricScenariosReplayed: int64(len(recs)),
+		MetricScenariosFolded:   int64(len(recs)),
+	} {
+		if got := s.Counter(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}
+
+// TestShardResumeByteIdentical: shard 1/3 of a suite resumed with a
+// scattering of its scenarios stored — runs of stored and of missing
+// positions on both sides of foldSpan boundaries, the first and the last
+// position stored — executes exactly the missing ones, hands OnRecord the
+// records the uninterrupted shard run does for them, and prints that run's
+// bytes.
+func TestShardResumeByteIdentical(t *testing.T) {
+	suite := testSuite()
+	suite.SeedsPerCell = 10 // 80 scenarios: 27 positions in shard 1/3
+	shard := Shard{Index: 1, Count: 3}
+	whole, recs := collectRecords(t, suite, shard, nil)
+	var stored, missing []RunRecord
+	for pos, rec := range recs {
+		if pos%5 < 2 || pos == len(recs)-1 {
+			stored = append(stored, rec)
+		} else {
+			missing = append(missing, rec)
+		}
+	}
+	resumed, fresh := collectRecords(t, suite, shard, storedTable(suite.NumScenarios(), shard, stored))
+	if got, want := mustMarshal(t, resumed), mustMarshal(t, whole); !bytes.Equal(got, want) {
+		t.Errorf("the resumed shard differs from the uninterrupted one:\n%s\n%s", got, want)
+	}
+	if got, want := mustMarshal(t, fresh), mustMarshal(t, missing); !bytes.Equal(got, want) {
+		t.Errorf("the resume executed %d records, not the %d missing ones of the uninterrupted run", len(fresh), len(missing))
 	}
 }
 

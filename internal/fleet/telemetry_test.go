@@ -204,7 +204,10 @@ func TestTelemetryHotPathZeroAllocs(t *testing.T) {
 		FitSeed: 5,
 	}
 	suite := testSuite().withDefaults()
-	f := newFold(suite, suite.Cells(), suite.NumScenarios(), nil, nil, col)
+	f, err := newFold(suite, suite.Cells(), Shard{}, nil, nil, nil, col)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var rec RunRecord
 	r := emulation.NewRunner()
 	if _, err := r.RunInto(s); err != nil {
@@ -222,7 +225,7 @@ func TestTelemetryHotPathZeroAllocs(t *testing.T) {
 		d := int64(time.Since(t0))
 		tm.busyNS.Add(d)
 		tm.durNS.Observe(d)
-		if err := f.add(&rec, true); err != nil {
+		if err := f.add(&rec); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -236,7 +236,7 @@ func (r *leaseRunner) run(ctx context.Context, lease proto.Lease, ship func(seq 
 		seq++
 		return err
 	}
-	err := r.plan.execute(ctx, r.indices, r.cfg, func(rec *RunRecord, _ bool) error {
+	err := r.plan.execute(ctx, r.indices, r.cfg, func(rec *RunRecord) error {
 		if batched == 0 {
 			r.frame = appendRecordsFrameHead(r.frame[:0], lease.ID, seq)
 		} else {

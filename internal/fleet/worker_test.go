@@ -262,16 +262,17 @@ func TestWarmLeaseAllocationCount(t *testing.T) {
 	}
 }
 
-// TestPooledRunnerForgetsEarlierCollector: a runner an instrumented
-// execution gave back to its plan's pool, reused by an execution without
-// telemetry, records nothing into the earlier execution's collector.
+// TestPooledRunnerForgetsEarlierCollector: the runner of the plan's one
+// execution, after an instrumented execution, reused by an execution
+// without telemetry, records nothing into the earlier execution's
+// collector.
 func TestPooledRunnerForgetsEarlierCollector(t *testing.T) {
 	p := newPlan(testSuite())
 	cfg := Config{Workers: 1, Cache: NewStrategyCache()}.withDefaults()
 	if err := p.fit(cfg); err != nil {
 		t.Fatal(err)
 	}
-	emit := func(*RunRecord, bool) error { return nil }
+	emit := func(*RunRecord) error { return nil }
 	col := telemetry.New()
 	instrumented := cfg
 	instrumented.Telemetry = col
@@ -282,19 +283,18 @@ func TestPooledRunnerForgetsEarlierCollector(t *testing.T) {
 	if got := steps(); got != 4 {
 		t.Fatalf("the instrumented execution observed %d scenarios' steps, want 4", got)
 	}
-	pooled := p.pool.runners
-	if len(pooled) != 1 {
-		t.Fatalf("the plan's pool holds %d runners after a one-worker execution, want 1", len(pooled))
+	if len(p.exec.runners) != 1 {
+		t.Fatalf("the plan's execution holds %d runners after a one-worker execution, want 1", len(p.exec.runners))
 	}
-	runner := pooled[0]
+	runner := p.exec.runners[0]
 	if err := p.execute(context.Background(), rangeInts(4, 12), cfg, emit); err != nil {
 		t.Fatal(err)
 	}
-	if len(p.pool.runners) != 1 || p.pool.runners[0] != runner {
-		t.Fatal("the uninstrumented execution did not reuse the pooled runner")
+	if len(p.exec.runners) != 1 || p.exec.runners[0] != runner {
+		t.Fatal("the uninstrumented execution did not reuse the execution's runner")
 	}
 	if got := steps(); got != 4 {
-		t.Errorf("after an uninstrumented execution on the pooled runner the collector holds %d scenarios' steps, want 4", got)
+		t.Errorf("after an uninstrumented execution on the reused runner the collector holds %d scenarios' steps, want 4", got)
 	}
 }
 

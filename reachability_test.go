@@ -26,10 +26,12 @@ const testOnlyDirective = "//tolerance:testonly"
 // TestInternalCodeIsReachable is the dead-code gate. It fails on
 //   - an internal/ package that no non-test package outside examples/
 //     imports (a test-only package, with no non-test file, holds nothing
-//     to keep alive), and
+//     to keep alive),
 //   - an exported package-level func, type, var or const, an exported
 //     method, or an exported method of an interface type, declared in
-//     internal/, that no non-test code outside examples/ uses.
+//     internal/, that no non-test code outside examples/ uses, and
+//   - an unexported package-level func, type, var or const declared in
+//     internal/ that no non-test file of its package uses.
 //
 // Examples are demos of the library, not reasons to keep code alive; cmd/
 // and bench/ count. Uses are resolved to go/types objects, so a dead
@@ -96,7 +98,7 @@ func TestInternalCodeIsReachable(t *testing.T) {
 							return true
 						})
 					}
-					if strings.HasPrefix(path, internal) && d.Name.IsExported() {
+					if strings.HasPrefix(path, internal) && (d.Name.IsExported() || d.Recv == nil && d.Name.Name != "init" && d.Name.Name != "_") {
 						cands[l.info.Defs[d.Name]] = &candidate{decl: d, doc: d.Doc}
 					}
 				case *ast.GenDecl:
@@ -125,7 +127,7 @@ func TestInternalCodeIsReachable(t *testing.T) {
 							doc = d.Doc
 						}
 						for _, name := range names {
-							if name.IsExported() {
+							if name.Name != "_" {
 								cands[l.info.Defs[name]] = &candidate{decl: spec, doc: doc}
 							}
 						}
